@@ -1,30 +1,24 @@
-"""E13 — Multicore checker fleet: pooled misses, memoized core, indexed cache.
+"""E13 — Memoized rewriting core and indexed cache invalidation.
 
-Four questions about the PR-3 performance work (``repro.serve.pool``,
-``repro.relalg.memo``, the indexed ``repro.enforce.cache``):
+Three questions about the PR-3 performance work (``repro.relalg.memo``,
+the indexed ``repro.enforce.cache``). E13a (miss-heavy throughput vs
+checker worker processes) is retired with the process pool itself; see
+"E13a — retired" in EXPERIMENTS.md for the ablation that removed it.
 
-1. **E13a — miss-heavy throughput vs worker count.** With decision
-   caching off every request pays a full compliance check; under the GIL
-   those serialize no matter how many driver threads run. Shipping the
-   miss path to a :class:`CheckerPool` should scale with cores. (The
-   ≥2.5× assertion at 4 workers only fires on machines with ≥4 CPUs —
-   on fewer cores the table still records the IPC overhead honestly.)
-
-2. **E13b — memoization ablation.** The same check stream with the
+1. **E13b — memoization ablation.** The same check stream with the
    rewriting-core memos disabled (the seed path), cold, and warm; the
    warm pass must beat the seed path and the memos must show real hit
    rates.
 
-3. **E13c — invalidation at 10k templates.** The reverse-indexed
+2. **E13c — invalidation at 10k templates.** The reverse-indexed
    ``invalidate_table`` visits only skeleton keys that touch the written
    table; asserted via the ``invalidate_keys_scanned`` instrumentation
    and compared against a full linear scan.
 
-4. **E13d — zero disagreements.** Seed (memo off), memoized, and pooled
-   checking produce identical decisions on a shared query stream, and a
-   pooled gateway run with ``verify_cached_decisions`` on reports zero
-   cached-vs-fresh disagreements (the E11 safety check, against the
-   pooled path).
+3. **E13d — zero disagreements.** Seed (memo off) and memoized checking
+   produce identical decisions on a shared query stream with history,
+   and a gateway run with ``verify_cached_decisions`` on reports zero
+   cached-vs-fresh disagreements (the E11 safety check).
 
 ``E13_QUICK=1`` shrinks sizes for CI smoke runs. Marked ``slow``.
 """
@@ -42,7 +36,7 @@ from repro.enforce.trace import Trace
 from repro.engine.executor import Result
 from repro.relalg import memo
 from repro.relalg.translate import translate_select
-from repro.serve import CheckerPool, EnforcementGateway, GatewayConfig, WorkloadDriver
+from repro.serve import EnforcementGateway, GatewayConfig, WorkloadDriver
 from repro.sqlir.params import bind_parameters
 from repro.sqlir.parser import parse_select
 from repro.workloads import calendar_app
@@ -52,52 +46,6 @@ from conftest import fresh_app
 pytestmark = pytest.mark.slow
 
 QUICK = os.environ.get("E13_QUICK", "") not in ("", "0")
-
-
-# --------------------------------------------------------------------------
-# E13a — miss-heavy throughput vs worker count
-# --------------------------------------------------------------------------
-
-
-def replay_miss_heavy(check_workers: int, requests: int, seed: int = 11):
-    """Replay a stream with decision caching OFF: every request is a miss."""
-    app, db = fresh_app("social", size=16)
-    policy = app.ground_truth_policy()
-    gateway = EnforcementGateway(
-        db,
-        policy,
-        GatewayConfig(cache_mode="none", check_workers=check_workers),
-    )
-    driver = WorkloadDriver(app, gateway, workers=4)
-    stream = app.request_stream(db, random.Random(seed), requests)
-    try:
-        report = driver.run(stream)
-        counters = gateway.snapshot().counters
-    finally:
-        gateway.close()
-    return report, counters
-
-
-def throughput_rows(requests: int):
-    worker_counts = [0, 1] if QUICK else [0, 1, 2, 4]
-    rows = []
-    baseline = None
-    for workers in worker_counts:
-        report, counters = replay_miss_heavy(workers, requests)
-        if baseline is None:
-            baseline = report.throughput_rps
-        rows.append(
-            (
-                workers,
-                report.requests,
-                round(report.throughput_rps, 1),
-                round(report.throughput_rps / baseline, 2) if baseline else 0,
-                counters.get("pool_tasks_dispatched", 0),
-                counters.get("pool_errors", 0),
-                counters.get("pool_fallbacks", 0),
-            )
-        )
-    return rows
 
 
 # --------------------------------------------------------------------------
@@ -243,7 +191,7 @@ def invalidation_rows(templates: int, tables: int):
 
 
 # --------------------------------------------------------------------------
-# E13d — three-way agreement: seed vs memoized vs pooled
+# E13d — agreement: seed vs memoized, cached vs fresh
 # --------------------------------------------------------------------------
 
 
@@ -265,34 +213,29 @@ def agreement_rows(checks: int):
     schema = calendar_app.make_schema()
     policy = calendar_app.ground_truth_policy()
     checker = ComplianceChecker(schema, policy)
-    pool = CheckerPool(schema, policy, workers=1)
     rng = random.Random(23)
     stream = check_stream(checks, seed=23)
     disagreements = 0
-    try:
-        for token, (stmt, user) in enumerate(stream):
-            seen = [(user, rng.randint(1, 6)) for _ in range(rng.randrange(3))]
-            trace = make_trace(schema, seen)
-            memo.set_memoization(False)
-            seed_d = checker.check(stmt, {"MyUId": user}, trace)
-            memo.set_memoization(True)
-            memoized_d = checker.check(stmt, {"MyUId": user}, trace)
-            pooled_d = pool.check(token, {"MyUId": user}, stmt, trace)
-            if not (
-                seed_d.allowed == memoized_d.allowed == pooled_d.allowed
-                and seed_d.reason == memoized_d.reason == pooled_d.reason
-            ):
-                disagreements += 1
-    finally:
-        pool.close()
+    for stmt, user in stream:
+        seen = [(user, rng.randint(1, 6)) for _ in range(rng.randrange(3))]
+        trace = make_trace(schema, seen)
+        memo.set_memoization(False)
+        seed_d = checker.check(stmt, {"MyUId": user}, trace)
+        memo.set_memoization(True)
+        memoized_d = checker.check(stmt, {"MyUId": user}, trace)
+        if not (
+            seed_d.allowed == memoized_d.allowed
+            and seed_d.reason == memoized_d.reason
+        ):
+            disagreements += 1
 
-    # The E11 safety check against the pooled path: every shared-cache hit
-    # re-verified through the (pooled) fresh checker.
+    # The E11 safety check: every shared-cache hit re-verified through
+    # the fresh checker.
     app, db = fresh_app("social", size=12)
     gateway = EnforcementGateway(
         db,
         app.ground_truth_policy(),
-        GatewayConfig(verify_cached_decisions=True, check_workers=1),
+        GatewayConfig(verify_cached_decisions=True),
     )
     driver = WorkloadDriver(app, gateway, workers=4)
     stream = app.request_stream(db, random.Random(5), 60 if QUICK else 160)
@@ -305,19 +248,17 @@ def agreement_rows(checks: int):
         gateway.close()
 
     rows = [
-        ("seed vs memoized vs pooled", checks, disagreements),
-        (f"pooled gateway verify ({report.requests} reqs, {verified} verified)",
+        ("seed vs memoized", checks, disagreements),
+        (f"gateway verify ({report.requests} reqs, {verified} verified)",
          verified, cache_disagreements),
     ]
     return rows, disagreements + cache_disagreements
 
 
 def test_e13_multicore(benchmark, capsys):
-    requests = 60 if QUICK else 240
     checks = 60 if QUICK else 200
     templates = 2000 if QUICK else 10000
 
-    throughput = throughput_rows(requests)
     memo_table, memo_speedup, memo_disagreements = memo_rows(checks)
     invalidation = invalidation_rows(templates, tables=100)
     agreement, total_disagreements = agreement_rows(30 if QUICK else 80)
@@ -337,12 +278,6 @@ def test_e13_multicore(benchmark, capsys):
     benchmark.pedantic(warm_check, rounds=5, iterations=10)
 
     with capsys.disabled():
-        print_table(
-            "E13a",
-            "miss-heavy throughput vs checker workers (social, cache off)",
-            ["workers", "requests", "req/s", "speedup", "pool tasks", "errors", "fallbacks"],
-            throughput,
-        )
         print_table(
             "E13b",
             "rewriting-core memoization ablation (calendar checks)",
@@ -376,7 +311,3 @@ def test_e13_multicore(benchmark, capsys):
     assert memo_speedup > 1.0, memo_speedup
     assert memo_disagreements == 0
     assert total_disagreements == 0
-    # The multicore claim, only on hardware that can show it.
-    if not QUICK and (os.cpu_count() or 1) >= 4:
-        by_workers = {row[0]: row[3] for row in throughput}
-        assert by_workers.get(4, 0) >= 2.5, throughput

@@ -41,12 +41,12 @@ import pytest
 from repro.bench.harness import print_table
 from repro.enforce.checker import ComplianceChecker
 from repro.enforce.decision import PolicyViolation
+from repro.enforce.trace import Trace
 from repro.extract import MinerConfig, TraceMiner
 from repro.lifecycle import GateConfig, LifecycleManager, ShadowRunner, hot_reload
 from repro.policy.compare import compare_policies
 from repro.policy.policy import Policy, View
 from repro.serve import EnforcementGateway, GatewayConfig
-from repro.serve.pool import _TraceReplica
 from repro.workloads import calendar_app
 
 from conftest import OPAQUE_HINTS, fresh_app
@@ -136,10 +136,8 @@ def reload_under_load(reloads: int):
     }
     torn = 0
     for record in audits:
-        replica = _TraceReplica()
-        replica.apply([("add", fact) for fact in record.facts])
         fresh = checkers[record.policy_version].check(
-            db.parse(record.sql), record.bindings, replica
+            db.parse(record.sql), record.bindings, Trace.from_facts(record.facts)
         )
         if fresh.allowed != record.allowed:
             torn += 1

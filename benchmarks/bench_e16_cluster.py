@@ -56,12 +56,12 @@ from repro.cluster import BackgroundCluster, ClusterConfig
 from repro.cluster.exchange import _deserialize_fact
 from repro.enforce.checker import ComplianceChecker
 from repro.enforce.decision import PolicyViolation
+from repro.enforce.trace import Trace
 from repro.net import AdminClient, NetClientConnection
 from repro.net.client import NetGatewayClient
 from repro.policy import policy_to_text
 from repro.policy.policy import Policy
 from repro.serve import EnforcementGateway, GatewayConfig, WorkloadDriver
-from repro.serve.pool import _TraceReplica
 from repro.workloads import calendar_app
 
 pytestmark = pytest.mark.slow
@@ -326,10 +326,9 @@ def rolling_reload(shards: int, reloads: int, audit_dir: str):
     }
     torn = 0
     for record in records:
-        replica = _TraceReplica()
-        replica.apply([("add", _deserialize_fact(f)) for f in record["facts"]])
+        trace = Trace.from_facts(_deserialize_fact(f) for f in record["facts"])
         fresh = checkers[record["policy_version"]].check(
-            db.parse(record["sql"]), record["bindings"], replica
+            db.parse(record["sql"]), record["bindings"], trace
         )
         if fresh.allowed != record["allowed"]:
             torn += 1

@@ -50,7 +50,6 @@ from repro.relalg import memo
 from repro.relalg.compile import compile_policy
 from repro.relalg.translate import translate_select
 from repro.serve import EnforcementGateway, GatewayConfig, WorkloadDriver
-from repro.serve.pool import _TraceReplica
 from repro.sqlir.params import bind_parameters
 from repro.sqlir.parser import parse_select
 from repro.sqlir.printer import to_sql
@@ -325,10 +324,8 @@ def reload_under_load(reloads: int):
     }
     torn = 0
     for record in audits:
-        replica = _TraceReplica()
-        replica.apply([("add", fact) for fact in record.facts])
         fresh = checkers[record.policy_version].check(
-            db.parse(record.sql), record.bindings, replica
+            db.parse(record.sql), record.bindings, Trace.from_facts(record.facts)
         )
         if fresh.allowed != record.allowed:
             torn += 1

@@ -37,11 +37,11 @@ import pytest
 from repro.bench.harness import print_table
 from repro.enforce.checker import ComplianceChecker
 from repro.enforce.decision import PolicyViolation
+from repro.enforce.trace import Trace
 from repro.lifecycle import GateConfig, LifecycleManager
 from repro.mining import MinedCandidate, MiningConfig
 from repro.policy.policy import Policy
 from repro.serve import EnforcementGateway, GatewayConfig
-from repro.serve.pool import _TraceReplica
 from repro.workloads import calendar_app
 
 from conftest import OPAQUE_HINTS, fresh_app
@@ -125,9 +125,9 @@ def replay_allows(db, policy, records):
         if not record.allowed:
             continue
         replayed += 1
-        replica = _TraceReplica()
-        replica.apply([("add", fact) for fact in record.facts])
-        fresh = checker.check(db.parse(record.sql), record.bindings, replica)
+        fresh = checker.check(
+            db.parse(record.sql), record.bindings, Trace.from_facts(record.facts)
+        )
         if not fresh.allowed:
             over_blocked += 1
     return replayed, over_blocked

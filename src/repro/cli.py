@@ -207,7 +207,6 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
         GatewayConfig(
             cache_mode=args.cache,
             verify_cached_decisions=args.verify,
-            check_workers=args.check_workers,
             compile_checks=not args.no_compile,
             batch_checks=not args.no_batch,
             backend=args.backend,
@@ -275,7 +274,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         policy,
         GatewayConfig(
             cache_mode=args.cache,
-            check_workers=args.check_workers,
             compile_checks=not args.no_compile,
             batch_checks=not args.no_batch,
             backend=args.backend,
@@ -283,7 +281,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             mining=mining_config,
         ),
     )
-    lifecycle = LifecycleManager(gateway, shadow_workers=args.shadow_workers)
+    lifecycle = LifecycleManager(gateway)
     if lifecycle.mining is not None:
         lifecycle.mining.start()
     config = ServerConfig(
@@ -360,7 +358,6 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         backend=args.backend,
         db_path=args.db_path,
         cache_mode=args.cache,
-        check_workers=args.check_workers,
         compile_checks=not args.no_compile,
         batch_checks=not args.no_batch,
         shared_db_path=args.shared_db_path,
@@ -761,12 +758,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="re-check every cache hit with the full checker; exit 1 on disagreement",
     )
     serve.add_argument(
-        "--check-workers",
-        type=int,
-        default=0,
-        help="checker worker processes for cache misses (0 = in-process)",
-    )
-    serve.add_argument(
         "--no-compile",
         action="store_true",
         help="disable the epoch-compiled decision fast path (docs/compilation.md)",
@@ -811,20 +802,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="decision-cache configuration",
     )
     net.add_argument(
-        "--check-workers",
-        type=int,
-        default=0,
-        help="checker worker processes for cache misses (0 = in-process)",
-    )
-    net.add_argument(
         "--policy-file",
         help="serve this policy file instead of the app's bundled ground truth",
-    )
-    net.add_argument(
-        "--shadow-workers",
-        type=int,
-        default=0,
-        help="checker worker processes for shadow-mode checks (0 = in-process)",
     )
     net.add_argument(
         "--no-compile",
@@ -878,12 +857,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="decision-cache configuration (per shard)",
     )
     cluster.add_argument(
-        "--check-workers",
-        type=int,
-        default=0,
-        help="checker worker processes per shard (0 = in-process)",
-    )
-    cluster.add_argument(
         "--no-exchange",
         action="store_true",
         help="disable cross-shard decision-template exchange",
@@ -925,7 +898,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["shared", "per-session", "none"],
         default="shared",
     )
-    shard.add_argument("--check-workers", type=int, default=0)
     shard.add_argument("--exchange-host", default="127.0.0.1")
     shard.add_argument(
         "--exchange-port",

@@ -48,7 +48,6 @@ class ShardSpec:
     backend: str | None = None
     db_path: str | None = None
     cache_mode: str = "shared"
-    check_workers: int = 0
     compile_checks: bool = True
     batch_checks: bool = True
     exchange_host: str = "127.0.0.1"
@@ -116,7 +115,6 @@ def run_shard(spec: ShardSpec) -> int:
         policy,
         GatewayConfig(
             cache_mode=spec.cache_mode,
-            check_workers=spec.check_workers,
             compile_checks=spec.compile_checks,
             batch_checks=spec.batch_checks,
             backend=spec.backend,
@@ -196,7 +194,6 @@ def spec_from_args(args) -> ShardSpec:
         backend=args.backend,
         db_path=args.db_path,
         cache_mode=args.cache,
-        check_workers=args.check_workers,
         compile_checks=not args.no_compile,
         batch_checks=not args.no_batch,
         exchange_host=args.exchange_host,

@@ -167,7 +167,6 @@ class ClusterConfig:
     #: One SQLite WAL file shared by every shard (implies backend=sqlite).
     shared_db_path: str | None = None
     cache_mode: str = "shared"
-    check_workers: int = 0
     #: Epoch-compiled decision fast path per shard (docs/compilation.md).
     compile_checks: bool = True
     #: Batched in-process containment checking per shard.
@@ -274,7 +273,6 @@ class BackgroundCluster:
                 "--port", "0",
                 "--seed", str(config.seed),
                 "--cache", config.cache_mode,
-                "--check-workers", str(config.check_workers),
                 "--request-timeout", str(config.request_timeout_s),
             ]
             if config.size is not None:

@@ -214,21 +214,6 @@ class ComplianceChecker:
             relevant,
         )
 
-    def check_batch(
-        self,
-        items: list[tuple[ast.Select, Mapping[str, object], Trace | None]],
-    ) -> list[Decision]:
-        """Vet a batch of queued statements, sharing compilation work.
-
-        Items are checked in order against the same epoch artifacts, so
-        the first fresh check of a skeleton immediately templates it and
-        every later same-shaped item in the batch instantiates the
-        template instead of re-running containment — the gateway's
-        :class:`~repro.serve.batch.CheckBatcher` rides this to share
-        canonicalization/constraint-closure work across sessions.
-        """
-        return [self.check(stmt, bindings, trace) for stmt, bindings, trace in items]
-
     def _relevant_relations(self, query: UCQ, views: list[ViewDef]) -> set[str]:
         """Relations whose trace facts could help this query.
 

@@ -333,8 +333,7 @@ class EnforcementProxy:
     ) -> Decision:
         """Run the full compliance check for a cache miss.
 
-        The gateway overrides this to offload onto a
-        :class:`~repro.serve.pool.CheckerPool` when one is configured.
+        The gateway overrides this to check under its pinned policy epoch.
         """
         return self.checker.check(
             bound, self.session.bindings, trace, skeleton=skeleton

@@ -15,7 +15,8 @@ so joins are preserved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass
 
 from repro.engine.executor import Result
 from repro.relalg.constraints import ConstraintSet
@@ -44,25 +45,40 @@ class TraceEntry:
 
 
 class Trace:
-    """The per-session history of queries and the facts they certify."""
+    """The facts a session's allowed queries have certified, in recency order.
+
+    Bounded by construction: at most ``max_facts`` atoms plus two
+    counters, however long the session runs. The ordered fact tuple
+    (:attr:`facts`) is the whole decision-time history a compliance check
+    reads, so it is also the one format a history is handed around in:
+    :meth:`from_facts` rebuilds an equivalent trace from a snapshot of it.
+    """
 
     def __init__(self, max_facts: int = 256):
-        self.entries: list[TraceEntry] = []
         self._facts: list[Atom] = []
         self._fact_set: set[Atom] = set()
         self._null_counter = 0
+        self._recorded = 0
         self.max_facts = max_facts
-        #: Append-only log of fact-list mutations: ``("add", fact)`` when a
-        #: fact enters the list, ``("refresh", fact)`` when a re-certified
-        #: fact moves to the end. Facts dropped by the ``max_facts`` cap
-        #: emit nothing. Replaying the log reproduces the fact list (with
-        #: its recency order) exactly — the checker-pool protocol ships
-        #: ``events[cursor:]`` to worker processes instead of re-pickling
-        #: the whole trace on every check.
-        self.events: list[tuple[str, Atom]] = []
+
+    @classmethod
+    def from_facts(cls, facts: Iterable[Atom]) -> "Trace":
+        """A trace holding exactly ``facts``, in that order.
+
+        For replaying a check against a decision-time snapshot
+        (``trace.facts`` taken when the decision was made). Not meant to
+        be recorded into: the snapshot's labeled nulls keep their names,
+        and this trace's null counter starts from zero.
+        """
+        trace = cls()
+        trace._facts = list(dict.fromkeys(facts))
+        trace._fact_set = set(trace._facts)
+        trace.max_facts = max(trace.max_facts, len(trace._facts))
+        return trace
 
     def __len__(self) -> int:
-        return len(self.entries)
+        """Queries recorded so far (not facts: see ``len(trace.facts)``)."""
+        return self._recorded
 
     @property
     def facts(self) -> tuple[Atom, ...]:
@@ -80,18 +96,16 @@ class Trace:
             result_rows=tuple(result.rows),
             facts=facts,
         )
-        self.entries.append(entry)
+        self._recorded += 1
         for fact in facts:
             if fact in self._fact_set:
                 # Re-certified: refresh recency so the checker's
                 # most-recent-facts selection sees it again.
                 self._facts.remove(fact)
                 self._facts.append(fact)
-                self.events.append(("refresh", fact))
             elif len(self._facts) < self.max_facts:
                 self._fact_set.add(fact)
                 self._facts.append(fact)
-                self.events.append(("add", fact))
         return entry
 
     def relevant_facts(self, relations: set[str]) -> list[Atom]:

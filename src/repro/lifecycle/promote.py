@@ -29,12 +29,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.diagnose import diagnose
+from repro.enforce.trace import Trace
 from repro.evaluate import check_nqi, check_pqi
 from repro.lifecycle.shadow import Divergence, ShadowRunner
 from repro.policy.compare import compare_policies, view_covered_by
 from repro.policy.policy import Policy
 from repro.relalg.cq import CQ
-from repro.serve.pool import _TraceReplica
 
 
 @dataclass(frozen=True)
@@ -243,15 +243,13 @@ def _diagnose_divergences(
     reports: list[str] = []
     for divergence in divergences[:max_diagnoses]:
         blocking = candidate if divergence.kind == "allow_to_block" else active
-        replica = _TraceReplica()
-        replica.apply(list(divergence.events))
         try:
             diagnosis = diagnose(
                 divergence.stmt,
                 dict(divergence.bindings),
                 blocking,
                 schema,
-                trace=replica,
+                trace=Trace.from_facts(divergence.facts),
             )
             rendered = diagnosis.describe()
         except Exception as error:  # diagnosis is best-effort advice

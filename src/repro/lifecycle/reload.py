@@ -2,21 +2,21 @@
 
 The mechanism is the gateway's *policy epoch*
 (:class:`~repro.serve.gateway.PolicyEpoch`): everything derived from the
-policy — checker, shared/per-session decision caches, checker-pool
-workers — is one immutable bundle, and every decision pins the bundle it
+policy — checker, shared/per-session decision caches, miss batcher —
+is one immutable bundle, and every decision pins the bundle it
 started under for its whole duration. :func:`hot_reload` therefore:
 
-1. **builds** the new epoch first (checker construction, worker
-   spawning — the expensive part happens while the old epoch keeps
+1. **builds** the new epoch first (policy compilation, checker
+   construction — the expensive part happens while the old epoch keeps
    serving);
 2. **installs** it under the gateway's write lock — a pointer swap, so
    the measured pause is microseconds and the swap serializes against
    write-driven cache invalidation;
 3. **retires** the old epoch — waits for its pinned in-flight decisions
-   to drain, then shuts its worker pool down.
+   to drain.
 
 No torn decisions: a decision that began under version *n* finishes
-entirely under version *n* (its cache, its checker, its pool); the next
+entirely under version *n* (its cache, its checker); the next
 decision on the same session runs entirely under *n+1*. Session state is
 untouched — connections and their traces live on the gateway, not the
 epoch, so certified history survives the swap (and immediately gates
@@ -125,12 +125,10 @@ class LifecycleManager:
         gateway,
         registry: PolicyRegistry | None = None,
         gates: GateConfig | None = None,
-        shadow_workers: int = 0,
     ):
         self.gateway = gateway
         self.registry = registry or PolicyRegistry()
         self.gates = gates or GateConfig()
-        self.shadow_workers = shadow_workers
         self._lock = threading.Lock()
         self._shadow_version: PolicyVersion | None = None
         self._last_promotion: PromotionReport | None = None
@@ -207,7 +205,6 @@ class LifecycleManager:
         candidate: Policy,
         provenance: str = "extracted",
         label: str = "",
-        workers: int | None = None,
     ) -> PolicyVersion:
         """Register a candidate and start checking it against live traffic."""
         with self._lock:
@@ -216,12 +213,7 @@ class LifecycleManager:
                     "a shadow candidate is already running; stop or promote it first"
                 )
             registered = self.registry.register(candidate, provenance, label)
-            runner = ShadowRunner(
-                self.gateway,
-                candidate,
-                registered.version,
-                workers=self.shadow_workers if workers is None else workers,
-            )
+            runner = ShadowRunner(self.gateway, candidate, registered.version)
             self._shadow_version = registered
             self.gateway.shadow = runner
             self.gateway.metrics.increment("shadow_starts")

@@ -10,18 +10,14 @@ and live traffic is the cheapest oracle for that claim.
 
 Soundness of the comparison rests on snapshotting: the active decision
 was made against the session's trace *as of decision time*, so the
-shadow check must see exactly that prefix. Trace event logs are
-append-only, so capturing ``len(trace.events)`` at submit time and
-replaying that prefix reproduces the active decision's history even
-though the live trace has moved on by the time the shadow check runs.
+shadow check must see exactly those facts. ``submit`` copies
+``trace.facts`` (an ordered tuple of at most ``max_facts`` atoms) on the
+session's own thread right after the active decision, and the check
+replays against :meth:`Trace.from_facts <repro.enforce.trace.Trace.from_facts>`
+of that tuple, even though the live trace has moved on by the time the
+shadow check runs.
 
-Checks run on the candidate's own :class:`~repro.serve.pool.CheckerPool`
-when workers are configured — active-pool workers build their
-:class:`~repro.enforce.checker.ComplianceChecker` against the *active*
-policy at spawn, so candidate checks need candidate-bound workers; what
-is reused is the pool machinery (warm processes, trace-delta shipping,
-restart-on-death), keeping the shadow check off the gateway's CPU
-budget. With no workers, a single in-process checker thread is used.
+Checks run on a single in-process checker thread bound to the candidate.
 
 Backpressure drops rather than blocks: when more than ``max_pending``
 shadow checks are queued, new submissions are counted as ``dropped`` and
@@ -36,8 +32,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from repro.enforce.checker import ComplianceChecker
+from repro.enforce.trace import Trace
 from repro.policy.policy import Policy
-from repro.serve.pool import CheckerPool, CheckerPoolError, _TraceReplica
 from repro.sqlir import ast
 
 
@@ -45,19 +41,22 @@ from repro.sqlir import ast
 class Divergence:
     """One allow↔block flip between the active and candidate policies.
 
-    Carries the bound statement and the trace-event snapshot so a failed
+    Carries the bound statement and the decision-time fact snapshot so a failed
     promotion gate can hand the exact situation to ``repro.diagnose``.
     """
 
     sql: str
     stmt: ast.Select
     bindings: tuple[tuple[str, object], ...]
-    trace_len: int
     active_allowed: bool
     candidate_allowed: bool
     active_version: int
     candidate_version: int
-    events: tuple = ()
+    facts: tuple = ()
+
+    @property
+    def trace_len(self) -> int:
+        return len(self.facts)
 
     @property
     def kind(self) -> str:
@@ -123,28 +122,13 @@ class DivergenceLog:
             }
 
 
-class _EventsPrefix:
-    """A frozen prefix of a session's trace-event log, for pool shipping.
-
-    :meth:`CheckerPool.check` reads only ``trace.events``; handing it
-    this snapshot (instead of the live trace) pins the shadow check to
-    the history the active decision saw.
-    """
-
-    __slots__ = ("events",)
-
-    def __init__(self, events: list):
-        self.events = events
-
-
 class ShadowRunner:
     """Runs candidate-policy checks alongside the active gateway path.
 
     Installed as ``gateway.shadow``;
     :meth:`~repro.serve.gateway.GatewayConnection.decide` calls
     :meth:`submit` after every active decision. One worker thread drains
-    the queue in submission order — per-session trace snapshots are then
-    monotonically growing, which the pool's trace-delta cursors require.
+    the queue in submission order.
     """
 
     def __init__(
@@ -152,7 +136,6 @@ class ShadowRunner:
         gateway,
         candidate: Policy,
         candidate_version: int,
-        workers: int = 0,
         log_cap: int = 256,
         max_pending: int = 512,
     ):
@@ -164,17 +147,6 @@ class ShadowRunner:
         self._history_enabled = history
         self._checker = ComplianceChecker(
             gateway.db.schema, candidate, history_enabled=history
-        )
-        self._pool: CheckerPool | None = (
-            CheckerPool(
-                gateway.db.schema,
-                candidate,
-                workers=workers,
-                history_enabled=history,
-                timeout_s=gateway.config.check_timeout_s,
-            )
-            if workers > 0
-            else None
         )
         self._max_pending = max_pending
         self._executor = ThreadPoolExecutor(
@@ -193,7 +165,7 @@ class ShadowRunner:
 
         Returns ``False`` when the check was shed (queue full or runner
         closed). Snapshots everything mutable *now*, on the caller's
-        thread: the trace prefix, the bindings, and the active verdict.
+        thread: the trace's facts, the bindings, and the active verdict.
         """
         with self._condition:
             if self._closed:
@@ -202,18 +174,15 @@ class ShadowRunner:
                 self._dropped += 1
                 return False
             self._submitted += 1
-        events = (
-            list(connection.trace.events) if self._history_enabled else []
-        )
+        facts = connection.trace.facts if self._history_enabled else ()
         self._executor.submit(
             self._run_check,
-            connection._pool_token,
             dict(connection.session.bindings),
             bound,
             active_decision.sql,
             active_decision.allowed,
             active_decision.policy_version or 0,
-            events,
+            facts,
         )
         return True
 
@@ -221,16 +190,16 @@ class ShadowRunner:
 
     def _run_check(
         self,
-        token: int,
         bindings: dict,
         bound: ast.Select,
         sql: str,
         active_allowed: bool,
         active_version: int,
-        events: list,
+        facts: tuple,
     ) -> None:
         try:
-            candidate_allowed = self._decide(token, bindings, bound, events)
+            trace = Trace.from_facts(facts) if self._history_enabled else None
+            candidate_allowed = self._checker.check(bound, bindings, trace).allowed
         except Exception:
             self.log.record_error()
         else:
@@ -241,40 +210,17 @@ class ShadowRunner:
                         sql=sql,
                         stmt=bound,
                         bindings=tuple(sorted(bindings.items())),
-                        trace_len=len(events),
                         active_allowed=active_allowed,
                         candidate_allowed=candidate_allowed,
                         active_version=active_version,
                         candidate_version=self.candidate_version,
-                        events=tuple(events),
+                        facts=facts,
                     )
                 )
         finally:
             with self._condition:
                 self._done += 1
                 self._condition.notify_all()
-
-    def _decide(
-        self, token: int, bindings: dict, bound: ast.Select, events: list
-    ) -> bool:
-        trace = None
-        if self._history_enabled:
-            if self._pool is not None:
-                trace = _EventsPrefix(events)
-            else:
-                replica = _TraceReplica()
-                replica.apply(events)
-                trace = replica
-        if self._pool is not None:
-            try:
-                return self._pool.check(token, bindings, bound, trace).allowed
-            except CheckerPoolError:
-                replica = None
-                if self._history_enabled:
-                    replica = _TraceReplica()
-                    replica.apply(events)
-                return self._checker.check(bound, bindings, replica).allowed
-        return self._checker.check(bound, bindings, trace).allowed
 
     # -- lifecycle ----------------------------------------------------------------
 
@@ -297,8 +243,6 @@ class ShadowRunner:
                 return
             self._closed = True
         self._executor.shutdown(wait=True)
-        if self._pool is not None:
-            self._pool.close()
 
     def stats(self) -> dict[str, int]:
         flat = self.log.stats()

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.enforce.trace import Trace
 from repro.engine.executor import Result
 from repro.extract.miner import MinerConfig, QueryEvent, RequestTrace, TraceMiner
 from repro.mining.config import MiningConfig
@@ -402,12 +403,10 @@ class AuditMiner:
 
     def _derivable(self, checker, parsed: ast.Select, record) -> bool:
         """Replay one audited decision against ``checker`` (E14a-style)."""
-        from repro.serve.pool import _TraceReplica
-
-        replica = _TraceReplica()
-        replica.apply([("add", fact) for fact in record.facts])
         try:
-            return checker.check(parsed, record.bindings, replica).allowed
+            return checker.check(
+                parsed, record.bindings, Trace.from_facts(record.facts)
+            ).allowed
         except DbacError:
             return False
 

@@ -502,7 +502,7 @@ class NetServer:
     # -- policy-lifecycle admin verbs ---------------------------------------------
 
     async def _handle_admin(self, frame: dict, kind: str) -> dict:
-        """Run one lifecycle verb on the worker pool (reloads spawn pools)."""
+        """Run one lifecycle verb on the worker pool (reloads compile policies)."""
         if self.lifecycle is None:
             return _error(
                 frame,

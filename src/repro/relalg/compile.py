@@ -19,9 +19,8 @@ redid on every miss:
   once and shared (the fingerprint fences cross-shard template events).
 
 Everything here is *immutable after construction*: a compiled policy can
-be handed to forked checker-pool workers, shared across gateway session
-threads, and swapped atomically on hot reload without locking beyond the
-small LRU guarding the bindings memo.
+be shared across gateway session threads and swapped atomically on hot
+reload without locking beyond the small LRU guarding the bindings memo.
 """
 
 from __future__ import annotations

@@ -25,7 +25,6 @@ This module provides the two ingredients the memoized core needs:
   long-lived gateway cannot grow without bound. The shared instances
   (:data:`CONTAINMENT_MEMO`, :data:`DESCRIPTOR_MEMO`,
   :data:`ANALYSIS_MEMO`) are process-global: every session of a gateway
-  — and every checker-pool worker process, each in its own process —
   amortizes across all queries it sees.
 
 Memoization is soundness-neutral by construction: a memo key captures

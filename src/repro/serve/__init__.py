@@ -19,11 +19,8 @@ from repro.serve.gateway import (
     PolicyEpoch,
 )
 from repro.serve.metrics import GatewayMetrics, LatencyHistogram, MetricsSnapshot
-from repro.serve.pool import CheckerPool, CheckerPoolError
 
 __all__ = [
-    "CheckerPool",
-    "CheckerPoolError",
     "DecisionAuditRecord",
     "DriveReport",
     "EnforcementGateway",

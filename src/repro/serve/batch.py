@@ -5,8 +5,8 @@ gateway's session threads through a *combining lock*: the first thread
 to arrive becomes the batch leader and checks inline (zero overhead when
 uncontended — no dispatcher thread, no handoff); threads that arrive
 while a check is running queue up, and the leader drains the whole queue
-as one batch through :meth:`ComplianceChecker.check_batch` before
-releasing the role.
+as one batch — one :meth:`ComplianceChecker.check` per ticket, in
+arrival order — before releasing the role.
 
 Why batching pays: the epoch's compiled artifacts (per-skeleton decision
 templates, canonicalization and constraint-closure memos) are shared, so

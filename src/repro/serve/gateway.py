@@ -29,14 +29,14 @@ What the gateway adds over a loose pile of per-session proxies:
 Policy epochs
 -------------
 Everything whose meaning depends on the *policy* — the checker, the
-decision caches, the checker pool — is bundled into one immutable
+decision caches, the miss batcher — is bundled into one immutable
 :class:`PolicyEpoch`. A decision pins the current epoch for its whole
 duration (one refcount increment), so a hot reload
 (:mod:`repro.lifecycle.reload`) can atomically install a new epoch
 without ever tearing a decision across two policy versions: in-flight
 decisions finish entirely under the epoch they started with, new
-decisions start entirely under the new one, and the old epoch's worker
-pool is only closed once its pin count drains to zero. Session state
+decisions start entirely under the new one, and the old epoch is only
+retired once its pin count drains to zero. Session state
 (connections and their traces) lives *outside* the epoch and survives
 reloads untouched.
 """
@@ -59,7 +59,6 @@ from repro.relalg.compile import CompiledPolicy, compile_policy
 from repro.serve.batch import CheckBatcher
 from repro.serve.cache import SharedDecisionCache
 from repro.serve.metrics import GatewayMetrics, MetricsSnapshot
-from repro.serve.pool import CheckerPool, CheckerPoolError
 from repro.sqlir import ast
 
 
@@ -75,20 +74,13 @@ class GatewayConfig:
       (the ablation the E11 benchmark compares against);
     * ``"none"`` — no decision caching at all.
 
-    ``check_workers`` > 0 offloads cache-miss compliance checks onto a
-    :class:`~repro.serve.pool.CheckerPool` of that many warm worker
-    processes; 0 (the default) keeps checking in-process. Pool failures
-    fall back to in-process checking transparently (counted as
-    ``pool_fallbacks`` in the metrics).
-
     ``compile_checks`` (default on) builds a
     :class:`~repro.relalg.compile.CompiledPolicy` and a per-epoch
     skeleton store once per :class:`PolicyEpoch`, turning repeat-shape
     cache-miss checks into template instantiation (docs/compilation.md).
-    ``batch_checks`` (default on) additionally funnels in-process miss
-    checks through a :class:`~repro.serve.batch.CheckBatcher` so
-    concurrent sessions share per-batch compilation work; it is inert
-    when ``check_workers`` > 0 (the pool already parallelizes misses).
+    ``batch_checks`` (default on) additionally funnels miss checks
+    through a :class:`~repro.serve.batch.CheckBatcher` so concurrent
+    sessions share per-batch compilation work.
 
     ``backend`` / ``db_path`` are *declarative*: they record which
     storage backend this deployment expects (and, for path-capable
@@ -104,7 +96,6 @@ class GatewayConfig:
     verify_cached_decisions: bool = False
     record_decisions: bool = False
     decision_log_cap: int = 256
-    check_workers: int = 0
     check_timeout_s: float = 60.0
     compile_checks: bool = True
     batch_checks: bool = True
@@ -119,8 +110,6 @@ class GatewayConfig:
     def __post_init__(self) -> None:
         if self.cache_mode not in ("shared", "per-session", "none"):
             raise ValueError(f"unknown cache_mode {self.cache_mode!r}")
-        if self.check_workers < 0:
-            raise ValueError("check_workers must be >= 0")
         if self.db_path is not None and self.backend is None:
             raise ValueError("db_path requires an explicit backend")
 
@@ -130,7 +119,7 @@ class PolicyEpoch:
 
     Immutable once installed (the caches fill, but never change policy).
     The pin count tracks decisions currently executing under this epoch;
-    :meth:`retire` blocks until they drain, then closes the epoch's pool.
+    :meth:`retire` blocks until they drain.
     """
 
     def __init__(
@@ -176,28 +165,14 @@ class PolicyEpoch:
         # Per-session caches (cache_mode="per-session"), keyed by the
         # session's bindings; created lazily on first decision.
         self._session_caches: dict[tuple, DecisionCache] = {}
-        self.pool: CheckerPool | None = (
-            CheckerPool(
-                db.schema,
-                policy,
-                workers=config.check_workers,
-                history_enabled=config.history_enabled,
-                timeout_s=config.check_timeout_s,
-                compile_checks=config.compile_checks,
-            )
-            if config.check_workers > 0
-            else None
-        )
-        #: Combining-lock batcher for in-process miss checks (inert with
-        #: a worker pool: pooled checks already run outside this thread).
+        #: Combining-lock batcher for miss checks.
         self.batcher: CheckBatcher | None = (
             CheckBatcher(self.checker, timeout_s=config.check_timeout_s)
-            if config.batch_checks and self.pool is None
+            if config.batch_checks
             else None
         )
         self._condition = threading.Condition()
         self._pins = 0
-        self._retired = False
 
     # -- pinning ------------------------------------------------------------------
 
@@ -218,31 +193,14 @@ class PolicyEpoch:
             return self._pins
 
     def retire(self, timeout_s: float = 30.0) -> bool:
-        """Wait for in-flight decisions to drain, then close the pool.
+        """Wait for in-flight decisions to drain.
 
         Returns ``False`` when pinned decisions were still live at the
-        deadline (the pool is closed regardless: a straggler's pooled
-        check then falls back to the in-process checker *of its own
-        epoch*, so the decision stays untorn).
+        deadline (a straggler still finishes under its own epoch's
+        checker, so the decision stays untorn).
         """
-        drained = True
         with self._condition:
-            self._retired = True
-            deadline = None
-            while self._pins > 0:
-                if deadline is None:
-                    import time as _time
-
-                    deadline = _time.monotonic() + timeout_s
-                    remaining = timeout_s
-                else:
-                    remaining = deadline - _time.monotonic()
-                if remaining <= 0 or not self._condition.wait(timeout=remaining):
-                    drained = self._pins == 0
-                    break
-        if self.pool is not None:
-            self.pool.close()
-        return drained
+            return self._condition.wait_for(lambda: self._pins == 0, timeout=timeout_s)
 
     # -- caches -------------------------------------------------------------------
 
@@ -285,10 +243,6 @@ class GatewayConnection(EnforcementProxy):
         # The epoch pinned by the decision currently in flight on this
         # connection (sessions are serialized, so at most one).
         self._pinned_epoch: PolicyEpoch | None = None
-        # Identifies this connection's trace to the checker pool; per
-        # connection (not per principal) because fresh sessions for the
-        # same principal have distinct traces.
-        self._pool_token = gateway._allocate_pool_token()
 
     # -- epoch-pinned deciding ---------------------------------------------------
 
@@ -296,7 +250,7 @@ class GatewayConnection(EnforcementProxy):
         """Vet a bound SELECT entirely under one policy epoch.
 
         The epoch is read once and pinned for the whole decision — cache
-        lookup, fresh check (pooled or in-process), verification, store —
+        lookup, fresh check, verification, store —
         so a concurrent hot reload can never produce a decision computed
         against a mix of two policies. ``skeleton`` is the
         prepared-statement fast path (see ``EnforcementProxy.decide``).
@@ -410,42 +364,25 @@ class GatewayConnection(EnforcementProxy):
     def _check_fresh(
         self, bound: ast.Select, trace, allow_compiled: bool = True, skeleton=None
     ) -> Decision:
-        """Cache-miss check: batched/pooled when configured, else direct.
+        """Cache-miss check: batched when configured, else direct.
 
-        Always runs against the pinned epoch's checker/pool so the
-        decision cannot straddle a reload; the pool-failure fallback uses
-        the *same epoch's* in-process checker for the same reason. The
-        pooled path ignores ``skeleton`` — workers re-parse the shipped
-        SQL text, so a parent-side skeleton would not help them.
+        Always runs against the pinned epoch's checker so the decision
+        cannot straddle a reload.
         """
         epoch = self._pinned_epoch
         if epoch is None:
             return super()._check_fresh(bound, trace, skeleton=skeleton)
-        if epoch.pool is None:
-            if epoch.batcher is not None and allow_compiled:
-                return epoch.batcher.check(
-                    bound, self.session.bindings, trace, skeleton=skeleton
-                )
-            return epoch.checker.check(
-                bound,
-                self.session.bindings,
-                trace,
-                allow_compiled=allow_compiled,
-                skeleton=skeleton,
+        if epoch.batcher is not None and allow_compiled:
+            return epoch.batcher.check(
+                bound, self.session.bindings, trace, skeleton=skeleton
             )
-        try:
-            return epoch.pool.check(
-                self._pool_token,
-                self.session.bindings,
-                bound,
-                trace,
-                allow_compiled=allow_compiled,
-            )
-        except CheckerPoolError:
-            self._gateway.metrics.increment("pool_fallbacks")
-            return epoch.checker.check(
-                bound, self.session.bindings, trace, allow_compiled=allow_compiled
-            )
+        return epoch.checker.check(
+            bound,
+            self.session.bindings,
+            trace,
+            allow_compiled=allow_compiled,
+            skeleton=skeleton,
+        )
 
 
 @dataclass(frozen=True)
@@ -498,7 +435,6 @@ class EnforcementGateway:
         # RLock: connect() holds it while _proxy_config() re-enters.
         self._connect_lock = threading.RLock()
         self._write_lock = threading.RLock()
-        self._pool_tokens = 0
         #: Optional per-decision audit hook (see DecisionAuditRecord).
         self.decision_audit = None
         #: Optional shadow runner (repro.lifecycle.shadow.ShadowRunner).
@@ -532,17 +468,13 @@ class EnforcementGateway:
     def shared_cache(self) -> SharedDecisionCache | None:
         return self._epoch.shared_cache
 
-    @property
-    def pool(self) -> CheckerPool | None:
-        return self._epoch.pool
-
     def build_epoch(
         self, policy: Policy, version: int, provenance: str = "hand-written"
     ) -> PolicyEpoch:
         """Construct (but do not install) an epoch for ``policy``.
 
-        Doing the expensive part — checker construction, pool worker
-        spawning — *before* the swap keeps the install pause to a
+        Doing the expensive part — policy compilation, checker
+        construction — *before* the swap keeps the install pause to a
         pointer assignment.
         """
         return PolicyEpoch(self.db, policy, self.config, version, provenance)
@@ -604,11 +536,6 @@ class EnforcementGateway:
             self.shadow.close()
             self.shadow = None
         self._epoch.retire(timeout_s=5.0)
-
-    def _allocate_pool_token(self) -> int:
-        with self._connect_lock:
-            self._pool_tokens += 1
-            return self._pool_tokens
 
     def _normalize(self, session: Session | Mapping[str, object] | object) -> Session:
         if isinstance(session, Session):
@@ -697,9 +624,6 @@ class EnforcementGateway:
         if epoch.batcher is not None:
             for name, value in epoch.batcher.stats().items():
                 snapshot.counters[f"batch_{name}"] = value
-        if epoch.pool is not None:
-            for name, value in epoch.pool.stats().items():
-                snapshot.counters[f"pool_{name}"] = value
         shadow = self.shadow
         if shadow is not None:
             for name, value in shadow.stats().items():
@@ -718,8 +642,7 @@ class EnforcementGateway:
                 else:
                     snapshot.counters[f"audit_{name}"] = value
         snapshot.counters["audit_dropped"] = audit_dropped
-        # This process's rewriting-core memo counters (worker-side ones
-        # appear under pool_memo_* above).
+        # The rewriting-core memo counters.
         for name, value in memo.memo_stats().items():
             snapshot.counters[f"memo_{name}"] = value
         return snapshot

@@ -1,10 +1,16 @@
 """Trace and fact-extraction tests."""
 
+from itertools import chain, combinations
+
+from hypothesis import given
+from hypothesis import strategies as st
+
 from repro.enforce.trace import Trace, is_labeled_null
 from repro.engine.executor import Result
 from repro.relalg.cq import Const
 from repro.relalg.translate import translate_select
 from repro.sqlir.parser import parse_select
+from repro.workloads import calendar_app
 
 
 def tr1(sql, schema):
@@ -88,3 +94,71 @@ class TestFactExtraction:
         trace.record("q", query, Result(columns=["c"], rows=[(1,)]))
         trace.record("q", query, Result(columns=["c"], rows=[(1,)]))
         assert len(trace.facts) == 1
+
+
+SCHEMA = calendar_app.make_schema()
+
+
+def certify(trace, uid, eids):
+    """Record ``uid`` attending ``eids``: one ground fact per event id."""
+    query = tr1(f"SELECT EId FROM Attendance WHERE UId = {uid}", SCHEMA)
+    trace.record("q", query, Result(columns=["EId"], rows=[(e,) for e in eids]))
+
+
+def certify_event(trace, eid):
+    """Record an Events lookup: a fact with fresh labeled nulls every time."""
+    query = tr1(f"SELECT Title FROM Events WHERE EId = {eid}", SCHEMA)
+    trace.record("q", query, Result(columns=["Title"], rows=[("standup",)]))
+
+
+class TestBoundedTrace:
+    def test_long_session_holds_at_most_max_facts_of_anything(self):
+        """Per-session state must not grow with session length: 5 000
+        re-certifying records leave no container longer than the cap."""
+        trace = Trace(max_facts=8)
+        for step in range(5000):
+            certify(trace, uid=1, eids=[step % 8, (step + 3) % 8])
+        assert len(trace) == 5000
+        assert len(trace.facts) == 8
+        sized = {
+            name: len(value)
+            for name, value in vars(trace).items()
+            if hasattr(value, "__len__")
+        }
+        assert sized and max(sized.values()) <= trace.max_facts, sized
+
+
+_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.integers(1, 3), st.lists(st.integers(1, 6), max_size=4)),
+        st.integers(1, 3),
+    ),
+    max_size=30,
+)
+_RELATIONS = ("Attendance", "Events", "Users")
+_SUBSETS = [
+    set(subset)
+    for subset in chain.from_iterable(
+        combinations(_RELATIONS, size) for size in range(len(_RELATIONS) + 1)
+    )
+]
+
+
+class TestSnapshotEqualsHistory:
+    @given(steps=_STEPS, max_facts=st.integers(1, 6))
+    def test_from_facts_of_a_snapshot_reads_like_the_live_trace(self, steps, max_facts):
+        """Adds, re-certifying refreshes and adds past the cap, in any
+        order: a trace rebuilt from ``facts`` is the same history to a
+        checker (same facts, same recency order, same relevant subsets)."""
+        trace = Trace(max_facts=max_facts)
+        for step in steps:
+            if isinstance(step, tuple):
+                certify(trace, *step)
+            else:
+                certify_event(trace, step)
+            snapshot = Trace.from_facts(trace.facts)
+            assert snapshot.facts == trace.facts
+            for relations in _SUBSETS:
+                assert snapshot.relevant_facts(relations) == trace.relevant_facts(
+                    relations
+                )

@@ -9,10 +9,10 @@ import pytest
 
 from repro.enforce.checker import ComplianceChecker
 from repro.enforce.decision import PolicyViolation
+from repro.enforce.trace import Trace
 from repro.lifecycle import LifecycleManager, hot_reload
 from repro.lifecycle.reload import LifecycleError
 from repro.serve import EnforcementGateway, GatewayConfig
-from repro.serve.pool import _TraceReplica
 from tests.lifecycle.conftest import reduced_policy
 
 
@@ -70,27 +70,6 @@ class TestHotReload:
         app, _ = calendar_pair
         hot_reload(gateway, app.ground_truth_policy(), version=2)
         assert gateway.metrics.counter("policy_reloads") == 1
-
-    def test_reload_rebinds_pool_workers(self, calendar_pair):
-        app, db = calendar_pair
-        gateway = EnforcementGateway(
-            db, app.ground_truth_policy(), GatewayConfig(check_workers=1)
-        )
-        try:
-            connection = gateway.connect(1)
-            connection.query("SELECT EId FROM Attendance WHERE UId = 1")
-            old_pool = gateway.pool
-            hot_reload(
-                gateway, reduced_policy(app.ground_truth_policy(), drop="V3"),
-                version=2,
-            )
-            assert gateway.pool is not old_pool
-            # The new pool's workers decide under the new policy.
-            connection2 = gateway.connect(2)
-            with pytest.raises(PolicyViolation):
-                connection2.query("SELECT Name FROM Users WHERE UId = 2")
-        finally:
-            gateway.close()
 
 
 class TestNoTornDecisions:
@@ -170,10 +149,8 @@ class TestNoTornDecisions:
         }
         torn = 0
         for record in audits:
-            replica = _TraceReplica()
-            replica.apply([("add", fact) for fact in record.facts])
             fresh = checkers[record.policy_version].check(
-                db.parse(record.sql), record.bindings, replica
+                db.parse(record.sql), record.bindings, Trace.from_facts(record.facts)
             )
             if fresh.allowed != record.allowed:
                 torn += 1

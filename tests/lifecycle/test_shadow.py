@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.enforce.decision import PolicyViolation
 from repro.lifecycle import DivergenceLog, ShadowRunner
 from repro.lifecycle.shadow import Divergence
 from repro.policy.policy import Policy, View
+from repro.serve import EnforcementGateway, GatewayConfig
 from tests.lifecycle.conftest import reduced_policy
 
 
@@ -101,22 +104,47 @@ class TestRegressionDetection:
         assert stats["divergences"] == 0
 
 
-class TestPooledShadow:
-    def test_candidate_pool_detects_same_regressions(self, calendar_pair, gateway):
+class TestDecisionTimeSnapshot:
+    @pytest.mark.parametrize("then", ["advance", "close"])
+    def test_shadow_sees_decision_time_facts(self, calendar_pair, then):
+        """Example 2.1 with the shadow thread held back, so every candidate
+        check runs only after the live trace has moved on (or the
+        connection closed). The active policy lacks V2 and blocks Q2
+        always; the candidate (ground truth) allows Q2 exactly when Q1's
+        fact is in the history it is shown — so its verdicts tell which
+        history that was."""
         app, db = calendar_pair
-        runner = start_shadow(
-            gateway, reduced_policy(app.ground_truth_policy()), workers=1
-        )
+        truth = app.ground_truth_policy()
+        gateway = EnforcementGateway(db, reduced_policy(truth), GatewayConfig())
+        runner = start_shadow(gateway, truth)
+        gate = threading.Event()
+        runner._executor.submit(gate.wait)  # every shadow check queues behind this
         try:
             connection = gateway.connect(1)
+            q2 = "SELECT * FROM Events WHERE EId = 2"
+            with pytest.raises(PolicyViolation):
+                connection.query(q2)  # decided on an empty history
             connection.query("SELECT 1 FROM Attendance WHERE UId = 1 AND EId = 2")
-            connection.query("SELECT * FROM Events WHERE EId = 2")
+            at_decision = connection.trace.facts
+            assert len(at_decision) == 1
+            with pytest.raises(PolicyViolation):
+                connection.query(q2)  # decided with Attendance(1, 2) certified
+            if then == "advance":
+                connection.query("SELECT Name FROM Users WHERE UId = 1")
+                assert connection.trace.facts != at_decision
+            else:
+                connection.close()
+            gate.set()
             stats = finish(runner)
-            assert stats["allow_to_block"] == 1
-            assert stats["errors"] == 0
         finally:
-            runner.close()
-            gateway.shadow = None
+            gate.set()
+            gateway.close()
+        assert stats["errors"] == 0
+        # The first Q2 saw no facts: a live-trace leak would flip it too.
+        (divergence,) = runner.log.entries()
+        assert divergence.kind == "block_to_allow" and divergence.sql.endswith("= 2")
+        assert divergence.facts == at_decision
+        assert divergence.trace_len == 1
 
 
 class TestBackpressureAndLog:
@@ -137,7 +165,6 @@ class TestBackpressureAndLog:
                     sql=f"SELECT {index}",
                     stmt=None,
                     bindings=(),
-                    trace_len=0,
                     active_allowed=True,
                     candidate_allowed=False,
                     active_version=1,

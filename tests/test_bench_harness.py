@@ -1,10 +1,16 @@
 """Bench-harness formatting tests."""
 
-import os
-
 import pytest
 
+import repro.bench.harness as harness
 from repro.bench.harness import format_cell, print_figure_series, print_table
+
+
+@pytest.fixture(autouse=True)
+def results_dir(tmp_path, monkeypatch):
+    """Every test records into a temp dir, never the checkout's bench_results/."""
+    monkeypatch.setattr(harness, "_RESULTS_DIR", str(tmp_path))
+    return tmp_path
 
 
 class TestFormatCell:
@@ -40,13 +46,10 @@ class TestPrintTable:
         print_table("EX", "empty", ["only"], [])
         assert "only" in capsys.readouterr().out
 
-    def test_records_tsv_when_dir_exists(self, tmp_path, monkeypatch, capsys):
-        import repro.bench.harness as harness
-
-        monkeypatch.setattr(harness, "_RESULTS_DIR", str(tmp_path))
+    def test_records_tsv_when_dir_exists(self, results_dir, capsys):
         print_table("EX9", "demo", ["a"], [[1], [2]])
         capsys.readouterr()
-        lines = (tmp_path / "EX9.tsv").read_text().splitlines()
+        lines = (results_dir / "EX9.tsv").read_text().splitlines()
         # Provenance header first (commit / python / cpus), then the data.
         provenance, data = lines[:3], lines[3:]
         assert [line.split(":")[0] for line in provenance] == [
@@ -57,8 +60,6 @@ class TestPrintTable:
         assert data == ["a", "1", "2"]
 
     def test_no_dir_no_write(self, tmp_path, monkeypatch, capsys):
-        import repro.bench.harness as harness
-
         missing = tmp_path / "nope"
         monkeypatch.setattr(harness, "_RESULTS_DIR", str(missing))
         print_table("EX9", "demo", ["a"], [[1]])
