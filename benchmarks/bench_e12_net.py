@@ -101,7 +101,6 @@ def overload_rows():
     config = ServerConfig(
         port=0,
         max_in_flight=2,
-        worker_threads=4,
         execute_delay_s=EXECUTE_DELAY_S,
     )
     rows = []
@@ -202,7 +201,6 @@ def drain_rows():
     config = ServerConfig(
         port=0,
         max_in_flight=16,
-        worker_threads=8,
         execute_delay_s=0.15,
         drain_grace_s=5.0,
     )

@@ -247,8 +247,6 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    import asyncio
-
     from repro.lifecycle import LifecycleManager
     from repro.net import NetServer, ServerConfig
     from repro.policy import policy_from_text
@@ -289,14 +287,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
         max_connections=args.max_connections,
         max_in_flight=args.max_in_flight,
-        worker_threads=args.workers,
         request_timeout_s=args.request_timeout,
         idle_timeout_s=args.idle_timeout,
     )
     server = NetServer(gateway, config, lifecycle=lifecycle)
 
-    async def run() -> None:
-        await server.start()
+    def announce() -> None:
         print(
             f"repro serve: app={app.name} backend={db.backend.describe()}"
             f" policy={policy.name}"
@@ -319,23 +315,20 @@ def cmd_serve(args: argparse.Namespace) -> int:
             f" {config.max_in_flight} statements in flight;"
             f" deadline {config.request_timeout_s}s, idle {config.idle_timeout_s}s"
         )
-        print("  Ctrl-C drains gracefully (finish in-flight, then close)")
-        try:
-            await server.serve_forever()
-        finally:
-            await server.shutdown()
-            if lifecycle.mining is not None:
-                lifecycle.mining.close()
-            gateway.close()
-            snapshot = server.metrics.snapshot()
-            print("drained; net counters:")
-            for name in sorted(snapshot.counters):
-                print(f"  {name}: {snapshot.counters[name]}")
+        print("  Ctrl-C or SIGTERM drains gracefully (finish in-flight, then close)")
 
     try:
-        asyncio.run(run())
-    except KeyboardInterrupt:
-        pass
+        server.serve_until_signalled(announce)
+    finally:
+        if lifecycle.mining is not None:
+            lifecycle.mining.close()
+        gateway.close()
+    # Only a server that started and drained says so: a failed bind must
+    # not read as a clean drain to whoever watches this output.
+    snapshot = server.metrics.snapshot()
+    print("drained; net counters:")
+    for name in sorted(snapshot.counters):
+        print(f"  {name}: {snapshot.counters[name]}")
     return 0
 
 
@@ -783,9 +776,6 @@ def build_parser() -> argparse.ArgumentParser:
     net.add_argument(
         "--max-in-flight", type=_positive_int, default=16,
         help="admission control: concurrent statements (excess shed)",
-    )
-    net.add_argument(
-        "--workers", type=_positive_int, default=8, help="checker worker threads"
     )
     net.add_argument(
         "--request-timeout", type=float, default=10.0,

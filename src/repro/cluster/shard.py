@@ -25,9 +25,7 @@ decision mid-flight.
 
 from __future__ import annotations
 
-import asyncio
 import json
-import signal
 import sys
 import threading
 from dataclasses import dataclass
@@ -139,9 +137,8 @@ def run_shard(spec: ShardSpec) -> int:
     )
     exchange: TemplateExchangeClient | None = None
 
-    async def run() -> None:
+    def announce() -> None:
         nonlocal exchange
-        await server.start()
         if spec.exchange_port is not None:
             exchange = TemplateExchangeClient(
                 spec.exchange_host,
@@ -152,26 +149,9 @@ def run_shard(spec: ShardSpec) -> int:
             exchange.attach()
         # The supervisor blocks on this exact line (and its flush).
         print(f"SHARD-READY shard={spec.shard_id} port={server.port}", flush=True)
-        loop = asyncio.get_running_loop()
-        stop = asyncio.Event()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            loop.add_signal_handler(signum, stop.set)
-        serving = asyncio.create_task(server.serve_forever())
-        stopped = asyncio.create_task(stop.wait())
-        try:
-            await asyncio.wait(
-                {serving, stopped}, return_when=asyncio.FIRST_COMPLETED
-            )
-        finally:
-            stopped.cancel()
-            serving.cancel()
-            await asyncio.gather(serving, stopped, return_exceptions=True)
-            await server.shutdown()
 
     try:
-        asyncio.run(run())
-    except KeyboardInterrupt:
-        pass
+        server.serve_until_signalled(announce)
     finally:
         if exchange is not None:
             exchange.close()

@@ -100,9 +100,11 @@ class RowLevelSecurityProxy:
         args: Sequence[object] = (),
         named: Mapping[str, object] | None = None,
     ) -> Result:
-        result = self.sql(sql, args, named)
-        if not isinstance(result, Result):
+        stmt = self.db.parse(sql)
+        if not isinstance(stmt, ast.Select):
             raise EngineError("query() requires a SELECT statement")
+        result = self.sql(stmt, args, named)
+        assert isinstance(result, Result)
         return result
 
     def close(self) -> None:

@@ -204,9 +204,9 @@ class EnforcementProxy:
             self.stats.record_decision(decision)
         started = time.perf_counter()
         result = self.db.sql(bound)
-        execute_seconds = time.perf_counter() - started
-        self.stats.execute_seconds += execute_seconds
-        self._record_stage("execute", execute_seconds)
+        executed = time.perf_counter()
+        self.stats.execute_seconds += executed - started
+        self._record_stage("execute", executed - started)
         assert isinstance(result, Result)
         query = self.checker.translate(bound)
         single = (
@@ -215,6 +215,10 @@ class EnforcementProxy:
             else None
         )
         self.trace.record(decision.sql, single, result)
+        # The tail after ``execute``: re-derive the query's CQ and certify
+        # the answer's facts into the trace. Timed from the end of execute
+        # so the stages of one SELECT are contiguous.
+        self._record_stage("certify", time.perf_counter() - executed)
         return result
 
     # -- prepared statements -------------------------------------------------------
@@ -251,9 +255,13 @@ class EnforcementProxy:
         args: Sequence[object] = (),
         named: Mapping[str, object] | None = None,
     ) -> Result:
-        result = self.sql(sql, args, named)
-        if not isinstance(result, Result):
+        """Like :meth:`sql` but refuses anything except a SELECT — before
+        executing it, so a rejected write leaves the data untouched."""
+        stmt = self.db.parse(sql)
+        if not isinstance(stmt, ast.Select):
             raise EngineError("query() requires a SELECT statement")
+        result = self.sql(stmt, args, named)
+        assert isinstance(result, Result)
         return result
 
     def close(self) -> None:

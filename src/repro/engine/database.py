@@ -119,10 +119,13 @@ class Database:
         args: Sequence[object] = (),
         named: Mapping[str, object] | None = None,
     ) -> Result:
-        """Like :meth:`sql` but asserts a SELECT and returns its Result."""
-        result = self.sql(sql, args, named)
-        if not isinstance(result, Result):
+        """Like :meth:`sql` but refuses anything except a SELECT — before
+        executing it, so a rejected write leaves the data untouched."""
+        stmt = self.parse(sql)
+        if not isinstance(stmt, ast.Select):
             raise EngineError("query() requires a SELECT statement")
+        result = self.sql(stmt, args, named)
+        assert isinstance(result, Result)
         return result
 
     # -- prepared statements -----------------------------------------------------

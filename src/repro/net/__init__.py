@@ -3,11 +3,12 @@
 ``repro.net`` puts the multi-session :class:`EnforcementGateway` where
 Blockaid's proxy lives — between remote application clients and the
 database, over TCP — speaking a versioned, length-prefixed JSON protocol
-(:mod:`repro.net.protocol`). The asyncio server
-(:mod:`repro.net.server`) adds the production concerns a policy tier
-needs under heavy traffic: admission control with load shedding,
-per-request deadlines, idle reaping, frame hygiene, graceful drain, and
-a STATS command exposing net + gateway metrics. The blocking client
+(:mod:`repro.net.protocol`). The thread-per-connection blocking server
+(:mod:`repro.net.server`) runs each statement on its connection's own
+thread and adds the production concerns a policy tier needs under heavy
+traffic: admission control with load shedding, per-statement deadlines,
+idle reaping, frame hygiene, graceful drain, and a STATS command
+exposing net + gateway metrics. The blocking client
 (:mod:`repro.net.client`) implements the standard ``Connection``
 protocol so workloads replay over the wire unmodified, plus the hit-path
 extras: ``prepare``/``execute`` (server-side prepared handles) and

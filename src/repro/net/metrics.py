@@ -34,8 +34,13 @@ COUNTERS = (
 )
 
 #: Histogram stage for server-side wall time of one wire request
-#: (read frame excluded: measured dispatch → reply queued).
+#: (read frame excluded: measured dispatch → reply ready to encode).
 STAGE_REQUEST = "net_request"
+
+#: Histogram stage for what follows ``net_request``: encoding the replies
+#: of one socket write plus the write itself. One observation per write,
+#: so its count is replies in the classic path and bursts when pipelined.
+STAGE_REPLY = "net_reply"
 
 
 class NetMetrics:
@@ -58,6 +63,9 @@ class NetMetrics:
     def observe_request(self, seconds: float) -> None:
         self._metrics.observe_stage(STAGE_REQUEST, seconds)
 
+    def observe_reply(self, seconds: float) -> None:
+        self._metrics.observe_stage(STAGE_REPLY, seconds)
+
     # -- gauges -------------------------------------------------------------------
 
     def connection_opened(self) -> int:
@@ -78,10 +86,19 @@ class NetMetrics:
         with self._gauge_lock:
             return self._active_connections
 
-    def request_started(self) -> None:
-        self._metrics.increment("requests")
+    def request_started(self, limit: int) -> bool:
+        """Admit one statement unless ``limit`` are already in flight.
+
+        The in-flight gauge is the admission counter: check and take the
+        slot under one lock, so concurrent connection threads can never
+        overshoot the bound.
+        """
         with self._gauge_lock:
+            if self._in_flight >= limit:
+                return False
             self._in_flight += 1
+        self._metrics.increment("requests")
+        return True
 
     def request_finished(self) -> None:
         with self._gauge_lock:

@@ -89,14 +89,14 @@ Server → client:
 Requests carry a client-chosen ``id`` echoed in the reply, so a client
 can pipeline requests and still correlate answers. The server processes
 a connection's frames strictly in arrival order (a session's statements
-must stay ordered for trace history) but reads ahead while a statement
-executes, so a client may keep many requests in flight and overlap its
-encode/send work with server-side checking — see
+must stay ordered for trace history) while whatever the client sends
+ahead waits in the socket buffer, so a client may keep many requests in
+flight and overlap its encode/send work with server-side checking — see
 ``NetClientConnection.pipeline``. Replies therefore also come back in
 request order; ids make the correlation explicit and future-proof.
 
 ``PREPARE``/``EXECUTE``/``PREPARED`` and pipelining are additive: a
-version-1 client that never reads ahead or prepares sees byte-identical
+version-1 client that never sends ahead or prepares sees byte-identical
 behavior, so ``PROTOCOL_VERSION`` stays 1.
 """
 
@@ -208,7 +208,7 @@ def encode_frame_into(message: dict[str, Any], buf: bytearray) -> None:
     buf += payload
 
 
-def decode_payload(payload: bytes) -> dict[str, Any]:
+def decode_payload(payload: bytes | bytearray) -> dict[str, Any]:
     """Parse a frame payload; raises :class:`NetError` (malformed) if bad."""
     try:
         message = json.loads(payload.decode("utf-8"))
@@ -221,7 +221,7 @@ def decode_payload(payload: bytes) -> dict[str, Any]:
     return message
 
 
-# -- asyncio framing ---------------------------------------------------------
+# -- asyncio framing (the cluster router and the template bus) ---------------
 
 
 async def read_frame_async(reader, max_frame_bytes: int = MAX_FRAME_BYTES) -> dict:
@@ -244,6 +244,30 @@ async def read_frame_async(reader, max_frame_bytes: int = MAX_FRAME_BYTES) -> di
         payload = await reader.readexactly(length)
     except (asyncio.IncompleteReadError, ConnectionResetError) as exc:
         raise ConnectionClosed() from exc
+    return decode_payload(payload)
+
+
+# -- buffer framing (the blocking server's per-connection receive buffer) ----
+
+
+def take_frame(buf: bytearray, max_frame_bytes: int = MAX_FRAME_BYTES) -> dict | None:
+    """Pop one complete frame off the front of ``buf``; ``None`` if the
+    buffer holds only part of one.
+
+    Raises exactly as :func:`read_frame_async` does: :class:`FrameTooLarge`
+    from the length prefix alone (the payload need not have arrived) and
+    :class:`NetError` (malformed) for an undecodable payload.
+    """
+    if len(buf) < _LENGTH.size:
+        return None
+    (length,) = _LENGTH.unpack_from(buf)
+    if length > max_frame_bytes:
+        raise FrameTooLarge(length, max_frame_bytes)
+    end = _LENGTH.size + length
+    if len(buf) < end:
+        return None
+    payload = buf[_LENGTH.size : end]
+    del buf[:end]
     return decode_payload(payload)
 
 

@@ -1,83 +1,84 @@
-"""The asyncio network front end of the enforcement gateway.
+"""The blocking network front end of the enforcement gateway.
 
 One :class:`NetServer` owns one
 :class:`~repro.serve.gateway.EnforcementGateway` and exposes it over TCP
-via the protocol in :mod:`repro.net.protocol`. The event loop does all
-socket work; the synchronous enforcement pipeline (parse → check →
-execute) runs unchanged on a bounded thread pool, one statement at a
-time per session (a session's statements must stay ordered so trace
-history accumulates correctly — see Example 2.1).
+via the protocol in :mod:`repro.net.protocol`. The threading model is
+the simplest one that fits a server whose every request ends in a
+blocking gateway call: **one accept thread, one thread per connection**
+(at most ``max_connections`` of them) and one housekeeping thread for
+deadlines. A connection's thread reads frames from its own receive
+buffer, runs each statement *itself* — parse → check → execute, straight
+into the gateway, no hand-off to another thread — appends the reply to
+the connection's reply buffer, and flushes that buffer when its receive
+buffer holds no further complete frame, i.e. right before it goes back
+to the socket (or at 64 KiB). A client that waits for each reply
+therefore gets one write per statement, and a client that pipelines a
+burst gets the burst executed back to back and answered in one write —
+the same code path at depth 1 and depth 32. Read-ahead is the socket
+buffer; backpressure is the TCP window. Frames are dispatched strictly
+in arrival order (a session's statements must stay ordered so trace
+history accumulates correctly — see Example 2.1), and two connections
+that resume the same session serialise on that session's own lock
+(:attr:`GatewayConnection.lock`).
 
 Production shape, not a toy:
 
 * **Admission control** — at most ``max_connections`` concurrent
   connections (excess are told ``ERROR/overloaded`` and closed) and at
   most ``max_in_flight`` statements executing at once. A statement
-  arriving with the pipeline full is *shed* immediately with
-  ``ERROR/overloaded`` rather than queued unboundedly: the client
-  learns in microseconds and can back off, and admitted requests keep a
-  bounded queue ahead of them (the E12 overload run measures exactly
+  arriving with every slot taken is *shed* immediately with
+  ``ERROR/overloaded`` rather than queued: the client learns in
+  microseconds and can back off (the E12 overload run measures exactly
   this — p50 of admitted requests stays flat while excess load is shed).
-* **Per-request deadlines** — a statement that exceeds
-  ``request_timeout_s`` gets ``ERROR/timeout`` and the connection is
-  closed: the engine cannot cancel an in-flight check, so the session
-  object may still be busy and must not receive further statements
-  (the worker slot is reclaimed when the orphaned statement finishes).
-* **Idle reaping** — a connection silent for ``idle_timeout_s`` is
-  closed with ``BYE/idle`` so leaked client sockets cannot pin server
-  state forever.
+* **Per-statement deadlines** — a statement that exceeds
+  ``request_timeout_s`` (120 s for an admin verb) gets ``ERROR/timeout``
+  and the connection is closed. The gateway call cannot be cancelled, so
+  the housekeeping thread answers for it: under the connection's write
+  lock it flushes the replies already owed, sends the error and shuts
+  the socket down. The connection's own thread — now an *orphan* — gives
+  its in-flight slot back when the statement finally returns and exits
+  without writing. The budget is per statement, never per pipelined
+  burst.
+* **Idle reaping** — a connection silent for ``idle_timeout_s`` (the
+  socket's read timeout) is closed with ``BYE/idle`` so leaked client
+  sockets cannot pin a thread forever. A partly received frame does not
+  restart the clock.
 * **Frame hygiene** — oversized frames are rejected from the length
   prefix alone, malformed payloads answered with ``ERROR/malformed``;
   both close the connection (framing state is unrecoverable, and a
   confused peer should not keep a slot).
-* **Graceful drain** — :meth:`shutdown` stops accepting, lets every
-  in-flight statement finish and its reply flush, closes the survivors
-  with ``BYE/shutting-down``, then tears down the pool. Statements that
-  arrive *during* the drain get ``ERROR/shutting_down`` — including
-  statements already queued in a pipelined connection's read-ahead
-  buffer when the drain starts.
-* **Frame pipelining** — each connection runs a dedicated reader task
-  that keeps reading ahead (up to ``pipeline_depth`` frames) while the
-  current statement executes on a worker thread, so a client that
-  streams requests overlaps its encode/send work with server-side
-  checking instead of paying a full round trip per request. Frames are
-  still *dispatched* strictly in arrival order, serially per connection
-  — a session's statements must stay ordered for trace history — so
-  pipelining changes request latency, never semantics. A run of
-  consecutive statement frames already queued is dispatched as one
-  *batched* worker job (one loop<->pool handoff for the run, each
-  statement still validated, admitted, executed, and metered
-  individually), and replies are coalesced: consecutive small replies
-  are encoded into one buffer and flushed with a single ``write()``
-  when the read-ahead queue goes empty (or the buffer grows large),
-  cutting per-reply syscall and segment overhead on the hit path.
+* **Graceful drain** — :meth:`NetServer.shutdown` closes the listener,
+  wakes every reader, lets each in-flight statement finish and its reply
+  flush, answers the statements a connection had already sent with
+  ``ERROR/shutting_down``, says ``BYE/shutting down`` and closes;
+  connections still busy after ``drain_grace_s`` are force-closed.
 * **Prepared statements** — ``PREPARE`` runs a statement's per-shape
   work (parse, bind plan, skeletonization) once and stores the plan in
   a per-connection handle table stamped with the policy version;
   ``EXECUTE`` ships only bindings. Handles from before a hot reload are
   refused with ``ERROR/malformed`` + ``stale: true`` so clients
   re-prepare — decisions always come from the current epoch.
+
+Thread bound: ``max_connections`` connection threads plus at most
+``max_in_flight`` orphans (an orphan holds an in-flight slot until it
+returns), plus the accept and housekeeping threads.
 """
 
 from __future__ import annotations
 
-import asyncio
 import contextlib
 import logging
+import signal
+import socket
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.enforce.decision import PolicyViolation
 from repro.net import protocol
 from repro.net.metrics import NetMetrics
-from repro.net.protocol import (
-    ConnectionClosed,
-    FrameTooLarge,
-    NetError,
-    read_frame_async,
-)
+from repro.net.protocol import ConnectionClosed, FrameTooLarge, NetError
 from repro.serve.gateway import EnforcementGateway, GatewayConnection
 from repro.util.errors import DbacError
 
@@ -89,7 +90,7 @@ class ServerConfig:
     """Everything configurable about a :class:`NetServer`.
 
     ``execute_delay_s`` is a fault-injection knob: it stalls every
-    statement inside the worker thread for that long before execution.
+    statement for that long, inside the session lock, before execution.
     Tests and the E12 overload run use it to make timing-dependent
     behavior (shedding, deadlines, drain) deterministic; leave it 0 in
     real deployments.
@@ -103,27 +104,44 @@ class ServerConfig:
     port: int = 7433
     max_connections: int = 64
     max_in_flight: int = 16
-    worker_threads: int = 8
     request_timeout_s: float = 10.0
     idle_timeout_s: float = 300.0
     drain_grace_s: float = 10.0
     max_frame_bytes: int = protocol.MAX_FRAME_BYTES
     execute_delay_s: float = 0.0
     shard_id: int | None = None
-    #: How many frames a connection's reader may buffer ahead of the
-    #: dispatcher. Bounds per-connection memory and, once full, pushes
-    #: backpressure onto the TCP window instead of the heap.
-    pipeline_depth: int = 32
 
     def __post_init__(self) -> None:
         if self.max_connections < 1:
             raise ValueError("max_connections must be >= 1")
         if self.max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
-        if self.worker_threads < 1:
-            raise ValueError("worker_threads must be >= 1")
-        if self.pipeline_depth < 1:
-            raise ValueError("pipeline_depth must be >= 1")
+
+
+class _Connection:
+    """One accepted socket and everything its thread keeps about it.
+
+    ``inbuf``, ``session`` and the handle table belong to the connection's
+    own thread. ``out``, ``closed`` and every socket write are guarded by
+    ``write_lock``, because the housekeeping thread answers for a
+    statement that overruns its deadline. ``running`` is published by
+    plain assignment — one tuple, so the housekeeper always reads a
+    consistent ``(deadline, request id, budget, what is running)``.
+    """
+
+    def __init__(self, sock: socket.socket):
+        self.sock = sock
+        self.thread: threading.Thread  # set by the accept loop, before it starts
+        self.inbuf = bytearray()
+        self.out = bytearray()
+        #: Encode time of the replies now in ``out`` (the ``net_reply`` stage).
+        self.reply_s = 0.0
+        self.write_lock = threading.Lock()
+        self.closed = False
+        self.running: tuple[float, object, float, str] | None = None
+        self.session: GatewayConnection | None = None
+        self.prepared: dict[int, _PreparedEntry] = {}
+        self.next_handle = 1
 
 
 class NetServer:
@@ -147,40 +165,54 @@ class NetServer:
         self.config = config or ServerConfig()
         self.lifecycle = lifecycle
         self.metrics = NetMetrics()
-        self._server: asyncio.base_events.Server | None = None
-        self._pool: ThreadPoolExecutor | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._draining = asyncio.Event()
-        self._handlers: set[asyncio.Task] = set()
-        # Loop-thread-only state (no lock needed: asyncio is single-threaded
-        # and executor-future callbacks are delivered on the loop thread).
-        self._in_flight = 0
-        self._active = 0
-        # One lock per session principal: two wire connections resuming the
-        # same session must not run statements on one proxy concurrently.
-        self._session_locks: dict[tuple, threading.Lock] = {}
-        self._session_locks_guard = threading.Lock()
+        self._listener: socket.socket | None = None
+        self._port: int | None = None
+        self._acceptor = threading.Thread(
+            target=self._accept_loop, name="repro-net-accept", daemon=True
+        )
+        self._housekeeper = threading.Thread(
+            target=self._enforce_deadlines, name="repro-net-deadlines", daemon=True
+        )
+        self._draining = threading.Event()
+        self._stopped = threading.Event()
+        self._shutdown_lock = threading.Lock()
+        # Live connections (an orphaned statement's connection has left).
+        self._connections: set[_Connection] = set()
+        self._connections_lock = threading.Lock()
         self._started_at: float | None = None
+        self._admin_verbs = {
+            protocol.POLICY: self._admin_policy,
+            protocol.RELOAD: self._admin_reload,
+            protocol.SHADOW: self._admin_shadow,
+            protocol.PROMOTE: self._admin_promote,
+            protocol.ROLLBACK: self._admin_rollback,
+            protocol.MINE: self._admin_mine,
+        }
 
     # -- lifecycle ----------------------------------------------------------------
 
-    async def start(self) -> None:
-        if self._server is not None:
+    def start(self) -> None:
+        """Bind, listen and start serving on background threads."""
+        if self._port is not None:
             raise RuntimeError("server already started")
-        self._loop = asyncio.get_running_loop()
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.config.worker_threads, thread_name_prefix="repro-net"
+        # create_server sets SO_REUSEADDR, so a restart can rebind a port
+        # whose old connections still sit in TIME_WAIT.
+        self._listener = socket.create_server(
+            (self.config.host, self.config.port), backlog=128
         )
-        self._server = await asyncio.start_server(
-            self._on_connection, self.config.host, self.config.port
-        )
+        # shutdown() wakes a blocked accept() at once on Linux only; anywhere
+        # else the accept loop notices the drain when this runs out.
+        self._listener.settimeout(_ACCEPT_POLL_S)
+        self._port = self._listener.getsockname()[1]
         self._started_at = time.monotonic()
+        self._acceptor.start()
+        self._housekeeper.start()
 
     @property
     def port(self) -> int:
         """The bound port (useful with ``port=0`` in tests)."""
-        assert self._server is not None, "server not started"
-        return self._server.sockets[0].getsockname()[1]
+        assert self._port is not None, "server not started"
+        return self._port
 
     @property
     def host(self) -> str:
@@ -193,256 +225,324 @@ class NetServer:
     @property
     def uptime_s(self) -> float:
         """Seconds since :meth:`start` bound the listening socket."""
-        if self._started_at is None:
-            return 0.0
-        return time.monotonic() - self._started_at
+        started = self._started_at
+        return 0.0 if started is None else time.monotonic() - started
 
-    async def serve_forever(self) -> None:
-        assert self._server is not None, "call start() first"
-        with contextlib.suppress(asyncio.CancelledError):
-            await self._server.serve_forever()
+    def serve_until_signalled(self, ready: Callable[[], None]) -> None:
+        """Serve until SIGINT or SIGTERM, then drain: :meth:`start`,
+        ``ready()``, wait for a signal, :meth:`shutdown`.
 
-    async def shutdown(self) -> None:
-        """Graceful drain: stop accepting, finish in-flight, then close."""
-        if self._server is None:
-            return
-        self._draining.set()
-        self._server.close()
-        await self._server.wait_closed()
-        handlers = set(self._handlers)
-        if handlers:
-            done, pending = await asyncio.wait(
-                handlers, timeout=self.config.drain_grace_s
-            )
-            for task in pending:  # past the grace period: force-close
-                task.cancel()
-            if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
-        if self._pool is not None:
-            self._pool.shutdown(wait=False)
-        self._server = None
-
-    # -- connection handling ------------------------------------------------------
-
-    async def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        assert task is not None
-        self._handlers.add(task)
+        For the main thread of a serving process (Python delivers signals
+        there). Both signals mean the same thing — a supervisor's TERM and
+        an operator's Ctrl-C each get the graceful drain, never a
+        mid-statement kill. ``ready`` runs once the port is bound *and*
+        the handlers are in place, so a supervisor that signals the moment
+        it reads the ready line printed there still gets the drain. The
+        handlers stay installed: a repeated signal during the drain or
+        the caller's cleanup is ignored rather than fatal.
+        """
+        signalled = threading.Event()
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            signal.signal(signum, lambda *_: signalled.set())
+        self.start()
         try:
-            await self._handle(reader, writer)
+            ready()
+            signalled.wait()
+        finally:
+            self.shutdown()
+
+    def shutdown(self) -> None:
+        """Graceful drain: stop accepting, finish in-flight, then close.
+
+        Blocks until every connection is closed (at most ``drain_grace_s``
+        plus a moment for the forced closes). Idempotent and safe to call
+        from several threads; the later callers wait for the first.
+        """
+        with self._shutdown_lock:
+            listener = self._listener
+            if listener is None or self.draining:
+                return
+            self._draining.set()
+            with contextlib.suppress(OSError):
+                listener.shutdown(socket.SHUT_RDWR)
+            self._acceptor.join()  # before the descriptor can be reused
+            listener.close()
+            with self._connections_lock:
+                connections = list(self._connections)
+            for conn in connections:
+                # Wake readers: a blocked recv() returns end-of-stream, and
+                # a busy thread finds the same once it has consumed what
+                # the client had already sent. Writes stay open for the
+                # replies still owed and the BYE.
+                with contextlib.suppress(OSError):
+                    conn.sock.shutdown(socket.SHUT_RD)
+            grace_ends = time.monotonic() + self.config.drain_grace_s
+            for conn in connections:
+                conn.thread.join(max(0.0, grace_ends - time.monotonic()))
+            overdue = [conn for conn in connections if conn.thread.is_alive()]
+            for conn in overdue:  # past the grace period: force-close
+                with contextlib.suppress(OSError):
+                    conn.sock.shutdown(socket.SHUT_RDWR)
+            for conn in overdue:
+                # A thread stuck in a write exits now; one stuck inside the
+                # gateway is a daemon and cannot hold the process up.
+                conn.thread.join(_FAREWELL_TIMEOUT_S)
+            self._stopped.set()
+            self._housekeeper.join()
+
+    # -- accepting ----------------------------------------------------------------
+
+    def _accept_loop(self) -> None:
+        listener = self._listener
+        assert listener is not None
+        while True:
+            try:
+                sock, _ = listener.accept()
+            except OSError as exc:
+                if self.draining:
+                    return
+                if not isinstance(exc, TimeoutError):  # the poll interval
+                    logger.exception("accept failed")
+                    time.sleep(0.05)  # e.g. out of descriptors: do not spin
+                continue
+            # Only this thread opens connections, so check-then-open cannot
+            # overshoot: concurrent closes only make room.
+            if self.draining or (
+                self.metrics.active_connections >= self.config.max_connections
+            ):
+                self._refuse(sock)
+                continue
+            # Replies are small and latency-bound: never wait for Nagle.
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            sock.settimeout(self.config.idle_timeout_s)
+            conn = _Connection(sock)
+            # Daemon: a statement wedged inside the gateway past the drain
+            # grace must not keep the process alive.
+            conn.thread = threading.Thread(
+                target=self._serve, args=(conn,), name="repro-net-conn", daemon=True
+            )
+            with self._connections_lock:
+                self._connections.add(conn)
+            self.metrics.connection_opened()
+            conn.thread.start()
+
+    def _refuse(self, sock: socket.socket) -> None:
+        self.metrics.increment("connections_rejected")
+        code = protocol.ERR_SHUTTING_DOWN if self.draining else protocol.ERR_OVERLOADED
+        refusal = {
+            "type": protocol.ERROR,
+            "code": code,
+            "error": f"server refused connection ({code})",
+        }
+        with contextlib.suppress(OSError):
+            sock.settimeout(_FAREWELL_TIMEOUT_S)
+            sock.sendall(protocol.encode_frame(refusal))
+        sock.close()
+
+    # -- one connection -----------------------------------------------------------
+
+    def _serve(self, conn: _Connection) -> None:
+        """A connection's whole life, on its own thread."""
+        drained = False
+        try:
+            while True:
+                try:
+                    frame = self._read_frame(conn)
+                except ConnectionClosed:
+                    # End of stream: the peer left, or shutdown() woke us.
+                    drained = self.draining
+                    if drained:
+                        self._reply(conn, {"type": protocol.BYE, "reason": "shutting down"})
+                    return
+                except NetError as exc:
+                    # Framing state is unrecoverable; answer and close.
+                    kind = "oversized" if isinstance(exc, FrameTooLarge) else "malformed"
+                    self.metrics.increment(f"frames_{kind}")
+                    self._reply(
+                        conn,
+                        {"type": protocol.ERROR, "code": exc.code, "error": str(exc)},
+                    )
+                    return
+                if frame is None:
+                    self.metrics.increment("idle_reaped")
+                    self._reply(conn, {"type": protocol.BYE, "reason": "idle"})
+                    return
+                if not self._dispatch(conn, frame):
+                    return
+        except OSError:
+            pass  # the peer reset the connection, or stopped reading replies
         except Exception:  # pragma: no cover - defensive; nothing should escape
             logger.exception("connection handler crashed")
         finally:
-            self._handlers.discard(task)
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
+            self._close(conn, drained)
 
-    async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        if self._active >= self.config.max_connections or self.draining:
-            self.metrics.increment("connections_rejected")
-            code = (
-                protocol.ERR_SHUTTING_DOWN if self.draining else protocol.ERR_OVERLOADED
-            )
-            await self._send(
-                writer,
-                {
-                    "type": protocol.ERROR,
-                    "code": code,
-                    "error": f"server refused connection ({code})",
-                },
-            )
-            return
-        self._active += 1
-        self.metrics.connection_opened()
-        state = _ConnState()
-        # The reader task keeps pulling frames while the dispatcher below
-        # is busy executing a statement; the bounded queue is the
-        # pipeline. Frames are dispatched strictly in arrival order.
-        queue: asyncio.Queue = asyncio.Queue(maxsize=self.config.pipeline_depth)
-        reader_task = asyncio.ensure_future(self._read_loop(reader, queue))
-        out = bytearray()
-        drained = False
-        pending: tuple | None = None
-        try:
-            while True:
-                if pending is not None:
-                    event, pending = pending, None
-                else:
-                    event = await self._next_event(queue, writer, out)
-                if event is None:  # idle reap / drain while idle (BYE sent)
-                    drained = self.draining
-                    return
-                kind, payload = event
-                if kind == "eof":
-                    drained = self.draining
-                    return
-                if kind in ("oversized", "malformed"):
-                    # Framing state is unrecoverable; answer and close.
-                    self.metrics.increment(f"frames_{kind}")
-                    protocol.encode_frame_into(
-                        {
-                            "type": protocol.ERROR,
-                            "code": payload.code,
-                            "error": str(payload),
-                        },
-                        out,
-                    )
-                    return
-                # Pipelined fast path: a run of statement frames already
-                # queued behind this one executes as a single worker job
-                # (one loop<->pool handoff for the whole run). A control or
-                # admin frame — or a terminal reader event — ends the run
-                # and is carried over to the next loop iteration.
-                batch: list | None = None
-                if self._batchable(payload, state) and not queue.empty():
-                    batch = [payload]
-                    while len(batch) < self.config.pipeline_depth and not queue.empty():
-                        nxt = queue.get_nowait()
-                        if nxt[0] == "frame" and self._batchable(nxt[1], state):
-                            batch.append(nxt[1])
-                        else:
-                            pending = nxt
-                            break
-                if batch is not None and len(batch) > 1:
-                    if not await self._execute_batch(batch, state, out):
-                        return
-                else:
-                    reply, keep_open = await self._dispatch(frame=payload, state=state)
-                    if isinstance(reply, _Authenticated):
-                        state.bind(
-                            reply.connection, reply.key, self._lock_for(reply.key)
-                        )
-                        reply = reply.welcome
-                    if reply is not None:
-                        protocol.encode_frame_into(reply, out)
-                    if not keep_open:
-                        return
-                # Coalesce replies: hold small frames in ``out`` while more
-                # requests are already queued; flush in one write when the
-                # pipeline runs dry (or the buffer gets big). _next_event
-                # also flushes before blocking, so a reply is never parked
-                # while the connection waits for input.
-                if len(out) >= _FLUSH_BYTES or (queue.empty() and pending is None):
-                    await self._flush(writer, out)
-                if self.draining and queue.empty() and pending is None:
-                    # Between statements, pipeline empty: safe to say BYE.
-                    # Queued statements (the pipelined-drain case) were
-                    # answered ERR_SHUTTING_DOWN by the dispatch above.
-                    drained = True
-                    protocol.encode_frame_into(
-                        {"type": protocol.BYE, "reason": "shutting down"}, out
-                    )
-                    return
-        except ConnectionClosed:
-            return
-        except asyncio.CancelledError:  # drain grace expired
-            raise
-        finally:
-            reader_task.cancel()
-            with contextlib.suppress(asyncio.CancelledError, Exception):
-                await reader_task
-            with contextlib.suppress(ConnectionClosed, Exception):
-                await self._flush(writer, out)
-            self._active -= 1
-            self.metrics.connection_closed()
-            if drained:
-                self.metrics.increment("drained_connections")
+    def _read_frame(self, conn: _Connection) -> dict | None:
+        """The connection's next frame, in arrival order; ``None`` when
+        the client stayed silent for ``idle_timeout_s``.
 
-    async def _read_loop(self, reader: asyncio.StreamReader, queue: asyncio.Queue):
-        """Per-connection reader: frames in arrival order, then one
-        terminal event. ``queue.put`` blocks at ``pipeline_depth``,
-        pushing backpressure onto the socket."""
+        Raises :class:`ConnectionClosed` at end of stream and
+        :class:`NetError` for a frame that is oversized or not a message.
+        """
+        limit = self.config.max_frame_bytes
+        frame = protocol.take_frame(conn.inbuf, limit)
+        if frame is not None:
+            return frame
+        # Going back to the socket: everything buffered is owed now.
+        self._flush(conn)
+        idle = self.config.idle_timeout_s
+        idle_ends = time.monotonic() + idle
+        shortened = False
         while True:
             try:
-                frame = await read_frame_async(reader, self.config.max_frame_bytes)
-            except ConnectionClosed:
-                await queue.put(("eof", None))
-                return
-            except FrameTooLarge as exc:
-                await queue.put(("oversized", exc))
-                return
-            except NetError as exc:
-                await queue.put(("malformed", exc))
-                return
-            await queue.put(("frame", frame))
+                chunk = conn.sock.recv(_RECV_BYTES)
+            except TimeoutError:
+                return None
+            if not chunk:
+                raise ConnectionClosed()
+            conn.inbuf += chunk
+            frame = protocol.take_frame(conn.inbuf, limit)
+            if frame is not None:
+                if shortened:
+                    conn.sock.settimeout(idle)
+                return frame
+            # Part of a frame: the idle clock keeps running, so a peer
+            # dribbling bytes cannot hold its slot forever.
+            remaining = idle_ends - time.monotonic()
+            if remaining <= 0:
+                return None
+            conn.sock.settimeout(remaining)
+            shortened = True
 
-    async def _next_event(
-        self, queue: asyncio.Queue, writer: asyncio.StreamWriter, out: bytearray
-    ) -> tuple | None:
-        """Next reader event, racing the idle clock and the drain signal.
+    def _reply(self, conn: _Connection, message: dict) -> bool:
+        """Buffer one reply, which also settles the running statement.
 
-        Returns ``None`` when the connection should close (idle reap,
-        drain while idle); the BYE has been sent.
+        Returns ``False`` once the connection is closed — the deadline
+        fired and the housekeeper has already answered for this thread.
         """
-        if not queue.empty():
-            return queue.get_nowait()
-        # About to block on the client: anything still buffered is owed.
-        await self._flush(writer, out)
-        get_task = asyncio.ensure_future(queue.get())
-        drain_task = asyncio.ensure_future(self._draining.wait())
+        with conn.write_lock:
+            if conn.closed:
+                return False
+            conn.running = None
+            started = time.perf_counter()
+            protocol.encode_frame_into(message, conn.out)
+            conn.reply_s += time.perf_counter() - started
+            if len(conn.out) >= _FLUSH_BYTES:
+                self._flush_locked(conn)
+            return True
+
+    def _flush(self, conn: _Connection) -> None:
+        with conn.write_lock:
+            if not conn.closed:
+                self._flush_locked(conn)
+
+    def _flush_locked(self, conn: _Connection) -> None:
+        """Write the coalesced reply buffer in one go and reset it."""
+        if not conn.out:
+            return
+        started = time.perf_counter()
         try:
-            done, _ = await asyncio.wait(
-                {get_task, drain_task},
-                timeout=self.config.idle_timeout_s,
-                return_when=asyncio.FIRST_COMPLETED,
-            )
+            conn.sock.sendall(conn.out)
         finally:
-            drain_task.cancel()
-        if get_task in done:
-            return get_task.result()
-        get_task.cancel()
-        with contextlib.suppress(asyncio.CancelledError):
-            # The get may have completed between wait() and cancel();
-            # never drop a frame on the floor.
-            return await get_task
-        if self.draining:
-            await self._send(writer, {"type": protocol.BYE, "reason": "shutting down"})
-            return None
-        self.metrics.increment("idle_reaped")
-        await self._send(writer, {"type": protocol.BYE, "reason": "idle"})
-        return None
+            del conn.out[:]
+            self.metrics.observe_reply(conn.reply_s + time.perf_counter() - started)
+            conn.reply_s = 0.0
+
+    def _close(self, conn: _Connection, drained: bool) -> None:
+        """The connection thread's exit: flush, close the descriptor, and
+        (unless the housekeeper already did) release the connection slot."""
+        with conn.write_lock:
+            expired, conn.closed = conn.closed, True
+            if not expired:
+                with contextlib.suppress(OSError):
+                    self._flush_locked(conn)
+        if not expired:
+            self._forget(conn, drained)  # before the peer can see the close
+        conn.sock.close()
+
+    def _forget(self, conn: _Connection, drained: bool = False) -> None:
+        with self._connections_lock:
+            self._connections.discard(conn)
+        self.metrics.connection_closed()
+        if drained:
+            self.metrics.increment("drained_connections")
+
+    # -- deadlines ----------------------------------------------------------------
+
+    def _enforce_deadlines(self) -> None:
+        """The housekeeping thread: expire statements past their deadline.
+
+        Polling keeps the statement path free of any cross-thread wake-up:
+        a statement publishes its deadline with one attribute store. The
+        tick bounds how late an ``ERROR/timeout`` can be.
+        """
+        tick = min(0.25, max(0.005, self.config.request_timeout_s / 4))
+        while not self._stopped.wait(tick):
+            now = time.monotonic()
+            with self._connections_lock:
+                connections = list(self._connections)
+            for conn in connections:
+                running = conn.running
+                if running is not None and running[0] <= now:
+                    self._expire(conn)
+
+    def _expire(self, conn: _Connection) -> None:
+        """Answer for a statement that overran: owed replies, the error,
+        then close. The statement's thread cannot be interrupted; it
+        finds ``closed`` set when the gateway call returns."""
+        with conn.write_lock:
+            running = conn.running
+            if conn.closed or running is None or running[0] > time.monotonic():
+                return  # settled while we waited for the lock
+            _, request_id, budget_s, what = running
+            conn.closed = True
+            self.metrics.increment("requests_timed_out")
+            self._forget(conn)  # the orphan keeps only its in-flight slot
+            protocol.encode_frame_into(
+                _error(
+                    {"id": request_id},
+                    protocol.ERR_TIMEOUT,
+                    f"{what} exceeded the {budget_s:.3f}s deadline;"
+                    " connection closed",
+                ),
+                conn.out,
+            )
+            # The session may still be busy, so this connection carries no
+            # further statements. Never let a peer that stopped reading
+            # stall the housekeeper for longer than a moment.
+            with contextlib.suppress(OSError):
+                conn.sock.settimeout(_FAREWELL_TIMEOUT_S)
+                self._flush_locked(conn)
+            with contextlib.suppress(OSError):
+                conn.sock.shutdown(socket.SHUT_RDWR)
 
     # -- dispatch -----------------------------------------------------------------
 
-    async def _dispatch(
-        self, frame: dict, state: "_ConnState"
-    ) -> tuple[dict | None, bool]:
-        """Returns ``(reply, keep_open)``."""
+    def _dispatch(self, conn: _Connection, frame: dict) -> bool:
+        """Handle one frame; returns ``keep_open``."""
         kind = frame["type"]
-        if kind == protocol.HELLO:
-            return self._handle_hello(frame, state.conn), True
+        if kind in _STATEMENT_VERBS:
+            return self._run_statement(conn, frame)
         if kind == protocol.PING:
-            return {"type": protocol.PONG, "id": frame.get("id")}, True
-        if kind == protocol.STATS:
-            return self._handle_stats(frame), True
-        if kind == protocol.GOODBYE:
-            return {"type": protocol.BYE, "reason": "goodbye"}, False
-        if kind in (protocol.QUERY, protocol.EXEC):
-            return await self._handle_statement(frame, state)
-        if kind == protocol.PREPARE:
-            return await self._handle_prepare(frame, state), True
-        if kind == protocol.EXECUTE:
-            return await self._handle_execute(frame, state)
-        if kind in _ADMIN_VERBS:
-            return await self._handle_admin(frame, kind), True
-        return (
-            _error(
-                frame,
-                protocol.ERR_BAD_REQUEST,
-                f"unknown message type {kind!r}",
-            ),
-            True,
-        )
+            reply = {"type": protocol.PONG, "id": frame.get("id")}
+        elif kind == protocol.HELLO:
+            reply = self._handle_hello(conn, frame)
+        elif kind == protocol.STATS:
+            reply = self._handle_stats(frame)
+        elif kind == protocol.PREPARE:
+            reply = self._handle_prepare(conn, frame)
+        elif kind == protocol.GOODBYE:
+            self._reply(conn, {"type": protocol.BYE, "reason": "goodbye"})
+            return False
+        elif kind in self._admin_verbs:
+            reply = self._handle_admin(conn, frame, kind)
+        else:
+            reply = _error(
+                frame, protocol.ERR_BAD_REQUEST, f"unknown message type {kind!r}"
+            )
+        return self._reply(conn, reply)
 
-    def _handle_hello(
-        self, frame: dict, session_conn: GatewayConnection | None
-    ) -> dict | "_Authenticated":
-        if session_conn is not None:
+    def _handle_hello(self, conn: _Connection, frame: dict) -> dict:
+        if conn.session is not None:
             return _error(frame, protocol.ERR_BAD_REQUEST, "connection already bound")
         version = frame.get("version")
         if version != protocol.PROTOCOL_VERSION:
@@ -459,9 +559,9 @@ class NetServer:
                 protocol.ERR_BAD_REQUEST,
                 "HELLO needs a non-empty 'bindings' object",
             )
-        fresh = bool(frame.get("fresh", False))
-        connection = self.gateway.connect(bindings, fresh=fresh)
-        key = tuple(sorted(bindings.items()))
+        conn.session = self.gateway.connect(
+            bindings, fresh=bool(frame.get("fresh", False))
+        )
         welcome = {
             "type": protocol.WELCOME,
             "version": protocol.PROTOCOL_VERSION,
@@ -472,7 +572,7 @@ class NetServer:
         }
         if self.config.shard_id is not None:
             welcome["shard_id"] = self.config.shard_id
-        return _Authenticated(connection=connection, key=key, welcome=welcome)
+        return welcome
 
     def _handle_stats(self, frame: dict) -> dict:
         gateway_snapshot = self.gateway.snapshot()
@@ -499,322 +599,132 @@ class NetServer:
             reply["policy"] = {"active_version": self.gateway.policy_version}
         return reply
 
-    # -- policy-lifecycle admin verbs ---------------------------------------------
+    # -- statements ---------------------------------------------------------------
 
-    async def _handle_admin(self, frame: dict, kind: str) -> dict:
-        """Run one lifecycle verb on the worker pool (reloads compile policies)."""
-        if self.lifecycle is None:
-            return _error(
-                frame,
-                protocol.ERR_BAD_REQUEST,
-                "server was started without policy lifecycle management",
-            )
-        assert self._loop is not None and self._pool is not None
-        try:
-            work = self._admin_work(frame, kind)
-        except DbacError as exc:
-            return _error(frame, protocol.ERR_BAD_REQUEST, str(exc))
-        try:
-            # Generous fixed deadline: an operator verb may spawn checker
-            # workers, which outlives the per-statement budget.
-            return await asyncio.wait_for(
-                self._loop.run_in_executor(self._pool, work), timeout=120.0
-            )
-        except asyncio.TimeoutError:
-            return _error(frame, protocol.ERR_TIMEOUT, f"{kind} did not finish in 120s")
-
-    def _admin_work(self, frame: dict, kind: str):
-        """Build the (worker-thread) thunk for one admin verb.
-
-        Frame validation happens here, on the loop thread, so malformed
-        admin requests answer immediately.
-        """
-        from repro.policy.serialize import policy_from_text
-
-        lifecycle = self.lifecycle
-        frame_id = frame.get("id")
-
-        def parse_policy() -> tuple:
-            text = frame.get("policy_text")
-            if not isinstance(text, str) or not text.strip():
-                raise NetError(
-                    f"{kind} needs a non-empty 'policy_text' string",
-                    code=protocol.ERR_BAD_REQUEST,
-                )
-            provenance = frame.get("provenance", "hand-written")
-            label = frame.get("label", "")
-            return text, provenance, label
-
-        if kind == protocol.POLICY:
-            return lambda: {
-                "type": protocol.POLICY,
-                "id": frame_id,
-                "policy": lifecycle.status(),
-            }
-        if kind == protocol.RELOAD:
-            text, provenance, label = parse_policy()
-
-            def do_reload() -> dict:
-                policy = policy_from_text(text, self.gateway.db.schema, name=label or "reloaded")
-                report = lifecycle.reload(policy, provenance=provenance, label=label)
-                return {
-                    "type": protocol.RELOAD,
-                    "id": frame_id,
-                    "report": _reload_to_wire(report),
-                }
-
-            return _admin_guard(frame, do_reload)
-        if kind == protocol.SHADOW:
-            action = frame.get("action")
-            if action == "start":
-                text, provenance, label = parse_policy()
-
-                def do_start() -> dict:
-                    policy = policy_from_text(
-                        text, self.gateway.db.schema, name=label or "candidate"
-                    )
-                    version = lifecycle.start_shadow(
-                        policy, provenance=provenance, label=label
-                    )
-                    return {
-                        "type": protocol.SHADOW,
-                        "id": frame_id,
-                        "action": "start",
-                        "candidate_version": version.version,
-                        "fingerprint": version.fingerprint,
-                    }
-
-                return _admin_guard(frame, do_start)
-            if action == "stop":
-                return _admin_guard(
+    def _run_statement(self, conn: _Connection, frame: dict) -> bool:
+        """The one statement path: QUERY, EXEC and EXECUTE, classic or
+        pipelined. Admission → session lock → gateway → reply + metrics,
+        all on the connection's thread. Returns ``keep_open``."""
+        started = time.perf_counter()
+        call, refusal = self._statement_call(conn, frame)
+        if call is None:
+            return self._reply(conn, refusal)
+        if not self.metrics.request_started(self.config.max_in_flight):
+            # Shed instead of queueing: the caller finds out *now*.
+            self.metrics.increment("requests_shed")
+            return self._reply(
+                conn,
+                _error(
                     frame,
-                    lambda: {
-                        "type": protocol.SHADOW,
-                        "id": frame_id,
-                        "action": "stop",
-                        "stats": lifecycle.stop_shadow(),
-                    },
-                )
-            if action == "status":
-                return _admin_guard(
-                    frame,
-                    lambda: {
-                        "type": protocol.SHADOW,
-                        "id": frame_id,
-                        "action": "status",
-                        "shadow": lifecycle.shadow_status(),
-                    },
-                )
-            raise NetError(
-                "SHADOW needs action: 'start', 'stop', or 'status'",
-                code=protocol.ERR_BAD_REQUEST,
+                    protocol.ERR_OVERLOADED,
+                    f"{self.config.max_in_flight} statements in flight (the"
+                    " bound); retry with backoff",
+                ),
             )
-        if kind == protocol.PROMOTE:
-            from repro.lifecycle.promote import GateConfig
-
-            overrides = {}
-            for key in (
-                "max_divergences",
-                "min_shadow_checks",
-                "min_precision",
-                "min_recall",
-            ):
-                if key in frame:
-                    overrides[key] = frame[key]
+        budget_s = self.config.request_timeout_s
+        conn.running = (time.monotonic() + budget_s, frame.get("id"), budget_s, "statement")
+        assert conn.session is not None
+        try:
             try:
-                gates = GateConfig(**overrides) if overrides else None
-            except TypeError as exc:
-                raise NetError(
-                    f"bad PROMOTE gate override: {exc}", code=protocol.ERR_BAD_REQUEST
-                ) from exc
+                with conn.session.lock:
+                    if self.config.execute_delay_s:
+                        time.sleep(self.config.execute_delay_s)
+                    outcome = call()
+            finally:
+                self.metrics.request_finished()
+        except PolicyViolation as violation:
+            counter = "requests_blocked"
+            reply = _blocked_reply(frame, violation)
+        except DbacError as exc:
+            counter = "requests_failed"
+            reply = _error(frame, protocol.ERR_ENGINE, str(exc))
+        except Exception as exc:  # pragma: no cover - defensive
+            logger.exception("statement execution failed unexpectedly")
+            counter = "requests_failed"
+            reply = _error(frame, protocol.ERR_INTERNAL, str(exc))
+        else:
+            counter = "requests_ok"
+            reply = _result_reply(frame, outcome)
+        seconds = time.perf_counter() - started
+        if not self._reply(conn, reply):
+            # Orphan: the deadline fired and ERROR/timeout was this
+            # statement's answer; only the in-flight slot was still ours.
+            return False
+        self.metrics.increment(counter)
+        self.metrics.observe_request(seconds)
+        return True
 
-            def do_promote() -> dict:
-                report = lifecycle.promote(gates)
-                return {
-                    "type": protocol.PROMOTE,
-                    "id": frame_id,
-                    "promoted": report.promoted,
-                    "candidate_version": report.candidate_version,
-                    "gates": [
-                        {"name": g.name, "passed": g.passed, "detail": g.detail}
-                        for g in report.gates
-                    ],
-                    "diagnoses": report.diagnoses,
-                }
+    def _statement_call(self, conn: _Connection, frame: dict):
+        """Validate one QUERY/EXEC/EXECUTE frame.
 
-            return _admin_guard(frame, do_promote)
-        if kind == protocol.MINE:
-            return self._mine_work(frame, frame_id)
-        assert kind == protocol.ROLLBACK
-        return _admin_guard(
-            frame,
-            lambda: {
-                "type": protocol.ROLLBACK,
-                "id": frame_id,
-                "report": _reload_to_wire(lifecycle.rollback()),
-            },
-        )
-
-    def _mine_work(self, frame: dict, frame_id):
-        """Build the worker thunk for one MINE action."""
-        mining = getattr(self.lifecycle, "mining", None)
-        if mining is None:
-            raise NetError(
-                "no mining service attached; start the server with"
-                " GatewayConfig(mining=…) or `repro serve --mine`",
-                code=protocol.ERR_BAD_REQUEST,
-            )
-        action = frame.get("action")
-        if action == "status":
-            return _admin_guard(
-                frame,
-                lambda: {
-                    "type": protocol.MINE,
-                    "id": frame_id,
-                    "action": "status",
-                    "mining": mining.status(),
-                },
-            )
-        if action == "candidates":
-            return _admin_guard(
-                frame,
-                lambda: {
-                    "type": protocol.MINE,
-                    "id": frame_id,
-                    "action": "candidates",
-                    "candidates": mining.candidates_wire(),
-                    "audit": mining.disposition_audit(),
-                },
-            )
-        if action == "approve":
-            fingerprint = frame.get("fingerprint")
-            if not isinstance(fingerprint, str) or not fingerprint:
-                raise NetError(
-                    "MINE approve needs a non-empty 'fingerprint' string",
-                    code=protocol.ERR_BAD_REQUEST,
-                )
-            return _admin_guard(
-                frame,
-                lambda: {
-                    "type": protocol.MINE,
-                    "id": frame_id,
-                    "action": "approve",
-                    "candidate": mining.approve(fingerprint),
-                },
-            )
-        if action == "run":
-            return _admin_guard(
-                frame,
-                lambda: {
-                    "type": protocol.MINE,
-                    "id": frame_id,
-                    "action": "run",
-                    "cycle": mining.run_once(),
-                },
-            )
-        raise NetError(
-            "MINE needs action: 'status', 'candidates', 'approve', or 'run'",
-            code=protocol.ERR_BAD_REQUEST,
-        )
-
-    async def _handle_statement(
-        self, frame: dict, state: "_ConnState"
-    ) -> tuple[dict | None, bool]:
-        reply, work_fn = self._statement_work(frame, state)
-        if work_fn is None:
-            return reply, True
-        return await self._execute(frame, state, work_fn)
-
-    def _statement_work(
-        self, frame: dict, state: "_ConnState"
-    ) -> tuple[dict | None, object | None]:
-        """Validate one QUERY/EXEC/EXECUTE frame and build its worker thunk.
-
-        Returns ``(immediate_reply, None)`` when the frame is answered
-        without touching a worker (validation failure, shed, unknown or
-        stale handle), or ``(None, work_fn)`` when it should execute.
-        Shared by the one-at-a-time path and the batched pipeline path so
-        the two cannot drift.
+        Returns ``(call, None)`` — the gateway call to make — or
+        ``(None, reply)`` when the frame is answered without executing
+        (validation failure, drain, unknown or stale handle).
         """
-        if state.conn is None:
-            return _error(frame, protocol.ERR_UNAUTHENTICATED, "send HELLO first"), None
-        session_conn = state.conn
-        if frame["type"] == protocol.EXECUTE:
-            handle = frame.get("handle")
-            if not isinstance(handle, int) or isinstance(handle, bool):
-                return (
-                    _error(frame, protocol.ERR_BAD_REQUEST, "'handle' must be an integer"),
-                    None,
+        session = conn.session
+        if session is None:
+            return None, _error(frame, protocol.ERR_UNAUTHENTICATED, "send HELLO first")
+        kind = frame["type"]
+        if kind == protocol.EXECUTE:
+            target = frame.get("handle")
+            if not isinstance(target, int) or isinstance(target, bool):
+                return None, _error(
+                    frame, protocol.ERR_BAD_REQUEST, "'handle' must be an integer"
                 )
-            args = frame.get("args") or []
-            named = frame.get("named")
-            if not isinstance(args, list) or not (named is None or isinstance(named, dict)):
-                return (
-                    _error(
-                        frame,
-                        protocol.ERR_BAD_REQUEST,
-                        "'args' must be a list and 'named' an object",
-                    ),
-                    None,
+        else:
+            target = frame.get("sql")
+            if not isinstance(target, str):
+                return None, _error(
+                    frame, protocol.ERR_BAD_REQUEST, "'sql' must be a string"
                 )
-            shed = self._admission_check(frame)
-            if shed is not None:
-                return shed, None
-            entry = state.prepared.get(handle)
-            if entry is None:
-                self.metrics.increment("prepared_unknown")
-                reply = _error(
-                    frame,
-                    protocol.ERR_MALFORMED,
-                    f"unknown prepared handle {handle}; PREPARE first",
-                )
-                # Additive flag so a client holding the statement text can
-                # recover by re-preparing — a handle legitimately vanishes
-                # when an earlier EXECUTE in the same pipeline window drew
-                # the stale refusal that dropped it.
-                reply["unknown_handle"] = True
-                return reply, None
-            if entry.policy_version != self.gateway.policy_version:
-                # Lazy per-epoch invalidation: the policy was hot-reloaded
-                # since this handle was prepared. Drop it and make the
-                # client re-prepare, so no handle straddles a reload.
-                del state.prepared[handle]
-                self.metrics.increment("prepared_stale")
-                reply = _error(
-                    frame,
-                    protocol.ERR_MALFORMED,
-                    f"prepared handle {handle} is stale (policy"
-                    f" v{entry.policy_version} -> v{self.gateway.policy_version});"
-                    " re-prepare",
-                )
-                reply["stale"] = True
-                return reply, None
-            plan = entry.plan
-            return None, lambda: session_conn.execute_prepared(plan, args, named)
-        sql = frame.get("sql")
-        if not isinstance(sql, str):
-            return _error(frame, protocol.ERR_BAD_REQUEST, "'sql' must be a string"), None
         args = frame.get("args") or []
         named = frame.get("named")
         if not isinstance(args, list) or not (named is None or isinstance(named, dict)):
-            return (
-                _error(
-                    frame,
-                    protocol.ERR_BAD_REQUEST,
-                    "'args' must be a list and 'named' an object",
-                ),
-                None,
+            return None, _error(
+                frame,
+                protocol.ERR_BAD_REQUEST,
+                "'args' must be a list and 'named' an object",
             )
-        shed = self._admission_check(frame)
-        if shed is not None:
-            return shed, None
-        if frame["type"] == protocol.QUERY:
-            return None, lambda: session_conn.query(sql, args, named)
-        return None, lambda: session_conn.sql(sql, args, named)
+        if self.draining:
+            self.metrics.increment("requests_shed")
+            return None, _error(frame, protocol.ERR_SHUTTING_DOWN, "server is draining")
+        if kind == protocol.QUERY:
+            return (lambda: session.query(target, args, named)), None
+        if kind == protocol.EXEC:
+            return (lambda: session.sql(target, args, named)), None
+        entry = conn.prepared.get(target)
+        if entry is None:
+            self.metrics.increment("prepared_unknown")
+            reply = _error(
+                frame,
+                protocol.ERR_MALFORMED,
+                f"unknown prepared handle {target}; PREPARE first",
+            )
+            # Additive flag so a client holding the statement text can
+            # recover by re-preparing — a handle legitimately vanishes
+            # when an earlier EXECUTE in the same pipeline window drew
+            # the stale refusal that dropped it.
+            reply["unknown_handle"] = True
+            return None, reply
+        if entry.policy_version != self.gateway.policy_version:
+            # Lazy per-epoch invalidation: the policy was hot-reloaded
+            # since this handle was prepared. Drop it and make the
+            # client re-prepare, so no handle straddles a reload.
+            del conn.prepared[target]
+            self.metrics.increment("prepared_stale")
+            reply = _error(
+                frame,
+                protocol.ERR_MALFORMED,
+                f"prepared handle {target} is stale (policy"
+                f" v{entry.policy_version} -> v{self.gateway.policy_version});"
+                " re-prepare",
+            )
+            reply["stale"] = True
+            return None, reply
+        plan = entry.plan
+        return (lambda: session.execute_prepared(plan, args, named)), None
 
-    # -- prepared statements -------------------------------------------------------
-
-    async def _handle_prepare(self, frame: dict, state: "_ConnState") -> dict:
+    def _handle_prepare(self, conn: _Connection, frame: dict) -> dict:
         """PREPARE: parse + hoist shape analysis once; vend a handle.
 
         The handle table is per-connection and stamped with the policy
@@ -822,21 +732,19 @@ class NetServer:
         stale (refused at EXECUTE), so prepared decisions can never
         outlive the epoch that shaped them.
         """
-        if state.conn is None:
+        if conn.session is None:
             return _error(frame, protocol.ERR_UNAUTHENTICATED, "send HELLO first")
         sql = frame.get("sql")
         if not isinstance(sql, str):
             return _error(frame, protocol.ERR_BAD_REQUEST, "'sql' must be a string")
-        assert self._loop is not None and self._pool is not None
-        conn = state.conn
         version = self.gateway.policy_version
         try:
-            plan = await self._loop.run_in_executor(self._pool, conn.prepare, sql)
+            plan = conn.session.prepare(sql)
         except DbacError as exc:
             return _error(frame, protocol.ERR_ENGINE, str(exc))
-        handle = state.next_handle
-        state.next_handle += 1
-        state.prepared[handle] = _PreparedEntry(plan, plan.is_select, version)
+        handle = conn.next_handle
+        conn.next_handle += 1
+        conn.prepared[handle] = _PreparedEntry(plan, version)
         self.metrics.increment("statements_prepared")
         return {
             "type": protocol.PREPARED,
@@ -846,329 +754,192 @@ class NetServer:
             "policy_version": version,
         }
 
-    async def _handle_execute(
-        self, frame: dict, state: "_ConnState"
-    ) -> tuple[dict | None, bool]:
-        """EXECUTE: run a prepared handle, shipping only bindings."""
-        reply, work_fn = self._statement_work(frame, state)
-        if work_fn is None:
-            return reply, True
-        return await self._execute(frame, state, work_fn)
+    # -- policy-lifecycle admin verbs ---------------------------------------------
 
-    def _admission_check(self, frame: dict) -> dict | None:
-        """Drain + overload shedding, shared by QUERY/EXEC/EXECUTE.
+    def _handle_admin(self, conn: _Connection, frame: dict, kind: str) -> dict:
+        """Run one lifecycle verb on the connection's thread.
 
-        Returns the shed ERROR reply, or None when admitted.
+        Reloads compile policies and an operator verb may re-derive every
+        session's templates, so the deadline is a generous fixed one
+        rather than the per-statement budget; an overrun is answered like
+        a statement's (``ERROR/timeout``, close) while the verb itself
+        runs to completion on this, now orphaned, thread.
+        :class:`DbacError` covers bad frame contents, policy parse errors
+        (with line numbers), registry errors and lifecycle misuse.
         """
-        if self.draining:
-            self.metrics.increment("requests_shed")
-            return _error(frame, protocol.ERR_SHUTTING_DOWN, "server is draining")
-        if self._in_flight >= self.config.max_in_flight:
-            # Shed instead of queueing: the caller finds out *now*.
-            self.metrics.increment("requests_shed")
+        if self.lifecycle is None:
             return _error(
                 frame,
-                protocol.ERR_OVERLOADED,
-                f"{self._in_flight} statements in flight (bound"
-                f" {self.config.max_in_flight}); retry with backoff",
+                protocol.ERR_BAD_REQUEST,
+                "server was started without policy lifecycle management",
             )
-        return None
-
-    async def _execute(
-        self, frame: dict, state: "_ConnState", work_fn
-    ) -> tuple[dict | None, bool]:
-        assert self._loop is not None and self._pool is not None
-        lock = state.lock
-        assert lock is not None
-        delay = self.config.execute_delay_s
-
-        def work():
-            with lock:
-                if delay:
-                    time.sleep(delay)
-                return work_fn()
-
-        self._in_flight += 1
-        self.metrics.request_started()
-        started = time.perf_counter()
-        future = self._loop.run_in_executor(self._pool, work)
-        future.add_done_callback(self._statement_finished)
+        request_id, budget_s = frame.get("id"), _ADMIN_TIMEOUT_S
+        conn.running = (time.monotonic() + budget_s, request_id, budget_s, kind)
         try:
-            outcome = await asyncio.wait_for(
-                asyncio.shield(future), self.config.request_timeout_s
-            )
-        except asyncio.TimeoutError:
-            # The worker thread cannot be cancelled; the session object may
-            # still be busy, so this connection must not carry more
-            # statements. The slot frees when the orphan finishes
-            # (_statement_finished).
-            self.metrics.increment("requests_timed_out")
-            return (
-                _error(
-                    frame,
-                    protocol.ERR_TIMEOUT,
-                    f"statement exceeded the {self.config.request_timeout_s:.3f}s"
-                    " deadline; connection closed",
-                ),
-                False,
-            )
-        except PolicyViolation as violation:
-            self.metrics.increment("requests_blocked")
-            self.metrics.observe_request(time.perf_counter() - started)
-            return self._blocked_reply(frame, violation), True
-        except DbacError as exc:
-            self.metrics.increment("requests_failed")
-            self.metrics.observe_request(time.perf_counter() - started)
-            return _error(frame, protocol.ERR_ENGINE, str(exc)), True
-        except Exception as exc:  # pragma: no cover - defensive
-            logger.exception("statement execution failed unexpectedly")
-            self.metrics.increment("requests_failed")
-            return _error(frame, protocol.ERR_INTERNAL, str(exc)), True
-        self.metrics.increment("requests_ok")
-        self.metrics.observe_request(time.perf_counter() - started)
-        return self._result_reply(frame, outcome), True
-
-    @staticmethod
-    def _result_reply(frame: dict, outcome) -> dict:
-        reply: dict = {"type": protocol.RESULT, "id": frame.get("id")}
-        if isinstance(outcome, int):
-            reply["rowcount"] = outcome
-        else:
-            reply["columns"] = list(outcome.columns)
-            reply["rows"] = [list(row) for row in outcome.rows]
-        return reply
-
-    @staticmethod
-    def _blocked_reply(frame: dict, violation: PolicyViolation) -> dict:
-        decision = violation.decision
-        return {
-            "type": protocol.BLOCKED,
-            "id": frame.get("id"),
-            "sql": decision.sql,
-            "reason": decision.reason,
-            "cached": decision.from_cache,
-        }
-
-    # -- batched pipeline dispatch -------------------------------------------------
-
-    @staticmethod
-    def _batchable(frame: dict, state: "_ConnState") -> bool:
-        """Statement frames on an authenticated connection batch together."""
-        return state.conn is not None and frame.get("type") in (
-            protocol.QUERY,
-            protocol.EXEC,
-            protocol.EXECUTE,
-        )
-
-    async def _execute_batch(
-        self, frames: list, state: "_ConnState", out: bytearray
-    ) -> bool:
-        """Run a run of consecutive statement frames as ONE worker job.
-
-        Pipelined clients queue several statements before the first reply;
-        dispatching them one-at-a-time pays a loop<->worker handoff per
-        frame, which dominates the cached-hit path. Here the whole run
-        crosses into the pool once, executes strictly in order under the
-        session lock, and the replies come back together (encoded in
-        frame order, coalesced by the caller's flush rules).
-
-        Per-frame semantics are preserved: validation/admission/stale
-        checks run through :meth:`_statement_work` exactly as in the
-        one-at-a-time path, the worker re-checks the drain flag before
-        *each* statement (a mid-batch shutdown still sheds the not-yet-
-        started tail with ERR_SHUTTING_DOWN), and per-statement metrics
-        are applied when the replies are emitted. The request deadline
-        becomes per-statement-with-progress: the batch fails only when a
-        full ``request_timeout_s`` passes with no statement completing.
-
-        Returns ``keep_open``.
-        """
-        plans: list[tuple[dict, dict | None, object | None]] = []
-        for frame in frames:
-            reply, work_fn = self._statement_work(frame, state)
-            plans.append((frame, reply, work_fn))
-        work_items = [(frame, fn) for frame, _, fn in plans if fn is not None]
-        results: list[tuple[str, object, float]] = []  # appended by the worker
-        if work_items:
-            assert self._loop is not None and self._pool is not None
-            lock = state.lock
-            assert lock is not None
-            delay = self.config.execute_delay_s
-            draining = self._draining
-
-            def run_batch():
-                for _, fn in work_items:
-                    if draining.is_set():
-                        results.append(("shed", None, 0.0))
-                        continue
-                    started = time.perf_counter()
-                    try:
-                        with lock:
-                            if delay:
-                                time.sleep(delay)
-                            value = fn()
-                        results.append(("ok", value, time.perf_counter() - started))
-                    except PolicyViolation as violation:
-                        results.append(
-                            ("blocked", violation, time.perf_counter() - started)
-                        )
-                    except DbacError as exc:
-                        results.append(("engine", exc, time.perf_counter() - started))
-                    except Exception as exc:  # pragma: no cover - defensive
-                        logger.exception("statement execution failed unexpectedly")
-                        results.append(("internal", exc, 0.0))
-                return results
-
-            self._in_flight += 1
-            self.metrics.request_started()
-            future = self._loop.run_in_executor(self._pool, run_batch)
-            future.add_done_callback(self._statement_finished)
-            completed_last_wait = 0
-            while True:
-                try:
-                    await asyncio.wait_for(
-                        asyncio.shield(future), self.config.request_timeout_s
-                    )
-                    break
-                except asyncio.TimeoutError:
-                    if len(results) > completed_last_wait:
-                        # Progress since the last deadline check: grant the
-                        # statement now in flight its own budget.
-                        completed_last_wait = len(results)
-                        continue
-                    # A full deadline with nothing finishing: same terminal
-                    # semantics as the single-statement path — answer what
-                    # is owed, report the stuck statement, close.
-                    self.metrics.increment("requests_timed_out")
-                    self._emit_batch_replies(plans, list(results), out)
-                    return False
-        self._emit_batch_replies(plans, list(results), out)
-        return True
-
-    def _emit_batch_replies(
-        self,
-        plans: list,
-        results: list,
-        out: bytearray,
-    ) -> None:
-        """Encode batch replies in frame order, applying per-item metrics.
-
-        ``results`` holds worker outcomes for the executed subset, in
-        order; when it is shorter than the executed subset (deadline hit),
-        the first unanswered statement gets the timeout error and the
-        rest are dropped with the connection.
-        """
-        cursor = 0
-        for frame, reply, work_fn in plans:
-            if work_fn is None:
-                protocol.encode_frame_into(reply, out)
-                continue
-            if cursor >= len(results):
-                protocol.encode_frame_into(
-                    _error(
-                        frame,
-                        protocol.ERR_TIMEOUT,
-                        f"statement exceeded the {self.config.request_timeout_s:.3f}s"
-                        " deadline; connection closed",
-                    ),
-                    out,
-                )
-                return
-            status, payload, seconds = results[cursor]
-            cursor += 1
-            if status == "ok":
-                self.metrics.increment("requests_ok")
-                self.metrics.observe_request(seconds)
-                protocol.encode_frame_into(self._result_reply(frame, payload), out)
-            elif status == "blocked":
-                self.metrics.increment("requests_blocked")
-                self.metrics.observe_request(seconds)
-                protocol.encode_frame_into(self._blocked_reply(frame, payload), out)
-            elif status == "shed":
-                self.metrics.increment("requests_shed")
-                protocol.encode_frame_into(
-                    _error(frame, protocol.ERR_SHUTTING_DOWN, "server is draining"),
-                    out,
-                )
-            elif status == "engine":
-                self.metrics.increment("requests_failed")
-                self.metrics.observe_request(seconds)
-                protocol.encode_frame_into(
-                    _error(frame, protocol.ERR_ENGINE, str(payload)), out
-                )
-            else:
-                self.metrics.increment("requests_failed")
-                protocol.encode_frame_into(
-                    _error(frame, protocol.ERR_INTERNAL, str(payload)), out
-                )
-
-    def _statement_finished(self, _future: asyncio.Future) -> None:
-        """Runs on the loop thread when a worker statement completes."""
-        self._in_flight -= 1
-        self.metrics.request_finished()
-        if _future.cancelled():
-            return
-        _future.exception()  # orphaned timeouts: mark retrieved
-
-    def _lock_for(self, key: tuple) -> threading.Lock:
-        """Resolve the session principal's lock, once per connection.
-
-        Called at HELLO (the key is the sorted bindings the HELLO
-        carried) and cached on the connection state — re-deriving and
-        re-sorting it per statement was measurable hit-path waste.
-        """
-        with self._session_locks_guard:
-            lock = self._session_locks.get(key)
-            if lock is None:
-                lock = self._session_locks[key] = threading.Lock()
-            return lock
-
-    # -- plumbing -----------------------------------------------------------------
-
-    async def _send(self, writer: asyncio.StreamWriter, message: dict) -> None:
-        try:
-            writer.write(protocol.encode_frame(message))
-            await writer.drain()
-        except (ConnectionResetError, BrokenPipeError) as exc:
-            raise ConnectionClosed() from exc
-
-    async def _flush(self, writer: asyncio.StreamWriter, out: bytearray) -> None:
-        """Write the coalesced reply buffer in one go and reset it."""
-        if not out:
-            return
-        try:
-            writer.write(bytes(out))
-            del out[:]
-            await writer.drain()
-        except (ConnectionResetError, BrokenPipeError) as exc:
-            del out[:]
-            raise ConnectionClosed() from exc
-
-
-_ADMIN_VERBS = (
-    protocol.POLICY,
-    protocol.RELOAD,
-    protocol.SHADOW,
-    protocol.PROMOTE,
-    protocol.ROLLBACK,
-    protocol.MINE,
-)
-
-
-def _admin_guard(frame: dict, thunk):
-    """Wrap an admin thunk so domain errors become ERROR replies.
-
-    Runs on a worker thread; :class:`DbacError` covers policy parse
-    errors (with line numbers), registry errors, and lifecycle misuse.
-    """
-
-    def run() -> dict:
-        try:
-            return thunk()
+            return {"type": kind, "id": request_id, **self._admin_verbs[kind](frame)}
         except DbacError as exc:
             return _error(frame, protocol.ERR_BAD_REQUEST, str(exc))
 
-    return run
+    def _policy_from_frame(self, frame: dict, default_name: str):
+        """The policy an admin frame carries, with its provenance and label."""
+        from repro.policy.serialize import policy_from_text
+
+        text = frame.get("policy_text")
+        if not isinstance(text, str) or not text.strip():
+            raise NetError(
+                f"{frame['type']} needs a non-empty 'policy_text' string",
+                code=protocol.ERR_BAD_REQUEST,
+            )
+        label = frame.get("label", "")
+        policy = policy_from_text(text, self.gateway.db.schema, name=label or default_name)
+        return policy, frame.get("provenance", "hand-written"), label
+
+    def _admin_policy(self, frame: dict) -> dict:
+        return {"policy": self.lifecycle.status()}
+
+    def _admin_reload(self, frame: dict) -> dict:
+        policy, provenance, label = self._policy_from_frame(frame, "reloaded")
+        report = self.lifecycle.reload(policy, provenance=provenance, label=label)
+        return {"report": _reload_to_wire(report)}
+
+    def _admin_rollback(self, frame: dict) -> dict:
+        return {"report": _reload_to_wire(self.lifecycle.rollback())}
+
+    def _admin_shadow(self, frame: dict) -> dict:
+        action = frame.get("action")
+        if action == "start":
+            policy, provenance, label = self._policy_from_frame(frame, "candidate")
+            version = self.lifecycle.start_shadow(
+                policy, provenance=provenance, label=label
+            )
+            return {
+                "action": "start",
+                "candidate_version": version.version,
+                "fingerprint": version.fingerprint,
+            }
+        if action == "stop":
+            return {"action": "stop", "stats": self.lifecycle.stop_shadow()}
+        if action == "status":
+            return {"action": "status", "shadow": self.lifecycle.shadow_status()}
+        raise NetError(
+            "SHADOW needs action: 'start', 'stop', or 'status'",
+            code=protocol.ERR_BAD_REQUEST,
+        )
+
+    def _admin_promote(self, frame: dict) -> dict:
+        from repro.lifecycle.promote import GateConfig
+
+        overrides = {key: frame[key] for key in _PROMOTE_GATES if key in frame}
+        try:
+            gates = GateConfig(**overrides) if overrides else None
+        except TypeError as exc:
+            raise NetError(
+                f"bad PROMOTE gate override: {exc}", code=protocol.ERR_BAD_REQUEST
+            ) from exc
+        report = self.lifecycle.promote(gates)
+        return {
+            "promoted": report.promoted,
+            "candidate_version": report.candidate_version,
+            "gates": [
+                {"name": g.name, "passed": g.passed, "detail": g.detail}
+                for g in report.gates
+            ],
+            "diagnoses": report.diagnoses,
+        }
+
+    def _admin_mine(self, frame: dict) -> dict:
+        mining = getattr(self.lifecycle, "mining", None)
+        if mining is None:
+            raise NetError(
+                "no mining service attached; start the server with"
+                " GatewayConfig(mining=…) or `repro serve --mine`",
+                code=protocol.ERR_BAD_REQUEST,
+            )
+        action = frame.get("action")
+        if action == "status":
+            return {"action": "status", "mining": mining.status()}
+        if action == "candidates":
+            return {
+                "action": "candidates",
+                "candidates": mining.candidates_wire(),
+                "audit": mining.disposition_audit(),
+            }
+        if action == "approve":
+            fingerprint = frame.get("fingerprint")
+            if not isinstance(fingerprint, str) or not fingerprint:
+                raise NetError(
+                    "MINE approve needs a non-empty 'fingerprint' string",
+                    code=protocol.ERR_BAD_REQUEST,
+                )
+            return {"action": "approve", "candidate": mining.approve(fingerprint)}
+        if action == "run":
+            return {"action": "run", "cycle": mining.run_once()}
+        raise NetError(
+            "MINE needs action: 'status', 'candidates', 'approve', or 'run'",
+            code=protocol.ERR_BAD_REQUEST,
+        )
+
+
+_STATEMENT_VERBS = (protocol.QUERY, protocol.EXEC, protocol.EXECUTE)
+
+#: The ``GateConfig`` fields a PROMOTE frame may override.
+_PROMOTE_GATES = ("max_divergences", "min_shadow_checks", "min_precision", "min_recall")
+
+#: An operator verb may recompile policies and re-derive templates, which
+#: outlives the per-statement budget.
+_ADMIN_TIMEOUT_S = 120.0
+
+#: Flush the coalesced reply buffer once it reaches this many bytes even
+#: if more requests are buffered (bounds reply latency under a deep pipeline).
+_FLUSH_BYTES = 64 * 1024
+
+#: One read takes whatever the client has pipelined, up to this much.
+_RECV_BYTES = 64 * 1024
+
+#: How often a blocked ``accept()`` re-checks for a drain (see ``start``).
+_ACCEPT_POLL_S = 0.5
+
+#: How long a last frame (a refusal, a deadline's ERROR/timeout) may wait
+#: on a peer that is not reading, and a forced close on its thread.
+_FAREWELL_TIMEOUT_S = 1.0
+
+
+@dataclass
+class _PreparedEntry:
+    """One PREPARE'd plan in a connection's handle table."""
+
+    plan: object
+    policy_version: int
+
+
+def _error(frame: dict, code: str, message: str) -> dict:
+    return {
+        "type": protocol.ERROR,
+        "id": frame.get("id"),
+        "code": code,
+        "error": message,
+    }
+
+
+def _result_reply(frame: dict, outcome) -> dict:
+    reply: dict = {"type": protocol.RESULT, "id": frame.get("id")}
+    if isinstance(outcome, int):
+        reply["rowcount"] = outcome
+    else:
+        reply["columns"] = list(outcome.columns)
+        reply["rows"] = [list(row) for row in outcome.rows]
+    return reply
+
+
+def _blocked_reply(frame: dict, violation: PolicyViolation) -> dict:
+    decision = violation.decision
+    return {
+        "type": protocol.BLOCKED,
+        "id": frame.get("id"),
+        "sql": decision.sql,
+        "reason": decision.reason,
+        "cached": decision.from_cache,
+    }
 
 
 def _reload_to_wire(report) -> dict:
@@ -1185,70 +956,17 @@ def _reload_to_wire(report) -> dict:
     }
 
 
-#: Flush the coalesced reply buffer once it reaches this many bytes even
-#: if more requests are queued (bounds reply latency under a deep pipeline).
-_FLUSH_BYTES = 64 * 1024
-
-
-@dataclass
-class _PreparedEntry:
-    """One PREPARE'd plan in a connection's handle table."""
-
-    plan: object
-    select: bool
-    policy_version: int
-
-
-class _ConnState:
-    """Per-connection mutable state. Loop-thread only (no locks needed);
-    the hot-path invariants — session lock, sorted-bindings key — are
-    resolved once at HELLO instead of per statement."""
-
-    __slots__ = ("conn", "key", "lock", "prepared", "next_handle")
-
-    def __init__(self) -> None:
-        self.conn: GatewayConnection | None = None
-        self.key: tuple | None = None
-        self.lock: threading.Lock | None = None
-        self.prepared: dict[int, _PreparedEntry] = {}
-        self.next_handle = 1
-
-    def bind(self, conn: GatewayConnection, key: tuple, lock: threading.Lock) -> None:
-        self.conn = conn
-        self.key = key
-        self.lock = lock
-
-
-@dataclass
-class _Authenticated:
-    """Internal: a successful HELLO carrying the bound session."""
-
-    connection: GatewayConnection
-    key: tuple
-    welcome: dict
-
-
-def _error(frame: dict, code: str, message: str) -> dict:
-    return {
-        "type": protocol.ERROR,
-        "id": frame.get("id"),
-        "code": code,
-        "error": message,
-    }
-
-
 # --------------------------------------------------------------------------
-# Running a server off the main thread (tests, benchmarks, embedding)
+# A server inside another program (tests, benchmarks, embedding)
 # --------------------------------------------------------------------------
 
 
 class BackgroundServer:
-    """A :class:`NetServer` on a dedicated event-loop thread.
+    """A started :class:`NetServer` with deterministic teardown.
 
     The blocking client and the benchmarks need a live server in the
-    same process; this wrapper owns the loop thread and exposes
-    ``host``/``port`` once :meth:`start` returns. Use as a context
-    manager for deterministic teardown (graceful drain included).
+    same process. ``host``/``port`` are valid once :meth:`start`
+    returns; use as a context manager so the graceful drain always runs.
     """
 
     def __init__(
@@ -1258,53 +976,22 @@ class BackgroundServer:
         lifecycle=None,
     ):
         self.server = NetServer(gateway, config, lifecycle=lifecycle)
-        self._thread: threading.Thread | None = None
-        self._ready = threading.Event()
-        self._stop: asyncio.Event | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._startup_error: BaseException | None = None
-        self.port: int | None = None
 
     @property
     def host(self) -> str:
-        return self.server.config.host
+        return self.server.host
+
+    @property
+    def port(self) -> int:
+        return self.server.port
 
     def start(self) -> "BackgroundServer":
-        self._thread = threading.Thread(
-            target=lambda: asyncio.run(self._main()), name="repro-net-server"
-        )
-        self._thread.start()
-        self._ready.wait(timeout=10.0)
-        if self._startup_error is not None:
-            self._thread.join()
-            raise self._startup_error
-        if self.port is None:
-            raise NetError("server failed to start within 10s")
+        self.server.start()
         return self
 
-    async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._stop = asyncio.Event()
-        try:
-            await self.server.start()
-        except BaseException as exc:
-            self._startup_error = exc
-            self._ready.set()
-            return
-        self.port = self.server.port
-        self._ready.set()
-        await self._stop.wait()
-        await self.server.shutdown()
-
     def stop(self) -> None:
-        """Graceful drain, then join the loop thread. Idempotent."""
-        if self._thread is None:
-            return
-        if self._loop is not None and self._stop is not None:
-            with contextlib.suppress(RuntimeError):
-                self._loop.call_soon_threadsafe(self._stop.set)
-        self._thread.join(timeout=30.0)
-        self._thread = None
+        """Graceful drain; returns once every connection is closed. Idempotent."""
+        self.server.shutdown()
 
     def __enter__(self) -> "BackgroundServer":
         return self.start()

@@ -240,6 +240,13 @@ class GatewayConnection(EnforcementProxy):
         super().__init__(gateway.db, gateway.policy, session, config)
         self._gateway = gateway
         self._session_key = tuple(sorted(session.bindings.items()))
+        #: Serialises this session's statements. The trace, the pinned
+        #: epoch and the proxy stats assume one statement at a time, so a
+        #: caller that may reach one session from two threads (the wire
+        #: server, when two connections resume the same principal) holds
+        #: this around each call. It lives and dies with the session, and
+        #: ``fresh=True`` sessions of one principal share nothing.
+        self.lock = threading.Lock()
         # The epoch pinned by the decision currently in flight on this
         # connection (sessions are serialized, so at most one).
         self._pinned_epoch: PolicyEpoch | None = None

@@ -1,6 +1,7 @@
-"""The shared ``Connection`` close contract, over every implementation.
+"""The shared ``Connection`` contract, over every implementation.
 
-Two clauses, uniform across backends:
+``query()`` refuses a write *before* executing it (the last class below);
+and the close contract, two clauses, uniform across backends:
 
 * ``close()`` is idempotent — closing an already-closed connection is a
   no-op, never an error (so teardown paths can be sloppy about
@@ -23,7 +24,7 @@ from repro.enforce import (
 from repro.engine import Connection
 from repro.net import BackgroundServer, NetClientConnection, ServerConfig
 from repro.serve import EnforcementGateway, GatewayConfig
-from repro.util.errors import EngineError
+from repro.util.errors import DbacError, EngineError
 from repro.workloads import calendar_app
 
 PROBE_SQL = "SELECT EId FROM Attendance WHERE UId = 1"
@@ -106,3 +107,16 @@ class TestCloseContract:
         connection.close()
         with pytest.raises(EngineError, match="closed"):
             connection.query(PROBE_SQL)
+
+
+class TestQueryRefusesWrites:
+    def test_a_refused_write_is_not_executed(self, connection):
+        """``query()`` is the SELECT-only door: handed a write it must
+        raise *and* leave the row alone (in-process an ``EngineError``,
+        over the wire the same refusal as ``ERROR/engine``)."""
+        name = "SELECT Name FROM Users WHERE UId = 1"
+        before = connection.query(name).rows
+        assert before and before[0][0] != "x"
+        with pytest.raises(DbacError, match="requires a SELECT"):
+            connection.query("UPDATE Users SET Name = 'x' WHERE UId = 1")
+        assert connection.query(name).rows == before

@@ -21,8 +21,12 @@ class TestSqlEntryPoint:
         assert tiny_db._statement_cache[sql] is cached
 
     def test_query_rejects_dml(self, tiny_db):
+        before = tiny_db.query("SELECT * FROM Orders").rows
+        assert before
         with pytest.raises(EngineError):
             tiny_db.query("DELETE FROM Orders")
+        # Refused means not executed: the table is intact.
+        assert tiny_db.query("SELECT * FROM Orders").rows == before
 
     def test_unknown_table(self, tiny_db):
         with pytest.raises(EngineError):

@@ -1,8 +1,11 @@
 """End-to-end wire tests: a real server on a real socket.
 
-Every test here runs the full stack — asyncio server, thread-pool
-dispatch into the enforcement gateway, blocking client — over a
-loopback TCP connection bound to an ephemeral port.
+Every test here runs the full stack — thread-per-connection server,
+each statement run on its connection's thread straight into the
+enforcement gateway, blocking client — over a loopback TCP connection
+bound to an ephemeral port. The classes below are the E12 contract
+(shedding, deadlines, idle reaping, drain, frame hygiene); they predate
+the blocking server and pin it unchanged.
 """
 
 from __future__ import annotations

@@ -69,8 +69,11 @@ class TestNetMetrics:
 
     def test_in_flight_gauge(self):
         metrics = NetMetrics()
-        metrics.request_started()
-        metrics.request_started()
+        assert metrics.request_started(limit=2)
+        assert metrics.request_started(limit=2)
+        assert metrics.in_flight == 2
+        # The gauge is the admission counter: at the bound, no slot.
+        assert not metrics.request_started(limit=2)
         assert metrics.in_flight == 2
         metrics.request_finished()
         assert metrics.in_flight == 1

@@ -1,5 +1,13 @@
 """CLI tests: each subcommand through main(argv)."""
 
+import os
+import re
+import socket
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
@@ -178,3 +186,117 @@ class TestParser:
     def test_missing_subcommand_rejected(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+def serve_subprocess(port: int) -> subprocess.Popen:
+    """``python -m repro serve --port <port>`` with stdout+stderr captured."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.Popen(
+        [sys.executable, "-u", "-m", "repro", "serve", "--app", "calendar",
+         "--size", "10", "--port", str(port)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+
+
+class ServeProcess:
+    """``repro serve --port 0`` as a subprocess; ``port`` is parsed from
+    its ready line."""
+
+    def __init__(self):
+        self.process = serve_subprocess(0)
+        assert self.process.stdout is not None
+        ready = self.process.stdout.readline()
+        match = re.search(r"listening on [\d.]+:(\d+)", ready)
+        assert match, f"no ready line: {ready!r}"
+        self.port = int(match.group(1))
+
+    def wait(self) -> tuple[int, str]:
+        """After a signal: (exit status, the rest of stdout)."""
+        output, _ = self.process.communicate(timeout=15.0)
+        return self.process.returncode, output
+
+    def kill(self) -> None:
+        if self.process.poll() is None:
+            self.process.kill()
+            self.process.wait(timeout=5.0)
+        if self.process.stdout is not None:
+            self.process.stdout.close()
+
+
+class TestServeSignals:
+    def test_sigterm_drains_a_busy_server(self):
+        """SIGTERM is what every supervisor sends: the statement in flight
+        finishes and is answered, then BYE, the drain summary, exit 0."""
+        from repro.net import NetClientConnection, protocol
+
+        server = ServeProcess()
+        try:
+            connection = NetClientConnection("127.0.0.1", server.port, user=1)
+            sock = connection._sock
+            burst, count = bytearray(), 3000
+            for request_id in range(1, count + 1):
+                protocol.encode_frame_into(
+                    {
+                        "type": protocol.QUERY,
+                        "id": request_id,
+                        "sql": "SELECT EId FROM Attendance WHERE UId = ?",
+                        "args": [1],
+                    },
+                    burst,
+                )
+            sock.sendall(burst)  # most of a second of work, all in flight
+            answered = []
+            while True:
+                reply = protocol.read_frame(sock)
+                if reply["type"] == protocol.BYE:
+                    break
+                assert reply["id"] == len(answered) + 1
+                answered.append(reply.get("code", reply["type"]))
+                if len(answered) == 1:
+                    # The first replies leave at the 64 KiB flush, a third
+                    # of the way in: the server is mid-burst for certain.
+                    server.process.terminate()
+            sock.close()
+            assert reply == {"type": protocol.BYE, "reason": "shutting down"}
+            # A gap-free prefix of what was sent: results up to the drain
+            # (the statement in flight when the signal landed included),
+            # then refusals for what the server had already received.
+            results = answered.count(protocol.RESULT)
+            assert results >= 1
+            assert answered == [protocol.RESULT] * results + [
+                protocol.ERR_SHUTTING_DOWN
+            ] * (len(answered) - results)
+            status, output = server.wait()
+            assert status == 0
+            assert "drained; net counters:" in output
+        finally:
+            server.kill()
+
+    def test_sigterm_stops_an_idle_server_promptly(self):
+        server = ServeProcess()
+        try:
+            started = time.monotonic()
+            server.process.terminate()
+            status, output = server.wait()
+            assert status == 0
+            assert "drained; net counters:" in output
+            assert time.monotonic() - started < 5.0
+        finally:
+            server.kill()
+
+    def test_failed_bind_does_not_report_a_drain(self):
+        """A supervisor that watches for ``drained`` must not read a server
+        that never started as one that drained cleanly."""
+        with socket.create_server(("127.0.0.1", 0)) as taken:
+            process = serve_subprocess(taken.getsockname()[1])
+            try:
+                output, _ = process.communicate(timeout=30.0)
+            finally:
+                process.kill()  # only matters if it unexpectedly serves
+        assert process.returncode != 0
+        assert "Address already in use" in output
+        assert "drained" not in output
+        assert "listening on" not in output
