@@ -1,23 +1,21 @@
 """E11 — Multi-session gateway: shared-cache scaling (tables).
 
-Three questions, all on concurrent multi-user replays through
+Two questions, both on concurrent multi-user replays through
 ``repro.serve``:
 
-1. **Sharing ablation** — replaying the same multi-user streams, does
-   one shared decision cache beat private per-session caches? It must:
-   a per-session cache re-pays the cold checker cost once *per user* for
-   every query shape, while the shared cache pays it once per shape,
-   period. Expected: strictly higher hit rate (and it grows with the
-   number of distinct users).
+* **E11b, scaling** — throughput and hit rate as sessions and workers
+  grow, with write invalidation in the mix; **E11c** — the same across
+  the four bundled workloads.
 
-2. **Scaling** — throughput and hit rate as sessions and workers grow,
-   with write invalidation in the mix.
+* **Safety** — with ``verify_cached_decisions`` on, every cache hit is
+  replayed through the uncached :class:`ComplianceChecker`; across all
+  E11 runs there must be **zero** disagreements (a shared, generalized
+  decision is only ever reused when the requesting session would have
+  been allowed by a fresh check).
 
-3. **Safety** — with ``verify_cached_decisions`` on, every cache hit is
-   replayed through the uncached :class:`ComplianceChecker`; across all
-   E11 runs there must be **zero** disagreements (a shared, generalized
-   decision is only ever reused when the requesting session would have
-   been allowed by a fresh check).
+E11a — one shared cache against a private cache per session — is
+retired with the private mode it measured; its table and the reason are
+recorded in EXPERIMENTS.md ("E11a — retired").
 
 Marked ``slow``: full-checker verification on every hit is expensive by
 design.
@@ -43,16 +41,13 @@ def replay(
     users: int,
     requests: int,
     workers: int,
-    cache_mode: str,
     write_every: int = 0,
     seed: int = 11,
 ):
     app, db = fresh_app(app_name, size=users)
     policy = app.ground_truth_policy()
     gateway = EnforcementGateway(
-        db,
-        policy,
-        GatewayConfig(cache_mode=cache_mode, verify_cached_decisions=True),
+        db, policy, GatewayConfig(verify_cached_decisions=True)
     )
     driver = WorkloadDriver(app, gateway, workers=workers, write_every=write_every)
     stream = app.request_stream(db, random.Random(seed), requests)
@@ -60,37 +55,17 @@ def replay(
     counters = report.metrics.counters
     DISAGREEMENTS.append(
         (
-            f"{app_name}/u{users}/w{workers}/{cache_mode}",
+            f"{app_name}/u{users}/w{workers}",
             counters.get("cache_disagreements", 0),
         )
     )
     return report
 
 
-def ablation_rows():
-    rows = []
-    for users in (8, 16, 32):
-        shared = replay("social", users, 240, 4, "shared")
-        private = replay("social", users, 240, 4, "per-session")
-        rows.append(
-            (
-                users,
-                shared.sessions,
-                round(shared.hit_rate, 3),
-                round(private.hit_rate, 3),
-                round(shared.hit_rate - private.hit_rate, 3),
-                shared.blocked + private.blocked,
-            )
-        )
-    return rows
-
-
 def scaling_rows():
     rows = []
     for workers in (1, 2, 4, 8):
-        report = replay(
-            "social", 24, 240, workers, "shared", write_every=4, seed=13
-        )
+        report = replay("social", 24, 240, workers, write_every=4, seed=13)
         stages = report.metrics.stages
         rows.append(
             (
@@ -109,7 +84,7 @@ def scaling_rows():
 def workload_rows():
     rows = []
     for app_name in ("calendar", "hospital", "employees", "social"):
-        report = replay(app_name, 16, 160, 4, "shared", write_every=5, seed=9)
+        report = replay(app_name, 16, 160, 4, write_every=5, seed=9)
         counters = report.metrics.counters
         rows.append(
             (
@@ -126,7 +101,6 @@ def workload_rows():
 
 
 def test_e11_gateway(benchmark, capsys):
-    ablation = ablation_rows()
     scaling = scaling_rows()
     workloads = workload_rows()
 
@@ -145,12 +119,6 @@ def test_e11_gateway(benchmark, capsys):
     benchmark.pedantic(warm_replay, rounds=5, iterations=1)
 
     with capsys.disabled():
-        print_table(
-            "E11a",
-            "shared vs per-session decision cache (social, 240 requests, 4 workers)",
-            ["users", "sessions", "shared hit", "private hit", "delta", "blocked"],
-            ablation,
-        )
         print_table(
             "E11b",
             "gateway scaling with write invalidation (social, 24 users)",
@@ -185,8 +153,5 @@ def test_e11_gateway(benchmark, capsys):
             f" E11 runs: {total}"
         )
 
-    # (a) sharing strictly beats private caches at every population size;
-    for users, _, shared_hit, private_hit, _, _ in ablation:
-        assert shared_hit > private_hit, (users, shared_hit, private_hit)
-    # (b) no cached decision ever disagreed with the uncached checker.
+    # No cached decision ever disagreed with the uncached checker.
     assert all(count == 0 for _, count in DISAGREEMENTS), DISAGREEMENTS

@@ -1,7 +1,9 @@
-"""E18 — Shaving the hit path: prepared handles, stripes, pipelining.
+"""E18 — Shaving the hit path: prepared handles and pipelining.
 
 Three questions about the PR-9 fast path (``repro.sqlir.prepared``, the
-striped :class:`SharedDecisionCache`, the pipelined wire protocol):
+precomputed-skeleton cache probe, the pipelined wire protocol; the lock
+stripes that arrived with it were measured against one lock and removed
+— EXPERIMENTS.md "E18 — stripes"):
 
 1. **E18a — where the microseconds go.** The per-request hit path is
    parse → bind+skeletonize → cache probe → wire round trip. The

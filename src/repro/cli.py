@@ -196,22 +196,48 @@ def cmd_lint(args: argparse.Namespace) -> int:
     return 1 if warnings else 0
 
 
+def _add_gateway_flags(parser: argparse.ArgumentParser) -> None:
+    """The gateway flags `serve-bench`, `serve`, `cluster` and `shard` share."""
+    parser.add_argument(
+        "--cache",
+        choices=["shared", "none"],
+        default="shared",
+        help="decision-cache configuration",
+    )
+    parser.add_argument(
+        "--no-compile",
+        action="store_true",
+        help="disable the epoch-compiled decision fast path (docs/compilation.md)",
+    )
+    parser.add_argument(
+        "--no-batch",
+        action="store_true",
+        help="disable batched containment checking for in-process misses",
+    )
+
+
+def _gateway_config(args: argparse.Namespace, **extra):
+    """The :class:`GatewayConfig` those flags (and ``--backend``/``--db-path``)
+    describe; ``extra`` carries a subcommand's own fields."""
+    from repro.serve import GatewayConfig
+
+    return GatewayConfig(
+        cache_mode=args.cache,
+        compile_checks=not args.no_compile,
+        batch_checks=not args.no_batch,
+        backend=args.backend,
+        db_path=args.db_path,
+        **extra,
+    )
+
+
 def cmd_serve_bench(args: argparse.Namespace) -> int:
-    from repro.serve import EnforcementGateway, GatewayConfig, WorkloadDriver
+    from repro.serve import EnforcementGateway, WorkloadDriver
 
     app, db = _load_app(args)
     policy = app.ground_truth_policy()
     gateway = EnforcementGateway(
-        db,
-        policy,
-        GatewayConfig(
-            cache_mode=args.cache,
-            verify_cached_decisions=args.verify,
-            compile_checks=not args.no_compile,
-            batch_checks=not args.no_batch,
-            backend=args.backend,
-            db_path=args.db_path,
-        ),
+        db, policy, _gateway_config(args, verify_cached_decisions=args.verify)
     )
     driver = WorkloadDriver(
         app, gateway, workers=args.workers, write_every=args.write_every
@@ -250,7 +276,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.lifecycle import LifecycleManager
     from repro.net import NetServer, ServerConfig
     from repro.policy import policy_from_text
-    from repro.serve import EnforcementGateway, GatewayConfig
+    from repro.serve import EnforcementGateway
 
     app, db = _load_app(args)
     if args.policy_file:
@@ -268,16 +294,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             audit_sink=args.mine_sink,
         )
     gateway = EnforcementGateway(
-        db,
-        policy,
-        GatewayConfig(
-            cache_mode=args.cache,
-            compile_checks=not args.no_compile,
-            batch_checks=not args.no_batch,
-            backend=args.backend,
-            db_path=args.db_path,
-            mining=mining_config,
-        ),
+        db, policy, _gateway_config(args, mining=mining_config)
     )
     lifecycle = LifecycleManager(gateway)
     if lifecycle.mining is not None:
@@ -335,11 +352,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
 def cmd_shard(args: argparse.Namespace) -> int:
     from repro.cluster.shard import run_shard, spec_from_args
 
-    return run_shard(spec_from_args(args))
+    return run_shard(spec_from_args(args, _gateway_config(args)))
 
 
 def cmd_cluster(args: argparse.Namespace) -> int:
-    import time as _time
+    import signal
+    import threading
 
     from repro.cluster import BackgroundCluster, ClusterConfig, RouterConfig
 
@@ -358,6 +376,12 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         audit_dir=args.audit_dir,
         router=RouterConfig(host=args.host, port=args.port),
     )
+    # A supervisor's TERM and an operator's Ctrl-C mean the same thing, as
+    # for `repro serve`: drain the fleet. Installed before the first shard
+    # is spawned, so no signal can leave a shard behind.
+    signalled = threading.Event()
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(signum, lambda *_: signalled.set())
     cluster = BackgroundCluster(config)
     try:
         cluster.start()
@@ -376,12 +400,11 @@ def cmd_cluster(args: argparse.Namespace) -> int:
             "  STATS aggregates across shards; RELOAD and the other admin"
             " verbs roll shard-by-shard"
         )
-        print("  Ctrl-C drains the fleet gracefully")
-        while all(shard.alive for shard in cluster.shards):
-            _time.sleep(1.0)
-        print("a shard exited; shutting the cluster down", file=sys.stderr)
-        return 1
-    except KeyboardInterrupt:
+        print("  Ctrl-C or SIGTERM drains the fleet gracefully", flush=True)
+        while not signalled.wait(1.0):
+            if not all(shard.alive for shard in cluster.shards):
+                print("a shard exited; shutting the cluster down", file=sys.stderr)
+                return 1
         return 0
     finally:
         cluster.stop()
@@ -739,26 +762,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="interleave a cache-invalidating write every N requests per session",
     )
-    serve.add_argument(
-        "--cache",
-        choices=["shared", "per-session", "none"],
-        default="shared",
-        help="decision-cache configuration",
-    )
+    _add_gateway_flags(serve)
     serve.add_argument(
         "--verify",
         action="store_true",
         help="re-check every cache hit with the full checker; exit 1 on disagreement",
-    )
-    serve.add_argument(
-        "--no-compile",
-        action="store_true",
-        help="disable the epoch-compiled decision fast path (docs/compilation.md)",
-    )
-    serve.add_argument(
-        "--no-batch",
-        action="store_true",
-        help="disable batched containment checking for in-process misses",
     )
     serve.set_defaults(func=cmd_serve_bench)
 
@@ -785,25 +793,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--idle-timeout", type=float, default=300.0,
         help="reap connections idle this many seconds",
     )
-    net.add_argument(
-        "--cache",
-        choices=["shared", "per-session", "none"],
-        default="shared",
-        help="decision-cache configuration",
-    )
+    _add_gateway_flags(net)
     net.add_argument(
         "--policy-file",
         help="serve this policy file instead of the app's bundled ground truth",
-    )
-    net.add_argument(
-        "--no-compile",
-        action="store_true",
-        help="disable the epoch-compiled decision fast path (docs/compilation.md)",
-    )
-    net.add_argument(
-        "--no-batch",
-        action="store_true",
-        help="disable batched containment checking for in-process misses",
     )
     net.add_argument(
         "--mine",
@@ -840,12 +833,7 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument(
         "--shards", type=_positive_int, default=2, help="gateway shard subprocesses"
     )
-    cluster.add_argument(
-        "--cache",
-        choices=["shared", "per-session", "none"],
-        default="shared",
-        help="decision-cache configuration (per shard)",
-    )
+    _add_gateway_flags(cluster)
     cluster.add_argument(
         "--no-exchange",
         action="store_true",
@@ -863,16 +851,6 @@ def build_parser() -> argparse.ArgumentParser:
         " supervisor seeds it once, shards open it read-mostly — see"
         " docs/cluster.md for the single-writer caveat)",
     )
-    cluster.add_argument(
-        "--no-compile",
-        action="store_true",
-        help="disable the epoch-compiled decision fast path (docs/compilation.md)",
-    )
-    cluster.add_argument(
-        "--no-batch",
-        action="store_true",
-        help="disable batched containment checking for in-process misses",
-    )
     cluster.set_defaults(func=cmd_cluster)
 
     shard = sub.add_parser(
@@ -883,11 +861,7 @@ def build_parser() -> argparse.ArgumentParser:
     shard.add_argument("--shard-id", type=int, required=True)
     shard.add_argument("--host", default="127.0.0.1")
     shard.add_argument("--port", type=int, default=0, help="0 picks a free port")
-    shard.add_argument(
-        "--cache",
-        choices=["shared", "per-session", "none"],
-        default="shared",
-    )
+    _add_gateway_flags(shard)
     shard.add_argument("--exchange-host", default="127.0.0.1")
     shard.add_argument(
         "--exchange-port",
@@ -900,16 +874,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     shard.add_argument("--max-in-flight", type=_positive_int, default=16)
     shard.add_argument("--request-timeout", type=float, default=30.0)
-    shard.add_argument(
-        "--no-compile",
-        action="store_true",
-        help="disable the epoch-compiled decision fast path (docs/compilation.md)",
-    )
-    shard.add_argument(
-        "--no-batch",
-        action="store_true",
-        help="disable batched containment checking for in-process misses",
-    )
     shard.set_defaults(func=cmd_shard)
 
     def admin_common(p):

@@ -1,9 +1,9 @@
 """Cross-shard decision-template exchange.
 
 Decision templates are session-agnostic by construction (see
-``repro.serve.cache``): a template stored from one user's fresh check can
-only allow another user's query when the full checker would have reached
-the identical decision. That soundness argument says nothing about
+``repro.enforce.cache``): a template stored from one user's fresh check
+can only allow another user's query when the full checker would have
+reached the identical decision. That soundness argument says nothing about
 *which process* derived the template — so a cluster can share them
 across shards, turning a cache miss paid on one shard into a hit on
 every shard.
@@ -17,7 +17,8 @@ The exchange is a broadcast bus with re-derivation at the receiver:
 * The bus rebroadcasts every event to every *other* shard.
 * A receiving shard does not deserialize the template structure itself.
   It re-parses the event's bound SQL and calls
-  :meth:`~repro.serve.cache.SharedDecisionCache.store` — re-running the
+  :meth:`~repro.enforce.cache.DecisionCache.store` on its epoch's one
+  store (the same object its own checker writes) — re-running the
   exact generalization logic (pinning, equality pattern, fact patterns)
   the local path runs, so a remotely derived template is bit-for-bit the
   template the shard would have derived from its own fresh check.
@@ -322,10 +323,10 @@ class TemplateExchangeClient:
     def _apply(self, event: dict) -> None:
         kind = event.get("type")
         if kind == INVALIDATE:
-            evicted = 0
-            for cache in self._gateway.epoch.caches():
-                for table in event.get("tables", ()):
-                    evicted += cache.invalidate_table(table)
+            evicted = sum(
+                cache.invalidate_tables(event.get("tables", ()))
+                for cache in self._gateway.epoch.caches()
+            )
             self._count("invalidations_applied")
             if evicted:
                 self._gateway.metrics.increment("exchange_invalidations", evicted)
@@ -337,14 +338,12 @@ class TemplateExchangeClient:
         # store go through this one object, so a concurrent reload can at
         # worst land the template in a retired (never-consulted) cache.
         epoch = self._gateway.epoch
+        cache = epoch.shared_cache
         if (
-            event.get("policy_version") != epoch.version
+            cache is None
+            or event.get("policy_version") != epoch.version
             or event.get("policy_fingerprint") != epoch.policy.fingerprint()
         ):
-            self._count("templates_fenced")
-            return
-        cache = epoch.shared_cache
-        if cache is None:
             self._count("templates_fenced")
             return
         stmt = self._gateway.db.parse(event["sql"])

@@ -31,6 +31,7 @@ import threading
 from dataclasses import dataclass
 
 from repro.cluster.exchange import TemplateExchangeClient, _serialize_fact
+from repro.serve.gateway import GatewayConfig
 
 
 @dataclass(frozen=True)
@@ -43,11 +44,9 @@ class ShardSpec:
     port: int = 0
     size: int | None = None
     seed: int = 7
-    backend: str | None = None
-    db_path: str | None = None
-    cache_mode: str = "shared"
-    compile_checks: bool = True
-    batch_checks: bool = True
+    #: Cache / compile / batch / backend settings, exactly as `repro serve`
+    #: reads them from the same flags.
+    gateway: GatewayConfig = GatewayConfig()
     exchange_host: str = "127.0.0.1"
     exchange_port: int | None = None
     audit_log: str | None = None
@@ -91,7 +90,7 @@ def run_shard(spec: ShardSpec) -> int:
     """Bring the shard up, announce readiness, serve until drained."""
     from repro.lifecycle import LifecycleManager
     from repro.net import NetServer, ServerConfig
-    from repro.serve import EnforcementGateway, GatewayConfig
+    from repro.serve import EnforcementGateway
     from repro.workloads import calendar_app, employees, hospital, social
 
     modules = {
@@ -104,21 +103,11 @@ def run_shard(spec: ShardSpec) -> int:
     db = app.make_database(
         spec.size or app.default_size,
         spec.seed,
-        backend=spec.backend,
-        db_path=spec.db_path,
+        backend=spec.gateway.backend,
+        db_path=spec.gateway.db_path,
     )
     policy = app.ground_truth_policy()
-    gateway = EnforcementGateway(
-        db,
-        policy,
-        GatewayConfig(
-            cache_mode=spec.cache_mode,
-            compile_checks=spec.compile_checks,
-            batch_checks=spec.batch_checks,
-            backend=spec.backend,
-            db_path=spec.db_path,
-        ),
-    )
+    gateway = EnforcementGateway(db, policy, spec.gateway)
     audit = None
     if spec.audit_log:
         audit = _AuditLog(spec.audit_log, spec.shard_id)
@@ -162,8 +151,9 @@ def run_shard(spec: ShardSpec) -> int:
     return 0
 
 
-def spec_from_args(args) -> ShardSpec:
-    """Build a :class:`ShardSpec` from the ``repro shard`` CLI namespace."""
+def spec_from_args(args, gateway: GatewayConfig) -> ShardSpec:
+    """Build a :class:`ShardSpec` from the ``repro shard`` CLI namespace
+    and the gateway config the CLI derived from it."""
     return ShardSpec(
         app=args.app,
         shard_id=args.shard_id,
@@ -171,11 +161,7 @@ def spec_from_args(args) -> ShardSpec:
         port=args.port,
         size=args.size,
         seed=args.seed,
-        backend=args.backend,
-        db_path=args.db_path,
-        cache_mode=args.cache,
-        compile_checks=not args.no_compile,
-        batch_checks=not args.no_batch,
+        gateway=gateway,
         exchange_host=args.exchange_host,
         exchange_port=args.exchange_port,
         audit_log=args.audit_log,

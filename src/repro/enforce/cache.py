@@ -1,4 +1,4 @@
-"""Decision-template cache (the Blockaid-style fast path).
+"""The decision-template store (the Blockaid-style fast path).
 
 A fresh Allow decision is generalized into a *template*: the query's
 skeleton (constants hollowed out), the equality pattern among the slot
@@ -6,7 +6,10 @@ values and the session parameters, and the trace facts the decision's
 justification relied on — with their constants rewritten to slot/param
 references. A later query with the same skeleton, the same equality
 pattern, and matching facts in its trace is allowed without re-running
-the checker.
+the checker. :class:`DecisionCache` is the one such store in the
+codebase: a bare proxy may own one, a serving gateway owns one per
+policy epoch, and the compiled checker writes its skeleton templates
+into that same object.
 
 Soundness. The checker's reasoning (constraint closure + homomorphism
 search) over equality-compared constants is invariant under injective
@@ -17,6 +20,26 @@ constants — same equalities, same distinctness — remains valid, provided:
   (must match exactly; renaming invariance does not cover ``<``), and
 * slots whose value collides with a constant appearing in the policy's
   view definitions are pinned (the proof may have used that equality).
+
+Why sharing across sessions is sound. A stored template never names a
+concrete session. It captures the query skeleton, the *equality pattern*
+linking query constants to the session parameters (so "rows WHERE UId =
+me" only ever matches the requesting user asking about themselves), and
+— for history-dependent decisions — fact patterns that must be satisfied
+by certified facts **in the requesting session's own trace**. A lookup
+takes the caller's bindings and trace, so a template stored from user A's
+session can only allow user B's query when the identical decision would
+have been reached by running the checker for B directly:
+
+* a template with no fact patterns was justified by the policy alone
+  (for any session satisfying the equality pattern), and
+* a template with fact patterns requires B's trace to certify matching
+  facts — B must have *already been shown* the guard rows. A's history
+  never leaks into B's checks.
+
+Hence a hit never over-allows relative to a per-session checker, whoever
+stored the template — another session, another thread, or a peer shard
+(``repro.cluster.exchange``); E11b/c re-verify this on every run.
 
 Block decisions are not cached on the classic :meth:`DecisionCache.lookup`
 path: blocking depends on the *absence* of helpful trace facts, which a
@@ -31,6 +54,15 @@ exactly as it does for Allows. Fragment blocks (untranslatable
 statements) carry an empty guard and replay unconditionally, since
 translatability is purely structural. See :meth:`lookup_compiled` /
 :meth:`store_block` and docs/compilation.md.
+
+Thread safety. Every operation takes the store's single lock for its
+in-index part only; the pure work on either side — skeletonizing,
+generalizing a decision into a template, building the reply — runs
+outside it. One lock is enough on everything measured (EXPERIMENTS.md
+"E18 — stripes": eight hash-routed stripes and one lock read the same,
+and no workload ever waited); ``lock_waits`` counts the acquisitions that
+did have to wait, so a deployment where that stops being true can see
+it. Counters are plain ints updated under the lock.
 
 Indexing. Two structures keep the hot paths sublinear at scale:
 
@@ -48,8 +80,9 @@ Indexing. Two structures keep the hot paths sublinear at scale:
 
 from __future__ import annotations
 
+import threading
 import time
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 
 from repro.enforce.decision import Decision
@@ -106,11 +139,16 @@ class _SkeletonIndex:
         self.groups: dict[tuple[int, ...], dict[tuple, list[tuple[int, _Template]]]] = {}
         self.count = 0
 
-    def add(self, seq: int, template: _Template) -> None:
+    def add(self, seq: int, template: _Template) -> bool:
+        """Index ``template`` — unless its exact duplicate already is."""
         slots = tuple(index for index, _ in template.pinned)
         values = tuple(value for _, value in template.pinned)
-        self.groups.setdefault(slots, {}).setdefault(values, []).append((seq, template))
+        entries = self.groups.setdefault(slots, {}).setdefault(values, [])
+        if any(current == template for _, current in entries):
+            return False
+        entries.append((seq, template))
         self.count += 1
+        return True
 
     def candidates(self, values: tuple[object, ...]) -> list[_Template]:
         """Templates whose pinned slots match ``values``, in insertion order."""
@@ -167,16 +205,30 @@ class _SkeletonIndex:
                     yield template
 
 
+#: The store's event counters (monotonic). ``size`` is its one gauge.
+_EVENT_COUNTERS = (
+    "hits", "misses", "stores", "invalidations", "invalidate_keys_scanned",
+    "compiled_hits", "compiled_misses", "blocks_stored", "duplicates_skipped",
+    "lock_waits",
+)
+
+
 class DecisionCache:
-    """Maps query skeletons to decision templates."""
+    """Maps query skeletons to decision templates; safe to share between
+    sessions (module docstring) and between threads (one lock)."""
 
     def __init__(self, policy: Policy):
+        self._lock = threading.Lock()
         self._index: dict[object, _SkeletonIndex] = {}
         self._by_table: dict[str, set[object]] = {}
         self._view_constants = policy.constants()
         self._seq = 0
+        #: Live templates.
+        self.size = 0
         self.hits = 0
         self.misses = 0
+        #: Templates actually inserted (duplicates are not stores).
+        self.stores = 0
         self.invalidations = 0
         #: Skeleton keys visited by invalidate_table — the instrumentation
         #: the O(affected) claim is asserted against.
@@ -186,6 +238,16 @@ class DecisionCache:
         self.compiled_misses = 0
         self.blocks_stored = 0
         self.duplicates_skipped = 0
+        #: Lock acquisitions that found the lock held and had to wait.
+        self.lock_waits = 0
+
+    def _acquire(self) -> None:
+        """Take the lock, counting (racily — it is a diagnostic, not an
+        invariant) the acquisitions that had to wait."""
+        if self._lock.acquire(blocking=False):
+            return
+        self.lock_waits += 1
+        self._lock.acquire()
 
     # -- lookup ---------------------------------------------------------------
 
@@ -208,29 +270,16 @@ class DecisionCache:
         hoist instead of re-sorting per lookup.
         """
         started = time.perf_counter()
-        if skeleton is None:
-            skeleton = skeletonize(stmt)
-        index = self._index.get(skeleton.statement)
-        if index is not None:
-            if param_items is None:
-                param_items = sorted(bindings.items())
-            # Computed once per lookup; every candidate shares them.
-            partition = _equality_partition(skeleton.values, param_items)
-            params = dict(param_items)
-            for template in index.candidates(skeleton.values):
-                if not template.allowed:
-                    continue  # Block templates serve only the compiled path.
-                if self._matches(template, skeleton, partition, params, trace):
-                    self.hits += 1
-                    return Decision(
-                        allowed=True,
-                        sql=to_sql(stmt),
-                        reason=template.reason,
-                        from_cache=True,
-                        duration_s=time.perf_counter() - started,
-                    )
-        self.misses += 1
-        return None
+        found = self._probe(stmt, bindings, trace, skeleton, param_items, compiled=False)
+        if found is None:
+            return None
+        return Decision(
+            allowed=True,
+            sql=to_sql(stmt),
+            reason=found[0].reason,
+            from_cache=True,
+            duration_s=time.perf_counter() - started,
+        )
 
     def lookup_compiled(
         self,
@@ -251,78 +300,80 @@ class DecisionCache:
         ``skeleton``/``param_items`` follow :meth:`lookup`.
         """
         started = time.perf_counter()
-        if skeleton is None:
-            skeleton = skeletonize(stmt)
-        index = self._index.get(skeleton.statement)
-        if index is not None:
-            if param_items is None:
-                param_items = sorted(bindings.items())
-            partition = _equality_partition(skeleton.values, param_items)
-            params = dict(param_items)
-            for template in index.candidates(skeleton.values):
-                if template.allowed:
-                    matched_facts: list[Atom] = []
-                    if self._matches(
-                        template, skeleton, partition, params, trace, matched_facts
-                    ):
-                        self.compiled_hits += 1
-                        return Decision(
-                            allowed=True,
-                            sql=to_sql(stmt),
-                            reason=template.reason,
-                            facts_used=tuple(matched_facts),
-                            duration_s=time.perf_counter() - started,
-                            facts_considered=len(matched_facts),
-                        )
-                    continue
-                if partition != template.equality_pattern:
-                    continue
-                if template.guard_relations and trace is not None:
-                    if trace.relevant_facts(set(template.guard_relations)):
-                        continue  # Guard broken: facts arrived, re-check.
-                self.compiled_hits += 1
-                return Decision(
-                    allowed=False,
-                    sql=to_sql(stmt),
-                    reason=template.reason,
-                    duration_s=time.perf_counter() - started,
-                )
-        self.compiled_misses += 1
-        return None
+        found = self._probe(stmt, bindings, trace, skeleton, param_items, compiled=True)
+        if found is None:
+            return None
+        template, witnesses = found
+        return Decision(
+            allowed=template.allowed,
+            sql=to_sql(stmt),
+            reason=template.reason,
+            facts_used=tuple(witnesses),
+            duration_s=time.perf_counter() - started,
+            facts_considered=len(witnesses),
+        )
 
-    def _matches(
+    def _probe(
         self,
-        template: _Template,
-        skeleton: Skeleton,
-        partition: tuple[tuple[int, ...], ...],
-        params: dict[str, object],
+        stmt: ast.Select,
+        bindings: Mapping[str, object],
         trace: Trace | None,
-        collect: list[Atom] | None = None,
-    ) -> bool:
-        # Pinned values already matched: the discrimination index only
-        # yields templates whose pinned slots equal the skeleton's values.
-        if partition != template.equality_pattern:
-            return False
-        if template.fact_patterns:
-            if trace is None:
-                return False
-            facts = trace.facts
-            for rel, pattern_args in template.fact_patterns:
-                witness = next(
-                    (
-                        fact
-                        for fact in facts
-                        if _fact_matches(
-                            fact, rel, pattern_args, skeleton.values, params
-                        )
-                    ),
-                    None,
-                )
-                if witness is None:
-                    return False
-                if collect is not None:
-                    collect.append(witness)
-        return True
+        skeleton: Skeleton | None,
+        param_items: list[tuple[str, object]] | None,
+        *,
+        compiled: bool,
+    ) -> tuple[_Template, list[Atom]] | None:
+        """The first live template answering this request, in insertion
+        order, with the trace facts that satisfied its fact patterns.
+
+        ``compiled`` selects the checker's view of the store: Block
+        templates answer too (while their guard holds) and the probe is
+        counted in ``compiled_hits``/``compiled_misses`` instead of
+        ``hits``/``misses``.
+        """
+        if skeleton is None:
+            skeleton = skeletonize(stmt)  # pure work, outside the lock
+        values = skeleton.values
+        found = None
+        self._acquire()
+        try:
+            index = self._index.get(skeleton.statement)
+            if index is not None:
+                if param_items is None:
+                    param_items = sorted(bindings.items())
+                # Computed once per probe; every candidate shares them.
+                partition = _equality_partition(values, param_items)
+                params = dict(param_items)
+                # Pinned values already match: the discrimination index
+                # only yields templates whose pinned slots equal ``values``.
+                for template in index.candidates(values):
+                    if partition != template.equality_pattern:
+                        continue
+                    if template.allowed:
+                        witnesses = _witnesses(template, values, params, trace)
+                    elif compiled and not (
+                        template.guard_relations
+                        and trace is not None
+                        and trace.relevant_facts(set(template.guard_relations))
+                    ):
+                        witnesses = []  # a Block whose guard still holds
+                    else:
+                        witnesses = None
+                    if witnesses is not None:
+                        found = template, witnesses
+                        break
+            if compiled:
+                if found is None:
+                    self.compiled_misses += 1
+                else:
+                    self.compiled_hits += 1
+            elif found is None:
+                self.misses += 1
+            else:
+                self.hits += 1
+        finally:
+            self._lock.release()
+        return found
 
     # -- insertion -------------------------------------------------------------
 
@@ -334,36 +385,13 @@ class DecisionCache:
         *,
         skeleton: Skeleton | None = None,
     ) -> bool:
-        """Generalize and store a fresh Allow decision.
-
-        Returns True when a new template was actually inserted, so
-        wrappers (the striped shared cache) can count stores without
-        re-reading the cache size under a lock.
-        """
+        """Generalize and store a fresh Allow decision; True when a new
+        template was actually inserted (an exact duplicate is not)."""
         if not decision.allowed or decision.from_cache:
             return False
-        if skeleton is None:
-            skeleton = skeletonize(stmt)
-        param_items = sorted(bindings.items())
-        pinned = []
-        for index, value in enumerate(skeleton.values):
-            if not skeleton.generalizable[index] or value in self._view_constants:
-                pinned.append((index, value))
-        slot_of, param_of = _reference_maps(skeleton.values, param_items)
-        fact_patterns = []
-        tables = {ref.name for ref in stmt.tables()}
-        for fact in decision.facts_used:
-            fact_patterns.append((fact.rel, _pattern_of(fact, slot_of, param_of)))
-            tables.add(fact.rel)
-        template = _Template(
-            skeleton_key=skeleton.statement,
-            pinned=tuple(pinned),
-            equality_pattern=_equality_partition(skeleton.values, param_items),
-            fact_patterns=tuple(fact_patterns),
-            reason=_template_reason(decision.reason),
-            tables=frozenset(tables),
+        return self._insert_template(
+            self._generalize(stmt, sorted(bindings.items()), decision, skeleton)
         )
-        return self._insert_template(template)
 
     def store_block(
         self,
@@ -393,47 +421,74 @@ class DecisionCache:
                 return False
         except TypeError:  # unhashable binding value: don't template it
             return False
+        return self._insert_template(
+            self._generalize(
+                stmt, param_items, decision, skeleton, frozenset(guard_relations)
+            )
+        )
+
+    def _generalize(
+        self,
+        stmt: ast.Select,
+        param_items: list[tuple[str, object]],
+        decision: Decision,
+        skeleton: Skeleton | None,
+        guard_relations: frozenset[str] = frozenset(),
+    ) -> _Template:
+        """The template ``decision`` generalizes to (pure: no lock held).
+
+        ``guard_relations`` is only passed for Blocks, whose decisions
+        carry no ``facts_used``.
+        """
         if skeleton is None:
             skeleton = skeletonize(stmt)
-        pinned = []
-        for index, value in enumerate(skeleton.values):
-            if not skeleton.generalizable[index] or value in self._view_constants:
-                pinned.append((index, value))
+        values = skeleton.values
+        pinned = tuple(
+            (index, value)
+            for index, value in enumerate(values)
+            if not skeleton.generalizable[index] or value in self._view_constants
+        )
         tables = {ref.name for ref in stmt.tables()} | guard_relations
-        template = _Template(
+        fact_patterns = []
+        if decision.facts_used:
+            slot_of, param_of = _reference_maps(values, param_items)
+            for fact in decision.facts_used:
+                fact_patterns.append((fact.rel, _pattern_of(fact, slot_of, param_of)))
+                tables.add(fact.rel)
+        return _Template(
             skeleton_key=skeleton.statement,
-            pinned=tuple(pinned),
-            equality_pattern=_equality_partition(skeleton.values, param_items),
-            fact_patterns=(),
+            pinned=pinned,
+            equality_pattern=_equality_partition(values, param_items),
+            fact_patterns=tuple(fact_patterns),
             reason=_template_reason(decision.reason),
             tables=frozenset(tables),
-            allowed=False,
-            guard_relations=frozenset(guard_relations),
+            allowed=decision.allowed,
+            guard_relations=guard_relations,
         )
-        if not self._insert_template(template):
-            return False
-        self.blocks_stored += 1
-        return True
 
     def _insert_template(self, template: _Template) -> bool:
         """Index a ready-made template (shared by store and benchmarks).
 
-        Exact duplicates are skipped (returns False): the checker's
-        compiled store and the gateway's shared cache are the same object
-        now, so both ends may try to generalize the same decision.
+        Exact duplicates are skipped (returns False): two threads that
+        missed on the same shape, or a peer shard's TEMPLATE event, may
+        generalize the same decision.
         """
-        index = self._index.setdefault(template.skeleton_key, _SkeletonIndex())
-        slots = tuple(i for i, _ in template.pinned)
-        values = tuple(value for _, value in template.pinned)
-        existing = index.groups.get(slots, {}).get(values, ())
-        if any(current == template for _, current in existing):
-            self.duplicates_skipped += 1
-            return False
-        index.add(self._seq, template)
-        self._seq += 1
-        for table in template.tables:
-            self._by_table.setdefault(table, set()).add(template.skeleton_key)
-        return True
+        self._acquire()
+        try:
+            index = self._index.setdefault(template.skeleton_key, _SkeletonIndex())
+            if not index.add(self._seq, template):
+                self.duplicates_skipped += 1
+                return False
+            self._seq += 1
+            for table in template.tables:
+                self._by_table.setdefault(table, set()).add(template.skeleton_key)
+            self.size += 1
+            self.stores += 1
+            if not template.allowed:
+                self.blocks_stored += 1
+            return True
+        finally:
+            self._lock.release()
 
     # -- invalidation ----------------------------------------------------------
 
@@ -452,50 +507,94 @@ class DecisionCache:
         examined (see ``invalidate_keys_scanned``).
         """
         evicted = 0
-        for key in self._by_table.pop(table, ()):
-            self.invalidate_keys_scanned += 1
-            index = self._index[key]
-            dropped, removed_tables = index.evict_touching(table)
-            evicted += dropped
-            if index.count:
-                remaining_tables = index.tables()
-            else:
-                del self._index[key]
-                remaining_tables = set()
-            # Unlink this key from the other tables of the evicted
-            # templates, unless a surviving template still touches them.
-            for other in removed_tables:
-                if other == table or other in remaining_tables:
-                    continue
-                bucket = self._by_table.get(other)
-                if bucket is not None:
-                    bucket.discard(key)
-                    if not bucket:
-                        del self._by_table[other]
-        self.invalidations += evicted
+        self._acquire()
+        try:
+            for key in self._by_table.pop(table, ()):
+                self.invalidate_keys_scanned += 1
+                index = self._index[key]
+                dropped, removed_tables = index.evict_touching(table)
+                evicted += dropped
+                if index.count:
+                    remaining_tables = index.tables()
+                else:
+                    del self._index[key]
+                    remaining_tables = set()
+                # Unlink this key from the other tables of the evicted
+                # templates, unless a surviving template still touches them.
+                for other in removed_tables:
+                    if other == table or other in remaining_tables:
+                        continue
+                    bucket = self._by_table.get(other)
+                    if bucket is not None:
+                        bucket.discard(key)
+                        if not bucket:
+                            del self._by_table[other]
+            self.size -= evicted
+            self.invalidations += evicted
+        finally:
+            self._lock.release()
         return evicted
+
+    def invalidate_tables(self, tables: Iterable[str]) -> int:
+        """Evict templates touching any of ``tables`` (one write's footprint)."""
+        return sum(self.invalidate_table(table) for table in tables)
 
     def clear(self) -> int:
         """Drop every template (counts as invalidation); returns the count."""
-        dropped = self.size
-        self._index.clear()
-        self._by_table.clear()
-        self.invalidations += dropped
+        self._acquire()
+        try:
+            dropped = self.size
+            self._index.clear()
+            self._by_table.clear()
+            self.size = 0
+            self.invalidations += dropped
+        finally:
+            self._lock.release()
         return dropped
 
     def iter_templates(self) -> Iterator[_Template]:
-        """All live templates, in no particular order."""
-        for index in self._index.values():
-            yield from index.templates()
+        """A snapshot of the live templates, in no particular order."""
+        self._acquire()
+        try:
+            live = [t for index in self._index.values() for t in index.templates()]
+        finally:
+            self._lock.release()
+        return iter(live)
 
-    @property
-    def size(self) -> int:
-        return sum(index.count for index in self._index.values())
+    # -- counters --------------------------------------------------------------
 
     @property
     def hit_rate(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
+
+    def stats(self) -> dict[str, float]:
+        """Flat counters (the gateway snapshot prefixes them ``shared_cache_``)."""
+        return {
+            "size": self.size,
+            "stores": self.stores,
+            "hits": self.hits,
+            "misses": self.misses,
+            "hit_rate": self.hit_rate,
+            "invalidations": self.invalidations,
+            "compiled_hits": self.compiled_hits,
+            "compiled_misses": self.compiled_misses,
+            "blocks_stored": self.blocks_stored,
+            "duplicates_skipped": self.duplicates_skipped,
+            # The key predates the single lock (the store was hash-striped
+            # once); STATS consumers and the benchmark read this name.
+            "stripe_contention": self.lock_waits,
+        }
+
+    def continue_counts_of(self, retired: "DecisionCache") -> None:
+        """Start this store's event counters where ``retired``'s stand.
+
+        A policy reload replaces the store; carrying the counts keeps
+        every event counter read through the live store cumulative over
+        the gateway's life (``size`` stays this store's own gauge).
+        """
+        for name in _EVENT_COUNTERS:
+            setattr(self, name, getattr(self, name) + getattr(retired, name))
 
 
 # --------------------------------------------------------------------------
@@ -529,9 +628,9 @@ def _value_key(value: object) -> object:
 def _template_reason(reason: str) -> str:
     """Tag a reason as template-served, idempotently.
 
-    A compiled hit already carries the " [template]" suffix; when the
-    proxy re-stores that decision into the (unified) cache the tag must
-    not stack.
+    A compiled hit already carries the " [template]" suffix; when such a
+    decision is generalized again (a peer shard's TEMPLATE event, a
+    caller storing what the checker returned) the tag must not stack.
     """
     return reason if reason.endswith(" [template]") else reason + " [template]"
 
@@ -578,6 +677,35 @@ def _pattern_of(
             continue
         pattern.append(("any", None))
     return tuple(pattern)
+
+
+def _witnesses(
+    template: _Template,
+    values: tuple[object, ...],
+    params: dict[str, object],
+    trace: Trace | None,
+) -> list[Atom] | None:
+    """One certified trace fact per fact pattern of ``template``, or None
+    when some pattern has no match in ``trace``."""
+    if not template.fact_patterns:
+        return []
+    if trace is None:
+        return None
+    facts = trace.facts
+    found: list[Atom] = []
+    for rel, pattern_args in template.fact_patterns:
+        witness = next(
+            (
+                fact
+                for fact in facts
+                if _fact_matches(fact, rel, pattern_args, values, params)
+            ),
+            None,
+        )
+        if witness is None:
+            return None
+        found.append(witness)
+    return found
 
 
 def _fact_matches(

@@ -57,8 +57,9 @@ class ProxyConfig:
       (the Example 2.1 mechanism); disable for the no-history ablation.
     * ``record_decisions`` — keep the most recent decisions on
       ``stats.decisions`` for tooling (capped by ``decision_log_cap``).
-    * ``cache`` — a :class:`DecisionCache` (or shared subclass) to
-      consult before running the checker; ``None`` disables caching.
+    * ``cache`` — a :class:`DecisionCache` to consult before running the
+      checker (one may be shared by any number of proxies and threads);
+      ``None`` disables caching.
     * ``decision_log_cap`` — ring-buffer size for recorded decisions.
     """
 
@@ -275,7 +276,8 @@ class EnforcementProxy:
 
         ``skeleton`` is the prepared-statement fast path: a precomputed
         ``skeletonize(bound)`` that lets the cache probe and template
-        store skip the per-request AST traversal.
+        store skip the per-request AST traversal. A miss goes to
+        :meth:`_check_fresh`, which also stores what it decided.
         """
         started = time.perf_counter()
         cache = self._decision_cache()
@@ -283,24 +285,19 @@ class EnforcementProxy:
         # would use history itself; otherwise a fact-dependent template
         # could allow what the no-history checker would block.
         trace = self.trace if self.config.history_enabled else None
+        decision = None
         if cache is not None:
-            cached = cache.lookup(
+            decision = cache.lookup(
                 bound,
                 self.session.bindings,
                 trace,
                 skeleton=skeleton,
                 param_items=self._param_items,
             )
-            if cached is not None:
-                self.stats.cache_hits += 1
-                seconds = time.perf_counter() - started
-                self.stats.check_seconds += seconds
-                self._record_stage("check", seconds)
-                self._observe_decision(cached, bound)
-                return cached
-        decision = self._check_fresh(bound, trace, skeleton=skeleton)
-        if cache is not None:
-            cache.store(bound, self.session.bindings, decision, skeleton=skeleton)
+        if decision is not None:
+            self.stats.cache_hits += 1
+        else:
+            decision = self._check_fresh(bound, trace, skeleton=skeleton)
         seconds = time.perf_counter() - started
         self.stats.check_seconds += seconds
         self._record_stage("check", seconds)
@@ -339,13 +336,20 @@ class EnforcementProxy:
         trace: Trace | None,
         skeleton: Skeleton | None = None,
     ) -> Decision:
-        """Run the full compliance check for a cache miss.
+        """Run the full compliance check for a cache miss, and store it.
 
-        The gateway overrides this to check under its pinned policy epoch.
+        The miss hook is the one place a fresh decision is generalized
+        into the cache. The gateway overrides it to check under its
+        pinned policy epoch, whose compiling checker stores for itself.
         """
-        return self.checker.check(
+        decision = self.checker.check(
             bound, self.session.bindings, trace, skeleton=skeleton
         )
+        if self.config.cache is not None:
+            self.config.cache.store(
+                bound, self.session.bindings, decision, skeleton=skeleton
+            )
+        return decision
 
     def _observe_decision(self, decision: Decision, bound: ast.Select) -> None:
         """Decision observation point; no-op outside the gateway."""

@@ -49,7 +49,7 @@ from repro.sqlir import ast
 from repro.sqlir.params import bind_parameters
 from repro.sqlir.parser import parse_sql
 from repro.sqlir.skeleton import Skeleton, skeletonize
-from repro.util.errors import DbacError, TranslationError
+from repro.util.errors import DbacError, EngineError, TranslationError
 from repro.extract.handlers import run_handler
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -102,7 +102,7 @@ class RecordingConnection:
         self.events: list[QueryEvent] = []
 
     def sql(self, sql, args=(), named=None):
-        stmt = self.db._parse(sql)
+        stmt = self.db.parse(sql)
         if not isinstance(stmt, ast.Select):
             return self.db.sql(stmt, args, named)
         bound = bind_parameters(stmt, args, named)
@@ -121,7 +121,12 @@ class RecordingConnection:
         return result
 
     def query(self, sql, args=(), named=None) -> Result:
-        result = self.sql(sql, args, named)
+        """Like :meth:`sql` but refuses anything except a SELECT — before
+        executing it, so a rejected write leaves the data untouched."""
+        stmt = self.db.parse(sql)
+        if not isinstance(stmt, ast.Select):
+            raise EngineError("query() requires a SELECT statement")
+        result = self.sql(stmt, args, named)
         assert isinstance(result, Result)
         return result
 

@@ -2,7 +2,7 @@
 
 The mechanism is the gateway's *policy epoch*
 (:class:`~repro.serve.gateway.PolicyEpoch`): everything derived from the
-policy — checker, shared/per-session decision caches, miss batcher —
+policy — checker, decision-template store, miss batcher —
 is one immutable bundle, and every decision pins the bundle it
 started under for its whole duration. :func:`hot_reload` therefore:
 
@@ -22,9 +22,10 @@ untouched — connections and their traces live on the gateway, not the
 epoch, so certified history survives the swap (and immediately gates
 history-dependent decisions under the new policy).
 
-Decision caches are rebuilt, not migrated: a cached template is a
-policy-specific proof, so carrying it across versions would be unsound.
-The new epoch starts cold and re-warms from traffic.
+The decision-template store is rebuilt, not migrated: a cached template
+is a policy-specific proof, so carrying it across versions would be
+unsound. The new epoch starts cold and re-warms from traffic; only the
+store's event *counts* carry over, so STATS stays cumulative.
 
 :class:`LifecycleManager` ties this together with the registry, shadow
 mode, and the promotion gates into the one object the net server's

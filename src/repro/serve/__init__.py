@@ -1,15 +1,15 @@
 """The serving layer: a multi-session enforcement gateway.
 
 Scales the paper's per-session enforcement proxy to a deployment shape:
-one :class:`EnforcementGateway` per process owns a thread-safe
-:class:`SharedDecisionCache` (decision templates learned in any session
-serve every session, without ever over-allowing), write-driven template
-invalidation, per-stage latency metrics, and a worker-pool driver that
-replays the bundled application workloads from N concurrent simulated
-users. See ``docs/serving.md`` and the E11 benchmark.
+one :class:`EnforcementGateway` per process owns one
+:class:`~repro.enforce.cache.DecisionCache` per policy epoch (decision
+templates learned in any session serve every session, without ever
+over-allowing), write-driven template invalidation, per-stage latency
+metrics, and a worker-pool driver that replays the bundled application
+workloads from N concurrent simulated users. See ``docs/serving.md`` and
+the E11 benchmark.
 """
 
-from repro.serve.cache import SharedDecisionCache
 from repro.serve.driver import DriveReport, WorkloadDriver, no_op_write_for
 from repro.serve.gateway import (
     DecisionAuditRecord,
@@ -30,7 +30,6 @@ __all__ = [
     "PolicyEpoch",
     "LatencyHistogram",
     "MetricsSnapshot",
-    "SharedDecisionCache",
     "WorkloadDriver",
     "no_op_write_for",
 ]

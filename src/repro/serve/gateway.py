@@ -2,8 +2,8 @@
 
 An :class:`EnforcementGateway` is the process-wide front door of a
 serving deployment: it owns the database handle, the policy, one
-:class:`~repro.serve.cache.SharedDecisionCache`, and the metrics
-registry, and it hands out per-session :class:`GatewayConnection`
+:class:`~repro.enforce.cache.DecisionCache` per policy epoch, and the
+metrics registry, and it hands out per-session :class:`GatewayConnection`
 objects. Connections implement the standard
 :class:`~repro.engine.connection.Connection` protocol, so application
 handlers run against a gateway session exactly as they would against a
@@ -12,13 +12,13 @@ bare :class:`~repro.engine.database.Database`.
 What the gateway adds over a loose pile of per-session proxies:
 
 * **Shared decisions** — all sessions consult (and feed) one
-  template cache, so a decision learned for one user amortizes across
+  template store, so a decision learned for one user amortizes across
   the whole user population (per-session traces still gate
-  history-dependent templates; see ``repro.serve.cache``).
+  history-dependent templates; see ``repro.enforce.cache`` for why that
+  is sound).
 * **Write-driven invalidation** — INSERT/UPDATE/DELETE statements are
   serialized through the gateway's write lock and evict every cached
-  template touching the written table, in the shared cache and in any
-  per-session caches (the ablation configuration).
+  template touching the written table.
 * **Observability** — per-stage latency histograms (parse / check /
   execute), cache and decision counters, and per-view allow counts.
 * **Optional self-verification** — with ``verify_cached_decisions`` on,
@@ -29,7 +29,7 @@ What the gateway adds over a loose pile of per-session proxies:
 Policy epochs
 -------------
 Everything whose meaning depends on the *policy* — the checker, the
-decision caches, the miss batcher — is bundled into one immutable
+decision-template store, the miss batcher — is bundled into one immutable
 :class:`PolicyEpoch`. A decision pins the current epoch for its whole
 duration (one refcount increment), so a hot reload
 (:mod:`repro.lifecycle.reload`) can atomically install a new epoch
@@ -57,7 +57,6 @@ from repro.policy.policy import Policy
 from repro.relalg import memo
 from repro.relalg.compile import CompiledPolicy, compile_policy
 from repro.serve.batch import CheckBatcher
-from repro.serve.cache import SharedDecisionCache
 from repro.serve.metrics import GatewayMetrics, MetricsSnapshot
 from repro.sqlir import ast
 
@@ -68,16 +67,15 @@ class GatewayConfig:
 
     ``cache_mode``:
 
-    * ``"shared"`` (default) — one :class:`SharedDecisionCache` for all
-      sessions;
-    * ``"per-session"`` — a private :class:`DecisionCache` per session
-      (the ablation the E11 benchmark compares against);
-    * ``"none"`` — no decision caching at all.
+    * ``"shared"`` (default) — every session consults the epoch's one
+      :class:`~repro.enforce.cache.DecisionCache` before checking;
+    * ``"none"`` — no session does; every statement reaches the checker.
 
     ``compile_checks`` (default on) builds a
-    :class:`~repro.relalg.compile.CompiledPolicy` and a per-epoch
-    skeleton store once per :class:`PolicyEpoch`, turning repeat-shape
-    cache-miss checks into template instantiation (docs/compilation.md).
+    :class:`~repro.relalg.compile.CompiledPolicy` once per
+    :class:`PolicyEpoch` and lets the checker serve and learn skeleton
+    templates in the epoch's store, turning repeat-shape cache-miss
+    checks into template instantiation (docs/compilation.md).
     ``batch_checks`` (default on) additionally funnels miss checks
     through a :class:`~repro.serve.batch.CheckBatcher` so concurrent
     sessions share per-batch compilation work.
@@ -108,7 +106,7 @@ class GatewayConfig:
     mining: object | None = None
 
     def __post_init__(self) -> None:
-        if self.cache_mode not in ("shared", "per-session", "none"):
+        if self.cache_mode not in ("shared", "none"):
             raise ValueError(f"unknown cache_mode {self.cache_mode!r}")
         if self.db_path is not None and self.backend is None:
             raise ValueError("db_path requires an explicit backend")
@@ -139,32 +137,27 @@ class PolicyEpoch:
         self.compiled: CompiledPolicy | None = (
             compile_policy(db.schema, policy) if config.compile_checks else None
         )
-        #: The per-epoch skeleton store (compiled decision templates).
-        #: Unified with the shared decision cache below: in shared cache
-        #: mode they are the *same object*, so cross-shard TEMPLATE
-        #: events (repro.cluster.exchange stores into shared_cache) seed
-        #: compiled skeletons too, and write invalidation covers both.
-        self.skeletons: SharedDecisionCache | None = (
-            SharedDecisionCache(policy) if self.compiled is not None else None
+        #: The epoch's one decision-template store: the checker serves and
+        #: learns compiled skeleton templates in it (``compile_checks``),
+        #: sessions probe it before checking (``cache_mode="shared"``), and
+        #: cross-shard TEMPLATE events and write invalidation land in it.
+        #: ``None`` only when neither is on.
+        self.store: DecisionCache | None = (
+            DecisionCache(policy)
+            if self.compiled is not None or config.cache_mode == "shared"
+            else None
         )
         self.checker = ComplianceChecker(
             db.schema,
             policy,
             history_enabled=config.history_enabled,
             compiled=self.compiled,
-            skeletons=self.skeletons,
+            skeletons=self.store if self.compiled is not None else None,
         )
-        if config.cache_mode == "shared":
-            self.shared_cache: SharedDecisionCache | None = (
-                self.skeletons
-                if self.skeletons is not None
-                else SharedDecisionCache(policy)
-            )
-        else:
-            self.shared_cache = None
-        # Per-session caches (cache_mode="per-session"), keyed by the
-        # session's bindings; created lazily on first decision.
-        self._session_caches: dict[tuple, DecisionCache] = {}
+        #: The store as the sessions' cache, or None under ``cache_mode="none"``.
+        self.shared_cache: DecisionCache | None = (
+            self.store if config.cache_mode == "shared" else None
+        )
         #: Combining-lock batcher for miss checks.
         self.batcher: CheckBatcher | None = (
             CheckBatcher(self.checker, timeout_s=config.check_timeout_s)
@@ -202,30 +195,9 @@ class PolicyEpoch:
         with self._condition:
             return self._condition.wait_for(lambda: self._pins == 0, timeout=timeout_s)
 
-    # -- caches -------------------------------------------------------------------
-
-    def session_cache_for(self, key: tuple, policy: Policy) -> DecisionCache:
-        with self._condition:
-            cache = self._session_caches.get(key)
-            if cache is None:
-                cache = self._session_caches[key] = DecisionCache(policy)
-            return cache
-
     def caches(self) -> list[DecisionCache]:
-        """Every decision cache of this epoch (for write invalidation).
-
-        Includes the skeleton store even outside shared cache mode: a
-        write must evict compiled templates (and Block-template guards)
-        exactly like classic decision templates.
-        """
-        targets: list[DecisionCache] = []
-        if self.shared_cache is not None:
-            targets.append(self.shared_cache)
-        if self.skeletons is not None and self.skeletons is not self.shared_cache:
-            targets.append(self.skeletons)
-        with self._condition:
-            targets.extend(self._session_caches.values())
-        return targets
+        """What a write must invalidate: the store, when there is one."""
+        return [self.store] if self.store is not None else []
 
 
 class GatewayConnection(EnforcementProxy):
@@ -239,7 +211,6 @@ class GatewayConnection(EnforcementProxy):
     ):
         super().__init__(gateway.db, gateway.policy, session, config)
         self._gateway = gateway
-        self._session_key = tuple(sorted(session.bindings.items()))
         #: Serialises this session's statements. The trace, the pinned
         #: epoch and the proxy stats assume one statement at a time, so a
         #: caller that may reach one session from two threads (the wire
@@ -257,9 +228,9 @@ class GatewayConnection(EnforcementProxy):
         """Vet a bound SELECT entirely under one policy epoch.
 
         The epoch is read once and pinned for the whole decision — cache
-        lookup, fresh check, verification, store —
-        so a concurrent hot reload can never produce a decision computed
-        against a mix of two policies. ``skeleton`` is the
+        lookup, fresh check, store, verification — so a concurrent hot
+        reload can never produce a decision computed against a mix of
+        two policies. ``skeleton`` is the
         prepared-statement fast path (see ``EnforcementProxy.decide``).
         """
         gateway = self._gateway
@@ -307,24 +278,8 @@ class GatewayConnection(EnforcementProxy):
         return decision
 
     def _decision_cache(self) -> DecisionCache | None:
-        """The pinned epoch's cache for this session (mode-dependent)."""
-        epoch = self._pinned_epoch
-        if epoch is None:  # plain proxy path (not reached via decide())
-            return self.config.cache
-        return self._epoch_cache(epoch)
-
-    def _epoch_cache(self, epoch: PolicyEpoch) -> DecisionCache | None:
-        mode = self._gateway.config.cache_mode
-        if mode == "shared":
-            return epoch.shared_cache
-        if mode == "per-session":
-            return epoch.session_cache_for(self._session_key, epoch.policy)
-        return None
-
-    @property
-    def cache(self) -> DecisionCache | None:
-        """This session's decision cache under the *current* epoch."""
-        return self._epoch_cache(self._gateway.epoch)
+        """The pinned epoch's cache (None under ``cache_mode="none"``)."""
+        return self._pinned_epoch.shared_cache
 
     # -- hooks wired into the gateway ------------------------------------------
 
@@ -358,38 +313,36 @@ class GatewayConnection(EnforcementProxy):
         """Replay a cache hit through the uncached checker and compare.
 
         ``allow_compiled=False``: verification must be independent of
-        the compiled templates (which live in the same unified store the
-        cache hit may have come from), so it always runs the full
-        containment path.
+        the templates it audits (they live in the very store the hit
+        came from), so it runs the full containment path, unbatched, and
+        learns nothing from it.
         """
         trace = self.trace if self.config.history_enabled else None
-        fresh = self._check_fresh(bound, trace, allow_compiled=False)
+        fresh = self._pinned_epoch.checker.check(
+            bound, self.session.bindings, trace, allow_compiled=False
+        )
         self._gateway.metrics.increment("cache_verified")
         if fresh.allowed != decision.allowed:
             self._gateway.metrics.increment("cache_disagreements")
 
-    def _check_fresh(
-        self, bound: ast.Select, trace, allow_compiled: bool = True, skeleton=None
-    ) -> Decision:
+    def _check_fresh(self, bound: ast.Select, trace, skeleton=None) -> Decision:
         """Cache-miss check: batched when configured, else direct.
 
         Always runs against the pinned epoch's checker so the decision
-        cannot straddle a reload.
+        cannot straddle a reload. A compiling checker has already
+        generalized its decision into the epoch's store; only without
+        one is there anything left to store here.
         """
         epoch = self._pinned_epoch
-        if epoch is None:
-            return super()._check_fresh(bound, trace, skeleton=skeleton)
-        if epoch.batcher is not None and allow_compiled:
-            return epoch.batcher.check(
-                bound, self.session.bindings, trace, skeleton=skeleton
-            )
-        return epoch.checker.check(
-            bound,
-            self.session.bindings,
-            trace,
-            allow_compiled=allow_compiled,
-            skeleton=skeleton,
+        checker = epoch.batcher if epoch.batcher is not None else epoch.checker
+        decision = checker.check(
+            bound, self.session.bindings, trace, skeleton=skeleton
         )
+        if epoch.compiled is None and epoch.shared_cache is not None:
+            epoch.shared_cache.store(
+                bound, self.session.bindings, decision, skeleton=skeleton
+            )
+        return decision
 
 
 @dataclass(frozen=True)
@@ -472,7 +425,7 @@ class EnforcementGateway:
         return self._epoch.version
 
     @property
-    def shared_cache(self) -> SharedDecisionCache | None:
+    def shared_cache(self) -> DecisionCache | None:
         return self._epoch.shared_cache
 
     def build_epoch(
@@ -495,9 +448,14 @@ class EnforcementGateway:
         epoch's — never a half-installed mix). The caller is responsible
         for retiring the returned epoch (``old.retire()``), normally via
         :func:`repro.lifecycle.reload.hot_reload`.
+
+        The new store continues the retiring store's event counts, so the
+        cache counters in :meth:`snapshot` never run backwards at a reload.
         """
         with self._write_lock:
             old, self._epoch = self._epoch, epoch
+            if epoch.store is not None and old.store is not None:
+                epoch.store.continue_counts_of(old.store)
             self.metrics.increment("policy_reloads")
         return old
 
@@ -582,10 +540,9 @@ class EnforcementGateway:
         with self._write_lock:
             outcome = self.db.sql(stmt, args, named)
             tables = self._written_tables(stmt)
-            evicted = 0
-            for cache in self._epoch.caches():
-                for table in tables:
-                    evicted += cache.invalidate_table(table)
+            evicted = sum(
+                cache.invalidate_tables(tables) for cache in self._epoch.caches()
+            )
             self.metrics.increment("writes")
             if evicted:
                 self.metrics.increment("templates_invalidated", evicted)
@@ -606,22 +563,23 @@ class EnforcementGateway:
         snapshot = self.metrics.snapshot()
         epoch = self._epoch
         snapshot.counters["policy_version"] = epoch.version
+        # Cache counters: event counts are cumulative over the gateway's
+        # life (install_epoch carries them across reloads); the sizes
+        # (shared_cache_size, compiled_templates) gauge the live store.
         if epoch.shared_cache is not None:
-            for name, value in epoch.shared_cache.stats().items():
+            stats = epoch.shared_cache.stats()
+            for name, value in stats.items():
                 snapshot.counters[f"shared_cache_{name}"] = value
-            # Top-level alias for the striping instrument (docs/performance.md):
-            # lookups that found their stripe lock busy.
-            snapshot.counters["cache_stripe_contention"] = (
-                epoch.shared_cache.stripe_contention
-            )
-        if epoch.skeletons is not None:
+            # Top-level alias (docs/performance.md): acquisitions of the
+            # store's lock that had to wait.
+            snapshot.counters["cache_stripe_contention"] = stats["stripe_contention"]
+        if epoch.compiled is not None:
             # Top-level compiled-path counters (docs/compilation.md); the
             # cluster router sums these across shards, so numeric only.
-            snapshot.counters["compiled_hits"] = epoch.skeletons.compiled_hits
-            snapshot.counters["compile_misses"] = epoch.skeletons.compiled_misses
-            snapshot.counters["compiled_templates"] = epoch.skeletons.size
-            snapshot.counters["compiled_blocks"] = epoch.skeletons.blocks_stored
-        if epoch.compiled is not None:
+            snapshot.counters["compiled_hits"] = epoch.store.compiled_hits
+            snapshot.counters["compile_misses"] = epoch.store.compiled_misses
+            snapshot.counters["compiled_templates"] = epoch.store.size
+            snapshot.counters["compiled_blocks"] = epoch.store.blocks_stored
             compiled_stats = epoch.compiled.stats()
             snapshot.counters["compiled_views"] = compiled_stats["views"]
             snapshot.counters["compiled_view_def_hits"] = compiled_stats["view_def_hits"]
@@ -655,12 +613,6 @@ class EnforcementGateway:
         return snapshot
 
     def cache_hit_rate(self) -> float:
-        """Hit rate across whichever caches this configuration uses."""
-        epoch = self._epoch
-        if epoch.shared_cache is not None:
-            return epoch.shared_cache.hit_rate
-        caches = epoch.caches()
-        hits = sum(cache.hits for cache in caches)
-        misses = sum(cache.misses for cache in caches)
-        total = hits + misses
-        return hits / total if total else 0.0
+        """Session-cache hits over lookups, across reloads (0.0 uncached)."""
+        cache = self._epoch.shared_cache
+        return cache.hit_rate if cache is not None else 0.0

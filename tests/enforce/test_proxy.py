@@ -1,5 +1,8 @@
 """Enforcement-proxy tests: the application-facing behavior."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.enforce import (
@@ -106,3 +109,43 @@ class TestCacheIntegration:
                 "SELECT 1 FROM Attendance WHERE UId = ? AND EId = ?", [uid, eid]
             )
         assert cache.hits >= 1
+
+    def test_one_cache_on_two_threads_loses_no_update(
+        self, calendar_db, calendar_policy
+    ):
+        """Plain proxies on two threads over one ``DecisionCache`` — no
+        gateway, nothing else to serialise them: every lookup is counted
+        exactly once and every miss is stored (or found stored) once."""
+        cache = DecisionCache(calendar_policy)
+        rounds = 300
+        errors: list[BaseException] = []
+
+        def session(uid: int) -> None:
+            try:
+                proxy = EnforcementProxy(
+                    calendar_db,
+                    calendar_policy,
+                    Session.for_user(uid),
+                    ProxyConfig(cache=cache),
+                )
+                for round_no in range(rounds):
+                    proxy.query("SELECT EId FROM Attendance WHERE UId = ?", [uid])
+                    if round_no % 50 == 49:
+                        cache.invalidate_table("Attendance")
+            except BaseException as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # preempt inside the critical sections
+        try:
+            threads = [threading.Thread(target=session, args=(uid,)) for uid in (1, 2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors, errors
+        assert cache.hits + cache.misses == 2 * rounds
+        assert cache.stores + cache.duplicates_skipped == cache.misses
+        assert cache.size == len(list(cache.iter_templates())) <= 1

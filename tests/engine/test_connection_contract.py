@@ -22,6 +22,7 @@ from repro.enforce import (
     Session,
 )
 from repro.engine import Connection
+from repro.extract.miner import RecordingConnection
 from repro.net import BackgroundServer, NetClientConnection, ServerConfig
 from repro.serve import EnforcementGateway, GatewayConfig
 from repro.util.errors import DbacError, EngineError
@@ -109,7 +110,20 @@ class TestCloseContract:
             connection.query(PROBE_SQL)
 
 
+def make_recording():
+    yield RecordingConnection(make_db())
+
+
+#: Everything with a ``query()`` door — the miner's recording wrapper has
+#: one too, though it has no ``close()`` and so is not a full Connection.
+QUERY_FACTORIES = {**FACTORIES, "recording": make_recording}
+
+
 class TestQueryRefusesWrites:
+    @pytest.fixture(params=sorted(QUERY_FACTORIES), ids=sorted(QUERY_FACTORIES))
+    def connection(self, request):
+        yield from QUERY_FACTORIES[request.param]()
+
     def test_a_refused_write_is_not_executed(self, connection):
         """``query()`` is the SELECT-only door: handed a write it must
         raise *and* leave the row alone (in-process an ``EngineError``,

@@ -66,6 +66,54 @@ class TestHotReload:
         connection.query("SELECT EId FROM Attendance WHERE UId = 1")
         assert gateway.shared_cache.size == 1
 
+    def test_cache_event_counters_are_cumulative_across_a_reload(
+        self, calendar_pair, gateway
+    ):
+        """Every cache *event* counter in the snapshot keeps counting over
+        the gateway's life — the new store continues the retired store's
+        counts — while the sizes gauge the live (cold again) store."""
+        app, _ = calendar_pair
+        events = (
+            "compile_misses", "compiled_hits", "compiled_blocks",
+            "shared_cache_hits", "shared_cache_misses", "shared_cache_stores",
+            "shared_cache_invalidations", "shared_cache_compiled_hits",
+            "shared_cache_compiled_misses", "shared_cache_blocks_stored",
+            "cache_stripe_contention",
+        )
+
+        def traffic() -> None:
+            for uid in (1, 2, 3):
+                connection = gateway.connect(uid, fresh=True)
+                with pytest.raises(PolicyViolation):  # fact-free: a Block template
+                    connection.query("SELECT * FROM Events WHERE EId = 999")
+                connection.query("SELECT EId FROM Attendance WHERE UId = ?", [uid])
+                connection.query("SELECT EId FROM Attendance WHERE UId = ?", [uid])
+            gateway.connect(1).sql("UPDATE Attendance SET UId = UId")
+
+        traffic()
+        before = gateway.snapshot().counters
+        assert before["compile_misses"] > 0 and before["shared_cache_hits"] > 0
+        assert before["compiled_blocks"] > 0 and before["shared_cache_invalidations"] > 0
+        rate_before = gateway.cache_hit_rate()
+        hot_reload(gateway, app.ground_truth_policy(), version=2)
+        swapped = gateway.snapshot().counters
+        assert {name: swapped[name] for name in events} == {
+            name: before[name] for name in events
+        }
+        assert gateway.cache_hit_rate() == rate_before
+        assert swapped["shared_cache_size"] == swapped["compiled_templates"] == 0
+        traffic()
+        after = gateway.snapshot().counters
+        for name in events:
+            assert after[name] >= before[name], name
+        # The cold store re-derived what the reload threw away.
+        assert after["compile_misses"] == 2 * before["compile_misses"]
+        assert after["shared_cache_hits"] == after["cache_hits"]
+        assert after["shared_cache_misses"] == after["cache_misses"]
+        assert gateway.cache_hit_rate() == after["cache_hits"] / (
+            after["cache_hits"] + after["cache_misses"]
+        )
+
     def test_reload_counter_increments(self, calendar_pair, gateway):
         app, _ = calendar_pair
         hot_reload(gateway, app.ground_truth_policy(), version=2)

@@ -116,7 +116,7 @@ def checker_work(gateway) -> tuple:
     return (
         counters["cache_hits"],
         counters["cache_misses"],
-        counters["compile_misses"],  # full checks under the current epoch
+        counters["compile_misses"],  # full checks, cumulative across the reload
     )
 
 

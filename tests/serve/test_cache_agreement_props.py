@@ -1,6 +1,6 @@
 """Property test: the cached decision path agrees with the uncached checker.
 
-The shared cache's safety argument (see ``repro.serve.cache``) says a
+The shared cache's safety argument (see ``repro.enforce.cache``) says a
 template hit is only possible when a fresh :class:`ComplianceChecker`
 run for the *requesting* session would also allow. We fuzz that claim:
 random query shapes, random constants, random session bindings, and a
@@ -14,11 +14,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.enforce.cache import DecisionCache
 from repro.enforce.checker import ComplianceChecker
 from repro.enforce.trace import Trace
 from repro.engine.executor import Result
 from repro.relalg.translate import translate_select
-from repro.serve import SharedDecisionCache
 from repro.sqlir.params import bind_parameters
 from repro.sqlir.parser import parse_select
 from repro.workloads import calendar_app
@@ -86,7 +86,7 @@ def test_cache_hits_agree_with_uncached_checker(scenario, schema, policy):
         scenario
     )
     checker = ComplianceChecker(schema, policy)
-    cache = SharedDecisionCache(policy)
+    cache = DecisionCache(policy)
 
     store_stmt = bind_parameters(parse_select(sql), store_args)
     store_trace = make_trace(schema, store_seen)

@@ -20,7 +20,7 @@ from repro.serve import (
     GatewayConnection,
     WorkloadDriver,
 )
-from repro.workloads import calendar_app, social
+from repro.workloads import calendar_app
 
 
 @pytest.fixture
@@ -142,15 +142,69 @@ class TestWritesThroughGateway:
         calendar_gateway.connect(1).sql("UPDATE Users SET Name = Name")
         assert calendar_gateway.shared_cache.size == 1
 
-    def test_per_session_caches_also_invalidated(self, calendar_db, calendar_policy):
+
+
+class TestOneStore:
+    """One store per epoch, written once per miss — by the compiling
+    checker, or by the miss hook when there is none."""
+
+    @staticmethod
+    def replay(config: GatewayConfig) -> tuple[EnforcementGateway, list[bool]]:
+        """The statement-path stream (blocked, history-gated and allowed
+        statements over six sessions); returns the allow/block sequence."""
+        from tests.net.test_statement_path import make_stream
+
+        app = calendar_app.make_app()
         gateway = EnforcementGateway(
-            calendar_db, calendar_policy, GatewayConfig(cache_mode="per-session")
+            app.make_database(12, 3), app.ground_truth_policy(), config
         )
-        connection = gateway.connect(1)
-        connection.query("SELECT EId FROM Attendance WHERE UId = 1")
-        assert connection.cache.size == 1
-        gateway.connect(2).sql("DELETE FROM Attendance WHERE UId = 2")
-        assert connection.cache.size == 0
+        verdicts = []
+        for script in make_stream(gateway.db):
+            connection = gateway.connect(script[1][1][0], fresh=True)
+            for sql, args in script:
+                try:
+                    connection.query(sql, args)
+                    verdicts.append(True)
+                except PolicyViolation:
+                    verdicts.append(False)
+        return gateway, verdicts
+
+    def test_default_gateway_generalizes_each_miss_once(self):
+        gateway, verdicts = self.replay(GatewayConfig())
+        counters = gateway.snapshot().counters
+        assert len(verdicts) >= 40 and True in verdicts and False in verdicts
+        assert counters["cache_misses"] > 0 and counters["cache_hits"] > 0
+        assert counters["shared_cache_duplicates_skipped"] == 0
+        live = len(list(gateway.shared_cache.iter_templates()))
+        assert counters["shared_cache_stores"] == counters["shared_cache_size"] == live
+
+    def test_every_configuration_decides_alike_and_stores_once(self):
+        _, expected = self.replay(GatewayConfig())
+        for config in (
+            GatewayConfig(compile_checks=False),
+            GatewayConfig(cache_mode="none"),
+        ):
+            gateway, verdicts = self.replay(config)
+            assert verdicts == expected, config
+            (store,) = gateway.epoch.caches()
+            assert store.duplicates_skipped == 0, config
+            assert store.stores == store.size > 0, config
+
+    def test_no_store_without_cache_or_compilation(self, calendar_db, calendar_policy):
+        gateway = EnforcementGateway(
+            calendar_db,
+            calendar_policy,
+            GatewayConfig(cache_mode="none", compile_checks=False),
+        )
+        gateway.connect(1).query("SELECT EId FROM Attendance WHERE UId = 1")
+        gateway.connect(1).sql("UPDATE Attendance SET UId = UId")
+        assert gateway.epoch.caches() == [] and gateway.shared_cache is None
+        assert gateway.cache_hit_rate() == 0.0
+        assert gateway.metrics.counter("uncached_checks") == 1
+
+    def test_per_session_cache_mode_is_gone(self):
+        with pytest.raises(ValueError, match="per-session"):
+            GatewayConfig(cache_mode="per-session")
 
 
 class TestDriver:
@@ -170,20 +224,6 @@ class TestDriver:
         assert report.metrics.counters.get("cache_disagreements", 0) == 0
         assert report.wall_seconds > 0
         assert report.throughput_rps > 0
-
-    def test_shared_beats_per_session_on_multi_user_social(self):
-        app = social.make_app()
-        seed_requests = random.Random(5)
-        reports = {}
-        for mode in ("shared", "per-session"):
-            db = app.make_database(16, 7)
-            gateway = EnforcementGateway(
-                db, app.ground_truth_policy(), GatewayConfig(cache_mode=mode)
-            )
-            driver = WorkloadDriver(app, gateway, workers=4)
-            requests = app.request_stream(db, random.Random(5), 120)
-            reports[mode] = driver.run(requests)
-        assert reports["shared"].hit_rate > reports["per-session"].hit_rate
 
     def test_runner_gateway_mode(self, calendar_policy):
         from repro.workloads.runner import AppRunner

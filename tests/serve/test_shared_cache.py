@@ -1,14 +1,15 @@
-"""SharedDecisionCache: cross-session safety, invalidation, thread safety."""
+"""DecisionCache shared between sessions: cross-session safety,
+invalidation, thread safety."""
 
 from __future__ import annotations
 
 import threading
 
+from repro.enforce.cache import DecisionCache
 from repro.enforce.checker import ComplianceChecker
 from repro.enforce.trace import Trace
 from repro.engine.executor import Result
 from repro.relalg.translate import translate_select
-from repro.serve import SharedDecisionCache
 from repro.sqlir.params import bind_parameters
 from repro.sqlir.parser import parse_select
 
@@ -32,7 +33,7 @@ class TestCrossSessionSafety:
     def test_history_free_template_serves_other_sessions(
         self, calendar_schema, calendar_policy
     ):
-        cache = SharedDecisionCache(calendar_policy)
+        cache = DecisionCache(calendar_policy)
         checker = ComplianceChecker(calendar_schema, calendar_policy)
         stmt = bound("SELECT EId FROM Attendance WHERE UId = ?", [1])
         decision = checker.check(stmt, {"MyUId": 1})
@@ -58,7 +59,7 @@ class TestCrossSessionSafety:
         self, calendar_schema, calendar_policy
     ):
         """User A's history must not allow user B's fetch (Example 2.1)."""
-        cache = SharedDecisionCache(calendar_policy)
+        cache = DecisionCache(calendar_policy)
         checker = ComplianceChecker(calendar_schema, calendar_policy)
         trace_a = trace_with_attendance(calendar_schema, 1, 2)
         stmt = bound("SELECT * FROM Events WHERE EId = ?", [2])
@@ -88,7 +89,7 @@ class TestWriteInvalidation:
     def test_invalidation_is_observed_by_every_session(
         self, calendar_schema, calendar_policy
     ):
-        cache = SharedDecisionCache(calendar_policy)
+        cache = DecisionCache(calendar_policy)
         checker = ComplianceChecker(calendar_schema, calendar_policy)
         stmt = bound("SELECT EId FROM Attendance WHERE UId = ?", [1])
         decision = checker.check(stmt, {"MyUId": 1})
@@ -113,7 +114,7 @@ class TestWriteInvalidation:
         self, calendar_schema, calendar_policy
     ):
         """A template justified by an Attendance fact dies on Attendance writes."""
-        cache = SharedDecisionCache(calendar_policy)
+        cache = DecisionCache(calendar_policy)
         checker = ComplianceChecker(calendar_schema, calendar_policy)
         trace = trace_with_attendance(calendar_schema, 1, 2)
         stmt = bound("SELECT * FROM Events WHERE EId = ?", [2])
@@ -128,7 +129,7 @@ class TestWriteInvalidation:
     def test_unrelated_table_write_evicts_nothing(
         self, calendar_schema, calendar_policy
     ):
-        cache = SharedDecisionCache(calendar_policy)
+        cache = DecisionCache(calendar_policy)
         checker = ComplianceChecker(calendar_schema, calendar_policy)
         stmt = bound("SELECT EId FROM Attendance WHERE UId = ?", [1])
         cache.store(stmt, {"MyUId": 1}, checker.check(stmt, {"MyUId": 1}))
@@ -141,7 +142,7 @@ class TestThreadSafety:
         self, calendar_schema, calendar_policy
     ):
         """Many threads look up / store / invalidate against one cache."""
-        cache = SharedDecisionCache(calendar_policy)
+        cache = DecisionCache(calendar_policy)
         checker = ComplianceChecker(calendar_schema, calendar_policy)
         # One decision per distinct query shape, computed up front.
         shapes = [

@@ -1,4 +1,5 @@
-"""SharedDecisionCache: write-driven invalidation racing concurrent readers.
+"""DecisionCache thread safety: write-driven invalidation racing concurrent
+readers on a gateway's one store.
 
 The serving claim under test: a writer evicting a table's decision
 templates while N reader threads are hitting the cache must (a) never
@@ -30,8 +31,6 @@ def gateway(calendar_policy):
 
 
 def cached_tables(cache) -> set[str]:
-    # Only called from quiesced moments (after the racing threads join),
-    # so no stripe locks are needed for a consistent read.
     return {table for template in cache.iter_templates() for table in template.tables}
 
 

@@ -1,10 +1,13 @@
-"""The lock-striped SharedDecisionCache facade.
+"""The store's one lock (the file name predates it: the store was a
+facade over eight hash-routed lock stripes until they were measured
+against a single lock and removed — EXPERIMENTS.md "E18 — stripes").
 
-The striping claim: hot reads take exactly one stripe lock, shapes route
-deterministically by skeleton key, aggregate counters sum across
-stripes, and writers (invalidation, clear) still evict everywhere. The
-soundness of *sharing* is covered by ``test_shared_cache_race.py`` and
-E11; this file pins the striping mechanics.
+What is left to pin: a contended acquire is counted and an uncontended
+one is free, the counter keeps its ``cache_stripe_contention`` name in
+the gateway snapshot, and the writers (invalidation, clear) and the
+template listing see every template whatever its shape. The soundness
+of *sharing* is covered by ``test_shared_cache.py``,
+``test_shared_cache_race.py`` and E11.
 """
 
 from __future__ import annotations
@@ -13,8 +16,8 @@ import threading
 
 import pytest
 
+from repro.enforce.cache import DecisionCache
 from repro.serve import EnforcementGateway, GatewayConfig
-from repro.serve.cache import DEFAULT_STRIPES, SharedDecisionCache
 from repro.workloads import calendar_app
 
 
@@ -25,64 +28,12 @@ def gateway(calendar_policy):
 
 
 class TestStriping:
-    def test_default_stripe_count(self, calendar_policy):
-        cache = SharedDecisionCache(calendar_policy)
-        assert cache.stripes == DEFAULT_STRIPES
-        assert len(cache._stripe_caches) == DEFAULT_STRIPES
-
-    def test_stripe_count_is_configurable_and_validated(self, calendar_policy):
-        assert SharedDecisionCache(calendar_policy, stripes=3).stripes == 3
-        with pytest.raises(ValueError):
-            SharedDecisionCache(calendar_policy, stripes=0)
-
-    def test_same_shape_routes_to_one_stripe(self, gateway):
-        """All parameterizations of one statement shape share a skeleton
-        key, so their templates land in exactly one stripe."""
-        for uid in range(1, 5):
-            gateway.connect(uid).query(
-                "SELECT EId FROM Attendance WHERE UId = ?", [uid]
-            )
-        cache = gateway.shared_cache
-        populated = [s for s in cache._stripe_caches if s.size > 0]
-        assert len(populated) == 1
-        assert cache.size == populated[0].size
-
-    def test_different_shapes_can_spread_across_stripes(self, gateway):
-        connection = gateway.connect(1)
-        shapes = [
-            "SELECT EId FROM Attendance WHERE UId = ?",
-            "SELECT 1 FROM Attendance WHERE UId = ? AND EId = ?",
-            "SELECT UId, EId FROM Attendance WHERE UId = ?",
-        ]
-        connection.query(shapes[0], [1])
-        connection.query(shapes[1], [1, 2])
-        connection.query(shapes[2], [1])
-        cache = gateway.shared_cache
-        # Not asserting an exact spread (hash-dependent), only that the
-        # facade's total equals the per-stripe sum — no template lost.
-        assert cache.size == sum(s.size for s in cache._stripe_caches)
-        assert cache.size >= 1
-
-    def test_hit_and_miss_counters_sum_across_stripes(self, gateway):
-        connection = gateway.connect(1)
-        connection.query("SELECT EId FROM Attendance WHERE UId = ?", [1])  # miss
-        connection.query("SELECT EId FROM Attendance WHERE UId = ?", [1])  # hit
-        cache = gateway.shared_cache
-        assert cache.hits == sum(s.hits for s in cache._stripe_caches) >= 1
-        assert cache.misses == sum(s.misses for s in cache._stripe_caches) >= 1
-        assert 0.0 < cache.hit_rate <= 1.0
-
-    def test_stats_surface_stripe_fields(self, gateway):
-        gateway.connect(1).query("SELECT EId FROM Attendance WHERE UId = ?", [1])
-        stats = gateway.shared_cache.stats()
-        assert stats["stripes"] == DEFAULT_STRIPES
-        assert stats["stripe_contention"] >= 0
-        assert stats["size"] >= 1
-
     def test_snapshot_exposes_stripe_contention_counter(self, gateway):
         gateway.connect(1).query("SELECT EId FROM Attendance WHERE UId = ?", [1])
-        snapshot = gateway.snapshot()
-        assert "cache_stripe_contention" in snapshot.counters
+        counters = gateway.snapshot().counters
+        assert counters["cache_stripe_contention"] == 0
+        assert counters["shared_cache_stripe_contention"] == 0
+        assert "shared_cache_stripes" not in counters
 
 
 class TestWriters:
@@ -105,40 +56,37 @@ class TestWriters:
         dropped = cache.clear()
         assert dropped >= 2
         assert cache.size == 0
-        assert all(s.size == 0 for s in cache._stripe_caches)
+        assert not list(cache.iter_templates())
 
     def test_iter_templates_chains_all_stripes(self, gateway):
         connection = gateway.connect(1)
         connection.query("SELECT EId FROM Attendance WHERE UId = ?", [1])
         connection.query("SELECT UId, EId FROM Attendance WHERE UId = ?", [1])
         cache = gateway.shared_cache
-        assert len(list(cache.iter_templates())) == cache.size
+        assert len(list(cache.iter_templates())) == cache.size >= 2
 
 
 class TestContentionCounter:
     def test_contended_acquire_is_counted(self, calendar_policy):
-        cache = SharedDecisionCache(calendar_policy, stripes=1)
-        lock = cache._stripe_locks[0]
-        lock.acquire()  # simulate another thread holding the stripe
+        cache = DecisionCache(calendar_policy)
+        cache._lock.acquire()  # simulate another thread inside the store
 
-        def blocked_acquire() -> None:
-            cache._acquire(cache._stripe_locks[0])
-            cache._stripe_locks[0].release()
-
-        thread = threading.Thread(target=blocked_acquire)
+        thread = threading.Thread(target=cache.invalidate_table, args=("Attendance",))
         thread.start()
         # The contender must register before it can proceed.
-        deadline = threading.Event()
+        pause = threading.Event()
         for _ in range(100):
-            if cache.stripe_contention == 1:
+            if cache.lock_waits == 1:
                 break
-            deadline.wait(0.01)
-        lock.release()
+            pause.wait(0.01)
+        cache._lock.release()
         thread.join()
-        assert cache.stripe_contention == 1
+        assert cache.lock_waits == 1
+        assert cache.stats()["stripe_contention"] == 1
 
     def test_uncontended_acquire_is_free(self, calendar_policy):
-        cache = SharedDecisionCache(calendar_policy, stripes=2)
-        cache._acquire(cache._stripe_locks[0])
-        cache._stripe_locks[0].release()
-        assert cache.stripe_contention == 0
+        cache = DecisionCache(calendar_policy)
+        cache.invalidate_table("Attendance")
+        cache.clear()
+        assert cache.lock_waits == 0
+        assert not cache._lock.locked()

@@ -1,7 +1,9 @@
 """CLI tests: each subcommand through main(argv)."""
 
+import contextlib
 import os
 import re
+import signal
 import socket
 import subprocess
 import sys
@@ -10,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _gateway_config, build_parser, main
 from repro.policy import policy_from_text
 from repro.workloads import calendar_app
 
@@ -187,6 +189,26 @@ class TestParser:
         with pytest.raises(SystemExit):
             main([])
 
+    @pytest.mark.parametrize("command", ["serve-bench", "serve", "cluster", "shard"])
+    def test_gateway_flags_are_the_same_on_every_subcommand(self, command, capsys):
+        argv = [command, "--app", "calendar"]
+        if command == "shard":
+            argv += ["--shard-id", "0"]
+        parser = build_parser()
+        config = _gateway_config(parser.parse_args(argv))
+        assert (config.cache_mode, config.compile_checks, config.batch_checks) == (
+            "shared", True, True,
+        )
+        config = _gateway_config(
+            parser.parse_args([*argv, "--cache", "none", "--no-compile", "--no-batch"])
+        )
+        assert (config.cache_mode, config.compile_checks, config.batch_checks) == (
+            "none", False, False,
+        )
+        with pytest.raises(SystemExit):
+            parser.parse_args([*argv, "--cache", "per-session"])
+        assert "invalid choice: 'per-session'" in capsys.readouterr().err
+
 
 def serve_subprocess(port: int) -> subprocess.Popen:
     """``python -m repro serve --port <port>`` with stdout+stderr captured."""
@@ -300,3 +322,41 @@ class TestServeSignals:
         assert "Address already in use" in output
         assert "drained" not in output
         assert "listening on" not in output
+
+
+class TestClusterSignals:
+    def test_sigterm_to_the_cluster_drains_the_whole_fleet(self):
+        """SIGTERM to the ``repro cluster`` pid alone — what systemd and
+        docker send — stops the router *and* every shard subprocess: exit
+        0, and nothing of its process group is left running."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        process = subprocess.Popen(
+            [sys.executable, "-u", "-m", "repro", "cluster", "--app", "calendar",
+             "--size", "10", "--shards", "2", "--port", "0"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            start_new_session=True,  # its own process group: pgid == pid
+        )
+        try:
+            assert process.stdout is not None
+            ready = ""
+            while "drains the fleet" not in ready:
+                line = process.stdout.readline()
+                assert line, f"cluster exited before it was ready: {ready!r}"
+                ready += line
+            shard_ports = re.search(r"\(ports (\d+), (\d+)\)", ready)
+            assert shard_ports, ready
+            for port in shard_ports.groups():  # both shards are really up
+                socket.create_connection(("127.0.0.1", int(port)), timeout=5.0).close()
+            os.kill(process.pid, signal.SIGTERM)
+            process.communicate(timeout=30.0)
+            assert process.returncode == 0
+            with pytest.raises(ProcessLookupError):
+                os.killpg(process.pid, 0)  # no member of the group survives
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(process.pid, signal.SIGKILL)
+            process.wait(timeout=5.0)
+            process.stdout.close()
