@@ -9,7 +9,7 @@ decisions.
 """
 
 from repro.enforce.decision import Decision, PolicyViolation
-from repro.enforce.trace import Trace, TraceEntry
+from repro.enforce.trace import Trace
 from repro.enforce.checker import ComplianceChecker
 from repro.enforce.cache import DecisionCache
 from repro.enforce.proxy import EnforcementProxy, ProxyConfig, ProxyStats, Session
@@ -27,5 +27,4 @@ __all__ = [
     "RowLevelSecurityProxy",
     "Session",
     "Trace",
-    "TraceEntry",
 ]

@@ -90,7 +90,6 @@ from repro.enforce.trace import Trace, is_labeled_null
 from repro.policy.policy import Policy
 from repro.relalg.cq import Atom, Const
 from repro.sqlir import ast
-from repro.sqlir.printer import to_sql
 from repro.sqlir.skeleton import Skeleton, skeletonize
 
 # A fact-pattern argument: ("const", value) | ("slot", i) | ("param", name)
@@ -275,7 +274,7 @@ class DecisionCache:
             return None
         return Decision(
             allowed=True,
-            sql=to_sql(stmt),
+            sql=stmt,  # printed on first read, not per hit
             reason=found[0].reason,
             from_cache=True,
             duration_s=time.perf_counter() - started,
@@ -306,7 +305,7 @@ class DecisionCache:
         template, witnesses = found
         return Decision(
             allowed=template.allowed,
-            sql=to_sql(stmt),
+            sql=stmt,
             reason=template.reason,
             facts_used=tuple(witnesses),
             duration_s=time.perf_counter() - started,
@@ -685,27 +684,63 @@ def _witnesses(
     params: dict[str, object],
     trace: Trace | None,
 ) -> list[Atom] | None:
-    """One certified trace fact per fact pattern of ``template``, or None
-    when some pattern has no match in ``trace``."""
+    """One certified trace fact per fact pattern of ``template`` — the
+    first match in trace order — or None when some pattern has none.
+
+    A pattern that determines every argument is answered by one probe of
+    the trace's fact index: at most one certified fact equals the
+    expected atom, so it is the only one :func:`_fact_matches` — which
+    additionally tells ``1`` from ``True`` — could accept. A pattern with
+    an ``any`` position scans its relation's facts.
+    """
     if not template.fact_patterns:
         return []
     if trace is None:
         return None
-    facts = trace.facts
     found: list[Atom] = []
     for rel, pattern_args in template.fact_patterns:
-        witness = next(
-            (
-                fact
-                for fact in facts
-                if _fact_matches(fact, rel, pattern_args, values, params)
-            ),
-            None,
-        )
+        expected = _expected_fact(rel, pattern_args, values, params)
+        if expected is None:
+            witness = next(
+                (
+                    fact
+                    for fact in trace.facts_of(rel)
+                    if _fact_matches(fact, rel, pattern_args, values, params)
+                ),
+                None,
+            )
+        else:
+            witness = trace.certified(expected)
+            if witness is not None and not _fact_matches(
+                witness, rel, pattern_args, values, params
+            ):
+                witness = None
         if witness is None:
             return None
         found.append(witness)
     return found
+
+
+def _expected_fact(
+    rel: str,
+    pattern_args: tuple[_PatternArg, ...],
+    values: tuple[object, ...],
+    params: dict[str, object],
+) -> Atom | None:
+    """The ground fact a pattern asks for, or None when an ``any``
+    position leaves it open. (A param the session lacks reads as None
+    here, which no certified constant matches under ``_fact_matches``.)"""
+    args = []
+    for kind, ref in pattern_args:
+        if kind == "any":
+            return None
+        if kind == "slot":
+            args.append(Const(values[ref]))  # type: ignore[index]
+        elif kind == "param":
+            args.append(Const(params.get(ref)))  # type: ignore[arg-type]
+        else:
+            args.append(Const(ref))  # type: ignore[arg-type]
+    return Atom(rel, tuple(args))
 
 
 def _fact_matches(

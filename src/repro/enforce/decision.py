@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.relalg.rewrite import Rewriting
+from repro.sqlir import ast
+from repro.sqlir.printer import to_sql
 from repro.util.errors import DbacError
 
 
@@ -15,6 +17,10 @@ class Decision:
     ``rewritings`` holds, for an allowed query, one witnessing equivalent
     rewriting per disjunct — the machine-checkable justification that the
     query's answer is computable from the policy views and trace facts.
+
+    ``sql`` reads as the decided statement's SQL text. It may be given as
+    the bound statement itself, which is then printed on first read: a
+    cache hit builds a decision per request, and most are never printed.
     """
 
     allowed: bool
@@ -58,6 +64,22 @@ class Decision:
                 " trace facts, if any — computes this query's answer)"
             )
         return "\n".join(lines)
+
+
+def _sql(self: Decision) -> str:
+    sql = self._sql
+    if isinstance(sql, ast.Statement):
+        sql = self._sql = to_sql(sql)
+    return sql
+
+
+def _set_sql(self: Decision, sql: str | ast.Statement) -> None:
+    self._sql = sql
+
+
+# Installed after the class body: inside it, ``sql = property(...)`` would
+# read to @dataclass as the field's default value.
+Decision.sql = property(_sql, _set_sql)  # type: ignore[assignment]
 
 
 class PolicyViolation(DbacError):

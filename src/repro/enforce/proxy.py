@@ -18,6 +18,7 @@ import time
 from collections import deque
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.enforce.cache import DecisionCache
 from repro.enforce.checker import ComplianceChecker
@@ -28,8 +29,7 @@ from repro.engine.executor import Result
 from repro.policy.policy import Policy
 from repro.sqlir import ast
 from repro.sqlir.params import bind_parameters
-from repro.sqlir.prepared import PreparedPlan, prepare_plan
-from repro.sqlir.printer import to_sql
+from repro.sqlir.prepared import PreparedPlan
 from repro.sqlir.skeleton import Skeleton
 from repro.util.errors import EngineError
 
@@ -146,9 +146,6 @@ class EnforcementProxy:
         self.db = db
         self.policy = policy
         self.session = session
-        self.checker = ComplianceChecker(
-            db.schema, policy, history_enabled=base.history_enabled
-        )
         self.trace = Trace()
         self.stats = ProxyStats.with_cap(base.decision_log_cap)
         # Per-session invariant, hoisted: the decision cache keys its
@@ -156,6 +153,14 @@ class EnforcementProxy:
         # immutable mapping on every request is pure hot-path waste.
         self._param_items = sorted(session.bindings.items())
         self._closed = False
+
+    @cached_property
+    def checker(self) -> ComplianceChecker:
+        """This proxy's own checker, built when a miss first needs it (a
+        gateway session decides under its epoch's and never builds one)."""
+        return ComplianceChecker(
+            self.db.schema, self.policy, history_enabled=self.config.history_enabled
+        )
 
     # -- deprecated accessors (pre-ProxyConfig attribute names) -------------------
 
@@ -175,80 +180,8 @@ class EnforcementProxy:
         args: Sequence[object] = (),
         named: Mapping[str, object] | None = None,
     ) -> Result | int:
-        if self._closed:
-            raise EngineError("connection is closed")
-        started = time.perf_counter()
-        stmt = self.db.parse(sql)
-        parse_seconds = time.perf_counter() - started
-        self.stats.parse_seconds += parse_seconds
-        self._record_stage("parse", parse_seconds)
-        if not isinstance(stmt, ast.Select):
-            return self._execute_write(stmt, args, named)
-        bound = bind_parameters(stmt, args, named)
-        assert isinstance(bound, ast.Select)
-        return self._finish_select(bound, skeleton=None)
-
-    def _finish_select(
-        self, bound: ast.Select, skeleton: Skeleton | None
-    ) -> Result:
-        """Decide, execute, and certify one bound SELECT (shared by the
-        classic and prepared paths; ``skeleton`` is the prepared plan's
-        precomputed skeleton, or None)."""
-        decision = self.decide(bound, skeleton=skeleton)
-        if not decision.allowed:
-            self.stats.blocked += 1
-            if self.config.record_decisions:
-                self.stats.record_decision(decision)
-            raise PolicyViolation(decision)
-        self.stats.allowed += 1
-        if self.config.record_decisions:
-            self.stats.record_decision(decision)
-        started = time.perf_counter()
-        result = self.db.sql(bound)
-        executed = time.perf_counter()
-        self.stats.execute_seconds += executed - started
-        self._record_stage("execute", executed - started)
-        assert isinstance(result, Result)
-        query = self.checker.translate(bound)
-        single = (
-            query.disjuncts[0]
-            if query is not None and len(query.disjuncts) == 1
-            else None
-        )
-        self.trace.record(decision.sql, single, result)
-        # The tail after ``execute``: re-derive the query's CQ and certify
-        # the answer's facts into the trace. Timed from the end of execute
-        # so the stages of one SELECT are contiguous.
-        self._record_stage("certify", time.perf_counter() - executed)
-        return result
-
-    # -- prepared statements -------------------------------------------------------
-
-    def prepare(self, sql: str | ast.Statement) -> PreparedPlan:
-        """Hoist this statement's per-shape work; see ``docs/prepared.md``.
-
-        The returned plan is immutable and policy-independent: it may be
-        executed across hot reloads (decisions always come from the
-        current epoch's caches), and one plan may serve many sessions.
-        """
-        stmt = self.db.parse(sql)
-        return prepare_plan(stmt, sql if isinstance(sql, str) else to_sql(stmt))
-
-    def execute_prepared(
-        self,
-        plan: PreparedPlan,
-        args: Sequence[object] = (),
-        named: Mapping[str, object] | None = None,
-    ) -> Result | int:
-        """Execute a prepared plan: no parse, and (for static plans) no
-        per-request skeletonization — the decision itself is unchanged."""
-        if self._closed:
-            raise EngineError("connection is closed")
-        if not plan.is_select:
-            return self._execute_write(plan.statement, args, named)
-        bound = plan.bind(args, named)
-        assert isinstance(bound, ast.Select)
-        return self._finish_select(bound, plan.skeleton_for(args, named))
+        plan, stmt = self._resolve(sql)
+        return self._execute(plan, stmt, args, named)
 
     def query(
         self,
@@ -258,11 +191,83 @@ class EnforcementProxy:
     ) -> Result:
         """Like :meth:`sql` but refuses anything except a SELECT — before
         executing it, so a rejected write leaves the data untouched."""
-        stmt = self.db.parse(sql)
+        plan, stmt = self._resolve(sql)
         if not isinstance(stmt, ast.Select):
             raise EngineError("query() requires a SELECT statement")
-        result = self.sql(stmt, args, named)
+        result = self._execute(plan, stmt, args, named)
         assert isinstance(result, Result)
+        return result
+
+    # -- prepared statements -------------------------------------------------------
+
+    def prepare(self, sql: str | ast.Statement) -> PreparedPlan:
+        """Hoist this statement's per-shape work; see ``docs/prepared.md``.
+
+        The plan is the database's for this SQL text — the one ``sql()``
+        and ``query()`` resolve for themselves — and policy-independent:
+        it may be executed across hot reloads (decisions always come from
+        the current epoch's caches), and one plan serves many sessions.
+        """
+        return self.db.prepare(sql)
+
+    def execute_prepared(
+        self,
+        plan: PreparedPlan,
+        args: Sequence[object] = (),
+        named: Mapping[str, object] | None = None,
+    ) -> Result | int:
+        """Execute a prepared plan: what ``sql()`` does once it has
+        resolved its text's plan — the decision itself is unchanged."""
+        if self._closed:
+            raise EngineError("connection is closed")
+        return self._execute(plan, plan.statement, args, named)
+
+    def _resolve(
+        self, sql: str | ast.Statement
+    ) -> tuple[PreparedPlan | None, ast.Statement]:
+        """A SQL text's plan, from the database's plan table, and its
+        statement (the parse stage). A statement object has no text to
+        key a plan on: it comes back alone, to take the per-request path."""
+        if self._closed:
+            raise EngineError("connection is closed")
+        started = time.perf_counter()
+        plan = self.db.prepare(sql) if isinstance(sql, str) else None
+        parse_seconds = time.perf_counter() - started
+        self.stats.parse_seconds += parse_seconds
+        self._record_stage("parse", parse_seconds)
+        return plan, (sql if plan is None else plan.statement)
+
+    def _execute(
+        self,
+        plan: PreparedPlan | None,
+        stmt: ast.Statement,
+        args: Sequence[object],
+        named: Mapping[str, object] | None,
+    ) -> Result | int:
+        """Bind once; a SELECT is then decided, executed and certified."""
+        if not isinstance(stmt, ast.Select):
+            return self._execute_write(stmt, args, named)
+        bound = bind_parameters(stmt, args, named)
+        assert isinstance(bound, ast.Select)
+        skeleton = plan.skeleton_for(args, named) if plan is not None else None
+        decision = self.decide(bound, skeleton=skeleton)
+        if self.config.record_decisions:
+            self.stats.record_decision(decision)
+        if not decision.allowed:
+            self.stats.blocked += 1
+            raise PolicyViolation(decision)
+        self.stats.allowed += 1
+        started = time.perf_counter()
+        result = self.db.execute_bound(bound)
+        executed = time.perf_counter()
+        self.stats.execute_seconds += executed - started
+        self._record_stage("execute", executed - started)
+        assert isinstance(result, Result)
+        # The tail after ``execute``: certify the answer's facts into the
+        # trace. Timed from the end of execute so the stages of one SELECT
+        # are contiguous.
+        self.trace.record_execution(bound, result, self.db.schema, plan, skeleton)
+        self._record_stage("certify", time.perf_counter() - executed)
         return result
 
     def close(self) -> None:

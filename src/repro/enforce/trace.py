@@ -11,37 +11,239 @@ the row, or a variable the comparisons pin to a constant) becomes that
 constant; undetermined arguments become *labeled nulls* — fresh variables
 meaning "some value exists here". Labeled nulls are shared within a row,
 so joins are preserved.
+
+How much of that is per request. For an equality-only query the
+*structure* of the extraction is row-independent (:class:`ExtractionPlan`)
+and, when the query is an execution of a prepared statement, independent
+of the argument values too, up to which slots are equal:
+:func:`certification_plan` builds it once per statement shape and slot
+partition, and :meth:`Trace.record_planned` only substitutes slot and row
+values. :meth:`Trace.record` — translate the bound statement, plan, run —
+stays as the path for every shape the symbolic plan cannot express
+exactly, and as the reference the planned path is tested against
+(``tests/enforce/test_certification.py``).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
 from repro.engine.executor import Result
 from repro.relalg.constraints import ConstraintSet
 from repro.relalg.cq import CQ, Atom, Comp, Const, Term, Var
+from repro.relalg.translate import SchemaInfo, translate_select
+from repro.sqlir import ast
+from repro.sqlir.params import bind_parameters
+from repro.sqlir.prepared import PreparedPlan
+from repro.sqlir.skeleton import Skeleton
+from repro.util.errors import TranslationError
 
 _NULL_PREFIX = "\x00ln"
+
+#: Certification plans kept per prepared plan (one per slot-equality
+#: partition seen); an execution beyond the cap certifies per request.
+MAX_CERTIFICATIONS_PER_PLAN = 16
+
+#: Stands in for one partition class's value while a skeleton is
+#: translated symbolically; like the prepared-plan probe values, it holds
+#: a NUL byte, which no SQL literal can.
+_SLOT_SENTINEL = "\x00repro-slot\x00"
+
+# One atom argument of an extraction plan: ("const", Const) | ("slot",
+# index into the execution's slot values) | ("col", result column) |
+# ("null", class key: one labeled null per key and row) | ("fresh", None).
+_Op = tuple[str, object]
 
 
 def is_labeled_null(term: Term) -> bool:
     return isinstance(term, Var) and term.name.startswith(_NULL_PREFIX)
 
 
-@dataclass
-class TraceEntry:
-    """One allowed-and-executed query with its result."""
+def single_cq(stmt: ast.Select, schema: SchemaInfo) -> CQ | None:
+    """The one CQ a bound SELECT translates to — the query whose answer
+    certifies facts — or None (outside the fragment, or a union)."""
+    try:
+        query = translate_select(stmt, schema)
+    except TranslationError:
+        return None
+    return query.disjuncts[0] if len(query.disjuncts) == 1 else None
 
-    sql: str
-    query: CQ | None  # None when the query had no CQ translation
-    result_columns: tuple[str, ...]
-    result_rows: tuple[tuple, ...]
-    facts: tuple[Atom, ...] = ()
 
-    @property
-    def returned_rows(self) -> int:
-        return len(self.result_rows)
+@dataclass(frozen=True)
+class ExtractionPlan:
+    """The row-independent part of certifying an equality-only CQ's answer.
+
+    Which atom argument is a fixed constant, which follows a result
+    column, which classes share a labeled null — and the two checks a row
+    can fail (a column against its class constant, columns of one class
+    against each other). A constant is an op, so it may name a *slot* of
+    the statement's skeleton: such a plan is built once per statement
+    shape and run with each execution's slot values.
+    """
+
+    #: False when the query's own comparisons are contradictory: every
+    #: per-row closure would be too, and no row certifies anything.
+    consistent: bool = True
+    const_checks: tuple[tuple[tuple[int, ...], _Op], ...] = ()
+    equal_checks: tuple[tuple[int, ...], ...] = ()
+    atoms: tuple[tuple[str, tuple[_Op, ...]], ...] = ()
+    #: Of a symbolic plan: the constants its query compares that are not
+    #: slots. A slot value equal to one (``1 == True``) would have merged
+    #: with it in a per-request closure; the stand-ins kept them apart.
+    inline: frozenset = frozenset()
+
+
+def extraction_plan(
+    query: CQ, slot_of: Mapping[object, int] | None = None
+) -> ExtractionPlan | None:
+    """Plan the certification of ``query``'s answers, or None when its
+    comparisons go beyond equality (see ``Trace._extract_facts_general``).
+
+    ``slot_of`` maps the stand-in constants of a symbolically translated
+    skeleton to the slots they stand for.
+    """
+    if any(comp.op != "=" for comp in query.comps):
+        return None
+    slot_of = slot_of or {}
+
+    def const_op(const: Const) -> _Op:
+        slot = slot_of.get(const.value)
+        return ("const", const) if slot is None else ("slot", slot)
+
+    inline: frozenset = frozenset()
+    if slot_of:
+        inline = frozenset(
+            term.value
+            for comp in query.comps
+            for term in (comp.left, comp.right)
+            if isinstance(term, Const) and term.value not in slot_of
+        )
+    closure = ConstraintSet(query.comps)
+    if not closure.consistent():
+        return ExtractionPlan(consistent=False, inline=inline)
+    # Equivalence classes of head columns, and a resolution op per atom
+    # argument.
+    head_cols: dict[Term, list[int]] = {}
+    for index, term in enumerate(query.head):
+        if isinstance(term, Var):
+            head_cols.setdefault(closure.canon(term), []).append(index)
+    const_checks = tuple(
+        (tuple(columns), const_op(rep))
+        for rep, columns in head_cols.items()
+        if isinstance(rep, Const)
+    )
+    equal_checks = tuple(
+        tuple(columns)
+        for rep, columns in head_cols.items()
+        if len(columns) > 1 and not isinstance(rep, Const)
+    )
+    atoms: list[tuple[str, tuple[_Op, ...]]] = []
+    for atom in query.body:
+        ops: list[_Op] = []
+        for arg in atom.args:
+            if isinstance(arg, Const):
+                ops.append(const_op(arg))
+            elif isinstance(arg, Var):
+                rep = closure.canon(arg)
+                if isinstance(rep, Const):
+                    ops.append(const_op(rep))
+                elif rep in head_cols:
+                    ops.append(("col", head_cols[rep][0]))
+                else:
+                    # Same null-key rule as the general path: the class
+                    # representative when it is a Var, the argument
+                    # itself otherwise.
+                    ops.append(("null", rep if isinstance(rep, Var) else arg))
+            else:
+                # A residual param in a bound query should not happen;
+                # treat it as undetermined (fresh per occurrence).
+                ops.append(("fresh", None))
+        atoms.append((atom.rel, tuple(ops)))
+    return ExtractionPlan(
+        const_checks=const_checks,
+        equal_checks=equal_checks,
+        atoms=tuple(atoms),
+        inline=inline,
+    )
+
+
+def certification_plan(
+    plan: PreparedPlan, values: tuple[object, ...], schema: SchemaInfo
+) -> ExtractionPlan | None:
+    """The extraction plan for one execution of a prepared SELECT, or None
+    when this shape or these values must certify per request.
+
+    ``values`` are the execution's skeleton slot values
+    (``plan.skeleton_for(...).values``). The plan is built once per
+    partition of the slots into equal-valued classes: the skeleton is
+    bound with one stand-in per class, translated, and planned like any
+    bound query — so equal slots merge and distinct ones contradict
+    exactly as their values would. It is exact or absent. None for: an
+    untranslatable or multi-disjunct statement; a comparison other than
+    ``=``; a slot in predicate position (translation reads its truth
+    value); equal-valued slots of different types (``1`` and ``1.0``:
+    which one a fact would carry depends on closure order); a slot value
+    equal to an inline constant of the query (``1 == True``); and a
+    partition past ``MAX_CERTIFICATIONS_PER_PLAN``.
+    """
+    leaders: dict[object, int] = {}
+    classes: list[int] = []
+    for index, value in enumerate(values):
+        leader = leaders.setdefault(value, index)
+        if type(values[leader]) is not type(value):
+            return None
+        classes.append(leader)
+    # Keyed by schema too: translation expands ``*`` and resolves columns
+    # against it. The entry keeps the schema alive, so its id stays its own.
+    key = (id(schema), tuple(classes))
+    memo = plan.certifications
+    entry = memo.get(key)
+    if entry is None:
+        if len(memo) >= MAX_CERTIFICATIONS_PER_PLAN:
+            return None
+        entry = memo[key] = (schema, _certification(plan, classes, schema))
+    extraction = entry[1]
+    if extraction is None:
+        return None
+    if extraction.inline and any(value in extraction.inline for value in values):
+        return None
+    return extraction
+
+
+def _certification(
+    plan: PreparedPlan, classes: Sequence[int], schema: SchemaInfo
+) -> ExtractionPlan | None:
+    skeleton = plan.skeleton_statement
+    assert isinstance(skeleton, ast.Select)
+    conditions = [join.on for join in skeleton.joins]
+    if skeleton.where is not None:
+        conditions.append(skeleton.where)
+    if any(_has_predicate_slot(condition) for condition in conditions):
+        return None
+    stand_ins = [f"{_SLOT_SENTINEL}{leader}" for leader in classes]
+    probe = bind_parameters(skeleton, stand_ins)
+    assert isinstance(probe, ast.Select)
+    query = single_cq(probe, schema)
+    if query is None:
+        return None
+    return extraction_plan(query, dict(zip(stand_ins, classes)))
+
+
+def _has_predicate_slot(expr: ast.Expr) -> bool:
+    """Is some slot a predicate on its own (``WHERE ? AND ...``)?"""
+    if isinstance(expr, ast.Param):
+        return True
+    if isinstance(expr, ast.BoolOp):
+        return any(_has_predicate_slot(operand) for operand in expr.operands)
+    if isinstance(expr, ast.Not):
+        return _has_predicate_slot(expr.operand)
+    return False
+
+
+def _values_equal(a: object, b: object) -> bool:
+    # Mirrors ConstraintSet._union's constant-merge test exactly.
+    return not (a != b or (a is None) != (b is None))
 
 
 class Trace:
@@ -52,11 +254,20 @@ class Trace:
     (:attr:`facts`) is the whole decision-time history a compliance check
     reads, so it is also the one format a history is handed around in:
     :meth:`from_facts` rebuilds an equivalent trace from a snapshot of it.
+
+    The facts live in an insertion-ordered dict (a re-certified fact is
+    deleted and re-inserted, so dict order *is* recency order) and, the
+    same way, in one dict per relation: :meth:`certified` answers "is
+    this ground fact certified" with one probe, and :meth:`facts_of`
+    yields one relation's facts in the order a scan of :attr:`facts`
+    would meet them.
     """
 
     def __init__(self, max_facts: int = 256):
-        self._facts: list[Atom] = []
-        self._fact_set: set[Atom] = set()
+        self._facts: dict[Atom, Atom] = {}
+        self._by_relation: dict[str, dict[Atom, Atom]] = {}
+        #: ``facts`` as last built; None after a mutation.
+        self._snapshot: tuple[Atom, ...] | None = ()
         self._null_counter = 0
         self._recorded = 0
         self.max_facts = max_facts
@@ -71,9 +282,9 @@ class Trace:
         and this trace's null counter starts from zero.
         """
         trace = cls()
-        trace._facts = list(dict.fromkeys(facts))
-        trace._fact_set = set(trace._facts)
-        trace.max_facts = max(trace.max_facts, len(trace._facts))
+        distinct = dict.fromkeys(facts)
+        trace.max_facts = max(trace.max_facts, len(distinct))
+        trace._certify(distinct)
         return trace
 
     def __len__(self) -> int:
@@ -82,31 +293,78 @@ class Trace:
 
     @property
     def facts(self) -> tuple[Atom, ...]:
-        return tuple(self._facts)
+        snapshot = self._snapshot
+        if snapshot is None:
+            snapshot = self._snapshot = tuple(self._facts)
+        return snapshot
 
-    def record(self, sql: str, query: CQ | None, result: Result) -> TraceEntry:
-        """Record an executed query; extract and accumulate its facts."""
+    def certified(self, fact: Atom) -> Atom | None:
+        """The certified fact equal to ``fact`` (the stored atom, whose
+        constants may differ from ``fact``'s in type: ``1 == True``)."""
+        return self._facts.get(fact)
+
+    def facts_of(self, relation: str) -> Iterable[Atom]:
+        """The facts over one relation, in recency order."""
+        return self._by_relation.get(relation, ())
+
+    def record(self, sql: str, query: CQ | None, result: Result) -> tuple[Atom, ...]:
+        """Record an executed query; returns the facts its answer certifies
+        (none for a query without a CQ translation). ``sql`` is taken for
+        the callers that have it; nothing of it is kept."""
         facts: tuple[Atom, ...] = ()
         if query is not None and result.rows:
             facts = tuple(self._extract_facts(query, result))
-        entry = TraceEntry(
-            sql=sql,
-            query=query,
-            result_columns=tuple(result.columns),
-            result_rows=tuple(result.rows),
-            facts=facts,
-        )
         self._recorded += 1
+        self._certify(facts)
+        return facts
+
+    def record_planned(
+        self, plan: ExtractionPlan, values: Sequence[object], result: Result
+    ) -> tuple[Atom, ...]:
+        """:meth:`record` for a query whose extraction plan was built
+        ahead (:func:`certification_plan`): ``values`` fill its slots."""
+        facts = tuple(self._run(plan, values, result.rows)) if result.rows else ()
+        self._recorded += 1
+        self._certify(facts)
+        return facts
+
+    def record_execution(
+        self,
+        bound: ast.Select,
+        result: Result,
+        schema: SchemaInfo,
+        plan: PreparedPlan | None = None,
+        skeleton: Skeleton | None = None,
+    ) -> tuple[Atom, ...]:
+        """Record an executed SELECT the way its shape allows.
+
+        With the statement's ``plan`` and this execution's ``skeleton``
+        (``plan.skeleton_for(...)``), through the shape's certification
+        plan when there is an exact one; otherwise — and for whatever
+        :func:`certification_plan` declines — by translating ``bound``
+        and planning its extraction per request. Same facts either way.
+        """
+        if plan is not None and skeleton is not None:
+            extraction = certification_plan(plan, skeleton.values, schema)
+            if extraction is not None:
+                return self.record_planned(extraction, skeleton.values, result)
+        # An empty answer certifies nothing, whatever the query.
+        return self.record("", single_cq(bound, schema) if result.rows else None, result)
+
+    def _certify(self, facts: Iterable[Atom]) -> None:
+        known, by_relation = self._facts, self._by_relation
         for fact in facts:
-            if fact in self._fact_set:
+            if known.pop(fact, None) is not None:
                 # Re-certified: refresh recency so the checker's
                 # most-recent-facts selection sees it again.
-                self._facts.remove(fact)
-                self._facts.append(fact)
-            elif len(self._facts) < self.max_facts:
-                self._fact_set.add(fact)
-                self._facts.append(fact)
-        return entry
+                relation = by_relation[fact.rel]
+                del relation[fact]
+            elif len(known) < self.max_facts:
+                relation = by_relation.setdefault(fact.rel, {})
+            else:
+                continue
+            known[fact] = relation[fact] = fact
+            self._snapshot = None
 
     def relevant_facts(self, relations: set[str]) -> list[Atom]:
         """Facts over the given relations (what a compliance check conjoins)."""
@@ -123,82 +381,52 @@ class Trace:
         query's comparisons together with ``head_var = row value`` per
         row, then resolve each atom argument to its canonical form. For
         equality-only queries — every hot-path shape — that per-row
-        closure is wasteful: the *structure* of the resolution (which
-        argument is a fixed constant, which follows a head column, which
-        classes share a labeled null) is row-independent, so it is
-        computed once here and each row only substitutes values and runs
-        the two cheap consistency checks a row can actually fail
-        (row value vs. class constant, and equal head columns).
+        closure is wasteful: the *structure* of the resolution is
+        row-independent (:class:`ExtractionPlan`), so each row only
+        substitutes values and runs the two cheap consistency checks a
+        row can actually fail.
         """
-        if any(comp.op != "=" for comp in query.comps):
+        plan = extraction_plan(query)
+        if plan is None:
             return self._extract_facts_general(query, result)
-        closure = ConstraintSet(query.comps)
-        if not closure.consistent():
-            return []  # every per-row closure would be inconsistent too
-        # Row-independent structure: equivalence classes of head columns,
-        # and a resolution op per atom argument.
-        head_cols: dict[Term, list[int]] = {}
-        for index, term in enumerate(query.head):
-            if isinstance(term, Var):
-                head_cols.setdefault(closure.canon(term), []).append(index)
-        const_checks = [
-            (columns, rep.value)
-            for rep, columns in head_cols.items()
-            if isinstance(rep, Const)
-        ]
-        equal_checks = [
-            columns for rep, columns in head_cols.items()
-            if len(columns) > 1 and not isinstance(rep, Const)
-        ]
-        plan: list[tuple[str, list[tuple[str, object]]]] = []
-        for atom in query.body:
-            ops: list[tuple[str, object]] = []
-            for arg in atom.args:
-                if isinstance(arg, Const):
-                    ops.append(("const", arg))
-                elif isinstance(arg, Var):
-                    rep = closure.canon(arg)
-                    if isinstance(rep, Const):
-                        ops.append(("const", rep))
-                    elif rep in head_cols:
-                        ops.append(("col", head_cols[rep][0]))
-                    else:
-                        # Same null-key rule as the general path: the class
-                        # representative when it is a Var, the argument
-                        # itself otherwise.
-                        ops.append(("null", rep if isinstance(rep, Var) else arg))
-                else:
-                    # A residual param in a bound query should not happen;
-                    # treat it as undetermined (fresh per occurrence).
-                    ops.append(("fresh", None))
-            plan.append((atom.rel, ops))
+        return self._run(plan, (), result.rows)
 
-        def values_equal(a: object, b: object) -> bool:
-            # Mirrors ConstraintSet._union's constant-merge test exactly.
-            return not (a != b or (a is None) != (b is None))
-
+    def _run(
+        self, plan: ExtractionPlan, values: Sequence[object], rows: Iterable[tuple]
+    ) -> list[Atom]:
+        """Substitute each row (and the slot ``values``) into ``plan``."""
         facts: list[Atom] = []
-        for row in result.rows:
+        if not plan.consistent:
+            return facts
+        const_checks = [
+            (columns, values[ref] if kind == "slot" else ref.value)  # type: ignore
+            for columns, (kind, ref) in plan.const_checks
+        ]
+        equal_checks = plan.equal_checks
+        slots = [Const(value) for value in values]
+        for row in rows:
             if any(
-                not values_equal(row[column], value)
+                not _values_equal(row[column], value)
                 for columns, value in const_checks
                 for column in columns
             ):
                 continue
             if any(
-                not values_equal(row[columns[0]], row[column])
+                not _values_equal(row[columns[0]], row[column])
                 for columns in equal_checks
                 for column in columns[1:]
             ):
                 continue
             nulls: dict[object, Var] = {}
-            for rel, ops in plan:
+            for rel, ops in plan.atoms:
                 resolved: list[Term] = []
                 for kind, payload in ops:
                     if kind == "const":
                         resolved.append(payload)  # type: ignore[arg-type]
                     elif kind == "col":
                         resolved.append(Const(row[payload]))  # type: ignore[index]
+                    elif kind == "slot":
+                        resolved.append(slots[payload])  # type: ignore[index]
                     elif kind == "null":
                         null = nulls.get(payload)
                         if null is None:

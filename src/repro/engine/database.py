@@ -1,8 +1,9 @@
 """The Database object: parse/bind front end over a pluggable backend.
 
-``Database`` owns everything backend-*independent* — SQL parsing (with a
-shared statement cache), parameter binding, CREATE TABLE schema
-evolution — and delegates storage and execution to an
+``Database`` owns everything backend-*independent* — SQL parsing and
+per-shape analysis (one bounded table of prepared plans, keyed by SQL
+text), parameter binding, CREATE TABLE schema evolution — and delegates
+storage and execution to an
 :class:`~repro.engine.backend.EngineBackend`. The enforcement stack
 layers over ``sql()`` regardless of which backend is underneath; see
 ``docs/backends.md``.
@@ -10,6 +11,8 @@ layers over ``sql()`` regardless of which backend is underneath; see
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from collections.abc import Mapping, Sequence
 
 from repro.engine.backend.base import EngineBackend
@@ -23,15 +26,20 @@ from repro.sqlir.prepared import PreparedPlan, prepare_plan
 from repro.sqlir.printer import to_sql
 from repro.util.errors import EngineError
 
+#: Plans the text-keyed table holds before it evicts the least recently
+#: used: an application that inlines literals into its SQL sends a new
+#: text per request, and must cost a parse each time, not memory forever.
+PLAN_TABLE_CAP = 4096
+
 
 class Database:
     """A database instance: one schema, one storage backend.
 
-    ``sql()`` is the application-facing entry point: it parses (with a
-    small statement cache), binds parameters, and executes on the
-    backend. The enforcement proxy exposes the same signature, so
-    application code is written once and runs with or without access
-    control.
+    ``sql()`` is the application-facing entry point: it resolves the
+    text's plan (parsed once, kept in the plan table), binds parameters,
+    and executes on the backend. The enforcement proxy exposes the same
+    signature, so application code is written once and runs with or
+    without access control.
 
     ``backend`` may be an :class:`~repro.engine.backend.EngineBackend`
     instance (adopted as-is; its schema wins if ``schema`` is None), a
@@ -72,7 +80,11 @@ class Database:
                 from repro.engine.backend.registry import create_backend
 
                 self._backend = create_backend(backend, self.schema, path=path)
-        self._statement_cache: dict[str, ast.Statement] = {}
+        #: SQL text -> its plan, least recently used first. The one
+        #: text-keyed table: ``parse``, ``sql``, ``prepare`` and every
+        #: front end layered over them resolve a text here.
+        self._plans: OrderedDict[str, PreparedPlan] = OrderedDict()
+        self._plans_lock = threading.Lock()
         self._closed = False
 
     # -- backend identity --------------------------------------------------------
@@ -104,14 +116,7 @@ class Database:
         named: Mapping[str, object] | None = None,
     ) -> Result | int:
         """Parse, bind, and execute one statement."""
-        if self._closed:
-            raise EngineError("connection is closed")
-        stmt = self.parse(sql)
-        if isinstance(stmt, ast.CreateTable):
-            self.create_table(Schema.from_create_statements([stmt]).table(stmt.name))
-            return 0
-        bound = bind_parameters(stmt, args, named)
-        return self._backend.execute(bound)
+        return self._execute(self.parse(sql), args, named)
 
     def query(
         self,
@@ -124,14 +129,20 @@ class Database:
         stmt = self.parse(sql)
         if not isinstance(stmt, ast.Select):
             raise EngineError("query() requires a SELECT statement")
-        result = self.sql(stmt, args, named)
+        result = self._execute(stmt, args, named)
         assert isinstance(result, Result)
         return result
 
     # -- prepared statements -----------------------------------------------------
 
     def prepare(self, sql: str | ast.Statement) -> PreparedPlan:
-        """Parse once and hoist the statement's shape analysis.
+        """The statement's plan: parsed once, shape analysis hoisted.
+
+        Every caller of one SQL text gets the same plan while the table
+        holds it (``PLAN_TABLE_CAP``, least recently used out first); a
+        caller that keeps a plan — a wire PREPARE handle — can execute it
+        whether or not the table still does. A statement object has no
+        text to key on and gets a plan of its own.
 
         The raw database has no checker, so the plan's skeleton is
         unused here — but :meth:`prepare`/:meth:`execute_prepared` keep
@@ -139,8 +150,20 @@ class Database:
         letting application code prepare against any Connection-shaped
         handle (see ``docs/prepared.md``).
         """
-        stmt = self.parse(sql)
-        return prepare_plan(stmt, sql if isinstance(sql, str) else to_sql(stmt))
+        if not isinstance(sql, str):
+            return prepare_plan(sql, to_sql(sql))
+        plans = self._plans
+        with self._plans_lock:
+            plan = plans.get(sql)
+            if plan is not None:
+                plans.move_to_end(sql)
+                return plan
+        plan = prepare_plan(parse_sql(sql), sql)  # pure work, outside the lock
+        with self._plans_lock:
+            plans[sql] = plan
+            while len(plans) > PLAN_TABLE_CAP:
+                plans.popitem(last=False)
+        return plan
 
     def execute_prepared(
         self,
@@ -149,29 +172,42 @@ class Database:
         named: Mapping[str, object] | None = None,
     ) -> Result | int:
         """Bind and execute a prepared plan, skipping the parse."""
+        return self._execute(plan.statement, args, named)
+
+    def execute_bound(self, bound: ast.Statement) -> Result | int:
+        """Execute a statement that is already bound (``plan.bind(...)``):
+        for a front end that needed the bound statement itself, to vet
+        it, and must not pay for binding it again."""
         if self._closed:
             raise EngineError("connection is closed")
-        stmt = plan.statement
+        return self._backend.execute(bound)
+
+    def _execute(
+        self,
+        stmt: ast.Statement,
+        args: Sequence[object],
+        named: Mapping[str, object] | None,
+    ) -> Result | int:
+        """The one bind path: ground ``stmt`` and run it on the backend."""
+        if self._closed:
+            raise EngineError("connection is closed")
         if isinstance(stmt, ast.CreateTable):
             self.create_table(Schema.from_create_statements([stmt]).table(stmt.name))
             return 0
-        return self._backend.execute(plan.bind(args, named))
+        return self._backend.execute(bind_parameters(stmt, args, named))
 
     def parse(self, sql: str | ast.Statement) -> ast.Statement:
-        """Parse one statement, memoized per SQL text.
+        """The parsed statement of one SQL text (a statement object passes
+        through): the ``statement`` of its plan in the plan table.
 
         Public because every front end layered over the database — the
-        enforcement proxy, the RLS baseline, the serving gateway — needs
-        the parsed statement *before* deciding what to do with it, and
-        all of them should share one statement cache.
+        RLS baseline, tooling, the benchmark's staged replay — needs the
+        parsed statement *before* deciding what to do with it, and all of
+        them should share the one table.
         """
         if isinstance(sql, ast.Statement):
             return sql
-        cached = self._statement_cache.get(sql)
-        if cached is None:
-            cached = parse_sql(sql)
-            self._statement_cache[sql] = cached
-        return cached
+        return self.prepare(sql).statement
 
     # Backwards-compatible alias; prefer :meth:`parse`.
     _parse = parse

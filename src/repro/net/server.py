@@ -52,12 +52,15 @@ Production shape, not a toy:
   flush, answers the statements a connection had already sent with
   ``ERROR/shutting_down``, says ``BYE/shutting down`` and closes;
   connections still busy after ``drain_grace_s`` are force-closed.
-* **Prepared statements** — ``PREPARE`` runs a statement's per-shape
-  work (parse, bind plan, skeletonization) once and stores the plan in
-  a per-connection handle table stamped with the policy version;
-  ``EXECUTE`` ships only bindings. Handles from before a hot reload are
-  refused with ``ERROR/malformed`` + ``stale: true`` so clients
-  re-prepare — decisions always come from the current epoch.
+* **Prepared statements** — ``PREPARE`` resolves the text's plan (its
+  per-shape work: parse, skeleton layout, certification plans) in the
+  database's plan table — the plan a ``QUERY``/``EXEC`` of the same
+  text resolves for itself — and holds it in a per-connection handle
+  table stamped with the policy version, so a handle outlives the
+  table's eviction; ``EXECUTE`` ships only bindings and skips the text
+  probe. Handles from before a hot reload are refused with
+  ``ERROR/malformed`` + ``stale: true`` so clients re-prepare —
+  decisions always come from the current epoch.
 
 Thread bound: ``max_connections`` connection threads plus at most
 ``max_in_flight`` orphans (an orphan holds an in-flight slot until it
@@ -725,7 +728,8 @@ class NetServer:
         return (lambda: session.execute_prepared(plan, args, named)), None
 
     def _handle_prepare(self, conn: _Connection, frame: dict) -> dict:
-        """PREPARE: parse + hoist shape analysis once; vend a handle.
+        """PREPARE: vend a handle on the text's plan (shared with every
+        other session and with QUERY/EXEC through the database's table).
 
         The handle table is per-connection and stamped with the policy
         version at prepare time; a hot reload makes every earlier handle

@@ -222,6 +222,12 @@ class GatewayConnection(EnforcementProxy):
         # connection (sessions are serialized, so at most one).
         self._pinned_epoch: PolicyEpoch | None = None
 
+    @property
+    def checker(self) -> ComplianceChecker:
+        """The deciding epoch's checker: a session has none of its own,
+        so none is built at connect and none outlives a reload."""
+        return self._gateway.epoch.checker
+
     # -- epoch-pinned deciding ---------------------------------------------------
 
     def decide(self, bound: ast.Select, skeleton=None) -> Decision:

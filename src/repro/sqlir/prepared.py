@@ -15,6 +15,13 @@ then on :meth:`PreparedPlan.skeleton_for` rebuilds the exact
 :class:`~repro.sqlir.skeleton.Skeleton` the classic path would compute,
 with a handful of list appends instead of an AST traversal.
 
+Plans are per SQL text, not per caller: ``Database.prepare`` keeps them
+in one bounded table that ``sql()``, ``query()`` and a wire PREPARE all
+resolve through, so "prepared" is how every repeated statement runs, not
+an opt-in. A plan also carries a memo of the remaining per-shape work on
+the hit path, the fact-extraction plans of
+:func:`repro.enforce.trace.certification_plan`.
+
 Why sentinel probing is sound: the probe values are strings containing a
 NUL byte under a reserved prefix, which no SQL literal can contain (the
 lexer rejects raw NUL) and no application binding plausibly equals — so
@@ -39,7 +46,7 @@ Two per-execution escape hatches keep the fast path exact:
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.sqlir import ast
 from repro.sqlir.params import bind_parameters, collect_parameters
@@ -65,12 +72,13 @@ def _named_sentinel(name: str) -> str:
 class PreparedPlan:
     """One statement's hoisted shape work (parse + skeleton + layout).
 
-    Immutable and session-free: a plan may be shared by any number of
-    sessions (the wire server keeps one per connection handle, but the
-    underlying plan for the same SQL text is interchangeable). The plan
-    never caches *decisions* — those stay in the epoch-scoped decision
-    caches, so policy reloads invalidate decisions without touching
-    plans.
+    Session-free: a plan may be shared by any number of sessions and
+    threads (``Database.prepare`` hands every caller of one SQL text the
+    same plan; a wire PREPARE handle holds on to it). The plan never
+    caches *decisions* — those stay in the epoch-scoped decision caches,
+    so policy reloads invalidate decisions without touching plans. Its
+    one mutable part, ``certifications``, is a memo of further pure shape
+    work, filled by whoever executes the plan.
     """
 
     statement: ast.Statement  #: the parsed, unbound statement
@@ -85,6 +93,9 @@ class PreparedPlan:
     slot_sources: tuple[_SlotSource, ...]
     positional: tuple[int, ...]  #: positional parameter indexes present
     named_params: tuple[str, ...]  #: named parameter names present
+    #: Per-shape fact-extraction plans, memoized by
+    #: :func:`repro.enforce.trace.certification_plan` (which bounds it).
+    certifications: dict = field(default_factory=dict, compare=False, repr=False)
 
     def bind(
         self,

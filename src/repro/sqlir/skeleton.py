@@ -89,6 +89,14 @@ def skeletonize(stmt: ast.Statement) -> Skeleton:
                     if statement.where is not None
                     else None
                 ),
+                # Part of the key, not dropped: a statement and its grouped
+                # twin are decided differently (docs/fragment.md).
+                group_by=statement.group_by,
+                having=(
+                    hollow(statement.having, False)
+                    if statement.having is not None
+                    else None
+                ),
                 order_by=tuple(
                     ast.OrderItem(hollow(o.expr, False), o.descending)
                     for o in statement.order_by

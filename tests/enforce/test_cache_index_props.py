@@ -4,10 +4,13 @@ The discrimination/reverse indexes (see ``repro.enforce.cache``) are pure
 lookup accelerators — they must never change what the cache answers.
 ``SeedReferenceCache`` below preserves the pre-index implementation
 verbatim (linear scan over every template under a key, linear scan over
-every key on invalidation); the hypothesis property drives arbitrary
-interleavings of store / lookup / invalidate_table through both and
-demands identical decisions, hit/miss counters, eviction counts, and
-sizes at every step.
+every key on invalidation, linear scan over ``trace.facts`` for every
+fact pattern); the hypothesis property drives arbitrary interleavings of
+store / lookup / invalidate_table through both and demands identical
+decisions, hit/miss counters, eviction counts, and sizes at every step.
+Both read the same :class:`~repro.enforce.trace.Trace`, the real cache
+through its fact index: the property is also index-probe versus linear
+scan of the witnesses, ``True``/``1`` collisions included.
 
 Also here: the instrumentation assertion that ``invalidate_table`` no
 longer visits unaffected skeleton keys, and the ``_equality_partition``
@@ -31,7 +34,8 @@ from repro.enforce.cache import (
     _value_key,
 )
 from repro.enforce.decision import Decision
-from repro.relalg.cq import Atom, Const
+from repro.enforce.trace import Trace
+from repro.relalg.cq import Atom, Const, Var
 from repro.sqlir.params import bind_parameters
 from repro.sqlir.parser import parse_select
 from repro.sqlir.printer import to_sql
@@ -193,15 +197,18 @@ TABLES = ["Attendance", "Events", "Users", "Unrelated"]
 values = st.sampled_from([0, 1, 2, 3, True, False, "a", "b"])
 
 
-class StubTrace:
-    """The one thing the cache reads from a trace: its fact tuple."""
-
-    def __init__(self, facts):
-        self.facts = tuple(facts)
+#: A fact argument the session never learned: a labeled null in a stored
+#: fact, an ``any`` position in the pattern generalized from it (which the
+#: cache answers by scanning the relation, not by one probe).
+UNKNOWN = Var("\x00ln1")
+fact_values = st.one_of(values, st.just(UNKNOWN))
 
 
 def fact_atoms(pairs):
-    return tuple(Atom("Attendance", (Const(a), Const(b))) for a, b in pairs)
+    return tuple(
+        Atom("Attendance", tuple(v if v is UNKNOWN else Const(v) for v in pair))
+        for pair in pairs
+    )
 
 
 @st.composite
@@ -215,7 +222,7 @@ def operations(draw):
         shape = draw(st.integers(min_value=0, max_value=len(SHAPES) - 1))
         args = [draw(values) for _ in range(HOLES[shape])]
         user = draw(values)
-        facts = draw(st.lists(st.tuples(values, values), max_size=2))
+        facts = draw(st.lists(st.tuples(fact_values, fact_values), max_size=3))
         if kind == "store":
             allowed = draw(st.booleans())
             ops.append(("store", shape, args, user, facts, allowed))
@@ -263,7 +270,7 @@ def test_indexed_cache_is_observably_the_seed_cache(ops, policy):
         else:
             _, shape, args, user, facts = op
             stmt = bind_parameters(parse_select(SHAPES[shape]), args)
-            trace = StubTrace(fact_atoms(facts))
+            trace = Trace.from_facts(fact_atoms(facts))
             got = indexed.lookup(stmt, {"MyUId": user}, trace)
             want = reference.lookup(stmt, {"MyUId": user}, trace)
             assert normalized(got) == normalized(want)

@@ -49,6 +49,18 @@ class TestPlanConstruction:
         classic = skeletonize(plan.bind((), {"me": 3}))
         assert fast == classic
 
+    def test_grouped_statement_keeps_group_by_and_having(self):
+        sql = (
+            "SELECT EId FROM Attendance WHERE UId = ? GROUP BY EId"
+            " HAVING COUNT(*) > ? ORDER BY EId"
+        )
+        plan = plan_for(sql)
+        assert plan.static
+        fast = plan.skeleton_for([1, 0])
+        assert fast == skeletonize(plan.bind([1, 0]))
+        assert fast.statement.group_by and fast.statement.having is not None
+        assert fast.generalizable == (True, False)  # HAVING's ">" pins its slot
+
     def test_write_plan_is_parse_skip_only(self):
         plan = plan_for("UPDATE Events SET Title = 'x' WHERE EId = ?")
         assert plan.is_select is False

@@ -69,8 +69,9 @@ class TestFactExtraction:
 
     def test_untranslatable_query_recorded_without_facts(self):
         trace = Trace()
-        entry = trace.record("q", None, Result(columns=["c"], rows=[(1,)]))
-        assert entry.facts == ()
+        certified = trace.record("q", None, Result(columns=["c"], rows=[(1,)]))
+        assert certified == () and trace.facts == ()
+        assert len(trace) == 1
 
     def test_fact_cap_respected(self, calendar_schema):
         trace = Trace(max_facts=3)
@@ -162,3 +163,65 @@ class TestSnapshotEqualsHistory:
                 assert snapshot.relevant_facts(relations) == trace.relevant_facts(
                     relations
                 )
+
+
+class ListAndSetTrace:
+    """The trace as it was before it was indexed: a list in recency order
+    and a set for membership — the model the indexed one must read like."""
+
+    def __init__(self, max_facts):
+        self.facts, self.known, self.max_facts = [], set(), max_facts
+
+    def certify(self, facts):
+        for fact in facts:
+            if fact in self.known:
+                self.facts.remove(fact)  # the O(n) refresh the index replaced
+                self.facts.append(fact)
+            elif len(self.facts) < self.max_facts:
+                self.known.add(fact)
+                self.facts.append(fact)
+
+
+class TestIndexedTraceReadsLikeTheListModel:
+    @given(steps=_STEPS, max_facts=st.integers(1, 6))
+    def test_record_and_re_record_across_the_cap(self, steps, max_facts):
+        """Same tuple, same order, same per-relation view and the same
+        answer to "is this certified" after every record — new facts,
+        refreshed ones, and new ones dropped at the cap."""
+        trace, model = Trace(max_facts=max_facts), ListAndSetTrace(max_facts)
+        for step in steps:
+            if isinstance(step, tuple):
+                uid, eids = step
+                query = tr1(f"SELECT EId FROM Attendance WHERE UId = {uid}", SCHEMA)
+                rows = [(eid,) for eid in eids]
+            else:
+                query = tr1(f"SELECT Title FROM Events WHERE EId = {step}", SCHEMA)
+                rows = [("standup",)]
+            certified = trace.record("q", query, Result(columns=["c"], rows=rows))
+            model.certify(certified)
+            assert trace.facts == tuple(model.facts)
+            assert trace.facts is trace.facts  # a snapshot, until the next record
+            for relation in _RELATIONS:
+                assert list(trace.facts_of(relation)) == [
+                    fact for fact in model.facts if fact.rel == relation
+                ]
+            for fact in model.facts:
+                assert trace.certified(fact) is fact
+            dropped = [fact for fact in certified if fact not in model.known]
+            assert all(trace.certified(fact) is None for fact in dropped)
+            rebuilt = Trace.from_facts(trace.facts)
+            assert rebuilt.facts == trace.facts
+            assert [list(rebuilt.facts_of(r)) for r in _RELATIONS] == [
+                list(trace.facts_of(r)) for r in _RELATIONS
+            ]
+
+    def test_a_re_certified_fact_is_replaced_by_its_new_spelling(self):
+        """``Const(1) == Const(True)``: the refreshed fact is the atom just
+        certified, as ``remove`` + ``append`` left it."""
+        trace = Trace()
+        query = tr1("SELECT EId FROM Attendance WHERE UId = 1", SCHEMA)
+        trace.record("q", query, Result(columns=["EId"], rows=[(1,), (2,)]))
+        trace.record("q", query, Result(columns=["EId"], rows=[(True,)]))
+        assert [fact.args[1].value for fact in trace.facts] == [2, True]
+        assert type(trace.facts[1].args[1].value) is bool
+        assert list(trace.facts_of("Attendance")) == list(trace.facts)

@@ -16,9 +16,27 @@ class TestSqlEntryPoint:
     def test_statement_cache_reuses_parse(self, tiny_db):
         sql = "SELECT Name FROM Users WHERE UId = ?"
         tiny_db.query(sql, [1])
-        cached = tiny_db._statement_cache[sql]
+        cached = tiny_db.parse(sql)
         tiny_db.query(sql, [2])
-        assert tiny_db._statement_cache[sql] is cached
+        assert tiny_db.parse(sql) is cached
+        # One table: the text's plan carries that parse.
+        assert tiny_db.prepare(sql) is tiny_db.prepare(sql)
+        assert tiny_db.prepare(sql).statement is cached
+
+    def test_plan_table_evicts_the_least_recently_used(self, tiny_db, monkeypatch):
+        from repro.engine import database
+
+        monkeypatch.setattr(database, "PLAN_TABLE_CAP", 3)
+        texts = [f"SELECT Name FROM Users WHERE UId = {n}" for n in range(4)]
+        plans = [tiny_db.prepare(sql) for sql in texts[:3]]
+        assert tiny_db.prepare(texts[0]) is plans[0]  # refreshed: now the newest
+        tiny_db.prepare(texts[3])  # one past the cap: texts[1] is the oldest
+        assert list(tiny_db._plans) == [texts[2], texts[0], texts[3]]
+        # An evicted plan still executes for whoever kept it, and its text
+        # plans afresh.
+        assert tiny_db.execute_prepared(plans[1]).rows == tiny_db.query(texts[1]).rows
+        assert tiny_db.prepare(texts[1]) is not plans[1]
+        assert len(tiny_db._plans) == 3
 
     def test_query_rejects_dml(self, tiny_db):
         before = tiny_db.query("SELECT * FROM Orders").rows

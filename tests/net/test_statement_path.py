@@ -3,7 +3,8 @@
 * **One path** — a statement takes the same route through the server
   whether it arrives as a QUERY round trip, inside a pipelined burst, or
   as an EXECUTE of a prepared handle: same decisions, same rows, same
-  checker and cache work as the in-process gateway session.
+  checker and cache work, and the same certified facts left in every
+  session's trace, as the in-process gateway session.
 * **Deadlines inside a burst** — the budget is per statement, and a
   statement that overruns it costs the connection exactly one
   ``ERROR/timeout`` after the replies already owed.
@@ -137,10 +138,19 @@ def run_session(mode: str, connection, script, write: bool) -> list[object]:
     return outcomes
 
 
-def replay(mode: str) -> tuple[list[tuple], list[tuple]]:
+def replay(mode: str) -> tuple[list[tuple], list[tuple], list[tuple]]:
     """Run the stream one way on a fresh gateway; returns (outcome
-    digests, checker work before the reload and at the end)."""
+    digests, checker work before the reload and at the end, every
+    session's ``trace.facts`` at the end)."""
     gateway = make_gateway()
+    sessions = []  # in-process or behind the wire, a session is vended here
+    plain_connect = gateway.connect
+
+    def connect_and_keep(*args, **kwargs):
+        sessions.append(plain_connect(*args, **kwargs))
+        return sessions[-1]
+
+    gateway.connect = connect_and_keep
     lifecycle = LifecycleManager(gateway)
     stream = make_stream(gateway.db)
     outcomes: list[object] = []
@@ -173,13 +183,15 @@ def replay(mode: str) -> tuple[list[tuple], list[tuple]]:
                         operator.reload(reduced_policy_text())
         work.append(checker_work(gateway))
     gateway.close()
-    return [digest(outcome) for outcome in outcomes], work
+    assert len(sessions) == SESSIONS
+    facts = [session.trace.facts for session in sessions]
+    return [digest(outcome) for outcome in outcomes], work, facts
 
 
 class TestOneStatementPath:
     def test_every_wire_shape_matches_the_in_process_session(self):
-        expected, expected_work = replay("in-process")
-        assert len(expected) >= 60
+        expected, expected_work, expected_facts = replay("in-process")
+        assert len(expected) >= 60 and all(expected_facts)
         assert {entry[0] for entry in expected} == {"allow", "block", "rowcount"}
         # The reload bites: the first session's event lookup was allowed,
         # the last session's is blocked.
@@ -187,9 +199,11 @@ class TestOneStatementPath:
         assert expected[3][0] == "allow"
         assert expected[-per_session + 3][0] == "block"
         for mode in ("classic", "pipelined", "prepared"):
-            got, work = replay(mode)
+            got, work, facts = replay(mode)
             assert got == expected, mode
             assert work == expected_work, mode
+            # Labeled-null names and recency order included.
+            assert facts == expected_facts, mode
 
 
 def statement_frames(ids, args_for) -> bytes:

@@ -51,3 +51,43 @@ class TestFill:
         assert isinstance(refilled, ast.Select)
         comparison = refilled.where
         assert comparison.right == ast.Literal(42)
+
+
+GROUPED = [
+    "SELECT a, COUNT(*) FROM t WHERE b = 5 GROUP BY a",
+    "SELECT a FROM t WHERE b = 5 GROUP BY a HAVING COUNT(*) > 0",
+    "SELECT a, c FROM t GROUP BY a, c HAVING SUM(d) >= 10 AND a = 'x' ORDER BY a LIMIT 3",
+    "SELECT a FROM t JOIN u ON t.k = u.k WHERE u.b = 1 GROUP BY a HAVING MAX(u.c) <> 7",
+]
+
+
+class TestGroupByAndHavingAreKeyed:
+    """A statement and its grouped twin are different shapes: GROUP BY and
+    HAVING ride along in the skeleton (HAVING's literals hollowed like any
+    others) instead of being dropped from it."""
+
+    def test_fill_restores_grouped_statements(self):
+        for sql in GROUPED:
+            stmt = parse_sql(sql)
+            skeleton = skeletonize(stmt)
+            assert fill(skeleton, skeleton.values) == stmt, sql
+
+    def test_grouped_twin_has_its_own_key(self):
+        plain = skeletonize(parse_sql("SELECT a FROM t WHERE b = 5"))
+        grouped = skeletonize(parse_sql("SELECT a FROM t WHERE b = 5 GROUP BY a"))
+        having = skeletonize(
+            parse_sql("SELECT a FROM t WHERE b = 5 GROUP BY a HAVING COUNT(*) > 0")
+        )
+        keys = {plain.statement, grouped.statement, having.statement}
+        assert len(keys) == 3
+
+    def test_having_literals_are_slots_and_order_comparisons_pin(self):
+        skeleton = skeletonize(
+            parse_sql("SELECT a FROM t WHERE b = 5 GROUP BY a HAVING COUNT(*) > 2 AND a = 9")
+        )
+        assert skeleton.values == (5, 2, 9)
+        assert skeleton.generalizable == (True, False, True)
+        other = skeletonize(
+            parse_sql("SELECT a FROM t WHERE b = 6 GROUP BY a HAVING COUNT(*) > 3 AND a = 1")
+        )
+        assert other.statement == skeleton.statement
