@@ -1,6 +1,6 @@
-"""E16 — The sharded cluster: fidelity, exchange amortization, scaling.
+"""E16 — The sharded cluster: fidelity, scaling, rolling reload.
 
-Four questions about the ``repro.cluster`` subsystem, all against real
+Three questions about the ``repro.cluster`` subsystem, all against real
 shard *subprocesses* behind a real :class:`ClusterRouter`:
 
 1. **E16a — decision fidelity.** The calendar workload replayed through
@@ -11,14 +11,7 @@ shard *subprocesses* behind a real :class:`ClusterRouter`:
    from the shards' audit JSONL logs; the single-gateway replay audits
    via ``gateway.decision_audit``.
 
-2. **E16b — cross-shard template amortization.** With the template
-   exchange on, a decision template derived on one shard is a cache hit
-   on every shard, so a fleet pays ~one fresh check per query shape;
-   with the exchange off each shard re-derives its own. Same traffic,
-   two clusters: the exchange must strictly reduce total shared-cache
-   misses.
-
-3. **E16c — throughput vs fleet size.** The same workload at
+2. **E16c — throughput vs fleet size.** The same workload at
    increasing shard counts. Shards are subprocesses, so checker work
    spreads across however many cores the host has; the table records
    the core count next to the throughput so the speedup column is
@@ -26,12 +19,15 @@ shard *subprocesses* behind a real :class:`ClusterRouter`:
    *distribution overhead* (router hop + N processes on one core),
    which must stay modest, not a speedup.
 
-4. **E16d — rolling reload, zero torn decisions.** Traffic hammers the
+3. **E16d — rolling reload, zero torn decisions.** Traffic hammers the
    cluster while RELOAD fans out shard-by-shard, alternating the full
    policy and one missing a view (so a version-straddling decision
    *would* flip). Every audited decision is re-verified against a fresh
    checker for exactly the policy version it claims — across every
    shard, zero may disagree.
+
+(E16b, the cross-shard template-exchange ablation, was retired with the
+exchange itself; EXPERIMENTS.md keeps its last table.)
 
 ``E16_QUICK=1`` shrinks the fleet and stream for CI smoke runs (and is
 what the CI cluster-smoke leg runs). ``E16_MISS_HEAVY=1`` is the
@@ -53,10 +49,9 @@ import pytest
 
 from repro.bench.harness import print_table
 from repro.cluster import BackgroundCluster, ClusterConfig
-from repro.cluster.exchange import _deserialize_fact
 from repro.enforce.checker import ComplianceChecker
 from repro.enforce.decision import PolicyViolation
-from repro.enforce.trace import Trace
+from repro.enforce.trace import Trace, fact_from_wire
 from repro.net import AdminClient, NetClientConnection
 from repro.net.client import NetGatewayClient
 from repro.policy import policy_to_text
@@ -154,74 +149,6 @@ def fidelity(shards: int, n_requests: int, audit_dir: str):
          sum(single_keys.values()), "-"),
     ]
     return rows, disagreements, cluster_report, single_report
-
-
-# --------------------------------------------------------------------------
-# E16b — template exchange on vs off
-# --------------------------------------------------------------------------
-
-#: Session-local allowed shapes (V1/V3): templates for these generalize
-#: across principals, which is what the exchange amortizes fleet-wide.
-SHAPES = [
-    "SELECT EId FROM Attendance WHERE UId = ?",
-    "SELECT Name FROM Users WHERE UId = ?",
-]
-
-
-#: A deterministically disallowed read: without an attendance fact in the
-#: session trace, event rows are not visible. Issued twice per session
-#: while the trace is still empty, the first derives a Block template
-#: (zero facts considered → compilable) and the second must be a
-#: compiled-template hit, making ``compiled_hits > 0`` a hard assertion.
-BLOCKED_PROBE = "SELECT * FROM Events WHERE EId = ?"
-
-
-def drive_shapes(port: int, users, settle_s: float) -> None:
-    for uid in users:
-        connection = NetClientConnection("127.0.0.1", port, user=uid)
-        for _ in range(2):
-            try:
-                connection.query(BLOCKED_PROBE, [99])
-            except PolicyViolation:
-                pass
-        for shape in SHAPES:
-            connection.query(shape, [uid])
-        connection.close()
-        # Give templates time to cross the bus before the next principal
-        # (possibly on another shard) issues the same shapes.
-        time.sleep(settle_s)
-
-
-def exchange_ablation(shards: int, users):
-    results = {}
-    for exchange in (True, False):
-        config = ClusterConfig(
-            app="calendar", shards=shards, size=SIZE, seed=SEED, exchange=exchange
-        )
-        with BackgroundCluster(config) as cluster:
-            drive_shapes(cluster.port, users, settle_s=0.05)
-            admin = AdminClient("127.0.0.1", cluster.port)
-            stats = admin.stats()
-            admin.close()
-        counters = stats["gateway"]["counters"]
-        results[exchange] = {
-            "misses": counters.get("shared_cache_misses", 0),
-            "hits": counters.get("shared_cache_hits", 0),
-            "applied": counters.get("exchange_templates_applied", 0),
-            "compiled_hits": counters.get("compiled_hits", 0),
-            "hit_rate": stats["cache_hit_rate"],
-        }
-    rows = [
-        ("exchange on", shards, len(users) * (len(SHAPES) + 2),
-         results[True]["hits"], results[True]["misses"],
-         results[True]["applied"], results[True]["compiled_hits"],
-         round(results[True]["hit_rate"], 3)),
-        ("exchange off", shards, len(users) * (len(SHAPES) + 2),
-         results[False]["hits"], results[False]["misses"],
-         results[False]["applied"], results[False]["compiled_hits"],
-         round(results[False]["hit_rate"], 3)),
-    ]
-    return rows, results
 
 
 # --------------------------------------------------------------------------
@@ -326,7 +253,7 @@ def rolling_reload(shards: int, reloads: int, audit_dir: str):
     }
     torn = 0
     for record in records:
-        trace = Trace.from_facts(_deserialize_fact(f) for f in record["facts"])
+        trace = Trace.from_facts(fact_from_wire(f) for f in record["facts"])
         fresh = checkers[record["policy_version"]].check(
             db.parse(record["sql"]), record["bindings"], trace
         )
@@ -352,8 +279,6 @@ def rolling_reload(shards: int, reloads: int, audit_dir: str):
 def test_e16_cluster(benchmark, capsys, tmp_path):
     fidelity_shards = 2 if QUICK else 4
     fidelity_requests = 80 if QUICK else 300
-    ablation_shards = 2 if QUICK else 4
-    ablation_users = range(1, 7) if QUICK else range(1, 11)
     scale_counts = (1, 2) if QUICK else (1, 2, 4)
     scale_requests = 100 if QUICK else 400
     reload_shards = 2 if QUICK else 4
@@ -364,7 +289,6 @@ def test_e16_cluster(benchmark, capsys, tmp_path):
     fidelity_rows, disagreements, cluster_report, single_report = fidelity(
         fidelity_shards, fidelity_requests, str(tmp_path / "fidelity")
     )
-    ablation_rows, ablation = exchange_ablation(ablation_shards, ablation_users)
     scaling_rows, throughputs = scaling(
         scale_counts, scale_requests, cache_mode=scale_cache_mode
     )
@@ -394,13 +318,6 @@ def test_e16_cluster(benchmark, capsys, tmp_path):
             fidelity_rows,
         )
         print_table(
-            "E16b",
-            "cross-shard template exchange vs no-exchange ablation",
-            ["mode", "shards", "queries", "hits", "misses",
-             "templates applied", "compiled hits", "hit rate"],
-            ablation_rows,
-        )
-        print_table(
             "E16c-miss-heavy" if MISS_HEAVY else "E16c",
             "workload throughput vs shard count"
             + (" (miss-heavy: --cache none, checker CPU dominates)"
@@ -421,16 +338,6 @@ def test_e16_cluster(benchmark, capsys, tmp_path):
     assert disagreements == 0
     assert cluster_report.errors == 0 and single_report.errors == 0
     assert cluster_report.completed == single_report.completed
-    # E16b: the exchange strictly reduces fleet-wide fresh checks and
-    # actually moved templates across shards.
-    assert ablation[True]["applied"] > 0
-    assert ablation[True]["misses"] < ablation[False]["misses"]
-    assert ablation[False]["applied"] == 0
-    # The deterministic blocked-probe pairs hit their compiled Block
-    # templates on every shard fleet, exchange or not: the merged STATS
-    # counter the CI cluster-smoke leg gates on.
-    assert ablation[True]["compiled_hits"] > 0
-    assert ablation[False]["compiled_hits"] > 0
     # E16c: every fleet size served the full stream cleanly, and the
     # distribution layer's tax stays bounded even with every shard
     # contending for one core.

@@ -35,23 +35,13 @@ from repro.relalg.translate import translate_select
 from repro.sqlir.params import bind_parameters
 from repro.sqlir.parser import parse_select
 from repro.util.errors import DbacError
-
-
-def _apps():
-    from repro.workloads import calendar_app, employees, hospital, social
-
-    return {
-        "calendar": calendar_app,
-        "hospital": hospital,
-        "employees": employees,
-        "social": social,
-    }
+from repro.workloads import APPS
 
 
 def _load_app(args: argparse.Namespace, name: str | None = None):
     """Build (app, db) from parsed common flags (--app/--size/--seed,
     --backend/--db-path)."""
-    module = _apps()[name or args.app]
+    module = APPS[name or args.app]
     app = module.make_app()
     db = app.make_database(
         args.size or app.default_size,
@@ -197,7 +187,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _add_gateway_flags(parser: argparse.ArgumentParser) -> None:
-    """The gateway flags `serve-bench`, `serve`, `cluster` and `shard` share."""
+    """The gateway flags `serve-bench`, `serve` and `cluster` share."""
     parser.add_argument(
         "--cache",
         choices=["shared", "none"],
@@ -284,24 +274,31 @@ def cmd_serve(args: argparse.Namespace) -> int:
             policy = policy_from_text(handle.read(), db.schema)
     else:
         policy = app.ground_truth_policy()
-    mining_config = None
+    gateway = EnforcementGateway(db, policy, _gateway_config(args))
+    # One audit stream per gateway: --audit-log gives it a durable sink,
+    # --mine subscribes the miner to it.
+    audit = None
+    if args.audit_log:
+        from repro.mining import AuditStream
+
+        audit = AuditStream(sink_path=args.audit_log, shard_id=args.shard_id)
+        gateway.decision_audit = audit
+    lifecycle = LifecycleManager(gateway)
     if args.mine:
         from repro.mining import MiningConfig
 
-        mining_config = MiningConfig(
-            interval_s=args.mine_interval,
-            mode="auto_promote" if args.mine_auto else "propose_only",
-            audit_sink=args.mine_sink,
+        lifecycle.enable_mining(
+            MiningConfig(
+                interval_s=args.mine_interval,
+                mode="auto_promote" if args.mine_auto else "propose_only",
+            ),
+            stream=audit,
         )
-    gateway = EnforcementGateway(
-        db, policy, _gateway_config(args, mining=mining_config)
-    )
-    lifecycle = LifecycleManager(gateway)
-    if lifecycle.mining is not None:
         lifecycle.mining.start()
     config = ServerConfig(
         host=args.host,
         port=args.port,
+        shard_id=args.shard_id,
         max_connections=args.max_connections,
         max_in_flight=args.max_in_flight,
         request_timeout_s=args.request_timeout,
@@ -340,6 +337,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
         if lifecycle.mining is not None:
             lifecycle.mining.close()
         gateway.close()
+        if audit is not None:
+            audit.close()
     # Only a server that started and drained says so: a failed bind must
     # not read as a clean drain to whoever watches this output.
     snapshot = server.metrics.snapshot()
@@ -347,12 +346,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     for name in sorted(snapshot.counters):
         print(f"  {name}: {snapshot.counters[name]}")
     return 0
-
-
-def cmd_shard(args: argparse.Namespace) -> int:
-    from repro.cluster.shard import run_shard, spec_from_args
-
-    return run_shard(spec_from_args(args, _gateway_config(args)))
 
 
 def cmd_cluster(args: argparse.Namespace) -> int:
@@ -372,7 +365,6 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         compile_checks=not args.no_compile,
         batch_checks=not args.no_batch,
         shared_db_path=args.shared_db_path,
-        exchange=not args.no_exchange,
         audit_dir=args.audit_dir,
         router=RouterConfig(host=args.host, port=args.port),
     )
@@ -393,7 +385,6 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         print(
             f"repro cluster: app={args.app} shards={args.shards}"
             f" (ports {ports}) cache={args.cache}"
-            f" exchange={'on' if config.exchange else 'off'}"
         )
         print(f"  router listening on {args.host}:{cluster.port}")
         print(
@@ -676,7 +667,7 @@ def build_parser() -> argparse.ArgumentParser:
         if app_required:
             p.add_argument(
                 "--app",
-                choices=sorted(_apps()),
+                choices=sorted(APPS),
                 required=True,
                 help="bundled workload application",
             )
@@ -816,8 +807,16 @@ def build_parser() -> argparse.ArgumentParser:
         " promoted through the gates without an operator MINE/APPROVE",
     )
     net.add_argument(
-        "--mine-sink",
-        help="durable JSONL sink for the decision-audit stream (with --mine)",
+        "--audit-log",
+        default=None,
+        help="append every decision to this JSONL file (docs/mining.md)",
+    )
+    net.add_argument(
+        "--shard-id",
+        type=int,
+        default=None,
+        help="this server's place in a `repro cluster` fleet: stamped into"
+        " WELCOME, STATS and the audit log",
     )
     net.set_defaults(func=cmd_serve)
 
@@ -835,11 +834,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_gateway_flags(cluster)
     cluster.add_argument(
-        "--no-exchange",
-        action="store_true",
-        help="disable cross-shard decision-template exchange",
-    )
-    cluster.add_argument(
         "--audit-dir",
         default=None,
         help="write per-shard decision audit JSONL logs into this directory",
@@ -852,29 +846,6 @@ def build_parser() -> argparse.ArgumentParser:
         " docs/cluster.md for the single-writer caveat)",
     )
     cluster.set_defaults(func=cmd_cluster)
-
-    shard = sub.add_parser(
-        "shard",
-        help="run one gateway shard subprocess (used by `repro cluster`)",
-    )
-    common(shard)
-    shard.add_argument("--shard-id", type=int, required=True)
-    shard.add_argument("--host", default="127.0.0.1")
-    shard.add_argument("--port", type=int, default=0, help="0 picks a free port")
-    _add_gateway_flags(shard)
-    shard.add_argument("--exchange-host", default="127.0.0.1")
-    shard.add_argument(
-        "--exchange-port",
-        type=int,
-        default=None,
-        help="template-exchange bus port (omit to disable the exchange)",
-    )
-    shard.add_argument(
-        "--audit-log", default=None, help="append decision audit JSONL here"
-    )
-    shard.add_argument("--max-in-flight", type=_positive_int, default=16)
-    shard.add_argument("--request-timeout", type=float, default=30.0)
-    shard.set_defaults(func=cmd_shard)
 
     def admin_common(p):
         p.add_argument("--host", default="127.0.0.1")

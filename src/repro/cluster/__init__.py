@@ -2,7 +2,8 @@
 
 ``repro.cluster`` scales the serving stack horizontally the way a real
 policy-enforcement deployment would: N independent **gateway shards**
-(each a full :class:`~repro.net.server.NetServer` wrapping its own
+(each an ordinary ``repro serve`` process: a full
+:class:`~repro.net.server.NetServer` wrapping its own
 :class:`~repro.serve.gateway.EnforcementGateway`) sit behind one
 :class:`~repro.cluster.router.ClusterRouter` speaking the *same*
 length-prefixed JSON protocol, so every existing client — the blocking
@@ -17,31 +18,22 @@ The pieces:
   between client and shard. Pre-session PING/STATS/admin verbs are
   handled at the router: STATS fans out and *merges* shard metrics,
   RELOAD rolls shard-by-shard.
-* :mod:`repro.cluster.exchange` — the template-exchange tier. Shards
-  publish newly derived decision templates and write invalidations to a
-  broadcast bus; peers re-derive the template into their own shared
-  cache (a miss on one shard becomes a hit everywhere), fenced by policy
-  version + fingerprint so a template minted under one policy epoch is
-  never applied under another.
 * :mod:`repro.cluster.aggregate` — cluster-wide STATS: merges per-shard
   counters and raw latency-histogram buckets via
   :meth:`~repro.serve.metrics.LatencyHistogram.merge`.
-* :mod:`repro.cluster.shard` / :mod:`repro.cluster.supervisor` — the
-  shard subprocess entry point and the parent-side process supervisor
+* :mod:`repro.cluster.supervisor` — the parent-side process supervisor
   (:class:`~repro.cluster.supervisor.BackgroundCluster` is the
   test/benchmark façade that brings a whole cluster up and down).
 
+The shards share nothing but the router: a session's trace lives on its
+home shard, and every decision a shard serves — fresh or from its
+template store — its own checker derived under its own policy epoch.
+
 See ``docs/cluster.md`` for the full design and the E16 benchmark for
-the scaling, fidelity, and exchange-ablation experiments.
+the fidelity, scaling and rolling-reload experiments.
 """
 
 from repro.cluster.aggregate import aggregate_stats
-from repro.cluster.exchange import (
-    TemplateBus,
-    TemplateExchangeClient,
-    invalidate_event,
-    template_event,
-)
 from repro.cluster.router import ClusterRouter, RouterConfig, shard_index_for
 from repro.cluster.supervisor import BackgroundCluster, ClusterConfig, ShardProcess
 
@@ -51,10 +43,6 @@ __all__ = [
     "ClusterRouter",
     "RouterConfig",
     "ShardProcess",
-    "TemplateBus",
-    "TemplateExchangeClient",
     "aggregate_stats",
-    "invalidate_event",
     "shard_index_for",
-    "template_event",
 ]

@@ -455,10 +455,11 @@ class ClusterRouter:
         """Apply one admin verb shard-by-shard (never two mid-swap).
 
         Stops at the first shard error: for RELOAD that leaves a version
-        split (earlier shards new, later shards old), which is exactly
-        the degraded-but-sound state the exchange tier's epoch fencing is
-        built for — templates stop flowing between the two sides until
-        the operator retries and the fleet converges.
+        split (earlier shards new, later shards old). That state is
+        degraded but sound — shards share no decisions, so each keeps
+        deciding under the one policy it holds — and STATS reports it
+        (``policy.consistent`` false) until the operator retries and the
+        fleet converges.
         """
         self.counters["admin_fanouts"] += 1
         kind = frame.get("type")

@@ -1,24 +1,31 @@
 """Parent-side cluster supervision: shard subprocesses + the router.
 
-:class:`ShardProcess` wraps one ``repro shard`` subprocess: it spawns
-``python -m repro shard ...`` (with ``PYTHONPATH`` propagated so the
-child finds the same checkout), blocks on the ``SHARD-READY`` handshake
-line to learn the shard's ephemeral port, keeps draining the child's
+A shard is a ``repro serve`` process, nothing more: its own database
+replica, gateway, decision store and lifecycle manager, told its place in
+the fleet by ``--shard-id``. Shards share nothing with each other — every
+decision a shard serves from its store, that shard's own checker derived.
+
+:class:`ShardProcess` supervises one: it spawns the command (with
+``PYTHONPATH`` propagated so the child finds the same checkout), waits —
+with a real deadline — for the ``listening on host:port`` line ``repro
+serve`` prints once its socket is bound, keeps draining the child's
 stdout so it can never block on a full pipe, and stops the shard with
 ``SIGTERM`` (graceful drain) escalating to ``SIGKILL``.
 
 :class:`BackgroundCluster` is the synchronous façade tests and the E16
 benchmark use, mirroring :class:`~repro.net.server.BackgroundServer`:
 ``with BackgroundCluster(ClusterConfig(app="calendar", shards=4)) as
-cluster:`` brings up the template bus, the shard fleet, and the router
-on a dedicated event-loop thread, exposes ``cluster.port`` for any wire
-client, and tears everything down (router → shards → bus) on exit.
+cluster:`` brings up the shard fleet and the router (on a dedicated
+event-loop thread), exposes ``cluster.port`` for any wire client, and
+tears everything down (router → shards) on exit.
 """
 
 from __future__ import annotations
 
 import asyncio
 import os
+import re
+import select
 import signal
 import subprocess
 import sys
@@ -27,8 +34,11 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.cluster.exchange import TemplateBus
 from repro.cluster.router import ClusterRouter, RouterConfig
+from repro.workloads import APPS
+
+#: The line ``repro serve`` announces itself with, socket already bound.
+_LISTENING = re.compile(r"listening on \S+:(\d+)\s")
 
 
 def seed_shared_database(app_name: str, size: int | None, seed: int, db_path: str) -> int:
@@ -39,15 +49,7 @@ def seed_shared_database(app_name: str, size: int | None, seed: int, db_path: st
     per-shard opens pure readers of one WAL-mode file. Returns the row
     count seeded (or already present).
     """
-    from repro.workloads import calendar_app, employees, hospital, social
-
-    modules = {
-        "calendar": calendar_app,
-        "hospital": hospital,
-        "employees": employees,
-        "social": social,
-    }
-    app = modules[app_name].make_app()
+    app = APPS[app_name].make_app()
     db = app.make_database(
         size or app.default_size, seed, backend="sqlite", db_path=db_path
     )
@@ -71,54 +73,65 @@ def _pythonpath_for_child() -> dict[str, str]:
 
 
 class ShardProcess:
-    """One supervised ``repro shard`` subprocess."""
+    """One supervised shard subprocess (``command`` is its full argv)."""
 
-    def __init__(self, shard_id: int, argv: list[str], ready_timeout_s: float = 30.0):
+    def __init__(self, shard_id: int, command: list[str], ready_timeout_s: float = 30.0):
         self.shard_id = shard_id
         self.port: int | None = None
         self._process = subprocess.Popen(
-            [sys.executable, "-m", "repro", "shard", *argv],
+            command,
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
             env=_pythonpath_for_child(),
-            text=True,
         )
-        self._tail: list[str] = []
-        self._await_ready(ready_timeout_s)
+        try:
+            self._await_ready(ready_timeout_s)
+        except BaseException:
+            # Never ready, so nothing in flight to drain.
+            self.kill()
+            assert self._process.stdout is not None
+            self._process.stdout.close()
+            raise
         self._drainer = threading.Thread(
             target=self._drain, name=f"shard-{shard_id}-stdout", daemon=True
         )
         self._drainer.start()
 
     def _await_ready(self, timeout_s: float) -> None:
-        marker = f"SHARD-READY shard={self.shard_id} port="
-        deadline = time.monotonic() + timeout_s
+        """Read the child's output until the ready line, the deadline, or EOF.
+
+        ``select`` on the raw pipe, so a child that prints nothing costs
+        exactly ``timeout_s`` — a blocking ``readline`` would wait forever.
+        """
         assert self._process.stdout is not None
+        fd = self._process.stdout.fileno()
+        deadline = time.monotonic() + timeout_s
+        seen = ""
         while True:
-            if time.monotonic() > deadline:
-                self.stop()
+            match = _LISTENING.search(seen)
+            if match:
+                self.port = int(match.group(1))
+                return
+            remaining = deadline - time.monotonic()
+            if remaining <= 0 or not select.select([fd], [], [], remaining)[0]:
                 raise TimeoutError(
                     f"shard {self.shard_id} did not become ready in {timeout_s}s;"
-                    f" output so far: {''.join(self._tail[-20:])!r}"
+                    f" output so far: {seen[-2000:]!r}"
                 )
-            line = self._process.stdout.readline()
-            if not line:
-                code = self._process.poll()
+            chunk = os.read(fd, 65536)
+            if not chunk:
+                code = self._process.wait()
                 raise RuntimeError(
                     f"shard {self.shard_id} exited (code {code}) before ready;"
-                    f" output: {''.join(self._tail[-20:])!r}"
+                    f" output: {seen[-2000:]!r}"
                 )
-            self._tail.append(line)
-            if line.startswith(marker):
-                self.port = int(line[len(marker) :].strip())
-                return
+            seen += chunk.decode(errors="replace")
 
     def _drain(self) -> None:
+        """Discard the rest of the child's output so its pipe never fills."""
         assert self._process.stdout is not None
-        for line in self._process.stdout:
-            self._tail.append(line)
-            if len(self._tail) > 200:
-                del self._tail[:100]
+        while self._process.stdout.read(65536):
+            pass
 
     @property
     def alive(self) -> bool:
@@ -171,8 +184,6 @@ class ClusterConfig:
     compile_checks: bool = True
     #: Batched in-process containment checking per shard.
     batch_checks: bool = True
-    #: Cross-shard template exchange on/off (the E16 ablation knob).
-    exchange: bool = True
     #: Directory for per-shard decision audit JSONL logs (None = off).
     audit_dir: str | None = None
     request_timeout_s: float = 30.0
@@ -194,13 +205,12 @@ class ClusterConfig:
 
 
 class BackgroundCluster:
-    """A whole cluster (bus + shards + router) on a background loop thread."""
+    """A whole cluster (shards + router); the router runs on a loop thread."""
 
     def __init__(self, config: ClusterConfig):
         self.config = config
         self.shards: list[ShardProcess] = []
         self.router: ClusterRouter | None = None
-        self.bus: TemplateBus | None = None
         self.port: int | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None
@@ -214,9 +224,6 @@ class BackgroundCluster:
         )
         self._thread.start()
         try:
-            if self.config.exchange:
-                self.bus = TemplateBus()
-                self._call(self.bus.start())
             self._spawn_shards()
             self.router = ClusterRouter(
                 [("127.0.0.1", shard.port) for shard in self.shards],
@@ -238,9 +245,6 @@ class BackgroundCluster:
         for shard in self.shards:
             shard.stop()
         self.shards = []
-        if self.bus is not None:
-            self._call(self.bus.stop())
-            self.bus = None
         self._loop.call_soon_threadsafe(self._loop.stop)
         if self._thread is not None:
             self._thread.join(timeout=10.0)
@@ -268,6 +272,7 @@ class BackgroundCluster:
             backend, db_path = "sqlite", config.shared_db_path
         for shard_id in range(config.shards):
             argv = [
+                sys.executable, "-u", "-m", "repro", "serve",
                 "--app", config.app,
                 "--shard-id", str(shard_id),
                 "--port", "0",
@@ -285,8 +290,6 @@ class BackgroundCluster:
                 argv += ["--no-compile"]
             if not config.batch_checks:
                 argv += ["--no-batch"]
-            if self.bus is not None:
-                argv += ["--exchange-port", str(self.bus.port)]
             if config.audit_dir is not None:
                 argv += [
                     "--audit-log",

@@ -37,9 +37,10 @@ have been reached by running the checker for B directly:
   facts — B must have *already been shown* the guard rows. A's history
   never leaks into B's checks.
 
-Hence a hit never over-allows relative to a per-session checker, whoever
-stored the template — another session, another thread, or a peer shard
-(``repro.cluster.exchange``); E11b/c re-verify this on every run.
+Hence a hit never over-allows relative to a per-session checker, whichever
+session or thread stored the template; E11b/c re-verify this on every run.
+Every stored template comes from a check this process ran itself: a
+cluster's shards share none (``docs/cluster.md``).
 
 Block decisions are not cached on the classic :meth:`DecisionCache.lookup`
 path: blocking depends on the *absence* of helpful trace facts, which a
@@ -469,8 +470,7 @@ class DecisionCache:
         """Index a ready-made template (shared by store and benchmarks).
 
         Exact duplicates are skipped (returns False): two threads that
-        missed on the same shape, or a peer shard's TEMPLATE event, may
-        generalize the same decision.
+        missed on the same shape may generalize the same decision.
         """
         self._acquire()
         try:
@@ -628,8 +628,8 @@ def _template_reason(reason: str) -> str:
     """Tag a reason as template-served, idempotently.
 
     A compiled hit already carries the " [template]" suffix; when such a
-    decision is generalized again (a peer shard's TEMPLATE event, a
-    caller storing what the checker returned) the tag must not stack.
+    decision is generalized again (a caller storing what the checker
+    returned) the tag must not stack.
     """
     return reason if reason.endswith(" [template]") else reason + " [template]"
 

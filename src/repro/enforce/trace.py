@@ -60,6 +60,38 @@ def is_labeled_null(term: Term) -> bool:
     return isinstance(term, Var) and term.name.startswith(_NULL_PREFIX)
 
 
+def fact_to_wire(fact: Atom) -> list:
+    """``Atom`` → ``[rel, [["const", v] | ["null", n], ...]]``, the JSON
+    form of a certified fact (audit logs, replay tooling).
+
+    A labeled null is written as its per-trace name suffix, so two
+    occurrences of the *same* null stay identical after a round trip.
+    """
+    args: list[list] = []
+    for arg in fact.args:
+        if is_labeled_null(arg):
+            args.append(["null", arg.name[len(_NULL_PREFIX) :]])
+        elif isinstance(arg, Const):
+            args.append(["const", arg.value])
+        else:  # pragma: no cover - trace facts only hold consts and nulls
+            raise ValueError(f"cannot serialize fact argument {arg!r}")
+    return [fact.rel, args]
+
+
+def fact_from_wire(payload: list) -> Atom:
+    """Inverse of :func:`fact_to_wire`; ``ValueError`` on an unknown kind."""
+    rel, args = payload
+    terms: list[Term] = []
+    for kind, value in args:
+        if kind == "null":
+            terms.append(Var(f"{_NULL_PREFIX}{value}"))
+        elif kind == "const":
+            terms.append(Const(value))
+        else:
+            raise ValueError(f"unknown fact argument kind {kind!r}")
+    return Atom(rel, tuple(terms))
+
+
 def single_cq(stmt: ast.Select, schema: SchemaInfo) -> CQ | None:
     """The one CQ a bound SELECT translates to — the query whose answer
     certifies facts — or None (outside the fragment, or a union)."""

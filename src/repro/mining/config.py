@@ -46,8 +46,6 @@ class MiningConfig:
     #: Bound on each in-process audit subscription queue; overflow is
     #: counted (``audit_dropped``), never silent.
     subscription_cap: int = 8192
-    #: Optional durable JSONL sink path for the audit stream.
-    audit_sink: str | None = None
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -66,7 +64,7 @@ class MiningConfig:
 
         Stamped into each candidate's provenance so an auditor can tell
         whether two candidate sets came from the same miner settings.
-        Sink/queue plumbing is excluded: it cannot change what is mined.
+        Queue plumbing is excluded: it cannot change what is mined.
         """
         payload = json.dumps(
             {

@@ -61,7 +61,7 @@ class MiningService:
         self.config = config or MiningConfig()
         self.miner = AuditMiner(gateway.db, self.config)
         self._lock = threading.RLock()
-        self.stream = stream or AuditStream(sink_path=self.config.audit_sink)
+        self.stream = stream or AuditStream()
         if gateway.decision_audit is None:
             gateway.decision_audit = self.stream
         elif gateway.decision_audit is not self.stream:

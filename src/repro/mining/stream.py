@@ -22,6 +22,8 @@ import threading
 from collections import deque
 from dataclasses import dataclass
 
+from repro.enforce.trace import fact_to_wire
+
 
 @dataclass(frozen=True)
 class AuditEntry:
@@ -70,8 +72,11 @@ class AuditSubscription:
 class AuditStream:
     """The callable installed as ``gateway.decision_audit``."""
 
-    def __init__(self, sink_path: str | None = None):
+    def __init__(self, sink_path: str | None = None, shard_id: int | None = None):
         self._lock = threading.Lock()
+        #: Stamped into every sink line as ``shard`` when this gateway is
+        #: one shard of a cluster, so merged logs stay attributable.
+        self._shard_id = shard_id
         self._next_id = 1
         self._subscriptions: list[AuditSubscription] = []
         self.records = 0
@@ -90,7 +95,7 @@ class AuditStream:
             subscriptions = list(self._subscriptions)
             if self._sink is not None:
                 try:
-                    self._sink.write(json.dumps(self._to_wire(entry)) + "\n")
+                    self._sink.write(json.dumps(self._to_wire(entry), default=str) + "\n")
                     self._sink.flush()
                     self.sink_records += 1
                 except OSError:
@@ -134,13 +139,10 @@ class AuditStream:
 
     # -- sink format --------------------------------------------------------------
 
-    @staticmethod
-    def _to_wire(entry: AuditEntry) -> dict:
-        """One JSONL sink line; facts use the cluster wire encoding."""
-        from repro.cluster.exchange import _serialize_fact
-
+    def _to_wire(self, entry: AuditEntry) -> dict:
+        """One JSONL sink line; facts as :func:`fact_to_wire` writes them."""
         record = entry.record
-        return {
+        line = {
             "id": entry.id,
             "sql": record.sql,
             "bindings": dict(record.bindings),
@@ -149,5 +151,8 @@ class AuditStream:
             "from_cache": record.from_cache,
             "trace_len": record.trace_len,
             "views": list(getattr(record, "views", ())),
-            "facts": [_serialize_fact(fact) for fact in record.facts],
+            "facts": [fact_to_wire(fact) for fact in record.facts],
         }
+        if self._shard_id is not None:
+            line["shard"] = self._shard_id
+        return line

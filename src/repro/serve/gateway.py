@@ -140,8 +140,7 @@ class PolicyEpoch:
         #: The epoch's one decision-template store: the checker serves and
         #: learns compiled skeleton templates in it (``compile_checks``),
         #: sessions probe it before checking (``cache_mode="shared"``), and
-        #: cross-shard TEMPLATE events and write invalidation land in it.
-        #: ``None`` only when neither is on.
+        #: write invalidation lands in it. ``None`` only when neither is on.
         self.store: DecisionCache | None = (
             DecisionCache(policy)
             if self.compiled is not None or config.cache_mode == "shared"
@@ -247,14 +246,6 @@ class GatewayConnection(EnforcementProxy):
             finally:
                 self._pinned_epoch = None
         decision.policy_version = epoch.version
-        observer = gateway.template_observer
-        if (
-            observer is not None
-            and decision.allowed
-            and not decision.from_cache
-            and epoch.shared_cache is not None
-        ):
-            observer(bound, dict(self.session.bindings), decision, epoch)
         audit = gateway.decision_audit
         if audit is not None:
             trace = self.trace if self.config.history_enabled else None
@@ -405,15 +396,6 @@ class EnforcementGateway:
         self.decision_audit = None
         #: Optional shadow runner (repro.lifecycle.shadow.ShadowRunner).
         self.shadow = None
-        #: Optional hook called for every fresh Allow decision made under
-        #: a shared cache: ``observer(bound, bindings, decision, epoch)``.
-        #: The cluster tier uses it to publish newly derived decision
-        #: templates to peer shards (repro.cluster.exchange).
-        self.template_observer = None
-        #: Optional hook called (inside the write lock) with the tuple of
-        #: tables a write touched; the cluster tier broadcasts these as
-        #: cross-shard invalidations.
-        self.write_observer = None
 
     # -- the policy epoch --------------------------------------------------------
 
@@ -552,9 +534,6 @@ class EnforcementGateway:
             self.metrics.increment("writes")
             if evicted:
                 self.metrics.increment("templates_invalidated", evicted)
-            observer = self.write_observer
-            if observer is not None and tables:
-                observer(tables)
             return outcome
 
     @staticmethod

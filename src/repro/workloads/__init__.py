@@ -12,7 +12,17 @@ Each workload module exposes the same shape (see :class:`WorkloadApp` in
 from repro.workloads.runner import AppRunner, RequestOutcome, WorkloadApp
 from repro.workloads import calendar_app, employees, hospital, social
 
+#: ``--app`` name → workload module, the one table the CLI and the cluster
+#: supervisor resolve application names through.
+APPS = {
+    "calendar": calendar_app,
+    "hospital": hospital,
+    "employees": employees,
+    "social": social,
+}
+
 __all__ = [
+    "APPS",
     "AppRunner",
     "RequestOutcome",
     "WorkloadApp",

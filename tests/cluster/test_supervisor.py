@@ -7,9 +7,32 @@ experiments live in benchmarks/bench_e16_cluster.py.
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
+import time
 
-from repro.cluster import BackgroundCluster, ClusterConfig, shard_index_for
+import pytest
+
+from repro.cluster import (
+    BackgroundCluster,
+    ClusterConfig,
+    ShardProcess,
+    shard_index_for,
+    supervisor,
+)
+from repro.enforce.decision import PolicyViolation
 from repro.net import AdminClient, NetClientConnection
+from repro.serve import EnforcementGateway
+from repro.workloads import calendar_app
+
+
+def keys_of(value) -> set[str]:
+    """Every dict key anywhere inside a (JSON-shaped) STATS reply."""
+    if isinstance(value, dict):
+        return set(value).union(*(keys_of(inner) for inner in value.values()))
+    if isinstance(value, list):
+        return set().union(*(keys_of(inner) for inner in value))
+    return set()
 
 
 class TestBackgroundCluster:
@@ -51,6 +74,68 @@ class TestBackgroundCluster:
         assert {record["shard"] for record in records} <= {0, 1}
         assert all(record["allowed"] is True for record in records)
 
+    def test_every_shard_derives_its_own_decisions(self):
+        """Shards share nothing: the same statement shape from principals
+        homed on different shards is checked — and compiled into a
+        template — once per shard, and what the fleet decides is what one
+        gateway over the same data decides."""
+        size, shards = 8, 2
+        users = {shard_index_for({"MyUId": uid}, shards): uid for uid in (4, 3, 2, 1)}
+        assert sorted(users) == [0, 1]
+        blocked = ("SELECT Title FROM Events WHERE EId = ?", [2])  # empty trace
+        statements = [
+            blocked,
+            blocked,  # served by the shard's own compiled Block template
+            ("SELECT EId FROM Attendance WHERE UId = ?", None),  # args: [uid]
+            ("SELECT Name FROM Users WHERE UId = ?", None),
+        ]
+
+        def decisions(connect):
+            verdicts = []
+            for uid in users.values():
+                connection = connect(uid)
+                for sql, args in statements:
+                    try:
+                        connection.query(sql, args or [uid])
+                        verdicts.append((uid, sql, True))
+                    except PolicyViolation:
+                        verdicts.append((uid, sql, False))
+                connection.close()
+            return verdicts
+
+        with BackgroundCluster(
+            ClusterConfig(app="calendar", shards=shards, size=size)
+        ) as cluster:
+            fleet = decisions(
+                lambda uid: NetClientConnection("127.0.0.1", cluster.port, user=uid)
+            )
+            per_shard = []
+            for shard in cluster.shards:
+                with AdminClient("127.0.0.1", shard.port) as admin:
+                    per_shard.append(admin.stats())
+            with AdminClient("127.0.0.1", cluster.port) as admin:
+                merged = admin.stats()
+
+        app = calendar_app.make_app()
+        gateway = EnforcementGateway(
+            app.make_database(size, ClusterConfig(app="calendar").seed),
+            app.ground_truth_policy(),
+        )
+        try:
+            assert fleet == decisions(lambda uid: gateway.connect(uid, fresh=True))
+        finally:
+            gateway.close()
+        assert [allowed for _, _, allowed in fleet] == [False, False, True, True] * shards
+        for shard_id, stats in enumerate(per_shard):
+            assert stats["shard_id"] == shard_id
+            # Nobody handed this shard a template: it paid a check per shape.
+            assert stats["gateway"]["counters"]["compile_misses"] >= 3
+            assert stats["gateway"]["counters"]["compiled_hits"] >= 1
+        assert merged["gateway"]["counters"]["compiled_hits"] >= shards
+        assert not {
+            key for key in keys_of([merged, *per_shard]) if key.startswith("exchange_")
+        }
+
     def test_shared_db_path_serves_one_sqlite_file(self, tmp_path):
         shared = str(tmp_path / "fleet.db")
         config = ClusterConfig(
@@ -79,8 +164,6 @@ class TestBackgroundCluster:
         assert stats["cluster"]["shard_count"] == 2
 
     def test_shared_db_path_conflicts_are_rejected(self, tmp_path):
-        import pytest
-
         with pytest.raises(ValueError, match="mutually exclusive"):
             ClusterConfig(
                 app="calendar",
@@ -92,4 +175,35 @@ class TestBackgroundCluster:
                 app="calendar",
                 shared_db_path=str(tmp_path / "a.db"),
                 backend="memory",
+            )
+
+
+class TestShardProcess:
+    def test_silent_child_times_out_and_is_reaped(self, monkeypatch):
+        """``ready_timeout_s`` bounds the wait even when the child never
+        prints a byte, and the child does not outlive the failure."""
+        spawned = []
+        popen = subprocess.Popen
+
+        def recording_popen(*args, **kwargs):
+            spawned.append(popen(*args, **kwargs))
+            return spawned[-1]
+
+        monkeypatch.setattr(supervisor.subprocess, "Popen", recording_popen)
+        started = time.monotonic()
+        with pytest.raises(TimeoutError, match="did not become ready in 0.5s"):
+            ShardProcess(
+                0,
+                [sys.executable, "-c", "import time; time.sleep(60)"],
+                ready_timeout_s=0.5,
+            )
+        assert time.monotonic() - started < 5.0
+        assert len(spawned) == 1 and spawned[0].poll() is not None
+
+    def test_child_that_exits_before_ready_is_reported(self):
+        with pytest.raises(RuntimeError, match=r"exited \(code 3\).*'boom"):
+            ShardProcess(
+                0,
+                [sys.executable, "-c", "print('boom'); raise SystemExit(3)"],
+                ready_timeout_s=10.0,
             )

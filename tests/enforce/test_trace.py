@@ -5,9 +5,17 @@ from itertools import chain, combinations
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.enforce.trace import Trace, is_labeled_null
+import pytest
+
+from repro.enforce.trace import (
+    _NULL_PREFIX,
+    Trace,
+    fact_from_wire,
+    fact_to_wire,
+    is_labeled_null,
+)
 from repro.engine.executor import Result
-from repro.relalg.cq import Const
+from repro.relalg.cq import Atom, Const, Var
 from repro.relalg.translate import translate_select
 from repro.sqlir.parser import parse_select
 from repro.workloads import calendar_app
@@ -225,3 +233,36 @@ class TestIndexedTraceReadsLikeTheListModel:
         assert [fact.args[1].value for fact in trace.facts] == [2, True]
         assert type(trace.facts[1].args[1].value) is bool
         assert list(trace.facts_of("Attendance")) == list(trace.facts)
+
+
+class TestFactSerialization:
+    """``fact_to_wire`` / ``fact_from_wire``: the audit log's fact format."""
+
+    def test_const_fact_roundtrip(self):
+        fact = Atom("Attendance", (Const(1), Const("héllo — ünïcode")))
+        assert fact_to_wire(fact) == [
+            "Attendance", [["const", 1], ["const", "héllo — ünïcode"]]
+        ]
+        assert fact_from_wire(fact_to_wire(fact)) == fact
+
+    def test_labeled_null_roundtrip_preserves_identity(self):
+        null_a = Var(f"{_NULL_PREFIX}7")
+        null_b = Var(f"{_NULL_PREFIX}8")
+        fact = Atom("Events", (null_a, Const(2), null_a, null_b))
+        assert fact_to_wire(fact)[1][0] == ["null", "7"]
+        restored = fact_from_wire(fact_to_wire(fact))
+        assert is_labeled_null(restored.args[0])
+        assert restored.args[0] == restored.args[2]  # same null, same var
+        assert restored.args[0] != restored.args[3]
+        assert restored.args[1] == Const(2)
+
+    def test_bool_and_none_consts_survive(self):
+        fact = Atom("T", (Const(True), Const(None), Const(0)))
+        restored = fact_from_wire(fact_to_wire(fact))
+        assert restored.args[0].value is True
+        assert restored.args[1].value is None
+        assert restored.args[2].value == 0
+
+    def test_unknown_argument_kind_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown fact argument kind"):
+            fact_from_wire(["T", [["var", "x"]]])

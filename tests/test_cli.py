@@ -1,6 +1,7 @@
 """CLI tests: each subcommand through main(argv)."""
 
 import contextlib
+import json
 import os
 import re
 import signal
@@ -189,11 +190,9 @@ class TestParser:
         with pytest.raises(SystemExit):
             main([])
 
-    @pytest.mark.parametrize("command", ["serve-bench", "serve", "cluster", "shard"])
+    @pytest.mark.parametrize("command", ["serve-bench", "serve", "cluster"])
     def test_gateway_flags_are_the_same_on_every_subcommand(self, command, capsys):
         argv = [command, "--app", "calendar"]
-        if command == "shard":
-            argv += ["--shard-id", "0"]
         parser = build_parser()
         config = _gateway_config(parser.parse_args(argv))
         assert (config.cache_mode, config.compile_checks, config.batch_checks) == (
@@ -209,13 +208,24 @@ class TestParser:
             parser.parse_args([*argv, "--cache", "per-session"])
         assert "invalid choice: 'per-session'" in capsys.readouterr().err
 
+    def test_there_is_no_shard_subcommand(self, capsys):
+        """A shard is ``repro serve --shard-id N``; nothing else runs one."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["shard", "--app", "calendar", "--shard-id", "0"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'shard'" in capsys.readouterr().err
+        args = build_parser().parse_args(
+            ["serve", "--app", "calendar", "--shard-id", "3", "--audit-log", "f.jsonl"]
+        )
+        assert (args.shard_id, args.audit_log) == (3, "f.jsonl")
 
-def serve_subprocess(port: int) -> subprocess.Popen:
+
+def serve_subprocess(port: int, *flags: str) -> subprocess.Popen:
     """``python -m repro serve --port <port>`` with stdout+stderr captured."""
     src = Path(__file__).resolve().parents[1] / "src"
     return subprocess.Popen(
         [sys.executable, "-u", "-m", "repro", "serve", "--app", "calendar",
-         "--size", "10", "--port", str(port)],
+         "--size", "10", "--port", str(port), *flags],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
@@ -227,8 +237,8 @@ class ServeProcess:
     """``repro serve --port 0`` as a subprocess; ``port`` is parsed from
     its ready line."""
 
-    def __init__(self):
-        self.process = serve_subprocess(0)
+    def __init__(self, *flags: str):
+        self.process = serve_subprocess(0, *flags)
         assert self.process.stdout is not None
         ready = self.process.stdout.readline()
         match = re.search(r"listening on [\d.]+:(\d+)", ready)
@@ -324,11 +334,80 @@ class TestServeSignals:
         assert "listening on" not in output
 
 
+def listening_ports_of_group(pgid: int) -> set[int]:
+    """TCP ports that some process of group ``pgid`` listens on (/proc)."""
+    port_of_inode = {}
+    with open("/proc/net/tcp", encoding="ascii") as handle:
+        next(handle)
+        for line in handle:
+            fields = line.split()
+            if fields[3] == "0A":  # TCP_LISTEN
+                port_of_inode[fields[9]] = int(fields[1].rsplit(":", 1)[1], 16)
+    ports = set()
+    for pid in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            if os.getpgid(int(pid)) != pgid:
+                continue
+            for fd in os.listdir(f"/proc/{pid}/fd"):
+                link = os.readlink(f"/proc/{pid}/fd/{fd}")
+                if link.startswith("socket:[") and link[8:-1] in port_of_inode:
+                    ports.add(port_of_inode[link[8:-1]])
+        except OSError:
+            continue  # the process (or the fd) went away while we looked
+    return ports
+
+
+class TestServeAsAShard:
+    def test_shard_id_and_audit_log_on_plain_serve(self, tmp_path):
+        """What ``repro cluster`` spawns per shard: ``repro serve`` told its
+        shard id and where to log decisions. With ``--mine`` the miner
+        subscribes to that same stream instead of opening a second one."""
+        from repro.enforce.decision import PolicyViolation
+        from repro.enforce.trace import fact_from_wire, fact_to_wire
+        from repro.net import AdminClient, NetClientConnection
+
+        log = tmp_path / "f.jsonl"
+        server = ServeProcess("--shard-id", "3", "--audit-log", str(log), "--mine")
+        try:
+            connection = NetClientConnection("127.0.0.1", server.port, user=1)
+            assert connection.server_shard_id == 3
+            with pytest.raises(PolicyViolation):
+                connection.query("SELECT COUNT(*) FROM Events")
+            attended = connection.query(
+                "SELECT EId FROM Attendance WHERE UId = ?", [1]
+            )
+            connection.query("SELECT * FROM Events WHERE EId = ?", [attended.rows[0][0]])
+            connection.close()
+            with AdminClient("127.0.0.1", server.port) as admin:
+                stats = admin.stats()
+                stream = admin.mine_status()["stream"]
+            assert stats["shard_id"] == 3
+            counters = stats["gateway"]["counters"]
+            assert counters["audit_subscribers"] == 1
+            assert counters["audit_records"] == counters["audit_sink_records"] == 3
+            assert (stream["records"], stream["sink_records"]) == (3, 3)
+            server.process.terminate()
+            status, _ = server.wait()
+            assert status == 0
+        finally:
+            server.kill()
+        records = [json.loads(line) for line in log.read_text().splitlines()]
+        assert [record["allowed"] for record in records] == [False, True, True]
+        assert {record["shard"] for record in records} == {3}
+        assert {record["policy_version"] for record in records} == {1}
+        assert any(record["facts"] for record in records)
+        for record in records:
+            for fact in record["facts"]:
+                assert fact_to_wire(fact_from_wire(fact)) == fact
+
+
 class TestClusterSignals:
     def test_sigterm_to_the_cluster_drains_the_whole_fleet(self):
         """SIGTERM to the ``repro cluster`` pid alone — what systemd and
         docker send — stops the router *and* every shard subprocess: exit
-        0, and nothing of its process group is left running."""
+        0, and nothing of its process group is left running. While up, the
+        fleet listens on the router port and one port per shard, nothing
+        else: there is no side channel between shards to write to."""
         src = Path(__file__).resolve().parents[1] / "src"
         process = subprocess.Popen(
             [sys.executable, "-u", "-m", "repro", "cluster", "--app", "calendar",
@@ -350,6 +429,11 @@ class TestClusterSignals:
             assert shard_ports, ready
             for port in shard_ports.groups():  # both shards are really up
                 socket.create_connection(("127.0.0.1", int(port)), timeout=5.0).close()
+            router_port = re.search(r"router listening on [\d.]+:(\d+)", ready)
+            assert router_port, ready
+            assert listening_ports_of_group(process.pid) == {
+                int(port) for port in (*shard_ports.groups(), router_port.group(1))
+            }
             os.kill(process.pid, signal.SIGTERM)
             process.communicate(timeout=30.0)
             assert process.returncode == 0
