@@ -14,9 +14,10 @@ from repro.bench.harness import print_table
 from repro.enforce import DecisionCache, EnforcementProxy, PolicyViolation, Session
 from repro.sqlir.params import bind_parameters
 from repro.sqlir.parser import parse_select
+from repro.workloads import APPS
 from repro.workloads.runner import AppRunner
 
-from conftest import ALL_APPS, fresh_app
+from conftest import fresh_app
 
 
 def example_21_rows():
@@ -48,7 +49,7 @@ def example_21_rows():
 
 def workload_rows():
     rows = []
-    for name in ALL_APPS:
+    for name in APPS:
         app, db = fresh_app(name)
         policy = app.ground_truth_policy()
         requests = app.request_stream(db, random.Random(1), 60)

@@ -15,9 +15,10 @@ import time
 
 from repro.bench.harness import print_table
 from repro.enforce import DecisionCache
+from repro.workloads import APPS
 from repro.workloads.runner import AppRunner
 
-from conftest import ALL_APPS, fresh_app
+from conftest import fresh_app
 
 REQUESTS = 40
 
@@ -37,7 +38,7 @@ def run_mode(app, db, requests, mode, policy=None, cache=None, history=True):
 
 def overhead_rows():
     rows = []
-    for name, module in ALL_APPS.items():
+    for name in APPS:
         app, db = fresh_app(name)
         policy = app.ground_truth_policy()
         requests = app.request_stream(db, random.Random(4), REQUESTS)

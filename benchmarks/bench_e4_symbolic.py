@@ -10,8 +10,9 @@ import time
 from repro.bench.harness import print_table
 from repro.extract.symbolic import SymbolicExtractor
 from repro.policy.compare import compare_policies
+from repro.workloads import APPS
 
-from conftest import ALL_APPS, fresh_app
+from conftest import fresh_app
 
 
 def listing1_row():
@@ -33,7 +34,7 @@ def listing1_row():
 
 def per_app_rows():
     rows = [listing1_row()]
-    for name in ALL_APPS:
+    for name in APPS:
         app, db = fresh_app(name)
         extractor = SymbolicExtractor(db.schema)
         started = time.perf_counter()

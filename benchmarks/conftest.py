@@ -11,14 +11,7 @@ import random
 
 import pytest
 
-from repro.workloads import calendar_app, employees, hospital, social
-
-ALL_APPS = {
-    "calendar": calendar_app,
-    "hospital": hospital,
-    "employees": employees,
-    "social": social,
-}
+from repro.workloads import APPS
 
 #: Opaque-identifier hints per app, used by the mining experiments.
 OPAQUE_HINTS = {
@@ -64,7 +57,7 @@ def fresh_app(
     backend: str | None = None,
     db_path: str | None = None,
 ):
-    module = ALL_APPS[name]
+    module = APPS[name]
     app = module.make_app()
     db = app.make_database(
         size or app.default_size, seed, backend=backend, db_path=db_path

@@ -1,4 +1,4 @@
-"""Command-line interface: the paper's life-cycle as four subcommands.
+"""Command-line interface: the paper's life-cycle, one subcommand per step.
 
 ::
 
@@ -10,8 +10,6 @@
         "SELECT Disease FROM PatientConditions WHERE PId = 1" --constraints
     python -m repro diagnose --app calendar --user 1 --sql \\
         "SELECT * FROM Events WHERE EId = 2"
-    python -m repro serve-bench --app social --requests 500 --workers 8 \\
-        --write-every 20 --verify
     python -m repro serve --app calendar --port 7433 --max-in-flight 16
     python -m repro cluster --app calendar --shards 4 --port 7432
 
@@ -152,10 +150,20 @@ def cmd_audit(args: argparse.Namespace) -> int:
     views = policy.view_defs(bindings)
     try:
         stmt = parse_select(args.sensitive)
-        sensitive = translate_select(stmt, db.schema).disjuncts[0]
+        disjuncts = translate_select(stmt, db.schema).disjuncts
     except DbacError as exc:
         print(f"cannot analyze sensitive query: {exc}", file=sys.stderr)
         return 2
+    if len(disjuncts) != 1:
+        # PQI and NQI do not compose the same way over a union: an answer
+        # for one disjunct is not an answer for the query.
+        print(
+            f"cannot analyze sensitive query: it is a union of {len(disjuncts)}"
+            " conjunctive queries; audit each disjunct on its own",
+            file=sys.stderr,
+        )
+        return 2
+    sensitive = disjuncts[0]
     constraints = (
         _hospital_constraints() if args.constraints and args.app == "hospital" else None
     )
@@ -187,7 +195,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _add_gateway_flags(parser: argparse.ArgumentParser) -> None:
-    """The gateway flags `serve-bench`, `serve` and `cluster` share."""
+    """The gateway flags `serve` and `cluster` share."""
     parser.add_argument(
         "--cache",
         choices=["shared", "none"],
@@ -206,9 +214,9 @@ def _add_gateway_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _gateway_config(args: argparse.Namespace, **extra):
+def _gateway_config(args: argparse.Namespace):
     """The :class:`GatewayConfig` those flags (and ``--backend``/``--db-path``)
-    describe; ``extra`` carries a subcommand's own fields."""
+    describe."""
     from repro.serve import GatewayConfig
 
     return GatewayConfig(
@@ -217,49 +225,7 @@ def _gateway_config(args: argparse.Namespace, **extra):
         batch_checks=not args.no_batch,
         backend=args.backend,
         db_path=args.db_path,
-        **extra,
     )
-
-
-def cmd_serve_bench(args: argparse.Namespace) -> int:
-    from repro.serve import EnforcementGateway, WorkloadDriver
-
-    app, db = _load_app(args)
-    policy = app.ground_truth_policy()
-    gateway = EnforcementGateway(
-        db, policy, _gateway_config(args, verify_cached_decisions=args.verify)
-    )
-    driver = WorkloadDriver(
-        app, gateway, workers=args.workers, write_every=args.write_every
-    )
-    requests = app.request_stream(db, random.Random(args.seed), args.requests)
-    try:
-        report = driver.run(requests)
-    finally:
-        gateway.close()
-    print(
-        f"app={app.name} backend={db.backend_name} cache={args.cache}"
-        f" requests={report.requests}"
-        f" sessions={report.sessions} workers={report.workers}"
-    )
-    print(
-        f"throughput: {report.throughput_rps:.1f} req/s"
-        f" over {report.wall_seconds:.2f}s"
-    )
-    print(
-        f"outcomes: {report.completed} completed, {report.blocked} blocked,"
-        f" {report.aborted} aborted, {report.errors} errors,"
-        f" {report.writes} writes"
-    )
-    print(f"decision-cache hit rate: {report.hit_rate:.3f}")
-    assert report.metrics is not None
-    print(report.metrics.describe())
-    if args.verify:
-        disagreements = report.metrics.counters.get("cache_disagreements", 0)
-        verified = report.metrics.counters.get("cache_verified", 0)
-        print(f"cache verification: {disagreements} disagreements / {verified} hits")
-        return 1 if disagreements else 0
-    return 0
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -364,7 +330,6 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         cache_mode=args.cache,
         compile_checks=not args.no_compile,
         batch_checks=not args.no_batch,
-        shared_db_path=args.shared_db_path,
         audit_dir=args.audit_dir,
         router=RouterConfig(host=args.host, port=args.port),
     )
@@ -729,38 +694,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint.set_defaults(func=cmd_lint)
 
-    serve = sub.add_parser(
-        "serve-bench",
-        help="replay a workload through the multi-session gateway",
-    )
-    common(serve)
-    serve.add_argument(
-        "--users",
-        type=int,
-        default=None,
-        dest="size",
-        help="user population (alias for --size; apps scale data per user)",
-    )
-    serve.add_argument(
-        "--requests", type=_positive_int, default=300, help="stream length"
-    )
-    serve.add_argument(
-        "--workers", type=_positive_int, default=4, help="worker threads"
-    )
-    serve.add_argument(
-        "--write-every",
-        type=int,
-        default=0,
-        help="interleave a cache-invalidating write every N requests per session",
-    )
-    _add_gateway_flags(serve)
-    serve.add_argument(
-        "--verify",
-        action="store_true",
-        help="re-check every cache hit with the full checker; exit 1 on disagreement",
-    )
-    serve.set_defaults(func=cmd_serve_bench)
-
     net = sub.add_parser(
         "serve",
         help="serve the enforcement gateway over TCP (wire protocol)",
@@ -837,13 +770,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--audit-dir",
         default=None,
         help="write per-shard decision audit JSONL logs into this directory",
-    )
-    cluster.add_argument(
-        "--shared-db-path",
-        default=None,
-        help="point every shard at one shared SQLite file (WAL mode; the"
-        " supervisor seeds it once, shards open it read-mostly — see"
-        " docs/cluster.md for the single-writer caveat)",
     )
     cluster.set_defaults(func=cmd_cluster)
 

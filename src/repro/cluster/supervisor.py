@@ -12,8 +12,8 @@ serve`` prints once its socket is bound, keeps draining the child's
 stdout so it can never block on a full pipe, and stops the shard with
 ``SIGTERM`` (graceful drain) escalating to ``SIGKILL``.
 
-:class:`BackgroundCluster` is the synchronous façade tests and the E16
-benchmark use, mirroring :class:`~repro.net.server.BackgroundServer`:
+:class:`BackgroundCluster` is the synchronous façade tests and ``repro
+cluster`` use, mirroring :class:`~repro.net.server.BackgroundServer`:
 ``with BackgroundCluster(ClusterConfig(app="calendar", shards=4)) as
 cluster:`` brings up the shard fleet and the router (on a dedicated
 event-loop thread), exposes ``cluster.port`` for any wire client, and
@@ -35,28 +35,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.cluster.router import ClusterRouter, RouterConfig
-from repro.workloads import APPS
 
 #: The line ``repro serve`` announces itself with, socket already bound.
 _LISTENING = re.compile(r"listening on \S+:(\d+)\s")
-
-
-def seed_shared_database(app_name: str, size: int | None, seed: int, db_path: str) -> int:
-    """Seed ``db_path`` once, in-process, before any shard opens it.
-
-    ``make_database`` reopens an already-populated SQLite file without
-    re-seeding, so doing this in the supervisor makes the subsequent
-    per-shard opens pure readers of one WAL-mode file. Returns the row
-    count seeded (or already present).
-    """
-    app = APPS[app_name].make_app()
-    db = app.make_database(
-        size or app.default_size, seed, backend="sqlite", db_path=db_path
-    )
-    try:
-        return db.total_rows()
-    finally:
-        db.close()
 
 
 def _pythonpath_for_child() -> dict[str, str]:
@@ -151,7 +132,8 @@ class ShardProcess:
             pass
 
     def kill(self) -> None:
-        """Immediate SIGKILL — the E16 shard-down experiment's hammer."""
+        """Immediate SIGKILL, no drain: a shard that never became ready,
+        or a test taking one down under the router."""
         if self._process.poll() is None:
             self._process.kill()
             self._process.wait(timeout=5.0)
@@ -161,14 +143,12 @@ class ShardProcess:
 class ClusterConfig:
     """Everything :class:`BackgroundCluster` needs to bring a fleet up.
 
-    ``shared_db_path`` points every shard at one SQLite file instead of
-    each shard seeding a private copy: the supervisor seeds the file
-    once in-process (WAL mode, so the shard fleet reads it
-    concurrently), then spawns the shards with ``--backend sqlite
-    --db-path <file>`` — they find the rows already present and skip
-    re-seeding. Writes remain **single-writer**: route all mutations for
-    a table through one shard (or keep the workload read-only); see
-    docs/cluster.md.
+    ``backend`` / ``db_path`` are handed to every shard unchanged, so
+    ``backend="sqlite", db_path=F`` points the whole fleet at one file:
+    shards start one at a time, the first seeds ``F`` and the rest find
+    its rows (WAL mode, so they read it concurrently). Writes remain
+    **single-writer**: route all mutations for a table through one shard
+    (or keep the workload read-only); see docs/cluster.md.
     """
 
     app: str
@@ -177,8 +157,6 @@ class ClusterConfig:
     seed: int = 7
     backend: str | None = None
     db_path: str | None = None
-    #: One SQLite WAL file shared by every shard (implies backend=sqlite).
-    shared_db_path: str | None = None
     cache_mode: str = "shared"
     #: Epoch-compiled decision fast path per shard (docs/compilation.md).
     compile_checks: bool = True
@@ -189,19 +167,6 @@ class ClusterConfig:
     request_timeout_s: float = 30.0
     ready_timeout_s: float = 60.0
     router: RouterConfig = field(default_factory=lambda: RouterConfig(health_interval_s=0.5))
-
-    def __post_init__(self) -> None:
-        if self.shared_db_path is not None:
-            if self.db_path is not None:
-                raise ValueError(
-                    "shared_db_path and db_path are mutually exclusive:"
-                    " the shared file is passed to every shard as its db_path"
-                )
-            if self.backend not in (None, "sqlite"):
-                raise ValueError(
-                    f"shared_db_path requires the sqlite backend,"
-                    f" not {self.backend!r}"
-                )
 
 
 class BackgroundCluster:
@@ -264,12 +229,6 @@ class BackgroundCluster:
         config = self.config
         if config.audit_dir is not None:
             Path(config.audit_dir).mkdir(parents=True, exist_ok=True)
-        backend, db_path = config.backend, config.db_path
-        if config.shared_db_path is not None:
-            seed_shared_database(
-                config.app, config.size, config.seed, config.shared_db_path
-            )
-            backend, db_path = "sqlite", config.shared_db_path
         for shard_id in range(config.shards):
             argv = [
                 sys.executable, "-u", "-m", "repro", "serve",
@@ -282,10 +241,10 @@ class BackgroundCluster:
             ]
             if config.size is not None:
                 argv += ["--size", str(config.size)]
-            if backend is not None:
-                argv += ["--backend", backend]
-            if db_path is not None:
-                argv += ["--db-path", db_path]
+            if config.backend is not None:
+                argv += ["--backend", config.backend]
+            if config.db_path is not None:
+                argv += ["--db-path", config.db_path]
             if not config.compile_checks:
                 argv += ["--no-compile"]
             if not config.batch_checks:

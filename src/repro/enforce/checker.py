@@ -61,8 +61,8 @@ class ComplianceChecker:
     :class:`~repro.relalg.compile.CompiledPolicy`, and per-skeleton
     decision templates are served from / stored into ``skeletons`` (a
     :class:`~repro.enforce.cache.DecisionCache`; the gateway passes its
-    shared epoch store so cross-shard TEMPLATE events seed this same
-    structure, a private one is created when omitted).
+    epoch's one store, which the sessions also probe; a private one is
+    created when omitted).
     """
 
     def __init__(

@@ -112,15 +112,8 @@ class EnforcementProxy:
     :class:`~repro.engine.database.Database`, so application handlers run
     unmodified against either.
 
-    Configuration lives in :class:`ProxyConfig`. The pre-ProxyConfig
-    keyword arguments ``history_enabled``, ``cache``, and
-    ``record_decisions`` went through a deprecation cycle and are now a
-    hard error; pass ``config=ProxyConfig(...)``.
+    Configuration lives in :class:`ProxyConfig`.
     """
-
-    #: Removed constructor kwargs -> the ProxyConfig field that replaced
-    #: them (kept for the migration-hint error message).
-    _REMOVED_KWARGS = ("history_enabled", "cache", "record_decisions")
 
     def __init__(
         self,
@@ -128,19 +121,7 @@ class EnforcementProxy:
         policy: Policy,
         session: Session,
         config: ProxyConfig | None = None,
-        **legacy: object,
     ):
-        if legacy:
-            removed = sorted(set(legacy) & set(self._REMOVED_KWARGS))
-            if removed:
-                fields = ", ".join(f"{name}=..." for name in removed)
-                raise TypeError(
-                    f"EnforcementProxy no longer accepts keyword(s) {removed};"
-                    f" pass config=ProxyConfig({fields}) instead"
-                )
-            raise TypeError(
-                f"EnforcementProxy got unexpected keyword(s) {sorted(legacy)}"
-            )
         base = config or ProxyConfig()
         self.config = base
         self.db = db
@@ -161,16 +142,6 @@ class EnforcementProxy:
         return ComplianceChecker(
             self.db.schema, self.policy, history_enabled=self.config.history_enabled
         )
-
-    # -- deprecated accessors (pre-ProxyConfig attribute names) -------------------
-
-    @property
-    def cache(self) -> DecisionCache | None:
-        return self.config.cache
-
-    @property
-    def record_decisions(self) -> bool:
-        return self.config.record_decisions
 
     # -- the application-facing API ----------------------------------------------
 
@@ -271,7 +242,8 @@ class EnforcementProxy:
         return result
 
     def close(self) -> None:
-        """Close the session: drop the trace and refuse further statements."""
+        """Close the session: refuse further statements. The trace stays
+        readable on the closed object; nothing resumes it."""
         self._closed = True
 
     # -- decisions ---------------------------------------------------------------

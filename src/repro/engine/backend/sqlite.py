@@ -78,7 +78,7 @@ class SqliteBackend(EngineBackend):
         self._conn.execute("PRAGMA foreign_keys = ON")
         if path is not None:
             # File-backed databases may be shared by a whole shard fleet
-            # (cluster --shared-db-path): WAL lets N readers proceed
+            # (cluster --backend sqlite --db-path): WAL lets N readers proceed
             # under the single writer, and the busy timeout absorbs
             # seed-time write contention instead of surfacing
             # "database is locked" immediately.

@@ -209,9 +209,6 @@ class Database:
             return sql
         return self.prepare(sql).statement
 
-    # Backwards-compatible alias; prefer :meth:`parse`.
-    _parse = parse
-
     def close(self) -> None:
         """Connection-protocol close: refuse further statements and release
         backend resources. Idempotent.

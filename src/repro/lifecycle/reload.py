@@ -141,18 +141,13 @@ class LifecycleManager:
         assert boot.version == gateway.policy_version == 1
         self.registry.record_activation(boot.version)
         self.mining = None
-        if getattr(gateway.config, "mining", None) is not None:
-            self.enable_mining(gateway.config.mining)
 
     def enable_mining(self, config=None, stream=None):
         """Attach a :class:`repro.mining.MiningService` to this manager.
 
-        Called automatically when the gateway was configured with
-        ``GatewayConfig(mining=…)``; callable directly for programmatic
-        setups. The service is created stopped — call
-        ``manager.mining.start()`` (or ``repro serve --mine``) to run the
-        background loop, or drive ``run_once()`` by hand / over the
-        MINE admin verb.
+        The service is created stopped — call ``manager.mining.start()``
+        (``repro serve --mine`` does both) to run the background loop, or
+        drive ``run_once()`` by hand / over the MINE admin verb.
         """
         from repro.mining.service import MiningService
 

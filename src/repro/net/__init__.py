@@ -13,14 +13,13 @@ exposing net + gateway metrics. The blocking client
 protocol so workloads replay over the wire unmodified, plus the hit-path
 extras: ``prepare``/``execute`` (server-side prepared handles) and
 ``pipeline`` (windowed in-flight requests over one socket). See
-``docs/networking.md``, ``docs/prepared.md``, and the E12/E18
-benchmarks.
+``docs/networking.md``, ``docs/prepared.md``, and the ``wire_hit`` /
+``wire_pipelined`` workloads of ``bench/run.py``.
 """
 
 from repro.net.client import (
     AdminClient,
     NetClientConnection,
-    NetGatewayClient,
     PreparedWireStatement,
     connect_with_retry,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "FrameTooLarge",
     "NetClientConnection",
     "NetError",
-    "NetGatewayClient",
     "NetMetrics",
     "NetServer",
     "PreparedWireStatement",

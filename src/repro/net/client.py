@@ -2,17 +2,10 @@
 
 :class:`NetClientConnection` implements the standard
 :class:`~repro.engine.connection.Connection` protocol over a TCP socket,
-so every workload handler, the :class:`~repro.serve.driver.WorkloadDriver`,
-and the contract tests run against a remote gateway *unmodified* — a
-blocked query surfaces as the same :class:`PolicyViolation` the
-in-process proxy raises, and a SELECT's answer comes back as the same
-:class:`~repro.engine.executor.Result`.
-
-:class:`NetGatewayClient` is the gateway-shaped façade over many client
-connections: ``connect(bindings)`` vends (and memoizes) one wire
-connection per session principal, mirroring
-:meth:`~repro.serve.gateway.EnforcementGateway.connect`, which is all
-the driver needs to replay a workload over the network.
+so every workload handler and the contract tests run against a remote
+gateway *unmodified* — a blocked query surfaces as the same
+:class:`PolicyViolation` the in-process proxy raises, and a SELECT's
+answer comes back as the same :class:`~repro.engine.executor.Result`.
 """
 
 from __future__ import annotations
@@ -25,7 +18,6 @@ from repro.enforce.decision import Decision, PolicyViolation
 from repro.engine.executor import Result
 from repro.net import protocol
 from repro.net.protocol import ConnectionClosed, NetError
-from repro.serve.metrics import GatewayMetrics, MetricsSnapshot
 from repro.sqlir import ast
 from repro.util.errors import EngineError
 
@@ -633,88 +625,6 @@ class AdminClient:
             self._sock.close()
 
     def __enter__(self) -> "AdminClient":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-class NetGatewayClient:
-    """A gateway-shaped handle on a *remote* gateway.
-
-    Mirrors the :class:`~repro.serve.gateway.EnforcementGateway` surface
-    the :class:`~repro.serve.driver.WorkloadDriver` uses — ``connect``,
-    ``metrics``, ``snapshot``, ``cache_hit_rate`` — so a workload replay
-    targets the network with a one-line change (construct this instead
-    of a gateway). ``db`` is optional and only needed by drivers that
-    synthesize writes from the schema (``write_every``).
-    """
-
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        db=None,
-        timeout_s: float = 30.0,
-    ):
-        self.host = host
-        self.port = port
-        self.db = db
-        self.timeout_s = timeout_s
-        self.metrics = GatewayMetrics()
-        self._connections: dict[tuple, NetClientConnection] = {}
-
-    def connect(
-        self, bindings: Mapping[str, object], fresh: bool = False
-    ) -> NetClientConnection:
-        key = tuple(sorted(bindings.items()))
-        if fresh:
-            return self._open(bindings, fresh=True)
-        connection = self._connections.get(key)
-        if connection is None or connection.closed:
-            connection = self._open(bindings, fresh=False)
-            self._connections[key] = connection
-        return connection
-
-    def _open(self, bindings: Mapping[str, object], fresh: bool) -> NetClientConnection:
-        return NetClientConnection(
-            self.host,
-            self.port,
-            bindings=bindings,
-            fresh=fresh,
-            timeout_s=self.timeout_s,
-        )
-
-    def snapshot(self) -> MetricsSnapshot:
-        """Client-side metrics (the driver's ``request`` histogram)."""
-        return self.metrics.snapshot()
-
-    def remote_stats(self) -> dict:
-        """The server's STATS document, via a transient connection."""
-        sock = socket.create_connection((self.host, self.port), timeout=self.timeout_s)
-        try:
-            protocol.write_frame(sock, {"type": protocol.STATS, "id": 0})
-            return protocol.read_frame(sock)
-        finally:
-            try:
-                protocol.write_frame(sock, {"type": protocol.GOODBYE})
-            except OSError:
-                pass
-            sock.close()
-
-    def cache_hit_rate(self) -> float:
-        try:
-            return float(self.remote_stats().get("cache_hit_rate", 0.0))
-        except (NetError, OSError):
-            return 0.0
-
-    def close(self) -> None:
-        """Close every vended connection. Idempotent."""
-        connections, self._connections = self._connections, {}
-        for connection in connections.values():
-            connection.close()
-
-    def __enter__(self) -> "NetGatewayClient":
         return self
 
     def __exit__(self, *exc_info) -> None:

@@ -67,7 +67,7 @@ started with a :class:`~repro.lifecycle.reload.LifecycleManager`):
   ``approve`` submits a parked candidate (by content fingerprint) to
   shadow mode, ``run`` forces one mining cycle now. Requires the server's
   lifecycle manager to have a mining service attached
-  (``GatewayConfig(mining=…)`` or ``repro serve --mine``).
+  (``LifecycleManager.enable_mining`` — ``repro serve --mine``).
 
 These are additive message types: a version-1 client that never sends
 them is unaffected, so ``PROTOCOL_VERSION`` stays 1.
@@ -221,7 +221,7 @@ def decode_payload(payload: bytes | bytearray) -> dict[str, Any]:
     return message
 
 
-# -- asyncio framing (the cluster router and the template bus) ---------------
+# -- asyncio framing (the cluster router) ------------------------------------
 
 
 async def read_frame_async(reader, max_frame_bytes: int = MAX_FRAME_BYTES) -> dict:

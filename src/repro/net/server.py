@@ -856,7 +856,7 @@ class NetServer:
         if mining is None:
             raise NetError(
                 "no mining service attached; start the server with"
-                " GatewayConfig(mining=…) or `repro serve --mine`",
+                " `repro serve --mine` (LifecycleManager.enable_mining)",
                 code=protocol.ERR_BAD_REQUEST,
             )
         action = frame.get("action")

@@ -16,7 +16,7 @@ redid on every miss:
   statements each, so instantiation (a full substitution walk over every
   view body) collapses to one dict probe;
 * the policy's structural constants and content fingerprint are computed
-  once and shared (the fingerprint fences cross-shard template events).
+  once and shared.
 
 Everything here is *immutable after construction*: a compiled policy can
 be shared across gateway session threads and swapped atomically on hot

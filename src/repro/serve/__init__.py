@@ -4,13 +4,11 @@ Scales the paper's per-session enforcement proxy to a deployment shape:
 one :class:`EnforcementGateway` per process owns one
 :class:`~repro.enforce.cache.DecisionCache` per policy epoch (decision
 templates learned in any session serve every session, without ever
-over-allowing), write-driven template invalidation, per-stage latency
-metrics, and a worker-pool driver that replays the bundled application
-workloads from N concurrent simulated users. See ``docs/serving.md`` and
-the E11 benchmark.
+over-allowing), write-driven template invalidation and per-stage latency
+metrics. See ``docs/serving.md``; ``bench/run.py`` replays the bundled
+workloads through it.
 """
 
-from repro.serve.driver import DriveReport, WorkloadDriver, no_op_write_for
 from repro.serve.gateway import (
     DecisionAuditRecord,
     EnforcementGateway,
@@ -22,7 +20,6 @@ from repro.serve.metrics import GatewayMetrics, LatencyHistogram, MetricsSnapsho
 
 __all__ = [
     "DecisionAuditRecord",
-    "DriveReport",
     "EnforcementGateway",
     "GatewayConfig",
     "GatewayConnection",
@@ -30,6 +27,4 @@ __all__ = [
     "PolicyEpoch",
     "LatencyHistogram",
     "MetricsSnapshot",
-    "WorkloadDriver",
-    "no_op_write_for",
 ]

@@ -99,11 +99,6 @@ class GatewayConfig:
     batch_checks: bool = True
     backend: str | None = None
     db_path: str | None = None
-    #: Optional :class:`repro.mining.MiningConfig`: when set, a
-    #: LifecycleManager bound to this gateway auto-attaches a
-    #: MiningService (audit tap + periodic candidate mining). Declarative
-    #: like ``backend``: the gateway itself never reads it.
-    mining: object | None = None
 
     def __post_init__(self) -> None:
         if self.cache_mode not in ("shared", "none"):
@@ -226,6 +221,14 @@ class GatewayConnection(EnforcementProxy):
         """The deciding epoch's checker: a session has none of its own,
         so none is built at connect and none outlives a reload."""
         return self._gateway.epoch.checker
+
+    def close(self) -> None:
+        """Close the session and leave the gateway's session table: the
+        principal's next ``connect`` opens a new session on an empty trace
+        (re-derive, never inherit). A ``fresh=True`` session was never in
+        the table."""
+        super().close()
+        self._gateway._release(self)
 
     # -- epoch-pinned deciding ---------------------------------------------------
 
@@ -460,8 +463,9 @@ class EnforcementGateway:
         bare user id (bound to the conventional ``MyUId`` parameter).
         Connections are keyed by their bindings: reconnecting as the same
         principal resumes the same trace, the way an application server's
-        session store would. ``fresh=True`` forces a brand-new session
-        (empty trace) without disturbing the stored one.
+        session store would, until that session is closed. ``fresh=True``
+        forces a brand-new session (empty trace) without disturbing the
+        stored one.
         """
         normalized = self._normalize(session)
         key = tuple(sorted(normalized.bindings.items()))
@@ -476,15 +480,22 @@ class EnforcementGateway:
                 self.metrics.increment("sessions_opened")
             return connection
 
+    def _release(self, connection: GatewayConnection) -> None:
+        """Drop a closed session from the table, if it is the stored one."""
+        key = tuple(sorted(connection.session.bindings.items()))
+        with self._connect_lock:
+            if self._connections.get(key) is connection:
+                del self._connections[key]
+
     def connections(self) -> list[GatewayConnection]:
         with self._connect_lock:
             return list(self._connections.values())
 
     def close(self) -> None:
         with self._connect_lock:
-            for connection in self._connections.values():
+            # A snapshot: each close() removes its own entry.
+            for connection in list(self._connections.values()):
                 connection.close()
-            self._connections.clear()
         if self.shadow is not None:
             self.shadow.close()
             self.shadow = None

@@ -12,8 +12,8 @@ Each workload module exposes the same shape (see :class:`WorkloadApp` in
 from repro.workloads.runner import AppRunner, RequestOutcome, WorkloadApp
 from repro.workloads import calendar_app, employees, hospital, social
 
-#: ``--app`` name → workload module, the one table the CLI and the cluster
-#: supervisor resolve application names through.
+#: ``--app`` name → workload module, the one table the CLI and the
+#: experiment scripts resolve application names through.
 APPS = {
     "calendar": calendar_app,
     "hospital": hospital,

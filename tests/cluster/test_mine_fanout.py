@@ -14,7 +14,7 @@ from repro.mining import MiningConfig
 from repro.net import AdminClient, BackgroundServer, NetClientConnection, ServerConfig
 from repro.policy import policy_to_text
 from repro.policy.policy import Policy
-from repro.serve import EnforcementGateway, GatewayConfig
+from repro.serve import EnforcementGateway
 from repro.workloads import calendar_app
 
 from tests.cluster.test_router import _BackgroundRouter
@@ -25,11 +25,7 @@ def make_mining_gateway() -> EnforcementGateway:
     if db.query("SELECT 1 FROM Attendance WHERE UId = 1 AND EId = 2").is_empty():
         db.sql("INSERT INTO Attendance VALUES (1, 2)")
     policy = calendar_app.make_app().ground_truth_policy()
-    return EnforcementGateway(
-        db,
-        policy,
-        GatewayConfig(mining=MiningConfig(min_window=4, mode="propose_only")),
-    )
+    return EnforcementGateway(db, policy)
 
 
 @pytest.fixture
@@ -39,6 +35,8 @@ def mining_cluster():
         LifecycleManager(gateway, gates=GateConfig(min_shadow_checks=3))
         for gateway in gateways
     ]
+    for lifecycle in lifecycles:
+        lifecycle.enable_mining(MiningConfig(min_window=4, mode="propose_only"))
     servers = [
         BackgroundServer(
             gateway, ServerConfig(port=0, shard_id=index), lifecycle=lifecycle

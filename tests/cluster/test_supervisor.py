@@ -1,7 +1,7 @@
 """BackgroundCluster: real shard subprocesses behind a real router.
 
-Kept deliberately small (tiny database, two shards) — the heavy cluster
-experiments live in benchmarks/bench_e16_cluster.py.
+Kept deliberately small (tiny database, two shards); fleet throughput
+is the ``cluster_hit`` workload of ``bench/run.py``.
 """
 
 from __future__ import annotations
@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -22,8 +23,12 @@ from repro.cluster import (
 )
 from repro.enforce.decision import PolicyViolation
 from repro.net import AdminClient, NetClientConnection
+from repro.policy import policy_to_text
+from repro.policy.policy import Policy
 from repro.serve import EnforcementGateway
 from repro.workloads import calendar_app
+
+from tests.conftest import reverify_audit
 
 
 def keys_of(value) -> set[str]:
@@ -33,6 +38,15 @@ def keys_of(value) -> set[str]:
     if isinstance(value, list):
         return set().union(*(keys_of(inner) for inner in value))
     return set()
+
+
+def read_audits(paths) -> list[dict]:
+    """Every decision line of the shards' JSONL audit logs."""
+    records = []
+    for path in paths:
+        with open(path, encoding="utf-8") as handle:
+            records.extend(json.loads(line) for line in handle if line.strip())
+    return records
 
 
 class TestBackgroundCluster:
@@ -66,10 +80,7 @@ class TestBackgroundCluster:
 
         # After shutdown the audit logs are complete, parseable JSONL,
         # and every decision is stamped with its shard.
-        records = []
-        for path in audit_paths:
-            with open(path, encoding="utf-8") as handle:
-                records.extend(json.loads(line) for line in handle if line.strip())
+        records = read_audits(audit_paths)
         assert len(records) >= 3
         assert {record["shard"] for record in records} <= {0, 1}
         assert all(record["allowed"] is True for record in records)
@@ -136,10 +147,97 @@ class TestBackgroundCluster:
             key for key in keys_of([merged, *per_shard]) if key.startswith("exchange_")
         }
 
-    def test_shared_db_path_serves_one_sqlite_file(self, tmp_path):
-        shared = str(tmp_path / "fleet.db")
+    def test_rolling_reload_under_prepared_traffic_is_torn_free(self, tmp_path):
+        """A real fleet, reloaded shard by shard under load: every decision
+        a shard audited re-verifies against a fresh checker for the policy
+        version it claims, while each swap stales the live prepared handles
+        and the client re-prepares without the caller noticing."""
+        size = 8
+        app = calendar_app.make_app()
+        db = app.make_database(size, ClusterConfig(app="calendar").seed)
+        truth = app.ground_truth_policy()
+        reduced = Policy([v for v in truth.views if v.name != "V2"], name="minus-V2")
+        users = (1, 2, 3)
+        # An event each user attends: its Events row is allowed under the
+        # full policy once the attendance is in the trace, and blocked
+        # without V2 — a decision stamped with the wrong version would flip.
+        attended = {
+            uid: db.query("SELECT EId FROM Attendance WHERE UId = ?", [uid]).rows[0][0]
+            for uid in users
+        }
         config = ClusterConfig(
-            app="calendar", shards=2, size=8, shared_db_path=shared
+            app="calendar", shards=2, size=size, audit_dir=str(tmp_path)
+        )
+        stop = threading.Event()
+        errors: list = []
+        executes = dict.fromkeys(users, 0)
+
+        def traffic(uid: int, port: int) -> None:
+            try:
+                connection = NetClientConnection("127.0.0.1", port, user=uid)
+                prepared = connection.prepare("SELECT EId FROM Attendance WHERE UId = ?")
+                while not stop.is_set():
+                    connection.execute(prepared, [uid])
+                    executes[uid] += 1
+                    try:
+                        connection.query(
+                            f"SELECT * FROM Events WHERE EId = {attended[uid]}"
+                        )
+                    except PolicyViolation:
+                        pass
+                connection.close()
+            except Exception as exc:  # pragma: no cover - asserted below
+                errors.append(exc)
+
+        def await_progress() -> None:
+            """Every session executes through its handle at least twice, so
+            each reload finds live handles of the version it retires."""
+            floor = {uid: count + 2 for uid, count in executes.items()}
+            deadline = time.monotonic() + 20.0
+            while time.monotonic() < deadline and not errors:
+                if all(executes[uid] >= floor[uid] for uid in users):
+                    return
+                time.sleep(0.005)
+            raise AssertionError(f"traffic stalled: {executes}, errors {errors}")
+
+        policies = {1: truth}
+        with BackgroundCluster(config) as cluster:
+            threads = [
+                threading.Thread(target=traffic, args=(uid, cluster.port))
+                for uid in users
+            ]
+            for thread in threads:
+                thread.start()
+            try:
+                with AdminClient("127.0.0.1", cluster.port, timeout_s=30.0) as admin:
+                    for version in (2, 3, 4):
+                        await_progress()
+                        policies[version] = reduced if version % 2 == 0 else truth
+                        report = admin.reload(policy_to_text(policies[version]))
+                        assert report["new_version"] == version
+                    await_progress()
+                    net_counters = admin.stats()["net"]["counters"]
+            finally:
+                stop.set()
+                for thread in threads:
+                    thread.join(timeout=30.0)
+            audit_paths = cluster.audit_paths()
+
+        assert not errors
+        assert net_counters["prepared_stale"] > 0
+        records = read_audits(audit_paths)
+        assert {record["policy_version"] for record in records} == {1, 2, 3, 4}
+        assert {record["allowed"] for record in records} == {True, False}
+        assert reverify_audit(records, policies, db) == []
+
+    def test_db_path_serves_one_sqlite_file(self, tmp_path):
+        """``backend="sqlite", db_path=F`` is the whole shared-file story:
+        shards start one at a time, shard 0 seeds ``F``, shard 1 finds the
+        rows and seeds nothing."""
+        shared = str(tmp_path / "fleet.db")
+        size = 8
+        config = ClusterConfig(
+            app="calendar", shards=2, size=size, backend="sqlite", db_path=shared
         )
         with BackgroundCluster(config) as cluster:
             for uid in (1, 2):
@@ -149,33 +247,21 @@ class TestBackgroundCluster:
                 )
                 assert result.columns == ["EId"]
                 connection.close()
-            admin = AdminClient("127.0.0.1", cluster.port)
-            stats = admin.stats()
-            admin.close()
-        # Both shards opened the pre-seeded file (WAL sidecars prove the
-        # journal mode; the supervisor seeded it exactly once).
+            backends = []
+            for shard in cluster.shards:
+                with AdminClient("127.0.0.1", shard.port) as admin:
+                    backends.append(admin.stats()["backend"])
+            with AdminClient("127.0.0.1", cluster.port) as admin:
+                stats = admin.stats()
+        assert backends == [{"name": "sqlite", "path": shared}] * 2
         import sqlite3
 
         conn = sqlite3.connect(shared)
         assert conn.execute("PRAGMA journal_mode").fetchone()[0] == "wal"
         rows = conn.execute("SELECT COUNT(*) FROM Users").fetchone()[0]
         conn.close()
-        assert rows > 0
+        assert rows == size  # seeded exactly once
         assert stats["cluster"]["shard_count"] == 2
-
-    def test_shared_db_path_conflicts_are_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            ClusterConfig(
-                app="calendar",
-                shared_db_path=str(tmp_path / "a.db"),
-                db_path=str(tmp_path / "b.db"),
-            )
-        with pytest.raises(ValueError, match="sqlite"):
-            ClusterConfig(
-                app="calendar",
-                shared_db_path=str(tmp_path / "a.db"),
-                backend="memory",
-            )
 
 
 class TestShardProcess:

@@ -4,9 +4,43 @@ from __future__ import annotations
 
 import pytest
 
+from repro.enforce.checker import ComplianceChecker
+from repro.enforce.trace import Trace, fact_from_wire
 from repro.engine import Column, ColumnType, Database, ForeignKey, Schema, TableSchema
 from repro.relalg.translate import DictSchema
 from repro.workloads import calendar_app, employees, hospital, social
+
+
+def reverify_audit(records, policy_by_version, db) -> list:
+    """Re-decide audited decisions from scratch; returns those that differ.
+
+    Each record — a :class:`~repro.serve.gateway.DecisionAuditRecord`, or
+    the JSONL line an :class:`~repro.mining.AuditStream` sink wrote for
+    one — is checked by a fresh, template-free checker for
+    ``policy_by_version[record.policy_version]`` over the trace facts as
+    of decision time. ``db`` must hold the schema the decisions were made
+    on. An empty result means no decision was torn across a reload (map
+    each version to the policy it served) or, with every version mapped
+    to one candidate policy, that the candidate flips none of them.
+    """
+    checkers: dict[int, ComplianceChecker] = {}
+    differing = []
+    for record in records:
+        if isinstance(record, dict):
+            sql, bindings, allowed = record["sql"], record["bindings"], record["allowed"]
+            version = record["policy_version"]
+            facts = [fact_from_wire(fact) for fact in record["facts"]]
+        else:
+            sql, bindings, allowed = record.sql, record.bindings, record.allowed
+            version, facts = record.policy_version, record.facts
+        if version not in checkers:
+            checkers[version] = ComplianceChecker(db.schema, policy_by_version[version])
+        fresh = checkers[version].check(
+            db.parse(sql), bindings, Trace.from_facts(facts)
+        )
+        if fresh.allowed != allowed:
+            differing.append(record)
+    return differing
 
 
 @pytest.fixture

@@ -1,11 +1,9 @@
-"""Legacy EnforcementProxy kwargs: the deprecation cycle is complete.
+"""EnforcementProxy is configured through :class:`ProxyConfig` only.
 
 The individual ``history_enabled`` / ``cache`` / ``record_decisions``
-constructor keywords predate :class:`ProxyConfig`. PR 1 deprecated them
-(warn + honor); this cycle ends it: they are a hard ``TypeError`` whose
-message names the offending keyword(s) and shows the ``ProxyConfig``
-migration, so a stale call site fails loudly with instructions rather
-than silently changing behavior.
+constructor keywords predate :class:`ProxyConfig`; their deprecation
+cycle is over, so a stale call site gets Python's own ``TypeError`` for
+an unknown keyword, like any other misspelt argument.
 """
 
 from __future__ import annotations
@@ -15,7 +13,6 @@ import warnings
 import pytest
 
 from repro.enforce import EnforcementProxy, ProxyConfig, Session
-from repro.enforce.cache import DecisionCache
 
 
 @pytest.fixture
@@ -29,28 +26,6 @@ def make_proxy(calendar_db, calendar_policy):
 
 
 class TestLegacyKwargsAreHardErrors:
-    def test_history_enabled_raises_with_migration_hint(self, make_proxy):
-        with pytest.raises(TypeError, match=r"history_enabled"):
-            make_proxy(history_enabled=False)
-        with pytest.raises(TypeError, match=r"ProxyConfig\(history_enabled=\.\.\.\)"):
-            make_proxy(history_enabled=False)
-
-    def test_cache_raises_with_migration_hint(self, make_proxy, calendar_policy):
-        cache = DecisionCache(calendar_policy)
-        with pytest.raises(TypeError, match=r"ProxyConfig\(cache=\.\.\.\)"):
-            make_proxy(cache=cache)
-
-    def test_record_decisions_raises_with_migration_hint(self, make_proxy):
-        with pytest.raises(TypeError, match=r"ProxyConfig\(record_decisions=\.\.\.\)"):
-            make_proxy(record_decisions=True)
-
-    def test_multiple_kwargs_named_together(self, make_proxy):
-        with pytest.raises(TypeError) as excinfo:
-            make_proxy(history_enabled=False, record_decisions=True)
-        message = str(excinfo.value)
-        assert "history_enabled" in message
-        assert "record_decisions" in message
-
     def test_legacy_kwarg_rejected_even_alongside_config(self, make_proxy):
         with pytest.raises(TypeError, match="record_decisions"):
             make_proxy(ProxyConfig(history_enabled=False), record_decisions=True)
@@ -73,12 +48,6 @@ class TestModernPath:
         assert proxy.checker.history_enabled is False
         assert proxy.config.record_decisions is True
         assert proxy.config.decision_log_cap == 7
-
-    def test_readonly_accessors_still_answer(self, make_proxy, calendar_policy):
-        cache = DecisionCache(calendar_policy)
-        proxy = make_proxy(ProxyConfig(cache=cache, record_decisions=True))
-        assert proxy.cache is cache
-        assert proxy.record_decisions is True
 
     def test_defaults_emit_no_warning(self, make_proxy):
         with warnings.catch_warnings():

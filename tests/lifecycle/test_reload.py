@@ -7,12 +7,11 @@ import time
 
 import pytest
 
-from repro.enforce.checker import ComplianceChecker
 from repro.enforce.decision import PolicyViolation
-from repro.enforce.trace import Trace
 from repro.lifecycle import LifecycleManager, hot_reload
 from repro.lifecycle.reload import LifecycleError
 from repro.serve import EnforcementGateway, GatewayConfig
+from tests.conftest import reverify_audit
 from tests.lifecycle.conftest import reduced_policy
 
 
@@ -191,18 +190,7 @@ class TestNoTornDecisions:
         gateway.close()
         assert not errors
         assert len(audits) > 20
-        checkers = {
-            version: ComplianceChecker(db.schema, policy)
-            for version, policy in policies.items()
-        }
-        torn = 0
-        for record in audits:
-            fresh = checkers[record.policy_version].check(
-                db.parse(record.sql), record.bindings, Trace.from_facts(record.facts)
-            )
-            if fresh.allowed != record.allowed:
-                torn += 1
-        assert torn == 0
+        assert reverify_audit(audits, policies, db) == []
 
 
 class TestCompiledEpochIsolation:

@@ -8,7 +8,7 @@ from repro.lifecycle import LifecycleManager
 from repro.lifecycle.promote import GateConfig
 from repro.mining import MiningConfig
 from repro.policy.policy import Policy
-from repro.serve import EnforcementGateway, GatewayConfig
+from repro.serve import EnforcementGateway
 from repro.workloads import calendar_app
 
 
@@ -31,14 +31,14 @@ def make_mining_stack(
     **config_overrides,
 ):
     """Gateway + LifecycleManager with an attached MiningService."""
-    mining = MiningConfig(min_window=min_window, mode=mode, **config_overrides)
-    gateway = EnforcementGateway(
-        db, app.ground_truth_policy(), GatewayConfig(mining=mining)
-    )
+    gateway = EnforcementGateway(db, app.ground_truth_policy())
     manager = LifecycleManager(
         gateway, gates=GateConfig(min_shadow_checks=min_shadow_checks)
     )
-    return gateway, manager, manager.mining
+    service = manager.enable_mining(
+        MiningConfig(min_window=min_window, mode=mode, **config_overrides)
+    )
+    return gateway, manager, service
 
 
 def without_view(policy: Policy, name: str) -> Policy:

@@ -8,6 +8,7 @@ from repro.enforce.decision import PolicyViolation
 from repro.mining import MinedCandidate, MiningError
 from repro.policy.serialize import policy_to_text
 
+from tests.conftest import reverify_audit
 from tests.mining.conftest import make_mining_stack, without_view
 
 
@@ -27,10 +28,20 @@ def seed_gap(gateway, manager, connection):
         connection.query(f"SELECT 1 FROM Attendance WHERE UId = 1 AND EId = {eid}")
 
 
+def allows_flipped_by_active_policy(oracle, gateway, db) -> list:
+    """The promotion oracle: every Allow audited so far, under whichever
+    version, re-decided from scratch under the now-active policy."""
+    allows = [entry.record for entry in oracle.drain() if entry.record.allowed]
+    assert allows
+    versions = {record.policy_version for record in allows}
+    return reverify_audit(allows, dict.fromkeys(versions, gateway.policy), db)
+
+
 class TestAutoPromote:
     def test_seeded_gap_is_mined_shadowed_and_promoted(self, calendar_pair):
         app, db = calendar_pair
         gateway, manager, service = make_mining_stack(app, db, mode="auto_promote")
+        oracle = service.stream.subscribe(cap=100_000)
         try:
             connection = drive_attendance(gateway, range(1, 6))
             seed_gap(gateway, manager, connection)
@@ -55,6 +66,43 @@ class TestAutoPromote:
             connection.query("SELECT * FROM Events WHERE EId = 2")
             actions = [entry["action"] for entry in service.disposition_audit()]
             assert actions == ["mined", "shadowing", "promoted"]
+            assert allows_flipped_by_active_policy(oracle, gateway, db) == []
+        finally:
+            service.close()
+            gateway.close()
+
+    def test_unused_view_is_tightened_away(self, calendar_pair):
+        """Traffic that never leans on a view: the miner proposes dropping
+        it, the candidate shadows the same traffic without one divergence,
+        is promoted, and no Allow ever audited flips under the result."""
+        app, db = calendar_pair
+        gateway, manager, service = make_mining_stack(app, db, mode="auto_promote")
+        oracle = service.stream.subscribe(cap=100_000)
+        truth = gateway.policy
+
+        def drive(eids):
+            connection = drive_attendance(gateway, eids)
+            for _ in eids:
+                connection.query("SELECT Name FROM Users WHERE UId = 1")
+
+        try:
+            drive(range(1, 8))  # V1 and V3 only
+            first = service.run_once()
+            tightens = [service.candidates[f] for f in first["mined"]]
+            assert tightens and {c.kind for c in tightens} == {"tighten"}
+            # One shadow slot: the strongest candidate goes first.
+            (shadowing,) = [c for c in tightens if c.status == "shadowing"]
+            assert shadowing.view_name not in ("V1", "V3")
+
+            drive(range(20, 30))
+            assert gateway.shadow.drain()
+            shadow = gateway.shadow.stats()
+            assert shadow["checks"] >= 5 and shadow["divergences"] == 0
+            second = service.run_once()
+            assert second["progressed"]["action"] == "promoted"
+            assert len(gateway.policy) == len(truth) - 1
+            assert shadowing.view_name not in gateway.policy
+            assert allows_flipped_by_active_policy(oracle, gateway, db) == []
         finally:
             service.close()
             gateway.close()

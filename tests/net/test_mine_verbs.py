@@ -30,12 +30,9 @@ def make_stack(mode: str):
     db = app.make_database(size=10, seed=3)
     if db.query("SELECT 1 FROM Attendance WHERE UId = 1 AND EId = 2").is_empty():
         db.sql("INSERT INTO Attendance VALUES (1, 2)")
-    gateway = EnforcementGateway(
-        db,
-        app.ground_truth_policy(),
-        GatewayConfig(mining=MiningConfig(min_window=4, mode=mode)),
-    )
+    gateway = EnforcementGateway(db, app.ground_truth_policy())
     lifecycle = LifecycleManager(gateway, gates=GateConfig(min_shadow_checks=3))
+    lifecycle.enable_mining(MiningConfig(min_window=4, mode=mode))
     return gateway, lifecycle
 
 

@@ -1,4 +1,4 @@
-"""EnforcementGateway: sessions, writes, metrics, and the workload driver."""
+"""EnforcementGateway: sessions, writes, metrics, and the gateway-mode runner."""
 
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ from repro.serve import (
     EnforcementGateway,
     GatewayConfig,
     GatewayConnection,
-    WorkloadDriver,
 )
 from repro.workloads import calendar_app
 
@@ -53,8 +52,6 @@ class TestConnectionProtocol:
         first = db.parse("SELECT EId FROM Attendance WHERE UId = 1")
         again = db.parse("SELECT EId FROM Attendance WHERE UId = 1")
         assert first is again
-        # The deprecated private alias still works.
-        assert db._parse("SELECT EId FROM Attendance WHERE UId = 1") is first
 
 
 class TestSessions:
@@ -73,6 +70,27 @@ class TestSessions:
         fresh = calendar_gateway.connect(1, fresh=True)
         assert len(fresh.trace) == 0
         assert fresh is not returning
+
+    def test_closing_a_session_frees_its_principal(self, calendar_gateway):
+        """A closed session leaves the table; the principal's next connect
+        is a new session that re-derives its history, never inherits it."""
+        first = calendar_gateway.connect(1)
+        first.query("SELECT EId FROM Attendance WHERE UId = 1")
+        first.close()
+        assert calendar_gateway.connections() == []
+        again = calendar_gateway.connect(1)
+        assert again is not first
+        assert len(again.trace) == 0
+        assert len(again.query("SELECT EId FROM Attendance WHERE UId = 1")) > 0
+        # A fresh=True session was never stored: closing it leaves the
+        # stored one in place.
+        calendar_gateway.connect(1, fresh=True).close()
+        assert calendar_gateway.connect(1) is again
+        other = calendar_gateway.connect(2)
+        calendar_gateway.close()
+        assert calendar_gateway.connections() == []
+        with pytest.raises(Exception, match="closed"):
+            other.sql("SELECT EId FROM Attendance WHERE UId = 2")
 
     def test_example_2_1_triple_through_the_gateway(self, calendar_policy):
         """Q1 allowed; Q2 allowed with history, blocked in a fresh session."""
@@ -208,23 +226,6 @@ class TestOneStore:
 
 
 class TestDriver:
-    def test_replay_preserves_session_order_and_counts(self, calendar_policy):
-        app = calendar_app.make_app()
-        db = app.make_database(12, 3)
-        gateway = EnforcementGateway(
-            db, app.ground_truth_policy(), GatewayConfig(verify_cached_decisions=True)
-        )
-        driver = WorkloadDriver(app, gateway, workers=4, write_every=10)
-        requests = app.request_stream(db, random.Random(5), 80)
-        report = driver.run(requests)
-        assert report.requests == 80
-        assert report.completed + report.blocked + report.aborted + report.errors == 80
-        assert report.errors == 0
-        assert report.sessions == len({tuple(sorted(r.session.items())) for r in requests})
-        assert report.metrics.counters.get("cache_disagreements", 0) == 0
-        assert report.wall_seconds > 0
-        assert report.throughput_rps > 0
-
     def test_runner_gateway_mode(self, calendar_policy):
         from repro.workloads.runner import AppRunner
 
@@ -249,17 +250,8 @@ class TestProxyConfigCompat:
             ProxyConfig(history_enabled=False, record_decisions=True),
         )
         assert not configured.checker.history_enabled
-        # Read-only attribute accessors answer from the config.
-        assert configured.record_decisions is True
-        assert configured.cache is None
-        with pytest.raises(TypeError, match="ProxyConfig"):
-            EnforcementProxy(
-                calendar_db,
-                calendar_policy,
-                Session.for_user(1),
-                history_enabled=False,
-                record_decisions=True,
-            )
+        assert configured.config.record_decisions is True
+        assert configured.config.cache is None
 
     def test_decision_log_is_a_capped_ring_buffer(self, calendar_db, calendar_policy):
         proxy = EnforcementProxy(

@@ -130,6 +130,22 @@ class TestAudit:
         )
         assert code == 2
 
+    def test_union_sensitive_query_is_refused_not_truncated(self, capsys):
+        code = main(
+            [
+                "audit",
+                "--app",
+                "hospital",
+                "--sensitive",
+                "SELECT Disease FROM PatientConditions"
+                " WHERE Disease = 'flu' OR PId = 1",
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "union of 2 conjunctive queries" in captured.err
+        assert "PQI" not in captured.out and "NQI" not in captured.out
+
 
 class TestDiagnose:
     def test_diagnosis_prints_patches(self, capsys):
@@ -190,7 +206,7 @@ class TestParser:
         with pytest.raises(SystemExit):
             main([])
 
-    @pytest.mark.parametrize("command", ["serve-bench", "serve", "cluster"])
+    @pytest.mark.parametrize("command", ["serve", "cluster"])
     def test_gateway_flags_are_the_same_on_every_subcommand(self, command, capsys):
         argv = [command, "--app", "calendar"]
         parser = build_parser()
