@@ -65,25 +65,25 @@ and no workload ever waited); ``lock_waits`` counts the acquisitions that
 did have to wait, so a deployment where that stops being true can see
 it. Counters are plain ints updated under the lock.
 
-Indexing. Two structures keep the hot paths sublinear at scale:
+Writes. A template is a function of the policy, the skeleton, the
+equality pattern and fact *patterns*; a write to the database changes
+none of them, so no write evicts one. What a write can make false is a
+certified fact — and a template only ever fires on facts the requesting
+session's trace still holds, which the session sweeps against the
+database's change log before each decision (``repro.enforce.proxy``).
 
-* Per skeleton key, a **pinned-slot discrimination index**
-  (:class:`_SkeletonIndex`): templates are grouped by *which* slots they
-  pin, and within a group selected by one dict probe on the pinned
-  values — so a lookup touches only templates whose pins already match,
-  instead of value-scanning every template under the key.
-* A ``table -> {skeleton_key}`` **reverse index** so
-  :meth:`DecisionCache.invalidate_table` visits only the keys whose
-  templates actually touch the written table (O(affected), not a scan of
-  the whole cache). ``invalidate_keys_scanned`` counts the keys visited,
-  so tests can assert unaffected keys are never examined.
+Indexing. Per skeleton key, a **pinned-slot discrimination index**
+(:class:`_SkeletonIndex`): templates are grouped by *which* slots they
+pin, and within a group selected by one dict probe on the pinned values
+— so a lookup touches only templates whose pins already match, instead
+of value-scanning every template under the key.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 
 from repro.enforce.decision import Decision
@@ -108,8 +108,8 @@ class _Template:
     fact_patterns: tuple[tuple[str, tuple[_PatternArg, ...]], ...]
     reason: str
     #: Base tables the decision touches: the query's own tables plus the
-    #: relations of every trace fact it relied on. Write-driven
-    #: invalidation (the serving gateway) evicts by this set.
+    #: relations of every trace fact it relied on
+    #: (:meth:`DecisionCache.invalidate_table` evicts by this set).
     tables: frozenset[str] = frozenset()
     #: Allow templates replay an Allow; Block templates (compiled path
     #: only) replay a Block while their guard holds.
@@ -165,20 +165,14 @@ class _SkeletonIndex:
         matched.sort(key=lambda entry: entry[0])
         return [template for _, template in matched]
 
-    def evict_touching(self, table: str) -> tuple[int, set[str]]:
-        """Drop templates touching ``table``; returns (count, their tables)."""
+    def evict_touching(self, table: str) -> int:
+        """Drop the templates touching ``table``; returns how many."""
         evicted = 0
-        removed_tables: set[str] = set()
         for slots in list(self.groups):
             by_value = self.groups[slots]
             for values in list(by_value):
                 entries = by_value[values]
                 kept = [(s, t) for s, t in entries if table not in t.tables]
-                if len(kept) == len(entries):
-                    continue
-                for _, template in entries:
-                    if table in template.tables:
-                        removed_tables |= template.tables
                 evicted += len(entries) - len(kept)
                 if kept:
                     by_value[values] = kept
@@ -187,16 +181,7 @@ class _SkeletonIndex:
             if not by_value:
                 del self.groups[slots]
         self.count -= evicted
-        return evicted, removed_tables
-
-    def tables(self) -> set[str]:
-        """Union of the tables of all remaining templates."""
-        remaining: set[str] = set()
-        for by_value in self.groups.values():
-            for entries in by_value.values():
-                for _, template in entries:
-                    remaining |= template.tables
-        return remaining
+        return evicted
 
     def templates(self) -> Iterator[_Template]:
         for by_value in self.groups.values():
@@ -207,8 +192,7 @@ class _SkeletonIndex:
 
 #: The store's event counters (monotonic). ``size`` is its one gauge.
 _EVENT_COUNTERS = (
-    "hits", "misses", "stores", "invalidations", "invalidate_keys_scanned",
-    "compiled_hits", "compiled_misses", "blocks_stored", "duplicates_skipped",
+    "hits", "misses", "stores", "invalidations", "compiled_hits", "compiled_misses", "blocks_stored", "duplicates_skipped",
     "lock_waits",
 )
 
@@ -220,7 +204,6 @@ class DecisionCache:
     def __init__(self, policy: Policy):
         self._lock = threading.Lock()
         self._index: dict[object, _SkeletonIndex] = {}
-        self._by_table: dict[str, set[object]] = {}
         self._view_constants = policy.constants()
         self._seq = 0
         #: Live templates.
@@ -230,9 +213,6 @@ class DecisionCache:
         #: Templates actually inserted (duplicates are not stores).
         self.stores = 0
         self.invalidations = 0
-        #: Skeleton keys visited by invalidate_table — the instrumentation
-        #: the O(affected) claim is asserted against.
-        self.invalidate_keys_scanned = 0
         # Compiled-path counters (checker fast path; see lookup_compiled).
         self.compiled_hits = 0
         self.compiled_misses = 0
@@ -479,8 +459,6 @@ class DecisionCache:
                 self.duplicates_skipped += 1
                 return False
             self._seq += 1
-            for table in template.tables:
-                self._by_table.setdefault(table, set()).add(template.skeleton_key)
             self.size += 1
             self.stores += 1
             if not template.allowed:
@@ -492,51 +470,26 @@ class DecisionCache:
     # -- invalidation ----------------------------------------------------------
 
     def invalidate_table(self, table: str) -> int:
-        """Evict every template touching ``table``; returns the eviction count.
+        """Evict every template touching ``table``; returns the eviction
+        count. A scan of every template.
 
-        Decision soundness does not strictly require this (a decision
-        depends on the query's shape, the policy, and *certified* trace
-        facts, not on current table contents), but a serving deployment
-        wants freshly-written data vetted by a fresh check rather than a
-        months-old template, and conservative eviction keeps the cache
-        from accumulating templates for churned tables.
-
-        Only skeleton keys listed in the reverse index for ``table`` are
-        visited; keys with no template touching the table are never
-        examined (see ``invalidate_keys_scanned``).
+        No write calls this (module docstring, *Writes*). It stays for the
+        benchmark's staged replay, ``bench/tracing.py``, which calls it
+        after each write it replays.
         """
         evicted = 0
         self._acquire()
         try:
-            for key in self._by_table.pop(table, ()):
-                self.invalidate_keys_scanned += 1
+            for key in list(self._index):
                 index = self._index[key]
-                dropped, removed_tables = index.evict_touching(table)
-                evicted += dropped
-                if index.count:
-                    remaining_tables = index.tables()
-                else:
+                evicted += index.evict_touching(table)
+                if not index.count:
                     del self._index[key]
-                    remaining_tables = set()
-                # Unlink this key from the other tables of the evicted
-                # templates, unless a surviving template still touches them.
-                for other in removed_tables:
-                    if other == table or other in remaining_tables:
-                        continue
-                    bucket = self._by_table.get(other)
-                    if bucket is not None:
-                        bucket.discard(key)
-                        if not bucket:
-                            del self._by_table[other]
             self.size -= evicted
             self.invalidations += evicted
         finally:
             self._lock.release()
         return evicted
-
-    def invalidate_tables(self, tables: Iterable[str]) -> int:
-        """Evict templates touching any of ``tables`` (one write's footprint)."""
-        return sum(self.invalidate_table(table) for table in tables)
 
     def clear(self) -> int:
         """Drop every template (counts as invalidation); returns the count."""
@@ -544,7 +497,6 @@ class DecisionCache:
         try:
             dropped = self.size
             self._index.clear()
-            self._by_table.clear()
             self.size = 0
             self.invalidations += dropped
         finally:

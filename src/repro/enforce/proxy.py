@@ -6,10 +6,15 @@ query and either executes it as-is or blocks it outright. It never
 modifies a query — the paper's first highlighted trait.
 
 Writes (INSERT/UPDATE/DELETE) pass through unchecked: the paper's setting
-controls *data revelation*; write control is an orthogonal concern. The
-serving gateway hooks :meth:`EnforcementProxy._execute_write` to observe
-them anyway, because a write must invalidate shared decision templates
-that touch the written table.
+controls *data revelation*; write control is an orthogonal concern. (The
+serving gateway hooks :meth:`EnforcementProxy._execute_write` to
+serialize them.) What a write *does* change is which certified facts are
+true: a DELETE or a value-changing UPDATE can remove the row a fact in
+some session's trace stood for. So before deciding, every session sweeps
+the database's change log (:mod:`repro.engine.changes`) and retires the
+facts the changed rows' old images match — whoever wrote, and through
+whichever front end — and a SELECT whose facts died under it while it
+ran is decided again (:meth:`EnforcementProxy._execute`).
 """
 
 from __future__ import annotations
@@ -32,6 +37,10 @@ from repro.sqlir.params import bind_parameters
 from repro.sqlir.prepared import PreparedPlan
 from repro.sqlir.skeleton import Skeleton
 from repro.util.errors import EngineError
+
+#: Times one SELECT is decided and executed while concurrent writes keep
+#: retiring its session's facts under it; past this it is blocked.
+STATEMENT_ATTEMPTS = 3
 
 
 @dataclass(frozen=True)
@@ -91,6 +100,10 @@ class ProxyStats:
     decisions: deque[Decision] = field(default_factory=lambda: deque(maxlen=256))
     #: Decisions evicted from the ``decisions`` ring by the cap.
     audit_dropped: int = 0
+    #: Trace facts retired because a write changed the rows they stood for.
+    facts_retired: int = 0
+    #: SELECTs decided again because a concurrent write retired facts.
+    statement_retries: int = 0
 
     @staticmethod
     def with_cap(decision_log_cap: int) -> "ProxyStats":
@@ -133,6 +146,8 @@ class EnforcementProxy:
         # equality partitions on sorted binding items, and re-sorting an
         # immutable mapping on every request is pure hot-path waste.
         self._param_items = sorted(session.bindings.items())
+        #: The change-log sequence number the trace has been swept to.
+        self._swept = db.changes.seq
         self._closed = False
 
     @cached_property
@@ -215,31 +230,90 @@ class EnforcementProxy:
         args: Sequence[object],
         named: Mapping[str, object] | None,
     ) -> Result | int:
-        """Bind once; a SELECT is then decided, executed and certified."""
+        """Bind once; a SELECT is then decided, executed and certified.
+
+        Reads take no lock, so a write may land while a SELECT is decided
+        and executed. A write logs the rows it changes before a reader
+        can see the change, so if the sequence number moved and the sweep
+        after execution retired facts, the decision may have rested on
+        one of them: decide and execute again, at most
+        ``STATEMENT_ATTEMPTS`` times, then block. After certifying, the
+        sweep pointer goes back to the log's ``settled`` mark as it stood
+        before the attempt, so the next statement re-checks the new facts
+        against every write that overlapped the read — also one logged
+        before the attempt began and still mutating during it.
+
+        Each attempt is a decision; the statement's outcome — the last
+        one, or the Block that ends the attempts — is counted and
+        observed once (:meth:`_conclude`).
+        """
         if not isinstance(stmt, ast.Select):
             return self._execute_write(stmt, args, named)
         bound = bind_parameters(stmt, args, named)
         assert isinstance(bound, ast.Select)
         skeleton = plan.skeleton_for(args, named) if plan is not None else None
-        decision = self.decide(bound, skeleton=skeleton)
+        changes = self.db.changes
+        for attempt in range(STATEMENT_ATTEMPTS):
+            if attempt:
+                self.stats.statement_retries += 1
+                self._record_counter("statement_retries", 1)
+            settled = changes.settled
+            if changes.seq != self._swept:
+                self._sweep()
+            swept = self._swept
+            decision = self.decide(bound, skeleton=skeleton)
+            if not decision.allowed:
+                self._conclude(decision, bound)
+                raise PolicyViolation(decision)
+            started = time.perf_counter()
+            result = self.db.execute_bound(bound)
+            executed = time.perf_counter()
+            self.stats.execute_seconds += executed - started
+            self._record_stage("execute", executed - started)
+            assert isinstance(result, Result)
+            if changes.seq != swept and self._sweep():
+                continue
+            self._conclude(decision, bound)
+            # The tail after ``execute``: certify the answer's facts into
+            # the trace.
+            certifying = time.perf_counter()
+            self.trace.record_execution(bound, result, self.db.schema, plan, skeleton)
+            self._swept = settled
+            self._record_stage("certify", time.perf_counter() - certifying)
+            return result
+        block = Decision(
+            allowed=False,
+            sql=bound,
+            reason=f"a concurrent write retired this session's facts during"
+            f" each of {STATEMENT_ATTEMPTS} attempts",
+            policy_version=decision.policy_version,
+        )
+        self._conclude(block, bound, decided=False)
+        raise PolicyViolation(block)
+
+    def _conclude(
+        self, decision: Decision, bound: ast.Select, decided: bool = True
+    ) -> None:
+        """Count and observe one statement's outcome; ``decided`` is False
+        for the Block that ends the attempts, which no check made."""
+        if decision.allowed:
+            self.stats.allowed += 1
+        else:
+            self.stats.blocked += 1
         if self.config.record_decisions:
             self.stats.record_decision(decision)
-        if not decision.allowed:
-            self.stats.blocked += 1
-            raise PolicyViolation(decision)
-        self.stats.allowed += 1
-        started = time.perf_counter()
-        result = self.db.execute_bound(bound)
-        executed = time.perf_counter()
-        self.stats.execute_seconds += executed - started
-        self._record_stage("execute", executed - started)
-        assert isinstance(result, Result)
-        # The tail after ``execute``: certify the answer's facts into the
-        # trace. Timed from the end of execute so the stages of one SELECT
-        # are contiguous.
-        self.trace.record_execution(bound, result, self.db.schema, plan, skeleton)
-        self._record_stage("certify", time.perf_counter() - executed)
-        return result
+        self._observe_decision(decision, bound, decided)
+
+    def _sweep(self) -> int:
+        """Retire the facts that rows changed since the last sweep stood
+        for — all of them when the log no longer says which rows those
+        were; returns how many."""
+        self._swept, images = self.db.changes.since(self._swept)
+        retired = self.trace.clear() if images is None else self.trace.retire(images)
+        if retired:
+            self.stats.facts_retired += retired
+            self._record_counter("facts_retired", retired)
+        return retired
 
     def close(self) -> None:
         """Close the session: refuse further statements. The trace stays
@@ -254,7 +328,9 @@ class EnforcementProxy:
         ``skeleton`` is the prepared-statement fast path: a precomputed
         ``skeletonize(bound)`` that lets the cache probe and template
         store skip the per-request AST traversal. A miss goes to
-        :meth:`_check_fresh`, which also stores what it decided.
+        :meth:`_check_fresh`, which also stores what it decided. Deciding
+        is not an outcome: the allow/block counts and the audit record
+        belong to the statement that executes (:meth:`_conclude`).
         """
         started = time.perf_counter()
         cache = self._decision_cache()
@@ -278,7 +354,7 @@ class EnforcementProxy:
         seconds = time.perf_counter() - started
         self.stats.check_seconds += seconds
         self._record_stage("check", seconds)
-        self._observe_decision(decision, bound)
+        self._observe_check(decision, bound)
         return decision
 
     # -- subclass hooks (used by repro.serve) -------------------------------------
@@ -289,7 +365,7 @@ class EnforcementProxy:
         args: Sequence[object],
         named: Mapping[str, object] | None,
     ) -> Result | int:
-        """Run a non-SELECT statement; the gateway overrides to invalidate."""
+        """Run a non-SELECT statement; the gateway overrides to serialize."""
         started = time.perf_counter()
         outcome = self.db.sql(stmt, args, named)
         self._record_stage("execute", time.perf_counter() - started)
@@ -297,6 +373,10 @@ class EnforcementProxy:
 
     def _record_stage(self, stage: str, seconds: float) -> None:
         """Per-stage latency observation point; no-op outside the gateway."""
+
+    def _record_counter(self, name: str, amount: int) -> None:
+        """Counter observation point (``facts_retired``,
+        ``statement_retries``); no-op outside the gateway."""
 
     def _decision_cache(self) -> DecisionCache | None:
         """The decision cache to consult for this decision.
@@ -328,5 +408,12 @@ class EnforcementProxy:
             )
         return decision
 
-    def _observe_decision(self, decision: Decision, bound: ast.Select) -> None:
-        """Decision observation point; no-op outside the gateway."""
+    def _observe_check(self, decision: Decision, bound: ast.Select) -> None:
+        """Observation point for each decision :meth:`decide` makes (a
+        retried statement makes several); no-op outside the gateway."""
+
+    def _observe_decision(
+        self, decision: Decision, bound: ast.Select, decided: bool
+    ) -> None:
+        """Observation point for a statement's outcome, once per SELECT
+        (see :meth:`_conclude`); no-op outside the gateway."""

@@ -273,6 +273,15 @@ def _has_predicate_slot(expr: ast.Expr) -> bool:
     return False
 
 
+def _describes(fact: Atom, row: tuple) -> bool:
+    """Could ``row`` be a row ``fact`` certified? (Labeled nulls match
+    any value; trace facts hold nothing but constants and them.)"""
+    return len(fact.args) == len(row) and all(
+        not isinstance(arg, Const) or arg.value == value
+        for arg, value in zip(fact.args, row)
+    )
+
+
 def _values_equal(a: object, b: object) -> bool:
     # Mirrors ConstraintSet._union's constant-merge test exactly.
     return not (a != b or (a is None) != (b is None))
@@ -293,6 +302,11 @@ class Trace:
     this ground fact certified" with one probe, and :meth:`facts_of`
     yields one relation's facts in the order a scan of :attr:`facts`
     would meet them.
+
+    Every fact must hold on the current database: the session's proxy
+    hands each changed row's old image to :meth:`retire` before its next
+    decision (and calls :meth:`clear` when it cannot tell which rows
+    changed).
     """
 
     def __init__(self, max_facts: int = 256):
@@ -397,6 +411,34 @@ class Trace:
                 continue
             known[fact] = relation[fact] = fact
             self._snapshot = None
+
+    def retire(self, images: Iterable[tuple[str, tuple]]) -> int:
+        """Drop every fact a changed row's old image matches; returns how
+        many (:mod:`repro.engine.changes`: only such a row's change can
+        make a certified fact false).
+
+        A fact matches an image of its relation when each constant equals
+        the row's value at its position (``==``, so ``1`` matches
+        ``True``) and each labeled null matches anything: both retire
+        more, never less.
+        """
+        retired = 0
+        for relation, row in images:
+            facts = self._by_relation.get(relation)
+            if not facts:
+                continue
+            for fact in [fact for fact in facts if _describes(fact, row)]:
+                del facts[fact], self._facts[fact]
+                retired += 1
+        if retired:
+            self._snapshot = None
+        return retired
+
+    def clear(self) -> int:
+        """Drop every fact (which changed rows is unknown); returns how many."""
+        dropped = len(self._facts)
+        self._facts, self._by_relation, self._snapshot = {}, {}, ()
+        return dropped
 
     def relevant_facts(self, relations: set[str]) -> list[Atom]:
         """Facts over the given relations (what a compliance check conjoins)."""

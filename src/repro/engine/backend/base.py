@@ -32,6 +32,14 @@ every registered backend:
   sets, the shape the evaluators consume.
 * ``close()`` — idempotent; any use after close raises ``EngineError``
   mentioning "closed".
+* ``changes`` — a :class:`~repro.engine.changes.ChangeLog`. Whatever
+  makes a row stop existing as it was — a DELETE, an UPDATE to different
+  values, ``restore`` — logs it there before any reader can see the
+  mutation (``ChangeLog.writing`` around it, or ``ChangeLog.record``
+  inside a lock readers take); an INSERT and a write that changes no
+  value log nothing. Sessions retire the trace facts those rows
+  certified, so a backend that mutates without logging leaves stale
+  facts behind.
 
 Row *order* of a SELECT without ORDER BY is backend-defined; callers
 that need determinism must say ORDER BY (the in-memory backend happens
@@ -44,6 +52,7 @@ import abc
 from collections.abc import Sequence
 from typing import TYPE_CHECKING, ClassVar
 
+from repro.engine.changes import ChangeLog
 from repro.engine.schema import Schema, TableSchema
 from repro.util.errors import EngineError
 
@@ -68,6 +77,7 @@ class EngineBackend(abc.ABC):
     def __init__(self, schema: Schema):
         self.schema = schema
         self._closed = False
+        self.changes = ChangeLog()
 
     # -- lifecycle ---------------------------------------------------------------
 

@@ -3,7 +3,8 @@
 Storage is the :class:`~repro.engine.table.Table` dict that used to live
 inside ``Database``; execution is the AST-walking executor in
 :mod:`repro.engine.executor`, which receives this backend as its ``db``
-context (it needs only ``schema`` and ``table()``). Snapshots are cheap
+context (it needs only ``schema``, ``table()`` and ``changes``, where
+UPDATE and DELETE log the rows they change). Snapshots are cheap
 structural copies, which is what makes the active-learning extraction
 loop fast.
 """
@@ -67,8 +68,9 @@ class MemoryBackend(EngineBackend):
     def restore(self, snapshot: object) -> None:
         self._ensure_open()
         assert isinstance(snapshot, dict)
-        for name, table_snapshot in snapshot.items():
-            self._tables[name].restore(table_snapshot)
+        with self.changes.writing(None):
+            for name, table_snapshot in snapshot.items():
+                self._tables[name].restore(table_snapshot)
 
     # -- introspection -------------------------------------------------------------
 

@@ -27,6 +27,15 @@ hold the line where it matters):
   gateway's concurrent readers serialize here (SQLite serializes
   writers anyway). Fine for benchmarking enforcement overhead, which
   dwarfs queue time at our scales.
+* **Changed rows** — inside the lock, an UPDATE reads the matching rows
+  before it runs and compares them, by ``rowid``, with the rows its
+  ``RETURNING`` clause gives back; a DELETE's ``RETURNING`` rows are the
+  removed rows. The old image of every row whose values changed is
+  logged (``EngineBackend.changes``) before the lock is released, so no
+  reader sees the change before the log does. A commit by *another*
+  connection to a shared file is seen after each SELECT as a change of
+  ``PRAGMA data_version``; which rows it touched is unknown here, so it
+  is logged as "anything may have changed".
 """
 
 from __future__ import annotations
@@ -36,6 +45,7 @@ import threading
 from collections.abc import Sequence
 
 from repro.engine.backend.base import EngineBackend
+from repro.engine.changes import changed
 from repro.engine.executor import Result
 from repro.engine.schema import Schema, TableSchema
 from repro.engine.types import ColumnType, check_value
@@ -70,6 +80,7 @@ class SqliteBackend(EngineBackend):
         super().__init__(schema)
         self.path = path or ":memory:"
         self._lock = threading.RLock()
+        self._image_texts: dict[str, tuple[str, str]] = {}
         self._conn = sqlite3.connect(
             self.path,
             check_same_thread=False,
@@ -87,6 +98,9 @@ class SqliteBackend(EngineBackend):
         for table_schema in schema.tables.values():
             self._create(table_schema)
         self._conn.commit()
+        #: Another connection's commits move it; None for ``:memory:``,
+        #: which nothing else can open.
+        self._data_version = None if path is None else self._read_data_version()
 
     # -- identity ------------------------------------------------------------------
 
@@ -144,18 +158,70 @@ class SqliteBackend(EngineBackend):
                 columns = (
                     [d[0] for d in cursor.description] if cursor.description else []
                 )
+                if self._data_version is not None:
+                    self._notice_other_commits()
             return Result(columns=self._output_names(stmt, columns), rows=rows)
         if isinstance(stmt, ast.Insert):
             return self._execute_insert(stmt)
         if isinstance(stmt, ast.Update) or isinstance(stmt, ast.Delete):
             sql_text, params = compile_statement(stmt)
+            select, returning = self._image_sql(stmt.table)
             with self._lock, self._conn:
-                return self._run(sql_text, params).rowcount
+                before = (
+                    self._matching_rows(select, stmt.where)
+                    if isinstance(stmt, ast.Update)
+                    else {}
+                )
+                written = self._run_all(sql_text + returning, params)
+                if isinstance(stmt, ast.Update):
+                    after = {row[0]: tuple(row[1:]) for row in written}
+                    old_rows = [
+                        row
+                        for rowid, row in before.items()
+                        if rowid not in after or changed(row, after[rowid])
+                    ]
+                else:
+                    old_rows = [tuple(row[1:]) for row in written]
+                self.changes.record(stmt.table, old_rows)
+            return len(written)
         raise EngineError(f"cannot execute {type(stmt).__name__}")
+
+    def _matching_rows(self, select: str, where: ast.Expr | None) -> dict[int, tuple]:
+        """rowid -> row of the rows ``select`` (a table's image query)
+        reads where ``where`` holds."""
+        compiler = _Compiler()
+        text = select
+        if where is not None:
+            text += f" WHERE {compiler.expr(where)}"
+        return {row[0]: tuple(row[1:]) for row in self._run(text, compiler.params)}
+
+    def _read_data_version(self) -> int:
+        return self._conn.execute("PRAGMA data_version").fetchone()[0]
+
+    def _notice_other_commits(self) -> None:
+        """Log "anything may have changed" when another connection has
+        committed to the file since the last look (this connection's own
+        commits leave ``data_version`` alone). Called after a read, so a
+        commit landing before or during it is noticed by the session
+        that read."""
+        version = self._read_data_version()
+        if version != self._data_version:
+            self._data_version = version
+            self.changes.record(None)
 
     def _run(self, sql_text: str, params: Sequence[object]) -> sqlite3.Cursor:
         try:
             return self._conn.execute(sql_text, tuple(params))
+        except sqlite3.IntegrityError as exc:
+            raise IntegrityError(f"sqlite integrity violation: {exc}") from exc
+        except sqlite3.Error as exc:
+            raise EngineError(f"sqlite error: {exc}") from exc
+
+    def _run_all(self, sql_text: str, params: Sequence[object]) -> list:
+        """``_run`` and fetch every row: a statement with ``RETURNING`` may
+        fail on a later row than the first."""
+        try:
+            return self._run(sql_text, params).fetchall()
         except sqlite3.IntegrityError as exc:
             raise IntegrityError(f"sqlite integrity violation: {exc}") from exc
         except sqlite3.Error as exc:
@@ -281,6 +347,7 @@ class SqliteBackend(EngineBackend):
                 self._conn.executemany(
                     self._insert_sql(table_schema), [tuple(row) for row in rows]
                 )
+            self.changes.record(None)
 
     # -- introspection -------------------------------------------------------------
 
@@ -302,12 +369,28 @@ class SqliteBackend(EngineBackend):
             }
 
     def _select_all(self, table: str) -> list:
-        columns = comma_join(
+        return self._run(
+            f"SELECT {self._column_list(table)} FROM {_quote_ident(table)}"
+            " ORDER BY rowid",
+            (),
+        ).fetchall()
+
+    def _column_list(self, table: str) -> str:
+        return comma_join(
             _quote_ident(c) for c in self.schema.table(table).column_names
         )
-        return self._run(
-            f"SELECT {columns} FROM {_quote_ident(table)} ORDER BY rowid", ()
-        ).fetchall()
+
+    def _image_sql(self, table: str) -> tuple[str, str]:
+        """``SELECT rowid, <columns> FROM <table>`` and ``RETURNING rowid,
+        <columns>``: how a write reads its rows' images, built once."""
+        texts = self._image_texts.get(table)
+        if texts is None:
+            columns = f"rowid, {self._column_list(table)}"
+            texts = self._image_texts[table] = (
+                f"SELECT {columns} FROM {_quote_ident(table)}",
+                f" RETURNING {columns}",
+            )
+        return texts
 
 
 # --------------------------------------------------------------------------

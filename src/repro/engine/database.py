@@ -80,6 +80,10 @@ class Database:
                 from repro.engine.backend.registry import create_backend
 
                 self._backend = create_backend(backend, self.schema, path=path)
+        #: The backend's log of the rows writes change: its ``seq`` moves
+        #: only when a row stops existing as it was (see
+        #: :mod:`repro.engine.changes`).
+        self.changes = self._backend.changes
         #: SQL text -> its plan, least recently used first. The one
         #: text-keyed table: ``parse``, ``sql``, ``prepare`` and every
         #: front end layered over them resolve a text here.

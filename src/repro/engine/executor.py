@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
+from repro.engine.changes import changed
 from repro.engine.evaluator import DB_CONTEXT, evaluate, predicate_holds
 from repro.engine.schema import Schema
 from repro.sqlir import ast
@@ -455,45 +456,69 @@ def _check_foreign_keys(db, schema, values) -> None:
             )
 
 
-def _matching_ids(db, table, where: ast.Expr | None, alias: str) -> list[int]:
-    resolver = _ColumnResolver(db.schema, {alias: table.schema.name})
+def _matching_rows(db, table, where: ast.Expr | None, alias: str) -> list[tuple[int, tuple]]:
+    """The rows ``where`` holds on, with their ids, in id order: through
+    the column hash index when a top-level conjunct is ``column =
+    constant``, else by a scan."""
+    candidates = None
     if where is not None:
+        resolver = _ColumnResolver(db.schema, {alias: table.schema.name})
         where = ast.map_expr(where, resolver._resolve_expr)
+        for conjunct in _split_and(where):
+            probe = _equality_probe(conjunct, alias, set())
+            if probe is not None:
+                column, value_expr = probe
+                value = evaluate(value_expr, {DB_CONTEXT: db})
+                candidates = table.lookup(column, value) if value is not None else ()
+                break
+    if candidates is None:
+        candidates = table.row_items()
     matches = []
     columns = table.schema.column_names
-    for row_id, row in table.row_items():
+    for row_id, row in candidates:
         env = {(alias, c): v for c, v in zip(columns, row)}
         env[DB_CONTEXT] = db
         if predicate_holds(where, env):
-            matches.append(row_id)
+            matches.append((row_id, row))
     return matches
 
 
 def _execute_update(db, stmt: ast.Update) -> int:
+    """UPDATE; logs the old image of every row it gives different values
+    before replacing any row."""
     table = db.table(stmt.table)
     schema = table.schema
     alias = stmt.table
     resolver = _ColumnResolver(db.schema, {alias: stmt.table})
-    row_ids = _matching_ids(db, table, stmt.where, alias)
     columns = schema.column_names
-    count = 0
-    for row_id in row_ids:
-        row = dict(zip(columns, dict(table.row_items())[row_id]))
-        env = {(alias, c): v for c, v in row.items()}
-        new_row = dict(row)
-        for column, expr in stmt.assignments:
-            if column not in columns:
-                raise IntegrityError(f"unknown column {column!r} in UPDATE")
-            resolved = ast.map_expr(expr, resolver._resolve_expr)
-            new_row[column] = evaluate(resolved, env)
-        values = [new_row[c] for c in columns]
+    assignments = []
+    for column, expr in stmt.assignments:
+        if column not in columns:
+            raise IntegrityError(f"unknown column {column!r} in UPDATE")
+        assignments.append(
+            (schema.index_of(column), ast.map_expr(expr, resolver._resolve_expr))
+        )
+    matches = _matching_rows(db, table, stmt.where, alias)
+    replacements = []
+    for row_id, row in matches:
+        env = {(alias, c): v for c, v in zip(columns, row)}
+        values = list(row)
+        for position, expr in assignments:
+            values[position] = evaluate(expr, env)
         _check_foreign_keys(db, schema, values)
-        table.update_id(row_id, values)
-        count += 1
-    return count
+        new = table.checked(values)
+        if changed(row, new):
+            replacements.append((row_id, row, new))
+    with db.changes.writing(schema.name, [row for _, row, _ in replacements]):
+        for row_id, _, new in replacements:
+            table.update_id(row_id, new)
+    return len(matches)
 
 
 def _execute_delete(db, stmt: ast.Delete) -> int:
+    """DELETE; logs the old image of every row it removes before removing
+    any."""
     table = db.table(stmt.table)
-    row_ids = _matching_ids(db, table, stmt.where, stmt.table)
-    return table.delete_ids(row_ids)
+    matches = _matching_rows(db, table, stmt.where, stmt.table)
+    with db.changes.writing(table.schema.name, [row for _, row in matches]):
+        return table.delete_ids(row_id for row_id, _ in matches)

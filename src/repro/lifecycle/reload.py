@@ -10,8 +10,9 @@ started under for its whole duration. :func:`hot_reload` therefore:
    construction — the expensive part happens while the old epoch keeps
    serving);
 2. **installs** it under the gateway's write lock — a pointer swap, so
-   the measured pause is microseconds and the swap serializes against
-   write-driven cache invalidation;
+   the measured pause is microseconds; the lock serializes installs
+   with each other (a reload racing a rollback), so each new store
+   continues its predecessor's counts exactly once;
 3. **retires** the old epoch — waits for its pinned in-flight decisions
    to drain.
 

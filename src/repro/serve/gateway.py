@@ -16,9 +16,13 @@ What the gateway adds over a loose pile of per-session proxies:
   the whole user population (per-session traces still gate
   history-dependent templates; see ``repro.enforce.cache`` for why that
   is sound).
-* **Write-driven invalidation** — INSERT/UPDATE/DELETE statements are
-  serialized through the gateway's write lock and evict every cached
-  template touching the written table.
+* **Serialized writes** — INSERT/UPDATE/DELETE statements run one at a
+  time under the gateway's write lock (the in-memory engine is not safe
+  for concurrent mutation) and touch no decision template: a template is
+  a function of the policy, the statement shape and fact *patterns*,
+  none of which a write changes. What a write can falsify is a certified
+  fact; every session retires those itself, from the database's change
+  log, before its next decision (``repro.enforce.proxy``).
 * **Observability** — per-stage latency histograms (parse / check /
   execute), cache and decision counters, and per-view allow counts.
 * **Optional self-verification** — with ``verify_cached_decisions`` on,
@@ -134,8 +138,8 @@ class PolicyEpoch:
         )
         #: The epoch's one decision-template store: the checker serves and
         #: learns compiled skeleton templates in it (``compile_checks``),
-        #: sessions probe it before checking (``cache_mode="shared"``), and
-        #: write invalidation lands in it. ``None`` only when neither is on.
+        #: and sessions probe it before checking (``cache_mode="shared"``).
+        #: ``None`` only when neither is on.
         self.store: DecisionCache | None = (
             DecisionCache(policy)
             if self.compiled is not None or config.cache_mode == "shared"
@@ -190,7 +194,9 @@ class PolicyEpoch:
             return self._condition.wait_for(lambda: self._pins == 0, timeout=timeout_s)
 
     def caches(self) -> list[DecisionCache]:
-        """What a write must invalidate: the store, when there is one."""
+        """The store, when there is one, as a list. Nothing in the program
+        calls it: it stays for the benchmark's staged replay
+        (``bench/tracing.py``), which evicts through it after each write."""
         return [self.store] if self.store is not None else []
 
 
@@ -249,32 +255,6 @@ class GatewayConnection(EnforcementProxy):
             finally:
                 self._pinned_epoch = None
         decision.policy_version = epoch.version
-        audit = gateway.decision_audit
-        if audit is not None:
-            trace = self.trace if self.config.history_enabled else None
-            audit(
-                DecisionAuditRecord(
-                    sql=decision.sql,
-                    bindings=dict(self.session.bindings),
-                    facts=trace.facts if trace is not None else (),
-                    trace_len=len(trace.facts) if trace is not None else 0,
-                    allowed=decision.allowed,
-                    policy_version=epoch.version,
-                    from_cache=decision.from_cache,
-                    views=tuple(
-                        sorted(
-                            {
-                                atom.rel
-                                for rewriting in decision.rewritings
-                                for atom in rewriting.atoms
-                            }
-                        )
-                    ),
-                )
-            )
-        shadow = gateway.shadow
-        if shadow is not None:
-            shadow.submit(self, bound, decision)
         return decision
 
     def _decision_cache(self) -> DecisionCache | None:
@@ -294,9 +274,13 @@ class GatewayConnection(EnforcementProxy):
     def _record_stage(self, stage: str, seconds: float) -> None:
         self._gateway.metrics.observe_stage(stage, seconds)
 
-    def _observe_decision(self, decision: Decision, bound: ast.Select) -> None:
+    def _record_counter(self, name: str, amount: int) -> None:
+        self._gateway.metrics.increment(name, amount)
+
+    def _observe_check(self, decision: Decision, bound: ast.Select) -> None:
+        """Per decision, under its pinned epoch: the cache counters, and
+        the replay of a hit when ``verify_cached_decisions`` is on."""
         metrics = self._gateway.metrics
-        metrics.increment("decisions_allowed" if decision.allowed else "decisions_blocked")
         if decision.from_cache:
             metrics.increment("cache_hits")
             if self._gateway.config.verify_cached_decisions:
@@ -305,9 +289,46 @@ class GatewayConnection(EnforcementProxy):
             metrics.increment(
                 "cache_misses" if self._decision_cache() is not None else "uncached_checks"
             )
+
+    def _observe_decision(
+        self, decision: Decision, bound: ast.Select, decided: bool
+    ) -> None:
+        """Per statement: the outcome counters, the audit record and the
+        shadow check. The Block that ends a statement's attempts is
+        counted and audited, but not shadowed: no policy made it, so a
+        candidate policy cannot diverge from it."""
+        gateway = self._gateway
+        metrics = gateway.metrics
+        metrics.increment("decisions_allowed" if decision.allowed else "decisions_blocked")
         for rewriting in decision.rewritings:
             for atom in rewriting.atoms:
                 metrics.count_view_check(atom.rel)
+        audit = gateway.decision_audit
+        if audit is not None:
+            trace = self.trace if self.config.history_enabled else None
+            audit(
+                DecisionAuditRecord(
+                    sql=decision.sql,
+                    bindings=dict(self.session.bindings),
+                    facts=trace.facts if trace is not None else (),
+                    trace_len=len(trace.facts) if trace is not None else 0,
+                    allowed=decision.allowed,
+                    policy_version=decision.policy_version,
+                    from_cache=decision.from_cache,
+                    views=tuple(
+                        sorted(
+                            {
+                                atom.rel
+                                for rewriting in decision.rewritings
+                                for atom in rewriting.atoms
+                            }
+                        )
+                    ),
+                )
+            )
+        shadow = gateway.shadow
+        if shadow is not None and decided:
+            shadow.submit(self, bound, decision)
 
     def _verify_cached(self, decision: Decision, bound: ast.Select) -> None:
         """Replay a cache hit through the uncached checker and compare.
@@ -347,7 +368,8 @@ class GatewayConnection(EnforcementProxy):
 
 @dataclass(frozen=True)
 class DecisionAuditRecord:
-    """One decision as the gateway made it, for external re-verification.
+    """One statement's decision as the gateway made it — once per SELECT,
+    however many attempts it took — for external re-verification.
 
     Produced when ``gateway.decision_audit`` is set (the E14 benchmark's
     no-torn-decision instrument): carries everything needed to replay
@@ -433,10 +455,9 @@ class EnforcementGateway:
     def install_epoch(self, epoch: PolicyEpoch) -> PolicyEpoch:
         """Atomically make ``epoch`` the deciding epoch; returns the old one.
 
-        Taken under the write lock so the swap also serializes against
-        write-driven invalidation (a write either invalidates the old
-        epoch's caches, which are then discarded wholesale, or the new
-        epoch's — never a half-installed mix). The caller is responsible
+        Taken under the write lock so two installs (a reload racing a
+        rollback) serialize, and each new store continues its
+        predecessor's counts exactly once. The caller is responsible
         for retiring the returned epoch (``old.retire()``), normally via
         :func:`repro.lifecycle.reload.hot_reload`.
 
@@ -527,31 +548,20 @@ class EnforcementGateway:
         args: Sequence[object],
         named: Mapping[str, object] | None,
     ) -> Result | int:
-        """Serialize a write and evict decision templates it stales.
+        """Run a write under the write lock, and nothing else.
 
         The in-memory engine is not safe for concurrent mutation, so all
-        writes funnel through one lock (reads stay lock-free: CPython
-        container operations the executor uses are atomic enough under
-        the GIL, and the experiments' read streams dwarf their writes).
-        Invalidation happens *inside* the lock so no session can observe
-        the new data while stale templates are still live.
+        writes funnel through one lock; reads stay lock-free (the
+        executor's container operations are atomic under the GIL, and
+        ``Table`` replaces an updated row in place). The backend logs the
+        rows the write changed; each session retires the facts they stood
+        for before its next decision, so no template or trace is touched
+        here.
         """
         with self._write_lock:
             outcome = self.db.sql(stmt, args, named)
-            tables = self._written_tables(stmt)
-            evicted = sum(
-                cache.invalidate_tables(tables) for cache in self._epoch.caches()
-            )
-            self.metrics.increment("writes")
-            if evicted:
-                self.metrics.increment("templates_invalidated", evicted)
-            return outcome
-
-    @staticmethod
-    def _written_tables(stmt: ast.Statement) -> tuple[str, ...]:
-        if isinstance(stmt, (ast.Insert, ast.Update, ast.Delete)):
-            return (stmt.table,)
-        return ()
+        self.metrics.increment("writes")
+        return outcome
 
     # -- observability -----------------------------------------------------------
 
@@ -603,6 +613,8 @@ class EnforcementGateway:
                 else:
                     snapshot.counters[f"audit_{name}"] = value
         snapshot.counters["audit_dropped"] = audit_dropped
+        for name in ("facts_retired", "statement_retries"):
+            snapshot.counters.setdefault(name, 0)
         # The rewriting-core memo counters.
         for name, value in memo.memo_stats().items():
             snapshot.counters[f"memo_{name}"] = value

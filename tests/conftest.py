@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.enforce.checker import ComplianceChecker
-from repro.enforce.trace import Trace, fact_from_wire
+from repro.enforce.trace import Trace, fact_from_wire, is_labeled_null
 from repro.engine import Column, ColumnType, Database, ForeignKey, Schema, TableSchema
 from repro.relalg.translate import DictSchema
 from repro.workloads import calendar_app, employees, hospital, social
@@ -41,6 +41,45 @@ def reverify_audit(records, policy_by_version, db) -> list:
         if fresh.allowed != allowed:
             differing.append(record)
     return differing
+
+
+def contradicted_facts(facts, db) -> list:
+    """The certified facts no current row of ``db`` stands for: a fact
+    holds when some row of its relation equals it at every constant (a
+    labeled null matches any value)."""
+    contents = db.relation_contents()
+
+    def holds(fact) -> bool:
+        return any(
+            all(
+                is_labeled_null(arg) or arg.value == value
+                for arg, value in zip(fact.args, row)
+            )
+            for row in contents.get(fact.rel, ())
+        )
+
+    return [fact for fact in facts if not holds(fact)]
+
+
+def key_violations(facts, schema) -> list:
+    """Pairs of facts that agree on a relation's primary key (all of it
+    constant) and disagree on a constant elsewhere: no database holds both."""
+    seen: dict[tuple, object] = {}
+    pairs = []
+    for fact in facts:
+        table = schema.table(fact.rel)
+        positions = [table.index_of(column) for column in table.primary_key]
+        key_args = [fact.args[i] for i in positions]
+        if not positions or any(is_labeled_null(arg) for arg in key_args):
+            continue
+        key = (fact.rel, tuple(arg.value for arg in key_args))
+        other = seen.setdefault(key, fact)
+        if any(
+            not is_labeled_null(a) and not is_labeled_null(b) and a.value != b.value
+            for a, b in zip(fact.args, other.args)
+        ):
+            pairs.append((other, fact))
+    return pairs
 
 
 @pytest.fixture

@@ -1,7 +1,7 @@
 """Property tests: the indexed DecisionCache is observably the seed cache.
 
-The discrimination/reverse indexes (see ``repro.enforce.cache``) are pure
-lookup accelerators — they must never change what the cache answers.
+The discrimination index (see ``repro.enforce.cache``) is a pure
+lookup accelerator — it must never change what the cache answers.
 ``SeedReferenceCache`` below preserves the pre-index implementation
 verbatim (linear scan over every template under a key, linear scan over
 every key on invalidation, linear scan over ``trace.facts`` for every
@@ -12,10 +12,9 @@ Both read the same :class:`~repro.enforce.trace.Trace`, the real cache
 through its fact index: the property is also index-probe versus linear
 scan of the witnesses, ``True``/``1`` collisions included.
 
-Also here: the instrumentation assertion that ``invalidate_table`` no
-longer visits unaffected skeleton keys, and the ``_equality_partition``
-bool-vs-int regression (``True`` and ``1`` hash alike but must not be
-treated as equal when building equality patterns).
+Also here: the ``_equality_partition`` bool-vs-int regression (``True``
+and ``1`` hash alike but must not be treated as equal when building
+equality patterns).
 """
 
 from __future__ import annotations
@@ -278,58 +277,6 @@ def test_indexed_cache_is_observably_the_seed_cache(ops, policy):
         assert indexed.hits == reference.hits
         assert indexed.misses == reference.misses
         assert indexed.invalidations == reference.invalidations
-
-
-# --------------------------------------------------------------------------
-# Invalidation instrumentation: O(affected), not O(cache)
-# --------------------------------------------------------------------------
-
-
-def synthetic_template(key, table):
-    return _Template(
-        skeleton_key=key,
-        pinned=(),
-        equality_pattern=(),
-        fact_patterns=(),
-        reason="synthetic",
-        tables=frozenset({table}),
-    )
-
-
-class TestInvalidationScansOnlyAffectedKeys:
-    def test_unaffected_skeleton_keys_never_visited(self, policy=None):
-        cache = DecisionCache(calendar_app.ground_truth_policy())
-        for i in range(50):
-            cache._insert_template(synthetic_template(f"att-{i}", "Attendance"))
-        for i in range(5):
-            cache._insert_template(synthetic_template(f"usr-{i}", "Users"))
-        assert cache.size == 55
-        before = cache.invalidate_keys_scanned
-        assert cache.invalidate_table("Users") == 5
-        # Exactly the 5 Users keys were visited; none of the 50
-        # Attendance keys were examined.
-        assert cache.invalidate_keys_scanned - before == 5
-        assert cache.invalidate_table("NoSuchTable") == 0
-        assert cache.invalidate_keys_scanned - before == 5
-        assert cache.size == 50
-
-    def test_multi_table_template_unlinked_everywhere(self):
-        cache = DecisionCache(calendar_app.ground_truth_policy())
-        cache._insert_template(
-            _Template(
-                skeleton_key="k",
-                pinned=(),
-                equality_pattern=(),
-                fact_patterns=(),
-                reason="synthetic",
-                tables=frozenset({"Events", "Attendance"}),
-            )
-        )
-        assert cache.invalidate_table("Events") == 1
-        # The template's other table must not retain a dangling key.
-        before = cache.invalidate_keys_scanned
-        assert cache.invalidate_table("Attendance") == 0
-        assert cache.invalidate_keys_scanned == before
 
 
 # --------------------------------------------------------------------------

@@ -207,6 +207,63 @@ class TestSnapshotRestore:
         assert db.relation_contents()["Tags"] == set(TAGS)
 
 
+class TestChangeLog:
+    """``changes`` logs the old image of every row a write changed, and
+    nothing for a write that changed no row."""
+
+    def logged_since(self, db, seq):
+        return db.changes.since(seq)[1]
+
+    def test_identity_update_logs_nothing(self, db):
+        seq = db.changes.seq
+        assert db.sql("UPDATE Items SET label = label, active = active") == 3
+        assert db.sql("UPDATE Tags SET tag = tag WHERE item = 1") == 2
+        assert db.changes.seq == seq
+        assert self.logged_since(db, seq) == []
+
+    def test_insert_logs_nothing(self, db):
+        seq = db.changes.seq
+        db.sql("INSERT INTO Items VALUES (4, 'delta', 1.0, FALSE)")
+        db.insert_rows("Tags", [(4, "new")])
+        assert db.changes.seq == seq
+
+    def test_update_logs_only_rows_whose_values_changed(self, db):
+        seq = db.changes.seq
+        assert db.sql("UPDATE Items SET active = FALSE WHERE id <= 2") == 2
+        assert self.logged_since(db, seq) == [("Items", (1, "alpha", 0.5, True))]
+        db.query("SELECT id FROM Items")  # this connection's own commit
+        assert db.changes.seq == seq + 1
+
+    def test_wide_update_logs_each_changed_row(self, db):
+        db.insert_rows("Items", [(i, "bulk", None, i % 2 == 0) for i in range(10, 1210)])
+        seq = db.changes.seq
+        assert db.sql("UPDATE Items SET active = TRUE WHERE label = 'bulk'") == 1200
+        logged = self.logged_since(db, seq)
+        assert sorted(row[0] for _, row in logged) == list(range(11, 1210, 2))
+
+    def test_delete_logs_every_removed_row(self, db):
+        seq = db.changes.seq
+        assert db.sql("DELETE FROM Tags WHERE item = ?", [1]) == 2
+        assert sorted(self.logged_since(db, seq)) == [
+            ("Tags", (1, "blue")),
+            ("Tags", (1, "red")),
+        ]
+
+    def test_restore_logs_that_anything_may_have_changed(self, db):
+        snapshot = db.snapshot()
+        seq = db.changes.seq
+        db.restore(snapshot)
+        assert db.changes.seq > seq and self.logged_since(db, seq) is None
+
+    def test_images_past_the_cap_are_not_reported(self):
+        from repro.engine.changes import ChangeLog
+
+        log = ChangeLog(cap=2)
+        log.record("T", [(1,), (2,), (3,)])
+        assert log.since(1) == (3, [("T", (3,)), ("T", (2,))])
+        assert log.since(0) == (3, None)
+
+
 class TestClose:
     def test_close_is_idempotent(self, db):
         db.close()

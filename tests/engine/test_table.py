@@ -1,5 +1,8 @@
 """Row-storage tests: inserts, indexes, deletes, snapshots."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.engine import Column, ColumnType, TableSchema
@@ -108,3 +111,46 @@ class TestSnapshot:
         table.restore(snapshot)
         table.insert((3, "c"))
         assert [row[0] for row in table.rows()] == [1, 3]
+
+
+class TestLockFreeReads:
+    def test_readers_never_find_an_id_without_its_row(self, table):
+        """Index probes and scans racing one writer's in-place updates
+        (the serving gateway's shape: writes serialized, reads not)."""
+        ids = [table.insert((i, "even" if i % 2 else "odd")) for i in range(40)]
+        stop = threading.Event()
+        errors: list[BaseException] = []
+
+        def writer() -> None:
+            flips = 0
+            while not stop.is_set():
+                flips += 1
+                for row_id in ids[:10]:
+                    table.update_id(row_id, (row_id, "even" if flips % 2 else "odd"))
+
+        def reader() -> None:
+            try:
+                for _ in range(500):
+                    list(table.lookup("name", "even"))
+                    list(table.lookup("name", "odd"))
+                    list(table.rows())
+            except BaseException as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # preempt inside the mutation
+        threads = [threading.Thread(target=reader) for _ in range(3)]
+        updater = threading.Thread(target=writer)
+        try:
+            updater.start()
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            stop.set()
+            updater.join(timeout=60)
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in (*threads, updater))
+        assert not errors, errors
+        assert len(table) == 40

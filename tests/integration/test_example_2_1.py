@@ -62,3 +62,65 @@ def test_q2_blocked_for_non_attendee(setup):
     assert check.is_empty()  # allowed, but returns nothing
     with pytest.raises(PolicyViolation):
         proxy.query("SELECT * FROM Events WHERE EId = 2")
+
+
+def bare_proxy(db, policy, user):
+    return EnforcementProxy(db, policy, Session.for_user(user))
+
+
+def gateway_session(db, policy, user):
+    from repro.serve import EnforcementGateway
+
+    return EnforcementGateway(db, policy).connect(user)
+
+
+@pytest.mark.parametrize("open_session", [bare_proxy, gateway_session])
+def test_q2_follows_the_attendance_row(setup, open_session):
+    """``Q2`` is allowed only while the row ``Q1`` certified exists.
+
+    Another session deletes ``Attendance(1, 2)`` and retitles the event:
+    user 1's *same* session is blocked, as a fresh one would be. Once the
+    row is back, ``Q2`` stays blocked until the guard runs again.
+    """
+    db, policy = setup
+    q1 = "SELECT 1 FROM Attendance WHERE UId = 1 AND EId = 2"
+    q2 = "SELECT Title FROM Events WHERE EId = 2"
+    proxy = open_session(db, policy, 1)
+    assert not proxy.query(q1).is_empty()
+    assert len(proxy.query(q2)) == 1
+
+    other = EnforcementProxy(db, policy, Session.for_user(3))
+    other.sql("DELETE FROM Attendance WHERE UId = 1 AND EId = 2")
+    other.sql("UPDATE Events SET Title = 'secret-after-removal' WHERE EId = 2")
+    with pytest.raises(PolicyViolation):
+        proxy.query(q2)
+    assert proxy.query(q1).is_empty()
+
+    other.sql("INSERT INTO Attendance VALUES (1, 2)")
+    with pytest.raises(PolicyViolation):
+        proxy.query(q2)
+    assert not proxy.query(q1).is_empty()
+    assert proxy.query(q2).rows == [("secret-after-removal",)]
+    assert proxy.stats.facts_retired >= 2
+
+
+def test_a_commit_by_another_connection_to_the_file_blocks_q2(tmp_path):
+    """Two databases on one SQLite file, as cluster shards share one: a
+    DELETE through the first reaches the facts of a session on the
+    second, which cannot tell which rows changed and drops them all."""
+    path = str(tmp_path / "calendar.db")
+    writer = calendar_app.make_database(size=10, seed=3, backend="sqlite", db_path=path)
+    if writer.query("SELECT 1 FROM Attendance WHERE UId = 1 AND EId = 2").is_empty():
+        writer.sql("INSERT INTO Attendance VALUES (1, 2)")
+    reader = calendar_app.make_database(size=10, seed=3, backend="sqlite", db_path=path)
+    proxy = EnforcementProxy(
+        reader, calendar_app.ground_truth_policy(), Session.for_user(1)
+    )
+    assert not proxy.query("SELECT 1 FROM Attendance WHERE UId = 1 AND EId = 2").is_empty()
+    assert len(proxy.query("SELECT * FROM Events WHERE EId = 2")) == 1
+    writer.sql("DELETE FROM Attendance WHERE UId = 1 AND EId = 2")
+    with pytest.raises(PolicyViolation):
+        proxy.query("SELECT * FROM Events WHERE EId = 2")
+    assert proxy.trace.facts == ()
+    writer.close()
+    reader.close()

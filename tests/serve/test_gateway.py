@@ -144,22 +144,30 @@ class TestSharedCacheThroughGateway:
 
 
 class TestWritesThroughGateway:
-    def test_write_invalidates_templates_for_all_sessions(self, calendar_gateway):
-        calendar_gateway.connect(1).query("SELECT EId FROM Attendance WHERE UId = 1")
-        assert calendar_gateway.shared_cache.size == 1
-        calendar_gateway.connect(2).sql("DELETE FROM Attendance WHERE UId = 2")
-        assert calendar_gateway.shared_cache.size == 0
-        assert calendar_gateway.metrics.counter("writes") == 1
-        assert calendar_gateway.metrics.counter("templates_invalidated") == 1
-        # The next identical-shape query re-checks and re-stores.
-        calendar_gateway.connect(3).query("SELECT EId FROM Attendance WHERE UId = 3")
-        assert calendar_gateway.shared_cache.size == 1
+    def test_write_keeps_templates_and_retires_facts(self, calendar_gateway):
+        """A write evicts no template; each session's next statement
+        retires the facts that stood for the rows the write removed."""
+        gateway = calendar_gateway
+        sql = "SELECT EId FROM Attendance WHERE UId = ?"
+        mine, theirs = gateway.connect(1), gateway.connect(2)
+        assert len(mine.query(sql, [1])) > 0 and len(theirs.query(sql, [2])) > 0
+        kept, doomed = len(mine.trace.facts), len(theirs.trace.facts)
+        assert gateway.shared_cache.size == 1
+        gateway.connect(3).sql("DELETE FROM Attendance WHERE UId = 2")
+        assert gateway.metrics.counter("writes") == 1
+        assert gateway.shared_cache.size == 1
+        hits = gateway.metrics.counter("cache_hits")
+        assert len(mine.query(sql, [1])) == kept
+        assert theirs.query(sql, [2]).is_empty()
+        assert gateway.metrics.counter("cache_hits") == hits + 2
+        assert len(mine.trace.facts) == kept and len(theirs.trace.facts) == 0
+        assert gateway.snapshot().counters["facts_retired"] == doomed
+        assert gateway.metrics.counter("cache_disagreements") == 0
 
     def test_write_to_unrelated_table_keeps_templates(self, calendar_gateway):
         calendar_gateway.connect(1).query("SELECT EId FROM Attendance WHERE UId = 1")
         calendar_gateway.connect(1).sql("UPDATE Users SET Name = Name")
         assert calendar_gateway.shared_cache.size == 1
-
 
 
 class TestOneStore:
