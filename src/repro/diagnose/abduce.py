@@ -8,12 +8,15 @@ The task: find a statement ``H`` about database content such that
 
 This is abduction — "an explanatory hypothesis for a desired outcome"
 (Dillig et al.), the desired outcome being policy compliance. Hypotheses
-are generated from *failed view matches*: for each policy view, partial
-homomorphisms from the view body onto the query body are enumerated;
-the view atoms left unmapped, instantiated through the partial mapping,
-are exactly what is missing for that view to justify the query. Each
-hypothesis is validated by re-running the compliance check with the
-hypothesis atoms taken as certified facts.
+are generated from *failed view matches*: the guard patterns of
+:func:`repro.relalg.rewrite.guard_patterns` — for each partial
+homomorphism from a view body onto the query body, the view atoms left
+unmapped, instantiated through the mapping — are exactly what is missing
+for that view to justify the query. (The enforcement checker reads the
+same patterns to prune a session's facts and to name, in a Block's
+reason, the fact that would have allowed it.) Each hypothesis is
+validated by re-running the compliance check with the hypothesis atoms
+taken as certified facts.
 
 For Example 2.1 with ``Q2`` issued alone, the synthesized check is
 ``SELECT 1 FROM Attendance WHERE UId = 1 AND EId = 2`` — the paper's
@@ -23,9 +26,8 @@ For Example 2.1 with ``Q2`` issued alone, the synthesized check is
 from __future__ import annotations
 
 from repro.diagnose.patches import AccessCheckPatch
-from repro.relalg.constraints import ConstraintSet
-from repro.relalg.cq import CQ, Atom, Const, Param, Term, Var, fresh_var_factory
-from repro.relalg.rewrite import ViewDef, find_equivalent_rewriting
+from repro.relalg.cq import CQ, Atom, Const, Param
+from repro.relalg.rewrite import ViewDef, find_equivalent_rewriting, guard_patterns
 from repro.relalg.render import cq_to_select
 from repro.relalg.translate import SchemaInfo
 from repro.sqlir.printer import to_sql
@@ -41,12 +43,10 @@ def access_check_patches(
 ) -> list[AccessCheckPatch]:
     """Synthesize validated access-check patches for a blocked query."""
     existing_facts = existing_facts or []
-    closure = ConstraintSet(query.comps)
-    if not closure.consistent():
-        return []
-    hypotheses = _candidate_hypotheses(query, views, closure)
     patches: list[AccessCheckPatch] = []
     seen_sql: set[str] = set()
+    # Smallest hypotheses first: the least the developer has to check.
+    hypotheses = dict.fromkeys(pattern.atoms for pattern in guard_patterns(query, views))
     for hypothesis in hypotheses:
         patch = _validate(query, views, schema, existing_facts, hypothesis)
         if patch is None or patch.check_sql in seen_sql:
@@ -56,109 +56,6 @@ def access_check_patches(
         if len(patches) >= max_patches:
             break
     return patches
-
-
-def _candidate_hypotheses(
-    query: CQ, views: list[ViewDef], closure: ConstraintSet
-) -> list[tuple[Atom, ...]]:
-    """Unmapped view-body remainders under partial homomorphisms.
-
-    Smaller hypotheses first — the least the developer has to check.
-    """
-    fresh = fresh_var_factory("hx")
-    out: list[tuple[Atom, ...]] = []
-    seen: set[tuple[Atom, ...]] = set()
-    for view in views:
-        view_cq = view.cq.rename_apart({v.name for v in query.variables()})
-        body = view_cq.body
-
-        def emit(phi: dict[Var, Term], mapped: frozenset[int]) -> None:
-            unmapped = [a for i, a in enumerate(body) if i not in mapped]
-            if not unmapped or len(unmapped) == len(body):
-                return
-            # Resolve the remainder's variables through the *combined*
-            # constraints: the query's own comparisons plus the view's
-            # comparisons under the partial mapping. This is what pins
-            # V2's Attendance remainder to (UId = 1, EId = 2) in the
-            # paper's example rather than leaving fresh existentials.
-            combined = ConstraintSet(
-                list(query.comps) + [c.substitute(phi) for c in view_cq.comps]
-            )
-            if not combined.consistent():
-                return
-            extension = dict(phi)
-            for atom in unmapped:
-                for arg in atom.args:
-                    if isinstance(arg, Var) and arg not in extension:
-                        canon = combined.canon(arg)
-                        if isinstance(canon, Const):
-                            extension[arg] = canon
-                            continue
-                        anchor = next(
-                            (
-                                q_var
-                                for q_var in sorted(
-                                    query.body_variables(), key=lambda v: v.name
-                                )
-                                if combined.equal(arg, q_var)
-                            ),
-                            None,
-                        )
-                        extension[arg] = anchor if anchor is not None else fresh()
-            hypothesis = tuple(
-                _ground_atom(atom.substitute(extension), closure) for atom in unmapped
-            )
-            if hypothesis not in seen:
-                seen.add(hypothesis)
-                out.append(hypothesis)
-
-        def extend(index: int, phi: dict[Var, Term], mapped: frozenset[int]) -> None:
-            if index == len(body):
-                if mapped:
-                    emit(phi, mapped)
-                return
-            view_atom = body[index]
-            extend(index + 1, phi, mapped)
-            for subgoal in query.body:
-                extension = _match(view_atom, subgoal, phi, closure)
-                if extension is None:
-                    continue
-                phi.update(extension)
-                extend(index + 1, phi, mapped | {index})
-                for key in extension:
-                    del phi[key]
-
-        extend(0, {}, frozenset())
-    out.sort(key=len)
-    return out
-
-
-def _match(view_atom: Atom, subgoal: Atom, phi, closure) -> dict[Var, Term] | None:
-    if view_atom.rel != subgoal.rel or len(view_atom.args) != len(subgoal.args):
-        return None
-    extension: dict[Var, Term] = {}
-    for view_arg, q_arg in zip(view_atom.args, subgoal.args):
-        if isinstance(view_arg, Var):
-            bound = phi.get(view_arg, extension.get(view_arg))
-            if bound is None:
-                extension[view_arg] = q_arg
-            elif not closure.equal(bound, q_arg):
-                return None
-        elif not closure.equal(view_arg, q_arg):
-            return None
-    return extension
-
-
-def _ground_atom(atom: Atom, closure: ConstraintSet) -> Atom:
-    """Pin arguments to constants where the query's closure forces them."""
-    args = []
-    for arg in atom.args:
-        if isinstance(arg, Var):
-            canon = closure.canon(arg)
-            args.append(canon if isinstance(canon, Const) else arg)
-        else:
-            args.append(arg)
-    return Atom(atom.rel, tuple(args))
 
 
 def _validate(

@@ -291,6 +291,7 @@ class DecisionCache:
             facts_used=tuple(witnesses),
             duration_s=time.perf_counter() - started,
             facts_considered=len(witnesses),
+            facts_kept=len(witnesses),
         )
 
     def _probe(
@@ -392,8 +393,15 @@ class DecisionCache:
         ``guard_relations`` (enforced at :meth:`lookup_compiled` time).
         Bindings colliding with structural view constants are skipped
         (the proof may have used that equality; params are never pinned).
+        A Block for want of search budget decided nothing and is never
+        stored.
         """
-        if decision.allowed or decision.from_cache or decision.facts_considered:
+        if (
+            decision.allowed
+            or decision.from_cache
+            or decision.facts_considered
+            or decision.over_budget
+        ):
             return False
         param_items = sorted(bindings.items())
         try:

@@ -14,6 +14,16 @@ rewriting computes exactly that answer from view contents. Incompleteness
 homomorphism containment test and from restricting rewritings to
 conjunctive combinations of views — both conservative.
 
+Which facts a check conjoins. Only once the policy views alone have
+failed, and only the facts that can help (:func:`helpful_facts`):
+instances of a query subgoal, and facts completing some view's guard
+pattern (:func:`~repro.relalg.rewrite.guard_patterns`). A pruned fact cannot
+complete an equivalent rewriting (docs/compliance.md, "Which facts can
+help a check"), so a Block whose facts are all pruned is the Block an
+empty trace gets. A Block that did try facts names, in its reason, the
+pattern no certified fact matched. Every check spends from one search
+budget (:data:`CHECK_STEP_BUDGET`) and Blocks when it runs out.
+
 The compiled path (PR 8): hand the checker a
 :class:`~repro.relalg.compile.CompiledPolicy` (built once per policy
 epoch) and a per-epoch skeleton store, and :meth:`check` first tries to
@@ -30,14 +40,24 @@ independent of the very templates it is auditing.
 from __future__ import annotations
 
 import time
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping, Sequence
 from typing import TYPE_CHECKING
 
-from repro.enforce.decision import Decision
+from repro.enforce.decision import BUDGET_REASON, Decision
 from repro.enforce.trace import Trace
 from repro.policy.policy import Policy
-from repro.relalg.cq import CQ, UCQ, Atom
-from repro.relalg.rewrite import Rewriting, ViewDef, find_equivalent_rewriting
+from repro.relalg.constraints import ConstraintSet
+from repro.relalg.cq import CQ, UCQ, Atom, Const, Term, Var
+from repro.relalg.rewrite import (
+    GuardPattern,
+    Rewriting,
+    SearchBudget,
+    SearchBudgetExhausted,
+    ViewDef,
+    find_equivalent_rewriting,
+    guard_patterns,
+    is_wildcard,
+)
 from repro.relalg.translate import SchemaInfo, translate_select
 from repro.sqlir import ast
 from repro.sqlir.printer import to_sql
@@ -47,6 +67,16 @@ from repro.util.errors import TranslationError
 if TYPE_CHECKING:
     from repro.enforce.cache import DecisionCache
     from repro.relalg.compile import CompiledPolicy
+
+#: Search steps one check may spend over all its rewriting searches — a
+#: step is a coverage descriptor emitted or a candidate validated. A check
+#: that runs out Blocks (fails closed) with a reason starting ``budget:``.
+#: No check of the test suite, the E-benchmarks or a ``bench/`` workload
+#: spends 60; one search validates at most ``max_candidates`` (2 000).
+CHECK_STEP_BUDGET = 2_000
+
+#: Missing guard patterns a Block's reason names.
+_NAMED_PATTERNS = 3
 
 
 class ComplianceChecker:
@@ -164,8 +194,8 @@ class ComplianceChecker:
             if self.compiled is not None
             else self.policy.view_defs(bindings)
         )
-        facts: list[Atom] = []
         relevant: set[str] = set()
+        considered = 0
         if self.history_enabled:
             relevant = (
                 self.compiled.relevant_relations(set(query.relations()))
@@ -173,33 +203,55 @@ class ComplianceChecker:
                 else self._relevant_relations(query, views)
             )
             if trace is not None:
-                facts = trace.relevant_facts(relevant)
+                considered = sum(len(trace.facts_of(rel)) for rel in relevant)
+        history = trace if considered else None
+        budget = SearchBudget(CHECK_STEP_BUDGET)
+        # The facts that survived pruning for some disjunct.
+        kept_facts: set[Atom] = set()
         rewritings: list[Rewriting] = []
         facts_used: list[Atom] = []
-        for disjunct in query.disjuncts:
-            outcome = self._check_disjunct(disjunct, views, facts, bindings)
-            if outcome is not None:
-                rewriting, used = outcome
+        try:
+            for disjunct in query.disjuncts:
+                rewriting, used, kept, missing = self._check_disjunct(
+                    disjunct, views, history, bindings, budget
+                )
+                kept_facts.update(kept)
+                if rewriting is None:
+                    reason = "no equivalent rewriting over policy views" + (
+                        " and trace facts" if kept_facts else ""
+                    )
+                    if missing:
+                        reason += "; would need " + ", ".join(
+                            repr(atom) for atom in missing[:_NAMED_PATTERNS]
+                        )
+                    return (
+                        Decision(
+                            allowed=False,
+                            sql=sql,
+                            reason=reason,
+                            duration_s=time.perf_counter() - started,
+                            facts_considered=considered,
+                            facts_kept=len(kept_facts),
+                        ),
+                        relevant,
+                    )
                 for fact in used:
                     if fact not in facts_used:
                         facts_used.append(fact)
-            else:
-                rewriting = None
-            if rewriting is None:
-                return (
-                    Decision(
-                        allowed=False,
-                        sql=sql,
-                        reason=(
-                            "no equivalent rewriting over policy views"
-                            + (" and trace facts" if facts else "")
-                        ),
-                        duration_s=time.perf_counter() - started,
-                        facts_considered=len(facts),
-                    ),
-                    relevant,
-                )
-            rewritings.append(rewriting)
+                rewritings.append(rewriting)
+        except SearchBudgetExhausted:
+            return (
+                Decision(
+                    allowed=False,
+                    sql=sql,
+                    reason=f"{BUDGET_REASON} the rewriting search ran past"
+                    f" {CHECK_STEP_BUDGET} steps",
+                    duration_s=time.perf_counter() - started,
+                    facts_considered=considered,
+                    facts_kept=len(kept_facts),
+                ),
+                relevant,
+            )
         return (
             Decision(
                 allowed=True,
@@ -209,7 +261,8 @@ class ComplianceChecker:
                 rewritings=tuple(rewritings),
                 facts_used=tuple(facts_used),
                 duration_s=time.perf_counter() - started,
-                facts_considered=len(facts),
+                facts_considered=considered,
+                facts_kept=len(kept_facts),
             ),
             relevant,
         )
@@ -232,35 +285,46 @@ class ComplianceChecker:
         self,
         disjunct: CQ,
         views: list[ViewDef],
-        facts: list[Atom],
+        trace: Trace | None,
         bindings: Mapping[str, object],
-    ) -> tuple[Rewriting, list[Atom]] | None:
+        budget: SearchBudget,
+    ) -> tuple[Rewriting | None, list[Atom], list[Atom], list[Atom]]:
+        """``(rewriting or None, facts it conjoined, facts that survived
+        pruning, guard-pattern atoms no certified fact matches)`` — the
+        last only when an attempt with facts ran and failed."""
         # Fast path: no facts needed.
         rewriting = find_equivalent_rewriting(
-            disjunct, views, max_candidates=self.max_candidates
+            disjunct, views, max_candidates=self.max_candidates, budget=budget
         )
         if rewriting is not None:
-            return rewriting, []
+            return rewriting, [], [], []
+        if trace is None:
+            return None, [], [], []
+        facts, missing = helpful_facts(disjunct, guard_patterns(disjunct, views), trace)
         if not facts:
-            return None
+            return None, [], [], []
         # Iterative deepening over trace facts: first the facts directly
         # tied to the query's constants, then the transitive closure. The
         # narrow attempt resolves the common guarded-handler shape (one
         # check query, one fetch) without a combinatorial search.
         narrow = self._select_facts(disjunct, facts, {}, transitive=False, cap=4)
         if narrow:
-            rewriting = self._try_with_facts(disjunct, views, narrow)
+            rewriting = self._try_with_facts(disjunct, views, narrow, budget)
             if rewriting is not None:
-                return rewriting, narrow
+                return rewriting, narrow, facts, []
         wide = self._select_facts(disjunct, facts, bindings, transitive=True, cap=8)
         if wide and wide != narrow:
-            rewriting = self._try_with_facts(disjunct, views, wide)
+            rewriting = self._try_with_facts(disjunct, views, wide, budget)
             if rewriting is not None:
-                return rewriting, wide
-        return None
+                return rewriting, wide, facts, []
+        return None, [], facts, missing if narrow or wide else []
 
     def _try_with_facts(
-        self, disjunct: CQ, views: list[ViewDef], useful: list[Atom]
+        self,
+        disjunct: CQ,
+        views: list[ViewDef],
+        useful: list[Atom],
+        budget: SearchBudget,
     ) -> Rewriting | None:
         augmented = CQ(
             head=disjunct.head,
@@ -270,7 +334,11 @@ class ComplianceChecker:
             name=(disjunct.name or "Q") + "_with_facts",
         )
         return find_equivalent_rewriting(
-            augmented, views, facts=useful, max_candidates=self.max_candidates
+            augmented,
+            views,
+            facts=useful,
+            max_candidates=self.max_candidates,
+            budget=budget,
         )
 
     def _select_facts(
@@ -298,7 +366,6 @@ class ComplianceChecker:
         Within the cap, facts reached *directly* from the query beat
         transitively-reached ones, most recent first.
         """
-        from repro.relalg.cq import Const
 
         def informative(values: set[object]) -> set[object]:
             return values - self._view_constants
@@ -345,3 +412,85 @@ class ComplianceChecker:
             selected.extend(take)
             quota -= len(take)
         return selected
+
+
+def helpful_facts(
+    query: CQ, patterns: Sequence[GuardPattern], trace: Trace
+) -> tuple[list[Atom], list[Atom]]:
+    """The certified facts that can take part in an equivalent rewriting
+    of ``query``, oldest first, and the atoms of ``patterns`` (its
+    :func:`~repro.relalg.rewrite.guard_patterns`) no certified fact matches.
+
+    A fact is kept iff (a) it is an *instance* of a query subgoal, or (b)
+    it matches an atom of a pattern every atom of which some certified
+    fact matches. Matching is equality under the query's closure,
+    position by position, except at open positions: a pattern's
+    wildcards; in (a), the query's existential variables — those no
+    comparison pins and no head variable equals, which the containment
+    mapping may send onto a fact's values; and in (b) those too, when
+    each subgoal the pattern's view covers has an instance, the view then
+    landing on facts alone. Any other query variable matches no fact; a
+    labeled null only an open position. Found through the trace's
+    indexes: one probe per ground atom, one relation's facts per atom
+    with an open position. docs/compliance.md, "Which facts can help a
+    check", says why nothing pruned could help.
+    """
+    closure = ConstraintSet(query.comps)
+    if not closure.consistent():
+        return [], []
+    head = [term for term in query.head if isinstance(term, Var)]
+    pins: dict[Term, Const | None] = {}
+
+    def pinned(term: Term) -> Const | None:
+        if term not in pins:
+            pins[term] = term if isinstance(term, Const) else closure.pinned(term)
+        return pins[term]
+
+    def existential(term: Term) -> bool:
+        """Open in an instance: a wildcard, or an existential variable."""
+        return (
+            isinstance(term, Var)
+            and pinned(term) is None
+            and not any(closure.equal(term, var) for var in head)
+        )
+
+    def matching(atom: Atom, is_open: Callable[[Term], bool]) -> list[Atom]:
+        args: list[Const | None] = []  # None: an open position
+        for arg in atom.args:
+            if is_open(arg):
+                args.append(None)
+                continue
+            pin = pinned(arg)
+            if pin is None:
+                return []
+            args.append(pin)
+        if None not in args:
+            fact = trace.certified(Atom(atom.rel, tuple(args)))  # type: ignore[arg-type]
+            return [] if fact is None else [fact]
+        return [
+            fact
+            for fact in trace.facts_of(atom.rel)
+            if len(fact.args) == len(args)
+            and all(
+                want is None or closure.equal(want, have)
+                for want, have in zip(args, fact.args)
+            )
+        ]
+
+    instances = [matching(subgoal, existential) for subgoal in query.body]
+    kept: set[Atom] = set()
+    for facts in instances:
+        kept.update(facts)
+    missing: list[Atom] = []
+    for pattern in patterns:
+        found = [matching(atom, is_wildcard) for atom in pattern.atoms]
+        if not all(found) and all(instances[index] for index in pattern.covers):
+            found = [matching(atom, existential) for atom in pattern.atoms]
+        if all(found):
+            for facts in found:
+                kept.update(facts)
+            continue
+        for atom, facts in zip(pattern.atoms, found):
+            if not facts and atom not in missing:
+                missing.append(atom)
+    return trace.oldest_first(kept), missing

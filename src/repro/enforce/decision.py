@@ -9,6 +9,11 @@ from repro.sqlir import ast
 from repro.sqlir.printer import to_sql
 from repro.util.errors import DbacError
 
+#: How the reason of a Block starts when the check ran out of search
+#: budget (``repro.enforce.checker.CHECK_STEP_BUDGET``) instead of
+#: deciding: fail closed, never templated.
+BUDGET_REASON = "budget:"
+
 
 @dataclass
 class Decision:
@@ -33,10 +38,21 @@ class Decision:
     facts_used: tuple = ()
     from_cache: bool = False
     duration_s: float = 0.0
+    #: Certified facts in the relations that bear on the check (its
+    #: relevant relations) when it ran.
     facts_considered: int = 0
+    #: Of those, the facts that could help — they survived the checker's
+    #: pruning (docs/compliance.md, "Which facts can help a check"). A
+    #: Block with none is the Block an empty trace gets.
+    facts_kept: int = 0
     #: Which policy generation decided this statement (stamped by the
     #: gateway; ``None`` for bare-proxy decisions, which have no epochs).
     policy_version: int | None = None
+
+    @property
+    def over_budget(self) -> bool:
+        """A Block because the check ran out of search budget."""
+        return not self.allowed and self.reason.startswith(BUDGET_REASON)
 
     def describe(self) -> str:
         verdict = "ALLOW" if self.allowed else "BLOCK"

@@ -104,6 +104,8 @@ class ProxyStats:
     facts_retired: int = 0
     #: SELECTs decided again because a concurrent write retired facts.
     statement_retries: int = 0
+    #: Fresh checks that ran out of search budget (each one a Block).
+    checks_over_budget: int = 0
 
     @staticmethod
     def with_cap(decision_log_cap: int) -> "ProxyStats":
@@ -351,6 +353,9 @@ class EnforcementProxy:
             self.stats.cache_hits += 1
         else:
             decision = self._check_fresh(bound, trace, skeleton=skeleton)
+            if decision.over_budget:
+                self.stats.checks_over_budget += 1
+                self._record_counter("checks_over_budget", 1)
         seconds = time.perf_counter() - started
         self.stats.check_seconds += seconds
         self._record_stage("check", seconds)
@@ -376,7 +381,8 @@ class EnforcementProxy:
 
     def _record_counter(self, name: str, amount: int) -> None:
         """Counter observation point (``facts_retired``,
-        ``statement_retries``); no-op outside the gateway."""
+        ``statement_retries``, ``checks_over_budget``); no-op outside the
+        gateway."""
 
     def _decision_cache(self) -> DecisionCache | None:
         """The decision cache to consult for this decision.

@@ -26,7 +26,7 @@ exactly, and as the reference the planned path is tested against
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
 from repro.engine.executor import Result
@@ -311,7 +311,9 @@ class Trace:
 
     def __init__(self, max_facts: int = 256):
         self._facts: dict[Atom, Atom] = {}
-        self._by_relation: dict[str, dict[Atom, Atom]] = {}
+        #: Per relation: each fact's certification tick (recency order).
+        self._by_relation: dict[str, dict[Atom, int]] = {}
+        self._ticks = 0
         #: ``facts`` as last built; None after a mutation.
         self._snapshot: tuple[Atom, ...] | None = ()
         self._null_counter = 0
@@ -349,9 +351,14 @@ class Trace:
         constants may differ from ``fact``'s in type: ``1 == True``)."""
         return self._facts.get(fact)
 
-    def facts_of(self, relation: str) -> Iterable[Atom]:
+    def facts_of(self, relation: str) -> Collection[Atom]:
         """The facts over one relation, in recency order."""
         return self._by_relation.get(relation, ())
+
+    def oldest_first(self, facts: Iterable[Atom]) -> list[Atom]:
+        """Certified ``facts`` in the order :attr:`facts` lists them."""
+        by_relation = self._by_relation
+        return sorted(facts, key=lambda fact: by_relation[fact.rel][fact])
 
     def record(self, sql: str, query: CQ | None, result: Result) -> tuple[Atom, ...]:
         """Record an executed query; returns the facts its answer certifies
@@ -409,7 +416,9 @@ class Trace:
                 relation = by_relation.setdefault(fact.rel, {})
             else:
                 continue
-            known[fact] = relation[fact] = fact
+            known[fact] = fact
+            self._ticks += 1
+            relation[fact] = self._ticks
             self._snapshot = None
 
     def retire(self, images: Iterable[tuple[str, tuple]]) -> int:

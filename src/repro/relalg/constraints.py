@@ -235,6 +235,20 @@ class ConstraintSet:
             return True
         return False
 
+    def pinned(self, term: Term) -> Const | None:
+        """The constant ``term`` is provably equal to, or None: on a
+        consistent set, ``equal(term, c)`` iff ``c`` equals it, for every
+        constant ``c``. Through its class, or between two order
+        constraints (``3 <= x <= 3``)."""
+        rep = self._find(term)
+        if isinstance(rep, Const):
+            return rep
+        if self._edges:
+            for node in self._const_nodes():
+                if self.equal(rep, node):
+                    return node
+        return None
+
     def not_equal(self, a: Term, b: Term) -> bool:
         """Is ``a != b`` implied?"""
         if self._inconsistent:

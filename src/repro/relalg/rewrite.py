@@ -22,6 +22,16 @@ and sound: an over-eager candidate is simply rejected.
 
 Trace facts (ground atoms known from prior query answers) participate as
 zero-cost coverage: a subgoal matching a known fact needs no view.
+
+The same partial homomorphisms, read the other way, say what a view is
+*missing*: :func:`guard_patterns` returns the view atoms each one leaves
+unmapped — the facts that would let the view cover the query. The
+enforcement checker uses them to discard trace facts that cannot help a
+check and to name the one that would have; the diagnosis layer turns
+them into §5.2.2's access-check patches.
+
+A :class:`SearchBudget` caps the work of a run of searches; when it runs
+out they raise :class:`SearchBudgetExhausted` instead of answering.
 """
 
 from __future__ import annotations
@@ -65,6 +75,90 @@ class Rewriting:
         return " AND ".join(parts) if parts else "(trivial)"
 
 
+class SearchBudgetExhausted(Exception):
+    """A :class:`SearchBudget` ran out before the search could answer."""
+
+
+class SearchBudget:
+    """Search steps a run of rewriting searches may spend between them.
+
+    A step is one coverage descriptor emitted or one candidate validated;
+    the count does not depend on memoization. :meth:`spend` raises
+    :class:`SearchBudgetExhausted` once more steps were spent than given.
+    """
+
+    __slots__ = ("remaining",)
+
+    def __init__(self, steps: int):
+        self.remaining = steps
+
+    def spend(self, steps: int) -> None:
+        self.remaining -= steps
+        if self.remaining < 0:
+            raise SearchBudgetExhausted
+
+
+# --------------------------------------------------------------------------
+# Partial homomorphisms
+# --------------------------------------------------------------------------
+
+
+def _match(
+    view_atom: Atom, subgoal: Atom, phi: dict[Var, Term], closure: ConstraintSet
+) -> dict[Var, Term] | None:
+    """The extension of ``phi`` mapping ``view_atom`` onto ``subgoal``, or None."""
+    if view_atom.rel != subgoal.rel or len(view_atom.args) != len(subgoal.args):
+        return None
+    extension: dict[Var, Term] = {}
+    for view_arg, q_arg in zip(view_atom.args, subgoal.args):
+        if isinstance(view_arg, Var):
+            bound = phi.get(view_arg, extension.get(view_arg))
+            if bound is None:
+                extension[view_arg] = q_arg
+            elif not closure.equal(bound, q_arg):
+                return None
+        elif not closure.equal(view_arg, q_arg):
+            # A constant/param inside the view body must be matched by a
+            # provably equal query term.
+            return None
+    return extension
+
+
+def _partial_homomorphisms(
+    body: Sequence[Atom], query: CQ, closure: ConstraintSet
+) -> Iterator[tuple[dict[Var, Term], frozenset[int], frozenset[int]]]:
+    """Every consistent mapping of a non-empty subset of the view ``body``
+    onto ``query``'s subgoals, as ``(phi, mapped view-atom indexes,
+    covered subgoal indexes)``.
+
+    ``phi`` is one live dict: it changes once the consumer asks for the
+    next mapping, so a consumer that keeps it copies it.
+    """
+    phi: dict[Var, Term] = {}
+
+    def extend(
+        atom_index: int, mapped: frozenset[int], covered: frozenset[int]
+    ) -> Iterator[tuple[dict[Var, Term], frozenset[int], frozenset[int]]]:
+        if atom_index == len(body):
+            if mapped:
+                yield phi, mapped, covered
+            return
+        # Option 1: leave this view atom unmapped.
+        yield from extend(atom_index + 1, mapped, covered)
+        # Option 2: map it onto some query subgoal.
+        view_atom = body[atom_index]
+        for index, subgoal in enumerate(query.body):
+            extension = _match(view_atom, subgoal, phi, closure)
+            if extension is None:
+                continue
+            phi.update(extension)
+            yield from extend(atom_index + 1, mapped | {atom_index}, covered | {index})
+            for key in extension:
+                del phi[key]
+
+    return extend(0, frozenset(), frozenset())
+
+
 # --------------------------------------------------------------------------
 # Coverage descriptors
 # --------------------------------------------------------------------------
@@ -102,25 +196,6 @@ def _view_descriptors(
     head_vars = {t for t in view_cq.head if isinstance(t, Var)}
     descriptors: list[_Descriptor] = []
     seen: set[tuple] = set()
-    body = view_cq.body
-
-    def match(view_atom: Atom, subgoal: Atom, phi: dict[Var, Term]) -> dict[Var, Term] | None:
-        if view_atom.rel != subgoal.rel or len(view_atom.args) != len(subgoal.args):
-            return None
-        extension: dict[Var, Term] = {}
-        for view_arg, q_arg in zip(view_atom.args, subgoal.args):
-            if isinstance(view_arg, Var):
-                bound = phi.get(view_arg, extension.get(view_arg))
-                if bound is None:
-                    extension[view_arg] = q_arg
-                elif not closure.equal(bound, q_arg):
-                    return None
-            else:
-                # Constant/param inside the view body must be matched by a
-                # provably equal query term.
-                if not closure.equal(view_arg, q_arg):
-                    return None
-        return extension
 
     def emit(phi: dict[Var, Term], covered: frozenset[int]) -> None:
         # Exposure check (MiniCon property): a query variable touched by
@@ -169,25 +244,8 @@ def _view_descriptors(
             _Descriptor(covers=covered, view=view.name, args=tuple(args), fact=None)
         )
 
-    def extend(atom_index: int, phi: dict[Var, Term], covered: frozenset[int]) -> None:
-        if atom_index == len(body):
-            if covered:
-                emit(phi, covered)
-            return
-        view_atom = body[atom_index]
-        # Option 1: leave this view atom unmapped.
-        extend(atom_index + 1, phi, covered)
-        # Option 2: map it onto some query subgoal.
-        for index, subgoal in enumerate(query.body):
-            extension = match(view_atom, subgoal, phi)
-            if extension is None:
-                continue
-            phi.update(extension)
-            extend(atom_index + 1, phi, covered | {index})
-            for key in extension:
-                del phi[key]
-
-    extend(0, {}, frozenset())
+    for phi, _, covered in _partial_homomorphisms(view_cq.body, query, closure):
+        emit(phi, covered)
     return descriptors
 
 
@@ -279,6 +337,95 @@ def _needed_variables(query: CQ) -> set[Var]:
 
 
 # --------------------------------------------------------------------------
+# Guard patterns
+# --------------------------------------------------------------------------
+
+#: Name prefix of a guard pattern's wildcards, ``_0``, ``_1``, ...: a
+#: translated query variable is ``alias.column``, never prefix + digits.
+_WILDCARD_PREFIX = "_"
+
+
+def is_wildcard(term: Term) -> bool:
+    """Is ``term`` a guard-pattern wildcard ("some value")?"""
+    return (
+        isinstance(term, Var)
+        and term.name.startswith(_WILDCARD_PREFIX)
+        and term.name[len(_WILDCARD_PREFIX) :].isdigit()
+    )
+
+
+@dataclass(frozen=True)
+class GuardPattern:
+    """What a view lacks to cover part of a query: its unmapped ``atoms``,
+    once its other atoms map onto the query subgoals ``covers`` (indexes
+    into the query's body)."""
+
+    covers: frozenset[int]
+    atoms: tuple[Atom, ...]
+
+
+def guard_patterns(query: CQ, views: Sequence[ViewDef]) -> list[GuardPattern]:
+    """What each view lacks to cover part of ``query``.
+
+    For every view and every partial homomorphism mapping at least one,
+    but not every, view atom onto a query subgoal: the unmapped atoms.
+    Each of their variables is resolved through the query's comparisons
+    plus the view's own under the mapping — to the constant they force,
+    else to a query variable they equate it with (pinned to a constant
+    where the query's comparisons pin it), else to a fresh wildcard
+    (:func:`is_wildcard`; one per view variable, so shared ones still
+    join). For Example 2.1's ``Q2`` alone, V2 maps its ``Events`` atom
+    and lacks ``Attendance(1, 2)``. Smallest patterns first, each once.
+    """
+    closure = ConstraintSet(query.comps)
+    if not closure.consistent():
+        return []
+    fresh = fresh_var_factory(_WILDCARD_PREFIX)
+    anchors = sorted(query.body_variables(), key=lambda v: v.name)
+    query_names = {v.name for v in query.variables()}
+    query_relations = query.relations()
+    patterns: dict[GuardPattern, None] = {}
+    for view in views:
+        if not (view.cq.relations() & query_relations):
+            continue  # no atom of it maps
+        view_cq = view.cq.rename_apart(set(query_names))
+        body = view_cq.body
+        for phi, mapped, covered in _partial_homomorphisms(body, query, closure):
+            unmapped = [atom for index, atom in enumerate(body) if index not in mapped]
+            if not unmapped:
+                continue
+            combined = ConstraintSet(
+                list(query.comps) + [c.substitute(phi) for c in view_cq.comps]
+            )
+            if not combined.consistent():
+                continue
+            resolved = dict(phi)
+            for atom in unmapped:
+                for arg in atom.args:
+                    if not isinstance(arg, Var) or arg in resolved:
+                        continue
+                    canon = combined.canon(arg)
+                    if isinstance(canon, Const):
+                        resolved[arg] = canon
+                        continue
+                    anchor = next((v for v in anchors if combined.equal(arg, v)), None)
+                    resolved[arg] = anchor if anchor is not None else fresh()
+            atoms = tuple(_pin(atom.substitute(resolved), closure) for atom in unmapped)
+            patterns[GuardPattern(covered, atoms)] = None
+    return sorted(patterns, key=lambda pattern: len(pattern.atoms))
+
+
+def _pin(atom: Atom, closure: ConstraintSet) -> Atom:
+    """``atom`` with each variable the closure pins to a constant replaced
+    by that constant."""
+    args: list[Term] = []
+    for arg in atom.args:
+        canon = closure.canon(arg) if isinstance(arg, Var) else arg
+        args.append(canon if isinstance(canon, Const) else arg)
+    return Atom(atom.rel, tuple(args))
+
+
+# --------------------------------------------------------------------------
 # Expansion
 # --------------------------------------------------------------------------
 
@@ -336,6 +483,7 @@ def enumerate_rewritings(
     facts: Sequence[Atom] = (),
     max_candidates: int = 2000,
     allow_partial: bool = False,
+    budget: SearchBudget | None = None,
 ) -> Iterator[Rewriting]:
     """Yield well-formed (not yet validated) rewriting candidates.
 
@@ -343,6 +491,7 @@ def enumerate_rewritings(
     shape needed for **containing** rewritings (NQI): an upper bound on
     the query need not cover subgoals no view mentions, as long as every
     head variable is still exposed (checked during candidate build).
+    ``budget`` is charged one step per coverage descriptor.
 
     Callers validate via the convenience wrappers
     :func:`find_equivalent_rewriting` / :func:`maximally_contained_rewritings`,
@@ -370,6 +519,8 @@ def enumerate_rewritings(
             continue
         descriptors.extend(_view_descriptors_cached(query, closure, view, fresh, needed))
     descriptors.extend(_fact_descriptors(query, closure, facts))
+    if budget is not None:
+        budget.spend(len(descriptors))
 
     by_subgoal: list[list[_Descriptor]] = [[] for _ in query.body]
     for descriptor in descriptors:
@@ -509,14 +660,21 @@ def find_equivalent_rewriting(
     views: Sequence[ViewDef],
     facts: Sequence[Atom] = (),
     max_candidates: int = 2000,
+    budget: SearchBudget | None = None,
 ) -> Rewriting | None:
     """Find a rewriting whose expansion is *equivalent* to ``query``.
 
     This is the compliance condition used by the enforcement proxy: the
     query's answer is then a function of the view contents (plus known
     trace facts), so executing it reveals nothing beyond the policy.
+    ``budget`` is charged per descriptor and per candidate validated;
+    :class:`SearchBudgetExhausted` propagates.
     """
-    for candidate in enumerate_rewritings(query, views, facts, max_candidates):
+    for candidate in enumerate_rewritings(
+        query, views, facts, max_candidates, budget=budget
+    ):
+        if budget is not None:
+            budget.spend(1)
         expansion = candidate.expansion
         if cq_contained_in(expansion, query) and cq_contained_in(query, expansion):
             return candidate

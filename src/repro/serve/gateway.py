@@ -613,7 +613,7 @@ class EnforcementGateway:
                 else:
                     snapshot.counters[f"audit_{name}"] = value
         snapshot.counters["audit_dropped"] = audit_dropped
-        for name in ("facts_retired", "statement_retries"):
+        for name in ("facts_retired", "statement_retries", "checks_over_budget"):
             snapshot.counters.setdefault(name, 0)
         # The rewriting-core memo counters.
         for name, value in memo.memo_stats().items():

@@ -7,7 +7,14 @@ This is the reproduction's acceptance test: the exact query sequence of
 import pytest
 
 from repro.enforce import EnforcementProxy, PolicyViolation, ProxyConfig, Session
+from repro.relalg.cq import Atom, Const
+from repro.sqlir.params import bind_parameters
+from repro.sqlir.parser import parse_select
 from repro.workloads import calendar_app
+
+
+def bound(sql):
+    return bind_parameters(parse_select(sql), [])
 
 
 @pytest.fixture
@@ -30,7 +37,11 @@ def test_full_example(setup):
     q1 = proxy.query("SELECT 1 FROM Attendance WHERE UId = 1 AND EId = 2")
     assert not q1.is_empty()
 
-    # (Q2) Fetch details about Event #2 — allowed *given Q1's answer*.
+    # (Q2) Fetch details about Event #2 — allowed *given Q1's answer*,
+    # and on that fact alone.
+    assert proxy.decide(bound("SELECT * FROM Events WHERE EId = 2")).facts_used == (
+        Atom("Attendance", (Const(1), Const(2))),
+    )
     q2 = proxy.query("SELECT * FROM Events WHERE EId = 2")
     assert len(q2) == 1
     assert proxy.stats.allowed == 2

@@ -1,11 +1,18 @@
 """Rewriting-engine tests: equivalent, contained, and partial rewritings."""
 
+import pytest
+
 from repro.relalg.containment import cq_contained_in
 from repro.relalg.cq import Atom, CQ, Const, Var
 from repro.relalg.rewrite import (
+    GuardPattern,
+    SearchBudget,
+    SearchBudgetExhausted,
     ViewDef,
     enumerate_rewritings,
     find_equivalent_rewriting,
+    guard_patterns,
+    is_wildcard,
     maximally_contained_rewritings,
 )
 from repro.relalg.translate import translate_select
@@ -145,3 +152,40 @@ class TestPartialRewriting:
         query = tr1("SELECT a FROM R", dict_schema)
         candidates = list(enumerate_rewritings(query, views, max_candidates=3))
         assert len(candidates) <= 3
+
+
+class TestGuardPatterns:
+    def test_example_2_1_q2_lacks_the_attendance_row(self, dict_schema):
+        q2 = tr1("SELECT * FROM Events WHERE EId = 2", dict_schema)
+        patterns = guard_patterns(q2, calendar_views(dict_schema))
+        assert GuardPattern(frozenset({0}), (Atom("Attendance", (Const(1), Const(2))),)) in (
+            patterns
+        )
+
+    def test_a_view_covering_everything_or_nothing_leaves_no_pattern(self, dict_schema):
+        q1 = tr1("SELECT EId FROM Attendance WHERE UId = 1", dict_schema)
+        # V1 maps whole; V2's Attendance atom maps and leaves Events(EId, ...)
+        # with only wildcards besides it.
+        patterns = guard_patterns(q1, calendar_views(dict_schema))
+        assert patterns and all(
+            [atom.rel for atom in pattern.atoms] == ["Events"] for pattern in patterns
+        )
+        assert all(
+            is_wildcard(arg) for pattern in patterns for arg in pattern.atoms[0].args[1:]
+        )
+
+    def test_an_unsatisfiable_query_has_none(self, dict_schema):
+        query = tr1("SELECT * FROM Events WHERE EId = 2 AND EId = 3", dict_schema)
+        assert guard_patterns(query, calendar_views(dict_schema)) == []
+
+
+class TestSearchBudget:
+    def test_exhaustion_raises_instead_of_answering(self, dict_schema):
+        q1 = tr1("SELECT 1 FROM Attendance WHERE UId = 1 AND EId = 2", dict_schema)
+        views = calendar_views(dict_schema)
+        budget = SearchBudget(1)
+        with pytest.raises(SearchBudgetExhausted):
+            find_equivalent_rewriting(q1, views, budget=budget)
+        roomy = SearchBudget(100)
+        assert find_equivalent_rewriting(q1, views, budget=roomy) is not None
+        assert 0 <= roomy.remaining < 100
