@@ -418,6 +418,10 @@ def _print_reload_report(report: dict) -> None:
         f" / {report['trace_facts_preserved']} trace facts preserved,"
         f" old epoch {'drained' if report['drained'] else 'NOT drained'}"
     )
+    print(
+        f"  {report.get('templates_carried', 0)} templates carried"
+        f" / {report.get('templates_dropped', 0)} dropped"
+    )
 
 
 def cmd_policy_reload(args: argparse.Namespace) -> int:

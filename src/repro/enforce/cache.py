@@ -72,6 +72,12 @@ certified fact — and a template only ever fires on facts the requesting
 session's trace still holds, which the session sweeps against the
 database's change log before each decision (``repro.enforce.proxy``).
 
+Reloads. A template is a proof over named policy views, and it stays a
+proof for as long as those views stay in the policy. Each template records
+their canonical definitions (``_Template.views``); a policy reload seeds
+the new epoch's store with the templates the new policy still proves
+(:meth:`DecisionCache.carry_from`) and re-derives only the rest.
+
 Indexing. Per skeleton key, a **pinned-slot discrimination index**
 (:class:`_SkeletonIndex`): templates are grouped by *which* slots they
 pin, and within a group selected by one dict probe on the pinned values
@@ -83,8 +89,8 @@ from __future__ import annotations
 
 import threading
 import time
-from collections.abc import Iterator, Mapping
-from dataclasses import dataclass
+from collections.abc import Callable, Iterator, Mapping
+from dataclasses import dataclass, field
 
 from repro.enforce.decision import Decision
 from repro.enforce.trace import Trace, is_labeled_null
@@ -118,6 +124,15 @@ class _Template:
     #: the block. Replay requires the requester's trace to have *no*
     #: facts in any of them. Empty = unconditional (fragment blocks).
     guard_relations: frozenset[str] = frozenset()
+    #: The policy views the decision's proof rests on, as canonical
+    #: definitions (:meth:`Policy.canonical_views`) so that a reload can
+    #: compare them with its own (:meth:`DecisionCache.carry_from`). An
+    #: Allow: the views its rewritings apply. A Block: every conjunctive
+    #: view of the policy that decided it, since no rewriting over them
+    #: exists. ``None``: an Allow generalized without its rewritings, or a
+    #: fragment Block, which no policy decided. Two proofs of one template
+    #: are one template, so this is not part of its identity.
+    views: frozenset[str] | None = field(default=None, compare=False)
 
 
 class _SkeletonIndex:
@@ -183,11 +198,11 @@ class _SkeletonIndex:
         self.count -= evicted
         return evicted
 
-    def templates(self) -> Iterator[_Template]:
+    def entries(self) -> Iterator[tuple[int, _Template]]:
+        """Every ``(insertion sequence number, template)``."""
         for by_value in self.groups.values():
             for entries in by_value.values():
-                for _, template in entries:
-                    yield template
+                yield from entries
 
 
 #: The store's event counters (monotonic). ``size`` is its one gauge.
@@ -205,6 +220,15 @@ class DecisionCache:
         self._lock = threading.Lock()
         self._index: dict[object, _SkeletonIndex] = {}
         self._view_constants = policy.constants()
+        #: Conjunctive view name -> canonical definition (the views a
+        #: checker searches; ``Policy.view_defs`` skips the others).
+        self._view_definitions = {
+            name: definition
+            for name, definition in policy.canonical_views().items()
+            if policy.view(name).is_conjunctive
+        }
+        #: What a Block template's proof rests on: all of them.
+        self._policy_views = frozenset(self._view_definitions.values())
         self._seq = 0
         #: Live templates.
         self.size = 0
@@ -379,7 +403,7 @@ class DecisionCache:
         stmt: ast.Select,
         bindings: Mapping[str, object],
         decision: Decision,
-        guard_relations: set[str],
+        guard_relations: set[str] | None,
         *,
         skeleton: Skeleton | None = None,
     ) -> bool:
@@ -391,6 +415,8 @@ class DecisionCache:
         injective renaming invariance carries it to any request matching
         those — provided no facts have since appeared in
         ``guard_relations`` (enforced at :meth:`lookup_compiled` time).
+        ``guard_relations=None`` marks a fragment Block: the statement
+        does not translate, so no policy decided it and nothing guards it.
         Bindings colliding with structural view constants are skipped
         (the proof may have used that equality; params are never pinned).
         A Block for want of search budget decided nothing and is never
@@ -411,7 +437,12 @@ class DecisionCache:
             return False
         return self._insert_template(
             self._generalize(
-                stmt, param_items, decision, skeleton, frozenset(guard_relations)
+                stmt,
+                param_items,
+                decision,
+                skeleton,
+                frozenset(guard_relations or ()),
+                None if guard_relations is None else self._policy_views,
             )
         )
 
@@ -422,12 +453,16 @@ class DecisionCache:
         decision: Decision,
         skeleton: Skeleton | None,
         guard_relations: frozenset[str] = frozenset(),
+        views: frozenset[str] | None = None,
     ) -> _Template:
         """The template ``decision`` generalizes to (pure: no lock held).
 
-        ``guard_relations`` is only passed for Blocks, whose decisions
-        carry no ``facts_used``.
+        ``guard_relations`` and ``views`` are only passed for Blocks,
+        whose decisions carry no ``facts_used`` and no rewritings; an
+        Allow's views are read off its rewritings.
         """
+        if decision.allowed:
+            views = self._views_of(decision)
         if skeleton is None:
             skeleton = skeletonize(stmt)
         values = skeleton.values
@@ -452,7 +487,20 @@ class DecisionCache:
             tables=frozenset(tables),
             allowed=decision.allowed,
             guard_relations=guard_relations,
+            views=views,
         )
+
+    def _views_of(self, decision: Decision) -> frozenset[str] | None:
+        """The canonical definitions of the views an Allow's rewritings
+        apply; None when it has no rewritings or names a view this store's
+        policy lacks (it was decided elsewhere)."""
+        if not decision.rewritings:
+            return None
+        definitions = self._view_definitions
+        names = {atom.rel for rewriting in decision.rewritings for atom in rewriting.atoms}
+        if not names <= definitions.keys():
+            return None
+        return frozenset(definitions[name] for name in names)
 
     def _insert_template(self, template: _Template) -> bool:
         """Index a ready-made template (shared by store and benchmarks).
@@ -515,10 +563,53 @@ class DecisionCache:
         """A snapshot of the live templates, in no particular order."""
         self._acquire()
         try:
-            live = [t for index in self._index.values() for t in index.templates()]
+            live = [t for index in self._index.values() for _, t in index.entries()]
         finally:
             self._lock.release()
         return iter(live)
+
+    # -- reload ------------------------------------------------------------------
+
+    def carry_from(
+        self,
+        live: "DecisionCache",
+        relevant_relations: Callable[[set[str]], set[str]] | None,
+    ) -> tuple[int, int]:
+        """Seed this store with the templates of ``live`` that its own
+        policy still proves; returns ``(carried, dropped)``.
+
+        Call it before the store is published (a policy epoch's build).
+        ``relevant_relations`` is this policy's
+        :meth:`~repro.relalg.compile.CompiledPolicy.relevant_relations`,
+        or None without a compiled policy (then no Block is carried).
+        Carried templates keep their insertion order, pins and views, and
+        count in ``size`` but not in ``stores``. The rules
+        (docs/compliance.md, "Which templates survive a reload"):
+
+        * an Allow whose rewritings apply only views this policy defines
+          too — a rewriting over views ``U`` is one over any superset;
+        * a Block whose policy defined every view this one does — with no
+          rewriting over ``V`` there is none over a subset — and whose
+          guard this policy's relevance pass cannot leave;
+        * a fragment Block, always.
+        """
+        views = self._policy_views
+        live._acquire()
+        try:
+            entries = [entry for index in live._index.values() for entry in index.entries()]
+        finally:
+            live._lock.release()
+        entries.sort(key=lambda entry: entry[0])
+        carried = 0
+        for _, template in entries:
+            if not _still_proved(template, views, relevant_relations):
+                continue
+            index = self._index.setdefault(template.skeleton_key, _SkeletonIndex())
+            if index.add(self._seq, template):
+                self._seq += 1
+                carried += 1
+        self.size += carried
+        return carried, len(entries) - carried
 
     # -- counters --------------------------------------------------------------
 
@@ -577,6 +668,26 @@ def _equality_partition(
     groups = [tuple(sorted(group)) for group in keyed.values() if len(group) > 1]
     groups.sort()
     return tuple(groups)
+
+
+def _still_proved(
+    template: _Template,
+    views: frozenset[str],
+    relevant_relations: Callable[[set[str]], set[str]] | None,
+) -> bool:
+    """Does a policy whose conjunctive views are ``views`` (canonical
+    definitions) still prove ``template``? (:meth:`DecisionCache.carry_from`.)"""
+    if template.allowed:
+        return template.views is not None and template.views <= views
+    if template.views is None:
+        return True  # a fragment Block: structural
+    guard = template.guard_relations
+    return (
+        relevant_relations is not None
+        and views <= template.views
+        # One pass in policy order: a reordered subset may reach further.
+        and relevant_relations(set(guard)) <= guard
+    )
 
 
 def _value_key(value: object) -> object:

@@ -173,9 +173,10 @@ class ComplianceChecker:
         stmt: ast.Select,
         bindings: Mapping[str, object],
         trace: Trace | None,
-    ) -> tuple[Decision, set[str]]:
+    ) -> tuple[Decision, set[str] | None]:
         """The full containment path; also returns the relevant-relation
-        set so fact-free Blocks can be templated with the right guard."""
+        set so fact-free Blocks can be templated with the right guard
+        (None for a statement outside the fragment: no policy decided it)."""
         started = time.perf_counter()
         sql = to_sql(stmt)
         query = self.translate(stmt)
@@ -187,7 +188,7 @@ class ComplianceChecker:
                     reason="query is outside the analyzable fragment",
                     duration_s=time.perf_counter() - started,
                 ),
-                set(),
+                None,
             )
         views = (
             self.compiled.view_defs(bindings)

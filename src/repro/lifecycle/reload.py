@@ -7,7 +7,8 @@ is one immutable bundle, and every decision pins the bundle it
 started under for its whole duration. :func:`hot_reload` therefore:
 
 1. **builds** the new epoch first (policy compilation, checker
-   construction — the expensive part happens while the old epoch keeps
+   construction, carrying over the templates the new policy still
+   proves — the expensive part happens while the old epoch keeps
    serving);
 2. **installs** it under the gateway's write lock — a pointer swap, so
    the measured pause is microseconds; the lock serializes installs
@@ -23,10 +24,17 @@ untouched — connections and their traces live on the gateway, not the
 epoch, so certified history survives the swap (and immediately gates
 history-dependent decisions under the new policy).
 
-The decision-template store is rebuilt, not migrated: a cached template
-is a policy-specific proof, so carrying it across versions would be
-unsound. The new epoch starts cold and re-warms from traffic; only the
-store's event *counts* carry over, so STATS stays cumulative.
+The decision-template store keeps what the new policy still proves. A
+template is a proof over policy views, compared across versions by
+canonical definition, never by name. An Allow is carried when every view
+its rewritings apply is still in the new policy. A Block is carried when
+the new policy has no view the old one lacked, and the new policy's
+relevance pass cannot leave its guard. A fragment Block is always
+carried. So an identity reload or a rollback to an equal policy
+re-derives nothing, a widening re-derives the Blocks, and a narrowing the
+Allows that used a dropped view (docs/compliance.md, "Which templates
+survive a reload"). The store's event counts carry over too, so STATS
+stays cumulative.
 
 :class:`LifecycleManager` ties this together with the registry, shadow
 mode, and the promotion gates into the one object the net server's
@@ -66,6 +74,10 @@ class ReloadReport:
     drained: bool
     sessions_preserved: int
     trace_facts_preserved: int
+    #: Decision templates of the old store the new policy still proves
+    #: (kept) and those it does not (re-derived on demand).
+    templates_carried: int = 0
+    templates_dropped: int = 0
 
     def describe(self) -> str:
         return (
@@ -76,6 +88,8 @@ class ReloadReport:
             f" swap pause {self.swap_pause_s * 1e6:.0f} µs,"
             f" {self.sessions_preserved} sessions"
             f" / {self.trace_facts_preserved} trace facts preserved,"
+            f" {self.templates_carried} templates carried"
+            f" / {self.templates_dropped} dropped,"
             f" old epoch {'drained' if self.drained else 'NOT fully drained'}"
         )
 
@@ -111,6 +125,8 @@ def hot_reload(
         drained=drained,
         sessions_preserved=len(sessions),
         trace_facts_preserved=sum(len(c.trace.facts) for c in sessions),
+        templates_carried=epoch.templates_carried,
+        templates_dropped=epoch.templates_dropped,
     )
 
 
@@ -188,7 +204,8 @@ class LifecycleManager:
         return report
 
     def rollback(self) -> ReloadReport:
-        """Restore the previously active version (fresh caches, same traces)."""
+        """Restore the previously active version (same traces; the store
+        keeps the templates the restored policy still proves)."""
         with self._lock:
             target = self.registry.rollback_target()
             report = self._activate_locked(target.version)

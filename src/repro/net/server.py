@@ -957,6 +957,8 @@ def _reload_to_wire(report) -> dict:
         "drained": report.drained,
         "sessions_preserved": report.sessions_preserved,
         "trace_facts_preserved": report.trace_facts_preserved,
+        "templates_carried": report.templates_carried,
+        "templates_dropped": report.templates_dropped,
     }
 
 

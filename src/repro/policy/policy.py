@@ -106,24 +106,21 @@ class Policy:
                             found.add(arg.value)
         return found
 
-    def fingerprint(self) -> str:
-        """A stable content hash over the normalized view set.
+    def canonical_views(self) -> dict[str, str]:
+        """Each view's canonical definition, by view name.
 
-        Two policies that define the same queries fingerprint
-        identically, regardless of view names, descriptions, definition
-        order, SQL spelling, or whitespace: each view's UCQ disjuncts are
+        Views that differ only in name, description, SQL spelling or
+        whitespace render identically: each UCQ disjunct is
         alpha-canonicalized (:func:`repro.relalg.memo.canonical_form`
         renames variables by first occurrence and strips presentation
-        metadata), rendered deterministically, sorted within the view,
-        and the per-view renderings sorted across the policy before
-        hashing. Used by the lifecycle registry to deduplicate versions
-        and by benchmark TSVs for provenance; 16 hex chars of SHA-256.
+        metadata), rendered deterministically, and the disjuncts sorted
+        within the view. The decision-template store compares views across
+        policy versions by this rendering
+        (:meth:`repro.enforce.cache.DecisionCache.carry_from`).
         """
-        import hashlib
-
         from repro.relalg.memo import canonical_form
 
-        rendered_views: list[str] = []
+        rendered: dict[str, str] = {}
         for view in self:
             disjuncts = []
             for disjunct in view.ucq.disjuncts:
@@ -132,8 +129,23 @@ class Policy:
                 comps = ",".join(repr(comp) for comp in canonical.comps)
                 head = ",".join(repr(term) for term in canonical.head)
                 disjuncts.append(f"({head})<-{body}|{comps}")
-            rendered_views.append(";".join(sorted(disjuncts)))
-        digest = hashlib.sha256("\n".join(sorted(rendered_views)).encode()).hexdigest()
+            rendered[view.name] = ";".join(sorted(disjuncts))
+        return rendered
+
+    def fingerprint(self) -> str:
+        """A stable content hash over the normalized view set.
+
+        Two policies that define the same queries fingerprint
+        identically, regardless of view names, descriptions, definition
+        order, SQL spelling, or whitespace: the :meth:`canonical_views`
+        renderings, sorted across the policy, are hashed. Used by the
+        lifecycle registry to deduplicate versions and by benchmark TSVs
+        for provenance; 16 hex chars of SHA-256.
+        """
+        import hashlib
+
+        rendered_views = sorted(self.canonical_views().values())
+        digest = hashlib.sha256("\n".join(rendered_views).encode()).hexdigest()
         return digest[:16]
 
     def with_view(self, view: View) -> "Policy":

@@ -158,6 +158,12 @@ class CompiledPolicy:
             self.views[index] for index in self.dispatch.get(relation, ())
         )
 
+    def continue_counts_of(self, retired: "CompiledPolicy") -> None:
+        """Start the view-def memo counters where ``retired``'s stand, so
+        they stay cumulative across a policy reload."""
+        self.view_def_hits += retired.view_def_hits
+        self.view_def_misses += retired.view_def_misses
+
     def stats(self) -> dict[str, object]:
         return {
             "views": len(self.views),

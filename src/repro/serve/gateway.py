@@ -42,7 +42,9 @@ decisions finish entirely under the epoch they started with, new
 decisions start entirely under the new one, and the old epoch is only
 retired once its pin count drains to zero. Session state
 (connections and their traces) lives *outside* the epoch and survives
-reloads untouched.
+reloads untouched. A new epoch's store starts with the templates of the
+live one that its policy still proves, so a reload re-derives only what
+it changed.
 """
 
 from __future__ import annotations
@@ -117,6 +119,11 @@ class PolicyEpoch:
     Immutable once installed (the caches fill, but never change policy).
     The pin count tracks decisions currently executing under this epoch;
     :meth:`retire` blocks until they drain.
+
+    ``live`` is the deciding epoch's store when this one is built by a
+    reload: the new store starts with every template of it that ``policy``
+    still proves (:meth:`~repro.enforce.cache.DecisionCache.carry_from`),
+    counted in ``templates_carried`` / ``templates_dropped``.
     """
 
     def __init__(
@@ -126,6 +133,7 @@ class PolicyEpoch:
         config: GatewayConfig,
         version: int = 1,
         provenance: str = "hand-written",
+        live: DecisionCache | None = None,
     ):
         self.version = version
         self.policy = policy
@@ -145,6 +153,12 @@ class PolicyEpoch:
             if self.compiled is not None or config.cache_mode == "shared"
             else None
         )
+        self.templates_carried = self.templates_dropped = 0
+        if self.store is not None and live is not None:
+            self.templates_carried, self.templates_dropped = self.store.carry_from(
+                live,
+                self.compiled.relevant_relations if self.compiled is not None else None,
+            )
         self.checker = ComplianceChecker(
             db.schema,
             policy,
@@ -192,6 +206,22 @@ class PolicyEpoch:
         """
         with self._condition:
             return self._condition.wait_for(lambda: self._pins == 0, timeout=timeout_s)
+
+    def continue_counts_of(self, retired: "PolicyEpoch") -> None:
+        """Start the store's and the compiled policy's event counters where
+        ``retired``'s stand, so they stay cumulative across reloads.
+
+        The batcher's (``batch_*``) still restart with each epoch: the
+        benchmark's traced ``inproc_churn`` run derives
+        ``serve.batch_gt1_share`` from their change over its timed
+        section, and fails when that is zero, which a cumulative count
+        is once a reload re-derives nothing."""
+        for mine, theirs in (
+            (self.store, retired.store),
+            (self.compiled, retired.compiled),
+        ):
+            if mine is not None and theirs is not None:
+                mine.continue_counts_of(theirs)
 
     def caches(self) -> list[DecisionCache]:
         """The store, when there is one, as a list. Nothing in the program
@@ -447,28 +477,33 @@ class EnforcementGateway:
         """Construct (but do not install) an epoch for ``policy``.
 
         Doing the expensive part — policy compilation, checker
-        construction — *before* the swap keeps the install pause to a
-        pointer assignment.
+        construction, carrying over the live store's templates that
+        ``policy`` still proves — *before* the swap keeps the install
+        pause to a pointer assignment. A template the live store learns
+        after this call is not carried; the new epoch re-derives it once.
         """
-        return PolicyEpoch(self.db, policy, self.config, version, provenance)
+        return PolicyEpoch(
+            self.db, policy, self.config, version, provenance, live=self._epoch.store
+        )
 
     def install_epoch(self, epoch: PolicyEpoch) -> PolicyEpoch:
         """Atomically make ``epoch`` the deciding epoch; returns the old one.
 
         Taken under the write lock so two installs (a reload racing a
-        rollback) serialize, and each new store continues its
+        rollback) serialize, and each new epoch continues its
         predecessor's counts exactly once. The caller is responsible
         for retiring the returned epoch (``old.retire()``), normally via
         :func:`repro.lifecycle.reload.hot_reload`.
 
-        The new store continues the retiring store's event counts, so the
-        cache counters in :meth:`snapshot` never run backwards at a reload.
+        The new epoch continues the retiring epoch's event counts, so the
+        cache and compile counters in :meth:`snapshot` never run backwards
+        at a reload.
         """
         with self._write_lock:
             old, self._epoch = self._epoch, epoch
-            if epoch.store is not None and old.store is not None:
-                epoch.store.continue_counts_of(old.store)
+            epoch.continue_counts_of(old)
             self.metrics.increment("policy_reloads")
+            self.metrics.increment("templates_carried", epoch.templates_carried)
         return old
 
     # -- session management -----------------------------------------------------
@@ -613,7 +648,9 @@ class EnforcementGateway:
                 else:
                     snapshot.counters[f"audit_{name}"] = value
         snapshot.counters["audit_dropped"] = audit_dropped
-        for name in ("facts_retired", "statement_retries", "checks_over_budget"):
+        for name in (
+            "facts_retired", "statement_retries", "checks_over_budget", "templates_carried"
+        ):
             snapshot.counters.setdefault(name, 0)
         # The rewriting-core memo counters.
         for name, value in memo.memo_stats().items():

@@ -10,9 +10,20 @@ import pytest
 from repro.enforce.decision import PolicyViolation
 from repro.lifecycle import LifecycleManager, hot_reload
 from repro.lifecycle.reload import LifecycleError
+from repro.policy.policy import Policy
 from repro.serve import EnforcementGateway, GatewayConfig
 from tests.conftest import reverify_audit
 from tests.lifecycle.conftest import reduced_policy
+
+
+def _templates(store) -> set:
+    """A store's templates, each with the views its proof rests on."""
+    return {(template, template.views) for template in store.iter_templates()}
+
+
+def _reordered(policy: Policy, *names: str) -> Policy:
+    """``policy``'s views ``names``, in that order."""
+    return Policy([policy.view(name) for name in names], name="-".join(names))
 
 
 class TestHotReload:
@@ -52,25 +63,35 @@ class TestHotReload:
         with pytest.raises(PolicyViolation):
             gateway.connect(1, fresh=True).query("SELECT * FROM Events WHERE EId = 2")
 
-    def test_caches_are_rebuilt_not_migrated(self, calendar_pair, gateway):
+    def test_identity_reload_carries_every_template(self, calendar_pair, gateway):
         app, db = calendar_pair
         connection = gateway.connect(1)
         connection.query("SELECT EId FROM Attendance WHERE UId = 1")
+        with pytest.raises(PolicyViolation):  # fact-free: a Block template
+            gateway.connect(2, fresh=True).query("SELECT * FROM Events WHERE EId = 999")
         old_cache = gateway.shared_cache
-        assert old_cache.size == 1
-        hot_reload(gateway, app.ground_truth_policy(), version=2)
+        learned = _templates(old_cache)
+        assert len(learned) == 2
+        report = hot_reload(gateway, app.ground_truth_policy(), version=2)
         assert gateway.shared_cache is not old_cache
-        assert gateway.shared_cache.size == 0
-        # Re-warms from traffic under the new epoch.
+        assert _templates(gateway.shared_cache) == learned
+        assert (report.templates_carried, report.templates_dropped) == (2, 0)
+        assert gateway.snapshot().counters["templates_carried"] == 2
+        before = gateway.snapshot().counters
         connection.query("SELECT EId FROM Attendance WHERE UId = 1")
-        assert gateway.shared_cache.size == 1
+        with pytest.raises(PolicyViolation):
+            gateway.connect(3, fresh=True).query("SELECT * FROM Events WHERE EId = 999")
+        after = gateway.snapshot().counters
+        assert after["shared_cache_hits"] == before["shared_cache_hits"] + 1
+        assert after["compiled_hits"] == before["compiled_hits"] + 1
+        assert after["compile_misses"] == before["compile_misses"]
 
     def test_cache_event_counters_are_cumulative_across_a_reload(
         self, calendar_pair, gateway
     ):
-        """Every cache *event* counter in the snapshot keeps counting over
-        the gateway's life — the new store continues the retired store's
-        counts — while the sizes gauge the live (cold again) store."""
+        """The store's and the compiled policy's event counters keep
+        counting over the gateway's life, and the sizes carry over with
+        the templates an identity reload keeps."""
         app, _ = calendar_pair
         events = (
             "compile_misses", "compiled_hits", "compiled_blocks",
@@ -78,7 +99,9 @@ class TestHotReload:
             "shared_cache_invalidations", "shared_cache_compiled_hits",
             "shared_cache_compiled_misses", "shared_cache_blocks_stored",
             "cache_stripe_contention",
+            "compiled_view_def_hits", "compiled_view_def_misses",
         )
+        sizes = ("shared_cache_size", "compiled_templates")
 
         def traffic() -> None:
             for uid in (1, 2, 3):
@@ -88,27 +111,30 @@ class TestHotReload:
                 connection.query("SELECT EId FROM Attendance WHERE UId = ?", [uid])
                 connection.query("SELECT EId FROM Attendance WHERE UId = ?", [uid])
             gateway.connect(1).sql("UPDATE Attendance SET UId = UId")
-            # No write evicts a template; this is what still counts one.
-            gateway.shared_cache.invalidate_table("Attendance")
 
+        traffic()
+        # No write evicts a template; this is what still counts one (the
+        # Block, whose guard holds Events), and the next traffic re-learns it.
+        assert gateway.shared_cache.invalidate_table("Events") == 1
         traffic()
         before = gateway.snapshot().counters
         assert before["compile_misses"] > 0 and before["shared_cache_hits"] > 0
         assert before["compiled_blocks"] > 0 and before["shared_cache_invalidations"] > 0
+        assert before["compiled_view_def_misses"] > 0
+        assert before["shared_cache_size"] == 2
         rate_before = gateway.cache_hit_rate()
         hot_reload(gateway, app.ground_truth_policy(), version=2)
         swapped = gateway.snapshot().counters
-        assert {name: swapped[name] for name in events} == {
-            name: before[name] for name in events
+        assert {name: swapped[name] for name in events + sizes} == {
+            name: before[name] for name in events + sizes
         }
         assert gateway.cache_hit_rate() == rate_before
-        assert swapped["shared_cache_size"] == swapped["compiled_templates"] == 0
         traffic()
         after = gateway.snapshot().counters
         for name in events:
             assert after[name] >= before[name], name
-        # The cold store re-derived what the reload threw away.
-        assert after["compile_misses"] == 2 * before["compile_misses"]
+        # The carried templates answered everything: nothing re-derived.
+        assert after["compile_misses"] == before["compile_misses"]
         assert after["shared_cache_hits"] == after["cache_hits"]
         assert after["shared_cache_misses"] == after["cache_misses"]
         assert gateway.cache_hit_rate() == after["cache_hits"] / (
@@ -196,7 +222,7 @@ class TestNoTornDecisions:
 
 
 class TestCompiledEpochIsolation:
-    """Per-skeleton templates are epoch artifacts: a swap must orphan them."""
+    """A swap keeps exactly the templates the new policy still proves."""
 
     def test_allow_template_does_not_survive_a_narrowing_reload(self, calendar_pair):
         app, db = calendar_pair
@@ -236,6 +262,76 @@ class TestCompiledEpochIsolation:
         finally:
             gateway.close()
 
+    def test_allow_that_did_not_use_v3_survives_dropping_v3(self, calendar_pair):
+        app, db = calendar_pair
+        gateway = EnforcementGateway(db, app.ground_truth_policy(), GatewayConfig())
+        try:
+            connection = gateway.connect(2)
+            connection.query("SELECT EId FROM Attendance WHERE UId = 2")  # over V1
+            connection.query("SELECT Name FROM Users WHERE UId = 2")  # over V3
+            report = hot_reload(
+                gateway, reduced_policy(app.ground_truth_policy(), drop="V3"),
+                version=2,
+            )
+            assert (report.templates_carried, report.templates_dropped) == (1, 1)
+            full_checks = gateway.snapshot().counters["compile_misses"]
+            gateway.connect(3, fresh=True).query("SELECT EId FROM Attendance WHERE UId = 3")
+            assert gateway.snapshot().counters["compile_misses"] == full_checks
+            with pytest.raises(PolicyViolation):  # no Attendance fact for V4 either
+                gateway.connect(4, fresh=True).query("SELECT Name FROM Users WHERE UId = 4")
+        finally:
+            gateway.close()
+
+    def test_allows_survive_a_widening(self, calendar_pair):
+        app, db = calendar_pair
+        narrow = reduced_policy(app.ground_truth_policy(), drop="V3")
+        gateway = EnforcementGateway(db, narrow, GatewayConfig())
+        try:
+            gateway.connect(2).query("SELECT EId FROM Attendance WHERE UId = 2")
+            with pytest.raises(PolicyViolation):  # fact-free: a Block template
+                gateway.connect(4, fresh=True).query("SELECT Name FROM Users WHERE UId = 4")
+            allows = {t for t in _templates(gateway.shared_cache) if t[0].allowed}
+            assert len(allows) == 1 and gateway.shared_cache.size == 2
+            report = hot_reload(gateway, app.ground_truth_policy(), version=2)
+            assert (report.templates_carried, report.templates_dropped) == (1, 1)
+            assert _templates(gateway.shared_cache) == allows
+            full_checks = gateway.snapshot().counters["compile_misses"]
+            fresh = gateway.connect(3, fresh=True)
+            fresh.query("SELECT EId FROM Attendance WHERE UId = 3")
+            assert gateway.snapshot().counters["compile_misses"] == full_checks
+            assert len(fresh.query("SELECT Name FROM Users WHERE UId = 3")) == 1
+        finally:
+            gateway.close()
+
+    def test_block_whose_guard_a_reordered_narrowing_leaves_is_not_carried(
+        self, calendar_pair
+    ):
+        """Under the calendar policy a fresh check of a Users probe consults
+        Users and Attendance facts: V3 and V4 reach them, and V2, which
+        joins Attendance to Events, comes before V4 adds Attendance. Under
+        ``[V4, V2]`` V4 comes first, so the pass reaches Events too: the
+        Block's guard no longer covers what a fresh check consults, and the
+        Block is not carried. Under ``[V4, V1]`` the guard is closed."""
+        app, db = calendar_pair
+        truth = app.ground_truth_policy()
+        for order, carried in ((("V4", "V2"), 0), (("V4", "V1"), 1)):
+            gateway = EnforcementGateway(db, truth, GatewayConfig())
+            try:
+                with pytest.raises(PolicyViolation):
+                    gateway.connect(2, fresh=True).query(
+                        "SELECT Name FROM Users WHERE UId = 3"
+                    )
+                (block,) = gateway.shared_cache.iter_templates()
+                assert not block.allowed
+                assert block.guard_relations == {"Users", "Attendance"}
+                relevant = gateway.epoch.compiled.relevant_relations
+                assert relevant({"Users"}) == {"Users", "Attendance"}
+                report = hot_reload(gateway, _reordered(truth, *order), version=2)
+                assert report.templates_carried == carried, order
+                assert gateway.shared_cache.size == carried
+            finally:
+                gateway.close()
+
 
 class TestLifecycleManager:
     def test_registry_versions_track_epoch_versions(self, calendar_pair, gateway):
@@ -257,19 +353,28 @@ class TestLifecycleManager:
         assert report.new_version == 1
         assert gateway.policy_version == 1
         assert "V2" in gateway.policy
-        # The rolled-back policy decides with fresh caches but the kept trace.
+        # The rolled-back policy decides with the kept trace.
         assert len(connection.query("SELECT * FROM Events WHERE EId = 2")) == 1
         assert gateway.metrics.counter("policy_rollbacks") == 1
 
-    def test_rollback_invalidates_caches(self, calendar_pair, gateway):
+    def test_rollback_keeps_the_templates_whose_views_survive(
+        self, calendar_pair, gateway
+    ):
+        """v1 is the calendar policy, v2 drops V2. Rolling v2 back to v1
+        widens: the Allows learned under v2 survive, its Blocks do not."""
         app, _ = calendar_pair
         manager = LifecycleManager(gateway)
+        manager.reload(reduced_policy(app.ground_truth_policy()))
         gateway.connect(1).query("SELECT EId FROM Attendance WHERE UId = 1")
-        manager.reload(app.ground_truth_policy())
-        gateway.connect(1).query("SELECT EId FROM Attendance WHERE UId = 1")
-        assert gateway.shared_cache.size == 1
-        manager.rollback()
-        assert gateway.shared_cache.size == 0
+        with pytest.raises(PolicyViolation):  # V2 is gone: a Block template
+            gateway.connect(3, fresh=True).query("SELECT * FROM Events WHERE EId = 2")
+        learned = _templates(gateway.shared_cache)
+        allows = {t for t in learned if t[0].allowed}
+        assert len(allows) == 1 and len(learned) == 2
+        report = manager.rollback()
+        assert report.new_version == 1
+        assert (report.templates_carried, report.templates_dropped) == (1, 1)
+        assert _templates(gateway.shared_cache) == allows
 
     def test_promote_without_shadow_raises(self, calendar_pair, gateway):
         manager = LifecycleManager(gateway)

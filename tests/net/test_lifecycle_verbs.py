@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cli import main
 from repro.enforce.decision import PolicyViolation
 from repro.lifecycle import GateConfig, LifecycleManager
 from repro.net import AdminClient, BackgroundServer, NetClientConnection, NetError, ServerConfig
@@ -78,13 +79,26 @@ class TestReloadVerb:
         assert gateway.policy_version == 2
         assert "V2" not in gateway.policy
 
+    def test_policy_reload_cli_says_what_it_kept(self, stack, tmp_path, capsys):
+        background, gateway, _ = stack
+        gateway.connect(1).query("SELECT EId FROM Attendance WHERE UId = 1")
+        path = tmp_path / "same.txt"
+        path.write_text(full_text())
+        argv = ["policy-reload", "--host", background.host, "--port", str(background.port)]
+        assert main([*argv, "--policy-file", str(path)]) == 0
+        assert "1 templates carried / 0 dropped" in capsys.readouterr().out
+
     def test_reload_changes_wire_decisions_without_reconnecting(self, stack):
         background, _, _ = stack
         session = NetClientConnection(background.host, background.port, user=1)
         session.query("SELECT 1 FROM Attendance WHERE UId = 1 AND EId = 2")
         assert not session.query("SELECT * FROM Events WHERE EId = 2").is_empty()
         with admin(background) as client:
-            client.reload(reduced_text())
+            report = client.reload(reduced_text())
+            # Q1's template (over V1) is kept, Q2's (over V2) is not.
+            assert (report["templates_carried"], report["templates_dropped"]) == (1, 1)
+            counters = client.stats()["gateway"]["counters"]
+            assert counters["templates_carried"] == 1
         with pytest.raises(PolicyViolation):
             session.query("SELECT * FROM Events WHERE EId = 2")
         session.close()
