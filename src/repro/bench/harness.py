@@ -21,7 +21,7 @@ def provenance_lines() -> list[str]:
 
     Benchmark numbers are meaningless without knowing what produced
     them: the commit, the interpreter, and how many cores the machine
-    had (E13's worker-scaling results especially).
+    had.
     """
     try:
         commit = subprocess.run(

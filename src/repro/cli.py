@@ -194,38 +194,11 @@ def cmd_lint(args: argparse.Namespace) -> int:
     return 1 if warnings else 0
 
 
-def _add_gateway_flags(parser: argparse.ArgumentParser) -> None:
-    """The gateway flags `serve` and `cluster` share."""
-    parser.add_argument(
-        "--cache",
-        choices=["shared", "none"],
-        default="shared",
-        help="decision-cache configuration",
-    )
-    parser.add_argument(
-        "--no-compile",
-        action="store_true",
-        help="disable the epoch-compiled decision fast path (docs/compilation.md)",
-    )
-    parser.add_argument(
-        "--no-batch",
-        action="store_true",
-        help="disable batched containment checking for in-process misses",
-    )
-
-
 def _gateway_config(args: argparse.Namespace):
-    """The :class:`GatewayConfig` those flags (and ``--backend``/``--db-path``)
-    describe."""
+    """The :class:`GatewayConfig` ``--backend``/``--db-path`` describe."""
     from repro.serve import GatewayConfig
 
-    return GatewayConfig(
-        cache_mode=args.cache,
-        compile_checks=not args.no_compile,
-        batch_checks=not args.no_batch,
-        backend=args.backend,
-        db_path=args.db_path,
-    )
+    return GatewayConfig(backend=args.backend, db_path=args.db_path)
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -278,7 +251,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             f" policy={policy.name}"
             f" v{gateway.policy_version}"
             f" (fingerprint {policy.fingerprint()})"
-            f" cache={args.cache} listening on {config.host}:{server.port}"
+            f" listening on {config.host}:{server.port}"
         )
         print(
             "  policy lifecycle enabled: POLICY/RELOAD/SHADOW/PROMOTE/ROLLBACK"
@@ -327,9 +300,6 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         seed=args.seed,
         backend=args.backend,
         db_path=args.db_path,
-        cache_mode=args.cache,
-        compile_checks=not args.no_compile,
-        batch_checks=not args.no_batch,
         audit_dir=args.audit_dir,
         router=RouterConfig(host=args.host, port=args.port),
     )
@@ -349,7 +319,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         ports = ", ".join(str(shard.port) for shard in cluster.shards)
         print(
             f"repro cluster: app={args.app} shards={args.shards}"
-            f" (ports {ports}) cache={args.cache}"
+            f" (ports {ports})"
         )
         print(f"  router listening on {args.host}:{cluster.port}")
         print(
@@ -721,7 +691,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--idle-timeout", type=float, default=300.0,
         help="reap connections idle this many seconds",
     )
-    _add_gateway_flags(net)
     net.add_argument(
         "--policy-file",
         help="serve this policy file instead of the app's bundled ground truth",
@@ -769,7 +738,6 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument(
         "--shards", type=_positive_int, default=2, help="gateway shard subprocesses"
     )
-    _add_gateway_flags(cluster)
     cluster.add_argument(
         "--audit-dir",
         default=None,

@@ -29,8 +29,9 @@ The shards share nothing but the router: a session's trace lives on its
 home shard, and every decision a shard serves — fresh or from its
 template store — its own checker derived under its own policy epoch.
 
-See ``docs/cluster.md`` for the full design and the E16 benchmark for
-the fidelity, scaling and rolling-reload experiments.
+See ``docs/cluster.md`` for the full design, and
+``tests/cluster/test_supervisor.py`` for the fidelity and rolling-reload
+checks on a real fleet.
 """
 
 from repro.cluster.aggregate import aggregate_stats

@@ -100,9 +100,6 @@ def aggregate_stats(shard_replies: list[dict]) -> dict:
 
     hits = gateway_counters.get("shared_cache_hits", 0)
     misses = gateway_counters.get("shared_cache_misses", 0)
-    if not hits and not misses:
-        hits = gateway_counters.get("cache_hits", 0)
-        misses = gateway_counters.get("cache_misses", 0)
     total = hits + misses
     hit_rate = hits / total if total else 0.0
 

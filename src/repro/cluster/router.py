@@ -97,7 +97,7 @@ def shard_index_for(bindings: dict, shard_count: int) -> int:
 
 @dataclass(frozen=True)
 class RouterConfig:
-    """Router tunables; defaults suit tests and the E16 benchmark."""
+    """Router tunables; the defaults suit tests and the benchmark."""
 
     host: str = "127.0.0.1"
     port: int = 0  # 0 = ephemeral; read .port after start()

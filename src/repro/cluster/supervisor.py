@@ -157,11 +157,6 @@ class ClusterConfig:
     seed: int = 7
     backend: str | None = None
     db_path: str | None = None
-    cache_mode: str = "shared"
-    #: Epoch-compiled decision fast path per shard (docs/compilation.md).
-    compile_checks: bool = True
-    #: Batched in-process containment checking per shard.
-    batch_checks: bool = True
     #: Directory for per-shard decision audit JSONL logs (None = off).
     audit_dir: str | None = None
     request_timeout_s: float = 30.0
@@ -236,7 +231,6 @@ class BackgroundCluster:
                 "--shard-id", str(shard_id),
                 "--port", "0",
                 "--seed", str(config.seed),
-                "--cache", config.cache_mode,
                 "--request-timeout", str(config.request_timeout_s),
             ]
             if config.size is not None:
@@ -245,10 +239,6 @@ class BackgroundCluster:
                 argv += ["--backend", config.backend]
             if config.db_path is not None:
                 argv += ["--db-path", config.db_path]
-            if not config.compile_checks:
-                argv += ["--no-compile"]
-            if not config.batch_checks:
-                argv += ["--no-batch"]
             if config.audit_dir is not None:
                 argv += [
                     "--audit-log",

@@ -7,9 +7,9 @@ justification relied on — with their constants rewritten to slot/param
 references. A later query with the same skeleton, the same equality
 pattern, and matching facts in its trace is allowed without re-running
 the checker. :class:`DecisionCache` is the one such store in the
-codebase: a bare proxy may own one, a serving gateway owns one per
-policy epoch, and the compiled checker writes its skeleton templates
-into that same object.
+codebase: a bare proxy may own one, and a serving gateway owns one per
+policy epoch, which its sessions probe once per statement
+(:meth:`DecisionCache.lookup`) and its checker learns into.
 
 Soundness. The checker's reasoning (constraint closure + homomorphism
 search) over equality-compared constants is invariant under injective
@@ -38,14 +38,14 @@ have been reached by running the checker for B directly:
   never leaks into B's checks.
 
 Hence a hit never over-allows relative to a per-session checker, whichever
-session or thread stored the template; E11b/c re-verify this on every run.
+session or thread stored the template;
+``tests/serve/test_cache_agreement_props.py`` re-verifies every hit.
 Every stored template comes from a check this process ran itself: a
 cluster's shards share none (``docs/cluster.md``).
 
-Block decisions are not cached on the classic :meth:`DecisionCache.lookup`
-path: blocking depends on the *absence* of helpful trace facts, which a
-growing trace can invalidate. The **compiled** path (PR 8) does template
-them, guarded: a Block whose fresh check consulted *zero* trace facts
+Blocks. Blocking depends on the *absence* of helpful trace facts, which a
+growing trace can invalidate, so a Block is templated only guarded: a
+Block whose fresh check consulted *zero* trace facts
 (``facts_considered == 0``) is stored with the set of relations whose
 facts could have changed the outcome (``guard_relations``), and replayed
 only for requests whose trace still has no facts in those relations — in
@@ -53,15 +53,15 @@ that state the checker's outcome is a pure function of the skeleton, the
 equality partition, and the pinned values, so renaming invariance applies
 exactly as it does for Allows. Fragment blocks (untranslatable
 statements) carry an empty guard and replay unconditionally, since
-translatability is purely structural. See :meth:`lookup_compiled` /
-:meth:`store_block` and docs/compilation.md.
+translatability is purely structural. See :meth:`store_block` and
+docs/compilation.md.
 
 Thread safety. Every operation takes the store's single lock for its
 in-index part only; the pure work on either side — skeletonizing,
 generalizing a decision into a template, building the reply — runs
-outside it. One lock is enough on everything measured (EXPERIMENTS.md
-"E18 — stripes": eight hash-routed stripes and one lock read the same,
-and no workload ever waited); ``lock_waits`` counts the acquisitions that
+outside it. One lock is enough on everything measured (eight hash-routed stripes and
+one lock read the same, and no workload ever waited; the benchmark's
+``serve.stripe_contention`` still measures it); ``lock_waits`` counts the acquisitions that
 did have to wait, so a deployment where that stops being true can see
 it. Counters are plain ints updated under the lock.
 
@@ -117,8 +117,8 @@ class _Template:
     #: relations of every trace fact it relied on
     #: (:meth:`DecisionCache.invalidate_table` evicts by this set).
     tables: frozenset[str] = frozenset()
-    #: Allow templates replay an Allow; Block templates (compiled path
-    #: only) replay a Block while their guard holds.
+    #: Allow templates replay an Allow; Block templates replay a Block
+    #: while their guard holds.
     allowed: bool = True
     #: For Block templates: relations whose trace facts could overturn
     #: the block. Replay requires the requester's trace to have *no*
@@ -207,8 +207,8 @@ class _SkeletonIndex:
 
 #: The store's event counters (monotonic). ``size`` is its one gauge.
 _EVENT_COUNTERS = (
-    "hits", "misses", "stores", "invalidations", "compiled_hits", "compiled_misses", "blocks_stored", "duplicates_skipped",
-    "lock_waits",
+    "hits", "misses", "stores", "invalidations", "compiled_hits", "blocks_stored",
+    "duplicates_skipped", "lock_waits",
 )
 
 
@@ -237,9 +237,8 @@ class DecisionCache:
         #: Templates actually inserted (duplicates are not stores).
         self.stores = 0
         self.invalidations = 0
-        # Compiled-path counters (checker fast path; see lookup_compiled).
+        #: Of the hits, those a Block template answered.
         self.compiled_hits = 0
-        self.compiled_misses = 0
         self.blocks_stored = 0
         self.duplicates_skipped = 0
         #: Lock acquisitions that found the lock held and had to wait.
@@ -264,9 +263,14 @@ class DecisionCache:
         skeleton: Skeleton | None = None,
         param_items: list[tuple[str, object]] | None = None,
     ) -> Decision | None:
-        """Replay a cached Allow for ``stmt``, or None.
+        """Replay the first live template answering this request, in
+        insertion order, or None: an Allow whose fact patterns certified
+        facts of ``trace`` match, or a Block whose guard still holds.
 
-        ``skeleton`` (when the caller holds a
+        A hit is ``from_cache=True``, with the facts that satisfied the
+        Allow's patterns in ``facts_used``. It counts in ``hits``, and in
+        ``compiled_hits`` too when a Block answered; a miss counts in
+        ``misses``. ``skeleton`` (when the caller holds a
         :class:`~repro.sqlir.prepared.PreparedPlan`) must be exactly
         ``skeletonize(stmt)``; passing it skips the per-request AST
         traversal. ``param_items`` is the session's pre-sorted
@@ -274,68 +278,6 @@ class DecisionCache:
         hoist instead of re-sorting per lookup.
         """
         started = time.perf_counter()
-        found = self._probe(stmt, bindings, trace, skeleton, param_items, compiled=False)
-        if found is None:
-            return None
-        return Decision(
-            allowed=True,
-            sql=stmt,  # printed on first read, not per hit
-            reason=found[0].reason,
-            from_cache=True,
-            duration_s=time.perf_counter() - started,
-        )
-
-    def lookup_compiled(
-        self,
-        stmt: ast.Select,
-        bindings: Mapping[str, object],
-        trace: Trace | None,
-        *,
-        skeleton: Skeleton | None = None,
-        param_items: list[tuple[str, object]] | None = None,
-    ) -> Decision | None:
-        """The checker's compiled fast path: Allow *and* Block templates.
-
-        Unlike :meth:`lookup`, hits are returned ``from_cache=False`` —
-        to the caller they are fresh decisions (the checker would have
-        produced the same one), with ``facts_used`` reconstructed from
-        the trace facts that satisfied the template's fact patterns so
-        downstream generalization/metrics see a checker-shaped decision.
-        ``skeleton``/``param_items`` follow :meth:`lookup`.
-        """
-        started = time.perf_counter()
-        found = self._probe(stmt, bindings, trace, skeleton, param_items, compiled=True)
-        if found is None:
-            return None
-        template, witnesses = found
-        return Decision(
-            allowed=template.allowed,
-            sql=stmt,
-            reason=template.reason,
-            facts_used=tuple(witnesses),
-            duration_s=time.perf_counter() - started,
-            facts_considered=len(witnesses),
-            facts_kept=len(witnesses),
-        )
-
-    def _probe(
-        self,
-        stmt: ast.Select,
-        bindings: Mapping[str, object],
-        trace: Trace | None,
-        skeleton: Skeleton | None,
-        param_items: list[tuple[str, object]] | None,
-        *,
-        compiled: bool,
-    ) -> tuple[_Template, list[Atom]] | None:
-        """The first live template answering this request, in insertion
-        order, with the trace facts that satisfied its fact patterns.
-
-        ``compiled`` selects the checker's view of the store: Block
-        templates answer too (while their guard holds) and the probe is
-        counted in ``compiled_hits``/``compiled_misses`` instead of
-        ``hits``/``misses``.
-        """
         if skeleton is None:
             skeleton = skeletonize(stmt)  # pure work, outside the lock
         values = skeleton.values
@@ -356,29 +298,36 @@ class DecisionCache:
                         continue
                     if template.allowed:
                         witnesses = _witnesses(template, values, params, trace)
-                    elif compiled and not (
+                    elif not (
                         template.guard_relations
                         and trace is not None
                         and trace.relevant_facts(set(template.guard_relations))
                     ):
                         witnesses = []  # a Block whose guard still holds
                     else:
-                        witnesses = None
+                        continue
                     if witnesses is not None:
                         found = template, witnesses
                         break
-            if compiled:
-                if found is None:
-                    self.compiled_misses += 1
-                else:
-                    self.compiled_hits += 1
-            elif found is None:
+            if found is None:
                 self.misses += 1
             else:
                 self.hits += 1
+                if not found[0].allowed:
+                    self.compiled_hits += 1
         finally:
             self._lock.release()
-        return found
+        if found is None:
+            return None
+        template, witnesses = found
+        return Decision(
+            allowed=template.allowed,
+            sql=stmt,  # printed on first read, not per hit
+            reason=template.reason,
+            from_cache=True,
+            facts_used=tuple(witnesses),
+            duration_s=time.perf_counter() - started,
+        )
 
     # -- insertion -------------------------------------------------------------
 
@@ -407,14 +356,14 @@ class DecisionCache:
         *,
         skeleton: Skeleton | None = None,
     ) -> bool:
-        """Generalize a fresh *fact-free* Block for the compiled path.
+        """Generalize a fresh *fact-free* Block.
 
         Only sound when the fresh check consulted zero trace facts
         (``facts_considered == 0``): then the outcome depends solely on
         the skeleton, the equality partition, and the pinned values, and
         injective renaming invariance carries it to any request matching
         those — provided no facts have since appeared in
-        ``guard_relations`` (enforced at :meth:`lookup_compiled` time).
+        ``guard_relations`` (enforced at :meth:`lookup` time).
         ``guard_relations=None`` marks a fragment Block: the statement
         does not translate, so no policy decided it and nothing guards it.
         Bindings colliding with structural view constants are skipped
@@ -483,7 +432,7 @@ class DecisionCache:
             pinned=pinned,
             equality_pattern=_equality_partition(values, param_items),
             fact_patterns=tuple(fact_patterns),
-            reason=_template_reason(decision.reason),
+            reason=decision.reason + " [template]",
             tables=frozenset(tables),
             allowed=decision.allowed,
             guard_relations=guard_relations,
@@ -573,15 +522,14 @@ class DecisionCache:
     def carry_from(
         self,
         live: "DecisionCache",
-        relevant_relations: Callable[[set[str]], set[str]] | None,
+        relevant_relations: Callable[[set[str]], set[str]],
     ) -> tuple[int, int]:
         """Seed this store with the templates of ``live`` that its own
         policy still proves; returns ``(carried, dropped)``.
 
         Call it before the store is published (a policy epoch's build).
         ``relevant_relations`` is this policy's
-        :meth:`~repro.relalg.compile.CompiledPolicy.relevant_relations`,
-        or None without a compiled policy (then no Block is carried).
+        :meth:`~repro.relalg.compile.CompiledPolicy.relevant_relations`.
         Carried templates keep their insertion order, pins and views, and
         count in ``size`` but not in ``stores``. The rules
         (docs/compliance.md, "Which templates survive a reload"):
@@ -628,7 +576,6 @@ class DecisionCache:
             "hit_rate": self.hit_rate,
             "invalidations": self.invalidations,
             "compiled_hits": self.compiled_hits,
-            "compiled_misses": self.compiled_misses,
             "blocks_stored": self.blocks_stored,
             "duplicates_skipped": self.duplicates_skipped,
             # The key predates the single lock (the store was hash-striped
@@ -673,7 +620,7 @@ def _equality_partition(
 def _still_proved(
     template: _Template,
     views: frozenset[str],
-    relevant_relations: Callable[[set[str]], set[str]] | None,
+    relevant_relations: Callable[[set[str]], set[str]],
 ) -> bool:
     """Does a policy whose conjunctive views are ``views`` (canonical
     definitions) still prove ``template``? (:meth:`DecisionCache.carry_from`.)"""
@@ -682,27 +629,13 @@ def _still_proved(
     if template.views is None:
         return True  # a fragment Block: structural
     guard = template.guard_relations
-    return (
-        relevant_relations is not None
-        and views <= template.views
-        # One pass in policy order: a reordered subset may reach further.
-        and relevant_relations(set(guard)) <= guard
-    )
+    # One pass in policy order: a reordered subset may reach further.
+    return views <= template.views and relevant_relations(set(guard)) <= guard
 
 
 def _value_key(value: object) -> object:
     # bool is an int subclass; keep them distinct from 0/1.
     return (type(value).__name__, value)
-
-
-def _template_reason(reason: str) -> str:
-    """Tag a reason as template-served, idempotently.
-
-    A compiled hit already carries the " [template]" suffix; when such a
-    decision is generalized again (a caller storing what the checker
-    returned) the tag must not stack.
-    """
-    return reason if reason.endswith(" [template]") else reason + " [template]"
 
 
 def _reference_maps(

@@ -24,16 +24,16 @@ empty trace gets. A Block that did try facts names, in its reason, the
 pattern no certified fact matched. Every check spends from one search
 budget (:data:`CHECK_STEP_BUDGET`) and Blocks when it runs out.
 
-The compiled path (PR 8): hand the checker a
+Compilation: hand the checker a
 :class:`~repro.relalg.compile.CompiledPolicy` (built once per policy
-epoch) and a per-epoch skeleton store, and :meth:`check` first tries to
-instantiate a pre-derived decision template — "bind parameters + satisfy
-fact patterns" — falling back to the full containment search only for
-never-seen statement skeletons, whose outcome is then compiled into a
-new template for the rest of the epoch. Decisions are identical either
-way (E17 verifies zero disagreements); only the work per decision
-changes. ``allow_compiled=False`` forces the full path — the gateway's
-``verify_cached_decisions`` mode uses it so verification stays
+epoch) and view dispatch comes from it. Hand it a decision-template store
+too (the epoch's one :class:`~repro.enforce.cache.DecisionCache`) and
+each check it runs is generalized into a template there, which the
+sessions' one probe replays for later statements of the same shape
+(``tests/enforce/test_compiled_checker.py`` checks that the replay never
+changes a decision). The checker itself never probes: :meth:`check` is
+always the full search. ``allow_compiled=False`` learns nothing — the
+gateway's ``verify_cached_decisions`` mode uses it so verification stays
 independent of the very templates it is auditing.
 """
 
@@ -86,13 +86,11 @@ class ComplianceChecker:
     experiment E1 uses to show Q2 of Example 2.1 being blocked without
     history.
 
-    ``compiled`` switches on the epoch-compiled fast path: view
-    dispatch/instantiation comes from the
-    :class:`~repro.relalg.compile.CompiledPolicy`, and per-skeleton
-    decision templates are served from / stored into ``skeletons`` (a
-    :class:`~repro.enforce.cache.DecisionCache`; the gateway passes its
-    epoch's one store, which the sessions also probe; a private one is
-    created when omitted).
+    ``compiled`` takes view dispatch/instantiation from the
+    :class:`~repro.relalg.compile.CompiledPolicy`. ``skeletons`` is the
+    :class:`~repro.enforce.cache.DecisionCache` each check is learned into
+    (the gateway passes its epoch's one store, which its sessions probe);
+    without one the checker learns nothing.
     """
 
     def __init__(
@@ -109,10 +107,6 @@ class ComplianceChecker:
         self.history_enabled = history_enabled
         self.max_candidates = max_candidates
         self.compiled = compiled
-        if compiled is not None and skeletons is None:
-            from repro.enforce.cache import DecisionCache
-
-            skeletons = DecisionCache(policy)
         self.skeletons = skeletons
         # Structural constants from the view definitions ("public", an
         # age bound): worthless as connectivity evidence, since they link
@@ -139,27 +133,15 @@ class ComplianceChecker:
         """Vet one bound SELECT for the session described by ``bindings``.
 
         ``bindings`` instantiates the policy's parameters (typically
-        ``{"MyUId": user_id}``). ``allow_compiled=False`` bypasses the
-        template fast path *and* suppresses template learning, giving an
-        independent full-path decision (used by cached-decision
-        verification). ``skeleton`` is an optional precomputed
-        ``skeletonize(stmt)`` (from a prepared-statement plan) forwarded
-        to the template store so the fast path skips re-skeletonizing.
+        ``{"MyUId": user_id}``). Always the full search; its outcome is
+        learned into ``skeletons`` when there is one, unless
+        ``allow_compiled=False`` (an independent decision for cached-decision
+        verification, which must not feed the store it audits).
+        ``skeleton`` is an optional precomputed ``skeletonize(stmt)`` (from
+        a prepared-statement plan) forwarded to the store.
         """
-        effective_trace = trace if self.history_enabled else None
-        use_templates = (
-            allow_compiled and self.compiled is not None and self.skeletons is not None
-        )
-        if use_templates:
-            started = time.perf_counter()
-            hit = self.skeletons.lookup_compiled(
-                stmt, bindings, effective_trace, skeleton=skeleton
-            )
-            if hit is not None:
-                hit.duration_s = time.perf_counter() - started
-                return hit
         decision, relevant = self._check_full(stmt, bindings, trace)
-        if use_templates:
+        if allow_compiled and self.skeletons is not None:
             if decision.allowed:
                 self.skeletons.store(stmt, bindings, decision, skeleton=skeleton)
             else:

@@ -111,12 +111,15 @@ class ProxyStats:
     def with_cap(decision_log_cap: int) -> "ProxyStats":
         return ProxyStats(decisions=deque(maxlen=max(1, decision_log_cap)))
 
-    def record_decision(self, decision: Decision) -> None:
-        """Append to the ring, counting (not hiding) any eviction."""
+    def record_decision(self, decision: Decision) -> bool:
+        """Append to the ring, counting (not hiding) any eviction; True
+        when one was evicted."""
         ring = self.decisions
-        if ring.maxlen is not None and len(ring) == ring.maxlen:
+        dropped = ring.maxlen is not None and len(ring) == ring.maxlen
+        if dropped:
             self.audit_dropped += 1
         ring.append(decision)
+        return dropped
 
 
 class EnforcementProxy:
@@ -302,8 +305,8 @@ class EnforcementProxy:
             self.stats.allowed += 1
         else:
             self.stats.blocked += 1
-        if self.config.record_decisions:
-            self.stats.record_decision(decision)
+        if self.config.record_decisions and self.stats.record_decision(decision):
+            self._record_counter("audit_dropped", 1)
         self._observe_decision(decision, bound, decided)
 
     def _sweep(self) -> int:
@@ -329,8 +332,10 @@ class EnforcementProxy:
 
         ``skeleton`` is the prepared-statement fast path: a precomputed
         ``skeletonize(bound)`` that lets the cache probe and template
-        store skip the per-request AST traversal. A miss goes to
-        :meth:`_check_fresh`, which also stores what it decided. Deciding
+        store skip the per-request AST traversal. The cache is probed once;
+        a miss goes to :meth:`_check_fresh`, which also stores what it
+        decided (a gateway's may still answer from a template another
+        session just stored: ``from_cache``). Deciding
         is not an outcome: the allow/block counts and the audit record
         belong to the statement that executes (:meth:`_conclude`).
         """
@@ -349,13 +354,13 @@ class EnforcementProxy:
                 skeleton=skeleton,
                 param_items=self._param_items,
             )
-        if decision is not None:
-            self.stats.cache_hits += 1
-        else:
+        if decision is None:
             decision = self._check_fresh(bound, trace, skeleton=skeleton)
             if decision.over_budget:
                 self.stats.checks_over_budget += 1
                 self._record_counter("checks_over_budget", 1)
+        if decision.from_cache:
+            self.stats.cache_hits += 1
         seconds = time.perf_counter() - started
         self.stats.check_seconds += seconds
         self._record_stage("check", seconds)
@@ -381,8 +386,8 @@ class EnforcementProxy:
 
     def _record_counter(self, name: str, amount: int) -> None:
         """Counter observation point (``facts_retired``,
-        ``statement_retries``, ``checks_over_budget``); no-op outside the
-        gateway."""
+        ``statement_retries``, ``checks_over_budget``, ``audit_dropped``);
+        no-op outside the gateway."""
 
     def _decision_cache(self) -> DecisionCache | None:
         """The decision cache to consult for this decision.

@@ -68,8 +68,8 @@ class ReloadReport:
     provenance: str
     swap_pause_s: float
     build_s: float
-    #: Seconds spent compiling the policy inside the epoch build (0.0
-    #: when compile_checks is off) — paid pre-swap, never under the lock.
+    #: Seconds spent compiling the policy inside the epoch build — paid
+    #: pre-swap, never under the lock.
     compile_s: float
     drained: bool
     sessions_preserved: int
@@ -121,7 +121,7 @@ def hot_reload(
         provenance=provenance,
         swap_pause_s=swap_pause_s,
         build_s=build_s,
-        compile_s=epoch.compiled.build_seconds if epoch.compiled is not None else 0.0,
+        compile_s=epoch.compiled.build_seconds,
         drained=drained,
         sessions_preserved=len(sessions),
         trace_facts_preserved=sum(len(c.trace.facts) for c in sessions),

@@ -89,7 +89,7 @@ class MinedCandidate:
 
 @dataclass
 class MiningPassReport:
-    """What one mining pass saw (for STATS and the E19 tables)."""
+    """What one mining pass saw (for STATS)."""
 
     window: int = 0
     allows: int = 0
@@ -402,7 +402,7 @@ class AuditMiner:
         return parsed if isinstance(parsed, ast.Select) else None
 
     def _derivable(self, checker, parsed: ast.Select, record) -> bool:
-        """Replay one audited decision against ``checker`` (E14a-style)."""
+        """Replay one audited decision against ``checker``."""
         try:
             return checker.check(
                 parsed, record.bindings, Trace.from_facts(record.facts)

@@ -31,7 +31,8 @@ Client → server:
   (empty trace) instead of resuming the principal's stored one.
 * ``QUERY {id, sql, args?, named?}`` — vet + execute a SELECT.
 * ``EXEC {id, sql, args?, named?}`` — execute any statement (writes
-  return a row count and trigger decision-template invalidation).
+  return a row count; every session then retires the trace facts the
+  changed rows stood for, and no decision template is evicted).
 * ``PREPARE {id, sql}`` — hoist the statement's per-shape work (parse,
   bind plan, skeletonization, equality-partition layout) server-side
   once; replies ``PREPARED`` with an integer handle. Requires a session.

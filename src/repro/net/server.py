@@ -28,8 +28,9 @@ Production shape, not a toy:
   most ``max_in_flight`` statements executing at once. A statement
   arriving with every slot taken is *shed* immediately with
   ``ERROR/overloaded`` rather than queued: the client learns in
-  microseconds and can back off (the E12 overload run measures exactly
-  this — p50 of admitted requests stays flat while excess load is shed).
+  microseconds and can back off (``TestAdmissionControl`` in
+  ``tests/net/test_client_server.py`` checks that a shed reply is fast
+  and counted).
 * **Per-statement deadlines** — a statement that exceeds
   ``request_timeout_s`` (120 s for an admin verb) gets ``ERROR/timeout``
   and the connection is closed. The gateway call cannot be cancelled, so
@@ -94,7 +95,7 @@ class ServerConfig:
 
     ``execute_delay_s`` is a fault-injection knob: it stalls every
     statement for that long, inside the session lock, before execution.
-    Tests and the E12 overload run use it to make timing-dependent
+    Tests use it to make timing-dependent
     behavior (shedding, deadlines, drain) deterministic; leave it 0 in
     real deployments.
 

@@ -104,7 +104,7 @@ class CompiledPolicy:
         self._memo_lock = threading.Lock()
         self.view_def_hits = 0
         self.view_def_misses = 0
-        #: Wall-clock cost of this compile, for the E17 rebuild table.
+        #: Wall-clock cost of this compile (``ReloadReport.compile_s``).
         self.build_seconds = time.perf_counter() - started
 
     # -- checker-facing surface ---------------------------------------------

@@ -32,8 +32,8 @@ Memoization is soundness-neutral by construction: a memo key captures
 for descriptors the view's name and instantiated definition), so a hit
 replays a value the seed code would have recomputed identically.
 ``set_memoization(False)`` restores the seed computation path exactly —
-the E13 benchmark uses this for its memoized-vs-seed agreement and
-ablation runs.
+``tests/relalg/test_memo.py`` uses this for its memoized-vs-seed
+agreement checks, and the benchmark's reference for its judgements.
 """
 
 from __future__ import annotations
@@ -136,7 +136,7 @@ def set_memoization(enabled: bool) -> bool:
 
     With memoization off, ``cq_contained_in`` and ``enumerate_rewritings``
     run the seed computation verbatim (no canonicalization, no caching) —
-    the reference behavior the E13 agreement checks compare against.
+    the reference behavior ``tests/relalg/test_memo.py`` compares against.
     """
     global _enabled
     previous = _enabled

@@ -4,8 +4,8 @@ Scales the paper's per-session enforcement proxy to a deployment shape:
 one :class:`EnforcementGateway` per process owns one
 :class:`~repro.enforce.cache.DecisionCache` per policy epoch (decision
 templates learned in any session serve every session, without ever
-over-allowing), write-driven template invalidation and per-stage latency
-metrics. See ``docs/serving.md``; ``bench/run.py`` replays the bundled
+over-allowing), serialized writes that retire the facts they falsify,
+and per-stage latency metrics. See ``docs/serving.md``; ``bench/run.py`` replays the bundled
 workloads through it.
 """
 

@@ -5,16 +5,18 @@ gateway's session threads through a *combining lock*: the first thread
 to arrive becomes the batch leader and checks inline (zero overhead when
 uncontended — no dispatcher thread, no handoff); threads that arrive
 while a check is running queue up, and the leader drains the whole queue
-as one batch — one :meth:`ComplianceChecker.check` per ticket, in
-arrival order — before releasing the role.
+as one batch — per ticket, in arrival order, one probe of the store and,
+if that misses, one :meth:`ComplianceChecker.check` — before releasing
+the role.
 
-Why batching pays: the epoch's compiled artifacts (per-skeleton decision
-templates, canonicalization and constraint-closure memos) are shared, so
-the first fresh check of a statement shape does the expensive
-containment search once and every later same-shaped item in the batch
-instantiates the resulting template. Under concurrent load the queue
-naturally fills with the near-duplicate statements applications issue in
-bursts, which is exactly the shape that amortizes.
+Why batching pays: the epoch's checker learns every check into the
+epoch's one template store, so the first fresh check of a statement
+shape does the expensive containment search once, and a follower probes
+that store again before its own check — its session missed before the
+leader stored the answer. Under concurrent load the queue naturally
+fills with the near-duplicate statements applications issue in bursts,
+which is exactly the shape that amortizes. The leader never probes
+again: its session has just missed.
 
 Failure containment: a follower that has waited ``timeout_s`` without a
 result (a wedged or crashed leader) detaches its ticket and runs the
@@ -28,6 +30,7 @@ import threading
 from collections import deque
 from collections.abc import Mapping
 
+from repro.enforce.cache import DecisionCache
 from repro.enforce.checker import ComplianceChecker
 from repro.enforce.decision import Decision
 from repro.enforce.trace import Trace
@@ -64,10 +67,14 @@ class _Ticket:
 
 
 class CheckBatcher:
-    """Combining-lock batcher over one epoch's compliance checker."""
+    """Combining-lock batcher over one epoch's compliance checker and the
+    store it learns into."""
 
-    def __init__(self, checker: ComplianceChecker, timeout_s: float = 60.0):
+    def __init__(
+        self, checker: ComplianceChecker, store: DecisionCache, timeout_s: float = 60.0
+    ):
         self._checker = checker
+        self._store = store
         self._timeout_s = timeout_s
         self._lock = threading.Lock()
         self._busy = False
@@ -125,7 +132,7 @@ class CheckBatcher:
             assert ticket.decision is not None
             return ticket.decision
         self.fallbacks += 1
-        return self._checker.check(stmt, bindings, trace, skeleton=skeleton)
+        return self._follow(ticket)
 
     def _drain(self) -> None:
         """Leader duty: serve queued batches, then release the role."""
@@ -141,15 +148,19 @@ class CheckBatcher:
             self._observe(len(batch))
             for ticket in batch:
                 try:
-                    ticket.decision = self._checker.check(
-                        ticket.stmt,
-                        ticket.bindings,
-                        ticket.trace,
-                        skeleton=ticket.skeleton,
-                    )
+                    ticket.decision = self._follow(ticket)
                 except BaseException as exc:  # noqa: BLE001 - relayed to waiter
                     ticket.error = exc
                 ticket.event.set()
+
+    def _follow(self, ticket: _Ticket) -> Decision:
+        """A follower's decision: a template stored since its session
+        missed, else its own check."""
+        args = ticket.stmt, ticket.bindings, ticket.trace
+        decision = self._store.lookup(*args, skeleton=ticket.skeleton)
+        if decision is None:
+            decision = self._checker.check(*args, skeleton=ticket.skeleton)
+        return decision
 
     def _observe(self, size: int) -> None:
         self.batches += 1

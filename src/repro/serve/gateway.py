@@ -11,11 +11,11 @@ bare :class:`~repro.engine.database.Database`.
 
 What the gateway adds over a loose pile of per-session proxies:
 
-* **Shared decisions** — all sessions consult (and feed) one
-  template store, so a decision learned for one user amortizes across
-  the whole user population (per-session traces still gate
-  history-dependent templates; see ``repro.enforce.cache`` for why that
-  is sound).
+* **Shared decisions** — every statement probes the epoch's one
+  template store once, and every miss's full check feeds it, so a
+  decision learned for one user amortizes across the whole user
+  population (per-session traces still gate history-dependent templates;
+  see ``repro.enforce.cache`` for why that is sound).
 * **Serialized writes** — INSERT/UPDATE/DELETE statements run one at a
   time under the gateway's write lock (the in-memory engine is not safe
   for concurrent mutation) and touch no decision template: a template is
@@ -26,9 +26,10 @@ What the gateway adds over a loose pile of per-session proxies:
 * **Observability** — per-stage latency histograms (parse / check /
   execute), cache and decision counters, and per-view allow counts.
 * **Optional self-verification** — with ``verify_cached_decisions`` on,
-  every cache hit is replayed through the full
+  every cache hit, Allow or Block, is replayed through the full
   :class:`~repro.enforce.checker.ComplianceChecker` and disagreements
-  are counted (``cache_disagreements``); E11 asserts this stays zero.
+  are counted (``cache_disagreements``);
+  ``tests/serve/test_shared_cache_race.py`` asserts this stays zero.
 
 Policy epochs
 -------------
@@ -71,21 +72,6 @@ from repro.sqlir import ast
 class GatewayConfig:
     """Gateway-wide configuration, applied to every session it opens.
 
-    ``cache_mode``:
-
-    * ``"shared"`` (default) — every session consults the epoch's one
-      :class:`~repro.enforce.cache.DecisionCache` before checking;
-    * ``"none"`` — no session does; every statement reaches the checker.
-
-    ``compile_checks`` (default on) builds a
-    :class:`~repro.relalg.compile.CompiledPolicy` once per
-    :class:`PolicyEpoch` and lets the checker serve and learn skeleton
-    templates in the epoch's store, turning repeat-shape cache-miss
-    checks into template instantiation (docs/compilation.md).
-    ``batch_checks`` (default on) additionally funnels miss checks
-    through a :class:`~repro.serve.batch.CheckBatcher` so concurrent
-    sessions share per-batch compilation work.
-
     ``backend`` / ``db_path`` are *declarative*: they record which
     storage backend this deployment expects (and, for path-capable
     backends, where its file lives) so deployment configs can travel as
@@ -96,27 +82,25 @@ class GatewayConfig:
     """
 
     history_enabled: bool = True
-    cache_mode: str = "shared"
     verify_cached_decisions: bool = False
     record_decisions: bool = False
     decision_log_cap: int = 256
-    check_timeout_s: float = 60.0
-    compile_checks: bool = True
-    batch_checks: bool = True
     backend: str | None = None
     db_path: str | None = None
 
     def __post_init__(self) -> None:
-        if self.cache_mode not in ("shared", "none"):
-            raise ValueError(f"unknown cache_mode {self.cache_mode!r}")
         if self.db_path is not None and self.backend is None:
             raise ValueError("db_path requires an explicit backend")
 
 
 class PolicyEpoch:
-    """One policy generation: the policy plus everything derived from it.
+    """One policy generation: the policy plus everything derived from it —
+    its :class:`~repro.relalg.compile.CompiledPolicy`, its one
+    decision-template store (``shared_cache``), the checker that learns
+    into that store, and the :class:`~repro.serve.batch.CheckBatcher` that
+    funnels the sessions' misses to it (docs/compilation.md).
 
-    Immutable once installed (the caches fill, but never change policy).
+    Immutable once installed (the store fills, but never changes policy).
     The pin count tracks decisions currently executing under this epoch;
     :meth:`retire` blocks until they drain.
 
@@ -140,42 +124,25 @@ class PolicyEpoch:
         self.provenance = provenance
         # Compiled artifacts are built here — before the epoch is
         # installed — so a hot reload pays compilation pre-swap and the
-        # install stays a pointer assignment (E17's rebuild-cost table).
-        self.compiled: CompiledPolicy | None = (
-            compile_policy(db.schema, policy) if config.compile_checks else None
-        )
-        #: The epoch's one decision-template store: the checker serves and
-        #: learns compiled skeleton templates in it (``compile_checks``),
-        #: and sessions probe it before checking (``cache_mode="shared"``).
-        #: ``None`` only when neither is on.
-        self.store: DecisionCache | None = (
-            DecisionCache(policy)
-            if self.compiled is not None or config.cache_mode == "shared"
-            else None
-        )
+        # install stays a pointer assignment (``lifecycle.swap_pause_us``).
+        self.compiled: CompiledPolicy = compile_policy(db.schema, policy)
+        #: The epoch's one decision-template store: sessions probe it once
+        #: per statement, and the checker learns every miss into it.
+        self.shared_cache = DecisionCache(policy)
         self.templates_carried = self.templates_dropped = 0
-        if self.store is not None and live is not None:
-            self.templates_carried, self.templates_dropped = self.store.carry_from(
-                live,
-                self.compiled.relevant_relations if self.compiled is not None else None,
+        if live is not None:
+            self.templates_carried, self.templates_dropped = self.shared_cache.carry_from(
+                live, self.compiled.relevant_relations
             )
         self.checker = ComplianceChecker(
             db.schema,
             policy,
             history_enabled=config.history_enabled,
             compiled=self.compiled,
-            skeletons=self.store if self.compiled is not None else None,
-        )
-        #: The store as the sessions' cache, or None under ``cache_mode="none"``.
-        self.shared_cache: DecisionCache | None = (
-            self.store if config.cache_mode == "shared" else None
+            skeletons=self.shared_cache,
         )
         #: Combining-lock batcher for miss checks.
-        self.batcher: CheckBatcher | None = (
-            CheckBatcher(self.checker, timeout_s=config.check_timeout_s)
-            if config.batch_checks
-            else None
-        )
+        self.batcher = CheckBatcher(self.checker, self.shared_cache)
         self._condition = threading.Condition()
         self._pins = 0
 
@@ -216,18 +183,14 @@ class PolicyEpoch:
         ``serve.batch_gt1_share`` from their change over its timed
         section, and fails when that is zero, which a cumulative count
         is once a reload re-derives nothing."""
-        for mine, theirs in (
-            (self.store, retired.store),
-            (self.compiled, retired.compiled),
-        ):
-            if mine is not None and theirs is not None:
-                mine.continue_counts_of(theirs)
+        self.shared_cache.continue_counts_of(retired.shared_cache)
+        self.compiled.continue_counts_of(retired.compiled)
 
     def caches(self) -> list[DecisionCache]:
-        """The store, when there is one, as a list. Nothing in the program
-        calls it: it stays for the benchmark's staged replay
-        (``bench/tracing.py``), which evicts through it after each write."""
-        return [self.store] if self.store is not None else []
+        """The store, as a list. Nothing in the program calls it: it stays
+        for the benchmark's staged replay (``bench/tracing.py``), which
+        evicts through it after each write."""
+        return [self.shared_cache]
 
 
 class GatewayConnection(EnforcementProxy):
@@ -271,8 +234,8 @@ class GatewayConnection(EnforcementProxy):
     def decide(self, bound: ast.Select, skeleton=None) -> Decision:
         """Vet a bound SELECT entirely under one policy epoch.
 
-        The epoch is read once and pinned for the whole decision — cache
-        lookup, fresh check, store, verification — so a concurrent hot
+        The epoch is read once and pinned for the whole decision — the
+        store probe, a fresh check and what it learns, verification — so a concurrent hot
         reload can never produce a decision computed against a mix of
         two policies. ``skeleton`` is the
         prepared-statement fast path (see ``EnforcementProxy.decide``).
@@ -287,8 +250,8 @@ class GatewayConnection(EnforcementProxy):
         decision.policy_version = epoch.version
         return decision
 
-    def _decision_cache(self) -> DecisionCache | None:
-        """The pinned epoch's cache (None under ``cache_mode="none"``)."""
+    def _decision_cache(self) -> DecisionCache:
+        """The pinned epoch's store."""
         return self._pinned_epoch.shared_cache
 
     # -- hooks wired into the gateway ------------------------------------------
@@ -316,9 +279,7 @@ class GatewayConnection(EnforcementProxy):
             if self._gateway.config.verify_cached_decisions:
                 self._verify_cached(decision, bound)
         else:
-            metrics.increment(
-                "cache_misses" if self._decision_cache() is not None else "uncached_checks"
-            )
+            metrics.increment("cache_misses")
 
     def _observe_decision(
         self, decision: Decision, bound: ast.Select, decided: bool
@@ -377,23 +338,11 @@ class GatewayConnection(EnforcementProxy):
             self._gateway.metrics.increment("cache_disagreements")
 
     def _check_fresh(self, bound: ast.Select, trace, skeleton=None) -> Decision:
-        """Cache-miss check: batched when configured, else direct.
-
-        Always runs against the pinned epoch's checker so the decision
-        cannot straddle a reload. A compiling checker has already
-        generalized its decision into the epoch's store; only without
-        one is there anything left to store here.
-        """
-        epoch = self._pinned_epoch
-        checker = epoch.batcher if epoch.batcher is not None else epoch.checker
-        decision = checker.check(
+        """A miss, through the pinned epoch's batcher, so the decision
+        cannot straddle a reload; its checker learns what it decides."""
+        return self._pinned_epoch.batcher.check(
             bound, self.session.bindings, trace, skeleton=skeleton
         )
-        if epoch.compiled is None and epoch.shared_cache is not None:
-            epoch.shared_cache.store(
-                bound, self.session.bindings, decision, skeleton=skeleton
-            )
-        return decision
 
 
 @dataclass(frozen=True)
@@ -401,8 +350,9 @@ class DecisionAuditRecord:
     """One statement's decision as the gateway made it — once per SELECT,
     however many attempts it took — for external re-verification.
 
-    Produced when ``gateway.decision_audit`` is set (the E14 benchmark's
-    no-torn-decision instrument): carries everything needed to replay
+    Produced when ``gateway.decision_audit`` is set (the no-torn-decision
+    instrument of ``tests/lifecycle/test_reload.py::TestNoTornDecisions``):
+    carries everything needed to replay
     the decision against a fresh checker for the policy version that
     made it — the bound SQL, the session bindings, and the certified
     trace facts *as of decision time*.
@@ -468,7 +418,7 @@ class EnforcementGateway:
         return self._epoch.version
 
     @property
-    def shared_cache(self) -> DecisionCache | None:
+    def shared_cache(self) -> DecisionCache:
         return self._epoch.shared_cache
 
     def build_epoch(
@@ -483,7 +433,7 @@ class EnforcementGateway:
         after this call is not carried; the new epoch re-derives it once.
         """
         return PolicyEpoch(
-            self.db, policy, self.config, version, provenance, live=self._epoch.store
+            self.db, policy, self.config, version, provenance, live=self._epoch.shared_cache
         )
 
     def install_epoch(self, epoch: PolicyEpoch) -> PolicyEpoch:
@@ -607,39 +557,33 @@ class EnforcementGateway:
         # Cache counters: event counts are cumulative over the gateway's
         # life (install_epoch carries them across reloads); the sizes
         # (shared_cache_size, compiled_templates) gauge the live store.
-        if epoch.shared_cache is not None:
-            stats = epoch.shared_cache.stats()
-            for name, value in stats.items():
-                snapshot.counters[f"shared_cache_{name}"] = value
-            # Top-level alias (docs/performance.md): acquisitions of the
-            # store's lock that had to wait.
-            snapshot.counters["cache_stripe_contention"] = stats["stripe_contention"]
-        if epoch.compiled is not None:
-            # Top-level compiled-path counters (docs/compilation.md); the
-            # cluster router sums these across shards, so numeric only.
-            snapshot.counters["compiled_hits"] = epoch.store.compiled_hits
-            snapshot.counters["compile_misses"] = epoch.store.compiled_misses
-            snapshot.counters["compiled_templates"] = epoch.store.size
-            snapshot.counters["compiled_blocks"] = epoch.store.blocks_stored
-            compiled_stats = epoch.compiled.stats()
-            snapshot.counters["compiled_views"] = compiled_stats["views"]
-            snapshot.counters["compiled_view_def_hits"] = compiled_stats["view_def_hits"]
-            snapshot.counters["compiled_view_def_misses"] = compiled_stats[
-                "view_def_misses"
-            ]
-        if epoch.batcher is not None:
-            for name, value in epoch.batcher.stats().items():
-                snapshot.counters[f"batch_{name}"] = value
+        store = epoch.shared_cache
+        stats = store.stats()
+        for name, value in stats.items():
+            snapshot.counters[f"shared_cache_{name}"] = value
+        # Top-level aliases (docs/compilation.md); the cluster router sums
+        # these across shards, so numeric only.
+        snapshot.counters["cache_stripe_contention"] = stats["stripe_contention"]
+        snapshot.counters["compiled_hits"] = store.compiled_hits
+        snapshot.counters["compile_misses"] = store.misses
+        snapshot.counters["compiled_templates"] = store.size
+        snapshot.counters["compiled_blocks"] = store.blocks_stored
+        compiled_stats = epoch.compiled.stats()
+        snapshot.counters["compiled_views"] = compiled_stats["views"]
+        snapshot.counters["compiled_view_def_hits"] = compiled_stats["view_def_hits"]
+        snapshot.counters["compiled_view_def_misses"] = compiled_stats["view_def_misses"]
+        for name, value in epoch.batcher.stats().items():
+            snapshot.counters[f"batch_{name}"] = value
         shadow = self.shadow
         if shadow is not None:
             for name, value in shadow.stats().items():
                 snapshot.counters[f"shadow_{name}"] = value
-        # Decision-audit loss accounting: drops from per-session decision
-        # rings plus (when an AuditStream is installed) subscriber-queue
-        # drops. Always present so STATS consumers can alert on it.
-        audit_dropped = sum(
-            connection.stats.audit_dropped for connection in self.connections()
-        )
+        # Decision-audit loss accounting: drops from every session's
+        # decision ring, counted as they happen (closed and ``fresh``
+        # sessions included), plus (when an AuditStream is installed)
+        # subscriber-queue drops. Always present so STATS consumers can
+        # alert on it.
+        audit_dropped = snapshot.counters.get("audit_dropped", 0)
         audit = self.decision_audit
         if audit is not None and hasattr(audit, "stats"):
             for name, value in audit.stats().items():
@@ -658,6 +602,5 @@ class EnforcementGateway:
         return snapshot
 
     def cache_hit_rate(self) -> float:
-        """Session-cache hits over lookups, across reloads (0.0 uncached)."""
-        cache = self._epoch.shared_cache
-        return cache.hit_rate if cache is not None else 0.0
+        """Store hits over probes, across reloads."""
+        return self._epoch.shared_cache.hit_rate

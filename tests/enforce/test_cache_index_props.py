@@ -64,35 +64,46 @@ class SeedReferenceCache:
         candidates = self._templates.get(skeleton.statement, ())
         param_items = sorted(bindings.items())
         for template in candidates:
-            if self._matches(template, skeleton, param_items, trace):
+            witnesses = self._witnesses(template, skeleton, param_items, trace)
+            if witnesses is not None:
                 self.hits += 1
                 return Decision(
                     allowed=True,
                     sql=to_sql(stmt),
                     reason=template.reason,
                     from_cache=True,
+                    facts_used=tuple(witnesses),
                 )
         self.misses += 1
         return None
 
-    def _matches(self, template, skeleton, param_items, trace):
+    def _witnesses(self, template, skeleton, param_items, trace):
+        """The first matching fact of the trace per fact pattern, or None
+        when the template does not answer."""
         for index, value in template.pinned:
             if skeleton.values[index] != value:
-                return False
+                return None
         if _equality_partition(skeleton.values, param_items) != template.equality_pattern:
-            return False
-        if template.fact_patterns:
-            if trace is None:
-                return False
-            facts = trace.facts
-            params = dict(param_items)
-            for rel, pattern_args in template.fact_patterns:
-                if not any(
-                    _fact_matches(fact, rel, pattern_args, skeleton.values, params)
-                    for fact in facts
-                ):
-                    return False
-        return True
+            return None
+        if not template.fact_patterns:
+            return []
+        if trace is None:
+            return None
+        params = dict(param_items)
+        witnesses = []
+        for rel, pattern_args in template.fact_patterns:
+            witness = next(
+                (
+                    fact
+                    for fact in trace.facts
+                    if _fact_matches(fact, rel, pattern_args, skeleton.values, params)
+                ),
+                None,
+            )
+            if witness is None:
+                return None
+            witnesses.append(witness)
+        return witnesses
 
     def store(self, stmt, bindings, decision):
         if not decision.allowed or decision.from_cache:
@@ -117,9 +128,9 @@ class SeedReferenceCache:
             tables=frozenset(tables),
         )
         bucket = self._templates.setdefault(skeleton.statement, [])
-        # The unified skeleton store dedups exact re-derivations (the
-        # checker's compiled store and the proxy may both generalize the
-        # same decision); the oracle mirrors that so size stays comparable.
+        # The store skips exact duplicates (two sessions that missed on
+        # one shape at once may generalize the same decision); the oracle
+        # mirrors that so size stays comparable.
         if template not in bucket:
             bucket.append(template)
 

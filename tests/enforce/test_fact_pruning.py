@@ -14,6 +14,7 @@ import pytest
 
 import repro.enforce.checker as checker_module
 from repro.enforce import EnforcementProxy, PolicyViolation, Session
+from repro.enforce.cache import DecisionCache
 from repro.enforce.checker import ComplianceChecker
 from repro.enforce.trace import Trace
 from repro.relalg.compile import compile_policy
@@ -138,7 +139,10 @@ class TestSearchBudget:
     def test_an_exhausted_budget_blocks_what_the_search_allows(self, calendar, monkeypatch):
         db, policy = calendar
         checker = ComplianceChecker(
-            db.schema, policy, compiled=compile_policy(db.schema, policy)
+            db.schema,
+            policy,
+            compiled=compile_policy(db.schema, policy),
+            skeletons=DecisionCache(policy),
         )
         assert checker.check(bound(self.STATEMENT), {"MyUId": 1}, allow_compiled=False).allowed
         monkeypatch.setattr(checker_module, "CHECK_STEP_BUDGET", 1)
@@ -148,6 +152,7 @@ class TestSearchBudget:
         assert checker.skeletons.size == 0  # not templated
         monkeypatch.undo()
         assert checker.check(bound(self.STATEMENT), {"MyUId": 1}).allowed
+        assert checker.skeletons.size == 1
 
     def test_the_gateway_counts_and_audits_it(self, calendar, monkeypatch):
         db, policy = calendar

@@ -82,7 +82,8 @@ class TestHotReload:
         with pytest.raises(PolicyViolation):
             gateway.connect(3, fresh=True).query("SELECT * FROM Events WHERE EId = 999")
         after = gateway.snapshot().counters
-        assert after["shared_cache_hits"] == before["shared_cache_hits"] + 1
+        # One probe answers both: the Allow, and the Block (compiled_hits).
+        assert after["shared_cache_hits"] == before["shared_cache_hits"] + 2
         assert after["compiled_hits"] == before["compiled_hits"] + 1
         assert after["compile_misses"] == before["compile_misses"]
 
@@ -97,7 +98,7 @@ class TestHotReload:
             "compile_misses", "compiled_hits", "compiled_blocks",
             "shared_cache_hits", "shared_cache_misses", "shared_cache_stores",
             "shared_cache_invalidations", "shared_cache_compiled_hits",
-            "shared_cache_compiled_misses", "shared_cache_blocks_stored",
+            "shared_cache_blocks_stored",
             "cache_stripe_contention",
             "compiled_view_def_hits", "compiled_view_def_misses",
         )
@@ -155,12 +156,16 @@ class TestNoTornDecisions:
         self._run_reload_storm(calendar_pair, GatewayConfig())
 
     def test_reload_storm_through_the_compiled_batched_path(self, calendar_pair):
-        """Same storm with the decision cache off, so every decision runs
-        the epoch-compiled fast path and the check batcher — the
-        re-verification checkers are template-free, so zero disagreements
-        also means the compiled path never served a stale epoch's
-        template."""
-        self._run_reload_storm(calendar_pair, GatewayConfig(cache_mode="none"))
+        """Same storm with every template hit, Allow or Block, replayed
+        through the epoch's full checker as it is served
+        (``verify_cached_decisions``) — the re-verification checkers are
+        template-free too, so zero disagreements also means the store never
+        served a stale epoch's template."""
+        gateway = self._run_reload_storm(
+            calendar_pair, GatewayConfig(verify_cached_decisions=True)
+        )
+        assert gateway.metrics.counter("cache_verified") > 0
+        assert gateway.metrics.counter("cache_disagreements") == 0
 
     def _run_reload_storm(self, calendar_pair, config):
         app, db = calendar_pair
@@ -219,6 +224,7 @@ class TestNoTornDecisions:
         assert not errors
         assert len(audits) > 20
         assert reverify_audit(audits, policies, db) == []
+        return gateway
 
 
 class TestCompiledEpochIsolation:

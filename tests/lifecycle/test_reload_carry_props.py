@@ -6,10 +6,8 @@ probe, the hit stream's other statements and identity writes, and send
 them again after each reload. The gateway reloads among the ground-truth
 policy, the policy minus each view, the policy with its views reordered,
 and the policy plus the view ``repro diagnose`` proposes for the probe.
-It runs with the sessions
-probing the shared store (every hit re-checked on the spot by
-``verify_cached_decisions``) and with no session cache (every statement
-through the compiled checker's Allow and Block templates). No hit may
+The sessions probe the epoch's store, and every hit, Allow or Block, is
+re-checked on the spot by ``verify_cached_decisions``. No hit may
 disagree with its re-check, and a template-free checker for the version
 each decision claims must reach every audited verdict.
 """
@@ -53,10 +51,7 @@ WRITES = (
     ("UPDATE Attendance SET EId = EId WHERE UId = ?", "me"),
     ("UPDATE Events SET Title = Title WHERE EId = ?", "event"),
 )
-CONFIGS = (
-    GatewayConfig(verify_cached_decisions=True),
-    GatewayConfig(cache_mode="none"),
-)
+CONFIGS = (GatewayConfig(verify_cached_decisions=True),)
 
 
 @pytest.fixture(scope="module")

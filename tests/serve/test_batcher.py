@@ -1,11 +1,14 @@
 """CheckBatcher: combining-lock batching over one epoch's checker.
 
-The batcher only ever calls ``checker.check(stmt, bindings, trace)``, so
-the tests drive it with small stub checkers whose blocking behavior is
-scripted — the properties under test are scheduling ones: exactly one
-execution per submitted check, leader inlining when uncontended,
-follower relay of both results and exceptions, and the timed-out
-follower self-serving instead of losing its decision.
+Apart from a follower's probe of the store, the batcher only ever calls
+``checker.check(stmt, bindings, trace)``, so most tests drive it with
+small stub checkers whose blocking behavior is scripted, over a store
+that never answers — the properties under test are scheduling ones:
+exactly one execution per submitted check, leader inlining when
+uncontended, follower relay of both results and exceptions, and the
+timed-out follower self-serving instead of losing its decision. One test
+runs a real checker and store: a follower is answered by the template
+its leader just stored.
 """
 
 from __future__ import annotations
@@ -15,7 +18,23 @@ import time
 
 import pytest
 
+from repro.enforce.cache import DecisionCache
+from repro.enforce.checker import ComplianceChecker
+from repro.relalg.compile import compile_policy
 from repro.serve.batch import CheckBatcher
+from repro.sqlir.params import bind_parameters
+from repro.sqlir.parser import parse_select
+
+
+class NoTemplates:
+    """A store that never answers: every ticket reaches the checker."""
+
+    def lookup(self, stmt, bindings, trace, skeleton=None):
+        return None
+
+
+def batcher_over(checker, **kwargs) -> CheckBatcher:
+    return CheckBatcher(checker, NoTemplates(), **kwargs)
 
 
 class ScriptedChecker:
@@ -39,7 +58,7 @@ class ScriptedChecker:
 
 class TestUncontended:
     def test_leader_checks_inline(self):
-        batcher = CheckBatcher(ScriptedChecker())
+        batcher = batcher_over(ScriptedChecker())
         result = batcher.check("q1", {"MyUId": 1}, None)
         assert result == ("decision", "q1", {"MyUId": 1})
         stats = batcher.stats()
@@ -49,7 +68,7 @@ class TestUncontended:
         assert stats["fallbacks"] == 0
 
     def test_sequential_checks_never_batch(self):
-        batcher = CheckBatcher(ScriptedChecker())
+        batcher = batcher_over(ScriptedChecker())
         for i in range(5):
             batcher.check(f"q{i}", {}, None)
         stats = batcher.stats()
@@ -60,7 +79,7 @@ class TestUncontended:
 class TestContended:
     def test_every_submitted_check_is_executed_exactly_once(self):
         checker = ScriptedChecker()
-        batcher = CheckBatcher(checker)
+        batcher = batcher_over(checker)
         results = {}
         errors = []
 
@@ -87,7 +106,7 @@ class TestContended:
     def test_queued_followers_form_batches(self):
         gate = threading.Event()
         checker = ScriptedChecker(gate=gate)
-        batcher = CheckBatcher(checker)
+        batcher = batcher_over(checker)
         done = []
 
         def leader():
@@ -118,7 +137,7 @@ class TestContended:
     def test_follower_receives_relayed_exception(self):
         gate = threading.Event()
         checker = ScriptedChecker(gate=gate, raise_for={"poison"})
-        batcher = CheckBatcher(checker)
+        batcher = batcher_over(checker)
         caught = []
 
         def leader():
@@ -154,7 +173,7 @@ class TestFallback:
                 return super().check(stmt, bindings, trace)
 
         checker = WedgingChecker()
-        batcher = CheckBatcher(checker, timeout_s=0.2)
+        batcher = batcher_over(checker, timeout_s=0.2)
         follower_result = []
 
         leader = threading.Thread(target=batcher.check, args=("wedged", {}, None))
@@ -167,12 +186,65 @@ class TestFallback:
         leader.join(timeout=5)
 
 
+class TestFollowerProbesAgain:
+    def test_a_follower_is_answered_by_its_leaders_template(
+        self, calendar_schema, calendar_policy
+    ):
+        store = DecisionCache(calendar_policy)
+        checker = ComplianceChecker(
+            calendar_schema,
+            calendar_policy,
+            compiled=compile_policy(calendar_schema, calendar_policy),
+            skeletons=store,
+        )
+        entered, release = threading.Event(), threading.Event()
+        full_checks = []
+        plain_check = checker.check
+
+        def gated_check(stmt, *args, **kwargs):
+            full_checks.append(stmt)
+            entered.set()
+            release.wait(5)
+            return plain_check(stmt, *args, **kwargs)
+
+        checker.check = gated_check
+        batcher = CheckBatcher(checker, store)
+        shape = parse_select("SELECT EId FROM Attendance WHERE UId = ?")
+        requests = {user: (bind_parameters(shape, [user]), {"MyUId": user}) for user in (1, 2)}
+        # Both sessions have missed on the shape before either check runs.
+        for stmt, bindings in requests.values():
+            assert store.lookup(stmt, bindings, None) is None
+        decisions = {}
+
+        def decide(user):
+            decisions[user] = batcher.check(*requests[user], None)
+
+        leader = threading.Thread(target=decide, args=(1,))
+        leader.start()
+        assert entered.wait(5)  # the leader is inside its check
+        follower = threading.Thread(target=decide, args=(2,))
+        follower.start()
+        deadline = time.monotonic() + 5
+        while not batcher._queue and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert len(batcher._queue) == 1  # queued behind the busy leader
+        release.set()
+        leader.join(timeout=5)
+        follower.join(timeout=5)
+        assert not leader.is_alive() and not follower.is_alive()
+        assert decisions[1].allowed and not decisions[1].from_cache
+        assert decisions[2].allowed and decisions[2].from_cache
+        assert full_checks == [requests[1][0]]  # one full check
+        assert (store.hits, store.misses, store.stores) == (1, 2, 1)
+        assert batcher.stats()["checks"] == 2
+
+
 class TestHistogram:
     @pytest.mark.parametrize(
         ("size", "bucket"),
         [(1, "size_1"), (2, "size_2"), (3, "size_4"), (4, "size_4"), (5, "size_8"), (100, "size_8")],
     )
     def test_sizes_land_in_log2_buckets(self, size, bucket):
-        batcher = CheckBatcher(ScriptedChecker())
+        batcher = batcher_over(ScriptedChecker())
         batcher._observe(size)
         assert batcher.stats()[bucket] == 1

@@ -13,6 +13,7 @@ from repro.enforce import (
     ProxyConfig,
     Session,
 )
+from repro.enforce.cache import DecisionCache
 from repro.engine import Connection, Database
 from repro.serve import (
     EnforcementGateway,
@@ -171,13 +172,15 @@ class TestWritesThroughGateway:
 
 
 class TestOneStore:
-    """One store per epoch, written once per miss — by the compiling
-    checker, or by the miss hook when there is none."""
+    """One store per epoch, probed once per statement and written once
+    per miss, by the epoch's checker."""
 
     @staticmethod
-    def replay(config: GatewayConfig) -> tuple[EnforcementGateway, list[bool]]:
+    def replay(config: GatewayConfig | None) -> tuple[EnforcementGateway, list[bool]]:
         """The statement-path stream (blocked, history-gated and allowed
-        statements over six sessions); returns the allow/block sequence."""
+        statements over six sessions); returns the allow/block sequence.
+        ``config=None`` replays it through bare proxies (no cache, an
+        uncompiled checker): the reference."""
         from tests.net.test_statement_path import make_stream
 
         app = calendar_app.make_app()
@@ -186,7 +189,12 @@ class TestOneStore:
         )
         verdicts = []
         for script in make_stream(gateway.db):
-            connection = gateway.connect(script[1][1][0], fresh=True)
+            user = script[1][1][0]
+            connection = (
+                gateway.connect(user, fresh=True)
+                if config is not None
+                else EnforcementProxy(gateway.db, gateway.policy, Session.for_user(user))
+            )
             for sql, args in script:
                 try:
                     connection.query(sql, args)
@@ -205,32 +213,21 @@ class TestOneStore:
         assert counters["shared_cache_stores"] == counters["shared_cache_size"] == live
 
     def test_every_configuration_decides_alike_and_stores_once(self):
-        _, expected = self.replay(GatewayConfig())
-        for config in (
-            GatewayConfig(compile_checks=False),
-            GatewayConfig(cache_mode="none"),
-        ):
+        _, expected = self.replay(None)
+        for config in (GatewayConfig(), GatewayConfig(verify_cached_decisions=True)):
             gateway, verdicts = self.replay(config)
             assert verdicts == expected, config
             (store,) = gateway.epoch.caches()
             assert store.duplicates_skipped == 0, config
             assert store.stores == store.size > 0, config
-
-    def test_no_store_without_cache_or_compilation(self, calendar_db, calendar_policy):
-        gateway = EnforcementGateway(
-            calendar_db,
-            calendar_policy,
-            GatewayConfig(cache_mode="none", compile_checks=False),
-        )
-        gateway.connect(1).query("SELECT EId FROM Attendance WHERE UId = 1")
-        gateway.connect(1).sql("UPDATE Attendance SET UId = UId")
-        assert gateway.epoch.caches() == [] and gateway.shared_cache is None
-        assert gateway.cache_hit_rate() == 0.0
-        assert gateway.metrics.counter("uncached_checks") == 1
+            assert gateway.metrics.counter("cache_disagreements") == 0
 
     def test_per_session_cache_mode_is_gone(self):
-        with pytest.raises(ValueError, match="per-session"):
-            GatewayConfig(cache_mode="per-session")
+        """So is every other way to wire the store: an epoch always
+        compiles, owns one store its sessions probe, and batches."""
+        for knob in ("cache_mode", "compile_checks", "batch_checks", "check_timeout_s"):
+            with pytest.raises(TypeError, match=knob):
+                GatewayConfig(**{knob: None})
 
 
 class TestDriver:
@@ -306,85 +303,117 @@ class TestProxyConfigCompat:
             gateway.close()
 
 
+    def test_audit_dropped_counts_fresh_sessions_and_never_runs_backwards(
+        self, calendar_db, calendar_policy
+    ):
+        """A drop is counted when the ring evicts: a ``fresh=True``
+        session's drops show, and a closed session's stay."""
+        gateway = EnforcementGateway(
+            calendar_db,
+            calendar_policy,
+            GatewayConfig(record_decisions=True, decision_log_cap=2),
+        )
+        statement = "SELECT EId FROM Attendance WHERE UId = 1"
+        try:
+            fresh = gateway.connect(1, fresh=True)
+            for _ in range(5):
+                fresh.query(statement)
+            assert fresh.stats.audit_dropped == 3
+            assert gateway.snapshot().counters["audit_dropped"] == 3
+            stored = gateway.connect(1)
+            for _ in range(5):
+                stored.query(statement)
+            assert gateway.snapshot().counters["audit_dropped"] == 6
+            stored.close()
+            assert gateway.snapshot().counters["audit_dropped"] == 6
+        finally:
+            gateway.close()
+
+
 class TestCompiledGateway:
-    """GatewayConfig.compile_checks / batch_checks wiring and counters."""
+    """The epoch's compiled store and batcher: wiring and counters."""
+
+    ALLOWED = "SELECT EId FROM Attendance WHERE UId = 1"
+    BLOCKED = "SELECT * FROM Events WHERE EId = 99"
 
     def test_snapshot_exposes_compiled_and_batch_counters(
         self, calendar_db, calendar_policy
     ):
-        gateway = EnforcementGateway(
-            calendar_db, calendar_policy, GatewayConfig(cache_mode="none")
-        )
+        gateway = EnforcementGateway(calendar_db, calendar_policy)
         try:
-            connection = gateway.connect(1)
-            connection.query("SELECT EId FROM Attendance WHERE UId = 1")
-            connection.query("SELECT EId FROM Attendance WHERE UId = 1")
+            # Blocks first: a certified Attendance fact would leave the
+            # Block's guard.
+            connection = gateway.connect(1, fresh=True)
+            for sql in (self.BLOCKED, self.BLOCKED):
+                with pytest.raises(PolicyViolation):
+                    connection.query(sql)
+            connection.query(self.ALLOWED)
+            connection.query(self.ALLOWED)
             counters = gateway.snapshot().counters
-            assert counters["compiled_hits"] >= 1
-            assert counters["compile_misses"] >= 1
-            assert counters["compiled_templates"] >= 1
+            assert counters["compiled_hits"] == 1  # the repeated Block
+            assert counters["compile_misses"] == counters["shared_cache_misses"] == 2
+            assert counters["shared_cache_hits"] == counters["cache_hits"] == 2
+            assert counters["compiled_templates"] == 2
+            assert counters["compiled_blocks"] == 1
             assert counters["compiled_views"] >= 1
-            assert counters["batch_checks"] >= 2
-            assert counters["batch_size_1"] >= 2
-        finally:
-            gateway.close()
-
-    def test_compile_checks_off_reverts_to_the_generic_path(
-        self, calendar_db, calendar_policy
-    ):
-        gateway = EnforcementGateway(
-            calendar_db,
-            calendar_policy,
-            GatewayConfig(cache_mode="none", compile_checks=False, batch_checks=False),
-        )
-        try:
-            connection = gateway.connect(1)
-            connection.query("SELECT EId FROM Attendance WHERE UId = 1")
-            counters = gateway.snapshot().counters
-            assert "compiled_hits" not in counters
-            assert "batch_checks" not in counters
+            assert counters["batch_checks"] == counters["batch_size_1"] == 2
+            for gone in ("uncached_checks", "shared_cache_compiled_misses"):
+                assert gone not in counters
         finally:
             gateway.close()
 
     def test_verification_stays_independent_of_templates(
         self, calendar_db, calendar_policy
     ):
-        # verify_cached_decisions re-checks cache hits with
-        # allow_compiled=False: the verifying decision must come from the
-        # full path, so template counters stay untouched by verification.
+        # verify_cached_decisions re-checks cache hits, Allows and Blocks,
+        # with allow_compiled=False: the verifying decision comes from the
+        # full path and learns nothing, so the store is untouched by it.
         gateway = EnforcementGateway(
             calendar_db, calendar_policy, GatewayConfig(verify_cached_decisions=True)
         )
         try:
-            connection = gateway.connect(1)
-            connection.query("SELECT EId FROM Attendance WHERE UId = 1")
-            hits_after_miss = gateway.snapshot().counters["compiled_hits"]
-            connection.query("SELECT EId FROM Attendance WHERE UId = 1")  # cache hit
-            counters = gateway.snapshot().counters
-            assert counters["compiled_hits"] == hits_after_miss
-            assert gateway.metrics.counter("cache_disagreements") == 0
+            learner, connection = gateway.connect(1, fresh=True), gateway.connect(1)
+            with pytest.raises(PolicyViolation):
+                learner.query(self.BLOCKED)
+            learner.query(self.ALLOWED)
+            store = gateway.shared_cache
+            learned = store.stats()
+            with pytest.raises(PolicyViolation) as blocked:
+                connection.query(self.BLOCKED)  # a Block hit
+            assert blocked.value.decision.from_cache
+            connection.query(self.ALLOWED)  # an Allow hit
+            counters = gateway.metrics.counter
+            assert counters("cache_verified") == 2
+            assert counters("cache_disagreements") == 0
+            after = store.stats()
+            assert (after["stores"], after["duplicates_skipped"]) == (
+                learned["stores"], learned["duplicates_skipped"]
+            )
+            assert after["hits"] == learned["hits"] + 2
+            assert after["compiled_hits"] == learned["compiled_hits"] + 1
         finally:
             gateway.close()
 
     def test_compiled_templates_agree_with_cache_templates(
         self, calendar_db, calendar_policy
     ):
-        # Same statement through a cache-off compiled gateway and a
-        # cache-on uncompiled gateway: identical verdicts either way.
-        compiled = EnforcementGateway(
-            calendar_db, calendar_policy, GatewayConfig(cache_mode="none")
-        )
-        generic = EnforcementGateway(
-            calendar_db, calendar_policy, GatewayConfig(compile_checks=False)
+        # The same statements through the gateway's compiled store and a
+        # bare proxy's own cache of Allows: identical verdicts.
+        gateway = EnforcementGateway(calendar_db, calendar_policy)
+        proxy = EnforcementProxy(
+            calendar_db,
+            calendar_policy,
+            Session.for_user(1),
+            ProxyConfig(cache=DecisionCache(calendar_policy)),
         )
         try:
-            for gateway in (compiled, generic):
-                connection = gateway.connect(1)
-                assert connection.query("SELECT EId FROM Attendance WHERE UId = 1") is not None
-                with pytest.raises(PolicyViolation):
-                    connection.query("SELECT * FROM Events WHERE EId = 99")
-                with pytest.raises(PolicyViolation):
-                    connection.query("SELECT * FROM Events WHERE EId = 99")
+            for connection in (gateway.connect(1), proxy):
+                for _ in range(2):
+                    with pytest.raises(PolicyViolation):
+                        connection.query(self.BLOCKED)
+                for _ in range(2):
+                    assert connection.query(self.ALLOWED) is not None
+            assert proxy.stats.cache_hits == 1  # a bare proxy stores no Block
+            assert gateway.connect(1).stats.cache_hits == 2
         finally:
-            compiled.close()
-            generic.close()
+            gateway.close()

@@ -15,7 +15,7 @@ import sys
 
 import pytest
 
-from repro.enforce import PolicyViolation
+from repro.enforce import EnforcementProxy, PolicyViolation, Session
 from repro.enforce import cache as cache_module
 from repro.enforce.cache import DecisionCache
 from repro.enforce.checker import ComplianceChecker
@@ -26,7 +26,7 @@ from repro.lifecycle import LifecycleManager
 from repro.relalg.constraints import ConstraintSet
 from repro.relalg.cq import Atom, Const
 from repro.relalg.translate import translate_select
-from repro.serve import EnforcementGateway, GatewayConfig
+from repro.serve import EnforcementGateway
 from repro.sqlir.params import bind_parameters
 from repro.sqlir.parser import parse_select
 from repro.sqlir.printer import to_sql
@@ -42,11 +42,9 @@ JOINED = (
 )
 
 
-def make_gateway(config: GatewayConfig | None = None) -> EnforcementGateway:
+def make_gateway() -> EnforcementGateway:
     app = calendar_app.make_app()
-    return EnforcementGateway(
-        app.make_database(12, 3), app.ground_truth_policy(), config or GatewayConfig()
-    )
+    return EnforcementGateway(app.make_database(12, 3), app.ground_truth_policy())
 
 
 def spy_on(monkeypatch, function) -> list:
@@ -147,13 +145,45 @@ class TestHistoryDependentHitAsksTheIndex:
         trace = Trace.from_facts([*filler, *needed])
         assert len(trace.facts) == trace.max_facts == 256
         matches = spy_on(monkeypatch, cache_module._fact_matches)
-        hit = cache.lookup_compiled(stmt, {"MyUId": 1}, trace)
-        assert hit is not None and hit.facts_used == needed
+        hit = cache.lookup(stmt, {"MyUId": 1}, trace)
+        assert hit is not None and hit.from_cache and hit.facts_used == needed
         assert len(matches) <= len(needed)
         # And a miss is no scan either: the probe finds nothing to match.
         del matches[:]
         assert cache.lookup(stmt, {"MyUId": 1}, Trace.from_facts(filler)) is None
         assert matches == []
+
+
+class TestOneProbePerStatement:
+    def test_a_miss_probes_once_and_a_repeated_block_skips_the_batcher(self, monkeypatch):
+        gateway = make_gateway()
+        probes: list[object] = []
+        plain_lookup = DecisionCache.lookup
+
+        def counted_lookup(self, *args, **kwargs):
+            probes.append(args[0])
+            return plain_lookup(self, *args, **kwargs)
+
+        monkeypatch.setattr(DecisionCache, "lookup", counted_lookup)
+        # A never-seen statement: one probe, one full check.
+        gateway.connect(1, fresh=True).sql(MINE, [1])
+        assert len(probes) == 1
+        counters = gateway.snapshot().counters
+        assert (counters["batch_checks"], counters["compile_misses"]) == (1, 1)
+        # A fact-free Block, twice: the second is the probe's answer alone.
+        connection = gateway.connect(2, fresh=True)
+        attended = {row[0] for row in gateway.db.query(MINE, [2]).rows}
+        events = sorted(row[0] for row in gateway.db.query("SELECT EId FROM Events").rows)
+        unattended = next(eid for eid in events if eid not in attended)
+        for _ in range(2):
+            with pytest.raises(PolicyViolation):
+                connection.sql(EVENT, [unattended])
+        assert len(probes) == 3
+        after = gateway.snapshot().counters
+        assert after["batch_checks"] == 2  # the first Block's check only
+        assert after["compiled_hits"] == 1 and after["shared_cache_blocks_stored"] == 1
+        assert (after["cache_hits"], after["cache_misses"]) == (1, 2)
+        gateway.close()
 
 
 PLAIN = "SELECT EId FROM Attendance WHERE UId = 1"
@@ -162,18 +192,17 @@ PLAIN_UID = "SELECT UId FROM Attendance WHERE UId = 1"
 GROUPED_UID = "SELECT UId FROM Attendance WHERE UId = 1 GROUP BY UId HAVING COUNT(*) > 0"
 
 
-def verdicts(config: GatewayConfig, statements, sessions=2) -> list[bool]:
-    gateway = make_gateway(config)
+def verdicts(connect, statements, sessions=2) -> list[bool]:
+    """Allow/block per statement, each session opened by ``connect``."""
     outcome = []
     for _ in range(sessions):
-        connection = gateway.connect(1, fresh=True)
+        connection = connect()
         for sql in statements:
             try:
                 connection.sql(sql)
                 outcome.append(True)
             except PolicyViolation:
                 outcome.append(False)
-    gateway.close()
     return outcome
 
 
@@ -188,11 +217,15 @@ class TestGroupedTwinIsDecidedOnItsOwn:
         [(PLAIN, GROUPED), (GROUPED, PLAIN), (GROUPED_UID, PLAIN_UID)],
     )
     def test_both_orders_agree_with_the_uncached_checker(self, statements):
+        gateway = make_gateway()
+        # The reference: bare proxies, no cache, an uncompiled checker.
         reference = verdicts(
-            GatewayConfig(cache_mode="none", compile_checks=False), statements
+            lambda: EnforcementProxy(gateway.db, gateway.policy, Session.for_user(1)),
+            statements,
         )
         assert sorted(reference[:2]) == [False, True]  # grouped: outside the fragment
-        assert verdicts(GatewayConfig(), statements) == reference
+        assert verdicts(lambda: gateway.connect(1, fresh=True), statements) == reference
+        gateway.close()
 
 
 class TestNoCheckerPerSession:

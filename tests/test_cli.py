@@ -15,6 +15,7 @@ import pytest
 
 from repro.cli import _gateway_config, build_parser, main
 from repro.policy import policy_from_text
+from repro.serve import GatewayConfig
 from repro.workloads import calendar_app
 
 
@@ -208,21 +209,19 @@ class TestParser:
 
     @pytest.mark.parametrize("command", ["serve", "cluster"])
     def test_gateway_flags_are_the_same_on_every_subcommand(self, command, capsys):
+        """Only the backend is a gateway flag: every epoch compiles, owns
+        one store its sessions probe, and batches its misses."""
         argv = [command, "--app", "calendar"]
         parser = build_parser()
-        config = _gateway_config(parser.parse_args(argv))
-        assert (config.cache_mode, config.compile_checks, config.batch_checks) == (
-            "shared", True, True,
-        )
+        assert _gateway_config(parser.parse_args(argv)) == GatewayConfig()
         config = _gateway_config(
-            parser.parse_args([*argv, "--cache", "none", "--no-compile", "--no-batch"])
+            parser.parse_args([*argv, "--backend", "sqlite", "--db-path", "f.db"])
         )
-        assert (config.cache_mode, config.compile_checks, config.batch_checks) == (
-            "none", False, False,
-        )
-        with pytest.raises(SystemExit):
-            parser.parse_args([*argv, "--cache", "per-session"])
-        assert "invalid choice: 'per-session'" in capsys.readouterr().err
+        assert config == GatewayConfig(backend="sqlite", db_path="f.db")
+        for flags in (["--cache", "none"], ["--no-compile"], ["--no-batch"]):
+            with pytest.raises(SystemExit):
+                parser.parse_args([*argv, *flags])
+            assert f"unrecognized arguments: {flags[0]}" in capsys.readouterr().err
 
     def test_there_is_no_shard_subcommand(self, capsys):
         """A shard is ``repro serve --shard-id N``; nothing else runs one."""
