@@ -61,7 +61,8 @@ Production shape, not a toy:
   table's eviction; ``EXECUTE`` ships only bindings and skips the text
   probe. Handles from before a hot reload are refused with
   ``ERROR/malformed`` + ``stale: true`` so clients re-prepare —
-  decisions always come from the current epoch.
+  decisions always come from the current epoch. The table holds at most
+  ``PREPARED_CAP`` handles, least recently executed out first.
 
 Thread bound: ``max_connections`` connection threads plus at most
 ``max_in_flight`` orphans (an orphan holds an in-flight slot until it
@@ -76,6 +77,7 @@ import signal
 import socket
 import threading
 import time
+from collections import OrderedDict
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -87,6 +89,12 @@ from repro.serve.gateway import EnforcementGateway, GatewayConnection
 from repro.util.errors import DbacError
 
 logger = logging.getLogger("repro.net")
+
+#: Handles one connection's table holds before it evicts the least
+#: recently executed: a client that prepares a new text per request must
+#: cost a PREPARE each time, not memory forever. An evicted handle
+#: answers ``unknown_handle``, which clients heal by re-preparing.
+PREPARED_CAP = 1024
 
 
 @dataclass(frozen=True)
@@ -144,7 +152,7 @@ class _Connection:
         self.closed = False
         self.running: tuple[float, object, float, str] | None = None
         self.session: GatewayConnection | None = None
-        self.prepared: dict[int, _PreparedEntry] = {}
+        self.prepared: OrderedDict[int, _PreparedEntry] = OrderedDict()
         self.next_handle = 1
 
 
@@ -725,6 +733,7 @@ class NetServer:
             )
             reply["stale"] = True
             return None, reply
+        conn.prepared.move_to_end(target)
         plan = entry.plan
         return (lambda: session.execute_prepared(plan, args, named)), None
 
@@ -751,6 +760,9 @@ class NetServer:
         conn.next_handle += 1
         conn.prepared[handle] = _PreparedEntry(plan, version)
         self.metrics.increment("statements_prepared")
+        if len(conn.prepared) > PREPARED_CAP:
+            conn.prepared.popitem(last=False)
+            self.metrics.increment("prepared_evicted")
         return {
             "type": protocol.PREPARED,
             "id": frame.get("id"),

@@ -21,7 +21,8 @@ clause contains OR / IN.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.util.errors import DbacError
 from repro.util.text import sql_quote
@@ -31,31 +32,38 @@ from repro.util.text import sql_quote
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Var:
+# Terms are tagged tuples: they key every dict and set of the reasoning
+# core, and a tuple hashes and compares in C. The tag keeps the kinds
+# apart (Var("x") != Param("x")); values compare as Python values do, so
+# Const(1) == Const(True) == Const(1.0). Do not give a term a Python
+# __hash__/__eq__ (docs/performance.md, "Term representation").
+
+
+class Var(NamedTuple):
     """A query variable, identified by name."""
 
     name: str
+    tag: str = "var"
 
     def __repr__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class Const:
+class Const(NamedTuple):
     """A constant value."""
 
     value: int | float | str | bool | None
+    tag: str = "const"
 
     def __repr__(self) -> str:
         return sql_quote(self.value)
 
 
-@dataclass(frozen=True)
-class Param:
+class Param(NamedTuple):
     """A rigid symbolic constant (named policy/query parameter)."""
 
     name: str
+    tag: str = "param"
 
     def __repr__(self) -> str:
         return f"?{self.name}"

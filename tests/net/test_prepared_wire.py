@@ -21,6 +21,7 @@ from repro.net import (
     ServerConfig,
     protocol,
 )
+from repro.net.server import PREPARED_CAP
 from repro.policy.policy import Policy
 from repro.policy.serialize import policy_to_text
 from repro.serve import EnforcementGateway, GatewayConfig
@@ -162,6 +163,37 @@ class TestHandleHygiene:
         assert protocol.read_frame(second._sock)["code"] == protocol.ERR_MALFORMED
         first.close()
         second.close()
+
+
+class TestHandleTableCap:
+    def test_table_is_bounded_and_an_evicted_handle_heals(self, server):
+        connection = connect(server)
+        sql = "SELECT EId FROM Attendance WHERE UId = ?"
+        first = connection.prepare(sql)
+        kept = connection.prepare(sql)
+        for i in range(PREPARED_CAP + 8):
+            connection.prepare(sql)
+            # Executing a handle keeps it: eviction is least recently executed.
+            if i % 256 == 0:
+                connection.execute(kept, [1])
+        (conn,) = server.server._connections
+        assert len(conn.prepared) <= PREPARED_CAP
+        assert kept.handle in conn.prepared and first.handle not in conn.prepared
+        assert server.server.metrics.counter("prepared_evicted") == 10
+        # The raw EXECUTE of an evicted handle is an unknown handle ...
+        protocol.write_frame(
+            connection._sock,
+            {"type": protocol.EXECUTE, "id": 9, "handle": first.handle, "args": [1]},
+        )
+        reply = protocol.read_frame(connection._sock)
+        assert reply["code"] == protocol.ERR_MALFORMED and reply["unknown_handle"]
+        # ... which the client heals by re-preparing, transparently.
+        old_handle = first.handle
+        rows = connection.execute(first, [1])
+        assert first.handle != old_handle and first.handle in conn.prepared
+        assert sorted(rows.rows) == sorted(connection.query(sql, [1]).rows)
+        assert len(conn.prepared) <= PREPARED_CAP
+        connection.close()
 
 
 def reduced_policy_text() -> str:
