@@ -301,7 +301,7 @@ class DecisionCache:
                     elif not (
                         template.guard_relations
                         and trace is not None
-                        and trace.relevant_facts(set(template.guard_relations))
+                        and any(trace.facts_of(rel) for rel in template.guard_relations)
                     ):
                         witnesses = []  # a Block whose guard still holds
                     else:

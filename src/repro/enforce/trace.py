@@ -7,21 +7,25 @@ Example 2.1 hinges on this: ``Q1`` returning a row certifies the fact
 
 Fact extraction walks the query's CQ body: for each returned row, an atom
 argument whose value is determined (a constant, a head variable bound by
-the row, or a variable the comparisons pin to a constant) becomes that
-constant; undetermined arguments become *labeled nulls* — fresh variables
-meaning "some value exists here". Labeled nulls are shared within a row,
-so joins are preserved.
+the row, or a variable the query's equalities tie to one of those)
+becomes that constant; undetermined arguments become *labeled nulls* —
+fresh variables meaning "some value exists here". Labeled nulls are
+shared within a row, so joins are preserved.
 
-How much of that is per request. For an equality-only query the
-*structure* of the extraction is row-independent (:class:`ExtractionPlan`)
-and, when the query is an execution of a prepared statement, independent
-of the argument values too, up to which slots are equal:
+One path certifies every answer. The *structure* of the extraction is
+row-independent (:class:`ExtractionPlan`): :func:`extraction_plan`
+closes the query's equalities once, and each row only substitutes values
+and runs the comparisons it can fail — ground ones, under the closure's
+own comparator; a comparison with an existential endpoint holds for some
+witness, or the engine would not have returned the row. When the query
+is an execution of a prepared statement, the plan is also independent of
+the argument values, up to which slots are equal:
 :func:`certification_plan` builds it once per statement shape and slot
-partition, and :meth:`Trace.record_planned` only substitutes slot and row
-values. :meth:`Trace.record` — translate the bound statement, plan, run —
-stays as the path for every shape the symbolic plan cannot express
-exactly, and as the reference the planned path is tested against
-(``tests/enforce/test_certification.py``).
+partition, and :meth:`Trace.record_planned` substitutes slot and row
+values. :meth:`Trace.record` plans the bound query per request, for
+every shape or execution the symbolic plan declines.
+``tests/enforce/test_certification.py`` holds the per-row constraint
+closure both are tested against.
 """
 
 from __future__ import annotations
@@ -30,8 +34,8 @@ from collections.abc import Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
 from repro.engine.executor import Result
-from repro.relalg.constraints import ConstraintSet
-from repro.relalg.cq import CQ, Atom, Comp, Const, Term, Var
+from repro.relalg.constraints import ConstraintSet, const_cmp
+from repro.relalg.cq import CQ, Atom, Const, Term, Var
 from repro.relalg.translate import SchemaInfo, translate_select
 from repro.sqlir import ast
 from repro.sqlir.params import bind_parameters
@@ -104,100 +108,113 @@ def single_cq(stmt: ast.Select, schema: SchemaInfo) -> CQ | None:
 
 @dataclass(frozen=True)
 class ExtractionPlan:
-    """The row-independent part of certifying an equality-only CQ's answer.
+    """The row-independent part of certifying a CQ's answer.
 
     Which atom argument is a fixed constant, which follows a result
-    column, which classes share a labeled null — and the two checks a row
-    can fail (a column against its class constant, columns of one class
-    against each other). A constant is an op, so it may name a *slot* of
-    the statement's skeleton: such a plan is built once per statement
-    shape and run with each execution's slot values.
+    column, which classes share a labeled null — and the checks a row
+    can fail. A constant is an op, so it may name a *slot* of the
+    statement's skeleton: such a plan is built once per statement shape
+    and run with each execution's slot values.
     """
 
-    #: False when the query's own comparisons are contradictory: every
-    #: per-row closure would be too, and no row certifies anything.
+    #: False when the query's equalities are contradictory: no row
+    #: certifies anything.
     consistent: bool = True
-    const_checks: tuple[tuple[tuple[int, ...], _Op], ...] = ()
-    equal_checks: tuple[tuple[int, ...], ...] = ()
+    #: ``(op, left, right)``: a comparison each certifying row must pass
+    #: under :func:`~repro.relalg.constraints.const_cmp`, between ops that
+    #: are all ground in a row — a column against its class constant,
+    #: columns of one class against each other, and each ``<``, ``<=``
+    #: and ``!=`` of the query whose two endpoints resolve.
+    checks: tuple[tuple[str, _Op, _Op], ...] = ()
     atoms: tuple[tuple[str, tuple[_Op, ...]], ...] = ()
-    #: Of a symbolic plan: the constants its query compares that are not
+    #: Of a symbolic plan: the constants its query equates that are not
     #: slots. A slot value equal to one (``1 == True``) would have merged
     #: with it in a per-request closure; the stand-ins kept them apart.
     inline: frozenset = frozenset()
 
 
+#: The plan of a query without a CQ translation.
+_CERTIFIES_NOTHING = ExtractionPlan(consistent=False)
+
+
 def extraction_plan(
     query: CQ, slot_of: Mapping[object, int] | None = None
-) -> ExtractionPlan | None:
-    """Plan the certification of ``query``'s answers, or None when its
-    comparisons go beyond equality (see ``Trace._extract_facts_general``).
+) -> ExtractionPlan:
+    """Plan the certification of ``query``'s answers.
 
-    ``slot_of`` maps the stand-in constants of a symbolically translated
-    skeleton to the slots they stand for.
+    The closure takes the query's ``=`` comparisons only, so ``slot_of``
+    — which maps the stand-in constants of a symbolically translated
+    skeleton to the slots they stand for — never meets an order. Every
+    other comparison whose endpoints both resolve (to a result column, a
+    constant or a slot) becomes a per-row check. One with an existential
+    endpoint needs none: the engine returned the row, so some witness
+    satisfies it (docs/compliance.md, "Certifying an answer").
     """
-    if any(comp.op != "=" for comp in query.comps):
-        return None
     slot_of = slot_of or {}
 
     def const_op(const: Const) -> _Op:
         slot = slot_of.get(const.value)
         return ("const", const) if slot is None else ("slot", slot)
 
+    equalities = [comp for comp in query.comps if comp.op == "="]
     inline: frozenset = frozenset()
     if slot_of:
         inline = frozenset(
             term.value
-            for comp in query.comps
+            for comp in equalities
             for term in (comp.left, comp.right)
             if isinstance(term, Const) and term.value not in slot_of
         )
-    closure = ConstraintSet(query.comps)
+    closure = ConstraintSet(equalities)
     if not closure.consistent():
         return ExtractionPlan(consistent=False, inline=inline)
-    # Equivalence classes of head columns, and a resolution op per atom
-    # argument.
+    # Equivalence classes of head columns, and a resolution op per term.
     head_cols: dict[Term, list[int]] = {}
     for index, term in enumerate(query.head):
         if isinstance(term, Var):
             head_cols.setdefault(closure.canon(term), []).append(index)
-    const_checks = tuple(
-        (tuple(columns), const_op(rep))
-        for rep, columns in head_cols.items()
-        if isinstance(rep, Const)
-    )
-    equal_checks = tuple(
-        tuple(columns)
-        for rep, columns in head_cols.items()
-        if len(columns) > 1 and not isinstance(rep, Const)
-    )
+
+    def ground_op(term: Term) -> _Op | None:
+        rep = closure.canon(term)
+        if isinstance(rep, Const):
+            return const_op(rep)
+        if rep in head_cols:
+            return ("col", head_cols[rep][0])
+        return None
+
+    checks: list[tuple[str, _Op, _Op]] = []
+    for rep, columns in head_cols.items():
+        if isinstance(rep, Const):
+            checks.extend(("=", ("col", column), const_op(rep)) for column in columns)
+        else:
+            checks.extend(
+                ("=", ("col", column), ("col", columns[0])) for column in columns[1:]
+            )
+    for comp in query.comps:
+        if comp.op != "=":
+            left, right = ground_op(comp.left), ground_op(comp.right)
+            if left is not None and right is not None:
+                checks.append((comp.op, left, right))
     atoms: list[tuple[str, tuple[_Op, ...]]] = []
     for atom in query.body:
         ops: list[_Op] = []
         for arg in atom.args:
             if isinstance(arg, Const):
-                ops.append(const_op(arg))
+                op: _Op | None = const_op(arg)
             elif isinstance(arg, Var):
-                rep = closure.canon(arg)
-                if isinstance(rep, Const):
-                    ops.append(const_op(rep))
-                elif rep in head_cols:
-                    ops.append(("col", head_cols[rep][0]))
-                else:
-                    # Same null-key rule as the general path: the class
-                    # representative when it is a Var, the argument
-                    # itself otherwise.
-                    ops.append(("null", rep if isinstance(rep, Var) else arg))
+                op = ground_op(arg)
             else:
                 # A residual param in a bound query should not happen;
                 # treat it as undetermined (fresh per occurrence).
-                ops.append(("fresh", None))
+                op = ("fresh", None)
+            if op is None:
+                # One labeled null per class and row, keyed by the class
+                # representative when it is a Var, the argument otherwise.
+                rep = closure.canon(arg)
+                op = ("null", rep if isinstance(rep, Var) else arg)
+            ops.append(op)
         atoms.append((atom.rel, tuple(ops)))
-    return ExtractionPlan(
-        const_checks=const_checks,
-        equal_checks=equal_checks,
-        atoms=tuple(atoms),
-        inline=inline,
-    )
+    return ExtractionPlan(checks=tuple(checks), atoms=tuple(atoms), inline=inline)
 
 
 def certification_plan(
@@ -211,13 +228,14 @@ def certification_plan(
     partition of the slots into equal-valued classes: the skeleton is
     bound with one stand-in per class, translated, and planned like any
     bound query — so equal slots merge and distinct ones contradict
-    exactly as their values would. It is exact or absent. None for: an
-    untranslatable or multi-disjunct statement; a comparison other than
-    ``=``; a slot in predicate position (translation reads its truth
-    value); equal-valued slots of different types (``1`` and ``1.0``:
-    which one a fact would carry depends on closure order); a slot value
-    equal to an inline constant of the query (``1 == True``); and a
-    partition past ``MAX_CERTIFICATIONS_PER_PLAN``.
+    exactly as their values would, and a slot in a ``<``, ``<=`` or
+    ``!=`` becomes a check on its value. It is exact or absent. None
+    for: an untranslatable or multi-disjunct statement; a slot in
+    predicate position (translation reads its truth value); equal-valued
+    slots of different types (``1`` and ``1.0``: which one a fact would
+    carry depends on closure order); a slot value equal to an inline
+    constant the query equates (``1 == True``); and a partition past
+    ``MAX_CERTIFICATIONS_PER_PLAN``.
     """
     leaders: dict[object, int] = {}
     classes: list[int] = []
@@ -280,11 +298,6 @@ def _describes(fact: Atom, row: tuple) -> bool:
         not isinstance(arg, Const) or arg.value == value
         for arg, value in zip(fact.args, row)
     )
-
-
-def _values_equal(a: object, b: object) -> bool:
-    # Mirrors ConstraintSet._union's constant-merge test exactly.
-    return not (a != b or (a is None) != (b is None))
 
 
 class Trace:
@@ -364,12 +377,9 @@ class Trace:
         """Record an executed query; returns the facts its answer certifies
         (none for a query without a CQ translation). ``sql`` is taken for
         the callers that have it; nothing of it is kept."""
-        facts: tuple[Atom, ...] = ()
-        if query is not None and result.rows:
-            facts = tuple(self._extract_facts(query, result))
-        self._recorded += 1
-        self._certify(facts)
-        return facts
+        if query is None or not result.rows:
+            return self.record_planned(_CERTIFIES_NOTHING, (), result)
+        return self.record_planned(extraction_plan(query), (), result)
 
     def record_planned(
         self, plan: ExtractionPlan, values: Sequence[object], result: Result
@@ -449,30 +459,9 @@ class Trace:
         self._facts, self._by_relation, self._snapshot = {}, {}, ()
         return dropped
 
-    def relevant_facts(self, relations: set[str]) -> list[Atom]:
-        """Facts over the given relations (what a compliance check conjoins)."""
-        return [fact for fact in self._facts if fact.rel in relations]
-
     def _fresh_null(self) -> Var:
         self._null_counter += 1
         return Var(f"{_NULL_PREFIX}{self._null_counter}")
-
-    def _extract_facts(self, query: CQ, result: Result) -> list[Atom]:
-        """Facts certified by ``result`` under ``query``.
-
-        Semantics are defined by :meth:`_extract_facts_general`: close the
-        query's comparisons together with ``head_var = row value`` per
-        row, then resolve each atom argument to its canonical form. For
-        equality-only queries — every hot-path shape — that per-row
-        closure is wasteful: the *structure* of the resolution is
-        row-independent (:class:`ExtractionPlan`), so each row only
-        substitutes values and runs the two cheap consistency checks a
-        row can actually fail.
-        """
-        plan = extraction_plan(query)
-        if plan is None:
-            return self._extract_facts_general(query, result)
-        return self._run(plan, (), result.rows)
 
     def _run(
         self, plan: ExtractionPlan, values: Sequence[object], rows: Iterable[tuple]
@@ -481,23 +470,21 @@ class Trace:
         facts: list[Atom] = []
         if not plan.consistent:
             return facts
-        const_checks = [
-            (columns, values[ref] if kind == "slot" else ref.value)  # type: ignore
-            for columns, (kind, ref) in plan.const_checks
+        # Each check as (op, left is a column, left column or value,
+        # right is a column, right column or value).
+        checks = [
+            (op, *_operand(left, values), *_operand(right, values))
+            for op, left, right in plan.checks
         ]
-        equal_checks = plan.equal_checks
         slots = [Const(value) for value in values]
         for row in rows:
-            if any(
-                not _values_equal(row[column], value)
-                for columns, value in const_checks
-                for column in columns
-            ):
-                continue
-            if any(
-                not _values_equal(row[columns[0]], row[column])
-                for columns in equal_checks
-                for column in columns[1:]
+            if not all(
+                const_cmp(
+                    op,
+                    row[left] if left_col else left,
+                    row[right] if right_col else right,
+                )
+                for op, left_col, left, right_col, right in checks
             ):
                 continue
             nulls: dict[object, Var] = {}
@@ -521,49 +508,10 @@ class Trace:
                 facts.append(Atom(rel, tuple(resolved)))
         return facts
 
-    def _extract_facts_general(self, query: CQ, result: Result) -> list[Atom]:
-        """The reference extraction: one constraint closure per row.
 
-        Kept for queries whose comparisons go beyond equality (order or
-        non-equality constraints can make a row's closure inconsistent in
-        ways the precomputed plan does not model).
-        """
-        facts: list[Atom] = []
-        head_vars = [
-            (index, term)
-            for index, term in enumerate(query.head)
-            if isinstance(term, Var)
-        ]
-        for row in result.rows:
-            row_comps = list(query.comps)
-            for index, var in head_vars:
-                row_comps.append(Comp("=", var, Const(row[index])))
-            closure = ConstraintSet(row_comps)
-            if not closure.consistent():
-                continue  # result row contradicts the query; defensive skip
-            nulls: dict[Var, Var] = {}
-            for atom in query.body:
-                resolved: list[Term] = []
-                for arg in atom.args:
-                    if isinstance(arg, Const):
-                        resolved.append(arg)
-                        continue
-                    if isinstance(arg, Var):
-                        canon = closure.canon(arg)
-                        if isinstance(canon, Const):
-                            resolved.append(canon)
-                        else:
-                            # Key nulls by equivalence class so joined
-                            # variables share one labeled null.
-                            key = canon if isinstance(canon, Var) else arg
-                            null = nulls.get(key)
-                            if null is None:
-                                null = self._fresh_null()
-                                nulls[key] = null
-                            resolved.append(null)
-                        continue
-                    # A residual param in a bound query should not happen;
-                    # treat it as undetermined.
-                    resolved.append(self._fresh_null())
-                facts.append(Atom(atom.rel, tuple(resolved)))
-        return facts
+def _operand(op: _Op, values: Sequence[object]) -> tuple[bool, object]:
+    """A check operand as ``(True, column)`` or ``(False, value)``."""
+    kind, ref = op
+    if kind == "col":
+        return True, ref
+    return False, values[ref] if kind == "slot" else ref.value  # type: ignore

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 
-from repro.relalg.constraints import _const_cmp
+from repro.relalg.constraints import const_cmp
 from repro.relalg.cq import CQ, UCQ, Atom, Comp, Const, Param, Term, Var
 
 Instance = dict[str, set[tuple]]
@@ -77,7 +77,7 @@ def _matches(
             right = _value_or_none(comp.right, binding)
             if left is _UNBOUND or right is _UNBOUND:
                 continue  # defer until bound; final check below re-verifies
-            if not _const_cmp(comp.op, left, right):
+            if not const_cmp(comp.op, left, right):
                 return False
         return True
 
@@ -91,7 +91,7 @@ def _matches(
                 right = _value_or_none(comp.right, binding)
                 if left is _UNBOUND or right is _UNBOUND:
                     return
-                if not _const_cmp(comp.op, left, right):
+                if not const_cmp(comp.op, left, right):
                     return
             yield binding
             return

@@ -66,10 +66,11 @@ def connect_with_retry(
 class PreparedWireStatement:
     """A server-side prepared handle, as the client sees it.
 
-    Mutable on purpose: when the server reports the handle stale (policy
-    hot-reloaded since PREPARE), the client transparently re-prepares
+    Mutable on purpose: when the server reports the handle unknown
+    (evicted past ``PREPARED_CAP``), the client transparently re-prepares
     and updates ``handle``/``policy_version`` in place, so callers hold
-    one object across reloads.
+    one object throughout. ``policy_version`` is the version current at
+    the last PREPARE; every EXECUTE is decided under the current one.
     """
 
     __slots__ = ("sql", "handle", "select", "policy_version")
@@ -212,10 +213,8 @@ class NetClientConnection:
     ) -> Result | int:
         """EXECUTE a prepared handle, shipping only the bindings.
 
-        If the server reports the handle stale (policy hot-reloaded
-        since PREPARE) or gone, re-prepares once transparently and
-        retries — the fresh EXECUTE is decided under the new policy,
-        which is exactly what a reload means.
+        If the server reports the handle gone (evicted past its cap),
+        re-prepares once transparently and retries.
         """
         if self._closed:
             raise EngineError("connection is closed")
@@ -267,7 +266,7 @@ class NetClientConnection:
         :class:`Result` (SELECT), an ``int`` rowcount (write), a
         :class:`PolicyViolation` (blocked), or a :class:`NetError` —
         per-request failures are returned, not raised, so one blocked
-        query does not discard the pipeline's other answers. Stale
+        query does not discard the pipeline's other answers. Evicted
         prepared handles are re-prepared after the main sweep and those
         requests retried at their original indexes.
 
@@ -290,7 +289,7 @@ class NetClientConnection:
             arguments.append(call_args)
         outcomes: list[object] = [None] * len(frames)
         id_to_index = {frame["id"]: index for index, frame in enumerate(frames)}
-        stale: list[int] = []
+        unknown: list[int] = []
         sent = 0
         received = 0
         burst = bytearray()
@@ -312,7 +311,7 @@ class NetClientConnection:
                     )
                 received += 1
                 if _needs_reprepare(reply) and prepared_for[index] is not None:
-                    stale.append(index)
+                    unknown.append(index)
                     continue
                 try:
                     outcomes[index] = self._to_outcome(reply)
@@ -324,7 +323,7 @@ class NetClientConnection:
             if isinstance(exc, ConnectionClosed):
                 raise
             raise ConnectionClosed(str(exc)) from exc
-        for index in stale:
+        for index in unknown:
             prepared = prepared_for[index]
             assert prepared is not None
             args, named = arguments[index]
@@ -467,24 +466,10 @@ class NetClientConnection:
         return self._closed
 
 
-def _is_stale_error(reply: dict) -> bool:
-    """True for the server's stale-prepared-handle refusal."""
-    return (
-        reply.get("type") == protocol.ERROR
-        and reply.get("code") == protocol.ERR_MALFORMED
-        and bool(reply.get("stale"))
-    )
-
-
 def _needs_reprepare(reply: dict) -> bool:
-    """True for refusals a re-PREPARE recovers from.
-
-    Stale handles (policy reloaded since PREPARE) and unknown handles
-    (the server dropped it — e.g. an earlier EXECUTE of the same handle
-    in one pipeline window already drew the stale refusal). The client
-    holds the statement text, so both heal the same way.
-    """
-    return _is_stale_error(reply) or (
+    """True for the unknown-handle refusal, which a re-PREPARE heals:
+    the server evicted the handle, and the client holds the text."""
+    return (
         reply.get("type") == protocol.ERROR
         and reply.get("code") == protocol.ERR_MALFORMED
         and bool(reply.get("unknown_handle"))

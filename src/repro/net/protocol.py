@@ -37,11 +37,11 @@ Client → server:
   bind plan, skeletonization, equality-partition layout) server-side
   once; replies ``PREPARED`` with an integer handle. Requires a session.
 * ``EXECUTE {id, handle, args?, named?}`` — run a prepared handle,
-  shipping only the bindings. An unknown handle, or one prepared under
-  an earlier policy version (the handle table is per-epoch and
-  invalidated on hot reload), is refused with ``ERROR/malformed`` — the
-  stale case additionally carries ``stale: true`` so clients can
-  re-prepare transparently. Requires a session.
+  shipping only the bindings, decided under the policy current when it
+  runs (a handle outlives a hot reload). An unknown handle (evicted past
+  the per-connection cap) is refused with ``ERROR/malformed`` +
+  ``unknown_handle: true`` so clients can re-prepare transparently.
+  Requires a session.
 * ``PING {id}`` — liveness probe; allowed before HELLO.
 * ``STATS {id}`` — server + gateway metrics; allowed before HELLO.
 * ``GOODBYE {}`` — orderly close.

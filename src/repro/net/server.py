@@ -57,11 +57,10 @@ Production shape, not a toy:
   per-shape work: parse, skeleton layout, certification plans) in the
   database's plan table — the plan a ``QUERY``/``EXEC`` of the same
   text resolves for itself — and holds it in a per-connection handle
-  table stamped with the policy version, so a handle outlives the
-  table's eviction; ``EXECUTE`` ships only bindings and skips the text
-  probe. Handles from before a hot reload are refused with
-  ``ERROR/malformed`` + ``stale: true`` so clients re-prepare —
-  decisions always come from the current epoch. The table holds at most
+  table, so a handle outlives the table's eviction; ``EXECUTE`` ships
+  only bindings and skips the text probe. A handle outlives a hot
+  reload too: a plan holds no policy, and every EXECUTE is decided
+  under the epoch current when it runs. The table holds at most
   ``PREPARED_CAP`` handles, least recently executed out first.
 
 Thread bound: ``max_connections`` connection threads plus at most
@@ -86,6 +85,7 @@ from repro.net import protocol
 from repro.net.metrics import NetMetrics
 from repro.net.protocol import ConnectionClosed, FrameTooLarge, NetError
 from repro.serve.gateway import EnforcementGateway, GatewayConnection
+from repro.sqlir.prepared import PreparedPlan
 from repro.util.errors import DbacError
 
 logger = logging.getLogger("repro.net")
@@ -152,7 +152,7 @@ class _Connection:
         self.closed = False
         self.running: tuple[float, object, float, str] | None = None
         self.session: GatewayConnection | None = None
-        self.prepared: OrderedDict[int, _PreparedEntry] = OrderedDict()
+        self.prepared: OrderedDict[int, PreparedPlan] = OrderedDict()
         self.next_handle = 1
 
 
@@ -671,7 +671,7 @@ class NetServer:
 
         Returns ``(call, None)`` — the gateway call to make — or
         ``(None, reply)`` when the frame is answered without executing
-        (validation failure, drain, unknown or stale handle).
+        (validation failure, drain, unknown handle).
         """
         session = conn.session
         if session is None:
@@ -704,8 +704,8 @@ class NetServer:
             return (lambda: session.query(target, args, named)), None
         if kind == protocol.EXEC:
             return (lambda: session.sql(target, args, named)), None
-        entry = conn.prepared.get(target)
-        if entry is None:
+        plan = conn.prepared.get(target)
+        if plan is None:
             self.metrics.increment("prepared_unknown")
             reply = _error(
                 frame,
@@ -714,37 +714,19 @@ class NetServer:
             )
             # Additive flag so a client holding the statement text can
             # recover by re-preparing — a handle legitimately vanishes
-            # when an earlier EXECUTE in the same pipeline window drew
-            # the stale refusal that dropped it.
+            # when ``PREPARED_CAP`` evicted it.
             reply["unknown_handle"] = True
             return None, reply
-        if entry.policy_version != self.gateway.policy_version:
-            # Lazy per-epoch invalidation: the policy was hot-reloaded
-            # since this handle was prepared. Drop it and make the
-            # client re-prepare, so no handle straddles a reload.
-            del conn.prepared[target]
-            self.metrics.increment("prepared_stale")
-            reply = _error(
-                frame,
-                protocol.ERR_MALFORMED,
-                f"prepared handle {target} is stale (policy"
-                f" v{entry.policy_version} -> v{self.gateway.policy_version});"
-                " re-prepare",
-            )
-            reply["stale"] = True
-            return None, reply
         conn.prepared.move_to_end(target)
-        plan = entry.plan
         return (lambda: session.execute_prepared(plan, args, named)), None
 
     def _handle_prepare(self, conn: _Connection, frame: dict) -> dict:
         """PREPARE: vend a handle on the text's plan (shared with every
         other session and with QUERY/EXEC through the database's table).
 
-        The handle table is per-connection and stamped with the policy
-        version at prepare time; a hot reload makes every earlier handle
-        stale (refused at EXECUTE), so prepared decisions can never
-        outlive the epoch that shaped them.
+        The handle table is per-connection. A handle survives a hot
+        reload: re-preparing would hand back the same plan, and each
+        EXECUTE is decided under the epoch current when it runs.
         """
         if conn.session is None:
             return _error(frame, protocol.ERR_UNAUTHENTICATED, "send HELLO first")
@@ -758,7 +740,7 @@ class NetServer:
             return _error(frame, protocol.ERR_ENGINE, str(exc))
         handle = conn.next_handle
         conn.next_handle += 1
-        conn.prepared[handle] = _PreparedEntry(plan, version)
+        conn.prepared[handle] = plan
         self.metrics.increment("statements_prepared")
         if len(conn.prepared) > PREPARED_CAP:
             conn.prepared.popitem(last=False)
@@ -919,14 +901,6 @@ _ACCEPT_POLL_S = 0.5
 #: How long a last frame (a refusal, a deadline's ERROR/timeout) may wait
 #: on a peer that is not reading, and a forced close on its thread.
 _FAREWELL_TIMEOUT_S = 1.0
-
-
-@dataclass
-class _PreparedEntry:
-    """One PREPARE'd plan in a connection's handle table."""
-
-    plan: object
-    policy_version: int
 
 
 def _error(frame: dict, code: str, message: str) -> dict:

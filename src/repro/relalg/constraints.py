@@ -45,12 +45,12 @@ def _comparable(a: object, b: object) -> bool:
     return isinstance(a, str) and isinstance(b, str)
 
 
-def _const_cmp(op: str, a: object, b: object) -> bool:
+def const_cmp(op: str, a: object, b: object) -> bool:
     """Evaluate a comparison between two constant values."""
     if op == "=":
         return a == b and (a is None) == (b is None)
     if op == "!=":
-        return not _const_cmp("=", a, b)
+        return not const_cmp("=", a, b)
     if not _comparable(a, b):
         return False
     if op == "<":
@@ -104,7 +104,7 @@ class ConstraintSet:
             value_right = self._class_const(right)
             if value_left is not _NO_CONST and value_right is not _NO_CONST:
                 op = "<" if strict else "<="
-                if not _const_cmp(op, value_left, value_right):
+                if not const_cmp(op, value_left, value_right):
                     self._inconsistent = True
                     return
                 continue
@@ -227,7 +227,7 @@ class ConstraintSet:
         if ra == rb:
             return True
         if isinstance(ra, Const) and isinstance(rb, Const):
-            return _const_cmp("=", ra.value, rb.value)
+            return const_cmp("=", ra.value, rb.value)
         # Sandwich: a <= b and b <= a (no strict edge possible if consistent).
         if self._reachable(ra, rb, require_strict=False) and self._reachable(
             rb, ra, require_strict=False
@@ -257,7 +257,7 @@ class ConstraintSet:
         if (ra, rb) in self._neq:
             return True
         if isinstance(ra, Const) and isinstance(rb, Const):
-            return not _const_cmp("=", ra.value, rb.value)
+            return not const_cmp("=", ra.value, rb.value)
         if ra == rb:
             return False
         return self._strictly_less(ra, rb) or self._strictly_less(rb, ra)
@@ -265,22 +265,22 @@ class ConstraintSet:
     def _strictly_less(self, a: Term, b: Term) -> bool:
         ra, rb = self._find(a), self._find(b)
         if isinstance(ra, Const) and isinstance(rb, Const):
-            return _const_cmp("<", ra.value, rb.value)
+            return const_cmp("<", ra.value, rb.value)
         if self._reachable(ra, rb, require_strict=True):
             return True
         # Route through constant nodes of the graph: e.g. 18 < x follows
         # from 60 <= x even when 18 never appears in the constraint set.
         for node in self._const_nodes():
-            if isinstance(ra, Const) and _const_cmp("<", ra.value, node.value):
+            if isinstance(ra, Const) and const_cmp("<", ra.value, node.value):
                 if node == rb or self._reachable(node, rb, require_strict=False):
                     return True
-            if isinstance(ra, Const) and _const_cmp("<=", ra.value, node.value):
+            if isinstance(ra, Const) and const_cmp("<=", ra.value, node.value):
                 if self._reachable(node, rb, require_strict=True):
                     return True
-            if isinstance(rb, Const) and _const_cmp("<", node.value, rb.value):
+            if isinstance(rb, Const) and const_cmp("<", node.value, rb.value):
                 if node == ra or self._reachable(ra, node, require_strict=False):
                     return True
-            if isinstance(rb, Const) and _const_cmp("<=", node.value, rb.value):
+            if isinstance(rb, Const) and const_cmp("<=", node.value, rb.value):
                 if self._reachable(ra, node, require_strict=True):
                     return True
         return False
@@ -290,14 +290,14 @@ class ConstraintSet:
         if ra == rb:
             return True
         if isinstance(ra, Const) and isinstance(rb, Const):
-            return _const_cmp("<=", ra.value, rb.value)
+            return const_cmp("<=", ra.value, rb.value)
         if self._reachable(ra, rb, require_strict=False):
             return True
         for node in self._const_nodes():
-            if isinstance(ra, Const) and _const_cmp("<=", ra.value, node.value):
+            if isinstance(ra, Const) and const_cmp("<=", ra.value, node.value):
                 if node == rb or self._reachable(node, rb, require_strict=False):
                     return True
-            if isinstance(rb, Const) and _const_cmp("<=", node.value, rb.value):
+            if isinstance(rb, Const) and const_cmp("<=", node.value, rb.value):
                 if node == ra or self._reachable(ra, node, require_strict=False):
                     return True
         return False
@@ -332,9 +332,6 @@ class ConstraintSet:
             )
         raise AssertionError(comp.op)
 
-    def implies_all(self, comps: Iterable[Comp]) -> bool:
-        return all(self.implies(c) for c in comps)
-
 
 class _NoConst:
     """Sentinel distinct from any value, including None."""
@@ -346,8 +343,3 @@ class _NoConst:
 
 
 _NO_CONST = _NoConst()
-
-
-def comps_of_query(query) -> ConstraintSet:
-    """Build the constraint closure of a CQ's comparisons."""
-    return ConstraintSet(query.comps)

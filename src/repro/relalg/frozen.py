@@ -277,7 +277,7 @@ def _pick_value(low, low_strict, high, high_strict, default):
 
 
 def _verify(comps, assignment: dict[Var, object]) -> bool:
-    from repro.relalg.constraints import _const_cmp
+    from repro.relalg.constraints import const_cmp
 
     def value(term: Term):
         if isinstance(term, Const):
@@ -289,6 +289,6 @@ def _verify(comps, assignment: dict[Var, object]) -> bool:
     for comp in comps:
         left = value(comp.left)
         right = value(comp.right)
-        if not _const_cmp(comp.op, left, right):
+        if not const_cmp(comp.op, left, right):
             return False
     return True

@@ -150,8 +150,8 @@ class TestBackgroundCluster:
     def test_rolling_reload_under_prepared_traffic_is_torn_free(self, tmp_path):
         """A real fleet, reloaded shard by shard under load: every decision
         a shard audited re-verifies against a fresh checker for the policy
-        version it claims, while each swap stales the live prepared handles
-        and the client re-prepares without the caller noticing."""
+        version it claims, while the handles prepared before the first swap
+        keep executing across every swap."""
         size = 8
         app = calendar_app.make_app()
         db = app.make_database(size, ClusterConfig(app="calendar").seed)
@@ -171,6 +171,7 @@ class TestBackgroundCluster:
         stop = threading.Event()
         errors: list = []
         executes = dict.fromkeys(users, 0)
+        handles: dict[int, set[int]] = {uid: set() for uid in users}
 
         def traffic(uid: int, port: int) -> None:
             try:
@@ -178,6 +179,7 @@ class TestBackgroundCluster:
                 prepared = connection.prepare("SELECT EId FROM Attendance WHERE UId = ?")
                 while not stop.is_set():
                     connection.execute(prepared, [uid])
+                    handles[uid].add(prepared.handle)
                     executes[uid] += 1
                     try:
                         connection.query(
@@ -215,6 +217,7 @@ class TestBackgroundCluster:
                         policies[version] = reduced if version % 2 == 0 else truth
                         report = admin.reload(policy_to_text(policies[version]))
                         assert report["new_version"] == version
+                    after_last_reload = dict(executes)
                     await_progress()
                     net_counters = admin.stats()["net"]["counters"]
             finally:
@@ -224,7 +227,10 @@ class TestBackgroundCluster:
             audit_paths = cluster.audit_paths()
 
         assert not errors
-        assert net_counters["prepared_stale"] > 0
+        # Each session's one handle, prepared under v1, ran after v4 landed.
+        assert all(len(used) == 1 for used in handles.values())
+        assert all(executes[uid] > after_last_reload[uid] for uid in users)
+        assert net_counters["statements_prepared"] == len(users)
         records = read_audits(audit_paths)
         assert {record["policy_version"] for record in records} == {1, 2, 3, 4}
         assert {record["allowed"] for record in records} == {True, False}

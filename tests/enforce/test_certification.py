@@ -1,17 +1,22 @@
-"""Per-shape certification plans: exact, or absent.
+"""Certification plans: exact, or absent.
 
-A prepared SELECT's fact-extraction plan is built once per slot-equality
-partition (``repro.enforce.trace.certification_plan``) and run with each
-execution's slot values. Whatever it certifies must be exactly — same
-facts, same constant types, same labeled-null names, same order — what
-translating the bound statement and planning its extraction per request
-certifies; every shape or execution it cannot express that way must be
-declined, so the per-request path (the reference here) takes it.
+Every recorded SELECT is certified by an extraction plan. The reference
+it must match — same facts, same constant types, same labeled-null
+names, same order — is the per-row constraint closure below
+(:func:`closure_facts`), run over the rows a real engine returned. And a
+prepared SELECT's plan, built once per slot-equality partition
+(``repro.enforce.trace.certification_plan``) and run with each
+execution's slot values, must certify exactly what translating the
+bound statement and planning its extraction per request certifies;
+every shape or execution it cannot express that way must be declined,
+so the per-request path takes it.
 """
 
 from __future__ import annotations
 
-from hypothesis import HealthCheck, given, settings
+import functools
+
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.enforce.checker import ComplianceChecker
@@ -21,11 +26,14 @@ from repro.enforce.trace import (
     Trace,
     certification_plan,
     extraction_plan,
+    single_cq,
 )
 from repro.engine.executor import Result
-from repro.relalg.cq import Const
+from repro.relalg.constraints import ConstraintSet
+from repro.relalg.cq import CQ, Atom, Comp, Const, Term, Var
 from repro.sqlir.parser import parse_sql
 from repro.sqlir.prepared import prepare_plan
+from repro.util.errors import EngineError
 from repro.workloads import calendar_app, social
 
 APPS = {"calendar": calendar_app, "social": social}
@@ -94,7 +102,7 @@ def resolved(plan: ExtractionPlan, values=()) -> tuple:
     slot values must *be* the plan of that execution's bound query."""
     null_keys: dict[object, int] = {}
 
-    def op(kind, ref):
+    def operand(kind, ref):
         if kind == "slot":
             kind, ref = "const", Const(values[ref])
         if kind == "const":
@@ -105,10 +113,51 @@ def resolved(plan: ExtractionPlan, values=()) -> tuple:
 
     return (
         plan.consistent,
-        tuple((columns, op(*check)) for columns, check in plan.const_checks),
-        plan.equal_checks,
-        tuple((rel, tuple(op(*o) for o in ops)) for rel, ops in plan.atoms),
+        tuple((op, operand(*left), operand(*right)) for op, left, right in plan.checks),
+        tuple((rel, tuple(operand(*o) for o in ops)) for rel, ops in plan.atoms),
     )
+
+
+def closure_facts(query: CQ, rows, trace: Trace) -> list[Atom]:
+    """The reference certification: one constraint closure per row.
+
+    Close the query's comparisons together with ``head column = row
+    value``; a row whose closure is inconsistent certifies nothing.
+    Otherwise each atom argument becomes its class constant or, failing
+    one, a labeled null (named by ``trace``) shared by its class, so
+    joined variables share one null.
+    """
+    facts: list[Atom] = []
+    head_vars = [
+        (index, term) for index, term in enumerate(query.head) if isinstance(term, Var)
+    ]
+    for row in rows:
+        row_comps = list(query.comps)
+        for index, var in head_vars:
+            row_comps.append(Comp("=", var, Const(row[index])))
+        closure = ConstraintSet(row_comps)
+        if not closure.consistent():
+            continue
+        nulls: dict[Term, Var] = {}
+        for atom in query.body:
+            resolved_args: list[Term] = []
+            for arg in atom.args:
+                if isinstance(arg, Const):
+                    resolved_args.append(arg)
+                    continue
+                canon = closure.canon(arg) if isinstance(arg, Var) else None
+                if isinstance(canon, Const):
+                    resolved_args.append(canon)
+                    continue
+                if canon is None:  # a residual param: undetermined
+                    resolved_args.append(trace._fresh_null())
+                    continue
+                key = canon if isinstance(canon, Var) else arg
+                if key not in nulls:
+                    nulls[key] = trace._fresh_null()
+                resolved_args.append(nulls[key])
+            facts.append(Atom(atom.rel, tuple(resolved_args)))
+    return facts
 
 
 @st.composite
@@ -264,6 +313,9 @@ class TestWhatThePlanTakesAndWhatItDeclines:
             ),
             ("social", "SELECT PId, Content FROM Posts WHERE Author = ? AND Visibility = 'public'", [4]),
             ("social", "SELECT Name FROM Users WHERE UId = 7 AND Name IS NULL", []),
+            # Comparisons other than "=": a slot in one is a per-row check.
+            ("calendar", "SELECT EId FROM Attendance WHERE UId = ? AND EId < ?", [1, 5]),
+            ("calendar", "SELECT EId FROM Attendance WHERE UId <> ?", [1]),
         ]:
             assert certification(app, sql, args) is not None, sql
 
@@ -278,9 +330,6 @@ class TestWhatThePlanTakesAndWhatItDeclines:
             # Untranslatable (an aggregate), and a union (two disjuncts).
             ("SELECT COUNT(*) FROM Attendance WHERE UId = ?", [1]),
             ("SELECT EId FROM Attendance WHERE UId IN (?, ?)", [1, 2]),
-            # A comparison other than "=": per-row closures can contradict.
-            ("SELECT EId FROM Attendance WHERE UId = ? AND EId < ?", [1, 5]),
-            ("SELECT EId FROM Attendance WHERE UId <> ?", [1]),
             # A slot in predicate position: translation reads its truth value.
             ("SELECT EId FROM Attendance WHERE 1 AND UId = ?", [1]),
             ("SELECT EId FROM Attendance WHERE ? AND UId = ?", [0, 1]),
@@ -322,3 +371,110 @@ class TestWhatThePlanTakesAndWhatItDeclines:
         assert typed(planned.facts) == typed(reference.facts) and planned.facts
         assert len(plan.certifications) == MAX_CERTIFICATIONS_PER_PLAN
         assert 0 < taken < 3**5
+
+
+@functools.cache
+def engine_database(app: str, backend: str):
+    """A small read-only database of ``app`` on ``backend``."""
+    return APPS[app].make_database(5, backend=backend)
+
+
+def engine_facts(app: str, sql: str, args, backend: str):
+    """Run ``sql`` on ``backend``; ``(rows, what the per-request path
+    certifies, what the prepared path certifies, the reference)`` — or
+    None when the engine refuses the statement (the in-memory engine
+    does not compare values of different types)."""
+    plan = prepare_plan(parse_sql(sql), sql)
+    bound = plan.bind(args)
+    try:
+        result = engine_database(app, backend).execute_bound(bound)
+    except EngineError:
+        return None
+    schema = SCHEMAS[app]
+    query = single_cq(bound, schema)
+    recorded = Trace().record(sql, query, result)
+    executed = Trace().record_execution(
+        bound, result, schema, plan, plan.skeleton_for(args)
+    )
+    reference = closure_facts(query, result.rows, Trace()) if query is not None else []
+    return result.rows, recorded, executed, reference
+
+
+ORDER_OPS = ("=", "=", "<", "<=", ">", ">=", "<>")
+
+
+@st.composite
+def ordered_statements(draw):
+    """A conjunctive SELECT over one or two tables of an app whose
+    comparisons are mostly orders and ``<>``, between columns, slots and
+    the ``VALUES`` literals: ``(app, sql, args)``."""
+    app = draw(st.sampled_from(sorted(TABLES)))
+    tables = draw(
+        st.lists(st.sampled_from(TABLES[app]), min_size=1, max_size=2, unique=True)
+    )
+    columns = [f"{alias}.{column}" for alias, _, cols in tables for column in cols]
+    args: list = []
+
+    def operand():
+        kind = draw(st.sampled_from(["column", "column", "slot", "literal"]))
+        if kind == "column":
+            return draw(st.sampled_from(columns))
+        # Ints weighted up: a NULL operand matches no row.
+        value = draw(st.sampled_from(VALUES + [0, 1, 2]))
+        if kind == "literal":
+            return sql_literal(value)
+        args.append(value)
+        return "?"
+
+    def comparison():
+        return f"{operand()} {draw(st.sampled_from(ORDER_OPS))} {operand()}"
+
+    source = f"{tables[0][1]} {tables[0][0]}"
+    if len(tables) == 2:
+        (left, _, left_cols), (right, right_table, right_cols) = tables
+        on = (
+            f"{left}.{draw(st.sampled_from(left_cols))}"
+            f" {draw(st.sampled_from(ORDER_OPS))}"
+            f" {right}.{draw(st.sampled_from(right_cols))}"
+        )
+        source += f" JOIN {right_table} {right} ON {on}"
+    items = draw(
+        st.one_of(
+            st.just("*"),
+            st.lists(st.sampled_from(columns), min_size=1, max_size=3).map(", ".join),
+        )
+    )
+    predicates = [comparison() for _ in range(draw(st.integers(1, 3)))]
+    sql = f"SELECT {items} FROM {source} WHERE {' AND '.join(predicates)}"
+    return app, sql, args
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(statement=ordered_statements(), backend=st.sampled_from(["memory", "sqlite"]))
+def test_plans_certify_as_the_per_row_closure_does_on_engine_rows(statement, backend):
+    """Rows a real engine returned, so a comparison with an existential
+    endpoint has a witness: the plan's checks — the ground comparisons —
+    are then exactly what the per-row closure rejects a row for. The
+    sqlite leg matters: it compares values of different types (a TEXT
+    column against ``0``) where the in-memory engine refuses to."""
+    app, sql, args = statement
+    outcome = engine_facts(app, sql, args, backend)
+    assume(outcome is not None)
+    _, recorded, executed, reference = outcome
+    assert typed(recorded) == typed(reference)
+    assert typed(executed) == typed(reference)
+
+
+def test_a_ground_comparison_across_types_certifies_nothing():
+    """sqlite compares a TEXT column with ``0`` as text and returns every
+    post; the closure's comparator cannot order a string against a
+    number, so the per-row closure — and the plan's ground check —
+    certify none of them."""
+    sql = "SELECT p.Content FROM Posts p WHERE p.Content > ?"
+    rows, recorded, executed, reference = engine_facts("social", sql, [0], "sqlite")
+    assert rows
+    assert recorded == executed == tuple(reference) == ()

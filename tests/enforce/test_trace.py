@@ -1,7 +1,5 @@
 """Trace and fact-extraction tests."""
 
-from itertools import chain, combinations
-
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -88,12 +86,12 @@ class TestFactExtraction:
         trace.record("q", query, Result(columns=["EId"], rows=rows))
         assert len(trace.facts) == 3
 
-    def test_relevant_facts_filters_by_relation(self, calendar_schema):
+    def test_facts_of_filters_by_relation(self, calendar_schema):
         trace = Trace()
         query = tr1("SELECT EId FROM Attendance WHERE UId = 1", calendar_schema)
         trace.record("q", query, Result(columns=["EId"], rows=[(5,)]))
-        assert trace.relevant_facts({"Attendance"})
-        assert not trace.relevant_facts({"Events"})
+        assert trace.facts_of("Attendance")
+        assert not trace.facts_of("Events")
 
     def test_duplicate_ground_facts_deduped(self, calendar_schema):
         trace = Trace()
@@ -145,12 +143,6 @@ _STEPS = st.lists(
     max_size=30,
 )
 _RELATIONS = ("Attendance", "Events", "Users")
-_SUBSETS = [
-    set(subset)
-    for subset in chain.from_iterable(
-        combinations(_RELATIONS, size) for size in range(len(_RELATIONS) + 1)
-    )
-]
 
 
 class TestSnapshotEqualsHistory:
@@ -158,7 +150,7 @@ class TestSnapshotEqualsHistory:
     def test_from_facts_of_a_snapshot_reads_like_the_live_trace(self, steps, max_facts):
         """Adds, re-certifying refreshes and adds past the cap, in any
         order: a trace rebuilt from ``facts`` is the same history to a
-        checker (same facts, same recency order, same relevant subsets)."""
+        checker (same facts, same recency order, same facts per relation)."""
         trace = Trace(max_facts=max_facts)
         for step in steps:
             if isinstance(step, tuple):
@@ -167,9 +159,9 @@ class TestSnapshotEqualsHistory:
                 certify_event(trace, step)
             snapshot = Trace.from_facts(trace.facts)
             assert snapshot.facts == trace.facts
-            for relations in _SUBSETS:
-                assert snapshot.relevant_facts(relations) == trace.relevant_facts(
-                    relations
+            for relation in _RELATIONS:
+                assert list(snapshot.facts_of(relation)) == list(
+                    trace.facts_of(relation)
                 )
 
 

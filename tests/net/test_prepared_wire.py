@@ -2,9 +2,8 @@
 
 The contract under test: EXECUTE ships only bindings yet is
 decision-equivalent to sending the same SQL through QUERY — same rows,
-same blocks, same trace history — and the handle table is per-epoch:
-a hot reload makes every earlier handle stale, refused with
-``ERROR/malformed`` + ``stale: true`` so clients re-prepare.
+same blocks, same trace history — and a handle outlives a hot reload:
+each EXECUTE is decided under the policy current when it runs.
 """
 
 from __future__ import annotations
@@ -204,14 +203,24 @@ def reduced_policy_text() -> str:
 
 
 class TestReloadStaleness:
-    def test_stale_handle_is_refused_with_stale_flag(self, lifecycle_server):
+    def test_old_handle_is_decided_under_the_new_policy(self, lifecycle_server):
         background, gateway = lifecycle_server
+        sql = (
+            "SELECT e.Title FROM Events e JOIN Attendance a ON e.EId = a.EId"
+            " WHERE a.UId = ?"
+        )
         connection = connect(background)
-        prepared = connection.prepare("SELECT EId FROM Attendance WHERE UId = ?")
+        prepared = connection.prepare(sql)
+        # Under v1, V2 allows it (asked on a second session, so this
+        # one's history stays empty).
+        witness = connect(background)
+        assert witness.execute(witness.prepare(sql), [1]).rows
+        witness.close()
         with AdminClient(background.host, background.port, timeout_s=30.0) as operator:
             operator.reload(reduced_policy_text(), provenance="patched")
         assert gateway.policy_version == 2
-        # Raw EXECUTE on the old handle: refused, flagged stale.
+        # Raw EXECUTE on the handle prepared under v1: decided under v2,
+        # whose views no longer show event titles.
         protocol.write_frame(
             connection._sock,
             {
@@ -222,12 +231,10 @@ class TestReloadStaleness:
             },
         )
         reply = protocol.read_frame(connection._sock)
-        assert reply["code"] == protocol.ERR_MALFORMED
-        assert reply["stale"] is True
-        assert background.server.metrics.counter("prepared_stale") == 1
+        assert reply["type"] == protocol.BLOCKED, reply
         connection.close()
 
-    def test_client_reprepares_transparently_across_reload(self, lifecycle_server):
+    def test_client_keeps_its_handle_across_reload(self, lifecycle_server):
         background, gateway = lifecycle_server
         connection = connect(background)
         prepared = connection.prepare("SELECT EId FROM Attendance WHERE UId = ?")
@@ -235,10 +242,9 @@ class TestReloadStaleness:
         old_handle = prepared.handle
         with AdminClient(background.host, background.port, timeout_s=30.0) as operator:
             operator.reload(reduced_policy_text(), provenance="patched")
-        # One call: the client sees the stale refusal, re-prepares, and
-        # retries — the caller just gets rows.
+        # One round trip on the same handle: V1 still allows it.
         after = connection.execute(prepared, [1])
         assert sorted(after.rows) == sorted(before.rows)
-        assert prepared.handle != old_handle
-        assert prepared.policy_version == gateway.policy_version
+        assert prepared.handle == old_handle
+        assert background.server.metrics.counter("prepared_unknown") == 0
         connection.close()

@@ -11,7 +11,7 @@ import itertools
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.relalg.constraints import ConstraintSet, _const_cmp
+from repro.relalg.constraints import ConstraintSet, const_cmp
 from repro.relalg.cq import Comp, Const, Var
 
 VARS = [Var("x"), Var("y"), Var("z")]
@@ -42,7 +42,7 @@ def satisfying_assignments(base):
         def value(term):
             return assignment[term] if isinstance(term, Var) else term.value
 
-        if all(_const_cmp(c.op, value(c.left), value(c.right)) for c in base):
+        if all(const_cmp(c.op, value(c.left), value(c.right)) for c in base):
             yield assignment
 
 
@@ -66,7 +66,7 @@ def test_implication_soundness(base, candidate):
             def value(term):
                 return assignment[term] if isinstance(term, Var) else term.value
 
-            assert _const_cmp(
+            assert const_cmp(
                 candidate.op, value(candidate.left), value(candidate.right)
             ), (base, candidate, assignment)
 
