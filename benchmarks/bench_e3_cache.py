@@ -5,11 +5,12 @@ accumulate. Expected shape: hit rate climbs toward 1 as the workload's
 query templates are all seen; decision latency drops correspondingly.
 """
 
+import contextlib
 import random
-import time
 
 from repro.bench.harness import print_figure_series
-from repro.enforce import DecisionCache
+from repro.enforce import DecisionCache, PolicyViolation
+from repro.extract.handlers import run_handler
 from repro.workloads.runner import AppRunner
 
 from conftest import fresh_app
@@ -25,16 +26,21 @@ def cache_series():
     requests = app.request_stream(db, random.Random(8), max(CHECKPOINTS))
     hit_rates = []
     mean_check_us = []
-    served = 0
+    served = total_checks = 0
+    total_seconds = 0.0
     for checkpoint in CHECKPOINTS:
-        batch = requests[served:checkpoint]
-        runner.run_all(batch)
+        # Each request's proxy is its own session: sum their stats as the
+        # batch runs.
+        for request in requests[served:checkpoint]:
+            proxy = runner.connection_for(request.session)
+            with contextlib.suppress(PolicyViolation):
+                run_handler(
+                    app.handlers[request.handler], proxy, request.params, request.session
+                )
+            total_checks += proxy.stats.allowed + proxy.stats.blocked
+            total_seconds += proxy.stats.check_seconds
         served = checkpoint
         hit_rates.append(round(cache.hit_rate, 3))
-        total_checks = sum(
-            p.stats.allowed + p.stats.blocked for p in runner.proxies()
-        )
-        total_seconds = sum(p.stats.check_seconds for p in runner.proxies())
         mean_check_us.append(round(total_seconds / max(total_checks, 1) * 1e6, 1))
     return hit_rates, mean_check_us
 

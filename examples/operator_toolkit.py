@@ -14,7 +14,7 @@ enforcement is deployed:
 Run:  python examples/operator_toolkit.py
 """
 
-from repro import EnforcementProxy, PolicyViolation, ProxyConfig, Session
+from repro import EnforcementProxy, PolicyViolation, Session
 from repro.policy import Policy, View, lint_policy
 from repro.workloads import employees
 
@@ -41,11 +41,9 @@ def lint_demo(db) -> None:
 def explain_demo(db) -> None:
     print("=== decision explanations ===")
     policy = employees.ground_truth_policy()
-    proxy = EnforcementProxy(
-        db, policy, Session.for_user(3), ProxyConfig(record_decisions=True)
-    )
+    proxy = EnforcementProxy(db, policy, Session.for_user(3))
     proxy.query("SELECT EId, Name, Dept FROM Employees")
-    print(proxy.stats.decisions[-1].explain())
+    print(proxy.last_decision.explain())
     try:
         proxy.query("SELECT Name, Salary FROM Employees")
     except PolicyViolation as violation:

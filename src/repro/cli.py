@@ -25,7 +25,7 @@ import argparse
 import random
 import sys
 
-from repro.enforce import EnforcementProxy, PolicyViolation, ProxyConfig, Session
+from repro.enforce import EnforcementProxy, PolicyViolation, Session
 from repro.policy import compare_policies, policy_to_text
 from repro.relalg.chase import TGD
 from repro.relalg.cq import Atom, Var
@@ -122,16 +122,13 @@ def cmd_extract(args: argparse.Namespace) -> int:
 def cmd_enforce(args: argparse.Namespace) -> int:
     app, db = _load_app(args)
     policy = app.ground_truth_policy()
-    proxy = EnforcementProxy(
-        db, policy, Session.for_user(args.user), ProxyConfig(record_decisions=True)
-    )
+    proxy = EnforcementProxy(db, policy, Session.for_user(args.user))
     for sql in args.sql:
         try:
             result = proxy.query(sql)
-            decision = proxy.stats.decisions[-1]
             print(f"ALLOW ({len(result)} rows): {sql}")
             if args.explain:
-                print(decision.explain())
+                print(proxy.last_decision.explain())
         except PolicyViolation as violation:
             if args.explain:
                 print(violation.decision.explain())
@@ -384,8 +381,6 @@ def _print_reload_report(report: dict) -> None:
     print(
         f"  build {report['build_s'] * 1e3:.1f} ms,"
         f" swap pause {report['swap_pause_s'] * 1e6:.0f} us,"
-        f" {report['sessions_preserved']} sessions"
-        f" / {report['trace_facts_preserved']} trace facts preserved,"
         f" old epoch {'drained' if report['drained'] else 'NOT drained'}"
     )
     print(

@@ -14,7 +14,7 @@ The pieces:
 
 * :mod:`repro.cluster.router` — the asyncio front end. It hashes each
   HELLO's session bindings to a shard (deterministically, so a principal
-  always lands on the shard holding its trace), then splices bytes
+  always lands on the same shard), then splices bytes
   between client and shard. Pre-session PING/STATS/admin verbs are
   handled at the router: STATS fans out and *merges* shard metrics,
   RELOAD rolls shard-by-shard.
@@ -25,9 +25,10 @@ The pieces:
   (:class:`~repro.cluster.supervisor.BackgroundCluster` is the
   test/benchmark façade that brings a whole cluster up and down).
 
-The shards share nothing but the router: a session's trace lives on its
-home shard, and every decision a shard serves — fresh or from its
-template store — its own checker derived under its own policy epoch.
+The shards share nothing but the router: a session, trace included,
+lives on its home shard for one connection, and every decision a shard
+serves — fresh or from its template store — its own checker derived
+under its own policy epoch.
 
 See ``docs/cluster.md`` for the full design, and
 ``tests/cluster/test_supervisor.py`` for the fidelity and rolling-reload

@@ -28,8 +28,9 @@ unchanged. Its job splits by when a frame arrives:
 **At HELLO** the router picks the session's home shard by hashing the
 HELLO's bindings (:func:`shard_index_for` — deterministic across
 processes and restarts, so a returning principal always lands on the
-shard holding its trace), forwards the HELLO on a pooled shard
-connection, relays the WELCOME — and then stops interpreting frames
+same shard, though each connection is a new session there), forwards
+the HELLO on a pooled shard connection, relays the WELCOME — and then
+stops interpreting frames
 entirely: the client and shard sockets are **spliced** byte-for-byte in
 both directions. Per-request deadlines, admission control, idle reaping
 and graceful drain all continue to work because the shard's own
@@ -38,8 +39,8 @@ nothing else.
 
 Degradation: a shard that fails ``health_failures`` consecutive health
 probes is marked down; HELLOs hashing to it are *shed* with
-``ERROR/unavailable`` (sessions are sticky — silently rehoming a
-principal would strand its trace) while sessions on healthy shards
+``ERROR/unavailable`` (placement is a pure function of the bindings, so
+a principal is never rehomed) while sessions on healthy shards
 continue untouched. A probe success marks it back up.
 """
 

@@ -20,9 +20,8 @@ ran is decided again (:meth:`EnforcementProxy._execute`).
 from __future__ import annotations
 
 import time
-from collections import deque
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from repro.enforce.cache import DecisionCache
@@ -58,38 +57,20 @@ class Session:
 class ProxyConfig:
     """Everything configurable about an :class:`EnforcementProxy`.
 
-    One value object instead of a growing pile of constructor flags, so
-    the gateway can stamp out many identically-configured sessions and
-    new knobs don't ripple through every call site.
-
     * ``history_enabled`` — conjoin certified trace facts into checks
       (the Example 2.1 mechanism); disable for the no-history ablation.
-    * ``record_decisions`` — keep the most recent decisions on
-      ``stats.decisions`` for tooling (capped by ``decision_log_cap``).
     * ``cache`` — a :class:`DecisionCache` to consult before running the
       checker (one may be shared by any number of proxies and threads);
       ``None`` disables caching.
-    * ``decision_log_cap`` — ring-buffer size for recorded decisions.
     """
 
     history_enabled: bool = True
-    record_decisions: bool = False
     cache: DecisionCache | None = None
-    decision_log_cap: int = 256
 
 
 @dataclass
 class ProxyStats:
-    """Counters a proxy accumulates over its lifetime.
-
-    ``decisions`` is a bounded ring buffer (newest last): with
-    ``record_decisions`` on, an unbounded list would grow forever in a
-    long-lived serving session. Overflow is not silent: every decision
-    the ring evicts to make room increments ``audit_dropped``, which the
-    gateway surfaces in ``snapshot()``/STATS — an operator replaying the
-    decision log must be able to tell a complete window from a clipped
-    one.
-    """
+    """Counters a proxy accumulates over its lifetime."""
 
     allowed: int = 0
     blocked: int = 0
@@ -97,29 +78,12 @@ class ProxyStats:
     parse_seconds: float = 0.0
     check_seconds: float = 0.0
     execute_seconds: float = 0.0
-    decisions: deque[Decision] = field(default_factory=lambda: deque(maxlen=256))
-    #: Decisions evicted from the ``decisions`` ring by the cap.
-    audit_dropped: int = 0
     #: Trace facts retired because a write changed the rows they stood for.
     facts_retired: int = 0
     #: SELECTs decided again because a concurrent write retired facts.
     statement_retries: int = 0
     #: Fresh checks that ran out of search budget (each one a Block).
     checks_over_budget: int = 0
-
-    @staticmethod
-    def with_cap(decision_log_cap: int) -> "ProxyStats":
-        return ProxyStats(decisions=deque(maxlen=max(1, decision_log_cap)))
-
-    def record_decision(self, decision: Decision) -> bool:
-        """Append to the ring, counting (not hiding) any eviction; True
-        when one was evicted."""
-        ring = self.decisions
-        dropped = ring.maxlen is not None and len(ring) == ring.maxlen
-        if dropped:
-            self.audit_dropped += 1
-        ring.append(decision)
-        return dropped
 
 
 class EnforcementProxy:
@@ -140,13 +104,15 @@ class EnforcementProxy:
         session: Session,
         config: ProxyConfig | None = None,
     ):
-        base = config or ProxyConfig()
-        self.config = base
+        self.config = config or ProxyConfig()
         self.db = db
         self.policy = policy
         self.session = session
         self.trace = Trace()
-        self.stats = ProxyStats.with_cap(base.decision_log_cap)
+        self.stats = ProxyStats()
+        #: The last SELECT's outcome, Allow or Block (``repro enforce
+        #: --explain`` prints it).
+        self.last_decision: Decision | None = None
         # Per-session invariant, hoisted: the decision cache keys its
         # equality partitions on sorted binding items, and re-sorting an
         # immutable mapping on every request is pure hot-path waste.
@@ -305,8 +271,7 @@ class EnforcementProxy:
             self.stats.allowed += 1
         else:
             self.stats.blocked += 1
-        if self.config.record_decisions and self.stats.record_decision(decision):
-            self._record_counter("audit_dropped", 1)
+        self.last_decision = decision
         self._observe_decision(decision, bound, decided)
 
     def _sweep(self) -> int:
@@ -386,7 +351,7 @@ class EnforcementProxy:
 
     def _record_counter(self, name: str, amount: int) -> None:
         """Counter observation point (``facts_retired``,
-        ``statement_retries``, ``checks_over_budget``, ``audit_dropped``);
+        ``statement_retries``, ``checks_over_budget``);
         no-op outside the gateway."""
 
     def _decision_cache(self) -> DecisionCache | None:

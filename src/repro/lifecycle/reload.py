@@ -19,10 +19,10 @@ started under for its whole duration. :func:`hot_reload` therefore:
 
 No torn decisions: a decision that began under version *n* finishes
 entirely under version *n* (its cache, its checker); the next
-decision on the same session runs entirely under *n+1*. Session state is
-untouched — connections and their traces live on the gateway, not the
-epoch, so certified history survives the swap (and immediately gates
-history-dependent decisions under the new policy).
+decision on the same session runs entirely under *n+1*. A session's
+trace lives outside the epoch, so a request that spans the swap keeps
+its certified history (and it immediately gates history-dependent
+decisions under the new policy).
 
 The decision-template store keeps what the new policy still proves. A
 template is a proof over policy views, compared across versions by
@@ -72,8 +72,6 @@ class ReloadReport:
     #: pre-swap, never under the lock.
     compile_s: float
     drained: bool
-    sessions_preserved: int
-    trace_facts_preserved: int
     #: Decision templates of the old store the new policy still proves
     #: (kept) and those it does not (re-derived on demand).
     templates_carried: int = 0
@@ -86,8 +84,6 @@ class ReloadReport:
             f" build {self.build_s * 1e3:.1f} ms"
             f" (compile {self.compile_s * 1e3:.1f} ms),"
             f" swap pause {self.swap_pause_s * 1e6:.0f} µs,"
-            f" {self.sessions_preserved} sessions"
-            f" / {self.trace_facts_preserved} trace facts preserved,"
             f" {self.templates_carried} templates carried"
             f" / {self.templates_dropped} dropped,"
             f" old epoch {'drained' if self.drained else 'NOT fully drained'}"
@@ -106,7 +102,6 @@ def hot_reload(
     Prefer :meth:`LifecycleManager.reload`, which also versions the
     policy through the registry; this function is the bare mechanism.
     """
-    sessions = gateway.connections()
     build_started = time.perf_counter()
     epoch = gateway.build_epoch(policy, version, provenance)
     build_s = time.perf_counter() - build_started
@@ -123,8 +118,6 @@ def hot_reload(
         build_s=build_s,
         compile_s=epoch.compiled.build_seconds,
         drained=drained,
-        sessions_preserved=len(sessions),
-        trace_facts_preserved=sum(len(c.trace.facts) for c in sessions),
         templates_carried=epoch.templates_carried,
         templates_dropped=epoch.templates_dropped,
     )

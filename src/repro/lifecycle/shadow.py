@@ -143,11 +143,7 @@ class ShadowRunner:
         self.candidate = candidate
         self.candidate_version = candidate_version
         self.log = DivergenceLog(cap=log_cap)
-        history = gateway.config.history_enabled
-        self._history_enabled = history
-        self._checker = ComplianceChecker(
-            gateway.db.schema, candidate, history_enabled=history
-        )
+        self._checker = ComplianceChecker(gateway.db.schema, candidate)
         self._max_pending = max_pending
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="shadow-checker"
@@ -174,7 +170,6 @@ class ShadowRunner:
                 self._dropped += 1
                 return False
             self._submitted += 1
-        facts = connection.trace.facts if self._history_enabled else ()
         self._executor.submit(
             self._run_check,
             dict(connection.session.bindings),
@@ -182,7 +177,7 @@ class ShadowRunner:
             active_decision.sql,
             active_decision.allowed,
             active_decision.policy_version or 0,
-            facts,
+            connection.trace.facts,
         )
         return True
 
@@ -198,7 +193,7 @@ class ShadowRunner:
         facts: tuple,
     ) -> None:
         try:
-            trace = Trace.from_facts(facts) if self._history_enabled else None
+            trace = Trace.from_facts(facts)
             candidate_allowed = self._checker.check(bound, bindings, trace).allowed
         except Exception:
             self.log.record_error()

@@ -98,6 +98,9 @@ class NetClientConnection:
     are unchanged; only the per-request round trip is amortized.
     :meth:`prepare`/:meth:`execute` hoist a statement's parse and shape
     analysis server-side and ship only bindings per call.
+
+    ``fresh`` is accepted for older callers and ignored: every connection
+    is a new session.
     """
 
     def __init__(
@@ -106,7 +109,7 @@ class NetClientConnection:
         port: int,
         bindings: Mapping[str, object] | None = None,
         user: object | None = None,
-        fresh: bool = False,
+        fresh: bool = True,
         timeout_s: float = 30.0,
         max_frame_bytes: int = protocol.MAX_FRAME_BYTES,
         connect_retries: int = CONNECT_RETRIES,
@@ -129,7 +132,6 @@ class NetClientConnection:
                     "type": protocol.HELLO,
                     "version": protocol.PROTOCOL_VERSION,
                     "bindings": self.bindings,
-                    "fresh": fresh,
                 }
             )
             if reply["type"] != protocol.WELCOME:

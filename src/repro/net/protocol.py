@@ -25,10 +25,11 @@ Message vocabulary
 ------------------
 Client → server:
 
-* ``HELLO {version, bindings, fresh?}`` — authenticate the connection as
-  a session principal. ``bindings`` maps policy parameters to values
-  (e.g. ``{"MyUId": 7}``). ``fresh: true`` forces a brand-new session
-  (empty trace) instead of resuming the principal's stored one.
+* ``HELLO {version, bindings}`` — authenticate the connection as a
+  session principal. ``bindings`` maps policy parameters to values
+  (e.g. ``{"MyUId": 7}``). The connection is one session: it starts on an
+  empty trace, and its history ends when it closes. A ``fresh`` field,
+  which older clients send, is accepted and ignored.
 * ``QUERY {id, sql, args?, named?}`` — vet + execute a SELECT.
 * ``EXEC {id, sql, args?, named?}`` — execute any statement (writes
   return a row count; every session then retires the trace facts the

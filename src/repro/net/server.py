@@ -17,9 +17,9 @@ burst gets the burst executed back to back and answered in one write —
 the same code path at depth 1 and depth 32. Read-ahead is the socket
 buffer; backpressure is the TCP window. Frames are dispatched strictly
 in arrival order (a session's statements must stay ordered so trace
-history accumulates correctly — see Example 2.1), and two connections
-that resume the same session serialise on that session's own lock
-(:attr:`GatewayConnection.lock`).
+history accumulates correctly — see Example 2.1). A connection is one
+session: its ``HELLO`` opens it on an empty trace, and its close ends
+it, so no two threads ever run statements of one session.
 
 Production shape, not a toy:
 
@@ -102,7 +102,7 @@ class ServerConfig:
     """Everything configurable about a :class:`NetServer`.
 
     ``execute_delay_s`` is a fault-injection knob: it stalls every
-    statement for that long, inside the session lock, before execution.
+    statement for that long, in the admitted slot, before execution.
     Tests use it to make timing-dependent
     behavior (shedding, deadlines, drain) deterministic; leave it 0 in
     real deployments.
@@ -337,6 +337,9 @@ class NetServer:
                 self._connections.add(conn)
             self.metrics.connection_opened()
             conn.thread.start()
+            # Hold no reference while waiting for the next accept: the
+            # connection and its session die with the connection's thread.
+            del conn
 
     def _refuse(self, sock: socket.socket) -> None:
         self.metrics.increment("connections_rejected")
@@ -571,9 +574,7 @@ class NetServer:
                 protocol.ERR_BAD_REQUEST,
                 "HELLO needs a non-empty 'bindings' object",
             )
-        conn.session = self.gateway.connect(
-            bindings, fresh=bool(frame.get("fresh", False))
-        )
+        conn.session = self.gateway.connect(bindings)
         welcome = {
             "type": protocol.WELCOME,
             "version": protocol.PROTOCOL_VERSION,
@@ -615,7 +616,7 @@ class NetServer:
 
     def _run_statement(self, conn: _Connection, frame: dict) -> bool:
         """The one statement path: QUERY, EXEC and EXECUTE, classic or
-        pipelined. Admission → session lock → gateway → reply + metrics,
+        pipelined. Admission → gateway → reply + metrics,
         all on the connection's thread. Returns ``keep_open``."""
         started = time.perf_counter()
         call, refusal = self._statement_call(conn, frame)
@@ -638,10 +639,9 @@ class NetServer:
         assert conn.session is not None
         try:
             try:
-                with conn.session.lock:
-                    if self.config.execute_delay_s:
-                        time.sleep(self.config.execute_delay_s)
-                    outcome = call()
+                if self.config.execute_delay_s:
+                    time.sleep(self.config.execute_delay_s)
+                outcome = call()
             finally:
                 self.metrics.request_finished()
         except PolicyViolation as violation:
@@ -942,8 +942,6 @@ def _reload_to_wire(report) -> dict:
         "swap_pause_s": report.swap_pause_s,
         "build_s": report.build_s,
         "drained": report.drained,
-        "sessions_preserved": report.sessions_preserved,
-        "trace_facts_preserved": report.trace_facts_preserved,
         "templates_carried": report.templates_carried,
         "templates_dropped": report.templates_dropped,
     }

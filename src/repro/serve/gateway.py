@@ -3,8 +3,8 @@
 An :class:`EnforcementGateway` is the process-wide front door of a
 serving deployment: it owns the database handle, the policy, one
 :class:`~repro.enforce.cache.DecisionCache` per policy epoch, and the
-metrics registry, and it hands out per-session :class:`GatewayConnection`
-objects. Connections implement the standard
+metrics registry, and it hands out :class:`GatewayConnection` objects,
+one per request. Connections implement the standard
 :class:`~repro.engine.connection.Connection` protocol, so application
 handlers run against a gateway session exactly as they would against a
 bare :class:`~repro.engine.database.Database`.
@@ -41,9 +41,9 @@ duration (one refcount increment), so a hot reload
 without ever tearing a decision across two policy versions: in-flight
 decisions finish entirely under the epoch they started with, new
 decisions start entirely under the new one, and the old epoch is only
-retired once its pin count drains to zero. Session state
-(connections and their traces) lives *outside* the epoch and survives
-reloads untouched. A new epoch's store starts with the templates of the
+retired once its pin count drains to zero. A session's trace lives
+*outside* the epoch, so a reload in the middle of a request leaves its
+history in place. A new epoch's store starts with the templates of the
 live one that its policy still proves, so a reload re-derives only what
 it changed.
 """
@@ -81,10 +81,7 @@ class GatewayConfig:
     backend, failing fast on a misconfigured deployment.
     """
 
-    history_enabled: bool = True
     verify_cached_decisions: bool = False
-    record_decisions: bool = False
-    decision_log_cap: int = 256
     backend: str | None = None
     db_path: str | None = None
 
@@ -114,7 +111,6 @@ class PolicyEpoch:
         self,
         db: Database,
         policy: Policy,
-        config: GatewayConfig,
         version: int = 1,
         provenance: str = "hand-written",
         live: DecisionCache | None = None,
@@ -135,11 +131,7 @@ class PolicyEpoch:
                 live, self.compiled.relevant_relations
             )
         self.checker = ComplianceChecker(
-            db.schema,
-            policy,
-            history_enabled=config.history_enabled,
-            compiled=self.compiled,
-            skeletons=self.shared_cache,
+            db.schema, policy, compiled=self.compiled, skeletons=self.shared_cache
         )
         #: Combining-lock batcher for miss checks.
         self.batcher = CheckBatcher(self.checker, self.shared_cache)
@@ -193,26 +185,22 @@ class PolicyEpoch:
         return [self.shared_cache]
 
 
-class GatewayConnection(EnforcementProxy):
-    """One session's connection, vended by :meth:`EnforcementGateway.connect`."""
+#: Every gateway session's proxy config: history on, and no cache of its
+#: own (a session probes the store of the epoch its decision pins).
+_PROXY_CONFIG = ProxyConfig()
 
-    def __init__(
-        self,
-        gateway: "EnforcementGateway",
-        session: Session,
-        config: ProxyConfig,
-    ):
-        super().__init__(gateway.db, gateway.policy, session, config)
+
+class GatewayConnection(EnforcementProxy):
+    """One request's session, vended by :meth:`EnforcementGateway.connect`.
+
+    Its statements run one at a time, on the caller's thread: the trace,
+    the pinned epoch and the proxy stats assume it."""
+
+    def __init__(self, gateway: "EnforcementGateway", session: Session):
+        super().__init__(gateway.db, gateway.policy, session, _PROXY_CONFIG)
         self._gateway = gateway
-        #: Serialises this session's statements. The trace, the pinned
-        #: epoch and the proxy stats assume one statement at a time, so a
-        #: caller that may reach one session from two threads (the wire
-        #: server, when two connections resume the same principal) holds
-        #: this around each call. It lives and dies with the session, and
-        #: ``fresh=True`` sessions of one principal share nothing.
-        self.lock = threading.Lock()
         # The epoch pinned by the decision currently in flight on this
-        # connection (sessions are serialized, so at most one).
+        # connection (at most one).
         self._pinned_epoch: PolicyEpoch | None = None
 
     @property
@@ -220,14 +208,6 @@ class GatewayConnection(EnforcementProxy):
         """The deciding epoch's checker: a session has none of its own,
         so none is built at connect and none outlives a reload."""
         return self._gateway.epoch.checker
-
-    def close(self) -> None:
-        """Close the session and leave the gateway's session table: the
-        principal's next ``connect`` opens a new session on an empty trace
-        (re-derive, never inherit). A ``fresh=True`` session was never in
-        the table."""
-        super().close()
-        self._gateway._release(self)
 
     # -- epoch-pinned deciding ---------------------------------------------------
 
@@ -296,13 +276,13 @@ class GatewayConnection(EnforcementProxy):
                 metrics.count_view_check(atom.rel)
         audit = gateway.decision_audit
         if audit is not None:
-            trace = self.trace if self.config.history_enabled else None
+            facts = self.trace.facts
             audit(
                 DecisionAuditRecord(
                     sql=decision.sql,
                     bindings=dict(self.session.bindings),
-                    facts=trace.facts if trace is not None else (),
-                    trace_len=len(trace.facts) if trace is not None else 0,
+                    facts=facts,
+                    trace_len=len(facts),
                     allowed=decision.allowed,
                     policy_version=decision.policy_version,
                     from_cache=decision.from_cache,
@@ -329,9 +309,8 @@ class GatewayConnection(EnforcementProxy):
         came from), so it runs the full containment path, unbatched, and
         learns nothing from it.
         """
-        trace = self.trace if self.config.history_enabled else None
         fresh = self._pinned_epoch.checker.check(
-            bound, self.session.bindings, trace, allow_compiled=False
+            bound, self.session.bindings, self.trace, allow_compiled=False
         )
         self._gateway.metrics.increment("cache_verified")
         if fresh.allowed != decision.allowed:
@@ -373,7 +352,8 @@ class DecisionAuditRecord:
 
 
 class EnforcementGateway:
-    """Owns the shared cache and metrics; hands out per-session connections."""
+    """Owns the shared cache and metrics; hands out one connection per
+    request, and keeps none of them."""
 
     def __init__(
         self,
@@ -392,10 +372,7 @@ class EnforcementGateway:
                 f" but the database runs {db.backend_name!r}"
             )
         self.metrics = GatewayMetrics()
-        self._epoch = PolicyEpoch(db, policy, self.config)
-        self._connections: dict[tuple, GatewayConnection] = {}
-        # RLock: connect() holds it while _proxy_config() re-enters.
-        self._connect_lock = threading.RLock()
+        self._epoch = PolicyEpoch(db, policy)
         self._write_lock = threading.RLock()
         #: Optional per-decision audit hook (see DecisionAuditRecord).
         self.decision_audit = None
@@ -433,7 +410,7 @@ class EnforcementGateway:
         after this call is not carried; the new epoch re-derives it once.
         """
         return PolicyEpoch(
-            self.db, policy, self.config, version, provenance, live=self._epoch.shared_cache
+            self.db, policy, version, provenance, live=self._epoch.shared_cache
         )
 
     def install_epoch(self, epoch: PolicyEpoch) -> PolicyEpoch:
@@ -461,47 +438,19 @@ class EnforcementGateway:
     def connect(
         self,
         session: Session | Mapping[str, object] | object,
-        fresh: bool = False,
+        fresh: bool = True,
     ) -> GatewayConnection:
-        """Open (or rejoin) the connection for a session.
+        """Open a new session, on an empty trace, for one request.
 
         ``session`` may be a :class:`Session`, a bindings mapping, or a
         bare user id (bound to the conventional ``MyUId`` parameter).
-        Connections are keyed by their bindings: reconnecting as the same
-        principal resumes the same trace, the way an application server's
-        session store would, until that session is closed. ``fresh=True``
-        forces a brand-new session (empty trace) without disturbing the
-        stored one.
+        ``fresh`` is accepted for older callers and ignored: every
+        session is fresh.
         """
-        normalized = self._normalize(session)
-        key = tuple(sorted(normalized.bindings.items()))
-        if fresh:
-            self.metrics.increment("sessions_opened")
-            return GatewayConnection(self, normalized, self._proxy_config())
-        with self._connect_lock:
-            connection = self._connections.get(key)
-            if connection is None:
-                connection = GatewayConnection(self, normalized, self._proxy_config())
-                self._connections[key] = connection
-                self.metrics.increment("sessions_opened")
-            return connection
-
-    def _release(self, connection: GatewayConnection) -> None:
-        """Drop a closed session from the table, if it is the stored one."""
-        key = tuple(sorted(connection.session.bindings.items()))
-        with self._connect_lock:
-            if self._connections.get(key) is connection:
-                del self._connections[key]
-
-    def connections(self) -> list[GatewayConnection]:
-        with self._connect_lock:
-            return list(self._connections.values())
+        self.metrics.increment("sessions_opened")
+        return GatewayConnection(self, self._normalize(session))
 
     def close(self) -> None:
-        with self._connect_lock:
-            # A snapshot: each close() removes its own entry.
-            for connection in list(self._connections.values()):
-                connection.close()
         if self.shadow is not None:
             self.shadow.close()
             self.shadow = None
@@ -513,17 +462,6 @@ class EnforcementGateway:
         if isinstance(session, Mapping):
             return Session(bindings=dict(session))
         return Session.for_user(session)
-
-    def _proxy_config(self) -> ProxyConfig:
-        # Decision caches are epoch-owned (see PolicyEpoch); the proxy
-        # config's cache field stays None and GatewayConnection resolves
-        # the cache through its pinned epoch on every decision.
-        return ProxyConfig(
-            history_enabled=self.config.history_enabled,
-            record_decisions=self.config.record_decisions,
-            cache=None,
-            decision_log_cap=self.config.decision_log_cap,
-        )
 
     # -- writes ------------------------------------------------------------------
 
@@ -578,21 +516,15 @@ class EnforcementGateway:
         if shadow is not None:
             for name, value in shadow.stats().items():
                 snapshot.counters[f"shadow_{name}"] = value
-        # Decision-audit loss accounting: drops from every session's
-        # decision ring, counted as they happen (closed and ``fresh``
-        # sessions included), plus (when an AuditStream is installed)
+        # Decision-audit loss accounting: an installed AuditStream's
         # subscriber-queue drops. Always present so STATS consumers can
         # alert on it.
-        audit_dropped = snapshot.counters.get("audit_dropped", 0)
         audit = self.decision_audit
         if audit is not None and hasattr(audit, "stats"):
             for name, value in audit.stats().items():
-                if name == "dropped":
-                    audit_dropped += value
-                else:
-                    snapshot.counters[f"audit_{name}"] = value
-        snapshot.counters["audit_dropped"] = audit_dropped
+                snapshot.counters[f"audit_{name}"] = value
         for name in (
+            "audit_dropped",
             "facts_retired", "statement_retries", "checks_over_budget", "templates_carried"
         ):
             snapshot.counters.setdefault(name, 0)

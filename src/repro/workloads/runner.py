@@ -7,9 +7,9 @@ and generators for compliant request streams and non-compliant "attack"
 queries.
 
 :class:`AppRunner` executes request streams against a connection mode
-(direct / enforcement proxy / RLS / serving gateway), reusing one
-connection per session user so trace history accumulates the way it
-would in a real deployment. Handlers only ever see the
+(direct / enforcement proxy / RLS / serving gateway). Each request gets
+a connection of its own, so trace history accumulates within one
+handler invocation and never across two. Handlers only ever see the
 :class:`~repro.engine.connection.Connection` protocol, so the runner is
 backend-agnostic.
 """
@@ -99,7 +99,6 @@ class AppRunner:
         policy: Policy | None = None,
         history_enabled: bool = True,
         cache: DecisionCache | None = None,
-        fresh_session_per_request: bool = False,
         gateway: "EnforcementGateway | None" = None,
     ):
         if mode not in ("direct", "proxy", "rls", "gateway"):
@@ -114,12 +113,11 @@ class AppRunner:
         self.policy = policy
         self.history_enabled = history_enabled
         self.cache = cache
-        self.fresh_session_per_request = fresh_session_per_request
         self.gateway = gateway
-        self._proxies: dict[tuple, EnforcementProxy] = {}
         self._direct = DirectConnection(db)
 
     def connection_for(self, session: dict[str, object]) -> Connection:
+        """A new connection for one request of ``session``."""
         if self.mode == "direct":
             return self._direct
         bindings = self.app.session_bindings(session)
@@ -127,24 +125,13 @@ class AppRunner:
             return RowLevelSecurityProxy(self.db, self.app.rls_predicates, bindings)
         if self.mode == "gateway":
             assert self.gateway is not None
-            return self.gateway.connect(
-                bindings, fresh=self.fresh_session_per_request
-            )
-        key = tuple(sorted(bindings.items()))
-        if self.fresh_session_per_request or key not in self._proxies:
-            proxy = EnforcementProxy(
-                self.db,
-                self.policy,
-                Session(bindings),
-                ProxyConfig(history_enabled=self.history_enabled, cache=self.cache),
-            )
-            if self.fresh_session_per_request:
-                return proxy
-            self._proxies[key] = proxy
-        return self._proxies[key]
-
-    def proxies(self) -> list[EnforcementProxy]:
-        return list(self._proxies.values())
+            return self.gateway.connect(bindings)
+        return EnforcementProxy(
+            self.db,
+            self.policy,
+            Session(bindings),
+            ProxyConfig(history_enabled=self.history_enabled, cache=self.cache),
+        )
 
     def run(self, request: Request) -> RequestOutcome:
         handler = self.app.handlers[request.handler]

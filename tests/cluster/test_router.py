@@ -14,6 +14,7 @@ import time
 import pytest
 
 from repro.cluster.router import ClusterRouter, RouterConfig, shard_index_for
+from repro.enforce.decision import PolicyViolation
 from repro.lifecycle import LifecycleManager
 from repro.net import (
     AdminClient,
@@ -127,16 +128,18 @@ class TestRouting:
             connection.close()
         assert router.router.counters["sessions_routed"] == 6
 
-    def test_same_principal_resumes_same_shard_session(self, two_shards):
+    def test_same_principal_reconnects_to_an_empty_trace(self, two_shards):
         router, _, gateways = two_shards
         first = NetClientConnection("127.0.0.1", router.port, user=1)
         first.query("SELECT 1 FROM Attendance WHERE UId = 1 AND EId = 2")
         first.query("SELECT * FROM Events WHERE EId = 2")  # needs the trace
         first.close()
-        # Reconnecting as the same principal must resume the same trace
-        # (the shard keeps sessions keyed by bindings).
+        # Reconnecting as the same principal lands on the same shard (by
+        # hash) but opens a new session: no trace is sticky.
         second = NetClientConnection("127.0.0.1", router.port, user=1)
-        second.query("SELECT * FROM Events WHERE EId = 2")
+        assert second.server_shard_id == first.server_shard_id
+        with pytest.raises(PolicyViolation):
+            second.query("SELECT * FROM Events WHERE EId = 2")
         second.close()
 
     def test_ping_answered_by_router(self, two_shards):

@@ -133,7 +133,7 @@ class TestBackgroundCluster:
             app.ground_truth_policy(),
         )
         try:
-            assert fleet == decisions(lambda uid: gateway.connect(uid, fresh=True))
+            assert fleet == decisions(lambda uid: gateway.connect(uid))
         finally:
             gateway.close()
         assert [allowed for _, _, allowed in fleet] == [False, False, True, True] * shards

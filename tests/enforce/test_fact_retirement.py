@@ -215,7 +215,7 @@ class TestOutcomesAreObservedOnce:
         gateway.decision_audit = records.append
         uid, _, _ = attended
         session = gateway.connect(uid)
-        writer = gateway.connect(uid, fresh=True)
+        writer = gateway.connect(uid)
         assert len(session.query(MINE, [uid])) >= STATEMENT_ATTEMPTS
         records.clear()
         return gateway, records, session, writer

@@ -1,9 +1,10 @@
 """EnforcementProxy is configured through :class:`ProxyConfig` only.
 
 The individual ``history_enabled`` / ``cache`` / ``record_decisions``
-constructor keywords predate :class:`ProxyConfig`; their deprecation
-cycle is over, so a stale call site gets Python's own ``TypeError`` for
-an unknown keyword, like any other misspelt argument.
+constructor keywords predate :class:`ProxyConfig` (which has since lost
+``record_decisions`` too); their deprecation cycle is over, so a stale
+call site gets Python's own ``TypeError`` for an unknown keyword, like
+any other misspelt argument.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import warnings
 
 import pytest
 
-from repro.enforce import EnforcementProxy, ProxyConfig, Session
+from repro.enforce import DecisionCache, EnforcementProxy, ProxyConfig, Session
 
 
 @pytest.fixture
@@ -36,18 +37,14 @@ class TestLegacyKwargsAreHardErrors:
 
 
 class TestModernPath:
-    def test_config_object_carries_all_fields(self, make_proxy):
+    def test_config_object_carries_all_fields(self, make_proxy, calendar_policy):
+        cache = DecisionCache(calendar_policy)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            proxy = make_proxy(
-                ProxyConfig(
-                    history_enabled=False, record_decisions=True, decision_log_cap=7
-                )
-            )
+            proxy = make_proxy(ProxyConfig(history_enabled=False, cache=cache))
         assert proxy.config.history_enabled is False
         assert proxy.checker.history_enabled is False
-        assert proxy.config.record_decisions is True
-        assert proxy.config.decision_log_cap == 7
+        assert proxy.config.cache is cache
 
     def test_defaults_emit_no_warning(self, make_proxy):
         with warnings.catch_warnings():

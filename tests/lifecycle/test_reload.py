@@ -48,27 +48,26 @@ class TestHotReload:
         assert (before.policy_version, after.policy_version) == (1, 2)
 
     def test_traces_survive_and_keep_gating(self, calendar_pair, gateway):
-        """Example 2.1 across a reload: Q1 under v1 justifies Q2 under v2."""
+        """Example 2.1 across a reload: Q1 under v1 justifies Q2 under v2,
+        within one request that holds its connection across the swap."""
         app, db = calendar_pair
         connection = gateway.connect(1)
         connection.query("SELECT 1 FROM Attendance WHERE UId = 1 AND EId = 2")
         facts_before = len(connection.trace.facts)
-        report = hot_reload(gateway, app.ground_truth_policy(), version=2)
-        assert report.sessions_preserved == 1
-        assert report.trace_facts_preserved == facts_before
+        hot_reload(gateway, app.ground_truth_policy(), version=2)
         assert len(connection.trace.facts) == facts_before
         # The certified Q1 fact, recorded under v1, still justifies Q2 now.
         assert len(connection.query("SELECT * FROM Events WHERE EId = 2")) == 1
         # A fresh session has no such history and stays blocked.
         with pytest.raises(PolicyViolation):
-            gateway.connect(1, fresh=True).query("SELECT * FROM Events WHERE EId = 2")
+            gateway.connect(1).query("SELECT * FROM Events WHERE EId = 2")
 
     def test_identity_reload_carries_every_template(self, calendar_pair, gateway):
         app, db = calendar_pair
         connection = gateway.connect(1)
         connection.query("SELECT EId FROM Attendance WHERE UId = 1")
         with pytest.raises(PolicyViolation):  # fact-free: a Block template
-            gateway.connect(2, fresh=True).query("SELECT * FROM Events WHERE EId = 999")
+            gateway.connect(2).query("SELECT * FROM Events WHERE EId = 999")
         old_cache = gateway.shared_cache
         learned = _templates(old_cache)
         assert len(learned) == 2
@@ -80,7 +79,7 @@ class TestHotReload:
         before = gateway.snapshot().counters
         connection.query("SELECT EId FROM Attendance WHERE UId = 1")
         with pytest.raises(PolicyViolation):
-            gateway.connect(3, fresh=True).query("SELECT * FROM Events WHERE EId = 999")
+            gateway.connect(3).query("SELECT * FROM Events WHERE EId = 999")
         after = gateway.snapshot().counters
         # One probe answers both: the Allow, and the Block (compiled_hits).
         assert after["shared_cache_hits"] == before["shared_cache_hits"] + 2
@@ -106,7 +105,7 @@ class TestHotReload:
 
         def traffic() -> None:
             for uid in (1, 2, 3):
-                connection = gateway.connect(uid, fresh=True)
+                connection = gateway.connect(uid)
                 with pytest.raises(PolicyViolation):  # fact-free: a Block template
                     connection.query("SELECT * FROM Events WHERE EId = 999")
                 connection.query("SELECT EId FROM Attendance WHERE UId = ?", [uid])
@@ -245,7 +244,7 @@ class TestCompiledEpochIsolation:
             )
             # The v1 allow template must not answer under v2.
             with pytest.raises(PolicyViolation):
-                gateway.connect(3, fresh=True).query(
+                gateway.connect(3).query(
                     "SELECT Name FROM Users WHERE UId = 3"
                 )
         finally:
@@ -261,7 +260,7 @@ class TestCompiledEpochIsolation:
             assert gateway.snapshot().counters["compiled_blocks"] >= 1
             hot_reload(gateway, app.ground_truth_policy(), version=2)
             # The v1 Block template is gone; v2's full check allows.
-            rows = gateway.connect(3, fresh=True).query(
+            rows = gateway.connect(3).query(
                 "SELECT Name FROM Users WHERE UId = 3"
             )
             assert rows is not None
@@ -281,10 +280,10 @@ class TestCompiledEpochIsolation:
             )
             assert (report.templates_carried, report.templates_dropped) == (1, 1)
             full_checks = gateway.snapshot().counters["compile_misses"]
-            gateway.connect(3, fresh=True).query("SELECT EId FROM Attendance WHERE UId = 3")
+            gateway.connect(3).query("SELECT EId FROM Attendance WHERE UId = 3")
             assert gateway.snapshot().counters["compile_misses"] == full_checks
             with pytest.raises(PolicyViolation):  # no Attendance fact for V4 either
-                gateway.connect(4, fresh=True).query("SELECT Name FROM Users WHERE UId = 4")
+                gateway.connect(4).query("SELECT Name FROM Users WHERE UId = 4")
         finally:
             gateway.close()
 
@@ -295,14 +294,14 @@ class TestCompiledEpochIsolation:
         try:
             gateway.connect(2).query("SELECT EId FROM Attendance WHERE UId = 2")
             with pytest.raises(PolicyViolation):  # fact-free: a Block template
-                gateway.connect(4, fresh=True).query("SELECT Name FROM Users WHERE UId = 4")
+                gateway.connect(4).query("SELECT Name FROM Users WHERE UId = 4")
             allows = {t for t in _templates(gateway.shared_cache) if t[0].allowed}
             assert len(allows) == 1 and gateway.shared_cache.size == 2
             report = hot_reload(gateway, app.ground_truth_policy(), version=2)
             assert (report.templates_carried, report.templates_dropped) == (1, 1)
             assert _templates(gateway.shared_cache) == allows
             full_checks = gateway.snapshot().counters["compile_misses"]
-            fresh = gateway.connect(3, fresh=True)
+            fresh = gateway.connect(3)
             fresh.query("SELECT EId FROM Attendance WHERE UId = 3")
             assert gateway.snapshot().counters["compile_misses"] == full_checks
             assert len(fresh.query("SELECT Name FROM Users WHERE UId = 3")) == 1
@@ -324,7 +323,7 @@ class TestCompiledEpochIsolation:
             gateway = EnforcementGateway(db, truth, GatewayConfig())
             try:
                 with pytest.raises(PolicyViolation):
-                    gateway.connect(2, fresh=True).query(
+                    gateway.connect(2).query(
                         "SELECT Name FROM Users WHERE UId = 3"
                     )
                 (block,) = gateway.shared_cache.iter_templates()
@@ -373,7 +372,7 @@ class TestLifecycleManager:
         manager.reload(reduced_policy(app.ground_truth_policy()))
         gateway.connect(1).query("SELECT EId FROM Attendance WHERE UId = 1")
         with pytest.raises(PolicyViolation):  # V2 is gone: a Block template
-            gateway.connect(3, fresh=True).query("SELECT * FROM Events WHERE EId = 2")
+            gateway.connect(3).query("SELECT * FROM Events WHERE EId = 2")
         learned = _templates(gateway.shared_cache)
         allows = {t for t in learned if t[0].allowed}
         assert len(allows) == 1 and len(learned) == 2

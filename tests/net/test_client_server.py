@@ -10,10 +10,12 @@ the blocking server and pin it unchanged.
 
 from __future__ import annotations
 
+import gc
 import socket
 import struct
 import threading
 import time
+import weakref
 
 import pytest
 
@@ -71,14 +73,34 @@ class TestEndToEnd:
         connection.close()
         fresh.close()
 
-    def test_reconnecting_resumes_the_session_trace(self, server):
+    def test_reconnecting_starts_an_empty_trace(self, server):
         first = connect(server)
         first.query("SELECT 1 FROM Attendance WHERE UId = 1 AND EId = 2")
+        assert not first.query("SELECT * FROM Events WHERE EId = 2").is_empty()
         first.close()
-        # Same principal, new wire connection: the trace carries over.
+        # Same principal, new wire connection: a new session, whose empty
+        # trace cannot justify Q2.
         second = connect(server)
-        assert not second.query("SELECT * FROM Events WHERE EId = 2").is_empty()
+        with pytest.raises(PolicyViolation):
+            second.query("SELECT * FROM Events WHERE EId = 2")
         second.close()
+
+    def test_nothing_outlives_its_connection(self, server):
+        """A closed wire connection's gateway session is garbage: the
+        server keeps no session past the connection that opened it."""
+        sessions = []
+        for uid in range(1, 9):
+            connection = connect(server, user=uid)
+            connection.query("SELECT EId FROM Attendance WHERE UId = ?", [uid])
+            (conn,) = server.server._connections
+            sessions.append(weakref.ref(conn.session))
+            thread = conn.thread
+            connection.close()
+            thread.join(timeout=5.0)
+            assert not thread.is_alive()
+        del conn
+        gc.collect()
+        assert [ref for ref in sessions if ref() is not None] == []
 
     def test_writes_return_rowcounts_and_invalidate(self, server):
         connection = connect(server)

@@ -71,7 +71,7 @@ class TestPipelineOrdering:
         """Example 2.1 inside one pipeline: the attendance probe is frame 1
         and the Events query frame 2 — history must admit frame 2 because
         the server dispatches strictly in arrival order."""
-        connection = connect(server, fresh=True)
+        connection = connect(server)
         outcomes = connection.pipeline(
             [
                 ("SELECT 1 FROM Attendance WHERE UId = ? AND EId = ?", [1, 2]),
@@ -83,7 +83,7 @@ class TestPipelineOrdering:
         connection.close()
 
     def test_blocked_request_does_not_poison_the_pipeline(self, server):
-        connection = connect(server, fresh=True)
+        connection = connect(server)
         outcomes = connection.pipeline(
             [
                 # An empty probe certifies nothing that could admit request 2.

@@ -70,7 +70,7 @@ class TestPrepareExecute:
     def test_execute_feeds_trace_history_like_query(self, server):
         """Example 2.1 through the prepared path: the attendance probe via
         EXECUTE must certify the fact that later admits the Events query."""
-        connection = connect(server, fresh=True)
+        connection = connect(server)
         probe = connection.prepare(
             "SELECT 1 FROM Attendance WHERE UId = ? AND EId = ?"
         )
@@ -79,7 +79,7 @@ class TestPrepareExecute:
         connection.close()
 
     def test_blocked_execute_raises_policy_violation(self, server):
-        connection = connect(server, fresh=True)
+        connection = connect(server)
         prepared = connection.prepare("SELECT * FROM Events WHERE EId = ?")
         with pytest.raises(PolicyViolation) as excinfo:
             connection.execute(prepared, [2])
@@ -149,7 +149,7 @@ class TestHandleHygiene:
     def test_handles_are_per_connection(self, server):
         first = connect(server)
         prepared = first.prepare("SELECT EId FROM Attendance WHERE UId = ?")
-        second = connect(server, user=2, fresh=True)
+        second = connect(server, user=2)
         protocol.write_frame(
             second._sock,
             {

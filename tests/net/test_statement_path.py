@@ -11,8 +11,8 @@
 * **An admin verb's deadline** works the same way — one ``ERROR/timeout``
   and a close — and the verb itself still runs to completion. (The
   asyncio server answered the error and kept the operator's connection.)
-* **Session serialisation** lives on the session: connections resuming
-  one principal take turns, ``fresh=True`` sessions do not.
+* **A connection is a session**: two connections of one principal share
+  nothing, so neither waits for the other.
 * **Bounded work** — racing connection threads never overshoot
   ``max_in_flight``; ``max_connections`` connections are served, the
   next is refused, and every connection's thread ends with it.
@@ -165,9 +165,9 @@ def replay(mode: str) -> tuple[list[tuple], list[tuple], list[tuple]]:
         for index, script in enumerate(stream):
             user = script[1][1][0]
             if in_process:
-                connection = gateway.connect(user, fresh=True)
+                connection = gateway.connect(user)
             else:
-                connection = connect(bg, user=user, fresh=True)
+                connection = connect(bg, user=user)
             outcomes += run_session(
                 mode, connection, script, write=index == WRITE_AFTER_SESSION
             )
@@ -234,15 +234,22 @@ class TestDeadlineInsideAPipelinedRun:
 
     def test_an_overrun_costs_one_timeout_after_the_owed_replies(self):
         gateway = make_gateway()
-        session = gateway.connect(1)  # the session the wire HELLO resumes
-        plain_query = session.query
+        plain_connect = gateway.connect
 
-        def query(sql, args=(), named=None):
-            if list(args) == [3]:
-                time.sleep(0.8)  # the third statement overruns the deadline
-            return plain_query(sql, args, named)
+        def connect_slowly(*args, **kwargs):
+            """The session the wire HELLO opens, with a slow third query."""
+            session = plain_connect(*args, **kwargs)
+            plain_query = session.query
 
-        session.query = query
+            def query(sql, args=(), named=None):
+                if list(args) == [3]:
+                    time.sleep(0.8)  # the third statement overruns the deadline
+                return plain_query(sql, args, named)
+
+            session.query = query
+            return session
+
+        gateway.connect = connect_slowly
         config = ServerConfig(port=0, request_timeout_s=0.25)
         with BackgroundServer(gateway, config) as bg:
             connection = connect(bg)
@@ -305,12 +312,12 @@ class TestAdminVerbDeadline:
         assert gateway.policy_version == before + 1
 
 
-def second_finishes_after_first(bg: BackgroundServer, fresh: bool) -> float:
+def second_finishes_after_first(bg: BackgroundServer) -> float:
     """Two connections of principal 1 each run one statement, the second
     sent 0.05 s after the first; returns how long after the first's reply
     the second's arrived."""
-    first = connect(bg, fresh=fresh)
-    second = connect(bg, fresh=fresh)
+    first = connect(bg)
+    second = connect(bg)
     finished: dict[str, float] = {}
 
     def run(name: str, connection: NetClientConnection) -> None:
@@ -333,20 +340,13 @@ def second_finishes_after_first(bg: BackgroundServer, fresh: bool) -> float:
 
 
 class TestSessionSerialisation:
-    DELAY_S = 0.4  # held inside the session lock by execute_delay_s
-
-    def test_connections_resuming_one_session_take_turns(self):
-        config = ServerConfig(port=0, execute_delay_s=self.DELAY_S)
-        with BackgroundServer(make_gateway(), config) as bg:
-            # The second statement waits out the first's whole delay, then
-            # serves its own: it finishes a full delay later.
-            assert second_finishes_after_first(bg, fresh=False) > self.DELAY_S / 2
+    DELAY_S = 0.4  # held in each statement's admitted slot by execute_delay_s
 
     def test_fresh_sessions_of_one_principal_do_not_wait(self):
         config = ServerConfig(port=0, execute_delay_s=self.DELAY_S)
         with BackgroundServer(make_gateway(), config) as bg:
             # They share no state, so they overlap: 0.05 s apart, as sent.
-            assert second_finishes_after_first(bg, fresh=True) < self.DELAY_S / 2
+            assert second_finishes_after_first(bg) < self.DELAY_S / 2
 
 
 class TestAdmissionUnderContention:
@@ -374,7 +374,7 @@ class TestAdmissionUnderContention:
                 outcomes: list[str] = []
 
                 def hammer(user: int) -> None:
-                    connection = connect(bg, user=user, fresh=True)
+                    connection = connect(bg, user=user)
                     for _ in range(each):
                         try:
                             connection.query(MINE, [user])
@@ -411,7 +411,7 @@ class TestConnectionBound:
         with BackgroundServer(make_gateway(), config) as bg:
             baseline = threading.active_count()  # accept + housekeeping included
             metrics = bg.server.metrics
-            connections = [connect(bg, user=1 + i, fresh=True) for i in range(bound)]
+            connections = [connect(bg, user=1 + i) for i in range(bound)]
             assert threading.active_count() == baseline + bound
             for connection in connections:  # idle, open, and still served
                 assert connection.ping() < 5.0

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -56,13 +58,14 @@ class TestConnectionProtocol:
 
 
 class TestSessions:
-    def test_connect_normalizes_and_memoizes(self, calendar_gateway):
+    def test_connect_normalizes_and_opens_a_new_session(self, calendar_gateway):
         by_id = calendar_gateway.connect(1)
         by_mapping = calendar_gateway.connect({"MyUId": 1})
         by_session = calendar_gateway.connect(Session.for_user(1))
-        assert by_id is by_mapping is by_session
-        assert calendar_gateway.connect(2) is not by_id
-        assert calendar_gateway.metrics.counter("sessions_opened") == 2
+        assert by_id.session.bindings == by_mapping.session.bindings == {"MyUId": 1}
+        assert by_session.session.bindings == {"MyUId": 1}
+        assert len({id(by_id), id(by_mapping), id(by_session)}) == 3
+        assert calendar_gateway.metrics.counter("sessions_opened") == 3
 
     def test_fresh_session_has_empty_trace(self, calendar_gateway):
         returning = calendar_gateway.connect(1)
@@ -73,25 +76,34 @@ class TestSessions:
         assert fresh is not returning
 
     def test_closing_a_session_frees_its_principal(self, calendar_gateway):
-        """A closed session leaves the table; the principal's next connect
-        is a new session that re-derives its history, never inherits it."""
+        """Closing a session refuses its further statements; the
+        principal's next connect is a new session that re-derives its
+        history, never inherits it."""
         first = calendar_gateway.connect(1)
         first.query("SELECT EId FROM Attendance WHERE UId = 1")
         first.close()
-        assert calendar_gateway.connections() == []
+        with pytest.raises(Exception, match="closed"):
+            first.sql("SELECT EId FROM Attendance WHERE UId = 1")
         again = calendar_gateway.connect(1)
         assert again is not first
         assert len(again.trace) == 0
         assert len(again.query("SELECT EId FROM Attendance WHERE UId = 1")) > 0
-        # A fresh=True session was never stored: closing it leaves the
-        # stored one in place.
-        calendar_gateway.connect(1, fresh=True).close()
-        assert calendar_gateway.connect(1) is again
-        other = calendar_gateway.connect(2)
-        calendar_gateway.close()
-        assert calendar_gateway.connections() == []
-        with pytest.raises(Exception, match="closed"):
-            other.sql("SELECT EId FROM Attendance WHERE UId = 2")
+        assert len(again.trace) == 1
+
+    def test_nothing_outlives_its_request(self, calendar_db, calendar_policy):
+        """The gateway keeps no session: once a request drops its
+        connection, the connection and its trace are garbage."""
+        gateway = EnforcementGateway(calendar_db, calendar_policy)
+        statement = "SELECT EId FROM Attendance WHERE UId = ?"
+        sessions = []
+        for uid in range(1000):
+            connection = gateway.connect(uid)
+            connection.query(statement, [uid])
+            sessions.append(weakref.ref(connection))
+        del connection
+        gc.collect()
+        assert [ref for ref in sessions if ref() is not None] == []
+        assert gateway.metrics.counter("sessions_opened") == 1000
 
     def test_example_2_1_triple_through_the_gateway(self, calendar_policy):
         """Q1 allowed; Q2 allowed with history, blocked in a fresh session."""
@@ -107,7 +119,7 @@ class TestSessions:
         q2 = connection.query("SELECT * FROM Events WHERE EId = 2")
         assert not q2.is_empty()
         with pytest.raises(PolicyViolation):
-            gateway.connect(1, fresh=True).query("SELECT * FROM Events WHERE EId = 2")
+            gateway.connect(1).query("SELECT * FROM Events WHERE EId = 2")
         assert gateway.metrics.counter("cache_disagreements") == 0
 
 
@@ -191,7 +203,7 @@ class TestOneStore:
         for script in make_stream(gateway.db):
             user = script[1][1][0]
             connection = (
-                gateway.connect(user, fresh=True)
+                gateway.connect(user)
                 if config is not None
                 else EnforcementProxy(gateway.db, gateway.policy, Session.for_user(user))
             )
@@ -252,82 +264,50 @@ class TestProxyConfigCompat:
             calendar_db,
             calendar_policy,
             Session.for_user(1),
-            ProxyConfig(history_enabled=False, record_decisions=True),
+            ProxyConfig(history_enabled=False),
         )
         assert not configured.checker.history_enabled
-        assert configured.config.record_decisions is True
         assert configured.config.cache is None
-
-    def test_decision_log_is_a_capped_ring_buffer(self, calendar_db, calendar_policy):
-        proxy = EnforcementProxy(
-            calendar_db,
-            calendar_policy,
-            Session.for_user(1),
-            ProxyConfig(record_decisions=True, decision_log_cap=5),
-        )
-        for _ in range(12):
-            proxy.query("SELECT EId FROM Attendance WHERE UId = 1")
-        assert len(proxy.stats.decisions) == 5
-        assert proxy.stats.allowed == 12
-        newest = proxy.stats.decisions[-1]
-        assert newest.allowed
-
-    def test_ring_overflow_counts_as_audit_dropped(
-        self, calendar_db, calendar_policy
-    ):
-        """Clipping the decision log is never silent: the evictions show
-        up per-proxy and in the gateway-wide snapshot counter."""
-        proxy = EnforcementProxy(
-            calendar_db,
-            calendar_policy,
-            Session.for_user(1),
-            ProxyConfig(record_decisions=True, decision_log_cap=5),
-        )
-        for _ in range(12):
-            proxy.query("SELECT EId FROM Attendance WHERE UId = 1")
-        assert proxy.stats.audit_dropped == 7
-
-        gateway = EnforcementGateway(
-            calendar_db,
-            calendar_policy,
-            GatewayConfig(record_decisions=True, decision_log_cap=3),
-        )
-        try:
-            connection = gateway.connect(1)
-            for eid in range(1, 11):
-                connection.query(
-                    f"SELECT 1 FROM Attendance WHERE UId = 1 AND EId = {eid}"
-                )
-            assert gateway.snapshot().counters["audit_dropped"] == 7
-        finally:
-            gateway.close()
-
+        for gone in ("record_decisions", "decision_log_cap"):
+            with pytest.raises(TypeError, match=gone):
+                ProxyConfig(**{gone: None})
+        for gone in ("history_enabled", "record_decisions", "decision_log_cap"):
+            with pytest.raises(TypeError, match=gone):
+                GatewayConfig(**{gone: None})
 
     def test_audit_dropped_counts_fresh_sessions_and_never_runs_backwards(
         self, calendar_db, calendar_policy
     ):
-        """A drop is counted when the ring evicts: a ``fresh=True``
-        session's drops show, and a closed session's stay."""
-        gateway = EnforcementGateway(
-            calendar_db,
-            calendar_policy,
-            GatewayConfig(record_decisions=True, decision_log_cap=2),
-        )
+        """``audit_dropped`` is always present, and counts the audit
+        stream's drops from every session, closed ones included."""
+        from repro.mining import AuditStream
+
+        gateway = EnforcementGateway(calendar_db, calendar_policy)
         statement = "SELECT EId FROM Attendance WHERE UId = 1"
         try:
-            fresh = gateway.connect(1, fresh=True)
-            for _ in range(5):
-                fresh.query(statement)
-            assert fresh.stats.audit_dropped == 3
-            assert gateway.snapshot().counters["audit_dropped"] == 3
-            stored = gateway.connect(1)
-            for _ in range(5):
-                stored.query(statement)
-            assert gateway.snapshot().counters["audit_dropped"] == 6
-            stored.close()
-            assert gateway.snapshot().counters["audit_dropped"] == 6
+            assert gateway.snapshot().counters["audit_dropped"] == 0
+            stream = AuditStream()
+            gateway.decision_audit = stream
+            stream.subscribe(cap=2)
+            dropped = []
+            for _ in range(2):
+                session = gateway.connect(1)
+                for _ in range(3):
+                    session.query(statement)
+                session.close()
+                dropped.append(gateway.snapshot().counters["audit_dropped"])
+            assert dropped == [1, 4]
         finally:
             gateway.close()
+
+    def test_last_decision_is_the_last_outcome(self, calendar_db, calendar_policy):
+        proxy = EnforcementProxy(calendar_db, calendar_policy, Session.for_user(1))
+        assert proxy.last_decision is None
+        proxy.query("SELECT EId FROM Attendance WHERE UId = 1")
+        assert proxy.last_decision.allowed
+        with pytest.raises(PolicyViolation) as blocked:
+            proxy.query("SELECT * FROM Events WHERE EId = 99")
+        assert proxy.last_decision is blocked.value.decision
 
 
 class TestCompiledGateway:
@@ -343,7 +323,7 @@ class TestCompiledGateway:
         try:
             # Blocks first: a certified Attendance fact would leave the
             # Block's guard.
-            connection = gateway.connect(1, fresh=True)
+            connection = gateway.connect(1)
             for sql in (self.BLOCKED, self.BLOCKED):
                 with pytest.raises(PolicyViolation):
                     connection.query(sql)
@@ -372,7 +352,7 @@ class TestCompiledGateway:
             calendar_db, calendar_policy, GatewayConfig(verify_cached_decisions=True)
         )
         try:
-            learner, connection = gateway.connect(1, fresh=True), gateway.connect(1)
+            learner, connection = gateway.connect(1), gateway.connect(1)
             with pytest.raises(PolicyViolation):
                 learner.query(self.BLOCKED)
             learner.query(self.ALLOWED)
@@ -407,13 +387,14 @@ class TestCompiledGateway:
             ProxyConfig(cache=DecisionCache(calendar_policy)),
         )
         try:
-            for connection in (gateway.connect(1), proxy):
+            session = gateway.connect(1)
+            for connection in (session, proxy):
                 for _ in range(2):
                     with pytest.raises(PolicyViolation):
                         connection.query(self.BLOCKED)
                 for _ in range(2):
                     assert connection.query(self.ALLOWED) is not None
             assert proxy.stats.cache_hits == 1  # a bare proxy stores no Block
-            assert gateway.connect(1).stats.cache_hits == 2
+            assert session.stats.cache_hits == 2
         finally:
             gateway.close()

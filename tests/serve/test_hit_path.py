@@ -82,12 +82,12 @@ class TestSecondExecutionOfAShape:
 
         # First executions: parse, plan, miss, full check, learn templates
         # (the event lookup's is history-dependent: Example 2.1).
-        first = gateway.connect(2, fresh=True)
+        first = gateway.connect(2)
         event = attended_event(gateway, 2)
         script = [(MINE, [2]), (PROBE, [2, event]), (EVENT, [event]), (JOINED, [2])]
         for sql, args in script:
             run(first, sql, args)
-        other = gateway.connect(3, fresh=True)
+        other = gateway.connect(3)
         other_event = attended_event(gateway, 3)
         counter = gateway.metrics.counter
         before = counter("cache_hits"), counter("cache_misses")
@@ -166,12 +166,12 @@ class TestOneProbePerStatement:
 
         monkeypatch.setattr(DecisionCache, "lookup", counted_lookup)
         # A never-seen statement: one probe, one full check.
-        gateway.connect(1, fresh=True).sql(MINE, [1])
+        gateway.connect(1).sql(MINE, [1])
         assert len(probes) == 1
         counters = gateway.snapshot().counters
         assert (counters["batch_checks"], counters["compile_misses"]) == (1, 1)
         # A fact-free Block, twice: the second is the probe's answer alone.
-        connection = gateway.connect(2, fresh=True)
+        connection = gateway.connect(2)
         attended = {row[0] for row in gateway.db.query(MINE, [2]).rows}
         events = sorted(row[0] for row in gateway.db.query("SELECT EId FROM Events").rows)
         unattended = next(eid for eid in events if eid not in attended)
@@ -224,7 +224,7 @@ class TestGroupedTwinIsDecidedOnItsOwn:
             statements,
         )
         assert sorted(reference[:2]) == [False, True]  # grouped: outside the fragment
-        assert verdicts(lambda: gateway.connect(1, fresh=True), statements) == reference
+        assert verdicts(lambda: gateway.connect(1), statements) == reference
         gateway.close()
 
 
@@ -240,7 +240,7 @@ class TestNoCheckerPerSession:
             plain_init(self, *args, **kwargs)
 
         monkeypatch.setattr(ComplianceChecker, "__init__", counted_init)
-        connection = gateway.connect(1, fresh=True)
+        connection = gateway.connect(1)
         connection.sql(MINE, [1])
         connection.sql(EVENT, [attended_event(gateway, 1)])
         assert built == []
@@ -277,7 +277,7 @@ class TestPlanTableIsBounded:
 
 
 def replay_texts(gateway, texts) -> list[bool]:
-    connection = gateway.connect(1, fresh=True)
+    connection = gateway.connect(1)
     outcome = []
     for sql in texts:
         try:

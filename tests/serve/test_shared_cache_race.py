@@ -38,10 +38,11 @@ class TestInvalidationRace:
         start = threading.Barrier(READERS + 1)
         errors: list[BaseException] = []
         attended = gateway.db.query("SELECT UId, EId FROM Attendance").rows
+        readers = {}
 
         def reader(uid: int) -> None:
             try:
-                connection = gateway.connect(uid)
+                connection = readers[uid] = gateway.connect(uid)
                 start.wait()
                 for _ in range(ROUNDS):
                     connection.query(MINE, [uid])
@@ -79,7 +80,7 @@ class TestInvalidationRace:
         # good, and one more write deletes rows reader 1 certifies again.
         # Each reader's next statement sweeps; after it, no trace holds a
         # fact the database contradicts.
-        first, writer_session = gateway.connect(1), gateway.connect(READERS + 1)
+        first, writer_session = readers[1], gateway.connect(READERS + 1)
         for row in attended:
             if row[0] == 1:
                 writer_session.sql("INSERT INTO Attendance VALUES (?, ?)", row)
@@ -87,8 +88,7 @@ class TestInvalidationRace:
         assert certified > 0
         retired = gateway.snapshot().counters["facts_retired"]
         writer_session.sql("DELETE FROM Attendance WHERE UId = ?", [1])
-        for uid in range(1, READERS + 1):
-            connection = gateway.connect(uid)
+        for uid, connection in readers.items():
             assert connection.query(MINE, [uid]).is_empty()
             assert not contradicted_facts(connection.trace.facts, gateway.db)
         assert gateway.snapshot().counters["facts_retired"] >= retired + certified

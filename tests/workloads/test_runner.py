@@ -27,30 +27,22 @@ class TestConnectionModes:
         with pytest.raises(ValueError):
             AppRunner(app, db, mode="proxy")
 
-    def test_proxy_reused_per_session(self, setup):
-        app, db = setup
-        runner = AppRunner(
-            app, db, mode="proxy", policy=app.ground_truth_policy()
-        )
-        first = runner.connection_for({"user_id": 1})
-        second = runner.connection_for({"user_id": 1})
-        other = runner.connection_for({"user_id": 2})
-        assert first is second
-        assert first is not other
-        assert len(runner.proxies()) == 2
-
     def test_fresh_session_per_request(self, setup):
+        """Every request gets its own session, in proxy and gateway mode."""
+        from repro.serve import EnforcementGateway
+
         app, db = setup
-        runner = AppRunner(
-            app,
-            db,
-            mode="proxy",
-            policy=app.ground_truth_policy(),
-            fresh_session_per_request=True,
-        )
-        first = runner.connection_for({"user_id": 1})
-        second = runner.connection_for({"user_id": 1})
-        assert first is not second
+        policy = app.ground_truth_policy()
+        for runner in (
+            AppRunner(app, db, mode="proxy", policy=policy),
+            AppRunner(app, db, mode="gateway", gateway=EnforcementGateway(db, policy)),
+        ):
+            first = runner.connection_for({"user_id": 1})
+            second = runner.connection_for({"user_id": 1})
+            assert first is not second
+            assert first.session.bindings == second.session.bindings == {"MyUId": 1}
+        with pytest.raises(TypeError, match="fresh_session_per_request"):
+            AppRunner(app, db, fresh_session_per_request=True)
 
     def test_history_disabled_propagates(self, setup):
         app, db = setup
