@@ -8,8 +8,6 @@ allows).
 
 import random
 
-import pytest
-
 from repro.bench.harness import print_table
 from repro.enforce import DecisionCache, EnforcementProxy, PolicyViolation, Session
 from repro.sqlir.params import bind_parameters

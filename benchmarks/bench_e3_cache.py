@@ -6,6 +6,7 @@ query templates are all seen; decision latency drops correspondingly.
 """
 
 import contextlib
+import gc
 import random
 
 from repro.bench.harness import print_figure_series
@@ -28,20 +29,27 @@ def cache_series():
     mean_check_us = []
     served = total_checks = 0
     total_seconds = 0.0
-    for checkpoint in CHECKPOINTS:
-        # Each request's proxy is its own session: sum their stats as the
-        # batch runs.
-        for request in requests[served:checkpoint]:
-            proxy = runner.connection_for(request.session)
-            with contextlib.suppress(PolicyViolation):
-                run_handler(
-                    app.handlers[request.handler], proxy, request.params, request.session
-                )
-            total_checks += proxy.stats.allowed + proxy.stats.blocked
-            total_seconds += proxy.stats.check_seconds
-        served = checkpoint
-        hit_rates.append(round(cache.hit_rate, 3))
-        mean_check_us.append(round(total_seconds / max(total_checks, 1) * 1e6, 1))
+    # Collect what earlier benchmarks left and freeze the survivors, so a
+    # full collection does not land inside a timed decision.
+    gc.collect()
+    gc.freeze()
+    try:
+        for checkpoint in CHECKPOINTS:
+            # Each request's proxy is its own session: sum their stats as
+            # the batch runs.
+            for request in requests[served:checkpoint]:
+                proxy = runner.connection_for(request.session)
+                with contextlib.suppress(PolicyViolation):
+                    run_handler(
+                        app.handlers[request.handler], proxy, request.params, request.session
+                    )
+                total_checks += proxy.stats.allowed + proxy.stats.blocked
+                total_seconds += proxy.stats.check_seconds
+            served = checkpoint
+            hit_rates.append(round(cache.hit_rate, 3))
+            mean_check_us.append(round(total_seconds / max(total_checks, 1) * 1e6, 1))
+    finally:
+        gc.unfreeze()
     return hit_rates, mean_check_us
 
 

@@ -18,8 +18,6 @@ from repro.relalg.translate import translate_select
 from repro.sqlir.parser import parse_select
 from repro.workloads import calendar_app, employees, hospital
 
-from conftest import fresh_app
-
 HOSPITAL_TGD = TGD(
     body=(Atom("PatientConditions", (Var("p"), Var("d"))),),
     head=(

@@ -14,7 +14,7 @@ from repro.diagnose import diagnose
 from repro.policy import Policy
 from repro.sqlir.params import bind_parameters
 from repro.sqlir.parser import parse_select
-from repro.workloads import calendar_app, employees, social
+from repro.workloads import employees, social
 
 from conftest import fresh_app
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 
 from repro.relalg.constraints import const_cmp
-from repro.relalg.cq import CQ, UCQ, Atom, Comp, Const, Param, Term, Var
+from repro.relalg.cq import CQ, UCQ, Atom, Comp, Const, Term, Var
 
 Instance = dict[str, set[tuple]]
 

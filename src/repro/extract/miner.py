@@ -30,7 +30,6 @@ so experiment E6 can ablate each.
 
 from __future__ import annotations
 
-import random
 from collections.abc import Sequence
 from typing import TYPE_CHECKING
 from dataclasses import dataclass, field
@@ -47,7 +46,6 @@ from repro.relalg.rewrite import ViewDef, find_equivalent_rewriting
 from repro.relalg.translate import translate_select
 from repro.sqlir import ast
 from repro.sqlir.params import bind_parameters
-from repro.sqlir.parser import parse_sql
 from repro.sqlir.skeleton import Skeleton, skeletonize
 from repro.util.errors import DbacError, EngineError, TranslationError
 from repro.extract.handlers import run_handler

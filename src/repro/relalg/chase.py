@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.relalg.cq import CQ, Atom, Comp, Term, Var, fresh_var_factory
+from repro.relalg.cq import CQ, Atom, Term, Var, fresh_var_factory
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from repro.relalg.cq import Comp, Const, Param, Term, Var
+from repro.relalg.cq import Comp, Const, Param, Term
 
 _NUMERIC = (int, float)
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from repro.relalg import memo
 from repro.relalg.constraints import ConstraintSet
-from repro.relalg.cq import CQ, UCQ, Atom, Comp, Const, Param, Term, Var
+from repro.relalg.cq import CQ, UCQ, Atom, Comp, Term, Var
 
 
 def cq_contained_in(q1: CQ, q2: CQ) -> bool:

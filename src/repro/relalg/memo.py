@@ -1,15 +1,9 @@
-"""Memoization for the rewriting/containment core.
+"""Memoization for the containment core.
 
-The compliance checker's miss path re-derives the same intermediate
-results over and over: the containment test is run twice per rewriting
-candidate (equivalence = mutual containment), and the per-view partial
-homomorphisms (:func:`~repro.relalg.rewrite._view_descriptors`) are
-recomputed for every ``enumerate_rewritings`` call even when the query
-shape was seen moments ago — blocked queries in particular repeat their
-full checker run on every request, because block decisions are never
-cached as decision templates.
-
-This module provides the two ingredients the memoized core needs:
+The compliance checker's miss path validates each rewriting candidate
+by equivalence, i.e. two containment tests, and the same pair of query
+shapes can recur across candidates and statements. This module provides
+the two ingredients that memoize those tests:
 
 * **Canonicalization** — :func:`canonical_form` renames a CQ's variables
   to position-stable names (``~0``, ``~1``, ...) in order of first
@@ -17,23 +11,26 @@ This module provides the two ingredients the memoized core needs:
   fields. Alpha-equivalent queries (same shape, same constants, different
   variable names — e.g. the same SQL translated in two sessions) share
   one canonical form, so they share cache entries. Constants are *not*
-  abstracted: containment and descriptor enumeration genuinely depend on
-  them (the constraint closure compares them against view constants).
+  abstracted: containment genuinely depends on them.
 
-* **Bounded LRU memos** — :class:`LRUMemo` is a thread-safe
+* **A bounded LRU memo** — :class:`LRUMemo` is a thread-safe
   least-recently-used map with hit/miss/eviction counters, sized so a
-  long-lived gateway cannot grow without bound. The shared instances
-  (:data:`CONTAINMENT_MEMO`, :data:`DESCRIPTOR_MEMO`,
-  :data:`ANALYSIS_MEMO`) are process-global: every session of a gateway
-  amortizes across all queries it sees.
+  long-lived gateway cannot grow without bound. The one shared instance,
+  :data:`CONTAINMENT_MEMO`, is process-global: every session of a
+  gateway amortizes across all queries it sees.
 
-Memoization is soundness-neutral by construction: a memo key captures
-*every* input the memoized computation reads (the canonical query, and
-for descriptors the view's name and instantiated definition), so a hit
-replays a value the seed code would have recomputed identically.
-``set_memoization(False)`` restores the seed computation path exactly —
-``tests/relalg/test_memo.py`` uses this for its memoized-vs-seed
+Memoization is soundness-neutral by construction: the key is the pair
+of canonical queries, every input ``cq_contained_in`` reads, so a hit
+replays a value the unmemoized code would have recomputed identically.
+``set_memoization(False)`` restores that computation path exactly —
+``tests/relalg/test_memo.py`` uses this for its memoized-vs-unmemoized
 agreement checks, and the benchmark's reference for its judgements.
+
+The rewriting search itself (per-view descriptors, the per-query
+constraint closure) is not memoized: a query checked in full is one no
+decision template answered, and such a query rarely recurs, so memos of
+the search recorded no hits on any in-process benchmark stream
+(EXPERIMENTS.md E39).
 """
 
 from __future__ import annotations
@@ -115,14 +112,6 @@ class LRUMemo:
 
 #: ``cq_contained_in`` results keyed by (canonical q1, canonical q2).
 CONTAINMENT_MEMO = LRUMemo("containment", maxsize=8192)
-#: Per-view descriptor lists keyed by (canonical query, view name, view CQ).
-DESCRIPTOR_MEMO = LRUMemo("descriptors", maxsize=4096)
-#: Per-query analysis (constraint closure + needed variables) keyed by the
-#: query CQ itself — *not* canonicalized, because the cached ConstraintSet
-#: lives in the caller's variable space.
-ANALYSIS_MEMO = LRUMemo("analysis", maxsize=2048)
-
-_ALL_MEMOS = (CONTAINMENT_MEMO, DESCRIPTOR_MEMO, ANALYSIS_MEMO)
 
 _enabled = True
 
@@ -132,11 +121,11 @@ def memoization_enabled() -> bool:
 
 
 def set_memoization(enabled: bool) -> bool:
-    """Enable/disable the memoized paths; returns the previous setting.
+    """Enable/disable the memoized path; returns the previous setting.
 
-    With memoization off, ``cq_contained_in`` and ``enumerate_rewritings``
-    run the seed computation verbatim (no canonicalization, no caching) —
-    the reference behavior ``tests/relalg/test_memo.py`` compares against.
+    With memoization off, ``cq_contained_in`` runs unmemoized (no
+    canonicalization, no caching) — the reference behavior
+    ``tests/relalg/test_memo.py`` compares against.
     """
     global _enabled
     previous = _enabled
@@ -145,22 +134,17 @@ def set_memoization(enabled: bool) -> bool:
 
 
 def clear_memos() -> None:
-    for memo in _ALL_MEMOS:
-        memo.clear()
+    CONTAINMENT_MEMO.clear()
 
 
 def reset_memo_stats() -> None:
-    for memo in _ALL_MEMOS:
-        memo.reset_stats()
+    CONTAINMENT_MEMO.reset_stats()
 
 
 def memo_stats() -> dict[str, int]:
     """Flat counter dict suitable for merging into gateway metrics."""
-    flat: dict[str, int] = {}
-    for memo in _ALL_MEMOS:
-        for key, value in memo.stats().items():
-            flat[f"{memo.name}_{key}"] = value
-    return flat
+    memo = CONTAINMENT_MEMO
+    return {f"{memo.name}_{key}": value for key, value in memo.stats().items()}
 
 
 # --------------------------------------------------------------------------
@@ -175,8 +159,7 @@ def canonical_form(cq: CQ) -> tuple[CQ, dict[Var, Var]]:
     occurrence (head, then body atoms, then comparisons); ``name`` and
     ``head_names`` are stripped, since no memoized computation reads
     them. The inverse map sends canonical variables back to the
-    originals, so cached values expressed over canonical variables can be
-    translated into the caller's variable space.
+    originals.
     """
     mapping: dict[Var, Var] = {}
 

@@ -12,7 +12,7 @@ become WHERE equalities; comparison constraints render directly.
 
 from __future__ import annotations
 
-from repro.relalg.cq import CQ, Comp, Const, Param, Term, Var
+from repro.relalg.cq import CQ, Const, Param, Term, Var
 from repro.sqlir import ast
 from repro.relalg.translate import SchemaInfo
 from repro.util.errors import DbacError

@@ -39,7 +39,6 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
-from repro.relalg import memo
 from repro.relalg.constraints import ConstraintSet
 from repro.relalg.cq import CQ, Atom, Comp, Const, Param, Term, Var, fresh_var_factory
 from repro.relalg.containment import cq_contained_in
@@ -249,56 +248,6 @@ def _view_descriptors(
     return descriptors
 
 
-def _view_descriptors_cached(
-    query: CQ,
-    closure: ConstraintSet,
-    view: ViewDef,
-    fresh,
-    needed: set[Var],
-) -> list[_Descriptor]:
-    """Memoizing front-end for :func:`_view_descriptors`.
-
-    Descriptors are computed once per (canonical query, view) and cached
-    in canonical variable space, then translated back into the caller's
-    variables through the inverse renaming. Fresh variables (unrestricted
-    view output columns) come from a *deterministic per-view* factory
-    (``rw_<view>_N``) instead of the caller's shared counter, so the
-    cached descriptor list is reusable across calls; per-view prefixes
-    keep fresh names collision-free across views, and neither translator
-    variables (``Table.Column``) nor canonical ones (``~N``) can collide
-    with them.
-    """
-    if not memo.memoization_enabled():
-        return _view_descriptors(query, closure, view, fresh, needed)
-    canon_query, inverse = memo.canonical_form(query)
-    key = (canon_query, view.name, view.cq)
-    cached = memo.DESCRIPTOR_MEMO.get(key)
-    if cached is memo.MISSING:
-        cached = tuple(
-            _view_descriptors(
-                canon_query,
-                ConstraintSet(canon_query.comps),
-                view,
-                fresh_var_factory(f"rw_{view.name}_"),
-                _needed_variables(canon_query),
-            )
-        )
-        memo.DESCRIPTOR_MEMO.put(key, cached)
-
-    def uncanon(term: Term) -> Term:
-        return inverse.get(term, term) if isinstance(term, Var) else term
-
-    return [
-        _Descriptor(
-            covers=descriptor.covers,
-            view=descriptor.view,
-            args=tuple(uncanon(arg) for arg in descriptor.args),
-            fact=None,
-        )
-        for descriptor in cached
-    ]
-
-
 def _fact_descriptors(
     query: CQ, closure: ConstraintSet, facts: Sequence[Atom]
 ) -> list[_Descriptor]:
@@ -497,17 +446,10 @@ def enumerate_rewritings(
     :func:`find_equivalent_rewriting` / :func:`maximally_contained_rewritings`,
     or check ``candidate.expansion`` against the query themselves.
     """
-    if memo.memoization_enabled():
-        analysis = memo.ANALYSIS_MEMO.get(query)
-        if analysis is memo.MISSING:
-            analysis = (ConstraintSet(query.comps), _needed_variables(query))
-            memo.ANALYSIS_MEMO.put(query, analysis)
-        closure, needed = analysis
-    else:
-        closure = ConstraintSet(query.comps)
-        needed = _needed_variables(query)
+    closure = ConstraintSet(query.comps)
     if not closure.consistent():
         return
+    needed = _needed_variables(query)
     expander = _Expander(views)
     fresh = fresh_var_factory("rw")
     descriptors: list[_Descriptor] = []
@@ -517,7 +459,7 @@ def enumerate_rewritings(
     for view in views:
         if not (view.cq.relations() & query_relations):
             continue
-        descriptors.extend(_view_descriptors_cached(query, closure, view, fresh, needed))
+        descriptors.extend(_view_descriptors(query, closure, view, fresh, needed))
     descriptors.extend(_fact_descriptors(query, closure, facts))
     if budget is not None:
         budget.spend(len(descriptors))

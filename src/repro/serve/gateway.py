@@ -528,7 +528,7 @@ class EnforcementGateway:
             "facts_retired", "statement_retries", "checks_over_budget", "templates_carried"
         ):
             snapshot.counters.setdefault(name, 0)
-        # The rewriting-core memo counters.
+        # The containment memo counters.
         for name, value in memo.memo_stats().items():
             snapshot.counters[f"memo_{name}"] = value
         return snapshot

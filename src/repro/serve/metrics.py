@@ -16,7 +16,7 @@ from __future__ import annotations
 import threading
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 #: Bucket upper bounds in microseconds: ~log2-spaced from 1µs to ~4s.
 _BUCKET_BOUNDS_US: tuple[float, ...] = tuple(

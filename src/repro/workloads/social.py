@@ -29,7 +29,6 @@ from repro.extract.handlers import (
     Handler,
     If,
     IsEmpty,
-    Not,
     ParamRef,
     Query,
     Return,

@@ -1,14 +1,11 @@
 """Patch-generation tests: narrowing, abduction, and validation."""
 
-import pytest
-
 from repro.diagnose.abduce import access_check_patches
 from repro.diagnose.rewrite import narrowing_patches
 from repro.relalg.containment import cq_contained_in
 from repro.relalg.translate import translate_select
 from repro.sqlir.params import bind_parameters
 from repro.sqlir.parser import parse_select
-from repro.sqlir.printer import to_sql
 
 
 def tr1(sql, schema):

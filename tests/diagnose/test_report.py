@@ -3,7 +3,7 @@
 import pytest
 
 from repro.diagnose import diagnose
-from repro.policy import Policy, View
+from repro.policy import Policy
 from repro.sqlir.params import bind_parameters
 from repro.sqlir.parser import parse_select
 

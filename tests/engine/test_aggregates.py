@@ -6,7 +6,6 @@ from repro.relalg.translate import translate_select
 from repro.sqlir.parser import parse_select, parse_sql
 from repro.sqlir.printer import to_sql
 from repro.util.errors import EngineError, TranslationError
-from repro.workloads import employees
 
 
 @pytest.fixture

@@ -7,7 +7,7 @@ from repro.evaluate.answers import (
     nonempty,
     view_image,
 )
-from repro.relalg.cq import CQ, UCQ, Atom, Comp, Const, Param, Var
+from repro.relalg.cq import CQ, Atom, Param, Var
 from repro.relalg.translate import translate_select
 from repro.sqlir.parser import parse_select
 

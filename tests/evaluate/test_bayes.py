@@ -11,7 +11,6 @@ from repro.evaluate.bayes import (
     posterior_over_sensitive,
     total_variation,
 )
-from repro.relalg.rewrite import ViewDef
 from repro.relalg.translate import translate_select
 from repro.sqlir.parser import parse_select
 from repro.workloads import hospital

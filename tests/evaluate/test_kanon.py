@@ -3,7 +3,6 @@
 import pytest
 
 from repro.evaluate.kanon import (
-    GeneralizationHierarchy,
     l_diversity,
     age_hierarchy,
     categorical_hierarchy,

@@ -10,7 +10,7 @@ from repro.relalg.cq import Atom, Var
 from repro.relalg.rewrite import ViewDef
 from repro.relalg.translate import translate_select
 from repro.sqlir.parser import parse_select
-from repro.workloads import calendar_app, employees, hospital
+from repro.workloads import employees, hospital
 
 
 def tr1(sql, schema, name=None):

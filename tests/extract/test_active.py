@@ -3,7 +3,7 @@
 import pytest
 
 from repro.extract.active import ActiveConstraintDiscovery, _mutated_value
-from repro.extract.miner import MinerConfig, RecordingConnection, TraceMiner
+from repro.extract.miner import RecordingConnection
 from repro.extract.handlers import run_handler
 from repro.workloads import calendar_app
 from repro.workloads.runner import Request

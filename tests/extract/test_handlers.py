@@ -17,7 +17,6 @@ from repro.extract.handlers import (
     ParamRef,
     Query,
     Return,
-    SessionRef,
     run_handler,
 )
 from repro.util.errors import DbacError

@@ -2,8 +2,6 @@
 
 import random
 
-import pytest
-
 from repro.extract.miner import MinerConfig, TraceMiner
 from repro.policy import View, compare_policies
 from repro.policy.compare import view_covered_by

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.extract.symbolic import SymbolicExtractor
-from repro.policy import Policy, View, compare_policies
+from repro.policy import View, compare_policies
 from repro.policy.compare import view_covered_by
 from repro.workloads import calendar_app, employees, hospital, social
 

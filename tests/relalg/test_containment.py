@@ -7,7 +7,7 @@ from repro.relalg.containment import (
     satisfiable,
     ucq_contained_in,
 )
-from repro.relalg.cq import CQ, UCQ, Atom, Comp, Const, Param, Var
+from repro.relalg.cq import CQ, UCQ, Atom, Var
 from repro.relalg.translate import translate_select
 from repro.sqlir.parser import parse_select
 

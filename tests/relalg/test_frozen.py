@@ -3,7 +3,7 @@
 import pytest
 
 from repro.evaluate.answers import evaluate_cq
-from repro.relalg.cq import CQ, Atom, Comp, Const, Param, Var
+from repro.relalg.cq import CQ, Atom, Comp, Const, Var
 from repro.relalg.frozen import freeze, solve_assignment
 from repro.relalg.translate import translate_select
 from repro.sqlir.parser import parse_select

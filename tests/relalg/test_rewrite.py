@@ -3,7 +3,7 @@
 import pytest
 
 from repro.relalg.containment import cq_contained_in
-from repro.relalg.cq import Atom, CQ, Const, Var
+from repro.relalg.cq import Atom, CQ, Const
 from repro.relalg.rewrite import (
     GuardPattern,
     SearchBudget,

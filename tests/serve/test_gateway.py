@@ -16,12 +16,9 @@ from repro.enforce import (
     Session,
 )
 from repro.enforce.cache import DecisionCache
-from repro.engine import Connection, Database
-from repro.serve import (
-    EnforcementGateway,
-    GatewayConfig,
-    GatewayConnection,
-)
+from repro.engine import Connection
+from repro.relalg import memo
+from repro.serve import EnforcementGateway, GatewayConfig
 from repro.workloads import calendar_app
 
 
@@ -339,6 +336,25 @@ class TestCompiledGateway:
             assert counters["batch_checks"] == counters["batch_size_1"] == 2
             for gone in ("uncached_checks", "shared_cache_compiled_misses"):
                 assert gone not in counters
+        finally:
+            gateway.close()
+
+    def test_snapshot_carries_only_the_containment_memo_counters(
+        self, calendar_db, calendar_policy
+    ):
+        memo.reset_memo_stats()
+        gateway = EnforcementGateway(calendar_db, calendar_policy)
+        try:
+            gateway.connect(1).query(self.ALLOWED)  # one full check
+            counters = gateway.snapshot().counters
+            assert counters["memo_containment_hits"] + counters[
+                "memo_containment_misses"
+            ] > 0
+            # The containment memo is the rewriting core's only memo.
+            assert sorted(name for name in counters if name.startswith("memo_")) == [
+                f"memo_containment_{counter}"
+                for counter in ("evictions", "hits", "misses", "size")
+            ]
         finally:
             gateway.close()
 

@@ -5,11 +5,8 @@ import pytest
 from repro.sqlir.tokens import (
     EOF,
     IDENT,
-    KEYWORD,
-    NUMBER,
     OP,
     PARAM,
-    STRING,
     tokenize,
 )
 from repro.util.errors import ParseError

@@ -1,7 +1,5 @@
 """Utility-module tests."""
 
-import pytest
-
 from repro.util.errors import DbacError, EngineError, ParseError, PolicyError
 from repro.util.text import comma_join, fresh_name_factory, indent, sql_quote
 
