@@ -16,10 +16,28 @@ search) over equality-compared constants is invariant under injective
 renaming of those constants, so a decision replayed with renamed
 constants — same equalities, same distinctness — remains valid, provided:
 
+* "same" is the checker's own equality. One function,
+  :func:`repro.relalg.constraints.constant_key`, says when two values are
+  the same constant, for the equality pattern, the fact patterns and fact
+  matching alike: ``2`` and ``2.0`` are one constant to the closure, so a
+  template learned from ``UId = 2.0`` by user 2 records ``slot = MyUId``
+  and never answers another user's id;
+* the equality pattern also places the slot values and params among the
+  *fixed* constants a proof can see: the view constants and the literals
+  the skeleton keeps inline (``UId = TRUE`` from user 1 is a proof about
+  ``MyUId = 1``);
 * slots whose literal occurs under an order comparison are *pinned*
-  (must match exactly; renaming invariance does not cover ``<``), and
+  (must match exactly; renaming invariance does not cover ``<``);
 * slots whose value collides with a constant appearing in the policy's
-  view definitions are pinned (the proof may have used that equality).
+  view definitions are pinned (the proof may have used that equality); and
+* when the statement or any policy view compares by order, the closure
+  also orders every pair of comparable constants, so a proof can rest
+  on ``32 >= 30`` for an ``=``-position slot. Such a template records
+  the order pattern (:func:`repro.relalg.constraints.order_pattern`) of
+  its slot values, the session's parameters and its basis — the fixed
+  constants and the fact patterns' constants — and a lookup must match
+  it. A renaming that keeps that pattern keeps every comparison the
+  closure can make, so it maps the proof to a proof.
 
 Why sharing across sessions is sound. A stored template never names a
 concrete session. It captures the query skeleton, the *equality pattern*
@@ -95,6 +113,7 @@ from dataclasses import dataclass, field
 from repro.enforce.decision import Decision
 from repro.enforce.trace import Trace, is_labeled_null
 from repro.policy.policy import Policy
+from repro.relalg.constraints import constant_key, order_pattern
 from repro.relalg.cq import Atom, Const
 from repro.sqlir import ast
 from repro.sqlir.skeleton import Skeleton, skeletonize
@@ -133,6 +152,12 @@ class _Template:
     #: fragment Block, which no policy decided. Two proofs of one template
     #: are one template, so this is not part of its identity.
     views: frozenset[str] | None = field(default=None, compare=False)
+    #: For a statement or policy that compares by order: the constants
+    #: the order pattern places the request's values among. None: no
+    #: order pattern (module docstring, *Soundness*).
+    order_basis: tuple[object, ...] | None = None
+    #: ``_order_of(slot values, params, order_basis)`` when stored.
+    order_pattern: tuple = ()
 
 
 class _SkeletonIndex:
@@ -140,10 +165,9 @@ class _SkeletonIndex:
 
     ``groups`` maps a pinned slot-index tuple to a dict keyed by the
     corresponding pinned-value tuples; one hash probe per group replaces
-    the per-template pinned-value scan. The dict is keyed by *raw* values
-    (not :func:`_value_key`) deliberately: the linear scan compared
-    pinned values with ``!=``, under which ``True`` matches ``1`` — dict
-    equality preserves exactly those semantics. Each template carries an
+    the per-template pinned-value scan. The dict is keyed by raw values,
+    whose dict equality is :func:`~repro.relalg.constraints.constant_key`'s
+    rule (``True`` matches ``1``). Each template carries an
     insertion sequence number so candidates from different groups merge
     back into exact insertion order.
     """
@@ -220,6 +244,20 @@ class DecisionCache:
         self._lock = threading.Lock()
         self._index: dict[object, _SkeletonIndex] = {}
         self._view_constants = policy.constants()
+        #: The view constants, each once: with a skeleton's inline
+        #: literals, the fixed constants a template's equality pattern
+        #: (and order pattern) places its slot values and params among.
+        self._fixed = tuple(
+            dict.fromkeys(map(constant_key, sorted(self._view_constants, key=repr)))
+        )
+        #: Whether some view compares by order; then every template
+        #: records an order pattern.
+        self._policy_ordered = any(
+            comp.op in ("<", "<=")
+            for view in policy
+            for disjunct in view.ucq.disjuncts
+            for comp in disjunct.comps
+        )
         #: Conjunctive view name -> canonical definition (the views a
         #: checker searches; ``Policy.view_defs`` skips the others).
         self._view_definitions = {
@@ -289,12 +327,18 @@ class DecisionCache:
                 if param_items is None:
                     param_items = sorted(bindings.items())
                 # Computed once per probe; every candidate shares them.
-                partition = _equality_partition(values, param_items)
+                fixed = self._fixed + skeleton.inline if skeleton.inline else self._fixed
+                partition = _equality_partition(values, param_items, fixed)
                 params = dict(param_items)
                 # Pinned values already match: the discrimination index
                 # only yields templates whose pinned slots equal ``values``.
                 for template in index.candidates(values):
                     if partition != template.equality_pattern:
+                        continue
+                    basis = template.order_basis
+                    if basis is not None and (
+                        _order_of(values, param_items, basis) != template.order_pattern
+                    ):
                         continue
                     if template.allowed:
                         witnesses = _witnesses(template, values, params, trace)
@@ -427,16 +471,27 @@ class DecisionCache:
             for fact in decision.facts_used:
                 fact_patterns.append((fact.rel, _pattern_of(fact, slot_of, param_of)))
                 tables.add(fact.rel)
+        fixed = self._fixed + skeleton.inline
+        basis = None
+        if skeleton.ordered or self._policy_ordered:
+            basis = fixed + tuple(
+                ref
+                for _, pattern in fact_patterns
+                for kind, ref in pattern
+                if kind == "const"
+            )
         return _Template(
             skeleton_key=skeleton.statement,
             pinned=pinned,
-            equality_pattern=_equality_partition(values, param_items),
+            equality_pattern=_equality_partition(values, param_items, fixed),
             fact_patterns=tuple(fact_patterns),
             reason=decision.reason + " [template]",
             tables=frozenset(tables),
             allowed=decision.allowed,
             guard_relations=guard_relations,
             views=views,
+            order_basis=basis,
+            order_pattern=() if basis is None else _order_of(values, param_items, basis),
         )
 
     def _views_of(self, decision: Decision) -> frozenset[str] | None:
@@ -600,18 +655,26 @@ class DecisionCache:
 
 
 def _equality_partition(
-    values: tuple[object, ...], param_items: list[tuple[str, object]]
+    values: tuple[object, ...],
+    param_items: list[tuple[str, object]],
+    fixed: tuple[object, ...] = (),
 ) -> tuple[tuple[int, ...], ...]:
-    """Partition of slot indexes (params get negative pseudo-indexes) by value.
+    """Partition of slot indexes by value under
+    :func:`~repro.relalg.constraints.constant_key`; params get negative
+    pseudo-indexes, and after them the ``fixed`` constants (view
+    constants, inline literals), so a slot or param equal to one of them
+    is recorded too.
 
     Captures both the required equalities and the required distinctness:
     two instantiations match iff they induce the same partition.
     """
     keyed: dict[object, list[int]] = {}
     for index, value in enumerate(values):
-        keyed.setdefault(_value_key(value), []).append(index)
+        keyed.setdefault(constant_key(value), []).append(index)
     for offset, (_, value) in enumerate(param_items):
-        keyed.setdefault(_value_key(value), []).append(-(offset + 1))
+        keyed.setdefault(constant_key(value), []).append(-(offset + 1))
+    for offset, value in enumerate(fixed, start=len(param_items)):
+        keyed.setdefault(constant_key(value), []).append(-(offset + 1))
     groups = [tuple(sorted(group)) for group in keyed.values() if len(group) > 1]
     groups.sort()
     return tuple(groups)
@@ -633,15 +696,19 @@ def _still_proved(
     return views <= template.views and relevant_relations(set(guard)) <= guard
 
 
-def _value_key(value: object) -> object:
-    # bool is an int subclass; keep them distinct from 0/1.
-    return (type(value).__name__, value)
+def _order_of(
+    values: tuple[object, ...],
+    param_items: list[tuple[str, object]],
+    basis: tuple[object, ...],
+) -> tuple:
+    """The order pattern of the slot values, the parameters and ``basis``."""
+    return order_pattern((*values, *(value for _, value in param_items), *basis))
 
 
 def _reference_maps(
     values: tuple[object, ...], param_items: list[tuple[str, object]]
 ) -> tuple[dict[object, int], dict[object, str]]:
-    """First-occurrence value-key → slot index / param name maps.
+    """First-occurrence constant key → slot index / param name maps.
 
     Built once per :meth:`DecisionCache.store`; ``setdefault`` keeps the
     *first* matching slot/param for a value, matching the order the old
@@ -649,10 +716,10 @@ def _reference_maps(
     """
     slot_of: dict[object, int] = {}
     for index, value in enumerate(values):
-        slot_of.setdefault(_value_key(value), index)
+        slot_of.setdefault(constant_key(value), index)
     param_of: dict[object, str] = {}
     for name, value in param_items:
-        param_of.setdefault(_value_key(value), name)
+        param_of.setdefault(constant_key(value), name)
     return slot_of, param_of
 
 
@@ -667,7 +734,7 @@ def _pattern_of(
             pattern.append(("any", None))
             continue
         if isinstance(arg, Const):
-            key = _value_key(arg.value)
+            key = constant_key(arg.value)
             slot = slot_of.get(key)
             if slot is not None:
                 pattern.append(("slot", slot))
@@ -693,9 +760,8 @@ def _witnesses(
 
     A pattern that determines every argument is answered by one probe of
     the trace's fact index: at most one certified fact equals the
-    expected atom, so it is the only one :func:`_fact_matches` — which
-    additionally tells ``1`` from ``True`` — could accept. A pattern with
-    an ``any`` position scans its relation's facts.
+    expected atom, so it is the only one :func:`_fact_matches` could
+    accept. A pattern with an ``any`` position scans its relation's facts.
     """
     if not template.fact_patterns:
         return []
@@ -769,6 +835,6 @@ def _fact_matches(
             expected = params[ref]
         else:
             expected = ref
-        if _value_key(arg.value) != _value_key(expected):
+        if constant_key(arg.value) != constant_key(expected):
             return False
     return True

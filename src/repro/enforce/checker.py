@@ -60,7 +60,6 @@ from repro.relalg.rewrite import (
 )
 from repro.relalg.translate import SchemaInfo, translate_select
 from repro.sqlir import ast
-from repro.sqlir.printer import to_sql
 from repro.sqlir.skeleton import Skeleton
 from repro.util.errors import TranslationError
 
@@ -160,7 +159,7 @@ class ComplianceChecker:
         set so fact-free Blocks can be templated with the right guard
         (None for a statement outside the fragment: no policy decided it)."""
         started = time.perf_counter()
-        sql = to_sql(stmt)
+        sql = stmt  # printed on first read (``Decision.sql``)
         query = self.translate(stmt)
         if query is None:
             return (
@@ -276,14 +275,21 @@ class ComplianceChecker:
         pruning, guard-pattern atoms no certified fact matches)`` — the
         last only when an attempt with facts ran and failed."""
         # Fast path: no facts needed.
+        closure = ConstraintSet(disjunct.comps)
         rewriting = find_equivalent_rewriting(
-            disjunct, views, max_candidates=self.max_candidates, budget=budget
+            disjunct,
+            views,
+            max_candidates=self.max_candidates,
+            budget=budget,
+            closure=closure,
         )
         if rewriting is not None:
             return rewriting, [], [], []
         if trace is None:
             return None, [], [], []
-        facts, missing = helpful_facts(disjunct, guard_patterns(disjunct, views), trace)
+        facts, missing = helpful_facts(
+            disjunct, guard_patterns(disjunct, views, closure), trace, closure
+        )
         if not facts:
             return None, [], [], []
         # Iterative deepening over trace facts: first the facts directly
@@ -398,7 +404,10 @@ class ComplianceChecker:
 
 
 def helpful_facts(
-    query: CQ, patterns: Sequence[GuardPattern], trace: Trace
+    query: CQ,
+    patterns: Sequence[GuardPattern],
+    trace: Trace,
+    closure: ConstraintSet | None = None,
 ) -> tuple[list[Atom], list[Atom]]:
     """The certified facts that can take part in an equivalent rewriting
     of ``query``, oldest first, and the atoms of ``patterns`` (its
@@ -416,9 +425,11 @@ def helpful_facts(
     labeled null only an open position. Found through the trace's
     indexes: one probe per ground atom, one relation's facts per atom
     with an open position. docs/compliance.md, "Which facts can help a
-    check", says why nothing pruned could help.
+    check", says why nothing pruned could help. ``closure`` is
+    ``ConstraintSet(query.comps)`` when the caller holds it.
     """
-    closure = ConstraintSet(query.comps)
+    if closure is None:
+        closure = ConstraintSet(query.comps)
     if not closure.consistent():
         return [], []
     head = [term for term in query.head if isinstance(term, Var)]

@@ -61,7 +61,8 @@ class View:
         return self.ucq.instantiate(dict(bindings))
 
     def view_def(self, bindings: Mapping[str, object]) -> ViewDef:
-        """An instantiated :class:`ViewDef` for the rewriting engine."""
+        """An instantiated :class:`ViewDef` for the rewriting engine,
+        its variables renamed into the view's namespace."""
         instantiated = self.instantiate(bindings)
         if len(instantiated.disjuncts) != 1:
             raise PolicyError(

@@ -14,7 +14,9 @@ redid on every miss:
 * instantiated ``ViewDef`` lists are memoized per bindings tuple — the
   common serving shape is a handful of distinct principals issuing many
   statements each, so instantiation (a full substitution walk over every
-  view body) collapses to one dict probe;
+  view body, and the one renaming of each view into its own variable
+  namespace, :class:`~repro.relalg.rewrite.ViewDef`) collapses to one
+  dict probe;
 * the policy's structural constants and content fingerprint are computed
   once and shared.
 

@@ -25,15 +25,37 @@ Design notes
 * SQL NULL (``Const(None)``) participates in ``=``/``!=`` only; an order
   constraint touching NULL makes the set inconsistent, matching SQL
   semantics where such a predicate can never hold.
+* "The same constant" is one rule, :func:`constant_key`, here and in the
+  decision-template store (``repro.enforce.cache``): Python equality,
+  under which ``2 == 2.0`` and ``1 == True``. A template's equality
+  pattern must record every equality a proof can use, so the store
+  cannot tell apart two values this closure merges.
+
+One check, one closure. A full check builds its query's closure once and
+asks it everything the search needs: :meth:`ConstraintSet.admits` says
+whether a view's comparisons, mapped onto the query, stay consistent
+with it, and rebuilds only when it cannot tell from the closure alone.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 
-from repro.relalg.cq import Comp, Const, Param, Term
+from repro.relalg.cq import Comp, Const, Param, Term, Var
 
 _NUMERIC = (int, float)
+
+
+def constant_key(value: object) -> object:
+    """The key two constant values share iff they are the same constant.
+
+    Python equality, the equality of :class:`~repro.relalg.cq.Const`
+    itself (``2 == 2.0``, ``1 == True``, ``2 != "2"``); equal values hash
+    alike, so the key is the value. Every place that asks "same
+    constant?" — this closure and the template store's equality
+    partition, fact patterns and fact matching — goes through it.
+    """
+    return value
 
 
 def _comparable(a: object, b: object) -> bool:
@@ -45,10 +67,27 @@ def _comparable(a: object, b: object) -> bool:
     return isinstance(a, str) and isinstance(b, str)
 
 
+def order_pattern(values: Sequence[object]) -> tuple[tuple[int, object], ...]:
+    """Where each of ``values`` falls among the others, under :func:`const_cmp`.
+
+    Per value: ``(0, rank)`` for a number, ``(1, rank)`` for a string —
+    its rank among the distinct values of its kind — and ``(2, value)``
+    for anything the closure does not order (NULL). Two sequences of one
+    length have one pattern iff every ``const_cmp`` between their values,
+    position by position, agrees: the renamings a dense order cannot
+    tell apart.
+    """
+    numbers = sorted({v for v in values if isinstance(v, _NUMERIC)})
+    texts = sorted({v for v in values if isinstance(v, str)})
+    rank = {constant_key(v): (0, i) for i, v in enumerate(numbers)}
+    rank.update((constant_key(v), (1, i)) for i, v in enumerate(texts))
+    return tuple(rank.get(constant_key(v), (2, v)) for v in values)
+
+
 def const_cmp(op: str, a: object, b: object) -> bool:
     """Evaluate a comparison between two constant values."""
     if op == "=":
-        return a == b and (a is None) == (b is None)
+        return constant_key(a) == constant_key(b) and (a is None) == (b is None)
     if op == "!=":
         return not const_cmp("=", a, b)
     if not _comparable(a, b):
@@ -67,6 +106,9 @@ class ConstraintSet:
     """
 
     def __init__(self, comps: Iterable[Comp] = ()):
+        comps = tuple(comps)
+        #: What the set was built from (:meth:`admits` extends it).
+        self._comps = comps
         self._parent: dict[Term, Term] = {}
         self._neq: set[tuple[Term, Term]] = set()
         # Order edges between class reps: (u, v, strict) meaning u < v or u <= v.
@@ -121,10 +163,13 @@ class ConstraintSet:
 
     def _find(self, term: Term) -> Term:
         parent = self._parent
-        root = term
-        while parent.get(root, root) != root:
-            root = parent[root]
-        while parent.get(term, term) != term:
+        root = parent.get(term)
+        if root is None:
+            return term  # a representative: never a key of ``_parent``
+        above = parent.get(root)
+        while above is not None:
+            root, above = above, parent.get(above)
+        while term != root:
             parent[term], term = root, parent[term]
         return root
 
@@ -135,7 +180,7 @@ class ConstraintSet:
         # Prefer constants as representatives so class constants are easy to
         # read off; two distinct constants in one class is a contradiction.
         if isinstance(ra, Const) and isinstance(rb, Const):
-            if ra.value != rb.value or (ra.value is None) != (rb.value is None):
+            if not const_cmp("=", ra.value, rb.value):
                 self._inconsistent = True
             self._parent[rb] = ra
             return
@@ -157,18 +202,13 @@ class ConstraintSet:
     # -- closure construction --------------------------------------------------
 
     def _add_constant_edges(self) -> None:
-        """Add implicit order edges between constant class representatives."""
-        const_reps = sorted(
-            {
-                self._find(t)
-                for t in self._terms
-                if isinstance(self._find(t), Const)
-            },
-            key=lambda c: repr(c),
+        """Add implicit order edges between constant class representatives
+        (in any order: edge order never changes a reachability answer)."""
+        const_reps = list(
+            {rep for rep in map(self._find, self._terms) if isinstance(rep, Const)}
         )
         for i, a in enumerate(const_reps):
             for b in const_reps[i + 1 :]:
-                assert isinstance(a, Const) and isinstance(b, Const)
                 if not _comparable(a.value, b.value):
                     continue
                 if a.value < b.value:  # type: ignore[operator]
@@ -215,6 +255,54 @@ class ConstraintSet:
         """Whether some assignment satisfies all constraints."""
         return not self._inconsistent
 
+    def admits(self, comps: Sequence[Comp]) -> bool:
+        """Is this set plus ``comps`` consistent?
+
+        Always ``ConstraintSet(<this set's comps> + comps).consistent()``,
+        but answered from this closure when each comp of ``comps`` either
+
+        * already holds here: an ``=`` between terms of one class, or a
+          ``!=``, ``<`` or ``<=`` this set implies. (Not an ``=`` proved
+          by two order paths: merging the classes can meet a ``!=``
+          between them that the set alone never checks. Nor an order
+          comparison on NULL, implied by reflexivity yet never true.) Or
+        * is an ``=`` with a side that is a variable this set never
+          mentions and no other comp of ``comps`` does: nothing else
+          constrains it, so it can take the other side's value.
+
+        Otherwise it builds the combined set.
+        """
+        if self._inconsistent:
+            return False
+        for comp in comps:
+            if not self._absorbs(comp, comps):
+                return ConstraintSet(self._comps + tuple(comps)).consistent()
+        return True
+
+    def _absorbs(self, comp: Comp, comps: Sequence[Comp]) -> bool:
+        """Can adding ``comp`` (one of ``comps``) not change whether this
+        set is consistent? (:meth:`admits`)"""
+        if comp.op != "=":
+            if comp.op != "!=" and None in (
+                self._class_const(comp.left),
+                self._class_const(comp.right),
+            ):
+                return False
+            return self.implies(comp)
+        if self._find(comp.left) == self._find(comp.right):
+            return True
+        for side in (comp.left, comp.right):
+            if (
+                isinstance(side, Var)
+                and side not in self._terms
+                and not any(
+                    other is not comp and side in (other.left, other.right)
+                    for other in comps
+                )
+            ):
+                return True
+        return False
+
     def canon(self, term: Term) -> Term:
         """The representative of ``term``'s equivalence class."""
         return self._find(term)
@@ -229,6 +317,8 @@ class ConstraintSet:
         if isinstance(ra, Const) and isinstance(rb, Const):
             return const_cmp("=", ra.value, rb.value)
         # Sandwich: a <= b and b <= a (no strict edge possible if consistent).
+        if not self._edges:
+            return False
         if self._reachable(ra, rb, require_strict=False) and self._reachable(
             rb, ra, require_strict=False
         ):

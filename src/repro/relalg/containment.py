@@ -30,29 +30,35 @@ from repro.relalg.constraints import ConstraintSet
 from repro.relalg.cq import CQ, UCQ, Atom, Comp, Term, Var
 
 
-def cq_contained_in(q1: CQ, q2: CQ) -> bool:
+def cq_contained_in(q1: CQ, q2: CQ, *, q1_closure: ConstraintSet | None = None) -> bool:
     """Is ``q1`` contained in ``q2`` (``q1 ⊑ q2``)? Sound, see module doc.
 
-    Results are memoized on the pair of canonical (alpha-renamed) forms:
-    containment is invariant under independent variable renaming of either
-    side and never reads ``name``/``head_names``, so alpha-equivalent
-    pairs share one cached answer.
+    ``q1_closure`` is ``ConstraintSet(q1.comps)`` when the caller already
+    holds it (the rewriting search built it for its query). Results are
+    memoized on the pair ``(q1, q2)`` itself: ``CQ`` is a frozen
+    dataclass with value equality, so a hit replays a computation on
+    identical inputs. Alpha-variants do not share an entry — on the
+    miss stream the memo never hit, and canonicalizing both sides cost
+    about a tenth of a check (``repro.relalg.memo``).
     """
     if not memo.memoization_enabled():
-        return _cq_contained_in_uncached(q1, q2)
-    key = (memo.canonical_form(q1)[0], memo.canonical_form(q2)[0])
+        return _cq_contained_in_uncached(q1, q2, q1_closure)
+    key = (q1, q2)
     cached = memo.CONTAINMENT_MEMO.get(key)
     if cached is not memo.MISSING:
         return cached  # type: ignore[return-value]
-    result = _cq_contained_in_uncached(q1, q2)
+    result = _cq_contained_in_uncached(q1, q2, q1_closure)
     memo.CONTAINMENT_MEMO.put(key, result)
     return result
 
 
-def _cq_contained_in_uncached(q1: CQ, q2: CQ) -> bool:
+def _cq_contained_in_uncached(
+    q1: CQ, q2: CQ, closure: ConstraintSet | None = None
+) -> bool:
     if q1.arity != q2.arity:
         return False
-    closure = ConstraintSet(q1.comps)
+    if closure is None:
+        closure = ConstraintSet(q1.comps)
     if not closure.consistent():
         # q1 returns nothing on every database; trivially contained.
         return True
@@ -63,8 +69,7 @@ def containment_mapping(q1: CQ, q2: CQ) -> dict[Var, Term] | None:
     """Return a witnessing containment mapping for ``q1 ⊑ q2``, if found.
 
     Used by the diagnosis layer to explain *why* a query is compliant.
-    Never memoized: the witness is expressed over the callers' concrete
-    variables, which canonical-form keying would scramble.
+    Never memoized: the memo keeps answers, not witnesses.
     """
     if q1.arity != q2.arity:
         return None

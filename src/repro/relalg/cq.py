@@ -215,6 +215,21 @@ class CQ:
             object.__setattr__(self, "_relations_cache", cached)
         return set(cached)
 
+    def __hash__(self) -> int:
+        # Cached like relations(): the containment memo keys on CQ pairs,
+        # and a lookup and its store would otherwise each walk every atom.
+        cached = getattr(self, "_hash_cache", None)
+        if cached is None:
+            cached = hash((self.head, self.body, self.comps, self.head_names, self.name))
+            object.__setattr__(self, "_hash_cache", cached)
+        return cached
+
+    def __getstate__(self) -> dict:
+        # A str hash differs between processes: never carry the cached one.
+        state = dict(self.__dict__)
+        state.pop("_hash_cache", None)
+        return state
+
     @property
     def arity(self) -> int:
         return len(self.head)

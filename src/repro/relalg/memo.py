@@ -1,27 +1,31 @@
 """Memoization for the containment core.
 
 The compliance checker's miss path validates each rewriting candidate
-by equivalence, i.e. two containment tests, and the same pair of query
-shapes can recur across candidates and statements. This module provides
-the two ingredients that memoize those tests:
-
-* **Canonicalization** — :func:`canonical_form` renames a CQ's variables
-  to position-stable names (``~0``, ``~1``, ...) in order of first
-  occurrence and strips the semantically-inert ``name``/``head_names``
-  fields. Alpha-equivalent queries (same shape, same constants, different
-  variable names — e.g. the same SQL translated in two sessions) share
-  one canonical form, so they share cache entries. Constants are *not*
-  abstracted: containment genuinely depends on them.
+by equivalence, i.e. two containment tests. This module provides the
+memo of those tests, and the canonical form policies are compared by:
 
 * **A bounded LRU memo** — :class:`LRUMemo` is a thread-safe
   least-recently-used map with hit/miss/eviction counters, sized so a
   long-lived gateway cannot grow without bound. The one shared instance,
-  :data:`CONTAINMENT_MEMO`, is process-global: every session of a
-  gateway amortizes across all queries it sees.
+  :data:`CONTAINMENT_MEMO`, is process-global and keyed on the
+  ``(q1, q2)`` pair itself (``repro.relalg.containment``): ``CQ`` is a
+  frozen dataclass with value equality, so a hit replays a computation
+  on identical inputs. It is not keyed on canonical forms: on the miss
+  stream it hit 0 of 2 808 lookups, and canonicalizing both sides of
+  each lookup cost about a tenth of a miss (docs/performance.md,
+  Mechanism 2). It stays only while the benchmark reads its counters,
+  and leaves with ROADMAP item 2.
 
-Memoization is soundness-neutral by construction: the key is the pair
-of canonical queries, every input ``cq_contained_in`` reads, so a hit
-replays a value the unmemoized code would have recomputed identically.
+* **Canonicalization** — :func:`canonical_form` renames a CQ's variables
+  to position-stable names (``~0``, ``~1``, ...) in order of first
+  occurrence and strips the semantically-inert ``name``/``head_names``
+  fields, so alpha-equivalent queries share one canonical form.
+  Constants are *not* abstracted. ``Policy.canonical_views`` renders
+  views through it, so that a reload can tell which views it kept.
+
+Memoization is soundness-neutral by construction: the key is every
+input ``cq_contained_in`` reads, so a hit replays a value the
+unmemoized code would have recomputed identically.
 ``set_memoization(False)`` restores that computation path exactly —
 ``tests/relalg/test_memo.py`` uses this for its memoized-vs-unmemoized
 agreement checks, and the benchmark's reference for its judgements.
@@ -30,7 +34,8 @@ The rewriting search itself (per-view descriptors, the per-query
 constraint closure) is not memoized: a query checked in full is one no
 decision template answered, and such a query rarely recurs, so memos of
 the search recorded no hits on any in-process benchmark stream
-(EXPERIMENTS.md E39).
+(EXPERIMENTS.md E39). Within one check the search reuses what it built:
+one closure per query (docs/performance.md, "One check, one closure").
 """
 
 from __future__ import annotations
@@ -110,7 +115,7 @@ class LRUMemo:
             }
 
 
-#: ``cq_contained_in`` results keyed by (canonical q1, canonical q2).
+#: ``cq_contained_in`` results keyed by the pair ``(q1, q2)``.
 CONTAINMENT_MEMO = LRUMemo("containment", maxsize=8192)
 
 _enabled = True
@@ -123,9 +128,8 @@ def memoization_enabled() -> bool:
 def set_memoization(enabled: bool) -> bool:
     """Enable/disable the memoized path; returns the previous setting.
 
-    With memoization off, ``cq_contained_in`` runs unmemoized (no
-    canonicalization, no caching) — the reference behavior
-    ``tests/relalg/test_memo.py`` compares against.
+    With memoization off, ``cq_contained_in`` runs unmemoized — the
+    reference behavior ``tests/relalg/test_memo.py`` compares against.
     """
     global _enabled
     previous = _enabled
@@ -157,7 +161,7 @@ def canonical_form(cq: CQ) -> tuple[CQ, dict[Var, Var]]:
 
     Variables are renamed to ``~0``, ``~1``, ... in order of first
     occurrence (head, then body atoms, then comparisons); ``name`` and
-    ``head_names`` are stripped, since no memoized computation reads
+    ``head_names`` are stripped, since a view's identity does not read
     them. The inverse map sends canonical variables back to the
     originals.
     """

@@ -44,12 +44,34 @@ from repro.relalg.cq import CQ, Atom, Comp, Const, Param, Term, Var, fresh_var_f
 from repro.relalg.containment import cq_contained_in
 
 
+#: Separates a view's name from a variable's in the view's namespace.
+_VIEW_NAMESPACE = ":"
+
+
 @dataclass(frozen=True)
 class ViewDef:
-    """A named view with a CQ definition; the head is what the view exposes."""
+    """A named view with a CQ definition; the head is what the view exposes.
+
+    Its variables arrive renamed apart, once, into the view's own
+    namespace: ``x`` becomes ``<name>:x``. No translated query variable
+    (``alias.column``), rewriting variable (``rw<n>``), guard wildcard
+    (``_<n>``) or labeled null has a ``:`` in its name, so the search
+    maps a view onto a query without renaming it per check. (A query
+    built from another view's definition lives in that view's namespace.)
+    """
 
     name: str
     cq: CQ
+
+    def __post_init__(self) -> None:
+        prefix = f"{self.name}{_VIEW_NAMESPACE}"
+        renaming: dict[Var, Term] = {
+            var: Var(prefix + var.name)
+            for var in self.cq.variables()
+            if not var.name.startswith(prefix)
+        }
+        if renaming:
+            object.__setattr__(self, "cq", self.cq.substitute(renaming))
 
 
 @dataclass(frozen=True)
@@ -183,15 +205,17 @@ def _view_descriptors(
     view: ViewDef,
     fresh,
     needed: set[Var],
+    occurs: dict[Var, frozenset[int]],
 ) -> list[_Descriptor]:
     """Enumerate partial homomorphisms from the view body into the query body.
 
     Each consistent mapping of a non-empty subset of the view's atoms onto
     query subgoals yields a descriptor, provided every *needed* query
     variable touched by the covered subgoals is exposed through the view
-    head (or fixed to a constant).
+    head (or fixed to a constant). ``occurs`` is :func:`_occurrences`
+    of the query.
     """
-    view_cq = view.cq.rename_apart({v.name for v in query.variables()})
+    view_cq = view.cq
     head_vars = {t for t in view_cq.head if isinstance(t, Var)}
     descriptors: list[_Descriptor] = []
     seen: set[tuple] = set()
@@ -202,7 +226,6 @@ def _view_descriptors(
         # unless this descriptor covers *every* subgoal using it — a join
         # internal to one view application needs no exposure.
         exposed_images = {phi[v] for v in head_vars if v in phi}
-        query_head_vars = {t for t in query.head if isinstance(t, Var)}
         for index in covered:
             for arg in query.body[index].args:
                 if not isinstance(arg, Var) or arg not in needed:
@@ -211,19 +234,11 @@ def _view_descriptors(
                     continue  # pinned to a constant; nothing to expose
                 if any(closure.equal(arg, image) for image in exposed_images):
                     continue
-                needed_outside = arg in query_head_vars or any(
-                    other_index not in covered
-                    and arg in query.body[other_index].variables()
-                    for other_index in range(len(query.body))
-                )
-                if needed_outside:
+                if not occurs[arg] <= covered:
                     return  # needed variable hidden by this view use
         # The view's own comparisons must not contradict the query's (a view
         # filtering age >= 60 cannot cover a subgoal constrained to age < 30).
-        combined = ConstraintSet(
-            list(query.comps) + [c.substitute(phi) for c in view_cq.comps]
-        )
-        if not combined.consistent():
+        if not closure.admits([c.substitute(phi) for c in view_cq.comps]):
             return
         # Build the rewrite-atom argument list from the view head.
         args: list[Term] = []
@@ -266,6 +281,22 @@ def _fact_descriptors(
                     )
                 )
     return descriptors
+
+
+def _occurrences(query: CQ) -> dict[Var, frozenset[int]]:
+    """Each body variable of ``query`` -> the subgoals it occurs in. A
+    head variable's set also holds one index past the last subgoal, which
+    no descriptor covers: it is needed outside every view application."""
+    found: dict[Var, set[int]] = {}
+    for index, atom in enumerate(query.body):
+        for var in atom.variables():
+            found.setdefault(var, set()).add(index)
+    occurs = {var: frozenset(indexes) for var, indexes in found.items()}
+    every = frozenset(range(len(query.body) + 1))
+    for term in query.head:
+        if isinstance(term, Var):
+            occurs[term] = every
+    return occurs
 
 
 def _needed_variables(query: CQ) -> set[Var]:
@@ -313,7 +344,9 @@ class GuardPattern:
     atoms: tuple[Atom, ...]
 
 
-def guard_patterns(query: CQ, views: Sequence[ViewDef]) -> list[GuardPattern]:
+def guard_patterns(
+    query: CQ, views: Sequence[ViewDef], closure: ConstraintSet | None = None
+) -> list[GuardPattern]:
     """What each view lacks to cover part of ``query``.
 
     For every view and every partial homomorphism mapping at least one,
@@ -325,19 +358,20 @@ def guard_patterns(query: CQ, views: Sequence[ViewDef]) -> list[GuardPattern]:
     (:func:`is_wildcard`; one per view variable, so shared ones still
     join). For Example 2.1's ``Q2`` alone, V2 maps its ``Events`` atom
     and lacks ``Attendance(1, 2)``. Smallest patterns first, each once.
+    ``closure`` is ``ConstraintSet(query.comps)`` when the caller holds it.
     """
-    closure = ConstraintSet(query.comps)
+    if closure is None:
+        closure = ConstraintSet(query.comps)
     if not closure.consistent():
         return []
     fresh = fresh_var_factory(_WILDCARD_PREFIX)
     anchors = sorted(query.body_variables(), key=lambda v: v.name)
-    query_names = {v.name for v in query.variables()}
     query_relations = query.relations()
     patterns: dict[GuardPattern, None] = {}
     for view in views:
         if not (view.cq.relations() & query_relations):
             continue  # no atom of it maps
-        view_cq = view.cq.rename_apart(set(query_names))
+        view_cq = view.cq
         body = view_cq.body
         for phi, mapped, covered in _partial_homomorphisms(body, query, closure):
             unmapped = [atom for index, atom in enumerate(body) if index not in mapped]
@@ -446,10 +480,31 @@ def enumerate_rewritings(
     :func:`find_equivalent_rewriting` / :func:`maximally_contained_rewritings`,
     or check ``candidate.expansion`` against the query themselves.
     """
-    closure = ConstraintSet(query.comps)
+    return _enumerate(
+        query,
+        ConstraintSet(query.comps),
+        views,
+        facts,
+        max_candidates,
+        allow_partial,
+        budget,
+    )
+
+
+def _enumerate(
+    query: CQ,
+    closure: ConstraintSet,
+    views: Sequence[ViewDef],
+    facts: Sequence[Atom],
+    max_candidates: int,
+    allow_partial: bool,
+    budget: SearchBudget | None,
+) -> Iterator[Rewriting]:
+    """:func:`enumerate_rewritings` over ``closure``, the query's own."""
     if not closure.consistent():
         return
     needed = _needed_variables(query)
+    occurs = _occurrences(query)
     expander = _Expander(views)
     fresh = fresh_var_factory("rw")
     descriptors: list[_Descriptor] = []
@@ -459,7 +514,9 @@ def enumerate_rewritings(
     for view in views:
         if not (view.cq.relations() & query_relations):
             continue
-        descriptors.extend(_view_descriptors(query, closure, view, fresh, needed))
+        descriptors.extend(
+            _view_descriptors(query, closure, view, fresh, needed, occurs)
+        )
     descriptors.extend(_fact_descriptors(query, closure, facts))
     if budget is not None:
         budget.spend(len(descriptors))
@@ -603,6 +660,7 @@ def find_equivalent_rewriting(
     facts: Sequence[Atom] = (),
     max_candidates: int = 2000,
     budget: SearchBudget | None = None,
+    closure: ConstraintSet | None = None,
 ) -> Rewriting | None:
     """Find a rewriting whose expansion is *equivalent* to ``query``.
 
@@ -610,15 +668,21 @@ def find_equivalent_rewriting(
     query's answer is then a function of the view contents (plus known
     trace facts), so executing it reveals nothing beyond the policy.
     ``budget`` is charged per descriptor and per candidate validated;
-    :class:`SearchBudgetExhausted` propagates.
+    :class:`SearchBudgetExhausted` propagates. ``closure`` is
+    ``ConstraintSet(query.comps)`` when the caller holds it; the search
+    and every ``query ⊑ expansion`` test share that one closure.
     """
-    for candidate in enumerate_rewritings(
-        query, views, facts, max_candidates, budget=budget
+    if closure is None:
+        closure = ConstraintSet(query.comps)
+    for candidate in _enumerate(
+        query, closure, views, facts, max_candidates, False, budget
     ):
         if budget is not None:
             budget.spend(1)
         expansion = candidate.expansion
-        if cq_contained_in(expansion, query) and cq_contained_in(query, expansion):
+        if cq_contained_in(expansion, query) and cq_contained_in(
+            query, expansion, q1_closure=closure
+        ):
             return candidate
     return None
 

@@ -93,6 +93,10 @@ class PreparedPlan:
     slot_sources: tuple[_SlotSource, ...]
     positional: tuple[int, ...]  #: positional parameter indexes present
     named_params: tuple[str, ...]  #: named parameter names present
+    #: The skeleton's :attr:`~repro.sqlir.skeleton.Skeleton.ordered` and
+    #: :attr:`~repro.sqlir.skeleton.Skeleton.inline`.
+    ordered: bool = False
+    inline: tuple[object, ...] = ()
     #: Per-shape fact-extraction plans, memoized by
     #: :func:`repro.enforce.trace.certification_plan` (which bounds it).
     certifications: dict = field(default_factory=dict, compare=False, repr=False)
@@ -143,6 +147,8 @@ class PreparedPlan:
             statement=self.skeleton_statement,
             values=tuple(values),
             generalizable=self.generalizable,
+            ordered=self.ordered,
+            inline=self.inline,
         )
 
 
@@ -190,6 +196,8 @@ def prepare_plan(stmt: ast.Statement, sql: str) -> PreparedPlan:
         slot_sources=tuple(sources),
         positional=tuple(positional),
         named_params=tuple(named_params),
+        ordered=skeleton.ordered,
+        inline=skeleton.inline,
     )
 
 

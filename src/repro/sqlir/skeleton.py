@@ -9,6 +9,16 @@ decision templates) and the trace miner both key on.
 ``generalizable`` marks the slots whose literal occurs only in equality
 position (``=``, ``<>``, ``IN``): those may be abstracted over; a literal
 under an order comparison pins the decision to its exact value.
+
+What the template store abstracts over is the checker's own view of
+constants. Two values are "the same" under one rule,
+:func:`repro.relalg.constraints.constant_key`: ``2`` and ``2.0`` are one
+value, as they are to the checker, and so are an inline ``TRUE``
+(``inline``) and a session's ``MyUId = 1``. And once a statement or a
+policy view compares by order (``ordered``), a proof can rest on where a
+value falls among the others (``32 >= 30``), so a template then also
+records the order pattern of its values
+(:func:`repro.relalg.constraints.order_pattern`).
 """
 
 from __future__ import annotations
@@ -25,6 +35,12 @@ class Skeleton:
     statement: ast.Statement
     values: tuple[object, ...]
     generalizable: tuple[bool, ...]
+    #: Whether the statement has an order comparison (``<``, ``<=``,
+    #: ``>``, ``>=``) anywhere, between literals or columns.
+    ordered: bool = False
+    #: The literals left inline (booleans and NULL), in statement order:
+    #: constants a proof can use, like the slot values.
+    inline: tuple[object, ...] = ()
 
     @property
     def slot_count(self) -> int:
@@ -39,16 +55,21 @@ def skeletonize(stmt: ast.Statement) -> Skeleton:
     """
     values: list[object] = []
     generalizable: list[bool] = []
+    inline: list[object] = []
+    ordered = False
 
     def hollow(expr: ast.Expr, equality_position: bool) -> ast.Expr:
+        nonlocal ordered
         if isinstance(expr, ast.Literal):
             if expr.value is None or isinstance(expr.value, bool):
+                inline.append(expr.value)
                 return expr
             values.append(expr.value)
             generalizable.append(equality_position)
             return ast.Param(index=len(values) - 1)
         if isinstance(expr, ast.Comparison):
             equality = expr.op in ("=", "<>")
+            ordered = ordered or not equality
             return ast.Comparison(
                 expr.op, hollow(expr.left, equality), hollow(expr.right, equality)
             )
@@ -140,6 +161,8 @@ def skeletonize(stmt: ast.Statement) -> Skeleton:
         statement=hollowed,
         values=tuple(values),
         generalizable=tuple(generalizable),
+        ordered=ordered,
+        inline=tuple(inline),
     )
 
 

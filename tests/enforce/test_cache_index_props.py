@@ -12,9 +12,11 @@ Both read the same :class:`~repro.enforce.trace.Trace`, the real cache
 through its fact index: the property is also index-probe versus linear
 scan of the witnesses, ``True``/``1`` collisions included.
 
-Also here: the ``_equality_partition`` bool-vs-int regression (``True``
-and ``1`` hash alike but must not be treated as equal when building
-equality patterns).
+Also here: how the store tells ``True`` from ``1``. It does not, by
+value: the equality pattern uses the checker's one equality
+(``constant_key``), under which they are one constant. A bound boolean
+stays inline in the skeleton, so the two statements have different
+skeletons.
 """
 
 from __future__ import annotations
@@ -30,10 +32,10 @@ from repro.enforce.cache import (
     _equality_partition,
     _fact_matches,
     _Template,
-    _value_key,
 )
 from repro.enforce.decision import Decision
 from repro.enforce.trace import Trace
+from repro.relalg.constraints import constant_key
 from repro.relalg.cq import Atom, Const, Var
 from repro.sqlir.params import bind_parameters
 from repro.sqlir.parser import parse_select
@@ -83,7 +85,10 @@ class SeedReferenceCache:
         for index, value in template.pinned:
             if skeleton.values[index] != value:
                 return None
-        if _equality_partition(skeleton.values, param_items) != template.equality_pattern:
+        if (
+            _equality_partition(skeleton.values, param_items, skeleton.inline)
+            != template.equality_pattern
+        ):
             return None
         if not template.fact_patterns:
             return []
@@ -122,7 +127,9 @@ class SeedReferenceCache:
         template = _Template(
             skeleton_key=skeleton.statement,
             pinned=tuple(pinned),
-            equality_pattern=_equality_partition(skeleton.values, param_items),
+            equality_pattern=_equality_partition(
+                skeleton.values, param_items, skeleton.inline
+            ),
             fact_patterns=tuple(fact_patterns),
             reason=decision.reason + " [template]",
             tables=frozenset(tables),
@@ -146,7 +153,11 @@ class SeedReferenceCache:
                 continue
             if isinstance(arg, Const):
                 slot = next(
-                    (i for i, v in enumerate(values) if _value_key(v) == _value_key(arg.value)),
+                    (
+                        i
+                        for i, v in enumerate(values)
+                        if constant_key(v) == constant_key(arg.value)
+                    ),
                     None,
                 )
                 if slot is not None:
@@ -156,7 +167,7 @@ class SeedReferenceCache:
                     (
                         name
                         for name, value in params.items()
-                        if _value_key(value) == _value_key(arg.value)
+                        if constant_key(value) == constant_key(arg.value)
                     ),
                     None,
                 )
@@ -296,16 +307,16 @@ def test_indexed_cache_is_observably_the_seed_cache(ops, policy):
 
 
 class TestBoolIntDistinctness:
-    def test_equality_partition_keeps_true_and_1_apart(self):
-        # hash(True) == hash(1) and True == 1, yet the checker's constraint
-        # reasoning treats them as distinct constants — the partition must too.
-        assert _equality_partition((True, 1), []) == ()
-        assert _equality_partition((1, 1), []) == ((0, 1),)
-        assert _equality_partition((True, True), []) == ((0, 1),)
-        assert _equality_partition((False, 0), []) == ()
+    def test_partition_uses_checker_equality(self):
+        # Const(True) == Const(1) == Const(1.0) in the closure, so a proof
+        # may use those equalities and the partition must record them.
+        assert _equality_partition((True, 1), []) == ((0, 1),)
+        assert _equality_partition((1, 1.0), []) == ((0, 1),)
+        assert _equality_partition((False, 0), []) == ((0, 1),)
+        assert _equality_partition((1, "1"), []) == ()
         # Params participate under the same key rule.
-        assert _equality_partition((True,), [("MyUId", 1)]) == ()
-        assert _equality_partition((1,), [("MyUId", 1)]) == ((-1, 0),)
+        assert _equality_partition((2.0,), [("MyUId", 2)]) == ((-1, 0),)
+        assert _equality_partition(("2",), [("MyUId", 2)]) == ()
 
     def test_lookup_distinguishes_bool_from_int_instantiations(self):
         policy = calendar_app.ground_truth_policy()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.relalg.containment import cq_contained_in
-from repro.relalg.cq import Atom, CQ, Const
+from repro.relalg.cq import Atom, CQ, Const, Var
 from repro.relalg.rewrite import (
     GuardPattern,
     SearchBudget,
@@ -177,6 +177,55 @@ class TestGuardPatterns:
     def test_an_unsatisfiable_query_has_none(self, dict_schema):
         query = tr1("SELECT * FROM Events WHERE EId = 2 AND EId = 3", dict_schema)
         assert guard_patterns(query, calendar_views(dict_schema)) == []
+
+
+class TestViewNamespace:
+    """A ``ViewDef`` arrives renamed apart once, so the search never
+    renames it per check."""
+
+    def test_instantiated_view_variables_are_apart_from_query_names(self):
+        from repro.workloads import calendar_app
+
+        schema = calendar_app.make_schema()
+        views = calendar_app.ground_truth_policy().view_defs({"MyUId": 1})
+        view_vars = {var for view in views for var in view.cq.variables()}
+        assert view_vars
+        query = tr1(
+            "SELECT e.Title FROM Events e JOIN Attendance a ON e.EId = a.EId"
+            " WHERE a.UId = 1",
+            schema,
+        )
+        assert not view_vars & query.variables()
+        rewriting = find_equivalent_rewriting(query, views)
+        assert rewriting is not None
+        rw_vars = {
+            arg
+            for candidate in enumerate_rewritings(query, views)
+            for atom in candidate.atoms
+            for arg in atom.args
+            if isinstance(arg, Var) and arg.name.startswith("rw")
+        }
+        assert rw_vars and not view_vars & rw_vars
+        assert not any(is_wildcard(var) for var in view_vars)
+        probe = tr1("SELECT EId FROM Attendance WHERE UId = 1", schema)
+        wildcards = {
+            arg
+            for pattern in guard_patterns(probe, views)
+            for atom in pattern.atoms
+            for arg in atom.args
+            if is_wildcard(arg)
+        }
+        assert wildcards and not wildcards & view_vars
+
+    def test_renaming_is_idempotent(self, dict_schema):
+        view = calendar_views(dict_schema)[0]
+        assert ViewDef(view.name, view.cq).cq == view.cq
+        assert all(var.name.startswith("V1:") for var in view.cq.variables())
+
+    def test_a_query_named_like_the_view_still_rewrites(self, dict_schema):
+        # The query and the view share every variable name before renaming.
+        cq = tr1("SELECT a, b FROM R", dict_schema)
+        assert find_equivalent_rewriting(cq, [ViewDef("V", cq)]) is not None
 
 
 class TestSearchBudget:
