@@ -33,9 +33,10 @@ import time
 import pytest
 
 from repro.bench.harness import print_table
-from repro.enforce import DecisionCache, EnforcementProxy, ProxyConfig, Session
+from repro.enforce import ComplianceChecker, Trace
 from repro.enforce.decision import PolicyViolation
 from repro.serve import EnforcementGateway, GatewayConfig
+from repro.sqlir.params import bind_parameters
 from repro.workloads.runner import AppRunner
 
 from conftest import fresh_app
@@ -115,7 +116,7 @@ def test_e15a_backends_agree_on_replayed_decisions():
 def test_e15a_attack_queries_block_on_both_backends():
     for backend in ("memory", "sqlite"):
         app, db = fresh_app("calendar", size=AGREEMENT_SIZE, seed=3, backend=backend)
-        proxy = EnforcementProxy(db, app.ground_truth_policy(), Session.for_user(1))
+        proxy = EnforcementGateway(db, app.ground_truth_policy()).connect(1)
         for sql, args in app.attack_queries(db, 1):
             with pytest.raises(PolicyViolation):
                 proxy.query(sql, args)
@@ -153,18 +154,26 @@ def test_e15b_cache_hit_vs_execution_curves(size):
 
     # Cache-hit path: warm the template once, then every query pays
     # execution + a cache lookup.
-    cached = EnforcementProxy(
-        db, policy, Session.for_user(uid), ProxyConfig(cache=DecisionCache(policy))
-    )
+    gateway = EnforcementGateway(db, policy)
+    cached = gateway.connect(uid)
     cached.query(probe, [uid])
     hit = time_us(lambda: cached.query(probe, [uid]), LATENCY_REPS)
-    assert cached.stats.cache_hits >= LATENCY_REPS
+    assert gateway.metrics.counter("cache_hits") >= LATENCY_REPS
 
-    # Fresh-check path: no cache, every query pays the full compliance
-    # check. The check reasons over schema + trace only, so this cost is
-    # flat across scales while raw execution grows.
-    uncached = EnforcementProxy(db, policy, Session.for_user(uid), ProxyConfig())
-    miss = time_us(lambda: uncached.query(probe, [uid]), LATENCY_REPS)
+    # Fresh-check path: a bare checker (no store, uncompiled), then the
+    # execution and its certification, so every query pays the full
+    # compliance check. The check reasons over schema + trace only, so
+    # this cost is flat across scales while raw execution grows.
+    checker = ComplianceChecker(db.schema, policy)
+    bound = bind_parameters(db.parse(probe), [uid], None)
+    bindings = {"MyUId": uid}
+    trace = Trace()
+
+    def fresh_check():
+        assert checker.check(bound, bindings, trace).allowed
+        trace.record_execution(bound, db.execute_bound(bound), db.schema)
+
+    miss = time_us(fresh_check, LATENCY_REPS)
 
     raw_p50 = statistics.median(raw)
     hit_p50 = statistics.median(hit)

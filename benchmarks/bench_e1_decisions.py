@@ -9,7 +9,8 @@ allows).
 import random
 
 from repro.bench.harness import print_table
-from repro.enforce import DecisionCache, EnforcementProxy, PolicyViolation, Session
+from repro.enforce import PolicyViolation
+from repro.serve import EnforcementGateway
 from repro.sqlir.params import bind_parameters
 from repro.sqlir.parser import parse_select
 from repro.workloads import APPS
@@ -22,10 +23,10 @@ def example_21_rows():
     app, db = fresh_app("calendar")
     if db.query("SELECT 1 FROM Attendance WHERE UId = 1 AND EId = 2").is_empty():
         db.sql("INSERT INTO Attendance VALUES (1, 2)")
-    policy = app.ground_truth_policy()
+    gateway = EnforcementGateway(db, app.ground_truth_policy())
     rows = []
 
-    with_history = EnforcementProxy(db, policy, Session.for_user(1))
+    with_history = gateway.connect(1)
     with_history.query("SELECT 1 FROM Attendance WHERE UId = 1 AND EId = 2")
     rows.append(("Ex2.1 Q1 (check)", "with history", "ALLOW", "paper: ALLOW"))
     try:
@@ -35,7 +36,7 @@ def example_21_rows():
         verdict = "BLOCK"
     rows.append(("Ex2.1 Q2 (detail)", "with history", verdict, "paper: ALLOW"))
 
-    fresh = EnforcementProxy(db, policy, Session.for_user(1))
+    fresh = gateway.connect(1)
     try:
         fresh.query("SELECT * FROM Events WHERE EId = 2")
         verdict = "ALLOW"
@@ -49,15 +50,13 @@ def workload_rows():
     rows = []
     for name in APPS:
         app, db = fresh_app(name)
-        policy = app.ground_truth_policy()
+        gateway = EnforcementGateway(db, app.ground_truth_policy())
         requests = app.request_stream(db, random.Random(1), 60)
-        runner = AppRunner(
-            app, db, mode="proxy", policy=policy, cache=DecisionCache(policy)
-        )
+        runner = AppRunner(app, db, mode="gateway", gateway=gateway)
         outcomes = runner.run_all(requests)
         false_blocks = sum(1 for o in outcomes if o.blocked)
         attacks = app.attack_queries(db, 1)
-        proxy = EnforcementProxy(db, policy, Session.for_user(1))
+        proxy = gateway.connect(1)
         blocked = 0
         for sql, args in attacks:
             try:
@@ -80,15 +79,17 @@ def test_e1_decision_matrix(benchmark, capsys):
     app, db = fresh_app("calendar")
     if db.query("SELECT 1 FROM Attendance WHERE UId = 1 AND EId = 2").is_empty():
         db.sql("INSERT INTO Attendance VALUES (1, 2)")
-    policy = app.ground_truth_policy()
+    checker = EnforcementGateway(db, app.ground_truth_policy()).epoch.checker
 
     def q1_decision():
-        proxy = EnforcementProxy(db, policy, Session.for_user(1))
-        return proxy.decide(
+        # The full check, every round: nothing is learned from it.
+        return checker.check(
             bind_parameters(
                 parse_select("SELECT 1 FROM Attendance WHERE UId = ? AND EId = ?"),
                 [1, 2],
-            )
+            ),
+            {"MyUId": 1},
+            allow_compiled=False,
         )
 
     decision = benchmark(q1_decision)

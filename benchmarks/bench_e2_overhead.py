@@ -1,9 +1,10 @@
 """E2 — Enforcement overhead (the Blockaid-setting latency table).
 
 Per app, the mean per-query latency of serving the same compliant
-request stream through: a direct connection, the enforcement proxy with a
-cold decision path, the proxy with the decision-template cache warmed,
-and the query-modification (RLS) baseline where the app has predicates.
+request stream through: a direct connection, the enforcement proxy on a
+new gateway (cold: its template store starts empty and learns as the
+stream runs), the same gateway's second pass (its store warmed), and the
+query-modification (RLS) baseline where the app has predicates.
 
 Expected shape (mirroring Blockaid's evaluation): cached enforcement is
 close to direct; cold checking costs a noticeable multiple; RLS sits near
@@ -14,7 +15,7 @@ import random
 import time
 
 from repro.bench.harness import print_table
-from repro.enforce import DecisionCache
+from repro.serve import EnforcementGateway
 from repro.workloads import APPS
 from repro.workloads.runner import AppRunner
 
@@ -23,10 +24,8 @@ from conftest import fresh_app
 REQUESTS = 40
 
 
-def run_mode(app, db, requests, mode, policy=None, cache=None, history=True):
-    runner = AppRunner(
-        app, db, mode=mode, policy=policy, cache=cache, history_enabled=history
-    )
+def run_mode(app, db, requests, mode, gateway=None):
+    runner = AppRunner(app, db, mode=mode, gateway=gateway)
     started = time.perf_counter()
     outcomes = runner.run_all(requests)
     elapsed = time.perf_counter() - started
@@ -40,15 +39,13 @@ def overhead_rows():
     rows = []
     for name in APPS:
         app, db = fresh_app(name)
-        policy = app.ground_truth_policy()
         requests = app.request_stream(db, random.Random(4), REQUESTS)
 
         direct_us, queries = run_mode(app, db, requests, "direct")
-        cold_us, _ = run_mode(app, db, requests, "proxy", policy=policy)
-        cache = DecisionCache(policy)
-        # Warm the cache with one pass, measure the second.
-        run_mode(app, db, requests, "proxy", policy=policy, cache=cache)
-        warm_us, _ = run_mode(app, db, requests, "proxy", policy=policy, cache=cache)
+        # The cold pass warms the new gateway's store; measure the second.
+        gateway = EnforcementGateway(db, app.ground_truth_policy())
+        cold_us, _ = run_mode(app, db, requests, "gateway", gateway)
+        warm_us, _ = run_mode(app, db, requests, "gateway", gateway)
         if app.rls_predicates:
             rls_us, _ = run_mode(app, db, requests, "rls")
             rls_cell = f"{rls_us:.0f}"
@@ -71,13 +68,12 @@ def overhead_rows():
 
 def test_e2_overhead(benchmark, capsys):
     app, db = fresh_app("calendar")
-    policy = app.ground_truth_policy()
     requests = app.request_stream(db, random.Random(4), 10)
-    cache = DecisionCache(policy)
-    run_mode(app, db, requests, "proxy", policy=policy, cache=cache)  # warm
+    gateway = EnforcementGateway(db, app.ground_truth_policy())
+    run_mode(app, db, requests, "gateway", gateway)  # warm
 
     def warm_pass():
-        return run_mode(app, db, requests, "proxy", policy=policy, cache=cache)
+        return run_mode(app, db, requests, "gateway", gateway)
 
     benchmark.pedantic(warm_pass, rounds=20, iterations=1)
 

@@ -5,13 +5,11 @@ accumulate. Expected shape: hit rate climbs toward 1 as the workload's
 query templates are all seen; decision latency drops correspondingly.
 """
 
-import contextlib
 import gc
 import random
 
 from repro.bench.harness import print_figure_series
-from repro.enforce import DecisionCache, PolicyViolation
-from repro.extract.handlers import run_handler
+from repro.serve import EnforcementGateway
 from repro.workloads.runner import AppRunner
 
 from conftest import fresh_app
@@ -21,33 +19,24 @@ CHECKPOINTS = [10, 25, 50, 100, 200]
 
 def cache_series():
     app, db = fresh_app("calendar", size=20)
-    policy = app.ground_truth_policy()
-    cache = DecisionCache(policy)
-    runner = AppRunner(app, db, mode="proxy", policy=policy, cache=cache)
+    gateway = EnforcementGateway(db, app.ground_truth_policy())
+    runner = AppRunner(app, db, mode="gateway", gateway=gateway)
     requests = app.request_stream(db, random.Random(8), max(CHECKPOINTS))
     hit_rates = []
     mean_check_us = []
-    served = total_checks = 0
-    total_seconds = 0.0
+    served = 0
     # Collect what earlier benchmarks left and freeze the survivors, so a
     # full collection does not land inside a timed decision.
     gc.collect()
     gc.freeze()
     try:
         for checkpoint in CHECKPOINTS:
-            # Each request's proxy is its own session: sum their stats as
-            # the batch runs.
-            for request in requests[served:checkpoint]:
-                proxy = runner.connection_for(request.session)
-                with contextlib.suppress(PolicyViolation):
-                    run_handler(
-                        app.handlers[request.handler], proxy, request.params, request.session
-                    )
-                total_checks += proxy.stats.allowed + proxy.stats.blocked
-                total_seconds += proxy.stats.check_seconds
+            runner.run_all(requests[served:checkpoint])
             served = checkpoint
-            hit_rates.append(round(cache.hit_rate, 3))
-            mean_check_us.append(round(total_seconds / max(total_checks, 1) * 1e6, 1))
+            hit_rates.append(round(gateway.cache_hit_rate(), 3))
+            # Every decision so far, from the gateway's ``check`` stage.
+            check = gateway.snapshot().stages["check"]
+            mean_check_us.append(round(check["total_s"] / check["count"] * 1e6, 1))
     finally:
         gc.unfreeze()
     return hit_rates, mean_check_us
@@ -55,9 +44,8 @@ def cache_series():
 
 def test_e3_cache_hit_rate(benchmark, capsys):
     app, db = fresh_app("calendar", size=20)
-    policy = app.ground_truth_policy()
-    cache = DecisionCache(policy)
-    runner = AppRunner(app, db, mode="proxy", policy=policy, cache=cache)
+    gateway = EnforcementGateway(db, app.ground_truth_policy())
+    runner = AppRunner(app, db, mode="gateway", gateway=gateway)
     warmup = app.request_stream(db, random.Random(8), 50)
     runner.run_all(warmup)
     probe = warmup[:10]
@@ -66,7 +54,7 @@ def test_e3_cache_hit_rate(benchmark, capsys):
         runner.run_all(probe)
 
     benchmark.pedantic(cached_pass, rounds=20, iterations=1)
-    assert cache.hit_rate > 0.5
+    assert gateway.cache_hit_rate() > 0.5
 
     with capsys.disabled():
         hit_rates, mean_check_us = cache_series()

@@ -12,7 +12,7 @@ Run:  python examples/calendar_enforcement.py
 import random
 import time
 
-from repro import DecisionCache, EnforcementProxy, PolicyViolation, Session
+from repro import EnforcementGateway, PolicyViolation
 from repro.workloads import calendar_app
 from repro.workloads.runner import AppRunner
 
@@ -34,17 +34,18 @@ def main() -> None:
     print("mode timings:")
     timed("direct (no enforcement)", lambda: AppRunner(app, db, mode="direct").run_all(requests))
 
-    cache = DecisionCache(policy)
-    runner = AppRunner(app, db, mode="proxy", policy=policy, cache=cache)
+    gateway = EnforcementGateway(db, policy)
+    runner = AppRunner(app, db, mode="gateway", gateway=gateway)
     outcomes = timed("enforcement proxy", lambda: runner.run_all(requests))
     blocked = [o for o in outcomes if o.blocked]
     print(f"    false blocks: {len(blocked)} (expected 0)")
+    cache = gateway.shared_cache
     print(f"    cache: {cache.size} templates, {cache.hit_rate:.0%} hit rate")
 
     timed("RLS baseline", lambda: AppRunner(app, db, mode="rls").run_all(requests))
 
     print("\nattack probes (user 1):")
-    proxy = EnforcementProxy(db, policy, Session.for_user(1))
+    proxy = gateway.connect(1)
     for sql, args in app.attack_queries(db, 1):
         try:
             proxy.query(sql, args)

@@ -14,7 +14,7 @@ enforcement is deployed:
 Run:  python examples/operator_toolkit.py
 """
 
-from repro import EnforcementProxy, PolicyViolation, Session
+from repro import EnforcementGateway, PolicyViolation
 from repro.policy import Policy, View, lint_policy
 from repro.workloads import employees
 
@@ -41,7 +41,7 @@ def lint_demo(db) -> None:
 def explain_demo(db) -> None:
     print("=== decision explanations ===")
     policy = employees.ground_truth_policy()
-    proxy = EnforcementProxy(db, policy, Session.for_user(3))
+    proxy = EnforcementGateway(db, policy).connect(3)
     proxy.query("SELECT EId, Name, Dept FROM Employees")
     print(proxy.last_decision.explain())
     try:
@@ -60,9 +60,7 @@ def fragment_demo(db) -> None:
     print("direct (trusted operator connection):")
     for dept, headcount, avg_salary in db.query(analytics).rows:
         print(f"  {dept:<8} headcount={headcount:<3} avg salary={avg_salary:,.0f}")
-    proxy = EnforcementProxy(
-        db, employees.ground_truth_policy(), Session.for_user(3)
-    )
+    proxy = EnforcementGateway(db, employees.ground_truth_policy()).connect(3)
     try:
         proxy.query(analytics)
     except PolicyViolation as violation:

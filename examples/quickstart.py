@@ -4,7 +4,7 @@
 Run:  python examples/quickstart.py
 """
 
-from repro import EnforcementProxy, PolicyViolation, Session
+from repro import EnforcementGateway, PolicyViolation
 from repro.workloads import calendar_app
 
 
@@ -17,8 +17,10 @@ def main() -> None:
     print(policy.describe())
     print()
 
-    # The application talks to the proxy exactly as it would to the DB.
-    proxy = EnforcementProxy(db, policy, Session.for_user(1))
+    # The application talks to the proxy exactly as it would to the DB:
+    # each request opens a session of the gateway, bound to its user.
+    gateway = EnforcementGateway(db, policy)
+    proxy = gateway.connect(1)
 
     # (Q1) "Does the current user attend Event #2?" — allowed under V1.
     q1 = proxy.query("SELECT 1 FROM Attendance WHERE UId = ? AND EId = ?", [1, 2])
@@ -30,7 +32,7 @@ def main() -> None:
     print(f"Q2 allowed given the history; event row: {q2.first()}")
 
     # The same Q2 from a fresh session (no history) is blocked outright.
-    fresh = EnforcementProxy(db, policy, Session.for_user(1))
+    fresh = gateway.connect(1)
     try:
         fresh.query("SELECT * FROM Events WHERE EId = ?", [2])
     except PolicyViolation as violation:

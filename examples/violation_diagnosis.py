@@ -11,7 +11,7 @@ passing.
 Run:  python examples/violation_diagnosis.py
 """
 
-from repro import EnforcementProxy, PolicyViolation, Session
+from repro import EnforcementGateway, PolicyViolation
 from repro.diagnose import diagnose
 from repro.sqlir.params import bind_parameters
 from repro.sqlir.parser import parse_select
@@ -23,7 +23,8 @@ def main() -> None:
     if db.query("SELECT 1 FROM Attendance WHERE UId = 1 AND EId = 2").is_empty():
         db.sql("INSERT INTO Attendance VALUES (1, 2)")
     policy = calendar_app.ground_truth_policy()
-    proxy = EnforcementProxy(db, policy, Session.for_user(1))
+    gateway = EnforcementGateway(db, policy)
+    proxy = gateway.connect(1)
 
     # The buggy handler skips the attendance check:
     offending_sql = "SELECT * FROM Events WHERE EId = ?"
@@ -40,7 +41,7 @@ def main() -> None:
     if report.access_check_patches:
         patch = report.access_check_patches[0]
         print("\n--- replaying with the access-check patch applied ---")
-        fixed = EnforcementProxy(db, policy, Session.for_user(1))
+        fixed = gateway.connect(1)
         guard = fixed.query(patch.check_sql)
         if guard.is_empty():
             print("guard empty: the handler would 404 (and leak nothing)")

@@ -9,12 +9,12 @@ from-scratch conjunctive-query reasoning stack.
 
 Quickstart::
 
-    from repro import Database, EnforcementProxy, Policy, Session, View
+    from repro import EnforcementGateway
     from repro.workloads import calendar_app
 
     db = calendar_app.make_database(size=20, seed=7)
     policy = calendar_app.ground_truth_policy()
-    proxy = EnforcementProxy(db, policy, Session.for_user(1))
+    proxy = EnforcementGateway(db, policy).connect(1)
     proxy.query("SELECT 1 FROM Attendance WHERE UId = ? AND EId = ?", [1, 2])
     proxy.query("SELECT * FROM Events WHERE EId = ?", [2])  # allowed via history
 
@@ -40,12 +40,12 @@ from repro.enforce import (
     DirectConnection,
     EnforcementProxy,
     PolicyViolation,
-    ProxyConfig,
     RowLevelSecurityProxy,
     Session,
     Trace,
 )
 from repro.policy import Policy, View, compare_policies, policy_from_text, policy_to_text
+from repro.serve import EnforcementGateway
 from repro.util.errors import DbacError
 
 __version__ = "0.1.0"
@@ -59,11 +59,11 @@ __all__ = [
     "Decision",
     "DecisionCache",
     "DirectConnection",
+    "EnforcementGateway",
     "EnforcementProxy",
     "ForeignKey",
     "Policy",
     "PolicyViolation",
-    "ProxyConfig",
     "Result",
     "RowLevelSecurityProxy",
     "Schema",

@@ -25,11 +25,12 @@ import argparse
 import random
 import sys
 
-from repro.enforce import EnforcementProxy, PolicyViolation, Session
+from repro.enforce import PolicyViolation
 from repro.policy import compare_policies, policy_to_text
 from repro.relalg.chase import TGD
 from repro.relalg.cq import Atom, Var
 from repro.relalg.translate import translate_select
+from repro.serve import EnforcementGateway
 from repro.sqlir.params import bind_parameters
 from repro.sqlir.parser import parse_select
 from repro.util.errors import DbacError
@@ -72,14 +73,14 @@ def cmd_demo(args: argparse.Namespace) -> int:
     app, db = _load_app(args, "calendar")
     if db.query("SELECT 1 FROM Attendance WHERE UId = 1 AND EId = 2").is_empty():
         db.sql("INSERT INTO Attendance VALUES (1, 2)")
-    policy = app.ground_truth_policy()
-    proxy = EnforcementProxy(db, policy, Session.for_user(1))
+    gateway = EnforcementGateway(db, app.ground_truth_policy())
+    proxy = gateway.connect(1)
     print("Example 2.1 against live data (user 1):")
     q1 = proxy.query("SELECT 1 FROM Attendance WHERE UId = 1 AND EId = 2")
     print(f"  Q1 -> ALLOW ({len(q1)} row)")
     q2 = proxy.query("SELECT * FROM Events WHERE EId = 2")
     print(f"  Q2 -> ALLOW given Q1's answer; event: {q2.first()}")
-    fresh = EnforcementProxy(db, policy, Session.for_user(1))
+    fresh = gateway.connect(1)
     try:
         fresh.query("SELECT * FROM Events WHERE EId = 2")
         print("  Q2 (fresh session) -> ALLOW (unexpected!)")
@@ -121,8 +122,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 def cmd_enforce(args: argparse.Namespace) -> int:
     app, db = _load_app(args)
-    policy = app.ground_truth_policy()
-    proxy = EnforcementProxy(db, policy, Session.for_user(args.user))
+    proxy = EnforcementGateway(db, app.ground_truth_policy()).connect(args.user)
     for sql in args.sql:
         try:
             result = proxy.query(sql)
@@ -202,7 +202,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.lifecycle import LifecycleManager
     from repro.net import NetServer, ServerConfig
     from repro.policy import policy_from_text
-    from repro.serve import EnforcementGateway
 
     app, db = _load_app(args)
     if args.policy_file:

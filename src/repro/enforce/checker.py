@@ -81,10 +81,6 @@ _NAMED_PATTERNS = 3
 class ComplianceChecker:
     """Decides allow/block for bound SELECT statements.
 
-    ``history_enabled=False`` disables trace facts — the ablation that
-    experiment E1 uses to show Q2 of Example 2.1 being blocked without
-    history.
-
     ``compiled`` takes view dispatch/instantiation from the
     :class:`~repro.relalg.compile.CompiledPolicy`. ``skeletons`` is the
     :class:`~repro.enforce.cache.DecisionCache` each check is learned into
@@ -96,14 +92,12 @@ class ComplianceChecker:
         self,
         schema: SchemaInfo,
         policy: Policy,
-        history_enabled: bool = True,
         max_candidates: int = 2000,
         compiled: "CompiledPolicy | None" = None,
         skeletons: "DecisionCache | None" = None,
     ):
         self.schema = schema
         self.policy = policy
-        self.history_enabled = history_enabled
         self.max_candidates = max_candidates
         self.compiled = compiled
         self.skeletons = skeletons
@@ -176,16 +170,14 @@ class ComplianceChecker:
             if self.compiled is not None
             else self.policy.view_defs(bindings)
         )
-        relevant: set[str] = set()
-        considered = 0
-        if self.history_enabled:
-            relevant = (
-                self.compiled.relevant_relations(set(query.relations()))
-                if self.compiled is not None
-                else self._relevant_relations(query, views)
-            )
-            if trace is not None:
-                considered = sum(len(trace.facts_of(rel)) for rel in relevant)
+        relevant = (
+            self.compiled.relevant_relations(set(query.relations()))
+            if self.compiled is not None
+            else self._relevant_relations(query, views)
+        )
+        considered = (
+            sum(len(trace.facts_of(rel)) for rel in relevant) if trace is not None else 0
+        )
         history = trace if considered else None
         budget = SearchBudget(CHECK_STEP_BUDGET)
         # The facts that survived pruning for some disjunct.

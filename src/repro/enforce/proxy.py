@@ -5,16 +5,22 @@ own access checks and issues ordinary SQL; the proxy intercepts each
 query and either executes it as-is or blocks it outright. It never
 modifies a query — the paper's first highlighted trait.
 
-Writes (INSERT/UPDATE/DELETE) pass through unchecked: the paper's setting
-controls *data revelation*; write control is an orthogonal concern. (The
-serving gateway hooks :meth:`EnforcementProxy._execute_write` to
-serialize them.) What a write *does* change is which certified facts are
-true: a DELETE or a value-changing UPDATE can remove the row a fact in
-some session's trace stood for. So before deciding, every session sweeps
-the database's change log (:mod:`repro.engine.changes`) and retires the
-facts the changed rows' old images match — whoever wrote, and through
-whichever front end — and a SELECT whose facts died under it while it
-ran is decided again (:meth:`EnforcementProxy._execute`).
+An :class:`EnforcementProxy` is one request's session, and
+:meth:`repro.serve.gateway.EnforcementGateway.connect` is the only way
+to open one: every decision is made under the gateway's pinned policy
+epoch — its one template store, probed once per statement, and its
+checker, which learns every miss (Allow or Block) into that store — and
+counted in the gateway's metrics.
+
+Writes (INSERT/UPDATE/DELETE) pass through unchecked, serialized by the
+gateway: the paper's setting controls *data revelation*; write control
+is an orthogonal concern. What a write *does* change is which certified
+facts are true: a DELETE or a value-changing UPDATE can remove the row a
+fact in some session's trace stood for. So before deciding, every
+session sweeps the database's change log (:mod:`repro.engine.changes`)
+and retires the facts the changed rows' old images match — whoever
+wrote, and through whichever front end — and a SELECT whose facts died
+under it while it ran is decided again (:meth:`EnforcementProxy._execute`).
 """
 
 from __future__ import annotations
@@ -22,24 +28,28 @@ from __future__ import annotations
 import time
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from typing import TYPE_CHECKING
 
-from repro.enforce.cache import DecisionCache
-from repro.enforce.checker import ComplianceChecker
 from repro.enforce.decision import Decision, PolicyViolation
 from repro.enforce.trace import Trace
-from repro.engine.database import Database
 from repro.engine.executor import Result
-from repro.policy.policy import Policy
 from repro.sqlir import ast
 from repro.sqlir.params import bind_parameters
 from repro.sqlir.prepared import PreparedPlan
 from repro.sqlir.skeleton import Skeleton
-from repro.util.errors import EngineError
+from repro.util.errors import DbacError, EngineError
+
+if TYPE_CHECKING:  # the gateway imports this module
+    from repro.serve.gateway import EnforcementGateway, PolicyEpoch
 
 #: Times one SELECT is decided and executed while concurrent writes keep
 #: retiring its session's facts under it; past this it is blocked.
 STATEMENT_ATTEMPTS = 3
+
+#: The values a session binding may take: JSON scalars. A binding is a
+#: constant of every check and template key, so it must be hashable, and
+#: it must survive the wire unchanged.
+_SCALARS = (bool, int, float, str)
 
 
 @dataclass(frozen=True)
@@ -52,64 +62,60 @@ class Session:
     def for_user(user_id: object, param: str = "MyUId") -> "Session":
         return Session(bindings={param: user_id})
 
+    def validate(self) -> None:
+        """Refuse a binding whose value is not a JSON scalar (``None``,
+        ``bool``, ``int``, ``float`` or ``str``)."""
+        for name, value in self.bindings.items():
+            if value is not None and not isinstance(value, _SCALARS):
+                raise DbacError(
+                    f"session binding {name!r} must be null, a boolean, a number"
+                    f" or a string, not {type(value).__name__}"
+                )
+
 
 @dataclass(frozen=True)
-class ProxyConfig:
-    """Everything configurable about an :class:`EnforcementProxy`.
+class DecisionAuditRecord:
+    """One statement's decision as the gateway made it — once per SELECT,
+    however many attempts it took — for external re-verification.
 
-    * ``history_enabled`` — conjoin certified trace facts into checks
-      (the Example 2.1 mechanism); disable for the no-history ablation.
-    * ``cache`` — a :class:`DecisionCache` to consult before running the
-      checker (one may be shared by any number of proxies and threads);
-      ``None`` disables caching.
+    Produced when ``gateway.decision_audit`` is set (the no-torn-decision
+    instrument of ``tests/lifecycle/test_reload.py::TestNoTornDecisions``):
+    carries everything needed to replay
+    the decision against a fresh checker for the policy version that
+    made it — the bound SQL, the session bindings, and the certified
+    trace facts *as of decision time*.
     """
 
-    history_enabled: bool = True
-    cache: DecisionCache | None = None
-
-
-@dataclass
-class ProxyStats:
-    """Counters a proxy accumulates over its lifetime."""
-
-    allowed: int = 0
-    blocked: int = 0
-    cache_hits: int = 0
-    parse_seconds: float = 0.0
-    check_seconds: float = 0.0
-    execute_seconds: float = 0.0
-    #: Trace facts retired because a write changed the rows they stood for.
-    facts_retired: int = 0
-    #: SELECTs decided again because a concurrent write retired facts.
-    statement_retries: int = 0
-    #: Fresh checks that ran out of search budget (each one a Block).
-    checks_over_budget: int = 0
+    sql: str
+    bindings: dict
+    facts: tuple
+    trace_len: int
+    allowed: bool
+    policy_version: int
+    from_cache: bool
+    #: Names of the policy views the justification's rewritings leaned on
+    #: (empty for blocks and for decisions with no witnessing rewriting).
+    #: The mining service's tightening detector reads these to find views
+    #: live traffic never exercises.
+    views: tuple = ()
 
 
 class EnforcementProxy:
-    """A per-session database connection with policy enforcement.
+    """One request's database connection with policy enforcement, opened
+    by :meth:`EnforcementGateway.connect` on an empty trace.
 
     Implements the :class:`~repro.engine.connection.Connection` protocol
     (``sql()`` / ``query()`` / ``close()``), same as
     :class:`~repro.engine.database.Database`, so application handlers run
-    unmodified against either.
-
-    Configuration lives in :class:`ProxyConfig`.
+    unmodified against either. Its statements run one at a time, on the
+    caller's thread: the trace and the sweep pointer assume it.
     """
 
-    def __init__(
-        self,
-        db: Database,
-        policy: Policy,
-        session: Session,
-        config: ProxyConfig | None = None,
-    ):
-        self.config = config or ProxyConfig()
-        self.db = db
-        self.policy = policy
+    def __init__(self, gateway: "EnforcementGateway", session: Session):
+        self._gateway = gateway
+        self.db = gateway.db
         self.session = session
         self.trace = Trace()
-        self.stats = ProxyStats()
         #: The last SELECT's outcome, Allow or Block (``repro enforce
         #: --explain`` prints it).
         self.last_decision: Decision | None = None
@@ -118,16 +124,8 @@ class EnforcementProxy:
         # immutable mapping on every request is pure hot-path waste.
         self._param_items = sorted(session.bindings.items())
         #: The change-log sequence number the trace has been swept to.
-        self._swept = db.changes.seq
+        self._swept = self.db.changes.seq
         self._closed = False
-
-    @cached_property
-    def checker(self) -> ComplianceChecker:
-        """This proxy's own checker, built when a miss first needs it (a
-        gateway session decides under its epoch's and never builds one)."""
-        return ComplianceChecker(
-            self.db.schema, self.policy, history_enabled=self.config.history_enabled
-        )
 
     # -- the application-facing API ----------------------------------------------
 
@@ -189,9 +187,7 @@ class EnforcementProxy:
             raise EngineError("connection is closed")
         started = time.perf_counter()
         plan = self.db.prepare(sql) if isinstance(sql, str) else None
-        parse_seconds = time.perf_counter() - started
-        self.stats.parse_seconds += parse_seconds
-        self._record_stage("parse", parse_seconds)
+        self._gateway.metrics.observe_stage("parse", time.perf_counter() - started)
         return plan, (sql if plan is None else plan.statement)
 
     def _execute(
@@ -219,15 +215,15 @@ class EnforcementProxy:
         observed once (:meth:`_conclude`).
         """
         if not isinstance(stmt, ast.Select):
-            return self._execute_write(stmt, args, named)
+            return self._gateway._handle_write(stmt, args, named)
         bound = bind_parameters(stmt, args, named)
         assert isinstance(bound, ast.Select)
         skeleton = plan.skeleton_for(args, named) if plan is not None else None
         changes = self.db.changes
+        metrics = self._gateway.metrics
         for attempt in range(STATEMENT_ATTEMPTS):
             if attempt:
-                self.stats.statement_retries += 1
-                self._record_counter("statement_retries", 1)
+                metrics.increment("statement_retries")
             settled = changes.settled
             if changes.seq != self._swept:
                 self._sweep()
@@ -238,9 +234,7 @@ class EnforcementProxy:
                 raise PolicyViolation(decision)
             started = time.perf_counter()
             result = self.db.execute_bound(bound)
-            executed = time.perf_counter()
-            self.stats.execute_seconds += executed - started
-            self._record_stage("execute", executed - started)
+            metrics.observe_stage("execute", time.perf_counter() - started)
             assert isinstance(result, Result)
             if changes.seq != swept and self._sweep():
                 continue
@@ -250,7 +244,7 @@ class EnforcementProxy:
             certifying = time.perf_counter()
             self.trace.record_execution(bound, result, self.db.schema, plan, skeleton)
             self._swept = settled
-            self._record_stage("certify", time.perf_counter() - certifying)
+            metrics.observe_stage("certify", time.perf_counter() - certifying)
             return result
         block = Decision(
             allowed=False,
@@ -265,14 +259,43 @@ class EnforcementProxy:
     def _conclude(
         self, decision: Decision, bound: ast.Select, decided: bool = True
     ) -> None:
-        """Count and observe one statement's outcome; ``decided`` is False
-        for the Block that ends the attempts, which no check made."""
-        if decision.allowed:
-            self.stats.allowed += 1
-        else:
-            self.stats.blocked += 1
+        """One statement's outcome: the outcome counters, the audit record
+        and the shadow check. ``decided`` is False for the Block that ends
+        the attempts: it is counted and audited, but not shadowed — no
+        policy made it, so a candidate policy cannot diverge from it."""
         self.last_decision = decision
-        self._observe_decision(decision, bound, decided)
+        gateway = self._gateway
+        metrics = gateway.metrics
+        metrics.increment("decisions_allowed" if decision.allowed else "decisions_blocked")
+        for rewriting in decision.rewritings:
+            for atom in rewriting.atoms:
+                metrics.count_view_check(atom.rel)
+        audit = gateway.decision_audit
+        if audit is not None:
+            facts = self.trace.facts
+            audit(
+                DecisionAuditRecord(
+                    sql=decision.sql,
+                    bindings=dict(self.session.bindings),
+                    facts=facts,
+                    trace_len=len(facts),
+                    allowed=decision.allowed,
+                    policy_version=decision.policy_version,
+                    from_cache=decision.from_cache,
+                    views=tuple(
+                        sorted(
+                            {
+                                atom.rel
+                                for rewriting in decision.rewritings
+                                for atom in rewriting.atoms
+                            }
+                        )
+                    ),
+                )
+            )
+        shadow = gateway.shadow
+        if shadow is not None and decided:
+            shadow.submit(self, bound, decision)
 
     def _sweep(self) -> int:
         """Retire the facts that rows changed since the last sweep stood
@@ -281,8 +304,7 @@ class EnforcementProxy:
         self._swept, images = self.db.changes.since(self._swept)
         retired = self.trace.clear() if images is None else self.trace.retire(images)
         if retired:
-            self.stats.facts_retired += retired
-            self._record_counter("facts_retired", retired)
+            self._gateway.metrics.increment("facts_retired", retired)
         return retired
 
     def close(self) -> None:
@@ -293,103 +315,63 @@ class EnforcementProxy:
     # -- decisions ---------------------------------------------------------------
 
     def decide(self, bound: ast.Select, skeleton: Skeleton | None = None) -> Decision:
-        """Vet a bound SELECT (without executing it).
+        """Vet a bound SELECT (without executing it), entirely under one
+        policy epoch.
 
-        ``skeleton`` is the prepared-statement fast path: a precomputed
-        ``skeletonize(bound)`` that lets the cache probe and template
-        store skip the per-request AST traversal. The cache is probed once;
-        a miss goes to :meth:`_check_fresh`, which also stores what it
-        decided (a gateway's may still answer from a template another
-        session just stored: ``from_cache``). Deciding
-        is not an outcome: the allow/block counts and the audit record
-        belong to the statement that executes (:meth:`_conclude`).
+        The epoch is read once and pinned for the whole decision — the
+        store probe, a fresh check and what it learns, verification — so
+        a concurrent hot reload can never produce a decision computed
+        against a mix of two policies. ``skeleton`` is the
+        prepared-statement fast path: a precomputed ``skeletonize(bound)``
+        that lets the store probe skip the per-request AST traversal. A
+        miss goes through the epoch's batcher to its checker, which learns
+        what it decides (and may still answer from a template another
+        session just stored: ``from_cache``). Deciding is not an outcome:
+        the allow/block counts and the audit record belong to the
+        statement that executes (:meth:`_conclude`).
         """
+        gateway = self._gateway
+        metrics = gateway.metrics
+        bindings = self.session.bindings
         started = time.perf_counter()
-        cache = self._decision_cache()
-        # Only offer the trace to the cache when this session's checker
-        # would use history itself; otherwise a fact-dependent template
-        # could allow what the no-history checker would block.
-        trace = self.trace if self.config.history_enabled else None
-        decision = None
-        if cache is not None:
-            decision = cache.lookup(
+        with gateway.epoch as epoch:
+            decision = epoch.shared_cache.lookup(
                 bound,
-                self.session.bindings,
-                trace,
+                bindings,
+                self.trace,
                 skeleton=skeleton,
                 param_items=self._param_items,
             )
-        if decision is None:
-            decision = self._check_fresh(bound, trace, skeleton=skeleton)
-            if decision.over_budget:
-                self.stats.checks_over_budget += 1
-                self._record_counter("checks_over_budget", 1)
-        if decision.from_cache:
-            self.stats.cache_hits += 1
-        seconds = time.perf_counter() - started
-        self.stats.check_seconds += seconds
-        self._record_stage("check", seconds)
-        self._observe_check(decision, bound)
+            if decision is None:
+                decision = epoch.batcher.check(
+                    bound, bindings, self.trace, skeleton=skeleton
+                )
+                if decision.over_budget:
+                    metrics.increment("checks_over_budget")
+            metrics.observe_stage("check", time.perf_counter() - started)
+            if decision.from_cache:
+                metrics.increment("cache_hits")
+                if gateway.config.verify_cached_decisions:
+                    self._verify_cached(epoch, decision, bound)
+            else:
+                metrics.increment("cache_misses")
+        decision.policy_version = epoch.version
         return decision
 
-    # -- subclass hooks (used by repro.serve) -------------------------------------
-
-    def _execute_write(
-        self,
-        stmt: ast.Statement,
-        args: Sequence[object],
-        named: Mapping[str, object] | None,
-    ) -> Result | int:
-        """Run a non-SELECT statement; the gateway overrides to serialize."""
-        started = time.perf_counter()
-        outcome = self.db.sql(stmt, args, named)
-        self._record_stage("execute", time.perf_counter() - started)
-        return outcome
-
-    def _record_stage(self, stage: str, seconds: float) -> None:
-        """Per-stage latency observation point; no-op outside the gateway."""
-
-    def _record_counter(self, name: str, amount: int) -> None:
-        """Counter observation point (``facts_retired``,
-        ``statement_retries``, ``checks_over_budget``);
-        no-op outside the gateway."""
-
-    def _decision_cache(self) -> DecisionCache | None:
-        """The decision cache to consult for this decision.
-
-        The gateway overrides this to resolve the cache through the
-        policy epoch pinned for the current decision (caches are
-        per-policy-version there, not per-connection).
-        """
-        return self.config.cache
-
-    def _check_fresh(
-        self,
-        bound: ast.Select,
-        trace: Trace | None,
-        skeleton: Skeleton | None = None,
-    ) -> Decision:
-        """Run the full compliance check for a cache miss, and store it.
-
-        The miss hook is the one place a fresh decision is generalized
-        into the cache. The gateway overrides it to check under its
-        pinned policy epoch, whose compiling checker stores for itself.
-        """
-        decision = self.checker.check(
-            bound, self.session.bindings, trace, skeleton=skeleton
-        )
-        if self.config.cache is not None:
-            self.config.cache.store(
-                bound, self.session.bindings, decision, skeleton=skeleton
-            )
-        return decision
-
-    def _observe_check(self, decision: Decision, bound: ast.Select) -> None:
-        """Observation point for each decision :meth:`decide` makes (a
-        retried statement makes several); no-op outside the gateway."""
-
-    def _observe_decision(
-        self, decision: Decision, bound: ast.Select, decided: bool
+    def _verify_cached(
+        self, epoch: "PolicyEpoch", decision: Decision, bound: ast.Select
     ) -> None:
-        """Observation point for a statement's outcome, once per SELECT
-        (see :meth:`_conclude`); no-op outside the gateway."""
+        """Replay a cache hit through the uncached checker and compare.
+
+        ``allow_compiled=False``: verification must be independent of
+        the templates it audits (they live in the very store the hit
+        came from), so it runs the full containment path, unbatched, and
+        learns nothing from it.
+        """
+        fresh = epoch.checker.check(
+            bound, self.session.bindings, self.trace, allow_compiled=False
+        )
+        metrics = self._gateway.metrics
+        metrics.increment("cache_verified")
+        if fresh.allowed != decision.allowed:
+            metrics.increment("cache_disagreements")

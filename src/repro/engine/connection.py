@@ -1,8 +1,10 @@
 """The backend-agnostic connection interface.
 
 Everything that serves application queries — the raw
-:class:`~repro.engine.database.Database`, the enforcement proxy, the RLS
-baseline, and gateway sessions — exposes the same three methods, so
+:class:`~repro.engine.database.Database`, an enforcing session
+(:class:`~repro.enforce.proxy.EnforcementProxy`, opened by
+``EnforcementGateway.connect``), the RLS baseline, and the wire client —
+exposes the same three methods, so
 workload handlers and the serving layer never know (or care) which
 backend they talk to:
 
@@ -31,8 +33,8 @@ re-parsing (see ``docs/prepared.md``). It is deliberately not folded
 into :class:`Connection`: ``runtime_checkable`` protocols check by
 attribute presence, and existing third-party connection shims must keep
 passing ``isinstance(conn, Connection)`` without growing new methods.
-The local implementations (``Database``, ``EnforcementProxy``/gateway
-sessions, and the wire client) all satisfy both protocols; the handle
+The local implementations (``Database``, ``EnforcementProxy`` sessions,
+and the wire client) all satisfy both protocols; the handle
 type differs per implementation (a
 :class:`~repro.sqlir.prepared.PreparedPlan` in-process, a wire handle
 over the network), which is why the extension protocol types it as an

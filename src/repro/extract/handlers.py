@@ -212,7 +212,7 @@ def run_handler(
 
     ``connection`` is anything exposing ``query(sql, args)`` — a
     :class:`~repro.engine.database.Database`, an
-    :class:`~repro.enforce.proxy.EnforcementProxy`, or a baseline.
+    :class:`~repro.enforce.proxy.EnforcementProxy` session, or a baseline.
     Missing handler parameters raise immediately; an ``Abort`` statement
     finishes the run with ``aborted=True`` (it is an application-level
     outcome, not an error of the harness).

@@ -125,10 +125,10 @@ class DivergenceLog:
 class ShadowRunner:
     """Runs candidate-policy checks alongside the active gateway path.
 
-    Installed as ``gateway.shadow``;
-    :meth:`~repro.serve.gateway.GatewayConnection.decide` calls
-    :meth:`submit` after every active decision. One worker thread drains
-    the queue in submission order.
+    Installed as ``gateway.shadow``; every session calls :meth:`submit`
+    once per statement the active policy decided
+    (:meth:`~repro.enforce.proxy.EnforcementProxy._conclude`). One worker
+    thread drains the queue in submission order.
     """
 
     def __init__(

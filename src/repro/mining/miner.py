@@ -392,7 +392,7 @@ class AuditMiner:
     def _checker_for(self, policy: Policy):
         from repro.enforce.checker import ComplianceChecker
 
-        return ComplianceChecker(self.db.schema, policy, history_enabled=True)
+        return ComplianceChecker(self.db.schema, policy)
 
     def _parse_select(self, sql: str) -> ast.Select | None:
         try:

@@ -2,7 +2,7 @@
 
 ``gateway.decision_audit`` is a single nullable callback. An
 :class:`AuditStream` is what a deployment installs there: it stamps each
-:class:`~repro.serve.gateway.DecisionAuditRecord` with a monotonic id,
+:class:`~repro.enforce.proxy.DecisionAuditRecord` with a monotonic id,
 appends it to an optional durable JSONL sink, and fans it out to any
 number of bounded in-process subscriptions (the mining service holds
 one; tooling may hold others).
@@ -30,7 +30,7 @@ class AuditEntry:
     """One audited decision with its stream-assigned id."""
 
     id: int
-    record: object  # repro.serve.gateway.DecisionAuditRecord (duck-typed)
+    record: object  # repro.enforce.proxy.DecisionAuditRecord (duck-typed)
 
 
 class AuditSubscription:

@@ -81,10 +81,11 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.enforce.decision import PolicyViolation
+from repro.enforce.proxy import EnforcementProxy
 from repro.net import protocol
 from repro.net.metrics import NetMetrics
 from repro.net.protocol import ConnectionClosed, FrameTooLarge, NetError
-from repro.serve.gateway import EnforcementGateway, GatewayConnection
+from repro.serve.gateway import EnforcementGateway
 from repro.sqlir.prepared import PreparedPlan
 from repro.util.errors import DbacError
 
@@ -151,7 +152,7 @@ class _Connection:
         self.write_lock = threading.Lock()
         self.closed = False
         self.running: tuple[float, object, float, str] | None = None
-        self.session: GatewayConnection | None = None
+        self.session: EnforcementProxy | None = None
         self.prepared: OrderedDict[int, PreparedPlan] = OrderedDict()
         self.next_handle = 1
 
@@ -574,7 +575,10 @@ class NetServer:
                 protocol.ERR_BAD_REQUEST,
                 "HELLO needs a non-empty 'bindings' object",
             )
-        conn.session = self.gateway.connect(bindings)
+        try:
+            conn.session = self.gateway.connect(bindings)
+        except DbacError as exc:
+            return _error(frame, protocol.ERR_BAD_REQUEST, str(exc))
         welcome = {
             "type": protocol.WELCOME,
             "version": protocol.PROTOCOL_VERSION,

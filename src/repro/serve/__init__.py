@@ -9,20 +9,14 @@ and per-stage latency metrics. See ``docs/serving.md``; ``bench/run.py`` replays
 workloads through it.
 """
 
-from repro.serve.gateway import (
-    DecisionAuditRecord,
-    EnforcementGateway,
-    GatewayConfig,
-    GatewayConnection,
-    PolicyEpoch,
-)
+from repro.enforce.proxy import DecisionAuditRecord
+from repro.serve.gateway import EnforcementGateway, GatewayConfig, PolicyEpoch
 from repro.serve.metrics import GatewayMetrics, LatencyHistogram, MetricsSnapshot
 
 __all__ = [
     "DecisionAuditRecord",
     "EnforcementGateway",
     "GatewayConfig",
-    "GatewayConnection",
     "GatewayMetrics",
     "PolicyEpoch",
     "LatencyHistogram",

@@ -3,13 +3,15 @@
 An :class:`EnforcementGateway` is the process-wide front door of a
 serving deployment: it owns the database handle, the policy, one
 :class:`~repro.enforce.cache.DecisionCache` per policy epoch, and the
-metrics registry, and it hands out :class:`GatewayConnection` objects,
-one per request. Connections implement the standard
+metrics registry, and :meth:`EnforcementGateway.connect` is the only way
+to open an enforcing session (an
+:class:`~repro.enforce.proxy.EnforcementProxy`), one per request.
+Sessions implement the standard
 :class:`~repro.engine.connection.Connection` protocol, so application
 handlers run against a gateway session exactly as they would against a
 bare :class:`~repro.engine.database.Database`.
 
-What the gateway adds over a loose pile of per-session proxies:
+What every session gets from its gateway:
 
 * **Shared decisions** — every statement probes the epoch's one
   template store once, and every miss's full check feeds it, so a
@@ -56,8 +58,7 @@ from dataclasses import dataclass
 
 from repro.enforce.cache import DecisionCache
 from repro.enforce.checker import ComplianceChecker
-from repro.enforce.decision import Decision
-from repro.enforce.proxy import EnforcementProxy, ProxyConfig, Session
+from repro.enforce.proxy import EnforcementProxy, Session
 from repro.engine.database import Database
 from repro.engine.executor import Result
 from repro.policy.policy import Policy
@@ -185,172 +186,6 @@ class PolicyEpoch:
         return [self.shared_cache]
 
 
-#: Every gateway session's proxy config: history on, and no cache of its
-#: own (a session probes the store of the epoch its decision pins).
-_PROXY_CONFIG = ProxyConfig()
-
-
-class GatewayConnection(EnforcementProxy):
-    """One request's session, vended by :meth:`EnforcementGateway.connect`.
-
-    Its statements run one at a time, on the caller's thread: the trace,
-    the pinned epoch and the proxy stats assume it."""
-
-    def __init__(self, gateway: "EnforcementGateway", session: Session):
-        super().__init__(gateway.db, gateway.policy, session, _PROXY_CONFIG)
-        self._gateway = gateway
-        # The epoch pinned by the decision currently in flight on this
-        # connection (at most one).
-        self._pinned_epoch: PolicyEpoch | None = None
-
-    @property
-    def checker(self) -> ComplianceChecker:
-        """The deciding epoch's checker: a session has none of its own,
-        so none is built at connect and none outlives a reload."""
-        return self._gateway.epoch.checker
-
-    # -- epoch-pinned deciding ---------------------------------------------------
-
-    def decide(self, bound: ast.Select, skeleton=None) -> Decision:
-        """Vet a bound SELECT entirely under one policy epoch.
-
-        The epoch is read once and pinned for the whole decision — the
-        store probe, a fresh check and what it learns, verification — so a concurrent hot
-        reload can never produce a decision computed against a mix of
-        two policies. ``skeleton`` is the
-        prepared-statement fast path (see ``EnforcementProxy.decide``).
-        """
-        gateway = self._gateway
-        with gateway.epoch as epoch:
-            self._pinned_epoch = epoch
-            try:
-                decision = super().decide(bound, skeleton=skeleton)
-            finally:
-                self._pinned_epoch = None
-        decision.policy_version = epoch.version
-        return decision
-
-    def _decision_cache(self) -> DecisionCache:
-        """The pinned epoch's store."""
-        return self._pinned_epoch.shared_cache
-
-    # -- hooks wired into the gateway ------------------------------------------
-
-    def _execute_write(
-        self,
-        stmt: ast.Statement,
-        args: Sequence[object],
-        named: Mapping[str, object] | None,
-    ) -> Result | int:
-        return self._gateway._handle_write(stmt, args, named)
-
-    def _record_stage(self, stage: str, seconds: float) -> None:
-        self._gateway.metrics.observe_stage(stage, seconds)
-
-    def _record_counter(self, name: str, amount: int) -> None:
-        self._gateway.metrics.increment(name, amount)
-
-    def _observe_check(self, decision: Decision, bound: ast.Select) -> None:
-        """Per decision, under its pinned epoch: the cache counters, and
-        the replay of a hit when ``verify_cached_decisions`` is on."""
-        metrics = self._gateway.metrics
-        if decision.from_cache:
-            metrics.increment("cache_hits")
-            if self._gateway.config.verify_cached_decisions:
-                self._verify_cached(decision, bound)
-        else:
-            metrics.increment("cache_misses")
-
-    def _observe_decision(
-        self, decision: Decision, bound: ast.Select, decided: bool
-    ) -> None:
-        """Per statement: the outcome counters, the audit record and the
-        shadow check. The Block that ends a statement's attempts is
-        counted and audited, but not shadowed: no policy made it, so a
-        candidate policy cannot diverge from it."""
-        gateway = self._gateway
-        metrics = gateway.metrics
-        metrics.increment("decisions_allowed" if decision.allowed else "decisions_blocked")
-        for rewriting in decision.rewritings:
-            for atom in rewriting.atoms:
-                metrics.count_view_check(atom.rel)
-        audit = gateway.decision_audit
-        if audit is not None:
-            facts = self.trace.facts
-            audit(
-                DecisionAuditRecord(
-                    sql=decision.sql,
-                    bindings=dict(self.session.bindings),
-                    facts=facts,
-                    trace_len=len(facts),
-                    allowed=decision.allowed,
-                    policy_version=decision.policy_version,
-                    from_cache=decision.from_cache,
-                    views=tuple(
-                        sorted(
-                            {
-                                atom.rel
-                                for rewriting in decision.rewritings
-                                for atom in rewriting.atoms
-                            }
-                        )
-                    ),
-                )
-            )
-        shadow = gateway.shadow
-        if shadow is not None and decided:
-            shadow.submit(self, bound, decision)
-
-    def _verify_cached(self, decision: Decision, bound: ast.Select) -> None:
-        """Replay a cache hit through the uncached checker and compare.
-
-        ``allow_compiled=False``: verification must be independent of
-        the templates it audits (they live in the very store the hit
-        came from), so it runs the full containment path, unbatched, and
-        learns nothing from it.
-        """
-        fresh = self._pinned_epoch.checker.check(
-            bound, self.session.bindings, self.trace, allow_compiled=False
-        )
-        self._gateway.metrics.increment("cache_verified")
-        if fresh.allowed != decision.allowed:
-            self._gateway.metrics.increment("cache_disagreements")
-
-    def _check_fresh(self, bound: ast.Select, trace, skeleton=None) -> Decision:
-        """A miss, through the pinned epoch's batcher, so the decision
-        cannot straddle a reload; its checker learns what it decides."""
-        return self._pinned_epoch.batcher.check(
-            bound, self.session.bindings, trace, skeleton=skeleton
-        )
-
-
-@dataclass(frozen=True)
-class DecisionAuditRecord:
-    """One statement's decision as the gateway made it — once per SELECT,
-    however many attempts it took — for external re-verification.
-
-    Produced when ``gateway.decision_audit`` is set (the no-torn-decision
-    instrument of ``tests/lifecycle/test_reload.py::TestNoTornDecisions``):
-    carries everything needed to replay
-    the decision against a fresh checker for the policy version that
-    made it — the bound SQL, the session bindings, and the certified
-    trace facts *as of decision time*.
-    """
-
-    sql: str
-    bindings: dict
-    facts: tuple
-    trace_len: int
-    allowed: bool
-    policy_version: int
-    from_cache: bool
-    #: Names of the policy views the justification's rewritings leaned on
-    #: (empty for blocks and for decisions with no witnessing rewriting).
-    #: The mining service's tightening detector reads these to find views
-    #: live traffic never exercises.
-    views: tuple = ()
-
-
 class EnforcementGateway:
     """Owns the shared cache and metrics; hands out one connection per
     request, and keeps none of them."""
@@ -439,16 +274,19 @@ class EnforcementGateway:
         self,
         session: Session | Mapping[str, object] | object,
         fresh: bool = True,
-    ) -> GatewayConnection:
+    ) -> EnforcementProxy:
         """Open a new session, on an empty trace, for one request.
 
         ``session`` may be a :class:`Session`, a bindings mapping, or a
         bare user id (bound to the conventional ``MyUId`` parameter).
-        ``fresh`` is accepted for older callers and ignored: every
-        session is fresh.
+        A binding whose value is not a JSON scalar is refused with a
+        :class:`~repro.util.errors.DbacError`. ``fresh`` is accepted for
+        older callers and ignored: every session is fresh.
         """
+        session = self._normalize(session)
+        session.validate()
         self.metrics.increment("sessions_opened")
-        return GatewayConnection(self, self._normalize(session))
+        return EnforcementProxy(self, session)
 
     def close(self) -> None:
         if self.shadow is not None:

@@ -7,8 +7,8 @@ and generators for compliant request streams and non-compliant "attack"
 queries.
 
 :class:`AppRunner` executes request streams against a connection mode
-(direct / enforcement proxy / RLS / serving gateway). Each request gets
-a connection of its own, so trace history accumulates within one
+(direct / RLS / the enforcing gateway). Each request gets a connection
+of its own, so trace history accumulates within one
 handler invocation and never across two. Handlers only ever see the
 :class:`~repro.engine.connection.Connection` protocol, so the runner is
 backend-agnostic.
@@ -21,9 +21,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.enforce.cache import DecisionCache
 from repro.enforce.decision import PolicyViolation
-from repro.enforce.proxy import EnforcementProxy, ProxyConfig, Session
 from repro.enforce.baselines import DirectConnection, RowLevelSecurityProxy
 from repro.engine.connection import Connection
 from repro.engine.database import Database
@@ -96,23 +94,15 @@ class AppRunner:
         app: WorkloadApp,
         db: Database,
         mode: str = "direct",
-        policy: Policy | None = None,
-        history_enabled: bool = True,
-        cache: DecisionCache | None = None,
         gateway: "EnforcementGateway | None" = None,
     ):
-        if mode not in ("direct", "proxy", "rls", "gateway"):
+        if mode not in ("direct", "rls", "gateway"):
             raise ValueError(f"unknown mode {mode!r}")
-        if mode in ("proxy",) and policy is None:
-            raise ValueError("proxy mode needs a policy")
         if mode == "gateway" and gateway is None:
             raise ValueError("gateway mode needs a gateway")
         self.app = app
         self.db = db
         self.mode = mode
-        self.policy = policy
-        self.history_enabled = history_enabled
-        self.cache = cache
         self.gateway = gateway
         self._direct = DirectConnection(db)
 
@@ -123,15 +113,8 @@ class AppRunner:
         bindings = self.app.session_bindings(session)
         if self.mode == "rls":
             return RowLevelSecurityProxy(self.db, self.app.rls_predicates, bindings)
-        if self.mode == "gateway":
-            assert self.gateway is not None
-            return self.gateway.connect(bindings)
-        return EnforcementProxy(
-            self.db,
-            self.policy,
-            Session(bindings),
-            ProxyConfig(history_enabled=self.history_enabled, cache=self.cache),
-        )
+        assert self.gateway is not None
+        return self.gateway.connect(bindings)
 
     def run(self, request: Request) -> RequestOutcome:
         handler = self.app.handlers[request.handler]

@@ -8,13 +8,14 @@ from repro.enforce.checker import ComplianceChecker
 from repro.enforce.trace import Trace, fact_from_wire, is_labeled_null
 from repro.engine import Column, ColumnType, Database, ForeignKey, Schema, TableSchema
 from repro.relalg.translate import DictSchema
+from repro.sqlir.params import bind_parameters
 from repro.workloads import calendar_app, employees, hospital, social
 
 
 def reverify_audit(records, policy_by_version, db) -> list:
     """Re-decide audited decisions from scratch; returns those that differ.
 
-    Each record — a :class:`~repro.serve.gateway.DecisionAuditRecord`, or
+    Each record — a :class:`~repro.enforce.proxy.DecisionAuditRecord`, or
     the JSONL line an :class:`~repro.mining.AuditStream` sink wrote for
     one — is checked by a fresh, template-free checker for
     ``policy_by_version[record.policy_version]`` over the trace facts as
@@ -41,6 +42,29 @@ def reverify_audit(records, policy_by_version, db) -> list:
         if fresh.allowed != allowed:
             differing.append(record)
     return differing
+
+
+def reference_verdicts(db, policy, sessions) -> list[bool]:
+    """Allow/block per statement, judged the slow way: no template store
+    and no compiled policy, a bare ``ComplianceChecker(schema, policy)``.
+
+    ``sessions`` is a sequence of ``(bindings, statements)``, each
+    statement a ``(sql, args)`` SELECT. Every session starts on an empty
+    trace; each Allow is executed on ``db`` and its answer certified into
+    that trace — the judgement ``bench/reference.py`` replays workloads
+    against.
+    """
+    checker = ComplianceChecker(db.schema, policy)
+    verdicts = []
+    for bindings, statements in sessions:
+        trace = Trace()
+        for sql, args in statements:
+            bound = bind_parameters(db.parse(sql), args, None)
+            allowed = checker.check(bound, bindings, trace).allowed
+            if allowed:
+                trace.record_execution(bound, db.execute_bound(bound), db.schema)
+            verdicts.append(allowed)
+    return verdicts
 
 
 def contradicted_facts(facts, db) -> list:

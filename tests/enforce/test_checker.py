@@ -61,18 +61,10 @@ class TestExample21:
         )
         assert not decision.allowed
 
-    def test_history_disabled_blocks_q2(self, calendar_schema, calendar_policy):
-        checker = ComplianceChecker(
-            calendar_schema, calendar_policy, history_enabled=False
-        )
-        trace = Trace()
-        q1 = translate_select(
-            bound("SELECT 1 FROM Attendance WHERE UId = 1 AND EId = 2"),
-            calendar_schema,
-        ).disjuncts[0]
-        trace.record("q1", q1, Result(columns=["c"], rows=[(1,)]))
+    def test_history_disabled_blocks_q2(self, checker):
+        # The check sees no trace: Q1's certified answer is not offered.
         decision = checker.check(
-            bound("SELECT * FROM Events WHERE EId = 2"), {"MyUId": 1}, trace
+            bound("SELECT * FROM Events WHERE EId = 2"), {"MyUId": 1}, None
         )
         assert not decision.allowed
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.enforce import EnforcementProxy, PolicyViolation, Session
+from repro.enforce import PolicyViolation
 from repro.enforce.proxy import STATEMENT_ATTEMPTS
 from repro.enforce.trace import Trace
 from repro.relalg.cq import Atom, Const, Var
@@ -55,6 +55,12 @@ def attended(calendar_db):
     pytest.fail("no user attends three events")
 
 
+def connect(db, policy, *users):
+    """A gateway over ``db`` and one session of it per user."""
+    gateway = EnforcementGateway(db, policy)
+    return (gateway, *(gateway.connect(user) for user in users))
+
+
 def inject_writes(proxy, writer, writes):
     """Run the next of ``writes`` right after each of the proxy's decisions."""
     decide = proxy.decide
@@ -73,8 +79,7 @@ class TestWriteBetweenDecideAndExecute:
         self, calendar_db, calendar_policy, attended
     ):
         uid, eid, _ = attended
-        proxy = EnforcementProxy(calendar_db, calendar_policy, Session.for_user(uid))
-        writer = EnforcementProxy(calendar_db, calendar_policy, Session.for_user(uid))
+        gateway, proxy, writer = connect(calendar_db, calendar_policy, uid, uid)
         assert not proxy.query(Q1, [uid, eid]).is_empty()
         inject_writes(
             proxy, writer, [("DELETE FROM Attendance WHERE UId = ? AND EId = ?", [uid, eid])]
@@ -82,8 +87,8 @@ class TestWriteBetweenDecideAndExecute:
         with pytest.raises(PolicyViolation) as blocked:
             proxy.query(Q2, [eid])
         assert "concurrent write" not in blocked.value.decision.reason
-        assert proxy.stats.statement_retries == 1
-        assert proxy.stats.facts_retired == 1
+        counter = gateway.metrics.counter
+        assert (counter("statement_retries"), counter("facts_retired")) == (1, 1)
         assert proxy.trace.facts == ()
 
     def test_a_write_that_retires_nothing_leaves_the_result(
@@ -93,23 +98,22 @@ class TestWriteBetweenDecideAndExecute:
         other = next(
             u for (u,) in calendar_db.query("SELECT UId FROM Attendance").rows if u != uid
         )
-        proxy = EnforcementProxy(calendar_db, calendar_policy, Session.for_user(uid))
-        writer = EnforcementProxy(calendar_db, calendar_policy, Session.for_user(other))
+        gateway, proxy, writer = connect(calendar_db, calendar_policy, uid, other)
         proxy.query(Q1, [uid, eid])
         facts = proxy.trace.facts
         inject_writes(proxy, writer, [("DELETE FROM Attendance WHERE UId = ?", [other])])
         seq = calendar_db.changes.seq
         assert len(proxy.query(Q2, [eid])) == 1
         assert calendar_db.changes.seq > seq  # the write did land mid-statement
-        assert proxy.stats.statement_retries == 0 and proxy.stats.facts_retired == 0
+        counter = gateway.metrics.counter
+        assert (counter("statement_retries"), counter("facts_retired")) == (0, 0)
         assert set(facts) <= set(proxy.trace.facts)
 
     def test_writes_that_keep_retiring_facts_end_in_a_block(
         self, calendar_db, calendar_policy, attended
     ):
         uid, eid, others = attended
-        proxy = EnforcementProxy(calendar_db, calendar_policy, Session.for_user(uid))
-        writer = EnforcementProxy(calendar_db, calendar_policy, Session.for_user(uid))
+        gateway, proxy, writer = connect(calendar_db, calendar_policy, uid, uid)
         assert len(proxy.query(MINE, [uid])) >= STATEMENT_ATTEMPTS
         events = [eid, *others][:STATEMENT_ATTEMPTS]
         inject_writes(
@@ -120,9 +124,10 @@ class TestWriteBetweenDecideAndExecute:
         with pytest.raises(PolicyViolation) as blocked:
             proxy.query(MINE, [uid])
         assert "concurrent write" in blocked.value.decision.reason
-        assert proxy.stats.statement_retries == STATEMENT_ATTEMPTS - 1
-        assert proxy.stats.facts_retired == STATEMENT_ATTEMPTS
-        assert (proxy.stats.allowed, proxy.stats.blocked) == (1, 1)
+        counter = gateway.metrics.counter
+        assert counter("statement_retries") == STATEMENT_ATTEMPTS - 1
+        assert counter("facts_retired") == STATEMENT_ATTEMPTS
+        assert (counter("decisions_allowed"), counter("decisions_blocked")) == (1, 1)
 
 
 def inside(table, method, before=None, after=None):
@@ -170,8 +175,7 @@ class TestReadsInsideAWrite:
         elsewhere = next(
             e for (e,) in calendar_db.query("SELECT EId FROM Events").rows if e not in mine
         )
-        proxy = EnforcementProxy(calendar_db, calendar_policy, Session.for_user(uid))
-        writer = EnforcementProxy(calendar_db, calendar_policy, Session.for_user(uid))
+        _, proxy, writer = connect(calendar_db, calendar_policy, uid, uid)
         assert not proxy.query(Q1, [uid, eid]).is_empty()
         outcomes = inside(
             calendar_db.table("Attendance"),
@@ -188,8 +192,7 @@ class TestReadsInsideAWrite:
         self, calendar_db, calendar_policy, attended
     ):
         uid, eid, _ = attended
-        proxy = EnforcementProxy(calendar_db, calendar_policy, Session.for_user(uid))
-        writer = EnforcementProxy(calendar_db, calendar_policy, Session.for_user(uid))
+        _, proxy, writer = connect(calendar_db, calendar_policy, uid, uid)
         outcomes = inside(
             calendar_db.table("Attendance"),
             "delete_ids",
@@ -232,7 +235,7 @@ class TestOutcomesAreObservedOnce:
         delete = "DELETE FROM Attendance WHERE UId = ? AND EId = ?"
         inject_writes(session, writer, [(delete, [uid, eid])])
         session.query(MINE, [uid])
-        assert session.stats.statement_retries == 1
+        assert gateway.metrics.counter("statement_retries") == 1
         assert [record.allowed for record in records] == [True]
         assert self.outcomes(gateway) == (allowed + 1, blocked)
 
@@ -252,3 +255,29 @@ class TestOutcomesAreObservedOnce:
             session.query(MINE, [uid])
         assert [(r.allowed, r.policy_version) for r in records] == [(False, 1)]
         assert self.outcomes(gateway) == (allowed, blocked + 1)
+
+    def test_each_statement_is_counted_once(self, audited, attended):
+        """N statements are N outcomes, and the ``check`` stage times one
+        decision per attempt: N plus the retries."""
+        gateway, records, session, writer = audited
+        uid, eid, _ = attended
+        before = gateway.snapshot()
+        delete = "DELETE FROM Attendance WHERE UId = ? AND EId = ?"
+        inject_writes(session, writer, [(delete, [uid, eid])])
+        statements = [(MINE, [uid]), (MINE, [uid]), (Q2, [eid]), (Q1, [uid, eid])]
+        for sql, args in statements:
+            try:
+                session.query(sql, args)
+            except PolicyViolation:
+                pass
+        after = gateway.snapshot()
+
+        def grew(name):
+            return after.counters.get(name, 0) - before.counters.get(name, 0)
+
+        assert grew("statement_retries") == 1
+        assert grew("decisions_allowed") + grew("decisions_blocked") == len(statements)
+        assert grew("decisions_blocked") >= 1
+        assert len(records) == len(statements)
+        checks = after.stages["check"]["count"] - before.stages["check"]["count"]
+        assert checks == len(statements) + grew("statement_retries")

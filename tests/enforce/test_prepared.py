@@ -12,7 +12,8 @@ from __future__ import annotations
 import pytest
 
 from repro.enforce.decision import PolicyViolation
-from repro.enforce.proxy import EnforcementProxy, ProxyConfig, Session
+from repro.enforce.proxy import EnforcementProxy
+from repro.serve import EnforcementGateway
 from repro.sqlir.parser import parse_sql
 from repro.sqlir.prepared import prepare_plan
 from repro.sqlir.skeleton import skeletonize
@@ -106,14 +107,12 @@ class TestFallbacks:
         assert skeletonize(bound) is not None
 
 
-def make_proxy(user_id: int = 1, **config) -> EnforcementProxy:
+def make_proxy(user_id: int = 1) -> EnforcementProxy:
     db = calendar_app.make_database(size=8, seed=3)
     if db.query("SELECT 1 FROM Attendance WHERE UId = 1 AND EId = 2").is_empty():
         db.sql("INSERT INTO Attendance VALUES (1, 2)")
     policy = calendar_app.make_app().ground_truth_policy()
-    return EnforcementProxy(
-        db, policy, Session.for_user(user_id), ProxyConfig(**config)
-    )
+    return EnforcementGateway(db, policy).connect(user_id)
 
 
 class TestProxyPreparedPath:
@@ -174,16 +173,12 @@ class TestProxyPreparedPath:
             assert prepared == classic, f"disagreement on {sql} {args}"
 
     def test_fast_path_populates_the_decision_cache(self):
-        from repro.enforce.cache import DecisionCache
-
         policy = calendar_app.make_app().ground_truth_policy()
-        cache = DecisionCache(policy)
         db = calendar_app.make_database(size=8, seed=3)
-        proxy = EnforcementProxy(
-            db, policy, Session.for_user(1), ProxyConfig(cache=cache)
-        )
+        gateway = EnforcementGateway(db, policy)
+        proxy = gateway.connect(1)
         plan = proxy.prepare("SELECT EId FROM Attendance WHERE UId = ?")
         proxy.execute_prepared(plan, [1])
-        assert cache.size == 1
+        assert gateway.shared_cache.size == 1
         proxy.execute_prepared(plan, [1])
-        assert proxy.stats.cache_hits == 1
+        assert gateway.metrics.counter("cache_hits") == 1

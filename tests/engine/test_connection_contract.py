@@ -15,12 +15,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.enforce import (
-    DirectConnection,
-    EnforcementProxy,
-    RowLevelSecurityProxy,
-    Session,
-)
+from repro.enforce import DirectConnection, RowLevelSecurityProxy
 from repro.engine import Connection
 from repro.extract.miner import RecordingConnection
 from repro.net import BackgroundServer, NetClientConnection, ServerConfig
@@ -49,8 +44,12 @@ def make_rls():
 
 
 def make_proxy():
+    """The session a verifying gateway opens for a bindings mapping."""
     app = calendar_app.make_app()
-    yield EnforcementProxy(make_db(), app.ground_truth_policy(), Session.for_user(1))
+    gateway = EnforcementGateway(
+        make_db(), app.ground_truth_policy(), GatewayConfig(verify_cached_decisions=True)
+    )
+    yield gateway.connect({"MyUId": 1})
 
 
 def make_gateway_connection():

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.enforce import EnforcementProxy, PolicyViolation, Session
+from repro.enforce import PolicyViolation
 from repro.enforce.baselines import RowLevelSecurityProxy
 from repro.relalg.translate import translate_select
+from repro.serve import EnforcementGateway
 from repro.sqlir import ast
 from repro.sqlir.params import bind_parameters, collect_parameters
 from repro.sqlir.parser import parse_select, parse_sql
@@ -104,7 +105,7 @@ class TestBoundaries:
             translate_select(stmt, calendar_schema)
 
     def test_proxy_blocks_exists_queries(self, calendar_db, calendar_policy):
-        proxy = EnforcementProxy(calendar_db, calendar_policy, Session.for_user(1))
+        proxy = EnforcementGateway(calendar_db, calendar_policy).connect(1)
         with pytest.raises(PolicyViolation) as err:
             proxy.query(
                 "SELECT Title FROM Events e WHERE EXISTS"

@@ -1,4 +1,5 @@
-"""The paper's Example 2.1, end-to-end through the real proxy.
+"""The paper's Example 2.1, end-to-end through the real proxy (a gateway
+session).
 
 This is the reproduction's acceptance test: the exact query sequence of
 §2.2 with the exact verdicts the paper states, against live data.
@@ -6,8 +7,9 @@ This is the reproduction's acceptance test: the exact query sequence of
 
 import pytest
 
-from repro.enforce import EnforcementProxy, PolicyViolation, ProxyConfig, Session
+from repro.enforce import PolicyViolation
 from repro.relalg.cq import Atom, Const
+from repro.serve import EnforcementGateway, GatewayConfig
 from repro.sqlir.params import bind_parameters
 from repro.sqlir.parser import parse_select
 from repro.workloads import calendar_app
@@ -31,7 +33,8 @@ def setup():
 
 def test_full_example(setup):
     db, policy = setup
-    proxy = EnforcementProxy(db, policy, Session.for_user(1))
+    gateway = EnforcementGateway(db, policy)
+    proxy = gateway.connect(1)
 
     # (Q1) Does User #1 attend Event #2? — allowed under V1.
     q1 = proxy.query("SELECT 1 FROM Attendance WHERE UId = 1 AND EId = 2")
@@ -44,49 +47,38 @@ def test_full_example(setup):
     )
     q2 = proxy.query("SELECT * FROM Events WHERE EId = 2")
     assert len(q2) == 1
-    assert proxy.stats.allowed == 2
-    assert proxy.stats.blocked == 0
+    counter = gateway.metrics.counter
+    assert (counter("decisions_allowed"), counter("decisions_blocked")) == (2, 0)
 
 
 def test_q2_blocked_in_isolation(setup):
     db, policy = setup
-    fresh = EnforcementProxy(db, policy, Session.for_user(1))
+    fresh = EnforcementGateway(db, policy).connect(1)
     with pytest.raises(PolicyViolation):
         fresh.query("SELECT * FROM Events WHERE EId = 2")
-
-
-def test_q2_blocked_when_history_disabled(setup):
-    db, policy = setup
-    proxy = EnforcementProxy(
-        db, policy, Session.for_user(1), ProxyConfig(history_enabled=False)
-    )
-    proxy.query("SELECT 1 FROM Attendance WHERE UId = 1 AND EId = 2")
-    with pytest.raises(PolicyViolation):
-        proxy.query("SELECT * FROM Events WHERE EId = 2")
 
 
 def test_q2_blocked_for_non_attendee(setup):
     db, policy = setup
     db.sql("DELETE FROM Attendance WHERE UId = 2 AND EId = 2")
-    proxy = EnforcementProxy(db, policy, Session.for_user(2))
+    proxy = EnforcementGateway(db, policy).connect(2)
     check = proxy.query("SELECT 1 FROM Attendance WHERE UId = 2 AND EId = 2")
     assert check.is_empty()  # allowed, but returns nothing
     with pytest.raises(PolicyViolation):
         proxy.query("SELECT * FROM Events WHERE EId = 2")
 
 
-def bare_proxy(db, policy, user):
-    return EnforcementProxy(db, policy, Session.for_user(user))
+def gateway_session(db, policy):
+    return EnforcementGateway(db, policy)
 
 
-def gateway_session(db, policy, user):
-    from repro.serve import EnforcementGateway
+def verifying_session(db, policy):
+    """Every cache hit replayed through the full checker."""
+    return EnforcementGateway(db, policy, GatewayConfig(verify_cached_decisions=True))
 
-    return EnforcementGateway(db, policy).connect(user)
 
-
-@pytest.mark.parametrize("open_session", [bare_proxy, gateway_session])
-def test_q2_follows_the_attendance_row(setup, open_session):
+@pytest.mark.parametrize("open_gateway", [gateway_session, verifying_session])
+def test_q2_follows_the_attendance_row(setup, open_gateway):
     """``Q2`` is allowed only while the row ``Q1`` certified exists.
 
     Another session deletes ``Attendance(1, 2)`` and retitles the event:
@@ -96,11 +88,12 @@ def test_q2_follows_the_attendance_row(setup, open_session):
     db, policy = setup
     q1 = "SELECT 1 FROM Attendance WHERE UId = 1 AND EId = 2"
     q2 = "SELECT Title FROM Events WHERE EId = 2"
-    proxy = open_session(db, policy, 1)
+    gateway = open_gateway(db, policy)
+    proxy = gateway.connect(1)
     assert not proxy.query(q1).is_empty()
     assert len(proxy.query(q2)) == 1
 
-    other = EnforcementProxy(db, policy, Session.for_user(3))
+    other = gateway.connect(3)
     other.sql("DELETE FROM Attendance WHERE UId = 1 AND EId = 2")
     other.sql("UPDATE Events SET Title = 'secret-after-removal' WHERE EId = 2")
     with pytest.raises(PolicyViolation):
@@ -112,7 +105,8 @@ def test_q2_follows_the_attendance_row(setup, open_session):
         proxy.query(q2)
     assert not proxy.query(q1).is_empty()
     assert proxy.query(q2).rows == [("secret-after-removal",)]
-    assert proxy.stats.facts_retired >= 2
+    assert gateway.metrics.counter("facts_retired") >= 2
+    assert gateway.metrics.counter("cache_disagreements") == 0
 
 
 def test_a_commit_by_another_connection_to_the_file_blocks_q2(tmp_path):
@@ -124,9 +118,7 @@ def test_a_commit_by_another_connection_to_the_file_blocks_q2(tmp_path):
     if writer.query("SELECT 1 FROM Attendance WHERE UId = 1 AND EId = 2").is_empty():
         writer.sql("INSERT INTO Attendance VALUES (1, 2)")
     reader = calendar_app.make_database(size=10, seed=3, backend="sqlite", db_path=path)
-    proxy = EnforcementProxy(
-        reader, calendar_app.ground_truth_policy(), Session.for_user(1)
-    )
+    proxy = EnforcementGateway(reader, calendar_app.ground_truth_policy()).connect(1)
     assert not proxy.query("SELECT 1 FROM Attendance WHERE UId = 1 AND EId = 2").is_empty()
     assert len(proxy.query("SELECT * FROM Events WHERE EId = 2")) == 1
     writer.sql("DELETE FROM Attendance WHERE UId = 1 AND EId = 2")

@@ -8,12 +8,13 @@ import random
 import pytest
 
 from repro.diagnose import diagnose
-from repro.enforce import DecisionCache, EnforcementProxy, PolicyViolation, Session
+from repro.enforce import PolicyViolation
 from repro.evaluate.nqi import check_nqi
 from repro.evaluate.pqi import check_pqi
 from repro.extract.symbolic import SymbolicExtractor
 from repro.policy import compare_policies, policy_from_text, policy_to_text
 from repro.relalg.translate import translate_select
+from repro.serve import EnforcementGateway
 from repro.sqlir.params import bind_parameters
 from repro.sqlir.parser import parse_select
 from repro.workloads import calendar_app
@@ -42,14 +43,12 @@ def test_extract_then_enforce_then_diagnose():
     # 3. Enforcement (§2.2): run the app behind the proxy with the
     # extracted policy — zero false blocks.
     requests = app.request_stream(db, random.Random(3), 40)
-    runner = AppRunner(
-        app, db, mode="proxy", policy=extracted, cache=DecisionCache(extracted)
-    )
-    outcomes = runner.run_all(requests)
+    gateway = EnforcementGateway(db, extracted)
+    outcomes = AppRunner(app, db, mode="gateway", gateway=gateway).run_all(requests)
     assert all(not o.blocked for o in outcomes)
 
     # 4. A code update introduces an unchecked query; it gets blocked...
-    proxy = EnforcementProxy(db, extracted, Session.for_user(1))
+    proxy = gateway.connect(1)
     with pytest.raises(PolicyViolation):
         proxy.query("SELECT * FROM Events WHERE EId = 2")
 
@@ -72,11 +71,12 @@ def test_policy_survives_serialization_roundtrip():
     assert compare_policies(restored, extracted).exact
 
     # The restored policy enforces identically.
-    proxy = EnforcementProxy(db, restored, Session.for_user(1))
+    gateway = EnforcementGateway(db, restored)
+    proxy = gateway.connect(1)
     uid, eid = db.query("SELECT UId, EId FROM Attendance WHERE UId = 1").first()
     proxy.query("SELECT 1 FROM Attendance WHERE UId = ? AND EId = ?", [uid, eid])
     proxy.query("SELECT * FROM Events WHERE EId = ?", [eid])
-    assert proxy.stats.blocked == 0
+    assert gateway.metrics.counter("decisions_blocked") == 0
 
 
 def test_patched_policy_unblocks_query():
@@ -88,6 +88,6 @@ def test_patched_policy_unblocks_query():
     report = diagnose(stmt, {"MyUId": 1}, gapped, db.schema)
     assert report.policy_patches
     patched = report.policy_patches[0].apply(gapped)
-    proxy = EnforcementProxy(db, patched, Session.for_user(1))
+    proxy = EnforcementGateway(db, patched).connect(1)
     result = proxy.query("SELECT * FROM Users WHERE UId = ?", [1])
     assert len(result) == 1

@@ -7,8 +7,7 @@ import json
 import pytest
 
 from repro.mining import AuditStream
-from repro.serve import EnforcementGateway, GatewayConfig
-from repro.serve.gateway import DecisionAuditRecord
+from repro.serve import DecisionAuditRecord, EnforcementGateway, GatewayConfig
 
 
 def make_record(sql="SELECT 1 FROM Attendance WHERE UId = 1", allowed=True, version=1):

@@ -181,6 +181,19 @@ class TestHandshake:
         assert reply["code"] == protocol.ERR_BAD_REQUEST
         connection.close()
 
+    def test_a_binding_that_is_not_a_scalar_is_a_bad_request(self, server):
+        """Refused at HELLO — not an internal error at the first SELECT —
+        and the server keeps serving."""
+        for value in ([1], {"id": 1}):
+            with pytest.raises(NetError) as refused:
+                connect(server, bindings={"MyUId": value})
+            assert refused.value.code == protocol.ERR_BAD_REQUEST
+            assert "MyUId" in str(refused.value)
+        connection = connect(server)
+        assert len(connection.query("SELECT EId FROM Attendance WHERE UId = 1")) > 0
+        connection.close()
+        assert server.server.metrics.counter("requests_failed") == 0
+
 
 class TestFrameHygiene:
     def test_oversized_frame_is_rejected_from_the_prefix(self):

@@ -8,18 +8,15 @@ import weakref
 
 import pytest
 
-from repro.enforce import (
-    DirectConnection,
-    EnforcementProxy,
-    PolicyViolation,
-    ProxyConfig,
-    Session,
-)
-from repro.enforce.cache import DecisionCache
+from repro.enforce import DirectConnection, EnforcementProxy, PolicyViolation, Session
+from repro.enforce.checker import ComplianceChecker
 from repro.engine import Connection
 from repro.relalg import memo
 from repro.serve import EnforcementGateway, GatewayConfig
+from repro.util.errors import DbacError
 from repro.workloads import calendar_app
+from repro.workloads.runner import AppRunner
+from tests.conftest import reference_verdicts
 
 
 @pytest.fixture
@@ -32,14 +29,10 @@ def calendar_gateway(calendar_db, calendar_policy):
 class TestConnectionProtocol:
     def test_every_backend_satisfies_the_protocol(self, calendar_db, calendar_policy):
         gateway = EnforcementGateway(calendar_db, calendar_policy)
-        backends = [
-            calendar_db,
-            DirectConnection(calendar_db),
-            EnforcementProxy(calendar_db, calendar_policy, Session.for_user(1)),
-            gateway.connect(1),
-        ]
+        backends = [calendar_db, DirectConnection(calendar_db), gateway.connect(1)]
         for backend in backends:
             assert isinstance(backend, Connection), type(backend)
+        assert type(backends[-1]) is EnforcementProxy  # the one session class
 
     def test_closed_gateway_connection_refuses_statements(self, calendar_gateway):
         connection = calendar_gateway.connect(1)
@@ -63,6 +56,22 @@ class TestSessions:
         assert by_session.session.bindings == {"MyUId": 1}
         assert len({id(by_id), id(by_mapping), id(by_session)}) == 3
         assert calendar_gateway.metrics.counter("sessions_opened") == 3
+
+    def test_a_binding_that_is_not_a_scalar_is_refused(self, calendar_gateway):
+        """Bindings are JSON scalars: anything else is refused at connect,
+        before it can reach a check or a template key."""
+        for session in ({"MyUId": [1]}, {"MyUId": {1}}, [1], Session({"MyUId": (1,)})):
+            with pytest.raises(DbacError, match="MyUId"):
+                calendar_gateway.connect(session)
+        assert calendar_gateway.metrics.counter("sessions_opened") == 0
+        for value in (None, True, 1, 1.5, "1"):
+            try:  # decided, whichever way
+                calendar_gateway.connect({"MyUId": value}).query(
+                    "SELECT EId FROM Attendance WHERE UId = 1"
+                )
+            except PolicyViolation:
+                pass
+        assert calendar_gateway.metrics.counter("sessions_opened") == 5
 
     def test_fresh_session_has_empty_trace(self, calendar_gateway):
         returning = calendar_gateway.connect(1)
@@ -185,25 +194,24 @@ class TestOneStore:
     per miss, by the epoch's checker."""
 
     @staticmethod
-    def replay(config: GatewayConfig | None) -> tuple[EnforcementGateway, list[bool]]:
+    def streams():
         """The statement-path stream (blocked, history-gated and allowed
-        statements over six sessions); returns the allow/block sequence.
-        ``config=None`` replays it through bare proxies (no cache, an
-        uncompiled checker): the reference."""
+        statements over six sessions) on a fresh database, and its policy."""
         from tests.net.test_statement_path import make_stream
 
         app = calendar_app.make_app()
-        gateway = EnforcementGateway(
-            app.make_database(12, 3), app.ground_truth_policy(), config
-        )
+        db = app.make_database(12, 3)
+        scripts = [({"MyUId": script[1][1][0]}, script) for script in make_stream(db)]
+        return db, app.ground_truth_policy(), scripts
+
+    @classmethod
+    def replay(cls, config: GatewayConfig) -> tuple[EnforcementGateway, list[bool]]:
+        """The stream through a gateway; returns the allow/block sequence."""
+        db, policy, scripts = cls.streams()
+        gateway = EnforcementGateway(db, policy, config)
         verdicts = []
-        for script in make_stream(gateway.db):
-            user = script[1][1][0]
-            connection = (
-                gateway.connect(user)
-                if config is not None
-                else EnforcementProxy(gateway.db, gateway.policy, Session.for_user(user))
-            )
+        for bindings, script in scripts:
+            connection = gateway.connect(bindings)
             for sql, args in script:
                 try:
                     connection.query(sql, args)
@@ -222,7 +230,7 @@ class TestOneStore:
         assert counters["shared_cache_stores"] == counters["shared_cache_size"] == live
 
     def test_every_configuration_decides_alike_and_stores_once(self):
-        _, expected = self.replay(None)
+        expected = reference_verdicts(*self.streams())
         for config in (GatewayConfig(), GatewayConfig(verify_cached_decisions=True)):
             gateway, verdicts = self.replay(config)
             assert verdicts == expected, config
@@ -241,8 +249,6 @@ class TestOneStore:
 
 class TestDriver:
     def test_runner_gateway_mode(self, calendar_policy):
-        from repro.workloads.runner import AppRunner
-
         app = calendar_app.make_app()
         db = app.make_database(10, 3)
         gateway = EnforcementGateway(db, app.ground_truth_policy())
@@ -253,24 +259,18 @@ class TestDriver:
         assert gateway.metrics.counter("sessions_opened") > 0
 
 
-class TestProxyConfigCompat:
-    def test_config_object_is_the_only_construction_path(
-        self, calendar_db, calendar_policy
-    ):
-        configured = EnforcementProxy(
-            calendar_db,
-            calendar_policy,
-            Session.for_user(1),
-            ProxyConfig(history_enabled=False),
-        )
-        assert not configured.checker.history_enabled
-        assert configured.config.cache is None
-        for gone in ("record_decisions", "decision_log_cap"):
-            with pytest.raises(TypeError, match=gone):
-                ProxyConfig(**{gone: None})
+class TestSessionSurface:
+    def test_connect_is_the_only_construction_path(self, calendar_db, calendar_policy):
+        """A session has nothing to configure: no history switch, no cache
+        of its own, no decision log — on the gateway or the checker."""
         for gone in ("history_enabled", "record_decisions", "decision_log_cap"):
             with pytest.raises(TypeError, match=gone):
                 GatewayConfig(**{gone: None})
+        with pytest.raises(TypeError, match="history_enabled"):
+            ComplianceChecker(calendar_db.schema, calendar_policy, history_enabled=False)
+        connection = EnforcementGateway(calendar_db, calendar_policy).connect(1)
+        for gone in ("config", "stats", "checker", "policy"):
+            assert not hasattr(connection, gone), gone
 
     def test_audit_dropped_counts_fresh_sessions_and_never_runs_backwards(
         self, calendar_db, calendar_policy
@@ -298,7 +298,7 @@ class TestProxyConfigCompat:
             gateway.close()
 
     def test_last_decision_is_the_last_outcome(self, calendar_db, calendar_policy):
-        proxy = EnforcementProxy(calendar_db, calendar_policy, Session.for_user(1))
+        proxy = EnforcementGateway(calendar_db, calendar_policy).connect(1)
         assert proxy.last_decision is None
         proxy.query("SELECT EId FROM Attendance WHERE UId = 1")
         assert proxy.last_decision.allowed
@@ -393,24 +393,30 @@ class TestCompiledGateway:
     def test_compiled_templates_agree_with_cache_templates(
         self, calendar_db, calendar_policy
     ):
-        # The same statements through the gateway's compiled store and a
-        # bare proxy's own cache of Allows: identical verdicts.
-        gateway = EnforcementGateway(calendar_db, calendar_policy)
-        proxy = EnforcementProxy(
-            calendar_db,
+        """The one miss rule: the epoch's checker learns every miss, Allow
+        and Block, so each repeat is a hit — and the store's answers
+        agree with the bare checker's."""
+        statements = [(self.BLOCKED, []), (self.BLOCKED, [])]
+        statements += [(self.ALLOWED, []), (self.ALLOWED, [])]
+        expected = reference_verdicts(
+            calendar_app.make_database(size=10, seed=3),
             calendar_policy,
-            Session.for_user(1),
-            ProxyConfig(cache=DecisionCache(calendar_policy)),
+            [({"MyUId": 1}, statements)],
         )
+        assert expected == [False, False, True, True]
+        gateway = EnforcementGateway(calendar_db, calendar_policy)
         try:
             session = gateway.connect(1)
-            for connection in (session, proxy):
-                for _ in range(2):
-                    with pytest.raises(PolicyViolation):
-                        connection.query(self.BLOCKED)
-                for _ in range(2):
-                    assert connection.query(self.ALLOWED) is not None
-            assert proxy.stats.cache_hits == 1  # a bare proxy stores no Block
-            assert session.stats.cache_hits == 2
+            verdicts = []
+            for sql, args in statements:
+                try:
+                    session.query(sql, args)
+                    verdicts.append(True)
+                except PolicyViolation:
+                    verdicts.append(False)
+            assert verdicts == expected
+            counters = gateway.snapshot().counters
+            assert (counters["cache_hits"], counters["cache_misses"]) == (2, 2)
+            assert counters["compiled_blocks"] == 1
         finally:
             gateway.close()

@@ -15,7 +15,7 @@ import sys
 
 import pytest
 
-from repro.enforce import EnforcementProxy, PolicyViolation, Session
+from repro.enforce import PolicyViolation
 from repro.enforce import cache as cache_module
 from repro.enforce.cache import DecisionCache
 from repro.enforce.checker import ComplianceChecker
@@ -32,6 +32,7 @@ from repro.sqlir.parser import parse_select
 from repro.sqlir.printer import to_sql
 from repro.sqlir.skeleton import skeletonize
 from repro.workloads import calendar_app
+from tests.conftest import reference_verdicts
 
 MINE = "SELECT EId FROM Attendance WHERE UId = ?"
 PROBE = "SELECT 1 FROM Attendance WHERE UId = ? AND EId = ?"
@@ -218,10 +219,11 @@ class TestGroupedTwinIsDecidedOnItsOwn:
     )
     def test_both_orders_agree_with_the_uncached_checker(self, statements):
         gateway = make_gateway()
-        # The reference: bare proxies, no cache, an uncompiled checker.
-        reference = verdicts(
-            lambda: EnforcementProxy(gateway.db, gateway.policy, Session.for_user(1)),
-            statements,
+        # The reference: no store, an uncompiled checker.
+        app = calendar_app.make_app()
+        script = [(sql, []) for sql in statements]
+        reference = reference_verdicts(
+            app.make_database(12, 3), gateway.policy, [({"MyUId": 1}, script)] * 2
         )
         assert sorted(reference[:2]) == [False, True]  # grouped: outside the fragment
         assert verdicts(lambda: gateway.connect(1), statements) == reference
@@ -244,10 +246,11 @@ class TestNoCheckerPerSession:
         connection.sql(MINE, [1])
         connection.sql(EVENT, [attended_event(gateway, 1)])
         assert built == []
-        assert connection.checker is gateway.epoch.checker
         lifecycle.reload(calendar_app.ground_truth_policy())
         assert len(built) == 1  # the new epoch's, not one per session
-        assert connection.checker is built[0] is gateway.epoch.checker
+        assert built[0] is gateway.epoch.checker
+        connection.sql(MINE, [1])
+        assert len(built) == 1
         gateway.close()
 
 

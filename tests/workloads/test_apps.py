@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from repro.enforce import DecisionCache, EnforcementProxy, PolicyViolation, Session
+from repro.enforce import PolicyViolation
+from repro.serve import EnforcementGateway
 from repro.workloads import calendar_app, employees, hospital, social
 from repro.workloads.runner import AppRunner
 
@@ -50,13 +51,8 @@ class TestCompliantWorkload:
         """The headline E1 invariant: a compliant workload is never blocked."""
         app, db = app_and_db
         requests = app.request_stream(db, random.Random(7), 30)
-        runner = AppRunner(
-            app,
-            db,
-            mode="proxy",
-            policy=app.ground_truth_policy(),
-            cache=DecisionCache(app.ground_truth_policy()),
-        )
+        gateway = EnforcementGateway(db, app.ground_truth_policy())
+        runner = AppRunner(app, db, mode="gateway", gateway=gateway)
         outcomes = runner.run_all(requests)
         blocked = [o for o in outcomes if o.blocked]
         assert not blocked, blocked[0].block_reason if blocked else None
@@ -65,9 +61,8 @@ class TestCompliantWorkload:
         app, db = app_and_db
         requests = app.request_stream(db, random.Random(9), 15)
         direct = AppRunner(app, db, mode="direct").run_all(requests)
-        proxied = AppRunner(
-            app, db, mode="proxy", policy=app.ground_truth_policy()
-        ).run_all(requests)
+        gateway = EnforcementGateway(db, app.ground_truth_policy())
+        proxied = AppRunner(app, db, mode="gateway", gateway=gateway).run_all(requests)
         for d, p in zip(direct, proxied):
             if d.outcome is None or d.outcome.returned is None:
                 continue
@@ -80,7 +75,7 @@ class TestAttackWorkload:
         """The other E1 invariant: zero false allows on the probes."""
         app, db = app_and_db
         policy = app.ground_truth_policy()
-        proxy = EnforcementProxy(db, policy, Session.for_user(1))
+        proxy = EnforcementGateway(db, policy).connect(1)
         for sql, args in app.attack_queries(db, 1):
             with pytest.raises(PolicyViolation):
                 proxy.query(sql, args)

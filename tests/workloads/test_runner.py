@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.enforce import DecisionCache
+from repro.serve import EnforcementGateway
 from repro.workloads import calendar_app
 from repro.workloads.runner import AppRunner, Request
 
@@ -23,51 +23,36 @@ class TestConnectionModes:
             AppRunner(app, db, mode="nope")
 
     def test_proxy_mode_requires_policy(self, setup):
+        """There is no proxy mode: a policy alone opens no enforcing
+        connection, a gateway does (and gateway mode requires one)."""
         app, db = setup
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown mode"):
             AppRunner(app, db, mode="proxy")
+        with pytest.raises(ValueError, match="needs a gateway"):
+            AppRunner(app, db, mode="gateway")
+        for gone in ("policy", "history_enabled", "cache"):
+            with pytest.raises(TypeError, match=gone):
+                AppRunner(app, db, **{gone: None})
 
     def test_fresh_session_per_request(self, setup):
-        """Every request gets its own session, in proxy and gateway mode."""
-        from repro.serve import EnforcementGateway
-
+        """Every request gets its own session."""
         app, db = setup
-        policy = app.ground_truth_policy()
-        for runner in (
-            AppRunner(app, db, mode="proxy", policy=policy),
-            AppRunner(app, db, mode="gateway", gateway=EnforcementGateway(db, policy)),
-        ):
-            first = runner.connection_for({"user_id": 1})
-            second = runner.connection_for({"user_id": 1})
-            assert first is not second
-            assert first.session.bindings == second.session.bindings == {"MyUId": 1}
+        gateway = EnforcementGateway(db, app.ground_truth_policy())
+        runner = AppRunner(app, db, mode="gateway", gateway=gateway)
+        first = runner.connection_for({"user_id": 1})
+        second = runner.connection_for({"user_id": 1})
+        assert first is not second
+        assert first.session.bindings == second.session.bindings == {"MyUId": 1}
         with pytest.raises(TypeError, match="fresh_session_per_request"):
             AppRunner(app, db, fresh_session_per_request=True)
 
-    def test_history_disabled_propagates(self, setup):
-        app, db = setup
-        runner = AppRunner(
-            app,
-            db,
-            mode="proxy",
-            policy=app.ground_truth_policy(),
-            history_enabled=False,
-        )
-        uid, eid = db.query("SELECT UId, EId FROM Attendance").first()
-        outcome = runner.run(
-            Request("show_event", {"event_id": eid}, {"user_id": uid})
-        )
-        # With history off, the detail fetch inside show_event blocks.
-        assert outcome.blocked
-
     def test_shared_cache_across_sessions(self, setup):
         app, db = setup
-        policy = app.ground_truth_policy()
-        cache = DecisionCache(policy)
-        runner = AppRunner(app, db, mode="proxy", policy=policy, cache=cache)
+        gateway = EnforcementGateway(db, app.ground_truth_policy())
+        runner = AppRunner(app, db, mode="gateway", gateway=gateway)
         requests = app.request_stream(db, random.Random(2), 30)
         runner.run_all(requests)
-        assert cache.hits > 0
+        assert gateway.shared_cache.hits > 0
 
 
 class TestOutcomes:
@@ -76,16 +61,15 @@ class TestOutcomes:
         gapped = type(app.ground_truth_policy())(
             [v for v in app.ground_truth_policy().views if v.name != "V3"]
         )
-        runner = AppRunner(app, db, mode="proxy", policy=gapped)
+        runner = AppRunner(app, db, mode="gateway", gateway=EnforcementGateway(db, gapped))
         outcome = runner.run(Request("my_profile", {}, {"user_id": 1}))
         assert outcome.blocked
         assert "BLOCK" in outcome.block_reason
 
     def test_abort_is_not_block(self, setup):
         app, db = setup
-        runner = AppRunner(
-            app, db, mode="proxy", policy=app.ground_truth_policy()
-        )
+        gateway = EnforcementGateway(db, app.ground_truth_policy())
+        runner = AppRunner(app, db, mode="gateway", gateway=gateway)
         attended = {
             r[1] for r in db.query(
                 "SELECT UId, EId FROM Attendance WHERE UId = 1"
