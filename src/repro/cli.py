@@ -589,6 +589,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0:  # also refuses nan
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -678,11 +685,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="admission control: concurrent statements (excess shed)",
     )
     net.add_argument(
-        "--request-timeout", type=float, default=10.0,
+        "--request-timeout", type=_positive_float, default=10.0,
         help="per-statement deadline in seconds",
     )
     net.add_argument(
-        "--idle-timeout", type=float, default=300.0,
+        "--idle-timeout", type=_positive_float, default=300.0,
         help="reap connections idle this many seconds",
     )
     net.add_argument(
@@ -696,7 +703,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     net.add_argument(
         "--mine-interval",
-        type=float,
+        type=_positive_float,
         default=30.0,
         help="seconds between background mining cycles (with --mine)",
     )

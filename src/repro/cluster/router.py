@@ -37,7 +37,7 @@ and graceful drain all continue to work because the shard's own
 ``NetServer`` enforces them; the router adds one hop of buffering and
 nothing else.
 
-Degradation: a shard that fails ``health_failures`` consecutive health
+Degradation: a shard that fails ``HEALTH_FAILURES`` consecutive health
 probes is marked down; HELLOs hashing to it are *shed* with
 ``ERROR/unavailable`` (placement is a pure function of the bindings, so
 a principal is never rehomed) while sessions on healthy shards
@@ -96,25 +96,27 @@ def shard_index_for(bindings: dict, shard_count: int) -> int:
     return int.from_bytes(digest[:8], "big") % shard_count
 
 
+#: Pre-warmed idle connections kept per shard for HELLO handoff.
+POOL_SIZE = 2
+#: Deadline for dialing a shard and for its answer to a health probe.
+CONNECT_TIMEOUT_S = 5.0
+#: Seconds between health-probe rounds.
+HEALTH_INTERVAL_S = 0.5
+#: Consecutive probe failures before a shard is marked down.
+HEALTH_FAILURES = 3
+#: Deadline for one shard's answer to a fanned-out STATS.
+STATS_TIMEOUT_S = 30.0
+#: Deadline for one shard's answer to an admin verb (must outlast the
+#: shard server's own 120 s admin deadline).
+ADMIN_TIMEOUT_S = 150.0
+
+
 @dataclass(frozen=True)
 class RouterConfig:
-    """Router tunables; the defaults suit tests and the benchmark."""
+    """Where the router listens."""
 
     host: str = "127.0.0.1"
     port: int = 0  # 0 = ephemeral; read .port after start()
-    max_frame_bytes: int = protocol.MAX_FRAME_BYTES
-    #: Pre-warmed idle connections kept per shard for HELLO handoff.
-    pool_size: int = 2
-    connect_timeout_s: float = 5.0
-    #: Seconds between health-probe rounds; 0 disables probing.
-    health_interval_s: float = 1.0
-    #: Consecutive probe failures before a shard is marked down.
-    health_failures: int = 3
-    #: Deadline for one shard's answer to a fanned-out STATS.
-    stats_timeout_s: float = 30.0
-    #: Deadline for one shard's answer to an admin verb (must outlast
-    #: the shard server's own 120 s admin deadline).
-    admin_timeout_s: float = 150.0
 
 
 @dataclass
@@ -170,8 +172,7 @@ class ClusterRouter:
         self.port = self._server.sockets[0].getsockname()[1]
         for shard in self._shards:
             await self._replenish(shard)
-        if self.config.health_interval_s > 0:
-            self._health_task = asyncio.create_task(self._health_loop())
+        self._health_task = asyncio.create_task(self._health_loop())
 
     async def stop(self) -> None:
         if self._health_task is not None:
@@ -197,7 +198,7 @@ class ClusterRouter:
     async def _dial(self, shard: _Shard):
         return await asyncio.wait_for(
             asyncio.open_connection(shard.host, shard.port),
-            timeout=self.config.connect_timeout_s,
+            timeout=CONNECT_TIMEOUT_S,
         )
 
     async def _acquire(self, shard: _Shard):
@@ -213,9 +214,9 @@ class ClusterRouter:
         return await self._dial(shard)
 
     async def _replenish(self, shard: _Shard) -> None:
-        """Top the shard's pool back up to ``pool_size`` (best effort)."""
+        """Top the shard's pool back up to ``POOL_SIZE`` (best effort)."""
         try:
-            while len(shard.pool) < self.config.pool_size:
+            while len(shard.pool) < POOL_SIZE:
                 shard.pool.append(await self._dial(shard))
         except (OSError, asyncio.TimeoutError):
             pass  # the health loop will notice a genuinely down shard
@@ -224,7 +225,7 @@ class ClusterRouter:
 
     async def _health_loop(self) -> None:
         while True:
-            await asyncio.sleep(self.config.health_interval_s)
+            await asyncio.sleep(HEALTH_INTERVAL_S)
             for shard in self._shards:
                 await self._probe(shard)
 
@@ -236,8 +237,8 @@ class ClusterRouter:
                 writer.write(encode_frame({"type": protocol.PING, "id": -1}))
                 await writer.drain()
                 reply = await asyncio.wait_for(
-                    read_frame_async(reader, self.config.max_frame_bytes),
-                    timeout=self.config.connect_timeout_s,
+                    read_frame_async(reader),
+                    timeout=CONNECT_TIMEOUT_S,
                 )
                 if reply.get("type") != protocol.PONG:
                     raise NetError("health probe expected PONG")
@@ -249,7 +250,7 @@ class ClusterRouter:
         except (OSError, NetError, ConnectionClosed, asyncio.TimeoutError):
             self.counters["health_failures"] += 1
             shard.failures += 1
-            if shard.healthy and shard.failures >= self.config.health_failures:
+            if shard.healthy and shard.failures >= HEALTH_FAILURES:
                 shard.healthy = False
                 logger.warning("shard %d marked down", shard.index)
             return
@@ -270,7 +271,7 @@ class ClusterRouter:
         try:
             while True:
                 try:
-                    frame = await read_frame_async(reader, self.config.max_frame_bytes)
+                    frame = await read_frame_async(reader)
                 except ConnectionClosed:
                     return
                 except NetError as exc:
@@ -357,8 +358,8 @@ class ClusterRouter:
             shard_writer.write(encode_frame(hello))
             await shard_writer.drain()
             reply = await asyncio.wait_for(
-                read_frame_async(shard_reader, self.config.max_frame_bytes),
-                timeout=self.config.connect_timeout_s,
+                read_frame_async(shard_reader),
+                timeout=CONNECT_TIMEOUT_S,
             )
         except (OSError, NetError, ConnectionClosed, asyncio.TimeoutError):
             shard_writer.close()
@@ -416,7 +417,7 @@ class ClusterRouter:
             writer.write(encode_frame(frame))
             await writer.drain()
             return await asyncio.wait_for(
-                read_frame_async(reader, self.config.max_frame_bytes),
+                read_frame_async(reader),
                 timeout=timeout_s,
             )
         finally:
@@ -430,7 +431,7 @@ class ClusterRouter:
         frame = {"type": protocol.STATS, "id": request_id}
         gathered = await asyncio.gather(
             *(
-                self._shard_call(shard, frame, self.config.stats_timeout_s)
+                self._shard_call(shard, frame, STATS_TIMEOUT_S)
                 for shard in healthy
             ),
             return_exceptions=True,
@@ -475,7 +476,7 @@ class ClusterRouter:
                 per_shard.append({"shard": shard.index, "skipped": "down"})
                 continue
             try:
-                reply = await self._shard_call(shard, frame, self.config.admin_timeout_s)
+                reply = await self._shard_call(shard, frame, ADMIN_TIMEOUT_S)
             except (OSError, NetError, ConnectionClosed, asyncio.TimeoutError) as exc:
                 return _error(
                     frame.get("id"),

@@ -39,6 +39,11 @@ from repro.cluster.router import ClusterRouter, RouterConfig
 #: The line ``repro serve`` announces itself with, socket already bound.
 _LISTENING = re.compile(r"listening on \S+:(\d+)\s")
 
+#: Seconds a shard has to print its ready line.
+READY_TIMEOUT_S = 60.0
+#: Each shard's per-statement deadline (``repro serve --request-timeout``).
+SHARD_REQUEST_TIMEOUT_S = 30.0
+
 
 def _pythonpath_for_child() -> dict[str, str]:
     """The child environment, with this checkout's ``src`` on the path."""
@@ -56,7 +61,7 @@ def _pythonpath_for_child() -> dict[str, str]:
 class ShardProcess:
     """One supervised shard subprocess (``command`` is its full argv)."""
 
-    def __init__(self, shard_id: int, command: list[str], ready_timeout_s: float = 30.0):
+    def __init__(self, shard_id: int, command: list[str]):
         self.shard_id = shard_id
         self.port: int | None = None
         self._process = subprocess.Popen(
@@ -66,7 +71,7 @@ class ShardProcess:
             env=_pythonpath_for_child(),
         )
         try:
-            self._await_ready(ready_timeout_s)
+            self._await_ready()
         except BaseException:
             # Never ready, so nothing in flight to drain.
             self.kill()
@@ -78,14 +83,16 @@ class ShardProcess:
         )
         self._drainer.start()
 
-    def _await_ready(self, timeout_s: float) -> None:
+    def _await_ready(self) -> None:
         """Read the child's output until the ready line, the deadline, or EOF.
 
         ``select`` on the raw pipe, so a child that prints nothing costs
-        exactly ``timeout_s`` — a blocking ``readline`` would wait forever.
+        exactly ``READY_TIMEOUT_S`` — a blocking ``readline`` would wait
+        forever.
         """
         assert self._process.stdout is not None
         fd = self._process.stdout.fileno()
+        timeout_s = READY_TIMEOUT_S
         deadline = time.monotonic() + timeout_s
         seen = ""
         while True:
@@ -159,9 +166,7 @@ class ClusterConfig:
     db_path: str | None = None
     #: Directory for per-shard decision audit JSONL logs (None = off).
     audit_dir: str | None = None
-    request_timeout_s: float = 30.0
-    ready_timeout_s: float = 60.0
-    router: RouterConfig = field(default_factory=lambda: RouterConfig(health_interval_s=0.5))
+    router: RouterConfig = field(default_factory=RouterConfig)
 
 
 class BackgroundCluster:
@@ -231,7 +236,7 @@ class BackgroundCluster:
                 "--shard-id", str(shard_id),
                 "--port", "0",
                 "--seed", str(config.seed),
-                "--request-timeout", str(config.request_timeout_s),
+                "--request-timeout", str(SHARD_REQUEST_TIMEOUT_S),
             ]
             if config.size is not None:
                 argv += ["--size", str(config.size)]
@@ -244,9 +249,7 @@ class BackgroundCluster:
                     "--audit-log",
                     str(Path(config.audit_dir) / f"shard-{shard_id}.jsonl"),
                 ]
-            self.shards.append(
-                ShardProcess(shard_id, argv, ready_timeout_s=config.ready_timeout_s)
-            )
+            self.shards.append(ShardProcess(shard_id, argv))
 
     def audit_paths(self) -> list[Path]:
         if self.config.audit_dir is None:

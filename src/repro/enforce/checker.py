@@ -32,9 +32,9 @@ each check it runs is generalized into a template there, which the
 sessions' one probe replays for later statements of the same shape
 (``tests/enforce/test_compiled_checker.py`` checks that the replay never
 changes a decision). The checker itself never probes: :meth:`check` is
-always the full search. ``allow_compiled=False`` learns nothing — the
-gateway's ``verify_cached_decisions`` mode uses it so verification stays
-independent of the very templates it is auditing.
+always the full search. ``allow_compiled=False`` learns nothing, so a
+replay against the reference (``bench/reference.py``) leaves no template
+behind.
 """
 
 from __future__ import annotations
@@ -71,7 +71,8 @@ if TYPE_CHECKING:
 #: step is a coverage descriptor emitted or a candidate validated. A check
 #: that runs out Blocks (fails closed) with a reason starting ``budget:``.
 #: No check of the test suite, the E-benchmarks or a ``bench/`` workload
-#: spends 60; one search validates at most ``max_candidates`` (2 000).
+#: spends 60; one search validates at most ``max_candidates`` (2 000, the
+#: default of :func:`~repro.relalg.rewrite.find_equivalent_rewriting`).
 CHECK_STEP_BUDGET = 2_000
 
 #: Missing guard patterns a Block's reason names.
@@ -92,13 +93,11 @@ class ComplianceChecker:
         self,
         schema: SchemaInfo,
         policy: Policy,
-        max_candidates: int = 2000,
         compiled: "CompiledPolicy | None" = None,
         skeletons: "DecisionCache | None" = None,
     ):
         self.schema = schema
         self.policy = policy
-        self.max_candidates = max_candidates
         self.compiled = compiled
         self.skeletons = skeletons
         # Structural constants from the view definitions ("public", an
@@ -269,11 +268,7 @@ class ComplianceChecker:
         # Fast path: no facts needed.
         closure = ConstraintSet(disjunct.comps)
         rewriting = find_equivalent_rewriting(
-            disjunct,
-            views,
-            max_candidates=self.max_candidates,
-            budget=budget,
-            closure=closure,
+            disjunct, views, budget=budget, closure=closure
         )
         if rewriting is not None:
             return rewriting, [], [], []
@@ -314,13 +309,7 @@ class ComplianceChecker:
             head_names=disjunct.head_names,
             name=(disjunct.name or "Q") + "_with_facts",
         )
-        return find_equivalent_rewriting(
-            augmented,
-            views,
-            facts=useful,
-            max_candidates=self.max_candidates,
-            budget=budget,
-        )
+        return find_equivalent_rewriting(augmented, views, facts=useful, budget=budget)
 
     def _select_facts(
         self,

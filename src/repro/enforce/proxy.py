@@ -40,7 +40,7 @@ from repro.sqlir.skeleton import Skeleton
 from repro.util.errors import DbacError, EngineError
 
 if TYPE_CHECKING:  # the gateway imports this module
-    from repro.serve.gateway import EnforcementGateway, PolicyEpoch
+    from repro.serve.gateway import EnforcementGateway
 
 #: Times one SELECT is decided and executed while concurrent writes keep
 #: retiring its session's facts under it; past this it is blocked.
@@ -319,7 +319,7 @@ class EnforcementProxy:
         policy epoch.
 
         The epoch is read once and pinned for the whole decision — the
-        store probe, a fresh check and what it learns, verification — so
+        store probe, a fresh check and what it learns — so
         a concurrent hot reload can never produce a decision computed
         against a mix of two policies. ``skeleton`` is the
         prepared-statement fast path: a precomputed ``skeletonize(bound)``
@@ -349,29 +349,6 @@ class EnforcementProxy:
                 if decision.over_budget:
                     metrics.increment("checks_over_budget")
             metrics.observe_stage("check", time.perf_counter() - started)
-            if decision.from_cache:
-                metrics.increment("cache_hits")
-                if gateway.config.verify_cached_decisions:
-                    self._verify_cached(epoch, decision, bound)
-            else:
-                metrics.increment("cache_misses")
+            metrics.increment("cache_hits" if decision.from_cache else "cache_misses")
         decision.policy_version = epoch.version
         return decision
-
-    def _verify_cached(
-        self, epoch: "PolicyEpoch", decision: Decision, bound: ast.Select
-    ) -> None:
-        """Replay a cache hit through the uncached checker and compare.
-
-        ``allow_compiled=False``: verification must be independent of
-        the templates it audits (they live in the very store the hit
-        came from), so it runs the full containment path, unbatched, and
-        learns nothing from it.
-        """
-        fresh = epoch.checker.check(
-            bound, self.session.bindings, self.trace, allow_compiled=False
-        )
-        metrics = self._gateway.metrics
-        metrics.increment("cache_verified")
-        if fresh.allowed != decision.allowed:
-            metrics.increment("cache_disagreements")

@@ -66,16 +66,17 @@ class GateConfig:
     min_precision: float = 1.0
     min_recall: float = 1.0
     sensitive_suite: tuple[SensitiveCase, ...] = ()
-    max_candidates: int = 2000
-    max_diagnoses: int = 5
-    #: Kind-aware divergence caps; ``None`` means no separate cap (only
-    #: the total ``max_divergences`` applies). The mining service
-    #: promotes a gap-filling candidate with ``max_allow_to_block=0`` and
-    #: a loosened total: block→allow flips on the gap traffic are the
-    #: candidate's whole point, while a single allow→block flip would
-    #: regress the application and must stay fatal.
+    #: A separate cap on allow→block flips; ``None`` means only the total
+    #: ``max_divergences`` applies. The mining service promotes a
+    #: gap-filling candidate with ``max_allow_to_block=0`` and a loosened
+    #: total: block→allow flips on the gap traffic are the candidate's
+    #: whole point, while a single allow→block flip would regress the
+    #: application and must stay fatal.
     max_allow_to_block: int | None = None
-    max_block_to_allow: int | None = None
+
+
+#: Divergences a failed promotion diagnoses (§5), oldest first.
+MAX_DIAGNOSES = 5
 
 
 @dataclass(frozen=True)
@@ -131,7 +132,7 @@ def evaluate_gates(
     report.gates.append(_disclosure_gate(active, candidate, config))
     if not report.passed and shadow is not None:
         report.diagnoses = _diagnose_divergences(
-            shadow.log.entries(), active, candidate, schema, config.max_diagnoses
+            shadow.log.entries(), active, candidate, schema
         )
     return report
 
@@ -163,17 +164,14 @@ def _shadow_gate(shadow: ShadowRunner | None, config: GateConfig) -> Gate:
             f" {stats['allow_to_block']} allow→block,"
             f" {stats['block_to_allow']} block→allow)",
         )
-    for kind, cap in (
-        ("allow_to_block", config.max_allow_to_block),
-        ("block_to_allow", config.max_block_to_allow),
-    ):
-        if cap is not None and stats[kind] > cap:
-            return Gate(
-                "shadow",
-                False,
-                f"{stats[kind]} {kind.replace('_to_', '→')} flips"
-                f" over {checks} checks (> {cap} allowed for this kind)",
-            )
+    cap = config.max_allow_to_block
+    if cap is not None and stats["allow_to_block"] > cap:
+        return Gate(
+            "shadow",
+            False,
+            f"{stats['allow_to_block']} allow→block flips"
+            f" over {checks} checks (> {cap} allowed for this kind)",
+        )
     return Gate(
         "shadow",
         True,
@@ -207,15 +205,9 @@ def _disclosure_gate(active: Policy, candidate: Policy, config: GateConfig) -> G
         active_views = active.view_defs(bindings)
         candidate_views = candidate.view_defs(bindings)
         for criterion, check in (("PQI", check_pqi), ("NQI", check_nqi)):
-            candidate_result = check(
-                case.query, candidate_views, max_candidates=config.max_candidates
-            )
-            if not candidate_result.holds:
+            if not check(case.query, candidate_views).holds:
                 continue
-            active_result = check(
-                case.query, active_views, max_candidates=config.max_candidates
-            )
-            if not active_result.holds:
+            if not check(case.query, active_views).holds:
                 regressions.append(f"{case.name}: {criterion} newly holds")
     if regressions:
         return Gate("disclosure", False, "; ".join(regressions))
@@ -231,7 +223,6 @@ def _diagnose_divergences(
     active: Policy,
     candidate: Policy,
     schema,
-    max_diagnoses: int,
 ) -> list[str]:
     """A §5 diagnosis per divergence, under whichever policy blocks.
 
@@ -241,7 +232,7 @@ def _diagnose_divergences(
     diagnosis shows which views would have to exist to justify it).
     """
     reports: list[str] = []
-    for divergence in divergences[:max_diagnoses]:
+    for divergence in divergences[:MAX_DIAGNOSES]:
         blocking = candidate if divergence.kind == "allow_to_block" else active
         try:
             diagnosis = diagnose(

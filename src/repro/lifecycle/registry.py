@@ -9,7 +9,7 @@ also remembers the *activation* order, which is what makes rollback
 well-defined: the rollback target is the previously-activated version,
 not merely the previously-registered one.
 
-History is bounded (``history_cap``): a long-lived deployment reloading
+History is bounded (``HISTORY_CAP``): a long-lived deployment reloading
 policies for months should not grow memory without limit. Eviction
 skips versions that are still activation targets.
 """
@@ -28,6 +28,10 @@ from repro.util.errors import DbacError
 #: decision audit (repro.mining); ``extracted`` stays reserved for the
 #: offline §3 pipeline run by an operator.
 PROVENANCES = ("hand-written", "extracted", "patched", "mined")
+
+#: Registered versions kept; eviction skips activation targets, so the
+#: active version and its rollback target always survive.
+HISTORY_CAP = 32
 
 
 class RegistryError(DbacError):
@@ -68,10 +72,7 @@ class PolicyRegistry:
     only activated if it survives promotion.
     """
 
-    def __init__(self, history_cap: int = 32):
-        if history_cap < 2:
-            raise ValueError("history_cap must be >= 2 (active + rollback target)")
-        self._history_cap = history_cap
+    def __init__(self):
         self._lock = threading.Lock()
         self._versions: dict[int, PolicyVersion] = {}
         self._next_version = 1
@@ -182,11 +183,11 @@ class PolicyRegistry:
         A version still appearing in the activation history is pinned:
         evicting it would silently break ``rollback_target``.
         """
-        if len(self._versions) <= self._history_cap:
+        if len(self._versions) <= HISTORY_CAP:
             return
         pinned = set(self._activations)
         for version in sorted(self._versions):
-            if len(self._versions) <= self._history_cap:
+            if len(self._versions) <= HISTORY_CAP:
                 break
             if version in pinned:
                 continue

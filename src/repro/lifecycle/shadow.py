@@ -19,7 +19,7 @@ shadow check runs.
 
 Checks run on a single in-process checker thread bound to the candidate.
 
-Backpressure drops rather than blocks: when more than ``max_pending``
+Backpressure drops rather than blocks: when ``MAX_PENDING``
 shadow checks are queued, new submissions are counted as ``dropped`` and
 skipped. The hot path never waits on shadow mode.
 """
@@ -35,6 +35,9 @@ from repro.enforce.checker import ComplianceChecker
 from repro.enforce.trace import Trace
 from repro.policy.policy import Policy
 from repro.sqlir import ast
+
+#: Queued shadow checks past which new submissions are dropped.
+MAX_PENDING = 512
 
 
 @dataclass(frozen=True)
@@ -136,15 +139,12 @@ class ShadowRunner:
         gateway,
         candidate: Policy,
         candidate_version: int,
-        log_cap: int = 256,
-        max_pending: int = 512,
     ):
         self.gateway = gateway
         self.candidate = candidate
         self.candidate_version = candidate_version
-        self.log = DivergenceLog(cap=log_cap)
+        self.log = DivergenceLog()
         self._checker = ComplianceChecker(gateway.db.schema, candidate)
-        self._max_pending = max_pending
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="shadow-checker"
         )
@@ -166,7 +166,7 @@ class ShadowRunner:
         with self._condition:
             if self._closed:
                 return False
-            if self._submitted - self._done >= self._max_pending:
+            if self._submitted - self._done >= MAX_PENDING:
                 self._dropped += 1
                 return False
             self._submitted += 1

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from repro.enforce.trace import Trace
 from repro.engine.executor import Result
 from repro.extract.miner import MinerConfig, QueryEvent, RequestTrace, TraceMiner
+from repro.mining import config as settings
 from repro.mining.config import MiningConfig
 from repro.mining.stream import AuditEntry
 from repro.policy.policy import Policy
@@ -103,9 +104,8 @@ class MiningPassReport:
 class AuditMiner:
     """Stateless candidate extraction over one audit window."""
 
-    def __init__(self, db, config: MiningConfig | None = None):
+    def __init__(self, db):
         self.db = db
-        self.config = config or MiningConfig()
 
     # -- the mining pass ----------------------------------------------------------
 
@@ -132,7 +132,7 @@ class AuditMiner:
         first_id = min(e.id for e in entries)
         last_id = max(e.id for e in entries)
         span = (first_id, last_id)
-        miner_fp = self.config.fingerprint()
+        miner_fp = MiningConfig().fingerprint()
 
         checker = self._checker_for(current)
         gap_groups: dict[object, list[AuditEntry]] = {}
@@ -172,14 +172,14 @@ class AuditMiner:
                 seen.add(candidate.fingerprint)
                 candidates.append(candidate)
 
-        if current_version_allows >= self.config.min_window and len(current) > 1:
+        if current_version_allows >= settings.MIN_WINDOW and len(current) > 1:
             example_ids = tuple(
                 sorted(
                     e.id
                     for e in entries
                     if e.record.allowed
                     and e.record.policy_version == current_version
-                )[: self.config.max_examples]
+                )[: settings.MAX_EXAMPLES]
             )
             for view in sorted(current, key=lambda v: v.name):
                 if uses.get(view.name, 0) > 0:
@@ -198,7 +198,7 @@ class AuditMiner:
                     seen.add(candidate.fingerprint)
                     candidates.append(candidate)
 
-        report.candidates = candidates[: self.config.max_candidates_per_cycle]
+        report.candidates = candidates[: settings.MAX_CANDIDATES_PER_CYCLE]
         return report
 
     # -- gap-filling --------------------------------------------------------------
@@ -235,7 +235,7 @@ class AuditMiner:
                 rederived += 1
         support = len(group) / window_size
         confidence = rederived / len(group)
-        examples = tuple(sorted(e.id for e in group)[: self.config.max_examples])
+        examples = tuple(sorted(e.id for e in group)[: settings.MAX_EXAMPLES])
         return self._finalize(
             kind="gap-fill",
             policy=policy,
@@ -291,7 +291,6 @@ class AuditMiner:
             None,
             self.db,
             MinerConfig(
-                opaque_columns=self.config.opaque_columns,
                 size_budget=None,
                 active_discovery=False,
                 session_params=attrs,
@@ -411,11 +410,11 @@ class AuditMiner:
             return False
 
 
-def clears_floor(candidate: MinedCandidate, config: MiningConfig) -> bool:
+def clears_floor(candidate: MinedCandidate) -> bool:
     """Does the candidate meet the auto-submission score floor?"""
     return (
-        candidate.support >= config.min_support
-        and candidate.confidence >= config.min_confidence
+        candidate.support >= settings.MIN_SUPPORT
+        and candidate.confidence >= settings.MIN_CONFIDENCE
     )
 
 

@@ -31,6 +31,7 @@ import threading
 from collections import deque
 
 from repro.lifecycle.promote import GateConfig
+from repro.mining import config as settings
 from repro.mining.config import MiningConfig
 from repro.mining.miner import AuditMiner, MinedCandidate, clears_floor
 from repro.mining.stream import AuditEntry, AuditStream
@@ -59,7 +60,7 @@ class MiningService:
         self.gateway = gateway
         self.lifecycle = lifecycle
         self.config = config or MiningConfig()
-        self.miner = AuditMiner(gateway.db, self.config)
+        self.miner = AuditMiner(gateway.db)
         self._lock = threading.RLock()
         self.stream = stream or AuditStream()
         if gateway.decision_audit is None:
@@ -69,8 +70,8 @@ class MiningService:
                 "gateway.decision_audit is already taken by another hook;"
                 " install the AuditStream first and pass it as stream="
             )
-        self.subscription = self.stream.subscribe(cap=self.config.subscription_cap)
-        self._window: deque[AuditEntry] = deque(maxlen=self.config.window_cap)
+        self.subscription = self.stream.subscribe(cap=settings.SUBSCRIPTION_CAP)
+        self._window: deque[AuditEntry] = deque(maxlen=settings.WINDOW_CAP)
         #: Every candidate ever mined or submitted, by content fingerprint.
         self.candidates: dict[str, MinedCandidate] = {}
         #: Append-only per-candidate disposition audit (why promoted /
@@ -96,7 +97,7 @@ class MiningService:
             progressed = self._progress_shadow()
             mined = []
             if self._shadow_fingerprint is None and (
-                len(self._window) >= self.config.min_window
+                len(self._window) >= settings.MIN_WINDOW
             ):
                 mined = self._mine_and_disposition()
             return {
@@ -127,12 +128,12 @@ class MiningService:
                 self.mined_total += 1
                 fresh.append(candidate)
                 self._log(candidate, "mined", self._score_line(candidate))
-            if not clears_floor(candidate, self.config):
+            if not clears_floor(candidate):
                 self._park(
                     candidate,
                     f"below score floor ({self._score_line(candidate)};"
-                    f" floor support ≥ {self.config.min_support},"
-                    f" confidence ≥ {self.config.min_confidence})",
+                    f" floor support ≥ {settings.MIN_SUPPORT},"
+                    f" confidence ≥ {settings.MIN_CONFIDENCE})",
                 )
             elif self.config.mode != "auto_promote":
                 self._park(candidate, "propose_only mode: awaiting MINE/APPROVE")
@@ -244,8 +245,6 @@ class MiningService:
                 min_precision=0.0,  # widening is intended…
                 min_recall=1.0,  # …losing coverage is not
                 sensitive_suite=base.sensitive_suite,
-                max_candidates=base.max_candidates,
-                max_diagnoses=base.max_diagnoses,
             )
         return GateConfig(
             max_divergences=0,
@@ -253,8 +252,6 @@ class MiningService:
             min_precision=1.0,  # narrowing must stay within the active policy
             min_recall=0.0,  # dropping an unexercised view lowers recall
             sensitive_suite=base.sensitive_suite,
-            max_candidates=base.max_candidates,
-            max_diagnoses=base.max_diagnoses,
         )
 
     # -- background loop ----------------------------------------------------------
@@ -313,8 +310,8 @@ class MiningService:
                 "miner_fingerprint": self.config.fingerprint(),
                 "stream": self.stream.stats(),
                 "floor": {
-                    "min_support": self.config.min_support,
-                    "min_confidence": self.config.min_confidence,
+                    "min_support": settings.MIN_SUPPORT,
+                    "min_confidence": settings.MIN_CONFIDENCE,
                 },
             }
 

@@ -21,45 +21,39 @@ from repro.net.protocol import ConnectionClosed, NetError
 from repro.sqlir import ast
 from repro.util.errors import EngineError
 
-#: Default connect-retry schedule: 4 retries, doubling from 50 ms and
-#: capped at 1 s, is ~0.75 s of total patience — enough to ride out a
-#: shard subprocess binding its socket, short enough that a dead server
-#: still fails fast.
+#: The connect-retry schedule: 4 retries, doubling from 50 ms and capped
+#: at 1 s, is ~0.75 s of total patience — enough to ride out a shard
+#: subprocess binding its socket, short enough that a dead server still
+#: fails fast.
 CONNECT_RETRIES = 4
 RETRY_BASE_S = 0.05
 RETRY_MAX_S = 1.0
 
 
-def connect_with_retry(
-    host: str,
-    port: int,
-    timeout_s: float,
-    retries: int = CONNECT_RETRIES,
-    retry_base_s: float = RETRY_BASE_S,
-    retry_max_s: float = RETRY_MAX_S,
-) -> socket.socket:
+def connect_with_retry(host: str, port: int, timeout_s: float) -> socket.socket:
     """Dial ``host:port`` with bounded exponential backoff.
 
     A freshly spawned server (a cluster shard, a test fixture) can lose
     the race against its first client; a raw ``ECONNREFUSED`` there is
-    noise, not a failure. Retries ``retries`` times on the transient
-    dial errors only — ``ConnectionError`` (refused/reset/aborted) and
-    ``TimeoutError`` — sleeping ``retry_base_s * 2**attempt`` (capped at
-    ``retry_max_s``) between attempts, then re-raises the final error
-    unchanged so callers still see the familiar exception type.
-    Non-transient ``OSError``\\s (``EAI_NONAME`` for a malformed address,
-    ``ENETUNREACH``, permission errors) are misconfiguration, not races:
-    they propagate on the first attempt instead of burning the whole
-    backoff schedule against an address that can never answer.
+    noise, not a failure. Retries ``CONNECT_RETRIES`` times on the
+    transient dial errors only — ``ConnectionError``
+    (refused/reset/aborted) and ``TimeoutError`` — sleeping
+    ``RETRY_BASE_S * 2**attempt`` (capped at ``RETRY_MAX_S``) between
+    attempts, then re-raises the final error unchanged so callers still
+    see the familiar exception type. Non-transient ``OSError``\\s
+    (``EAI_NONAME`` for a malformed address, ``ENETUNREACH``, permission
+    errors) are misconfiguration, not races: they propagate on the first
+    attempt instead of burning the whole backoff schedule against an
+    address that can never answer.
     """
     attempt = 0
     while True:
         try:
             return socket.create_connection((host, port), timeout=timeout_s)
         except (ConnectionError, TimeoutError):
-            if attempt >= retries:
+            if attempt >= CONNECT_RETRIES:
                 raise
-            time.sleep(min(retry_base_s * (2**attempt), retry_max_s))
+            time.sleep(min(RETRY_BASE_S * (2**attempt), RETRY_MAX_S))
             attempt += 1
 
 
@@ -111,20 +105,15 @@ class NetClientConnection:
         user: object | None = None,
         fresh: bool = True,
         timeout_s: float = 30.0,
-        max_frame_bytes: int = protocol.MAX_FRAME_BYTES,
-        connect_retries: int = CONNECT_RETRIES,
     ):
         if bindings is None:
             if user is None:
                 raise NetError("need bindings or user", code=protocol.ERR_BAD_REQUEST)
             bindings = {"MyUId": user}
         self.bindings = dict(bindings)
-        self._max_frame_bytes = max_frame_bytes
         self._next_id = 0
         self._closed = False
-        self._sock = connect_with_retry(
-            host, port, timeout_s, retries=connect_retries
-        )
+        self._sock = connect_with_retry(host, port, timeout_s)
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         try:
             reply = self._roundtrip(
@@ -178,7 +167,7 @@ class NetClientConnection:
         try:
             protocol.write_frame(self._sock, {"type": protocol.GOODBYE})
             self._sock.settimeout(1.0)
-            protocol.read_frame(self._sock, self._max_frame_bytes)  # BYE
+            protocol.read_frame(self._sock)  # BYE
         except Exception:
             pass  # the server may already be gone; closing is still fine
         finally:
@@ -303,7 +292,7 @@ class NetClientConnection:
                 if burst:
                     self._sock.sendall(burst)
                     del burst[:]
-                reply = protocol.read_frame(self._sock, self._max_frame_bytes)
+                reply = protocol.read_frame(self._sock)
                 index = id_to_index.pop(reply.get("id"), None)
                 if index is None:
                     raise NetError(
@@ -423,7 +412,7 @@ class NetClientConnection:
     def _roundtrip(self, message: dict) -> dict:
         try:
             protocol.write_frame(self._sock, message)
-            return protocol.read_frame(self._sock, self._max_frame_bytes)
+            return protocol.read_frame(self._sock)
         except (ConnectionClosed, OSError) as exc:
             self._closed = True
             self._sock.close()
@@ -495,15 +484,11 @@ class AdminClient:
         host: str,
         port: int,
         timeout_s: float = 150.0,
-        connect_retries: int = CONNECT_RETRIES,
     ):
         # Timeout must outlast the server's 120s admin deadline.
-        self._max_frame_bytes = protocol.MAX_FRAME_BYTES
         self._next_id = 0
         self._closed = False
-        self._sock = connect_with_retry(
-            host, port, timeout_s, retries=connect_retries
-        )
+        self._sock = connect_with_retry(host, port, timeout_s)
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
     # -- verbs --------------------------------------------------------------------
@@ -586,7 +571,7 @@ class AdminClient:
         message = {**message, "id": self._next_id}
         try:
             protocol.write_frame(self._sock, message)
-            reply = protocol.read_frame(self._sock, self._max_frame_bytes)
+            reply = protocol.read_frame(self._sock)
         except (ConnectionClosed, OSError) as exc:
             self._closed = True
             self._sock.close()
@@ -605,7 +590,7 @@ class AdminClient:
         try:
             protocol.write_frame(self._sock, {"type": protocol.GOODBYE})
             self._sock.settimeout(1.0)
-            protocol.read_frame(self._sock, self._max_frame_bytes)  # BYE
+            protocol.read_frame(self._sock)  # BYE
         except Exception:
             pass
         finally:

@@ -52,7 +52,7 @@ Production shape, not a toy:
   wakes every reader, lets each in-flight statement finish and its reply
   flush, answers the statements a connection had already sent with
   ``ERROR/shutting_down``, says ``BYE/shutting down`` and closes;
-  connections still busy after ``drain_grace_s`` are force-closed.
+  connections still busy after ``DRAIN_GRACE_S`` are force-closed.
 * **Prepared statements** — ``PREPARE`` resolves the text's plan (its
   per-shape work: parse, skeleton layout, certification plans) in the
   database's plan table — the plan a ``QUERY``/``EXEC`` of the same
@@ -97,16 +97,14 @@ logger = logging.getLogger("repro.net")
 #: answers ``unknown_handle``, which clients heal by re-preparing.
 PREPARED_CAP = 1024
 
+#: Seconds :meth:`NetServer.shutdown` lets busy connections finish before
+#: it force-closes them.
+DRAIN_GRACE_S = 10.0
+
 
 @dataclass(frozen=True)
 class ServerConfig:
     """Everything configurable about a :class:`NetServer`.
-
-    ``execute_delay_s`` is a fault-injection knob: it stalls every
-    statement for that long, in the admitted slot, before execution.
-    Tests use it to make timing-dependent
-    behavior (shedding, deadlines, drain) deterministic; leave it 0 in
-    real deployments.
 
     ``shard_id`` identifies this server within a ``repro.cluster``
     deployment; when set it is stamped into WELCOME and STATS (additive
@@ -119,9 +117,6 @@ class ServerConfig:
     max_in_flight: int = 16
     request_timeout_s: float = 10.0
     idle_timeout_s: float = 300.0
-    drain_grace_s: float = 10.0
-    max_frame_bytes: int = protocol.MAX_FRAME_BYTES
-    execute_delay_s: float = 0.0
     shard_id: int | None = None
 
     def __post_init__(self) -> None:
@@ -129,6 +124,11 @@ class ServerConfig:
             raise ValueError("max_connections must be >= 1")
         if self.max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
+        # A socket timeout of 0 never waits, and the socket layer refuses
+        # a negative one on the accept thread: refuse both (and nan) here.
+        for name in ("request_timeout_s", "idle_timeout_s"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0")
 
 
 class _Connection:
@@ -267,7 +267,7 @@ class NetServer:
     def shutdown(self) -> None:
         """Graceful drain: stop accepting, finish in-flight, then close.
 
-        Blocks until every connection is closed (at most ``drain_grace_s``
+        Blocks until every connection is closed (at most ``DRAIN_GRACE_S``
         plus a moment for the forced closes). Idempotent and safe to call
         from several threads; the later callers wait for the first.
         """
@@ -289,7 +289,7 @@ class NetServer:
                 # replies still owed and the BYE.
                 with contextlib.suppress(OSError):
                     conn.sock.shutdown(socket.SHUT_RD)
-            grace_ends = time.monotonic() + self.config.drain_grace_s
+            grace_ends = time.monotonic() + DRAIN_GRACE_S
             for conn in connections:
                 conn.thread.join(max(0.0, grace_ends - time.monotonic()))
             overdue = [conn for conn in connections if conn.thread.is_alive()]
@@ -399,8 +399,7 @@ class NetServer:
         Raises :class:`ConnectionClosed` at end of stream and
         :class:`NetError` for a frame that is oversized or not a message.
         """
-        limit = self.config.max_frame_bytes
-        frame = protocol.take_frame(conn.inbuf, limit)
+        frame = protocol.take_frame(conn.inbuf)
         if frame is not None:
             return frame
         # Going back to the socket: everything buffered is owed now.
@@ -416,7 +415,7 @@ class NetServer:
             if not chunk:
                 raise ConnectionClosed()
             conn.inbuf += chunk
-            frame = protocol.take_frame(conn.inbuf, limit)
+            frame = protocol.take_frame(conn.inbuf)
             if frame is not None:
                 if shortened:
                     conn.sock.settimeout(idle)
@@ -643,8 +642,6 @@ class NetServer:
         assert conn.session is not None
         try:
             try:
-                if self.config.execute_delay_s:
-                    time.sleep(self.config.execute_delay_s)
                 outcome = call()
             finally:
                 self.metrics.request_finished()
@@ -833,13 +830,14 @@ class NetServer:
         from repro.lifecycle.promote import GateConfig
 
         overrides = {key: frame[key] for key in _PROMOTE_GATES if key in frame}
-        try:
-            gates = GateConfig(**overrides) if overrides else None
-        except TypeError as exc:
-            raise NetError(
-                f"bad PROMOTE gate override: {exc}", code=protocol.ERR_BAD_REQUEST
-            ) from exc
-        report = self.lifecycle.promote(gates)
+        for key, value in overrides.items():
+            valid, expected = _PROMOTE_GATES[key]
+            if not valid(value):
+                raise NetError(
+                    f"PROMOTE override {key} must be {expected}, got {value!r}",
+                    code=protocol.ERR_BAD_REQUEST,
+                )
+        report = self.lifecycle.promote(GateConfig(**overrides) if overrides else None)
         return {
             "promoted": report.promoted,
             "candidate_version": report.candidate_version,
@@ -885,8 +883,24 @@ class NetServer:
 
 _STATEMENT_VERBS = (protocol.QUERY, protocol.EXEC, protocol.EXECUTE)
 
-#: The ``GateConfig`` fields a PROMOTE frame may override.
-_PROMOTE_GATES = ("max_divergences", "min_shadow_checks", "min_precision", "min_recall")
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _is_ratio(value) -> bool:
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return number and 0 <= value <= 1
+
+
+#: The ``GateConfig`` fields a PROMOTE frame may override, each with the
+#: test its value must pass before it reaches the gates.
+_PROMOTE_GATES = {
+    "max_divergences": (_is_count, "an integer >= 0"),
+    "min_shadow_checks": (_is_count, "an integer >= 0"),
+    "min_precision": (_is_ratio, "a number in [0, 1]"),
+    "min_recall": (_is_ratio, "a number in [0, 1]"),
+}
 
 #: An operator verb may recompile policies and re-derive templates, which
 #: outlives the per-statement budget.

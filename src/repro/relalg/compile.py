@@ -5,12 +5,10 @@ A :class:`CompiledPolicy` is built **once per policy epoch** (see
 serves that epoch. It front-loads the per-check work the seed checker
 redid on every miss:
 
-* each conjunctive view becomes a :class:`CompiledView` — its relation
-  set, parameter names, and symbolic body pre-extracted, so check-time
-  code never walks the view AST again;
-* a flattened ``relation -> view indexes`` dispatch table replaces the
-  "scan every view" loops (`relevant_relations` walks precomputed
-  frozensets instead of recomputing ``view.cq.relations()`` per check);
+* each conjunctive view becomes a :class:`CompiledView` with its
+  relation set pre-extracted, so ``relevant_relations`` walks
+  precomputed frozensets instead of recomputing ``view.cq.relations()``
+  per check;
 * instantiated ``ViewDef`` lists are memoized per bindings tuple — the
   common serving shape is a handful of distinct principals issuing many
   statements each, so instantiation (a full substitution walk over every
@@ -34,7 +32,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 from repro.policy.policy import Policy
-from repro.relalg.cq import CQ
 from repro.relalg.rewrite import ViewDef
 from repro.relalg.translate import SchemaInfo
 
@@ -48,18 +45,13 @@ class CompiledView:
     """One conjunctive policy view, pre-analyzed at compile time."""
 
     name: str
-    #: The symbolic (parameterized) definition — still needed for
-    #: instantiation on a never-seen bindings tuple.
-    cq: CQ
     #: Base relations the view body touches (precomputed frozenset; the
     #: seed checker recomputed ``view.cq.relations()`` on every check).
     relations: frozenset[str]
-    #: Parameters the view consumes, for diagnostics.
-    param_names: tuple[str, ...] = ()
 
 
 class CompiledPolicy:
-    """A policy compiled for one epoch: dispatch tables + memoized views.
+    """A policy compiled for one epoch: view relation sets + memoized views.
 
     The public surface mirrors what ``ComplianceChecker`` needs so the
     checker can route through it without behavior change:
@@ -81,27 +73,13 @@ class CompiledPolicy:
         for view in policy:
             if not view.is_conjunctive:
                 continue
-            cq = view.ucq.disjuncts[0]
             views.append(
-                CompiledView(
-                    name=view.name,
-                    cq=cq,
-                    relations=frozenset(cq.relations()),
-                    param_names=tuple(view.param_names),
-                )
+                CompiledView(view.name, frozenset(view.ucq.disjuncts[0].relations()))
             )
         #: Conjunctive views in policy order — the order ``view_defs``
         #: must preserve for decision-for-decision agreement with the
         #: seed checker (rewriting enumeration is order-sensitive).
         self.views: tuple[CompiledView, ...] = tuple(views)
-        dispatch: dict[str, list[int]] = {}
-        for index, compiled in enumerate(self.views):
-            for rel in compiled.relations:
-                dispatch.setdefault(rel, []).append(index)
-        #: Flattened ``relation -> view indexes`` dispatch table.
-        self.dispatch: dict[str, tuple[int, ...]] = {
-            rel: tuple(indexes) for rel, indexes in dispatch.items()
-        }
         self._view_def_memo: OrderedDict[tuple, list[ViewDef]] = OrderedDict()
         self._memo_lock = threading.Lock()
         self.view_def_hits = 0
@@ -114,17 +92,12 @@ class CompiledPolicy:
     def view_defs(self, bindings: Mapping[str, object]) -> list[ViewDef]:
         """Instantiated view definitions, memoized per bindings tuple.
 
-        Falls back to uncached instantiation when a binding value is
-        unhashable (never the case for wire traffic, which is JSON).
-        Returns a fresh list each call; the ``ViewDef`` objects inside
-        are immutable and safely shared.
+        Every binding is a scalar (``Session.validate`` refuses any other
+        value), so the sorted items key the memo. Returns a fresh list
+        each call; the ``ViewDef`` objects inside are immutable and
+        safely shared.
         """
-        try:
-            key = tuple(sorted(bindings.items()))
-            hash(key)
-        except TypeError:
-            self.view_def_misses += 1
-            return self.policy.view_defs(bindings)
+        key = tuple(sorted(bindings.items()))
         with self._memo_lock:
             cached = self._view_def_memo.get(key)
             if cached is not None:
@@ -154,12 +127,6 @@ class CompiledPolicy:
                 relations |= compiled.relations
         return relations
 
-    def touching(self, relation: str) -> tuple[CompiledView, ...]:
-        """Views whose body mentions ``relation`` (flattened dispatch)."""
-        return tuple(
-            self.views[index] for index in self.dispatch.get(relation, ())
-        )
-
     def continue_counts_of(self, retired: "CompiledPolicy") -> None:
         """Start the view-def memo counters where ``retired``'s stand, so
         they stay cumulative across a policy reload."""
@@ -169,7 +136,6 @@ class CompiledPolicy:
     def stats(self) -> dict[str, object]:
         return {
             "views": len(self.views),
-            "relations": len(self.dispatch),
             "view_def_hits": self.view_def_hits,
             "view_def_misses": self.view_def_misses,
             "build_seconds": self.build_seconds,

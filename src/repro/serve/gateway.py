@@ -27,11 +27,9 @@ What every session gets from its gateway:
   log, before its next decision (``repro.enforce.proxy``).
 * **Observability** — per-stage latency histograms (parse / check /
   execute), cache and decision counters, and per-view allow counts.
-* **Optional self-verification** — with ``verify_cached_decisions`` on,
-  every cache hit, Allow or Block, is replayed through the full
-  :class:`~repro.enforce.checker.ComplianceChecker` and disagreements
-  are counted (``cache_disagreements``);
-  ``tests/serve/test_shared_cache_race.py`` asserts this stays zero.
+  The ``decision_audit`` hook receives every statement's decision with
+  the facts it stood on, so a template-free checker can re-decide it
+  (``tests/conftest.py::reverify_audit``).
 
 Policy epochs
 -------------
@@ -82,7 +80,6 @@ class GatewayConfig:
     backend, failing fast on a misconfigured deployment.
     """
 
-    verify_cached_decisions: bool = False
     backend: str | None = None
     db_path: str | None = None
 

@@ -11,6 +11,7 @@ import pytest
 
 from repro.lifecycle import GateConfig, LifecycleManager
 from repro.mining import MiningConfig
+from repro.mining import config as mining_config
 from repro.net import AdminClient, BackgroundServer, NetClientConnection, ServerConfig
 from repro.policy import policy_to_text
 from repro.policy.policy import Policy
@@ -29,26 +30,22 @@ def make_mining_gateway() -> EnforcementGateway:
 
 
 @pytest.fixture
-def mining_cluster():
+def mining_cluster(monkeypatch):
     gateways = [make_mining_gateway(), make_mining_gateway()]
     lifecycles = [
         LifecycleManager(gateway, gates=GateConfig(min_shadow_checks=3))
         for gateway in gateways
     ]
+    monkeypatch.setattr(mining_config, "MIN_WINDOW", 4)
     for lifecycle in lifecycles:
-        lifecycle.enable_mining(MiningConfig(min_window=4, mode="propose_only"))
+        lifecycle.enable_mining(MiningConfig(mode="propose_only"))
     servers = [
         BackgroundServer(
             gateway, ServerConfig(port=0, shard_id=index), lifecycle=lifecycle
         ).start()
         for index, (gateway, lifecycle) in enumerate(zip(gateways, lifecycles))
     ]
-    router = _BackgroundRouter(
-        [server.port for server in servers],
-        health_interval_s=0.1,
-        health_failures=2,
-        connect_timeout_s=2.0,
-    )
+    router = _BackgroundRouter([server.port for server in servers], monkeypatch)
     try:
         yield router, servers, gateways
     finally:

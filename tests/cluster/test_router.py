@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+from repro.cluster import router as cluster_router
 from repro.cluster.router import ClusterRouter, RouterConfig, shard_index_for
 from repro.enforce.decision import PolicyViolation
 from repro.lifecycle import LifecycleManager
@@ -59,12 +60,16 @@ class TestShardIndexFor:
 
 
 class _BackgroundRouter:
-    """A ClusterRouter on its own loop thread (test-side supervisor)."""
+    """A ClusterRouter on its own loop thread (test-side supervisor) that
+    probes its shards every 0.1 s and marks one down after 2 failed
+    probes of at most 2 s each."""
 
-    def __init__(self, shard_ports, **config_kwargs):
+    def __init__(self, shard_ports, monkeypatch):
+        monkeypatch.setattr(cluster_router, "HEALTH_INTERVAL_S", 0.1)
+        monkeypatch.setattr(cluster_router, "HEALTH_FAILURES", 2)
+        monkeypatch.setattr(cluster_router, "CONNECT_TIMEOUT_S", 2.0)
         self.router = ClusterRouter(
-            [("127.0.0.1", port) for port in shard_ports],
-            RouterConfig(**config_kwargs),
+            [("127.0.0.1", port) for port in shard_ports], RouterConfig()
         )
         self._loop = asyncio.new_event_loop()
         self._thread = threading.Thread(target=self._run, daemon=True)
@@ -87,7 +92,7 @@ class _BackgroundRouter:
 
 
 @pytest.fixture
-def two_shards():
+def two_shards(monkeypatch):
     """Two shard servers + a router, all in-process."""
     gateways = [make_gateway(), make_gateway()]
     servers = [
@@ -98,12 +103,7 @@ def two_shards():
         ).start()
         for index, gateway in enumerate(gateways)
     ]
-    router = _BackgroundRouter(
-        [server.port for server in servers],
-        health_interval_s=0.1,
-        health_failures=2,
-        connect_timeout_s=2.0,
-    )
+    router = _BackgroundRouter([server.port for server in servers], monkeypatch)
     try:
         yield router, servers, gateways
     finally:
@@ -211,7 +211,7 @@ class TestDegradation:
         on_one = next(u for u in range(50) if shard_index_for({"MyUId": u}, 2) == 1)
         servers[1].stop()
         # Wait for the health loop to notice (interval 0.1s, 2 failures;
-        # each failed probe may take up to connect_timeout_s, so the
+        # each failed probe may take up to CONNECT_TIMEOUT_S, so the
         # deadline must comfortably exceed 2x that).
         deadline = time.monotonic() + 20.0
         while time.monotonic() < deadline:

@@ -272,7 +272,7 @@ class TestBackgroundCluster:
 
 class TestShardProcess:
     def test_silent_child_times_out_and_is_reaped(self, monkeypatch):
-        """``ready_timeout_s`` bounds the wait even when the child never
+        """``READY_TIMEOUT_S`` bounds the wait even when the child never
         prints a byte, and the child does not outlive the failure."""
         spawned = []
         popen = subprocess.Popen
@@ -282,20 +282,13 @@ class TestShardProcess:
             return spawned[-1]
 
         monkeypatch.setattr(supervisor.subprocess, "Popen", recording_popen)
+        monkeypatch.setattr(supervisor, "READY_TIMEOUT_S", 0.5)
         started = time.monotonic()
         with pytest.raises(TimeoutError, match="did not become ready in 0.5s"):
-            ShardProcess(
-                0,
-                [sys.executable, "-c", "import time; time.sleep(60)"],
-                ready_timeout_s=0.5,
-            )
+            ShardProcess(0, [sys.executable, "-c", "import time; time.sleep(60)"])
         assert time.monotonic() - started < 5.0
         assert len(spawned) == 1 and spawned[0].poll() is not None
 
     def test_child_that_exits_before_ready_is_reported(self):
         with pytest.raises(RuntimeError, match=r"exited \(code 3\).*'boom"):
-            ShardProcess(
-                0,
-                [sys.executable, "-c", "print('boom'); raise SystemExit(3)"],
-                ready_timeout_s=10.0,
-            )
+            ShardProcess(0, [sys.executable, "-c", "print('boom'); raise SystemExit(3)"])

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.enforce.checker import ComplianceChecker
@@ -42,6 +44,45 @@ def reverify_audit(records, policy_by_version, db) -> list:
         if fresh.allowed != allowed:
             differing.append(record)
     return differing
+
+
+def delay_statements(gateway, seconds: float):
+    """Make every statement of each session ``gateway`` opens from now on
+    sleep ``seconds`` before it runs; returns ``gateway``.
+
+    Wraps the session's ``query``, ``sql`` and ``execute_prepared``, the
+    three calls a wire statement makes, so over the wire the sleep falls
+    inside the statement's admitted slot and under its deadline: the
+    fault that makes shedding, deadlines and drain deterministic to test.
+    """
+    connect = gateway.connect
+
+    def delayed(run):
+        def call(*args, **kwargs):
+            time.sleep(seconds)
+            return run(*args, **kwargs)
+
+        return call
+
+    def connect_delayed(*args, **kwargs):
+        session = connect(*args, **kwargs)
+        for name in ("query", "sql", "execute_prepared"):
+            setattr(session, name, delayed(getattr(session, name)))
+        return session
+
+    gateway.connect = connect_delayed
+    return gateway
+
+
+def audit_decisions(gateway) -> list:
+    """Install a decision-audit hook on ``gateway``; returns the list it
+    fills with one :class:`~repro.enforce.proxy.DecisionAuditRecord` per
+    statement, Allow or Block, hit or miss (``list.append`` is atomic, so
+    concurrent sessions may share it). Hand the list to
+    :func:`reverify_audit`."""
+    records: list = []
+    gateway.decision_audit = records.append
+    return records
 
 
 def reference_verdicts(db, policy, sessions) -> list[bool]:

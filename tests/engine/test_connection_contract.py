@@ -22,6 +22,7 @@ from repro.net import BackgroundServer, NetClientConnection, ServerConfig
 from repro.serve import EnforcementGateway, GatewayConfig
 from repro.util.errors import DbacError, EngineError
 from repro.workloads import calendar_app
+from tests.conftest import audit_decisions, reverify_audit
 
 PROBE_SQL = "SELECT EId FROM Attendance WHERE UId = 1"
 
@@ -44,12 +45,13 @@ def make_rls():
 
 
 def make_proxy():
-    """The session a verifying gateway opens for a bindings mapping."""
-    app = calendar_app.make_app()
-    gateway = EnforcementGateway(
-        make_db(), app.ground_truth_policy(), GatewayConfig(verify_cached_decisions=True)
-    )
+    """The session an audited gateway opens for a bindings mapping; a
+    template-free checker re-decides each of its decisions afterwards."""
+    db, policy = make_db(), calendar_app.make_app().ground_truth_policy()
+    gateway = EnforcementGateway(db, policy)
+    records = audit_decisions(gateway)
     yield gateway.connect({"MyUId": 1})
+    assert reverify_audit(records, {1: policy}, db) == []
 
 
 def make_gateway_connection():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.lifecycle import registry as registry_module
 from repro.lifecycle.registry import PolicyRegistry, RegistryError
 from repro.policy.policy import Policy
 
@@ -74,15 +75,17 @@ class TestActivationAndRollback:
 
 
 class TestBoundedHistory:
-    def test_old_unactivated_versions_are_evicted(self, calendar_policy):
-        registry = PolicyRegistry(history_cap=3)
+    def test_old_unactivated_versions_are_evicted(self, calendar_policy, monkeypatch):
+        monkeypatch.setattr(registry_module, "HISTORY_CAP", 3)
+        registry = PolicyRegistry()
         versions = [registry.register(calendar_policy).version for _ in range(6)]
         assert len(registry) == 3
         assert versions[0] not in registry
         assert versions[-1] in registry
 
-    def test_activation_targets_survive_eviction(self, calendar_policy):
-        registry = PolicyRegistry(history_cap=2)
+    def test_activation_targets_survive_eviction(self, calendar_policy, monkeypatch):
+        monkeypatch.setattr(registry_module, "HISTORY_CAP", 2)
+        registry = PolicyRegistry()
         v1 = registry.register(calendar_policy)
         registry.record_activation(v1.version)
         for _ in range(5):
@@ -90,7 +93,3 @@ class TestBoundedHistory:
         registry.record_activation(last.version)
         assert v1.version in registry  # pinned by the activation history
         assert registry.rollback_target().version == v1.version
-
-    def test_tiny_cap_rejected(self):
-        with pytest.raises(ValueError):
-            PolicyRegistry(history_cap=1)

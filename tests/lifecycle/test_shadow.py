@@ -8,14 +8,15 @@ import pytest
 
 from repro.enforce.decision import PolicyViolation
 from repro.lifecycle import DivergenceLog, ShadowRunner
+from repro.lifecycle import shadow as shadow_module
 from repro.lifecycle.shadow import Divergence
 from repro.policy.policy import Policy, View
 from repro.serve import EnforcementGateway, GatewayConfig
 from tests.lifecycle.conftest import reduced_policy
 
 
-def start_shadow(gateway, candidate, version=2, **kwargs) -> ShadowRunner:
-    runner = ShadowRunner(gateway, candidate, version, **kwargs)
+def start_shadow(gateway, candidate, version=2) -> ShadowRunner:
+    runner = ShadowRunner(gateway, candidate, version)
     gateway.shadow = runner
     return runner
 
@@ -148,9 +149,12 @@ class TestDecisionTimeSnapshot:
 
 
 class TestBackpressureAndLog:
-    def test_queue_overflow_drops_instead_of_blocking(self, calendar_pair, gateway):
+    def test_queue_overflow_drops_instead_of_blocking(
+        self, calendar_pair, gateway, monkeypatch
+    ):
         app, db = calendar_pair
-        runner = start_shadow(gateway, app.ground_truth_policy(), max_pending=0)
+        monkeypatch.setattr(shadow_module, "MAX_PENDING", 0)
+        runner = start_shadow(gateway, app.ground_truth_policy())
         connection = gateway.connect(1)
         connection.query("SELECT EId FROM Attendance WHERE UId = 1")
         stats = runner.stats()

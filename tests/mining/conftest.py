@@ -7,9 +7,16 @@ import pytest
 from repro.lifecycle import LifecycleManager
 from repro.lifecycle.promote import GateConfig
 from repro.mining import MiningConfig
+from repro.mining import config as mining_config
 from repro.policy.policy import Policy
 from repro.serve import EnforcementGateway
 from repro.workloads import calendar_app
+
+
+@pytest.fixture(autouse=True)
+def small_window(monkeypatch):
+    """Mine from 4 audit entries: these tests drive a handful of statements."""
+    monkeypatch.setattr(mining_config, "MIN_WINDOW", 4)
 
 
 @pytest.fixture
@@ -26,7 +33,6 @@ def make_mining_stack(
     app,
     db,
     mode: str = "auto_promote",
-    min_window: int = 4,
     min_shadow_checks: int = 5,
     **config_overrides,
 ):
@@ -36,7 +42,7 @@ def make_mining_stack(
         gateway, gates=GateConfig(min_shadow_checks=min_shadow_checks)
     )
     service = manager.enable_mining(
-        MiningConfig(min_window=min_window, mode=mode, **config_overrides)
+        MiningConfig(mode=mode, **config_overrides)
     )
     return gateway, manager, service
 

@@ -6,6 +6,7 @@ import random
 
 from repro.enforce.decision import PolicyViolation
 from repro.mining import AuditMiner, AuditStream, MiningConfig
+from repro.mining import config as mining_config
 from repro.mining.miner import reconcile_by_fingerprint
 from repro.policy.serialize import policy_from_text, policy_to_text
 from repro.serve import EnforcementGateway, GatewayConfig
@@ -40,7 +41,7 @@ class TestGapFilling:
         app, db = calendar_pair
         gateway, window, reduced = build_gap_window(app, db)
         try:
-            miner = AuditMiner(db, MiningConfig(min_window=4))
+            miner = AuditMiner(db)
             report = miner.mine(reduced, 2, window)
             assert report.underivable_allows == 1
             gaps = [c for c in report.candidates if c.kind == "gap-fill"]
@@ -61,7 +62,7 @@ class TestGapFilling:
         app, db = calendar_pair
         gateway, window, reduced = build_gap_window(app, db)
         gateway.close()
-        miner = AuditMiner(db, MiningConfig(min_window=4))
+        miner = AuditMiner(db)
         (candidate,) = [
             c for c in miner.mine(reduced, 2, window).candidates
             if c.kind == "gap-fill"
@@ -87,7 +88,7 @@ class TestGapFilling:
                 connection.query(
                     f"SELECT 1 FROM Attendance WHERE UId = 1 AND EId = {eid}"
                 )
-            report = AuditMiner(db, MiningConfig(min_window=4)).mine(
+            report = AuditMiner(db).mine(
                 full, 1, subscription.drain()
             )
             assert report.underivable_allows == 0
@@ -101,7 +102,7 @@ class TestGapFilling:
         gateway.close()
         (candidate,) = [
             c
-            for c in AuditMiner(db, MiningConfig(min_window=4))
+            for c in AuditMiner(db)
             .mine(reduced, 2, window)
             .candidates
             if c.kind == "gap-fill"
@@ -109,7 +110,7 @@ class TestGapFilling:
         meta = candidate.policy.meta
         assert meta["provenance"] == "mined"
         assert meta["kind"] == "gap-fill"
-        assert meta["miner"] == MiningConfig(min_window=4).fingerprint()
+        assert meta["miner"] == MiningConfig().fingerprint()
         assert ".." in meta["window"] and meta["examples"]
         restored = policy_from_text(policy_to_text(candidate.policy), db.schema)
         assert restored.meta == meta
@@ -117,7 +118,8 @@ class TestGapFilling:
 
 
 class TestTightening:
-    def test_unexercised_view_yields_a_tighten_candidate(self, calendar_pair):
+    def test_unexercised_view_yields_a_tighten_candidate(self, calendar_pair, monkeypatch):
+        monkeypatch.setattr(mining_config, "MAX_CANDIDATES_PER_CYCLE", 8)
         app, db = calendar_pair
         full = app.ground_truth_policy()
         gateway = EnforcementGateway(db, full, GatewayConfig())
@@ -132,9 +134,7 @@ class TestTightening:
                 connection.query(
                     f"SELECT 1 FROM Attendance WHERE UId = 1 AND EId = {eid}"
                 )
-            report = AuditMiner(
-                db, MiningConfig(min_window=4, max_candidates_per_cycle=8)
-            ).mine(full, 1, subscription.drain())
+            report = AuditMiner(db).mine(full, 1, subscription.drain())
             tightens = {c.view_name: c for c in report.candidates if c.kind == "tighten"}
             assert "V1" not in tightens  # exercised by every allow
             assert set(tightens) == {"V2", "V3", "V4"}
@@ -145,8 +145,9 @@ class TestTightening:
         finally:
             gateway.close()
 
-    def test_quiet_window_proposes_no_tightening(self, calendar_pair):
+    def test_quiet_window_proposes_no_tightening(self, calendar_pair, monkeypatch):
         """Too little current-version traffic is no evidence of disuse."""
+        monkeypatch.setattr(mining_config, "MIN_WINDOW", 8)
         app, db = calendar_pair
         full = app.ground_truth_policy()
         gateway = EnforcementGateway(db, full, GatewayConfig())
@@ -156,14 +157,13 @@ class TestTightening:
             subscription = stream.subscribe(cap=1024)
             connection = gateway.connect(1)
             connection.query("SELECT 1 FROM Attendance WHERE UId = 1 AND EId = 1")
-            report = AuditMiner(db, MiningConfig(min_window=8)).mine(
-                full, 1, subscription.drain()
-            )
+            report = AuditMiner(db).mine(full, 1, subscription.drain())
             assert not [c for c in report.candidates if c.kind == "tighten"]
         finally:
             gateway.close()
 
-    def test_blocks_never_count_as_exercise(self, calendar_pair):
+    def test_blocks_never_count_as_exercise(self, calendar_pair, monkeypatch):
+        monkeypatch.setattr(mining_config, "MAX_CANDIDATES_PER_CYCLE", 8)
         app, db = calendar_pair
         full = app.ground_truth_policy()
         gateway = EnforcementGateway(db, full, GatewayConfig())
@@ -180,9 +180,7 @@ class TestTightening:
                 connection.query("SELECT * FROM Users WHERE UId = 99")
             except PolicyViolation:
                 pass
-            report = AuditMiner(
-                db, MiningConfig(min_window=4, max_candidates_per_cycle=8)
-            ).mine(full, 1, subscription.drain())
+            report = AuditMiner(db).mine(full, 1, subscription.drain())
             assert report.blocks == 1
             names = {c.view_name for c in report.candidates if c.kind == "tighten"}
             assert "V3" in names  # the blocked Users probe exercised nothing
@@ -191,11 +189,14 @@ class TestTightening:
 
 
 class TestDeterminism:
-    def test_shuffled_window_mines_byte_identical_candidates(self, calendar_pair):
+    def test_shuffled_window_mines_byte_identical_candidates(
+        self, calendar_pair, monkeypatch
+    ):
+        monkeypatch.setattr(mining_config, "MAX_CANDIDATES_PER_CYCLE", 8)
         app, db = calendar_pair
         gateway, window, reduced = build_gap_window(app, db)
         gateway.close()
-        miner = AuditMiner(db, MiningConfig(min_window=4, max_candidates_per_cycle=8))
+        miner = AuditMiner(db)
         baseline = miner.mine(reduced, 2, list(window)).candidates
         assert baseline
         rng = random.Random(7)

@@ -6,6 +6,7 @@ import pytest
 
 from repro.enforce.decision import PolicyViolation
 from repro.mining import MinedCandidate, MiningError
+from repro.mining import config as mining_config
 from repro.policy.serialize import policy_to_text
 
 from tests.conftest import reverify_audit
@@ -107,11 +108,10 @@ class TestAutoPromote:
             service.close()
             gateway.close()
 
-    def test_window_below_min_never_mines(self, calendar_pair):
+    def test_window_below_min_never_mines(self, calendar_pair, monkeypatch):
+        monkeypatch.setattr(mining_config, "MIN_WINDOW", 64)
         app, db = calendar_pair
-        gateway, manager, service = make_mining_stack(
-            app, db, mode="auto_promote", min_window=64
-        )
+        gateway, manager, service = make_mining_stack(app, db, mode="auto_promote")
         try:
             connection = drive_attendance(gateway, range(1, 6))
             seed_gap(gateway, manager, connection)

@@ -29,6 +29,7 @@ from repro.net import (
 )
 from repro.serve import EnforcementGateway, GatewayConfig
 from repro.workloads import calendar_app
+from tests.conftest import delay_statements
 
 
 def make_gateway(**config) -> EnforcementGateway:
@@ -198,9 +199,10 @@ class TestHandshake:
 class TestFrameHygiene:
     def test_oversized_frame_is_rejected_from_the_prefix(self):
         gateway = make_gateway()
-        with BackgroundServer(gateway, ServerConfig(port=0, max_frame_bytes=128)) as bg:
+        with BackgroundServer(gateway, ServerConfig(port=0)) as bg:
             sock = raw_socket(bg)
-            sock.sendall(struct.pack(">I", 1 << 16))  # no payload needed
+            # No payload needed: the length prefix alone is refused.
+            sock.sendall(struct.pack(">I", protocol.MAX_FRAME_BYTES + 1))
             reply = protocol.read_frame(sock)
             assert reply["code"] == protocol.ERR_OVERSIZED
             assert bg.server.metrics.counter("frames_oversized") == 1
@@ -236,8 +238,8 @@ class TestAdmissionControl:
             keeper.close()
 
     def test_in_flight_bound_sheds_instead_of_queueing(self):
-        config = ServerConfig(port=0, max_in_flight=1, execute_delay_s=0.4)
-        with BackgroundServer(make_gateway(), config) as bg:
+        config = ServerConfig(port=0, max_in_flight=1)
+        with BackgroundServer(delay_statements(make_gateway(), 0.4), config) as bg:
             busy = connect(bg, user=1)
             other = connect(bg, user=2)
             finished = {}
@@ -266,8 +268,8 @@ class TestAdmissionControl:
 
 class TestDeadlines:
     def test_deadline_overrun_errors_and_closes(self):
-        config = ServerConfig(port=0, request_timeout_s=0.05, execute_delay_s=0.5)
-        with BackgroundServer(make_gateway(), config) as bg:
+        config = ServerConfig(port=0, request_timeout_s=0.05)
+        with BackgroundServer(delay_statements(make_gateway(), 0.5), config) as bg:
             connection = connect(bg)
             with pytest.raises(NetError) as excinfo:
                 connection.query("SELECT EId FROM Attendance WHERE UId = 1")
@@ -276,10 +278,8 @@ class TestDeadlines:
             assert bg.server.metrics.counter("requests_timed_out") == 1
 
     def test_orphaned_statement_releases_its_slot(self):
-        config = ServerConfig(
-            port=0, max_in_flight=1, request_timeout_s=0.05, execute_delay_s=0.3
-        )
-        with BackgroundServer(make_gateway(), config) as bg:
+        config = ServerConfig(port=0, max_in_flight=1, request_timeout_s=0.05)
+        with BackgroundServer(delay_statements(make_gateway(), 0.3), config) as bg:
             victim = connect(bg, user=1)
             with pytest.raises(NetError):
                 victim.query("SELECT EId FROM Attendance WHERE UId = 1")
@@ -294,6 +294,17 @@ class TestDeadlines:
             with pytest.raises(NetError) as followup:
                 fresh.query("SELECT EId FROM Attendance WHERE UId = 2")
             assert followup.value.code == protocol.ERR_TIMEOUT
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("field", ["request_timeout_s", "idle_timeout_s"])
+    @pytest.mark.parametrize("value", [0, -1, float("nan")])
+    def test_a_timeout_that_is_not_positive_is_refused(self, field, value):
+        """A negative idle timeout would kill the accept thread on the
+        first connection, and 0 would close every connection before its
+        HELLO is answered: neither may reach a socket."""
+        with pytest.raises(ValueError, match=f"{field} must be > 0"):
+            ServerConfig(port=0, **{field: value})
 
 
 class TestIdleReaping:
@@ -317,8 +328,8 @@ class TestIdleReaping:
 
 class TestGracefulDrain:
     def test_drain_finishes_in_flight_and_delivers_every_reply(self):
-        config = ServerConfig(port=0, execute_delay_s=0.25, max_in_flight=8)
-        background = BackgroundServer(make_gateway(), config).start()
+        config = ServerConfig(port=0, max_in_flight=8)
+        background = BackgroundServer(delay_statements(make_gateway(), 0.25), config).start()
         replies: dict[int, object] = {}
         connections = [connect(background, user=uid) for uid in (1, 2, 3)]
 
@@ -343,8 +354,9 @@ class TestGracefulDrain:
             assert reply.columns == ["EId"]
 
     def test_connections_arriving_during_drain_are_refused(self):
-        config = ServerConfig(port=0, execute_delay_s=0.4)
-        background = BackgroundServer(make_gateway(), config).start()
+        background = BackgroundServer(
+            delay_statements(make_gateway(), 0.4), ServerConfig(port=0)
+        ).start()
         connection = connect(background)
         thread = threading.Thread(
             target=lambda: connection.query("SELECT EId FROM Attendance WHERE UId = 1")

@@ -14,7 +14,14 @@ import pytest
 from repro.cli import main
 from repro.enforce.decision import PolicyViolation
 from repro.lifecycle import GateConfig, LifecycleManager
-from repro.net import AdminClient, BackgroundServer, NetClientConnection, NetError, ServerConfig
+from repro.net import (
+    AdminClient,
+    BackgroundServer,
+    NetClientConnection,
+    NetError,
+    ServerConfig,
+    protocol,
+)
 from repro.policy.policy import Policy
 from repro.policy.serialize import policy_to_text
 from repro.serve import EnforcementGateway, GatewayConfig
@@ -181,6 +188,40 @@ class TestShadowAndPromoteVerbs:
             rejected = client.promote()
             assert rejected["promoted"] is False
             promoted = client.promote(min_shadow_checks=1)
+            assert promoted["promoted"] is True
+        session.close()
+
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"min_shadow_checks": "x"},
+            {"min_shadow_checks": -1},
+            {"min_shadow_checks": True},
+            {"min_shadow_checks": 1.5},
+            {"max_divergences": None},
+            {"max_divergences": -2},
+            {"min_precision": 1.5},
+            {"min_precision": "1"},
+            {"min_recall": -0.1},
+            {"min_recall": False},
+        ],
+    )
+    def test_a_malformed_gate_override_is_a_bad_request(self, stack, override):
+        """Refused before any gate runs, on a connection that stays open:
+        the same client then promotes with a good override."""
+        background, gateway, _ = stack
+        session = NetClientConnection(background.host, background.port, user=1)
+        with admin(background) as client:
+            client.shadow_start(full_text())
+            session.query("SELECT 1 FROM Attendance WHERE UId = 1 AND EId = 2")
+            gateway.shadow.drain(timeout_s=20.0)
+            with pytest.raises(NetError) as refused:
+                client.promote(**override)
+            assert refused.value.code == protocol.ERR_BAD_REQUEST
+            assert f"PROMOTE override {next(iter(override))} must be" in str(refused.value)
+            assert client.policy_status()["active_version"] == 1
+            promoted = client.promote(min_shadow_checks=1, min_precision=1, min_recall=1.0)
             assert promoted["promoted"] is True
         session.close()
 

@@ -12,6 +12,7 @@ import pytest
 
 from repro.lifecycle import GateConfig, LifecycleManager
 from repro.mining import MiningConfig
+from repro.mining import config as mining_config
 from repro.net import (
     AdminClient,
     BackgroundServer,
@@ -32,8 +33,14 @@ def make_stack(mode: str):
         db.sql("INSERT INTO Attendance VALUES (1, 2)")
     gateway = EnforcementGateway(db, app.ground_truth_policy())
     lifecycle = LifecycleManager(gateway, gates=GateConfig(min_shadow_checks=3))
-    lifecycle.enable_mining(MiningConfig(min_window=4, mode=mode))
+    lifecycle.enable_mining(MiningConfig(mode=mode))
     return gateway, lifecycle
+
+
+@pytest.fixture(autouse=True)
+def small_window(monkeypatch):
+    """Mine from 4 audit entries: these tests drive a handful of statements."""
+    monkeypatch.setattr(mining_config, "MIN_WINDOW", 4)
 
 
 @pytest.fixture

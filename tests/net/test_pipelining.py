@@ -28,6 +28,7 @@ from repro.net import (
 )
 from repro.serve import EnforcementGateway, GatewayConfig
 from repro.workloads import calendar_app
+from tests.conftest import delay_statements
 
 
 def make_gateway(**config) -> EnforcementGateway:
@@ -184,8 +185,9 @@ class TestDrainDuringPipeline:
     def test_queued_statements_get_shutting_down_then_bye(self):
         """Statements already read ahead when the drain starts must be
         answered ERR_SHUTTING_DOWN (not silently dropped), then BYE."""
-        config = ServerConfig(port=0, execute_delay_s=0.3)
-        background = BackgroundServer(make_gateway(), config).start()
+        background = BackgroundServer(
+            delay_statements(make_gateway(), 0.3), ServerConfig(port=0)
+        ).start()
         try:
             connection = connect(background)
             frames = bytearray()
@@ -217,8 +219,9 @@ class TestDrainDuringPipeline:
             background.stop()
 
     def test_pipeline_call_surfaces_drain_errors_per_request(self):
-        config = ServerConfig(port=0, execute_delay_s=0.3)
-        background = BackgroundServer(make_gateway(), config).start()
+        background = BackgroundServer(
+            delay_statements(make_gateway(), 0.3), ServerConfig(port=0)
+        ).start()
         try:
             connection = connect(background)
             outcomes_box = {}
@@ -249,8 +252,9 @@ class TestReadAheadOverlap:
         must take ~1x the delay + ~3x, not 3 round trips of client think
         time: the wall clock bound proves requests 2 and 3 were already
         server-side while request 1 executed."""
-        config = ServerConfig(port=0, execute_delay_s=0.2)
-        with BackgroundServer(make_gateway(), config) as background:
+        with BackgroundServer(
+            delay_statements(make_gateway(), 0.2), ServerConfig(port=0)
+        ) as background:
             connection = connect(background)
             started = time.perf_counter()
             outcomes = connection.pipeline(

@@ -8,9 +8,16 @@ import time
 
 import pytest
 
+from repro.net import client
 from repro.net.client import NetClientConnection, connect_with_retry
 from repro.net.server import BackgroundServer, ServerConfig
 from tests.net.test_client_server import make_gateway
+
+
+def schedule(monkeypatch, retries: int, base_s: float) -> None:
+    """Retry ``retries`` times, backing off from ``base_s``."""
+    monkeypatch.setattr(client, "CONNECT_RETRIES", retries)
+    monkeypatch.setattr(client, "RETRY_BASE_S", base_s)
 
 
 def _free_port() -> int:
@@ -44,20 +51,29 @@ class TestConnectWithRetry:
         finally:
             listener.close()
 
-    def test_exhausted_retries_reraise_the_original_error(self):
+    def test_exhausted_retries_reraise_the_original_error(self, monkeypatch):
         port = _free_port()  # nothing listens here
+        schedule(monkeypatch, retries=2, base_s=0.01)
         started = time.monotonic()
         with pytest.raises(OSError):
-            connect_with_retry(
-                "127.0.0.1", port, timeout_s=1.0, retries=2, retry_base_s=0.01
-            )
+            connect_with_retry("127.0.0.1", port, timeout_s=1.0)
         # 2 retries at ~10/20 ms: the whole schedule stays fast.
         assert time.monotonic() - started < 2.0
 
-    def test_zero_retries_fail_immediately(self):
+    def test_zero_retries_fail_immediately(self, monkeypatch):
         port = _free_port()
+        attempts = []
+        dial = socket.create_connection
+
+        def counting(address, timeout=None):
+            attempts.append(address)
+            return dial(address, timeout=timeout)
+
+        monkeypatch.setattr(socket, "create_connection", counting)
+        schedule(monkeypatch, retries=0, base_s=0.05)
         with pytest.raises(OSError):
-            connect_with_retry("127.0.0.1", port, timeout_s=1.0, retries=0)
+            connect_with_retry("127.0.0.1", port, timeout_s=1.0)
+        assert len(attempts) == 1
 
     def test_malformed_address_fails_fast_without_retrying(self, monkeypatch):
         """gaierror (name resolution) is misconfiguration, not a race:
@@ -69,11 +85,10 @@ class TestConnectWithRetry:
             raise socket.gaierror(socket.EAI_NONAME, "Name or service not known")
 
         monkeypatch.setattr(socket, "create_connection", refuse_resolution)
+        schedule(monkeypatch, retries=4, base_s=0.2)
         started = time.monotonic()
         with pytest.raises(socket.gaierror):
-            connect_with_retry(
-                "no-such-host.invalid", 1, timeout_s=1.0, retries=4, retry_base_s=0.2
-            )
+            connect_with_retry("no-such-host.invalid", 1, timeout_s=1.0)
         assert len(attempts) == 1
         # No retry schedule was consumed (4 retries at 0.2s base would
         # have slept well over a second).
@@ -89,9 +104,8 @@ class TestConnectWithRetry:
             return object()  # stands in for the socket
 
         monkeypatch.setattr(socket, "create_connection", refuse_then_accept)
-        assert connect_with_retry(
-            "127.0.0.1", 1, timeout_s=1.0, retries=4, retry_base_s=0.001
-        ) is not None
+        schedule(monkeypatch, retries=4, base_s=0.001)
+        assert connect_with_retry("127.0.0.1", 1, timeout_s=1.0) is not None
         assert len(attempts) == 3
 
     def test_client_connects_through_retry_to_real_server(self):

@@ -42,6 +42,7 @@ from repro.net import (
 from repro.policy.policy import Policy
 from repro.policy.serialize import policy_from_text, policy_to_text
 from repro.workloads import calendar_app
+from tests.conftest import delay_statements
 from tests.net.test_client_server import connect, make_gateway
 
 MINE = "SELECT EId FROM Attendance WHERE UId = ?"
@@ -223,8 +224,8 @@ def statement_frames(ids, args_for) -> bytes:
 
 class TestDeadlineInsideAPipelinedRun:
     def test_the_budget_is_per_statement_not_per_burst(self):
-        config = ServerConfig(port=0, execute_delay_s=0.1, request_timeout_s=0.25)
-        with BackgroundServer(make_gateway(), config) as bg:
+        config = ServerConfig(port=0, request_timeout_s=0.25)
+        with BackgroundServer(delay_statements(make_gateway(), 0.1), config) as bg:
             connection = connect(bg)
             # 0.4 s of statements in one burst, each within its own 0.25 s.
             outcomes = connection.pipeline([(MINE, [1])] * 4)
@@ -340,11 +341,11 @@ def second_finishes_after_first(bg: BackgroundServer) -> float:
 
 
 class TestSessionSerialisation:
-    DELAY_S = 0.4  # held in each statement's admitted slot by execute_delay_s
+    DELAY_S = 0.4  # held in each statement's admitted slot by delay_statements
 
     def test_fresh_sessions_of_one_principal_do_not_wait(self):
-        config = ServerConfig(port=0, execute_delay_s=self.DELAY_S)
-        with BackgroundServer(make_gateway(), config) as bg:
+        gateway = delay_statements(make_gateway(), self.DELAY_S)
+        with BackgroundServer(gateway, ServerConfig(port=0)) as bg:
             # They share no state, so they overlap: 0.05 s apart, as sent.
             assert second_finishes_after_first(bg) < self.DELAY_S / 2
 
@@ -355,11 +356,12 @@ class TestAdmissionUnderContention:
         slots with the interpreter switching every few bytecodes: the
         check-and-take must stay atomic and every slot must come back."""
         bound, clients, each = 2, 6, 25
-        config = ServerConfig(port=0, max_in_flight=bound, execute_delay_s=0.002)
+        config = ServerConfig(port=0, max_in_flight=bound)
+        gateway = delay_statements(make_gateway(), 0.002)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            with BackgroundServer(make_gateway(), config) as bg:
+            with BackgroundServer(gateway, config) as bg:
                 metrics = bg.server.metrics
                 admit = metrics.request_started
                 peak = []

@@ -12,17 +12,30 @@ permutations; the deterministic spot-check lives in
 
 from __future__ import annotations
 
+import contextlib
+
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from repro.lifecycle.reload import hot_reload
-from repro.mining import AuditMiner, AuditStream, MiningConfig
+from repro.mining import AuditMiner, AuditStream
+from repro.mining import config as mining_config
 from repro.policy import policy_to_text
 from repro.policy.policy import Policy
 from repro.serve import EnforcementGateway, GatewayConfig
 from repro.workloads import calendar_app
 
 _FIXTURE: dict | None = None
+
+
+@contextlib.contextmanager
+def wide_miner():
+    """Mine from 4 audit entries and keep up to 8 candidates a pass."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mining_config, "MIN_WINDOW", 4)
+        patch.setattr(mining_config, "MAX_CANDIDATES_PER_CYCLE", 8)
+        yield
 
 
 def window_fixture() -> dict:
@@ -51,8 +64,9 @@ def window_fixture() -> dict:
         connection.query(f"SELECT 1 FROM Attendance WHERE UId = 1 AND EId = {eid}")
     window = subscription.drain()
     gateway.close()
-    miner = AuditMiner(db, MiningConfig(min_window=4, max_candidates_per_cycle=8))
-    baseline = miner.mine(reduced, 2, window).candidates
+    miner = AuditMiner(db)
+    with wide_miner():
+        baseline = miner.mine(reduced, 2, window).candidates
     assert baseline  # the fixture must have something to permute
     _FIXTURE = {
         "miner": miner,
@@ -70,10 +84,11 @@ class TestMinerDeterminism:
     def test_any_ingest_order_mines_byte_identical_candidates(self, data):
         fx = window_fixture()
         shuffled = data.draw(st.permutations(fx["window"]))
-        report = fx["miner"].mine(fx["reduced"], 2, shuffled)
+        with wide_miner():
+            report = fx["miner"].mine(fx["reduced"], 2, shuffled)
+            # Mining the permutation again is idempotent: the miner holds
+            # no state between passes that could leak into candidate content.
+            again = fx["miner"].mine(fx["reduced"], 2, shuffled)
         assert [c.fingerprint for c in report.candidates] == fx["fingerprints"]
         assert [policy_to_text(c.policy) for c in report.candidates] == fx["texts"]
-        # Mining the permutation again is idempotent: the miner holds no
-        # state between passes that could leak into candidate content.
-        again = fx["miner"].mine(fx["reduced"], 2, shuffled)
         assert [c.fingerprint for c in again.candidates] == fx["fingerprints"]

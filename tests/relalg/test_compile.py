@@ -57,12 +57,6 @@ class TestViewDefs:
         first.clear()
         assert compiled.view_defs({"MyUId": 5}) == second
 
-    def test_unhashable_bindings_fall_back_uncached(self, compiled):
-        # A list-valued binding cannot key the memo; the call must still
-        # answer (by building uncached), not raise.
-        views = compiled.view_defs({"MyUId": [1, 2]})
-        assert isinstance(views, list)
-
     def test_memo_is_bounded(self, compiled):
         from repro.relalg.compile import _VIEW_DEF_MEMO_SIZE
 
@@ -138,16 +132,6 @@ class TestRelevantRelations:
 class TestArtifacts:
     def test_view_constants_match_policy(self, compiled, policy):
         assert set(compiled.view_constants) == set(policy.constants())
-
-    def test_dispatch_covers_every_view_relation(self, compiled):
-        for index, view in enumerate(compiled.views):
-            for rel in view.relations:
-                assert index in compiled.dispatch[rel]
-
-    def test_touching_returns_views_over_relation(self, compiled):
-        for rel, indexes in compiled.dispatch.items():
-            names = {compiled.views[i].name for i in indexes}
-            assert {view.name for view in compiled.touching(rel)} == names
 
     def test_build_is_timed_and_fingerprinted(self, compiled, policy):
         assert compiled.build_seconds >= 0.0

@@ -6,8 +6,8 @@ session deletes an attendance row, puts it back, or retitles an event.
 After every statement, each session's trace — as its next decision
 will see it, i.e. once swept — holds only facts some current row stands
 for (labeled nulls match anything), and never two facts that disagree
-under a primary key. Every cache hit is re-checked on the spot
-(``verify_cached_decisions``) and none may disagree.
+under a primary key. Every decision, hit or miss, is audited, and a
+template-free checker over the facts it stood on must reach it too.
 """
 
 from __future__ import annotations
@@ -17,10 +17,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.enforce import PolicyViolation
-from repro.serve import EnforcementGateway, GatewayConfig
+from repro.serve import EnforcementGateway
 from repro.util.errors import IntegrityError
 from repro.workloads import calendar_app
-from tests.conftest import contradicted_facts, key_violations
+from tests.conftest import (
+    audit_decisions,
+    contradicted_facts,
+    key_violations,
+    reverify_audit,
+)
 
 USERS = (1, 2)
 #: Example 2.1's guard and fetch. (A blocked fetch costs ~10x more per
@@ -85,9 +90,8 @@ def statements(events):
 def test_every_fact_a_session_keeps_holds(database, events, calendar_policy, data):
     db, snapshot = database
     db.restore(snapshot)
-    gateway = EnforcementGateway(
-        db, calendar_policy, GatewayConfig(verify_cached_decisions=True)
-    )
+    gateway = EnforcementGateway(db, calendar_policy)
+    records = audit_decisions(gateway)
     sessions = {user: gateway.connect(user) for user in USERS}
     for user, (sql, args) in data.draw(statements(events)):
         if sql.startswith("SELECT 1"):
@@ -101,4 +105,4 @@ def test_every_fact_a_session_keeps_holds(database, events, calendar_policy, dat
             facts = connection.trace.facts
             assert not contradicted_facts(facts, db), (sql, args, facts)
             assert not key_violations(facts, db.schema), (sql, args, facts)
-    assert gateway.metrics.counter("cache_disagreements") == 0
+    assert reverify_audit(records, {1: calendar_policy}, db) == []

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import random
 import weakref
@@ -16,14 +17,17 @@ from repro.serve import EnforcementGateway, GatewayConfig
 from repro.util.errors import DbacError
 from repro.workloads import calendar_app
 from repro.workloads.runner import AppRunner
-from tests.conftest import reference_verdicts
+from tests.conftest import audit_decisions, reference_verdicts, reverify_audit
 
 
 @pytest.fixture
 def calendar_gateway(calendar_db, calendar_policy):
-    return EnforcementGateway(
-        calendar_db, calendar_policy, GatewayConfig(verify_cached_decisions=True)
-    )
+    """A gateway whose every decision, hit or miss, a template-free
+    checker re-decides when the test ends."""
+    gateway = EnforcementGateway(calendar_db, calendar_policy)
+    records = audit_decisions(gateway)
+    yield gateway
+    assert reverify_audit(records, {1: calendar_policy}, calendar_db) == []
 
 
 class TestConnectionProtocol:
@@ -116,9 +120,8 @@ class TestSessions:
         db = calendar_app.make_database(size=10, seed=3)
         if db.query("SELECT 1 FROM Attendance WHERE UId = 1 AND EId = 2").is_empty():
             db.sql("INSERT INTO Attendance VALUES (1, 2)")
-        gateway = EnforcementGateway(
-            db, calendar_policy, GatewayConfig(verify_cached_decisions=True)
-        )
+        gateway = EnforcementGateway(db, calendar_policy)
+        records = audit_decisions(gateway)
         connection = gateway.connect(1)
         q1 = connection.query("SELECT 1 FROM Attendance WHERE UId = 1 AND EId = 2")
         assert not q1.is_empty()
@@ -126,7 +129,7 @@ class TestSessions:
         assert not q2.is_empty()
         with pytest.raises(PolicyViolation):
             gateway.connect(1).query("SELECT * FROM Events WHERE EId = 2")
-        assert gateway.metrics.counter("cache_disagreements") == 0
+        assert reverify_audit(records, {1: calendar_policy}, db) == []
 
 
 class TestSharedCacheThroughGateway:
@@ -135,7 +138,6 @@ class TestSharedCacheThroughGateway:
         assert calendar_gateway.shared_cache.hits == 0
         calendar_gateway.connect(2).query("SELECT EId FROM Attendance WHERE UId = 2")
         assert calendar_gateway.shared_cache.hits == 1
-        assert calendar_gateway.metrics.counter("cache_disagreements") == 0
 
     def test_history_dependent_hit_requires_own_history(self, calendar_policy):
         db = calendar_app.make_database(size=10, seed=3)
@@ -144,9 +146,8 @@ class TestSharedCacheThroughGateway:
                 "SELECT 1 FROM Attendance WHERE UId = ? AND EId = ?", [uid, eid]
             ).is_empty():
                 db.sql("INSERT INTO Attendance VALUES (?, ?)", [uid, eid])
-        gateway = EnforcementGateway(
-            db, calendar_policy, GatewayConfig(verify_cached_decisions=True)
-        )
+        gateway = EnforcementGateway(db, calendar_policy)
+        records = audit_decisions(gateway)
         first = gateway.connect(1)
         first.query("SELECT 1 FROM Attendance WHERE UId = 1 AND EId = 2")
         first.query("SELECT * FROM Events WHERE EId = 2")  # stores the template
@@ -159,7 +160,7 @@ class TestSharedCacheThroughGateway:
         before = gateway.shared_cache.hits
         other.query("SELECT * FROM Events WHERE EId = 2")
         assert gateway.shared_cache.hits == before + 1
-        assert gateway.metrics.counter("cache_disagreements") == 0
+        assert reverify_audit(records, {1: calendar_policy}, db) == []
 
 
 class TestWritesThroughGateway:
@@ -181,7 +182,6 @@ class TestWritesThroughGateway:
         assert gateway.metrics.counter("cache_hits") == hits + 2
         assert len(mine.trace.facts) == kept and len(theirs.trace.facts) == 0
         assert gateway.snapshot().counters["facts_retired"] == doomed
-        assert gateway.metrics.counter("cache_disagreements") == 0
 
     def test_write_to_unrelated_table_keeps_templates(self, calendar_gateway):
         calendar_gateway.connect(1).query("SELECT EId FROM Attendance WHERE UId = 1")
@@ -205,10 +205,11 @@ class TestOneStore:
         return db, app.ground_truth_policy(), scripts
 
     @classmethod
-    def replay(cls, config: GatewayConfig) -> tuple[EnforcementGateway, list[bool]]:
-        """The stream through a gateway; returns the allow/block sequence."""
+    def replay(cls) -> tuple[EnforcementGateway, list[bool]]:
+        """The stream through a default gateway; returns the allow/block
+        sequence."""
         db, policy, scripts = cls.streams()
-        gateway = EnforcementGateway(db, policy, config)
+        gateway = EnforcementGateway(db, policy)
         verdicts = []
         for bindings, script in scripts:
             connection = gateway.connect(bindings)
@@ -221,7 +222,7 @@ class TestOneStore:
         return gateway, verdicts
 
     def test_default_gateway_generalizes_each_miss_once(self):
-        gateway, verdicts = self.replay(GatewayConfig())
+        gateway, verdicts = self.replay()
         counters = gateway.snapshot().counters
         assert len(verdicts) >= 40 and True in verdicts and False in verdicts
         assert counters["cache_misses"] > 0 and counters["cache_hits"] > 0
@@ -230,21 +231,52 @@ class TestOneStore:
         assert counters["shared_cache_stores"] == counters["shared_cache_size"] == live
 
     def test_every_configuration_decides_alike_and_stores_once(self):
+        """The one configuration there is decides as the reference does,
+        statement by statement, and its store holds each template once."""
         expected = reference_verdicts(*self.streams())
-        for config in (GatewayConfig(), GatewayConfig(verify_cached_decisions=True)):
-            gateway, verdicts = self.replay(config)
-            assert verdicts == expected, config
-            (store,) = gateway.epoch.caches()
-            assert store.duplicates_skipped == 0, config
-            assert store.stores == store.size > 0, config
-            assert gateway.metrics.counter("cache_disagreements") == 0
+        gateway, verdicts = self.replay()
+        assert verdicts == expected
+        (store,) = gateway.epoch.caches()
+        assert store.duplicates_skipped == 0
+        assert store.stores == store.size > 0
 
     def test_per_session_cache_mode_is_gone(self):
         """So is every other way to wire the store: an epoch always
-        compiles, owns one store its sessions probe, and batches."""
-        for knob in ("cache_mode", "compile_checks", "batch_checks", "check_timeout_s"):
+        compiles, owns one store its sessions probe, and batches; and no
+        switch re-checks its hits (the audit hook is how a test does)."""
+        for knob in (
+            "cache_mode",
+            "compile_checks",
+            "batch_checks",
+            "check_timeout_s",
+            "verify_cached_decisions",
+        ):
             with pytest.raises(TypeError, match=knob):
                 GatewayConfig(**{knob: None})
+
+
+class TestReverifyAudit:
+    """The oracle the audited tests lean on sees a wrong verdict, on a
+    hit as on a miss, so their empty result is not vacuous."""
+
+    FETCH_ALL = "SELECT * FROM Events"
+
+    def test_a_doctored_allow_is_returned(self, calendar_db, calendar_policy):
+        gateway = EnforcementGateway(calendar_db, calendar_policy)
+        records = audit_decisions(gateway)
+        for _ in range(2):  # a miss, then the same Block from the store
+            with pytest.raises(PolicyViolation):
+                gateway.connect(1).query(self.FETCH_ALL)
+        gateway.connect(1).query("SELECT EId FROM Attendance WHERE UId = 1")
+        miss, hit, allowed = records
+        assert (miss.from_cache, hit.from_cache) == (False, True)
+        assert not miss.allowed and not hit.allowed and allowed.allowed
+        versions = {1: calendar_policy}
+        assert reverify_audit(records, versions, calendar_db) == []
+        doctored = [dataclasses.replace(record, allowed=True) for record in (miss, hit)]
+        assert reverify_audit([*doctored, allowed], versions, calendar_db) == doctored
+        flipped = dataclasses.replace(allowed, allowed=False)
+        assert reverify_audit([miss, flipped], versions, calendar_db) == [flipped]
 
 
 class TestDriver:
@@ -361,12 +393,11 @@ class TestCompiledGateway:
     def test_verification_stays_independent_of_templates(
         self, calendar_db, calendar_policy
     ):
-        # verify_cached_decisions re-checks cache hits, Allows and Blocks,
-        # with allow_compiled=False: the verifying decision comes from the
-        # full path and learns nothing, so the store is untouched by it.
-        gateway = EnforcementGateway(
-            calendar_db, calendar_policy, GatewayConfig(verify_cached_decisions=True)
-        )
+        # The audit replay re-decides hits, Allows and Blocks, with a
+        # template-free checker of its own: it reads nothing from the
+        # store it audits and learns nothing into it.
+        gateway = EnforcementGateway(calendar_db, calendar_policy)
+        records = audit_decisions(gateway)
         try:
             learner, connection = gateway.connect(1), gateway.connect(1)
             with pytest.raises(PolicyViolation):
@@ -378,10 +409,11 @@ class TestCompiledGateway:
                 connection.query(self.BLOCKED)  # a Block hit
             assert blocked.value.decision.from_cache
             connection.query(self.ALLOWED)  # an Allow hit
-            counters = gateway.metrics.counter
-            assert counters("cache_verified") == 2
-            assert counters("cache_disagreements") == 0
+            served = store.stats()
+            assert [record.from_cache for record in records] == [False, False, True, True]
+            assert reverify_audit(records, {1: calendar_policy}, calendar_db) == []
             after = store.stats()
+            assert after == served
             assert (after["stores"], after["duplicates_skipped"]) == (
                 learned["stores"], learned["duplicates_skipped"]
             )

@@ -6,8 +6,8 @@ rows N reader threads are reading and certifying must (a) never let an
 exception escape any thread — a reader never finds a row id without its
 row — (b) leave no reader's trace holding a fact the final database
 contradicts, once each reader has swept, and (c) never serve a decision
-the uncached checker would disagree with (``verify_cached_decisions``
-re-checks every hit on the spot).
+a template-free checker over the same facts would disagree with (every
+decision, hit or miss, is audited and re-decided afterwards).
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ import threading
 
 import pytest
 
-from repro.serve import EnforcementGateway, GatewayConfig
+from repro.serve import EnforcementGateway
 from repro.workloads import calendar_app
-from tests.conftest import contradicted_facts
+from tests.conftest import audit_decisions, contradicted_facts, reverify_audit
 
 READERS = 6
 ROUNDS = 40
@@ -28,13 +28,17 @@ MINE = "SELECT EId FROM Attendance WHERE UId = ?"
 @pytest.fixture
 def gateway(calendar_policy):
     db = calendar_app.make_database(size=READERS + 2, seed=3)
-    return EnforcementGateway(
-        db, calendar_policy, GatewayConfig(verify_cached_decisions=True)
-    )
+    return EnforcementGateway(db, calendar_policy)
+
+
+@pytest.fixture
+def audit(gateway):
+    """Every decision the gateway makes during the test."""
+    return audit_decisions(gateway)
 
 
 class TestInvalidationRace:
-    def test_readers_race_a_writer_without_stale_survivors(self, gateway):
+    def test_readers_race_a_writer_without_stale_survivors(self, gateway, audit):
         start = threading.Barrier(READERS + 1)
         errors: list[BaseException] = []
         attended = gateway.db.query("SELECT UId, EId FROM Attendance").rows
@@ -71,9 +75,10 @@ class TestInvalidationRace:
             thread.join()
 
         assert not errors, errors
-        # (c) every cache hit taken during the race was re-verified against
-        # the uncached checker; none may disagree.
-        assert gateway.metrics.counter("cache_disagreements") == 0
+        # (c) a template-free checker over the facts each decision stood
+        # on reaches every verdict of the race, hits included.
+        assert any(record.from_cache for record in audit)
+        assert reverify_audit(audit, {1: gateway.policy}, gateway.db) == []
         assert gateway.shared_cache.stores > 0
 
         # (b) the writer's last rounds deleted every reader's rows for
@@ -93,7 +98,7 @@ class TestInvalidationRace:
             assert not contradicted_facts(connection.trace.facts, gateway.db)
         assert gateway.snapshot().counters["facts_retired"] >= retired + certified
 
-    def test_eviction_is_atomic_with_respect_to_lookups(self, gateway):
+    def test_eviction_is_atomic_with_respect_to_lookups(self, gateway, audit):
         """A lookup never observes a half-evicted bucket: it either hits a
         live template or misses; both re-verify clean against the checker."""
         connection = gateway.connect(1)
@@ -119,4 +124,4 @@ class TestInvalidationRace:
             stop.set()
             churner.join()
         assert not errors, errors
-        assert gateway.metrics.counter("cache_disagreements") == 0
+        assert reverify_audit(audit, {1: gateway.policy}, gateway.db) == []

@@ -223,6 +223,34 @@ class TestParser:
                 parser.parse_args([*argv, *flags])
             assert f"unrecognized arguments: {flags[0]}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--request-timeout", "0"),
+            ("--idle-timeout", "0"),
+            ("--idle-timeout", "-1"),
+            ("--mine-interval", "0"),
+            ("--mine-interval", "nan"),
+        ],
+    )
+    def test_serve_refuses_a_timeout_or_interval_that_is_not_positive(
+        self, flag, value, capsys
+    ):
+        """argparse refuses it with a usage message and exit 2, before
+        any gateway, socket or mining thread exists."""
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["serve", "--app", "calendar", flag, value])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert f"argument {flag}: must be > 0, got {value}" in err
+
+    def test_mine_interval_zero_is_a_usage_error_not_a_traceback(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--app", "calendar", "--port", "0", "--mine", "--mine-interval", "0"])
+        assert exit_info.value.code == 2
+        assert "argument --mine-interval: must be > 0" in capsys.readouterr().err
+
     def test_there_is_no_shard_subcommand(self, capsys):
         """A shard is ``repro serve --shard-id N``; nothing else runs one."""
         with pytest.raises(SystemExit) as exit_info:
