@@ -12,10 +12,11 @@ talks to a cluster without changing a byte.
 
 The pieces:
 
-* :mod:`repro.cluster.router` — the asyncio front end. It hashes each
-  HELLO's session bindings to a shard (deterministically, so a principal
-  always lands on the same shard), then splices bytes
-  between client and shard. Pre-session PING/STATS/admin verbs are
+* :mod:`repro.cluster.router` — the front end, thread per connection
+  like :class:`~repro.net.server.NetServer`. It hashes each HELLO's
+  session bindings to a shard (deterministically, so a principal always
+  lands on the same shard), then splices bytes between client and
+  shard. Pre-session PING/STATS/admin verbs are
   handled at the router: STATS fans out and *merges* shard metrics,
   RELOAD rolls shard-by-shard.
 * :mod:`repro.cluster.aggregate` — cluster-wide STATS: merges per-shard

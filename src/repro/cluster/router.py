@@ -7,9 +7,9 @@ unchanged. Its job splits by when a frame arrives:
 **Before HELLO** the router answers itself:
 
 * ``PING`` — locally (the router's own liveness).
-* ``STATS`` — fanned out to every healthy shard concurrently and merged
-  with :func:`~repro.cluster.aggregate.aggregate_stats`, plus a
-  ``router`` section (routing counters, shard health).
+* ``STATS`` — sent to every healthy shard in turn and merged with
+  :func:`~repro.cluster.aggregate.aggregate_stats`, plus a ``router``
+  section (routing counters, shard health).
 * Admin verbs (``POLICY``/``RELOAD``/``SHADOW``/``PROMOTE``/
   ``ROLLBACK``/``MINE``) — fanned out **rolling, shard by shard**: shard
   *i* finishes its reload (new epoch built, installed, old epoch retired)
@@ -30,12 +30,21 @@ HELLO's bindings (:func:`shard_index_for` — deterministic across
 processes and restarts, so a returning principal always lands on the
 same shard, though each connection is a new session there), forwards
 the HELLO on a pooled shard connection, relays the WELCOME — and then
-stops interpreting frames
-entirely: the client and shard sockets are **spliced** byte-for-byte in
-both directions. Per-request deadlines, admission control, idle reaping
-and graceful drain all continue to work because the shard's own
-``NetServer`` enforces them; the router adds one hop of buffering and
+stops interpreting frames entirely: the client and shard sockets are
+**spliced** byte-for-byte in both directions. Frames are read with exact
+lengths, so whatever the client sent after its HELLO is still in the
+socket and reaches the shard. Per-request deadlines, admission control,
+idle reaping and graceful drain all continue to work because the
+shard's own ``NetServer`` enforces them; the router adds one hop and
 nothing else.
+
+Threads, as in :class:`~repro.net.server.NetServer`: one accept thread,
+one thread per client connection (at most ``MAX_CONNECTIONS``; the next
+is told ``ERROR/overloaded`` and closed), which answers pre-session
+frames and, once spliced, copies client→shard bytes while one more
+thread copies shard→client. One health-probe thread, and a short-lived
+pool-refill thread per handoff. So the router runs at most
+``2 * MAX_CONNECTIONS + 2`` threads, plus the refills in flight.
 
 Degradation: a shard that fails ``HEALTH_FAILURES`` consecutive health
 probes is marked down; HELLOs hashing to it are *shed* with
@@ -46,22 +55,20 @@ continue untouched. A probe success marks it back up.
 
 from __future__ import annotations
 
-import asyncio
 import contextlib
 import hashlib
 import json
 import logging
+import socket
+import threading
+import time
 from collections import deque
 from dataclasses import dataclass, field
 
 from repro.cluster.aggregate import aggregate_stats
 from repro.net import protocol
-from repro.net.protocol import (
-    ConnectionClosed,
-    NetError,
-    encode_frame,
-    read_frame_async,
-)
+from repro.net.protocol import ConnectionClosed, NetError, read_frame, write_frame
+from repro.net.server import refuse
 
 logger = logging.getLogger(__name__)
 
@@ -73,9 +80,6 @@ _ADMIN_VERBS = (
     protocol.ROLLBACK,
     protocol.MINE,
 )
-
-#: Admin verbs whose reply the AdminClient unwraps via a ``report`` key.
-_REPORT_VERBS = (protocol.RELOAD, protocol.ROLLBACK)
 
 
 def shard_index_for(bindings: dict, shard_count: int) -> int:
@@ -96,6 +100,8 @@ def shard_index_for(bindings: dict, shard_count: int) -> int:
     return int.from_bytes(digest[:8], "big") % shard_count
 
 
+#: Client connections served at once; each costs up to two threads.
+MAX_CONNECTIONS = 256
 #: Pre-warmed idle connections kept per shard for HELLO handoff.
 POOL_SIZE = 2
 #: Deadline for dialing a shard and for its answer to a health probe.
@@ -110,6 +116,11 @@ STATS_TIMEOUT_S = 30.0
 #: shard server's own 120 s admin deadline).
 ADMIN_TIMEOUT_S = 150.0
 
+#: One splice read takes whatever is buffered, up to this much.
+_RECV_BYTES = 64 * 1024
+#: How often a blocked ``accept()`` re-checks for a stop.
+_ACCEPT_POLL_S = 0.5
+
 
 @dataclass(frozen=True)
 class RouterConfig:
@@ -121,7 +132,7 @@ class RouterConfig:
 
 @dataclass
 class _Shard:
-    """One shard target and its health state (router-loop confined)."""
+    """One shard target and its health state (guarded by the router's lock)."""
 
     index: int
     host: str
@@ -133,8 +144,8 @@ class _Shard:
 
 
 class ClusterRouter:
-    """Routes one listening address onto N gateway shards. Asyncio-native:
-    construct, ``await start()``, read ``.port``, ``await stop()``."""
+    """Routes one listening address onto N gateway shards: construct,
+    ``start()``, read ``.port``, ``stop()``."""
 
     def __init__(self, shards: list[tuple[str, int]], config: RouterConfig | None = None):
         if not shards:
@@ -144,13 +155,23 @@ class ClusterRouter:
             _Shard(index=i, host=host, port=port)
             for i, (host, port) in enumerate(shards)
         ]
-        self._server: asyncio.AbstractServer | None = None
-        self._health_task: asyncio.Task | None = None
-        self._splices: set[asyncio.Task] = set()
+        self._listener: socket.socket | None = None
+        self._acceptor = threading.Thread(
+            target=self._accept_loop, name="repro-router-accept", daemon=True
+        )
+        self._prober = threading.Thread(
+            target=self._health_loop, name="repro-router-health", daemon=True
+        )
+        self._stopping = threading.Event()
+        # Guards the counters, every _Shard field and ``_clients``.
+        self._lock = threading.Lock()
+        # Each open client connection, and its shard connection once spliced.
+        self._clients: dict[socket.socket, socket.socket | None] = {}
         self.port = self.config.port
         self.counters = {
             "sessions_routed": 0,
             "sessions_shed": 0,
+            "connections_rejected": 0,
             "pool_hits": 0,
             "pool_misses": 0,
             "health_probes": 0,
@@ -159,138 +180,184 @@ class ClusterRouter:
             "admin_fanouts": 0,
         }
 
-    @property
-    def shard_count(self) -> int:
-        return len(self._shards)
+    def _count(self, name: str) -> None:
+        with self._lock:
+            self.counters[name] += 1
 
     # -- lifecycle ----------------------------------------------------------------
 
-    async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._serve, self.config.host, self.config.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
+    def start(self) -> None:
+        listener = socket.create_server((self.config.host, self.config.port), backlog=128)
+        listener.settimeout(_ACCEPT_POLL_S)
+        self._listener = listener
+        self.port = listener.getsockname()[1]
         for shard in self._shards:
-            await self._replenish(shard)
-        self._health_task = asyncio.create_task(self._health_loop())
+            self._refill(shard)
+        self._acceptor.start()
+        self._prober.start()
 
-    async def stop(self) -> None:
-        if self._health_task is not None:
-            self._health_task.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await self._health_task
-            self._health_task = None
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        for task in list(self._splices):
-            task.cancel()
-        if self._splices:
-            await asyncio.gather(*self._splices, return_exceptions=True)
-        for shard in self._shards:
-            while shard.pool:
-                _, writer = shard.pool.popleft()
-                writer.close()
+    def stop(self) -> None:
+        """Close the listener and every client and shard socket; idempotent.
+
+        Spliced sessions end at once: each copy thread finds its socket
+        shut down, and the client sees the connection close.
+        """
+        if self._stopping.is_set() or self._listener is None:
+            return
+        self._stopping.set()
+        with contextlib.suppress(OSError):
+            self._listener.shutdown(socket.SHUT_RDWR)
+        self._acceptor.join()  # before the descriptor can be reused
+        self._listener.close()
+        with self._lock:
+            live = [sock for pair in self._clients.items() for sock in pair if sock]
+            pooled = [sock for shard in self._shards for sock in shard.pool]
+            for shard in self._shards:
+                shard.pool.clear()
+        for sock in live:
+            with contextlib.suppress(OSError):
+                sock.shutdown(socket.SHUT_RDWR)
+        for sock in pooled:
+            sock.close()
+        self._prober.join()
 
     # -- shard connections --------------------------------------------------------
 
-    async def _dial(self, shard: _Shard):
-        return await asyncio.wait_for(
-            asyncio.open_connection(shard.host, shard.port),
-            timeout=CONNECT_TIMEOUT_S,
-        )
+    def _dial(self, shard: _Shard) -> socket.socket:
+        sock = socket.create_connection((shard.host, shard.port), timeout=CONNECT_TIMEOUT_S)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        return sock
 
-    async def _acquire(self, shard: _Shard):
-        """A fresh or pooled (reader, writer) to ``shard``."""
-        while shard.pool:
-            reader, writer = shard.pool.popleft()
-            if writer.is_closing() or reader.at_eof():
-                writer.close()
-                continue
-            self.counters["pool_hits"] += 1
-            return reader, writer
-        self.counters["pool_misses"] += 1
-        return await self._dial(shard)
+    def _acquire(self, shard: _Shard) -> socket.socket:
+        """A fresh or pooled connection to ``shard``, with the connect
+        deadline as its timeout."""
+        while True:
+            with self._lock:
+                sock = shard.pool.popleft() if shard.pool else None
+            if sock is None:
+                break
+            if _idle_and_open(sock):
+                self._count("pool_hits")
+                sock.settimeout(CONNECT_TIMEOUT_S)
+                return sock
+            sock.close()
+        self._count("pool_misses")
+        return self._dial(shard)
 
-    async def _replenish(self, shard: _Shard) -> None:
-        """Top the shard's pool back up to ``POOL_SIZE`` (best effort)."""
-        try:
-            while len(shard.pool) < POOL_SIZE:
-                shard.pool.append(await self._dial(shard))
-        except (OSError, asyncio.TimeoutError):
-            pass  # the health loop will notice a genuinely down shard
+    def _release(self, shard: _Shard, sock: socket.socket) -> None:
+        """Put a still-usable pre-session connection back, if there is room."""
+        with self._lock:
+            if not self._stopping.is_set() and len(shard.pool) < POOL_SIZE:
+                shard.pool.append(sock)
+                return
+        sock.close()
+
+    def _refill_soon(self, shard: _Shard) -> None:
+        """Top the shard's pool up on another thread, off the session's path."""
+        threading.Thread(
+            target=self._refill, args=(shard,), name="repro-router-refill", daemon=True
+        ).start()
+
+    def _refill(self, shard: _Shard) -> None:
+        """Dial until the pool holds ``POOL_SIZE`` (best effort; a dial
+        that loses a race to a concurrent refill is closed by ``_release``)."""
+        with contextlib.suppress(OSError):  # the health loop notices a down shard
+            while len(shard.pool) < POOL_SIZE and not self._stopping.is_set():
+                self._release(shard, self._dial(shard))
 
     # -- health -------------------------------------------------------------------
 
-    async def _health_loop(self) -> None:
-        while True:
-            await asyncio.sleep(HEALTH_INTERVAL_S)
+    def _health_loop(self) -> None:
+        while not self._stopping.wait(HEALTH_INTERVAL_S):
             for shard in self._shards:
-                await self._probe(shard)
+                if self._stopping.is_set():  # a probe may take CONNECT_TIMEOUT_S
+                    return
+                self._probe(shard)
 
-    async def _probe(self, shard: _Shard) -> None:
-        self.counters["health_probes"] += 1
+    def _probe(self, shard: _Shard) -> None:
+        self._count("health_probes")
         try:
-            reader, writer = await self._acquire(shard)
+            sock = self._acquire(shard)
             try:
-                writer.write(encode_frame({"type": protocol.PING, "id": -1}))
-                await writer.drain()
-                reply = await asyncio.wait_for(
-                    read_frame_async(reader),
-                    timeout=CONNECT_TIMEOUT_S,
-                )
-                if reply.get("type") != protocol.PONG:
+                write_frame(sock, {"type": protocol.PING, "id": -1})
+                if read_frame(sock).get("type") != protocol.PONG:
                     raise NetError("health probe expected PONG")
             except BaseException:
-                writer.close()
+                sock.close()
                 raise
             # The probed connection stays usable (PING is pre-session).
-            shard.pool.append((reader, writer))
-        except (OSError, NetError, ConnectionClosed, asyncio.TimeoutError):
-            self.counters["health_failures"] += 1
-            shard.failures += 1
-            if shard.healthy and shard.failures >= HEALTH_FAILURES:
-                shard.healthy = False
-                logger.warning("shard %d marked down", shard.index)
+            self._release(shard, sock)
+        except (OSError, NetError):
+            with self._lock:
+                self.counters["health_failures"] += 1
+                shard.failures += 1
+                if shard.healthy and shard.failures >= HEALTH_FAILURES:
+                    shard.healthy = False
+                    logger.warning("shard %d marked down", shard.index)
             return
-        shard.failures = 0
-        if not shard.healthy:
-            shard.healthy = True
-            logger.info("shard %d marked up", shard.index)
-        await self._replenish(shard)
-
-    def _healthy_shards(self) -> list[_Shard]:
-        return [shard for shard in self._shards if shard.healthy]
+        with self._lock:
+            shard.failures = 0
+            if not shard.healthy:
+                shard.healthy = True
+                logger.info("shard %d marked up", shard.index)
+        self._refill(shard)
 
     # -- client serving -----------------------------------------------------------
 
-    async def _serve(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
+    def _accept_loop(self) -> None:
+        listener = self._listener
+        assert listener is not None
+        while True:
+            try:
+                sock, _ = listener.accept()
+            except OSError as exc:
+                if self._stopping.is_set():
+                    return
+                if not isinstance(exc, TimeoutError):  # the poll interval
+                    logger.exception("accept failed")
+                    time.sleep(0.05)  # e.g. out of descriptors: do not spin
+                continue
+            # Only this thread adds clients, so check-then-add cannot
+            # overshoot: concurrent closes only make room.
+            with self._lock:
+                admitted = len(self._clients) < MAX_CONNECTIONS
+                if admitted:
+                    self._clients[sock] = None
+                else:
+                    self.counters["connections_rejected"] += 1
+            if not admitted:
+                refuse(sock, protocol.ERR_OVERLOADED)
+                continue
+            sock.settimeout(None)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            threading.Thread(
+                target=self._serve, args=(sock,), name="repro-router-conn", daemon=True
+            ).start()
+
+    def _serve(self, client: socket.socket) -> None:
+        """A client connection's whole life, on its own thread."""
         try:
             while True:
                 try:
-                    frame = await read_frame_async(reader)
+                    frame = read_frame(client)
                 except ConnectionClosed:
                     return
                 except NetError as exc:
-                    await self._reply(writer, _error(None, exc.code, str(exc)))
+                    write_frame(client, _error(None, exc.code, str(exc)))
                     return
                 kind = frame.get("type")
                 request_id = frame.get("id")
                 if kind == protocol.PING:
-                    await self._reply(writer, {"type": protocol.PONG, "id": request_id})
+                    write_frame(client, {"type": protocol.PONG, "id": request_id})
                 elif kind == protocol.GOODBYE:
-                    await self._reply(writer, {"type": protocol.BYE, "reason": "goodbye"})
+                    write_frame(client, {"type": protocol.BYE, "reason": "goodbye"})
                     return
                 elif kind == protocol.STATS:
-                    await self._reply(writer, await self._cluster_stats(request_id))
+                    write_frame(client, self._cluster_stats(request_id))
                 elif kind in _ADMIN_VERBS:
-                    await self._reply(writer, await self._rolling_admin(frame))
+                    write_frame(client, self._rolling_admin(frame))
                 elif kind == protocol.HELLO:
-                    done = await self._route_session(frame, reader, writer)
-                    if done:
+                    if self._route_session(frame, client):
                         return
                 else:
                     # Covers every session verb — QUERY/EXEC and also
@@ -300,160 +367,115 @@ class ClusterRouter:
                     # EXECUTE stickiness automatic: every frame of the
                     # session, prepared or not, reaches the shard that
                     # vended the handle.
-                    await self._reply(
-                        writer,
-                        _error(
-                            request_id,
-                            protocol.ERR_UNAUTHENTICATED,
-                            f"{kind} requires a session; HELLO first",
-                        ),
+                    message = f"{kind} requires a session; HELLO first"
+                    write_frame(
+                        client, _error(request_id, protocol.ERR_UNAUTHENTICATED, message)
                     )
+        except OSError:
+            pass  # the client reset the connection, or stop() shut it down
+        except Exception:  # pragma: no cover - defensive; nothing should escape
+            logger.exception("router connection handler crashed")
         finally:
-            writer.close()
-
-    async def _reply(self, writer: asyncio.StreamWriter, message: dict) -> None:
-        writer.write(encode_frame(message))
-        await writer.drain()
+            with self._lock:
+                del self._clients[client]
+            client.close()
 
     # -- session routing ----------------------------------------------------------
 
-    async def _route_session(
-        self,
-        hello: dict,
-        client_reader: asyncio.StreamReader,
-        client_writer: asyncio.StreamWriter,
-    ) -> bool:
+    def _route_session(self, hello: dict, client: socket.socket) -> bool:
         """Home the session, relay the HELLO, then splice. Returns True
-        when the client connection is finished (spliced or fatally shed)."""
+        when the client connection is finished (spliced)."""
         bindings = hello.get("bindings")
         index = shard_index_for(bindings if isinstance(bindings, dict) else {}, len(self._shards))
         shard = self._shards[index]
-        if not shard.healthy:
-            self.counters["sessions_shed"] += 1
-            await self._reply(
-                client_writer,
-                _error(
-                    hello.get("id"),
-                    protocol.ERR_UNAVAILABLE,
-                    f"shard {index} is down; session cannot be homed",
-                ),
-            )
-            return False  # the client may try a different principal
-        try:
-            shard_reader, shard_writer = await self._acquire(shard)
-        except (OSError, asyncio.TimeoutError):
-            shard.failures += 1
-            self.counters["sessions_shed"] += 1
-            await self._reply(
-                client_writer,
-                _error(
-                    hello.get("id"),
-                    protocol.ERR_UNAVAILABLE,
-                    f"shard {index} refused a connection",
-                ),
-            )
-            return False
-        asyncio.create_task(self._replenish(shard))
-        try:
-            shard_writer.write(encode_frame(hello))
-            await shard_writer.drain()
-            reply = await asyncio.wait_for(
-                read_frame_async(shard_reader),
-                timeout=CONNECT_TIMEOUT_S,
-            )
-        except (OSError, NetError, ConnectionClosed, asyncio.TimeoutError):
-            shard_writer.close()
-            self.counters["sessions_shed"] += 1
-            await self._reply(
-                client_writer,
-                _error(
-                    hello.get("id"),
-                    protocol.ERR_UNAVAILABLE,
-                    f"shard {index} failed during session handoff",
-                ),
-            )
-            return False
-        await self._reply(client_writer, reply)
-        if reply.get("type") != protocol.WELCOME:
-            # Shard rejected the HELLO (bad version, draining, ...); the
-            # handoff connection consumed the rejection, so retire it and
-            # let the client try again on a fresh pre-session loop turn.
-            shard_writer.close()
-            return False
-        shard.sessions_routed += 1
-        self.counters["sessions_routed"] += 1
-        await self._splice(client_reader, client_writer, shard_reader, shard_writer)
-        return True
 
-    async def _splice(
-        self,
-        client_reader: asyncio.StreamReader,
-        client_writer: asyncio.StreamWriter,
-        shard_reader: asyncio.StreamReader,
-        shard_writer: asyncio.StreamWriter,
-    ) -> None:
-        """Bidirectional byte relay until either side hangs up."""
-        task = asyncio.gather(
-            _pipe(client_reader, shard_writer),
-            _pipe(shard_reader, client_writer),
-            return_exceptions=True,
-        )
-        wrapper = asyncio.ensure_future(task)
-        self._splices.add(wrapper)
+        def shed(why: str) -> bool:
+            self._count("sessions_shed")
+            message = f"shard {index} {why}"
+            write_frame(client, _error(hello.get("id"), protocol.ERR_UNAVAILABLE, message))
+            return False  # the client may try a different principal
+
+        if not shard.healthy:
+            return shed("is down; session cannot be homed")
         try:
-            await wrapper
-        except asyncio.CancelledError:
-            pass
+            upstream = self._acquire(shard)
+        except OSError:
+            with self._lock:
+                shard.failures += 1
+            return shed("refused a connection")
+        self._refill_soon(shard)
+        try:
+            try:
+                write_frame(upstream, hello)
+                reply = read_frame(upstream)
+            except (OSError, NetError):
+                return shed("failed during session handoff")
+            write_frame(client, reply)
+            if reply.get("type") != protocol.WELCOME:
+                # Shard rejected the HELLO (bad version, draining, ...); the
+                # handoff connection consumed the rejection, so retire it and
+                # let the client try again pre-session.
+                return False
+            with self._lock:
+                shard.sessions_routed += 1
+                self.counters["sessions_routed"] += 1
+                self._clients[client] = upstream  # for stop() to shut down
+            self._splice(client, upstream)
+            return True
         finally:
-            self._splices.discard(wrapper)
-            shard_writer.close()
+            upstream.close()
+
+    def _splice(self, client: socket.socket, upstream: socket.socket) -> None:
+        """Copy bytes both ways until each side has hung up."""
+        upstream.settimeout(None)
+        back = threading.Thread(
+            target=_pump, args=(upstream, client), name="repro-router-splice", daemon=True
+        )
+        back.start()
+        _pump(client, upstream)
+        back.join()
 
     # -- pre-session fan-outs ------------------------------------------------------
 
-    async def _shard_call(self, shard: _Shard, frame: dict, timeout_s: float) -> dict:
+    def _shard_call(self, shard: _Shard, frame: dict, timeout_s: float) -> dict:
         """One transient request/reply against a shard."""
-        reader, writer = await self._dial(shard)
+        sock = self._dial(shard)
         try:
-            writer.write(encode_frame(frame))
-            await writer.drain()
-            return await asyncio.wait_for(
-                read_frame_async(reader),
-                timeout=timeout_s,
-            )
+            sock.settimeout(timeout_s)
+            write_frame(sock, frame)
+            return read_frame(sock)
         finally:
-            with contextlib.suppress(OSError, RuntimeError):
-                writer.write(encode_frame({"type": protocol.GOODBYE}))
-            writer.close()
+            with contextlib.suppress(OSError):
+                write_frame(sock, {"type": protocol.GOODBYE})
+            sock.close()
 
-    async def _cluster_stats(self, request_id) -> dict:
-        self.counters["stats_fanouts"] += 1
-        healthy = self._healthy_shards()
+    def _cluster_stats(self, request_id) -> dict:
+        self._count("stats_fanouts")
         frame = {"type": protocol.STATS, "id": request_id}
-        gathered = await asyncio.gather(
-            *(
-                self._shard_call(shard, frame, STATS_TIMEOUT_S)
-                for shard in healthy
-            ),
-            return_exceptions=True,
-        )
-        replies = [reply for reply in gathered if isinstance(reply, dict)]
+        replies = []
+        for shard in self._shards:
+            if not shard.healthy:
+                continue
+            with contextlib.suppress(OSError, NetError):
+                replies.append(self._shard_call(shard, frame, STATS_TIMEOUT_S))
         merged = aggregate_stats(replies)
         merged["type"] = protocol.STATS
         merged["id"] = request_id
-        merged["router"] = {
-            "counters": dict(self.counters),
-            "shards": [
-                {
-                    "index": shard.index,
-                    "healthy": shard.healthy,
-                    "sessions_routed": shard.sessions_routed,
-                }
-                for shard in self._shards
-            ],
-        }
+        with self._lock:
+            merged["router"] = {
+                "counters": dict(self.counters),
+                "shards": [
+                    {
+                        "index": shard.index,
+                        "healthy": shard.healthy,
+                        "sessions_routed": shard.sessions_routed,
+                    }
+                    for shard in self._shards
+                ],
+            }
         return merged
 
-    async def _rolling_admin(self, frame: dict) -> dict:
+    def _rolling_admin(self, frame: dict) -> dict:
         """Apply one admin verb shard-by-shard (never two mid-swap).
 
         Stops at the first shard error: for RELOAD that leaves a version
@@ -463,7 +485,7 @@ class ClusterRouter:
         (``policy.consistent`` false) until the operator retries and the
         fleet converges.
         """
-        self.counters["admin_fanouts"] += 1
+        self._count("admin_fanouts")
         kind = frame.get("type")
         # A fingerprint is mined per shard: approving it fleet-wide must
         # tolerate the shards that never saw that traffic shape.
@@ -476,8 +498,8 @@ class ClusterRouter:
                 per_shard.append({"shard": shard.index, "skipped": "down"})
                 continue
             try:
-                reply = await self._shard_call(shard, frame, ADMIN_TIMEOUT_S)
-            except (OSError, NetError, ConnectionClosed, asyncio.TimeoutError) as exc:
+                reply = self._shard_call(shard, frame, ADMIN_TIMEOUT_S)
+            except (OSError, NetError) as exc:
                 return _error(
                     frame.get("id"),
                     protocol.ERR_UNAVAILABLE,
@@ -518,20 +540,33 @@ class ClusterRouter:
         return merged
 
 
-async def _pipe(reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
+def _pump(source: socket.socket, sink: socket.socket) -> None:
+    """Copy ``source`` to ``sink`` until end of stream, then end ``sink``'s
+    write side so the peer sees the hang-up."""
     try:
         while True:
-            chunk = await reader.read(1 << 16)
+            chunk = source.recv(_RECV_BYTES)
             if not chunk:
                 break
-            writer.write(chunk)
-            await writer.drain()
-    except (ConnectionError, OSError):
+            sink.sendall(chunk)
+    except OSError:
         pass
     finally:
-        with contextlib.suppress(OSError, RuntimeError):
-            if writer.can_write_eof():
-                writer.write_eof()
+        with contextlib.suppress(OSError):
+            sink.shutdown(socket.SHUT_WR)
+
+
+def _idle_and_open(sock: socket.socket) -> bool:
+    """Whether a pooled connection is still open with nothing unread (a
+    shard that reaped it has sent BYE, or closed)."""
+    sock.setblocking(False)
+    try:
+        sock.recv(1, socket.MSG_PEEK)
+    except BlockingIOError:
+        return True
+    except OSError:
+        return False
+    return False
 
 
 def _error(request_id, code: str, message: str) -> dict:

@@ -15,14 +15,13 @@ stdout so it can never block on a full pipe, and stops the shard with
 :class:`BackgroundCluster` is the synchronous façade tests and ``repro
 cluster`` use, mirroring :class:`~repro.net.server.BackgroundServer`:
 ``with BackgroundCluster(ClusterConfig(app="calendar", shards=4)) as
-cluster:`` brings up the shard fleet and the router (on a dedicated
-event-loop thread), exposes ``cluster.port`` for any wire client, and
-tears everything down (router → shards) on exit.
+cluster:`` brings up the shard fleet and the router (on its own
+threads), exposes ``cluster.port`` for any wire client, and tears
+everything down (router → shards) on exit.
 """
 
 from __future__ import annotations
 
-import asyncio
 import os
 import re
 import select
@@ -170,31 +169,24 @@ class ClusterConfig:
 
 
 class BackgroundCluster:
-    """A whole cluster (shards + router); the router runs on a loop thread."""
+    """A whole cluster: shard subprocesses plus the router in this process."""
 
     def __init__(self, config: ClusterConfig):
         self.config = config
         self.shards: list[ShardProcess] = []
         self.router: ClusterRouter | None = None
         self.port: int | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread: threading.Thread | None = None
 
     # -- lifecycle ----------------------------------------------------------------
 
     def start(self) -> "BackgroundCluster":
-        self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self._run_loop, name="cluster-loop", daemon=True
-        )
-        self._thread.start()
         try:
             self._spawn_shards()
             self.router = ClusterRouter(
                 [("127.0.0.1", shard.port) for shard in self.shards],
                 self.config.router,
             )
-            self._call(self.router.start())
+            self.router.start()
             self.port = self.router.port
         except BaseException:
             self.stop()
@@ -202,20 +194,12 @@ class BackgroundCluster:
         return self
 
     def stop(self) -> None:
-        if self._loop is None:
-            return
         if self.router is not None:
-            self._call(self.router.stop())
+            self.router.stop()
             self.router = None
         for shard in self.shards:
             shard.stop()
         self.shards = []
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        if self._thread is not None:
-            self._thread.join(timeout=10.0)
-            self._thread = None
-        self._loop.close()
-        self._loop = None
 
     def __enter__(self) -> "BackgroundCluster":
         return self.start()
@@ -258,14 +242,3 @@ class BackgroundCluster:
             Path(self.config.audit_dir) / f"shard-{shard.shard_id}.jsonl"
             for shard in self.shards
         ]
-
-    def _call(self, coroutine):
-        assert self._loop is not None
-        return asyncio.run_coroutine_threadsafe(coroutine, self._loop).result(
-            timeout=180.0
-        )
-
-    def _run_loop(self) -> None:
-        assert self._loop is not None
-        asyncio.set_event_loop(self._loop)
-        self._loop.run_forever()

@@ -7,9 +7,9 @@ justification relied on — with their constants rewritten to slot/param
 references. A later query with the same skeleton, the same equality
 pattern, and matching facts in its trace is allowed without re-running
 the checker. :class:`DecisionCache` is the one such store in the
-codebase: a bare proxy may own one, and a serving gateway owns one per
-policy epoch, which its sessions probe once per statement
-(:meth:`DecisionCache.lookup`) and its checker learns into.
+codebase: a serving gateway owns one per policy epoch, which its
+sessions probe once per statement (:meth:`DecisionCache.lookup`) and its
+checker learns into.
 
 Soundness. The checker's reasoning (constraint closure + homomorphism
 search) over equality-compared constants is invariant under injective
@@ -423,10 +423,7 @@ class DecisionCache:
         ):
             return False
         param_items = sorted(bindings.items())
-        try:
-            if any(value in self._view_constants for _, value in param_items):
-                return False
-        except TypeError:  # unhashable binding value: don't template it
+        if any(value in self._view_constants for _, value in param_items):
             return False
         return self._insert_template(
             self._generalize(

@@ -127,8 +127,8 @@ class ComplianceChecker:
         ``bindings`` instantiates the policy's parameters (typically
         ``{"MyUId": user_id}``). Always the full search; its outcome is
         learned into ``skeletons`` when there is one, unless
-        ``allow_compiled=False`` (an independent decision for cached-decision
-        verification, which must not feed the store it audits).
+        ``allow_compiled=False`` (a reference replay, which must leave no
+        template behind).
         ``skeleton`` is an optional precomputed ``skeletonize(stmt)`` (from
         a prepared-statement plan) forwarded to the store.
         """

@@ -38,6 +38,8 @@ from repro.sqlir import ast
 
 #: Queued shadow checks past which new submissions are dropped.
 MAX_PENDING = 512
+#: Most recent divergences a :class:`DivergenceLog` keeps.
+DIVERGENCE_LOG_CAP = 256
 
 
 @dataclass(frozen=True)
@@ -78,15 +80,15 @@ class Divergence:
 class DivergenceLog:
     """Bounded, thread-safe log of divergences plus running counters.
 
-    The deque keeps the most recent ``cap`` divergences (oldest evicted);
-    the counters keep exact totals regardless, so the promotion gate can
-    enforce "≤ threshold divergences over ≥ N checks" even after
-    eviction.
+    The deque keeps the most recent ``DIVERGENCE_LOG_CAP`` divergences
+    (oldest evicted); the counters keep exact totals regardless, so the
+    promotion gate can enforce "≤ threshold divergences over ≥ N checks"
+    even after eviction.
     """
 
-    def __init__(self, cap: int = 256):
+    def __init__(self):
         self._lock = threading.Lock()
-        self._entries: deque[Divergence] = deque(maxlen=max(1, cap))
+        self._entries: deque[Divergence] = deque(maxlen=DIVERGENCE_LOG_CAP)
         self.checks = 0
         self.divergences = 0
         self.allow_to_block = 0

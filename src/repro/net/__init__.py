@@ -25,7 +25,6 @@ from repro.net.client import (
 )
 from repro.net.metrics import NetMetrics
 from repro.net.protocol import (
-    MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
     ConnectionClosed,
     FrameTooLarge,
@@ -34,7 +33,6 @@ from repro.net.protocol import (
 from repro.net.server import BackgroundServer, NetServer, ServerConfig
 
 __all__ = [
-    "MAX_FRAME_BYTES",
     "PROTOCOL_VERSION",
     "AdminClient",
     "BackgroundServer",

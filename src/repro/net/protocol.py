@@ -17,7 +17,7 @@ Every message is one frame::
     +----------------------+---------------------------+
 
 ``length`` counts payload bytes only. A frame whose declared length
-exceeds the receiver's ``max_frame_bytes`` is rejected without reading
+exceeds ``MAX_FRAME_BYTES`` is rejected without reading
 the payload (``ERROR/oversized``); a payload that is not a JSON object
 with a string ``type`` is ``ERROR/malformed``.
 
@@ -114,7 +114,8 @@ from repro.util.errors import DbacError
 #: Bumped on any incompatible change to framing or message shapes.
 PROTOCOL_VERSION = 1
 
-#: Default cap on a single frame's payload, server- and client-side.
+#: Cap on a single frame's payload, server- and client-side (read at
+#: call time, so a test may monkeypatch it).
 MAX_FRAME_BYTES = 1 << 20
 
 _LENGTH = struct.Struct(">I")
@@ -151,7 +152,7 @@ BYE = "BYE"
 ERR_OVERLOADED = "overloaded"  # admission control shed this request/connection
 ERR_TIMEOUT = "timeout"  # per-request deadline exceeded
 ERR_MALFORMED = "malformed"  # frame payload is not a valid message
-ERR_OVERSIZED = "oversized"  # frame length exceeds max_frame_bytes
+ERR_OVERSIZED = "oversized"  # frame length exceeds MAX_FRAME_BYTES
 ERR_UNAUTHENTICATED = "unauthenticated"  # QUERY/EXEC before HELLO
 ERR_UNAVAILABLE = "unavailable"  # a cluster router's target shard is down
 ERR_BAD_VERSION = "bad_version"  # HELLO version mismatch
@@ -223,48 +224,22 @@ def decode_payload(payload: bytes | bytearray) -> dict[str, Any]:
     return message
 
 
-# -- asyncio framing (the cluster router) ------------------------------------
-
-
-async def read_frame_async(reader, max_frame_bytes: int = MAX_FRAME_BYTES) -> dict:
-    """Read one frame from an ``asyncio.StreamReader``.
-
-    Raises :class:`ConnectionClosed` on EOF, :class:`FrameTooLarge`
-    before consuming an over-limit payload, and :class:`NetError`
-    (malformed) for undecodable payloads.
-    """
-    import asyncio
-
-    try:
-        header = await reader.readexactly(_LENGTH.size)
-    except (asyncio.IncompleteReadError, ConnectionResetError) as exc:
-        raise ConnectionClosed() from exc
-    (length,) = _LENGTH.unpack(header)
-    if length > max_frame_bytes:
-        raise FrameTooLarge(length, max_frame_bytes)
-    try:
-        payload = await reader.readexactly(length)
-    except (asyncio.IncompleteReadError, ConnectionResetError) as exc:
-        raise ConnectionClosed() from exc
-    return decode_payload(payload)
-
-
 # -- buffer framing (the blocking server's per-connection receive buffer) ----
 
 
-def take_frame(buf: bytearray, max_frame_bytes: int = MAX_FRAME_BYTES) -> dict | None:
+def take_frame(buf: bytearray) -> dict | None:
     """Pop one complete frame off the front of ``buf``; ``None`` if the
     buffer holds only part of one.
 
-    Raises exactly as :func:`read_frame_async` does: :class:`FrameTooLarge`
-    from the length prefix alone (the payload need not have arrived) and
-    :class:`NetError` (malformed) for an undecodable payload.
+    Raises :class:`FrameTooLarge` from the length prefix alone (the
+    payload need not have arrived) and :class:`NetError` (malformed) for
+    an undecodable payload.
     """
     if len(buf) < _LENGTH.size:
         return None
     (length,) = _LENGTH.unpack_from(buf)
-    if length > max_frame_bytes:
-        raise FrameTooLarge(length, max_frame_bytes)
+    if length > MAX_FRAME_BYTES:
+        raise FrameTooLarge(length, MAX_FRAME_BYTES)
     end = _LENGTH.size + length
     if len(buf) < end:
         return None
@@ -273,19 +248,24 @@ def take_frame(buf: bytearray, max_frame_bytes: int = MAX_FRAME_BYTES) -> dict |
     return decode_payload(payload)
 
 
-# -- blocking-socket framing (the client side) -------------------------------
+# -- blocking-socket framing (the client and the cluster router) -------------
 
 
 def write_frame(sock: socket.socket, message: dict[str, Any]) -> None:
     sock.sendall(encode_frame(message))
 
 
-def read_frame(sock: socket.socket, max_frame_bytes: int = MAX_FRAME_BYTES) -> dict:
-    """Read one frame from a blocking socket (see :func:`read_frame_async`)."""
+def read_frame(sock: socket.socket) -> dict:
+    """Read one frame from a blocking socket, and not a byte past it.
+
+    Raises :class:`ConnectionClosed` at end of stream,
+    :class:`FrameTooLarge` before reading an over-limit payload, and
+    :class:`NetError` (malformed) for an undecodable payload.
+    """
     header = _recv_exactly(sock, _LENGTH.size)
     (length,) = _LENGTH.unpack(header)
-    if length > max_frame_bytes:
-        raise FrameTooLarge(length, max_frame_bytes)
+    if length > MAX_FRAME_BYTES:
+        raise FrameTooLarge(length, MAX_FRAME_BYTES)
     return decode_payload(_recv_exactly(sock, length))
 
 

@@ -345,15 +345,7 @@ class NetServer:
     def _refuse(self, sock: socket.socket) -> None:
         self.metrics.increment("connections_rejected")
         code = protocol.ERR_SHUTTING_DOWN if self.draining else protocol.ERR_OVERLOADED
-        refusal = {
-            "type": protocol.ERROR,
-            "code": code,
-            "error": f"server refused connection ({code})",
-        }
-        with contextlib.suppress(OSError):
-            sock.settimeout(_FAREWELL_TIMEOUT_S)
-            sock.sendall(protocol.encode_frame(refusal))
-        sock.close()
+        refuse(sock, code)
 
     # -- one connection -----------------------------------------------------------
 
@@ -919,6 +911,20 @@ _ACCEPT_POLL_S = 0.5
 #: How long a last frame (a refusal, a deadline's ERROR/timeout) may wait
 #: on a peer that is not reading, and a forced close on its thread.
 _FAREWELL_TIMEOUT_S = 1.0
+
+
+def refuse(sock: socket.socket, code: str) -> None:
+    """Answer an accepted connection that will not be served with
+    ``ERROR/code``, then close it (the cluster router refuses this way too)."""
+    refusal = {
+        "type": protocol.ERROR,
+        "code": code,
+        "error": f"server refused connection ({code})",
+    }
+    with contextlib.suppress(OSError):
+        sock.settimeout(_FAREWELL_TIMEOUT_S)
+        sock.sendall(protocol.encode_frame(refusal))
+    sock.close()
 
 
 def _error(frame: dict, code: str, message: str) -> dict:

@@ -1,13 +1,14 @@
 """The cluster router over real in-process shard servers.
 
-No subprocesses here: each "shard" is a :class:`BackgroundServer` on its
-own loop thread, and the router runs on a third loop thread — the full
-wire path (client → router → shard) over loopback TCP.
+No subprocesses here: each "shard" is a :class:`BackgroundServer` and the
+router runs on its own threads in the test process — the full wire path
+(client → router → shard) over loopback TCP.
 """
 
 from __future__ import annotations
 
-import asyncio
+import socket
+import struct
 import threading
 import time
 
@@ -60,9 +61,8 @@ class TestShardIndexFor:
 
 
 class _BackgroundRouter:
-    """A ClusterRouter on its own loop thread (test-side supervisor) that
-    probes its shards every 0.1 s and marks one down after 2 failed
-    probes of at most 2 s each."""
+    """A ClusterRouter (test-side supervisor) that probes its shards every
+    0.1 s and marks one down after 2 failed probes of at most 2 s each."""
 
     def __init__(self, shard_ports, monkeypatch):
         monkeypatch.setattr(cluster_router, "HEALTH_INTERVAL_S", 0.1)
@@ -71,24 +71,11 @@ class _BackgroundRouter:
         self.router = ClusterRouter(
             [("127.0.0.1", port) for port in shard_ports], RouterConfig()
         )
-        self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(target=self._run, daemon=True)
-        self._thread.start()
-        self._call(self.router.start())
+        self.router.start()
         self.port = self.router.port
 
-    def _run(self):
-        asyncio.set_event_loop(self._loop)
-        self._loop.run_forever()
-
-    def _call(self, coroutine):
-        return asyncio.run_coroutine_threadsafe(coroutine, self._loop).result(timeout=60)
-
     def stop(self):
-        self._call(self.router.stop())
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=5)
-        self._loop.close()
+        self.router.stop()
 
 
 @pytest.fixture
@@ -150,8 +137,6 @@ class TestRouting:
 
     def test_pre_session_query_is_rejected(self, two_shards):
         router, _, _ = two_shards
-        import socket
-
         sock = socket.create_connection(("127.0.0.1", router.port), timeout=5)
         try:
             protocol.write_frame(
@@ -228,3 +213,97 @@ class TestDegradation:
         connection.query("SELECT EId FROM Attendance WHERE UId = ?", [on_zero])
         connection.close()
         assert router.router.counters["sessions_shed"] >= 1
+
+
+class TestRouterEdges:
+    def test_query_sent_with_hello_reaches_the_shard(self, two_shards):
+        router, _, _ = two_shards
+        hello = {
+            "type": protocol.HELLO,
+            "version": protocol.PROTOCOL_VERSION,
+            "bindings": {"MyUId": 1},
+        }
+        query = {
+            "type": protocol.QUERY,
+            "id": 7,
+            "sql": "SELECT EId FROM Attendance WHERE UId = 1",
+        }
+        sock = socket.create_connection(("127.0.0.1", router.port), timeout=10)
+        try:
+            # One write: the router must hand the QUERY to the shard, not
+            # swallow it while reading the HELLO.
+            sock.sendall(protocol.encode_frame(hello) + protocol.encode_frame(query))
+            assert protocol.read_frame(sock)["type"] == protocol.WELCOME
+            reply = protocol.read_frame(sock)
+            assert reply["type"] == protocol.RESULT
+            assert reply["id"] == 7
+            assert reply["columns"] == ["EId"]
+        finally:
+            sock.close()
+
+    def test_oversized_frame_before_hello_is_refused(self, two_shards):
+        router, _, _ = two_shards
+        sock = socket.create_connection(("127.0.0.1", router.port), timeout=10)
+        try:
+            sock.sendall(struct.pack(">I", protocol.MAX_FRAME_BYTES + 1))
+            reply = protocol.read_frame(sock)
+            assert reply["type"] == protocol.ERROR
+            assert reply["code"] == protocol.ERR_OVERSIZED
+        finally:
+            sock.close()
+
+    def test_stop_returns_promptly_with_a_spliced_session(self, two_shards, monkeypatch):
+        _, servers, _ = two_shards
+        # A router of its own, stopped once here and not again by the fixture.
+        router = _BackgroundRouter([server.port for server in servers], monkeypatch)
+        connection = NetClientConnection("127.0.0.1", router.port, user=1)
+        connection.query("SELECT EId FROM Attendance WHERE UId = 1")
+        started = time.monotonic()
+        router.stop()
+        assert time.monotonic() - started < 5.0
+        with pytest.raises((NetError, OSError)):
+            connection.query("SELECT EId FROM Attendance WHERE UId = 1")
+        connection.close()
+
+    def test_connections_beyond_the_bound_are_refused(self, two_shards, monkeypatch):
+        router, _, _ = two_shards
+        monkeypatch.setattr(cluster_router, "MAX_CONNECTIONS", 2)
+        held = [
+            socket.create_connection(("127.0.0.1", router.port), timeout=10)
+            for _ in range(2)
+        ]
+        extra = socket.create_connection(("127.0.0.1", router.port), timeout=10)
+        try:
+            for sock in held:  # both were admitted: the router answers them
+                protocol.write_frame(sock, {"type": protocol.PING, "id": 1})
+                assert protocol.read_frame(sock)["type"] == protocol.PONG
+            reply = protocol.read_frame(extra)
+            assert reply["type"] == protocol.ERROR
+            assert reply["code"] == protocol.ERR_OVERLOADED
+            assert router.router.counters["connections_rejected"] == 1
+        finally:
+            for sock in [*held, extra]:
+                sock.close()
+
+    def test_sessions_from_concurrent_clients_are_counted_exactly(self, two_shards):
+        router, _, _ = two_shards
+        errors: list[BaseException] = []
+
+        def client(offset: int) -> None:
+            try:
+                for uid in range(offset, offset + 10):
+                    connection = NetClientConnection("127.0.0.1", router.port, user=uid)
+                    connection.query("SELECT EId FROM Attendance WHERE UId = ?", [uid])
+                    connection.close()
+            except BaseException as exc:  # surfaced below, on the test thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=client, args=(offset,)) for offset in (0, 10)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not errors
+        assert router.router.counters["sessions_routed"] == 20
+        routed = sum(shard.sessions_routed for shard in router.router._shards)
+        assert routed == 20

@@ -161,8 +161,9 @@ class TestBackpressureAndLog:
         assert stats["dropped"] == 1
         assert stats["submitted"] == 0
 
-    def test_divergence_log_is_bounded_but_counters_exact(self):
-        log = DivergenceLog(cap=2)
+    def test_divergence_log_is_bounded_but_counters_exact(self, monkeypatch):
+        monkeypatch.setattr(shadow_module, "DIVERGENCE_LOG_CAP", 2)
+        log = DivergenceLog()
         for index in range(5):
             log.record(
                 Divergence(

@@ -99,14 +99,15 @@ class TestFrameRoundTrip:
 
 
 class TestFrameRejection:
-    def test_oversized_frame_rejected_before_read(self):
+    def test_oversized_frame_rejected_before_read(self, monkeypatch):
+        monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 1_000)
         message = {"type": "SQL", "blob": "x" * 2_000}
         frame = protocol.encode_frame(message)
         server, client = socket.socketpair()
         try:
             client.sendall(frame)
             with pytest.raises(protocol.FrameTooLarge):
-                protocol.read_frame(server, max_frame_bytes=1_000)
+                protocol.read_frame(server)
         finally:
             server.close()
             client.close()
