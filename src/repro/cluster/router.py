@@ -228,21 +228,19 @@ class ClusterRouter:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         return sock
 
-    def _acquire(self, shard: _Shard) -> socket.socket:
-        """A fresh or pooled connection to ``shard``, with the connect
-        deadline as its timeout."""
+    def _acquire(self, shard: _Shard) -> tuple[socket.socket, bool]:
+        """A pooled or else fresh connection to ``shard``, with the connect
+        deadline as its timeout, and whether it came from the pool."""
         while True:
             with self._lock:
                 sock = shard.pool.popleft() if shard.pool else None
             if sock is None:
                 break
             if _idle_and_open(sock):
-                self._count("pool_hits")
                 sock.settimeout(CONNECT_TIMEOUT_S)
-                return sock
+                return sock, True
             sock.close()
-        self._count("pool_misses")
-        return self._dial(shard)
+        return self._dial(shard), False
 
     def _release(self, shard: _Shard, sock: socket.socket) -> None:
         """Put a still-usable pre-session connection back, if there is room."""
@@ -277,7 +275,7 @@ class ClusterRouter:
     def _probe(self, shard: _Shard) -> None:
         self._count("health_probes")
         try:
-            sock = self._acquire(shard)
+            sock, _ = self._acquire(shard)
             try:
                 write_frame(sock, {"type": protocol.PING, "id": -1})
                 if read_frame(sock).get("type") != protocol.PONG:
@@ -398,11 +396,14 @@ class ClusterRouter:
         if not shard.healthy:
             return shed("is down; session cannot be homed")
         try:
-            upstream = self._acquire(shard)
+            upstream, pooled = self._acquire(shard)
         except OSError:
             with self._lock:
                 shard.failures += 1
             return shed("refused a connection")
+        # Whether a HELLO found a warm connection; health probes share the
+        # pool but are not counted here.
+        self._count("pool_hits" if pooled else "pool_misses")
         self._refill_soon(shard)
         try:
             try:

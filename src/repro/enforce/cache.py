@@ -129,7 +129,7 @@ class _Template:
 
     skeleton_key: object
     pinned: tuple[tuple[int, object], ...]  # (slot index, exact value)
-    equality_pattern: tuple[tuple[int, ...], ...]  # partition of slots+params
+    equality_pattern: tuple  # labels of slots+params
     fact_patterns: tuple[tuple[str, tuple[_PatternArg, ...]], ...]
     reason: str
     #: Base tables the decision touches: the query's own tables plus the
@@ -158,6 +158,18 @@ class _Template:
     order_basis: tuple[object, ...] | None = None
     #: ``_order_of(slot values, params, order_basis)`` when stored.
     order_pattern: tuple = ()
+    #: Per fact pattern, the fact it asks for, to fill in per request
+    #: (:func:`_witnesses`); None when an ``any`` position leaves it open.
+    probes: tuple = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        probes = tuple(
+            None
+            if any(kind == "any" for kind, _ in args)
+            else tuple((kind, Const(ref) if kind == "const" else ref) for kind, ref in args)
+            for _, args in self.fact_patterns
+        )
+        object.__setattr__(self, "probes", probes)
 
 
 class _SkeletonIndex:
@@ -194,11 +206,11 @@ class _SkeletonIndex:
         if len(self.groups) == 1:
             # Common case: every template under this key pins the same slots.
             ((slots, by_value),) = self.groups.items()
-            entries = by_value.get(tuple(values[i] for i in slots), ())
+            entries = by_value.get(tuple([values[i] for i in slots]), ())
             return [template for _, template in entries]
         matched: list[tuple[int, _Template]] = []
         for slots, by_value in self.groups.items():
-            entries = by_value.get(tuple(values[i] for i in slots))
+            entries = by_value.get(tuple([values[i] for i in slots]))
             if entries:
                 matched.extend(entries)
         matched.sort(key=lambda entry: entry[0])
@@ -329,7 +341,6 @@ class DecisionCache:
                 # Computed once per probe; every candidate shares them.
                 fixed = self._fixed + skeleton.inline if skeleton.inline else self._fixed
                 partition = _equality_partition(values, param_items, fixed)
-                params = dict(param_items)
                 # Pinned values already match: the discrimination index
                 # only yields templates whose pinned slots equal ``values``.
                 for template in index.candidates(values):
@@ -341,7 +352,7 @@ class DecisionCache:
                     ):
                         continue
                     if template.allowed:
-                        witnesses = _witnesses(template, values, params, trace)
+                        witnesses = _witnesses(template, values, param_items, trace)
                     elif not (
                         template.guard_relations
                         and trace is not None
@@ -655,26 +666,25 @@ def _equality_partition(
     values: tuple[object, ...],
     param_items: list[tuple[str, object]],
     fixed: tuple[object, ...] = (),
-) -> tuple[tuple[int, ...], ...]:
-    """Partition of slot indexes by value under
-    :func:`~repro.relalg.constraints.constant_key`; params get negative
-    pseudo-indexes, and after them the ``fixed`` constants (view
-    constants, inline literals), so a slot or param equal to one of them
-    is recorded too.
+) -> tuple[int, ...]:
+    """The slot values, then the params, each labelled by the position of
+    the first of them equal to it (:func:`constant_key`), or ``-(k + 1)``
+    for the ``k``-th ``fixed`` constant (view constants, inline literals).
+    A param's label comes with its name: a proof about ``?MyUId`` says
+    nothing to a session that binds another.
 
     Captures both the required equalities and the required distinctness:
-    two instantiations match iff they induce the same partition.
+    two instantiations match iff they induce the same labels.
     """
-    keyed: dict[object, list[int]] = {}
+    first: dict[object, int] = {}
+    for offset, value in enumerate(fixed):
+        first.setdefault(constant_key(value), -(offset + 1))
+    labels = []
     for index, value in enumerate(values):
-        keyed.setdefault(constant_key(value), []).append(index)
-    for offset, (_, value) in enumerate(param_items):
-        keyed.setdefault(constant_key(value), []).append(-(offset + 1))
-    for offset, value in enumerate(fixed, start=len(param_items)):
-        keyed.setdefault(constant_key(value), []).append(-(offset + 1))
-    groups = [tuple(sorted(group)) for group in keyed.values() if len(group) > 1]
-    groups.sort()
-    return tuple(groups)
+        labels.append(first.setdefault(constant_key(value), index))
+    for index, (name, value) in enumerate(param_items, len(values)):
+        labels.append((name, first.setdefault(constant_key(value), index)))
+    return tuple(labels)
 
 
 def _still_proved(
@@ -749,25 +759,26 @@ def _pattern_of(
 def _witnesses(
     template: _Template,
     values: tuple[object, ...],
-    params: dict[str, object],
+    param_items: list[tuple[str, object]],
     trace: Trace | None,
 ) -> list[Atom] | None:
     """One certified trace fact per fact pattern of ``template`` — the
     first match in trace order — or None when some pattern has none.
 
     A pattern that determines every argument is answered by one probe of
-    the trace's fact index: at most one certified fact equals the
-    expected atom, so it is the only one :func:`_fact_matches` could
-    accept. A pattern with an ``any`` position scans its relation's facts.
+    the trace's fact index with the fact it asks for: an atom is a tagged
+    tuple, so the plain tuple of its fields equals it, and at most one
+    certified fact does (the one :func:`_fact_matches` would accept). A
+    pattern with an ``any`` position scans its relation's facts.
     """
     if not template.fact_patterns:
         return []
     if trace is None:
         return None
+    params = dict(param_items)
     found: list[Atom] = []
-    for rel, pattern_args in template.fact_patterns:
-        expected = _expected_fact(rel, pattern_args, values, params)
-        if expected is None:
+    for (rel, pattern_args), ops in zip(template.fact_patterns, template.probes):
+        if ops is None:
             witness = next(
                 (
                     fact
@@ -777,37 +788,24 @@ def _witnesses(
                 None,
             )
         else:
-            witness = trace.certified(expected)
-            if witness is not None and not _fact_matches(
-                witness, rel, pattern_args, values, params
-            ):
-                witness = None
+            args = []
+            for kind, ref in ops:
+                if kind == "slot":
+                    args.append((values[ref], "const"))
+                elif kind == "param":
+                    args.append((params.get(ref, _ABSENT), "const"))
+                else:
+                    args.append(ref)
+            witness = trace.certified((rel, tuple(args), "atom"))  # type: ignore[arg-type]
         if witness is None:
             return None
         found.append(witness)
     return found
 
 
-def _expected_fact(
-    rel: str,
-    pattern_args: tuple[_PatternArg, ...],
-    values: tuple[object, ...],
-    params: dict[str, object],
-) -> Atom | None:
-    """The ground fact a pattern asks for, or None when an ``any``
-    position leaves it open. (A param the session lacks reads as None
-    here, which no certified constant matches under ``_fact_matches``.)"""
-    args = []
-    for kind, ref in pattern_args:
-        if kind == "any":
-            return None
-        if kind == "slot":
-            args.append(Const(values[ref]))  # type: ignore[index]
-        elif kind == "param":
-            args.append(Const(params.get(ref)))  # type: ignore[arg-type]
-        else:
-            args.append(Const(ref))  # type: ignore[arg-type]
-    return Atom(rel, tuple(args))
+#: What a param the session lacks reads as in a probe: a value no
+#: certified constant equals.
+_ABSENT = object()
 
 
 def _fact_matches(

@@ -126,6 +126,9 @@ class EnforcementProxy:
         #: The change-log sequence number the trace has been swept to.
         self._swept = self.db.changes.seq
         self._closed = False
+        #: The running statement's stage timings, counter names and view
+        #: names, for its one metrics write (:meth:`_execute`).
+        self._tally: tuple[list, list, list] | None = None
 
     # -- the application-facing API ----------------------------------------------
 
@@ -135,8 +138,8 @@ class EnforcementProxy:
         args: Sequence[object] = (),
         named: Mapping[str, object] | None = None,
     ) -> Result | int:
-        plan, stmt = self._resolve(sql)
-        return self._execute(plan, stmt, args, named)
+        plan, stmt, stages = self._resolve(sql)
+        return self._execute(plan, stmt, args, named, stages)
 
     def query(
         self,
@@ -146,10 +149,11 @@ class EnforcementProxy:
     ) -> Result:
         """Like :meth:`sql` but refuses anything except a SELECT — before
         executing it, so a rejected write leaves the data untouched."""
-        plan, stmt = self._resolve(sql)
+        plan, stmt, stages = self._resolve(sql)
         if not isinstance(stmt, ast.Select):
+            self._gateway.metrics.record(stages, (), ())
             raise EngineError("query() requires a SELECT statement")
-        result = self._execute(plan, stmt, args, named)
+        result = self._execute(plan, stmt, args, named, stages)
         assert isinstance(result, Result)
         return result
 
@@ -175,20 +179,20 @@ class EnforcementProxy:
         resolved its text's plan — the decision itself is unchanged."""
         if self._closed:
             raise EngineError("connection is closed")
-        return self._execute(plan, plan.statement, args, named)
+        return self._execute(plan, plan.statement, args, named, [])
 
     def _resolve(
         self, sql: str | ast.Statement
-    ) -> tuple[PreparedPlan | None, ast.Statement]:
-        """A SQL text's plan, from the database's plan table, and its
-        statement (the parse stage). A statement object has no text to
-        key a plan on: it comes back alone, to take the per-request path."""
+    ) -> tuple[PreparedPlan | None, ast.Statement, list[tuple[str, float]]]:
+        """A SQL text's plan, from the database's plan table, its
+        statement, and its stage timings so far (the parse). A statement
+        object has no text to key a plan on: it comes back alone."""
         if self._closed:
             raise EngineError("connection is closed")
         started = time.perf_counter()
         plan = self.db.prepare(sql) if isinstance(sql, str) else None
-        self._gateway.metrics.observe_stage("parse", time.perf_counter() - started)
-        return plan, (sql if plan is None else plan.statement)
+        parse = ("parse", time.perf_counter() - started)
+        return plan, (sql if plan is None else plan.statement), [parse]
 
     def _execute(
         self,
@@ -196,6 +200,7 @@ class EnforcementProxy:
         stmt: ast.Statement,
         args: Sequence[object],
         named: Mapping[str, object] | None,
+        stages: list[tuple[str, float]],
     ) -> Result | int:
         """Bind once; a SELECT is then decided, executed and certified.
 
@@ -212,64 +217,71 @@ class EnforcementProxy:
 
         Each attempt is a decision; the statement's outcome — the last
         one, or the Block that ends the attempts — is counted and
-        observed once (:meth:`_conclude`).
+        observed once (:meth:`_conclude`). Its ``stages`` and counts are
+        recorded in one metrics write when it ends, however it ends.
         """
-        if not isinstance(stmt, ast.Select):
-            return self._gateway._handle_write(stmt, args, named)
-        bound = bind_parameters(stmt, args, named)
-        assert isinstance(bound, ast.Select)
-        skeleton = plan.skeleton_for(args, named) if plan is not None else None
-        changes = self.db.changes
-        metrics = self._gateway.metrics
-        for attempt in range(STATEMENT_ATTEMPTS):
-            if attempt:
-                metrics.increment("statement_retries")
-            settled = changes.settled
-            if changes.seq != self._swept:
-                self._sweep()
-            swept = self._swept
-            decision = self.decide(bound, skeleton=skeleton)
-            if not decision.allowed:
+        counts: list[str] = []
+        views: list[str] = []
+        self._tally = (stages, counts, views)
+        try:
+            if not isinstance(stmt, ast.Select):
+                return self._gateway._handle_write(stmt, args, named)
+            bound = bind_parameters(stmt, args, named)
+            assert isinstance(bound, ast.Select)
+            skeleton = plan.skeleton_for(args, named) if plan is not None else None
+            changes = self.db.changes
+            for attempt in range(STATEMENT_ATTEMPTS):
+                if attempt:
+                    counts.append("statement_retries")
+                settled = changes.settled
+                if changes.seq != self._swept:
+                    self._sweep()
+                swept = self._swept
+                decision = self.decide(bound, skeleton=skeleton)
+                if not decision.allowed:
+                    self._conclude(decision, bound)
+                    raise PolicyViolation(decision)
+                started = time.perf_counter()
+                result = self.db.execute_bound(bound)
+                stages.append(("execute", time.perf_counter() - started))
+                assert isinstance(result, Result)
+                if changes.seq != swept and self._sweep():
+                    continue
                 self._conclude(decision, bound)
-                raise PolicyViolation(decision)
-            started = time.perf_counter()
-            result = self.db.execute_bound(bound)
-            metrics.observe_stage("execute", time.perf_counter() - started)
-            assert isinstance(result, Result)
-            if changes.seq != swept and self._sweep():
-                continue
-            self._conclude(decision, bound)
-            # The tail after ``execute``: certify the answer's facts into
-            # the trace.
-            certifying = time.perf_counter()
-            self.trace.record_execution(bound, result, self.db.schema, plan, skeleton)
-            self._swept = settled
-            metrics.observe_stage("certify", time.perf_counter() - certifying)
-            return result
-        block = Decision(
-            allowed=False,
-            sql=bound,
-            reason=f"a concurrent write retired this session's facts during"
-            f" each of {STATEMENT_ATTEMPTS} attempts",
-            policy_version=decision.policy_version,
-        )
-        self._conclude(block, bound, decided=False)
-        raise PolicyViolation(block)
+                # The tail after ``execute``: certify the answer's facts
+                # into the trace.
+                certifying = time.perf_counter()
+                self.trace.record_execution(bound, result, self.db.schema, plan, skeleton)
+                self._swept = settled
+                stages.append(("certify", time.perf_counter() - certifying))
+                return result
+            block = Decision(
+                allowed=False,
+                sql=bound,
+                reason=f"a concurrent write retired this session's facts during"
+                f" each of {STATEMENT_ATTEMPTS} attempts",
+                policy_version=decision.policy_version,
+            )
+            self._conclude(block, bound, decided=False)
+            raise PolicyViolation(block)
+        finally:
+            self._tally = None
+            self._gateway.metrics.record(stages, counts, views)
 
     def _conclude(
         self, decision: Decision, bound: ast.Select, decided: bool = True
     ) -> None:
-        """One statement's outcome: the outcome counters, the audit record
-        and the shadow check. ``decided`` is False for the Block that ends
-        the attempts: it is counted and audited, but not shadowed — no
-        policy made it, so a candidate policy cannot diverge from it."""
+        """One statement's outcome: the outcome counters (into the
+        statement's tally), the audit record and the shadow check.
+        ``decided`` is False for the Block that ends the attempts: it is
+        counted and audited, but not shadowed — no policy made it, so a
+        candidate policy cannot diverge from it."""
         self.last_decision = decision
         gateway = self._gateway
-        metrics = gateway.metrics
-        metrics.increment("decisions_allowed" if decision.allowed else "decisions_blocked")
+        _, counts, views = self._tally
+        counts.append("decisions_allowed" if decision.allowed else "decisions_blocked")
         for rewriting in decision.rewritings:
-            for atom in rewriting.atoms:
-                metrics.count_view_check(atom.rel)
+            views.extend(atom.rel for atom in rewriting.atoms)
         audit = gateway.decision_audit
         if audit is not None:
             facts = self.trace.facts
@@ -328,10 +340,13 @@ class EnforcementProxy:
         what it decides (and may still answer from a template another
         session just stored: ``from_cache``). Deciding is not an outcome:
         the allow/block counts and the audit record belong to the
-        statement that executes (:meth:`_conclude`).
+        statement that executes (:meth:`_conclude`). Its ``check`` timing
+        and counts join the running statement's tally, or are recorded at
+        once when no statement runs.
         """
+        tally = self._tally
+        stages, counts, _ = ([], [], ()) if tally is None else tally
         gateway = self._gateway
-        metrics = gateway.metrics
         bindings = self.session.bindings
         started = time.perf_counter()
         with gateway.epoch as epoch:
@@ -347,8 +362,10 @@ class EnforcementProxy:
                     bound, bindings, self.trace, skeleton=skeleton
                 )
                 if decision.over_budget:
-                    metrics.increment("checks_over_budget")
-            metrics.observe_stage("check", time.perf_counter() - started)
-            metrics.increment("cache_hits" if decision.from_cache else "cache_misses")
+                    counts.append("checks_over_budget")
+            stages.append(("check", time.perf_counter() - started))
+            counts.append("cache_hits" if decision.from_cache else "cache_misses")
         decision.policy_version = epoch.version
+        if tally is None:
+            gateway.metrics.record(stages, counts, ())
         return decision

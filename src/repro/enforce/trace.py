@@ -30,8 +30,8 @@ closure both are tested against.
 
 from __future__ import annotations
 
-from collections.abc import Collection, Iterable, Mapping, Sequence
-from dataclasses import dataclass
+from collections.abc import Callable, Collection, Iterable, Mapping, Sequence
+from dataclasses import dataclass, field
 
 from repro.engine.executor import Result
 from repro.relalg.constraints import ConstraintSet, const_cmp
@@ -131,7 +131,59 @@ class ExtractionPlan:
     #: slots. A slot value equal to one (``1 == True``) would have merged
     #: with it in a per-request closure; the stand-ins kept them apart.
     inline: frozenset = frozenset()
+    #: The plan compiled to ``extract(slot values, rows, fresh null)``.
+    extract: Callable[..., list[Atom]] = field(init=False, compare=False, repr=False)
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "extract", _compile(self))
+
+
+def _compile(plan: ExtractionPlan) -> Callable[..., list[Atom]]:
+    """``plan`` as one function of an execution — its slot values, rows
+    and the trace's labeled-null source — that returns the certified
+    facts: each row that passes the checks fills every atom, left to
+    right, so labeled nulls are numbered as a walk of the plan would."""
+    if not plan.consistent:
+        return lambda values, rows, fresh_null: []
+    checks = [(op, *_operand(left), *_operand(right)) for op, left, right in plan.checks]
+
+    def extract(values, rows, fresh_null):
+        # Loops, not comprehensions: over a few items, a comprehension's
+        # own frame costs more than the items do.
+        facts: list[Atom] = []
+        for row in rows:
+            for op, left_col, left, left_slot, right_col, right, right_slot in checks:
+                lhs = row[left] if left_col else values[left] if left_slot else left
+                rhs = row[right] if right_col else values[right] if right_slot else right
+                if not const_cmp(op, lhs, rhs):
+                    break
+            else:
+                nulls: dict[object, Var] = {}
+                for rel, ops in plan.atoms:
+                    args = []
+                    for kind, ref in ops:
+                        if kind == "col":
+                            args.append(_new(Const, (row[ref], "const")))
+                        elif kind == "slot":
+                            args.append(_new(Const, (values[ref], "const")))
+                        elif kind == "const":
+                            args.append(ref)
+                        elif kind == "null":
+                            null = nulls.get(ref)
+                            if null is None:
+                                null = nulls[ref] = fresh_null()
+                            args.append(null)
+                        else:
+                            args.append(fresh_null())
+                    facts.append(_new(Atom, (rel, tuple(args), "atom")))
+        return facts
+
+    return extract
+
+
+#: Builds a tagged tuple (a :class:`Const`, an :class:`Atom`) from its
+#: fields, as the class's own constructor does, without its Python frame.
+_new = tuple.__new__
 
 #: The plan of a query without a CQ translation.
 _CERTIFIES_NOTHING = ExtractionPlan(consistent=False)
@@ -241,7 +293,7 @@ def certification_plan(
     classes: list[int] = []
     for index, value in enumerate(values):
         leader = leaders.setdefault(value, index)
-        if type(values[leader]) is not type(value):
+        if leader != index and type(values[leader]) is not type(value):
             return None
         classes.append(leader)
     # Keyed by schema too: translation expands ``*`` and resolves columns
@@ -386,7 +438,8 @@ class Trace:
     ) -> tuple[Atom, ...]:
         """:meth:`record` for a query whose extraction plan was built
         ahead (:func:`certification_plan`): ``values`` fill its slots."""
-        facts = tuple(self._run(plan, values, result.rows)) if result.rows else ()
+        rows = result.rows
+        facts = tuple(plan.extract(values, rows, self._fresh_null)) if rows else ()
         self._recorded += 1
         self._certify(facts)
         return facts
@@ -463,55 +516,11 @@ class Trace:
         self._null_counter += 1
         return Var(f"{_NULL_PREFIX}{self._null_counter}")
 
-    def _run(
-        self, plan: ExtractionPlan, values: Sequence[object], rows: Iterable[tuple]
-    ) -> list[Atom]:
-        """Substitute each row (and the slot ``values``) into ``plan``."""
-        facts: list[Atom] = []
-        if not plan.consistent:
-            return facts
-        # Each check as (op, left is a column, left column or value,
-        # right is a column, right column or value).
-        checks = [
-            (op, *_operand(left, values), *_operand(right, values))
-            for op, left, right in plan.checks
-        ]
-        slots = [Const(value) for value in values]
-        for row in rows:
-            if not all(
-                const_cmp(
-                    op,
-                    row[left] if left_col else left,
-                    row[right] if right_col else right,
-                )
-                for op, left_col, left, right_col, right in checks
-            ):
-                continue
-            nulls: dict[object, Var] = {}
-            for rel, ops in plan.atoms:
-                resolved: list[Term] = []
-                for kind, payload in ops:
-                    if kind == "const":
-                        resolved.append(payload)  # type: ignore[arg-type]
-                    elif kind == "col":
-                        resolved.append(Const(row[payload]))  # type: ignore[index]
-                    elif kind == "slot":
-                        resolved.append(slots[payload])  # type: ignore[index]
-                    elif kind == "null":
-                        null = nulls.get(payload)
-                        if null is None:
-                            null = self._fresh_null()
-                            nulls[payload] = null
-                        resolved.append(null)
-                    else:
-                        resolved.append(self._fresh_null())
-                facts.append(Atom(rel, tuple(resolved)))
-        return facts
 
-
-def _operand(op: _Op, values: Sequence[object]) -> tuple[bool, object]:
-    """A check operand as ``(True, column)`` or ``(False, value)``."""
+def _operand(op: _Op) -> tuple[bool, object, bool]:
+    """A check operand as ``(True, column, False)``, ``(False, slot,
+    True)`` or ``(False, value, False)``."""
     kind, ref = op
-    if kind == "col":
-        return True, ref
-    return False, values[ref] if kind == "slot" else ref.value  # type: ignore
+    if kind == "const":
+        return False, ref.value, False  # type: ignore[union-attr]
+    return kind == "col", ref, kind == "slot"

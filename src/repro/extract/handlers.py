@@ -183,10 +183,6 @@ class Handler:
     body: tuple[Stmt, ...]
 
 
-class HandlerAbort(DbacError):
-    """Raised by the concrete interpreter when a handler Aborts."""
-
-
 # --------------------------------------------------------------------------
 # Concrete interpreter
 # --------------------------------------------------------------------------

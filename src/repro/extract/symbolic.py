@@ -124,14 +124,9 @@ class SymbolicExtractor:
     def _execute(self, handler: Handler) -> tuple[list[GuardedQuery], int]:
         collected: list[GuardedQuery] = []
         paths_finished = 0
-        fresh_counter = [0]
         param_vars = {
             name: Var(f"${handler.name}.{name}") for name in handler.params
         }
-
-        def fresh_suffix() -> str:
-            fresh_counter[0] += 1
-            return str(fresh_counter[0])
 
         def arg_term(arg: ArgExpr, results: dict[str, CQ]) -> Term:
             if isinstance(arg, ParamRef):

@@ -81,12 +81,14 @@ _FLIP = {"<": "<", "<=": "<=", ">": "<", ">=": "<="}
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Atom:
-    """A relational atom ``rel(args...)`` over the full column list of rel."""
+class Atom(NamedTuple):
+    """A relational atom ``rel(args...)`` over the full column list of
+    rel; a tagged tuple like the terms, three fields long, so it never
+    equals one."""
 
     rel: str
     args: tuple[Term, ...]
+    tag: str = "atom"
 
     def __repr__(self) -> str:
         inner = ", ".join(repr(a) for a in self.args)

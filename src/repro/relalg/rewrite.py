@@ -588,17 +588,6 @@ def _build(
     for atom in view_atoms + fact_atoms:
         available.update(atom.args)
 
-    def is_available(term: Term) -> bool:
-        if isinstance(term, Const | Param):
-            return True
-        if term in available:
-            return True
-        if isinstance(closure.canon(term), Const):
-            return True
-        return any(
-            isinstance(other, Var) and closure.equal(term, other) for other in available
-        )
-
     def canonical(term: Term) -> Term | None:
         """Rewrite a term onto the rewriting's vocabulary, or None."""
         if isinstance(term, Const | Param) or term in available:

@@ -72,15 +72,6 @@ def translate_select(stmt: ast.Select, schema: SchemaInfo, name: str | None = No
     return UCQ(tuple(cqs), name)
 
 
-def translate_statement(stmt: ast.Statement, schema: SchemaInfo, name: str | None = None) -> UCQ:
-    """Translate any read statement; non-SELECTs are rejected."""
-    if not isinstance(stmt, ast.Select):
-        raise TranslationError(
-            f"only SELECT statements have a CQ translation, got {type(stmt).__name__}"
-        )
-    return translate_select(stmt, schema, name)
-
-
 # --------------------------------------------------------------------------
 # Scope: table aliases and column resolution
 # --------------------------------------------------------------------------

@@ -133,26 +133,23 @@ class PolicyEpoch:
         )
         #: Combining-lock batcher for miss checks.
         self.batcher = CheckBatcher(self.checker, self.shared_cache)
-        self._condition = threading.Condition()
+        self._lock = threading.Lock()
         self._pins = 0
+        #: Set by the last unpin, made only while :meth:`retire` waits.
+        self._drained: threading.Event | None = None
 
     # -- pinning ------------------------------------------------------------------
 
     def __enter__(self) -> "PolicyEpoch":
-        with self._condition:
+        with self._lock:
             self._pins += 1
         return self
 
     def __exit__(self, *exc_info) -> None:
-        with self._condition:
+        with self._lock:
             self._pins -= 1
-            if self._pins == 0:
-                self._condition.notify_all()
-
-    @property
-    def pins(self) -> int:
-        with self._condition:
-            return self._pins
+            if self._pins == 0 and self._drained is not None:
+                self._drained.set()
 
     def retire(self, timeout_s: float = 30.0) -> bool:
         """Wait for in-flight decisions to drain.
@@ -161,8 +158,13 @@ class PolicyEpoch:
         deadline (a straggler still finishes under its own epoch's
         checker, so the decision stays untorn).
         """
-        with self._condition:
-            return self._condition.wait_for(lambda: self._pins == 0, timeout=timeout_s)
+        with self._lock:
+            if self._pins == 0:
+                return True
+            if self._drained is None or self._drained.is_set():
+                self._drained = threading.Event()
+            drained = self._drained
+        return drained.wait(timeout_s)
 
     def continue_counts_of(self, retired: "PolicyEpoch") -> None:
         """Start the store's and the compiled policy's event counters where

@@ -16,6 +16,7 @@ from __future__ import annotations
 import threading
 from bisect import bisect_left
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 #: Bucket upper bounds in microseconds: ~log2-spaced from 1µs to ~4s.
@@ -165,19 +166,30 @@ class GatewayMetrics:
         self._view_checks: Counter[str] = Counter()
 
     def observe_stage(self, stage: str, seconds: float) -> None:
+        self.record(((stage, seconds),), (), ())
+
+    def record(
+        self,
+        stages: Iterable[tuple[str, float]],
+        counters: Iterable[str],
+        view_checks: Iterable[str],
+    ) -> None:
+        """One statement's stage observations and counter increments (one
+        each per name listed), under one lock acquisition."""
         with self._lock:
-            histogram = self._stages.get(stage)
-            if histogram is None:
-                histogram = self._stages[stage] = LatencyHistogram()
-            histogram.observe(seconds)
+            for stage, seconds in stages:
+                histogram = self._stages.get(stage)
+                if histogram is None:
+                    histogram = self._stages[stage] = LatencyHistogram()
+                histogram.observe(seconds)
+            for name in counters:
+                self._counters[name] += 1
+            for name in view_checks:
+                self._view_checks[name] += 1
 
     def increment(self, name: str, amount: int = 1) -> None:
         with self._lock:
             self._counters[name] += amount
-
-    def count_view_check(self, view_name: str, amount: int = 1) -> None:
-        with self._lock:
-            self._view_checks[view_name] += amount
 
     def counter(self, name: str) -> int:
         with self._lock:

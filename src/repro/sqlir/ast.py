@@ -208,6 +208,24 @@ class Select(Statement):
         """All table references, FROM sources first then JOINed tables."""
         return self.sources + tuple(join.table for join in self.joins)
 
+    def __hash__(self) -> int:
+        # Taken once, like CQ's: the template store keys on a statement's
+        # skeleton, which a prepared plan holds once for every execution.
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = hash(
+                (self.items, self.sources, self.joins, self.where, self.group_by,
+                 self.having, self.order_by, self.limit, self.distinct)
+            )
+            object.__setattr__(self, "_hash", cached)
+        return cached
+
+    def __getstate__(self) -> dict:
+        # A str hash differs between processes: never carry the cached one.
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
 
 @dataclass(frozen=True)
 class Insert(Statement):

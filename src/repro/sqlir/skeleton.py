@@ -23,24 +23,24 @@ records the order pattern of its values
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.sqlir import ast
 
 
-@dataclass(frozen=True)
-class Skeleton:
-    """A hollowed-out statement plus the constants that filled it."""
+class Skeleton(NamedTuple):
+    """A hollowed-out statement plus the constants that filled it (a
+    tuple: a prepared plan builds one per execution, cheaply)."""
 
     statement: ast.Statement
     values: tuple[object, ...]
     generalizable: tuple[bool, ...]
     #: Whether the statement has an order comparison (``<``, ``<=``,
     #: ``>``, ``>=``) anywhere, between literals or columns.
-    ordered: bool = False
+    ordered: bool
     #: The literals left inline (booleans and NULL), in statement order:
     #: constants a proof can use, like the slot values.
-    inline: tuple[object, ...] = ()
+    inline: tuple[object, ...]
 
     @property
     def slot_count(self) -> int:

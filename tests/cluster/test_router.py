@@ -307,3 +307,25 @@ class TestRouterEdges:
         assert router.router.counters["sessions_routed"] == 20
         routed = sum(shard.sessions_routed for shard in router.router._shards)
         assert routed == 20
+
+
+class TestPoolCounters:
+    def test_pool_counters_count_hello_handoffs_not_health_probes(self, two_shards):
+        """Probes take and return pooled connections too; ``pool_hits`` and
+        ``pool_misses`` say only how each routed session got its own."""
+        router, _, _ = two_shards
+        counters = router.router.counters
+
+        def wait_for_probes(count: int) -> None:
+            deadline = time.monotonic() + 10
+            while counters["health_probes"] < count and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert counters["health_probes"] >= count
+
+        wait_for_probes(6)
+        connection = NetClientConnection("127.0.0.1", router.port, user=1)
+        connection.query("SELECT EId FROM Attendance WHERE UId = ?", [1])
+        connection.close()
+        wait_for_probes(counters["health_probes"] + 6)
+        assert counters["sessions_routed"] == 1
+        assert counters["pool_hits"] + counters["pool_misses"] == 1

@@ -4,9 +4,11 @@ import pytest
 
 from repro.enforce.cache import DecisionCache
 from repro.enforce.checker import ComplianceChecker
+from repro.enforce.decision import PolicyViolation
 from repro.enforce.trace import Trace
 from repro.engine.executor import Result
 from repro.relalg.translate import translate_select
+from repro.serve import EnforcementGateway
 from repro.sqlir.params import bind_parameters
 from repro.sqlir.parser import parse_select
 
@@ -156,3 +158,21 @@ class TestStats:
         assert cache.hits == 1
         assert cache.misses >= 1
         assert 0 < cache.hit_rate < 1
+
+
+class TestParamsAreNamed:
+    def test_a_template_never_answers_a_session_binding_another_param(
+        self, calendar_db, calendar_policy
+    ):
+        """A proof about ``UId = ?MyUId`` says nothing to a session with
+        no ``MyUId``: a fresh check Blocks it, and so must the template."""
+        gateway = EnforcementGateway(calendar_db, calendar_policy)
+        sql = "SELECT EId FROM Attendance WHERE UId = ?"
+        try:
+            gateway.connect({"MyUId": 1}).query(sql, [1])
+            other = gateway.connect({"Other": 1})
+            with pytest.raises(PolicyViolation) as blocked:
+                other.query(sql, [1])
+            assert not blocked.value.decision.from_cache
+        finally:
+            gateway.close()

@@ -310,13 +310,16 @@ class TestBoolIntDistinctness:
     def test_partition_uses_checker_equality(self):
         # Const(True) == Const(1) == Const(1.0) in the closure, so a proof
         # may use those equalities and the partition must record them.
-        assert _equality_partition((True, 1), []) == ((0, 1),)
-        assert _equality_partition((1, 1.0), []) == ((0, 1),)
-        assert _equality_partition((False, 0), []) == ((0, 1),)
-        assert _equality_partition((1, "1"), []) == ()
+        # (Each value is labelled with the position of the first equal one.)
+        assert _equality_partition((True, 1), []) == (0, 0)
+        assert _equality_partition((1, 1.0), []) == (0, 0)
+        assert _equality_partition((False, 0), []) == (0, 0)
+        assert _equality_partition((1, "1"), []) == (0, 1)
         # Params participate under the same key rule.
-        assert _equality_partition((2.0,), [("MyUId", 2)]) == ((-1, 0),)
-        assert _equality_partition(("2",), [("MyUId", 2)]) == ()
+        assert _equality_partition((2.0,), [("MyUId", 2)]) == (0, ("MyUId", 0))
+        assert _equality_partition(("2",), [("MyUId", 2)]) == (0, ("MyUId", 1))
+        # And so do the fixed constants, with negative labels.
+        assert _equality_partition((True, 2), [], (1,)) == (-1, 1)
 
     def test_lookup_distinguishes_bool_from_int_instantiations(self):
         policy = calendar_app.ground_truth_policy()

@@ -26,6 +26,7 @@ from repro.enforce.trace import (
     Trace,
     certification_plan,
     extraction_plan,
+    is_labeled_null,
     single_cq,
 )
 from repro.engine.executor import Result
@@ -286,6 +287,58 @@ def test_planned_certification_equals_translate_and_record(data):
         assert typed(planned.facts) == typed(reference.facts)
         assert len(planned) == len(reference)
     assert len(plan.certifications) <= MAX_CERTIFICATIONS_PER_PLAN
+
+
+def up_to_null_renaming(facts) -> tuple:
+    """:func:`typed`, with each labeled null named by its first
+    occurrence: equal iff the facts are, up to renaming the nulls."""
+    names: dict[str, int] = {}
+
+    def arg(term):
+        if is_labeled_null(term):
+            return ("null", names.setdefault(term.name, len(names)))
+        return (type(term.value).__name__, repr(term))
+
+    return tuple((fact.rel, tuple(arg(term) for term in fact.args)) for fact in facts)
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(data=st.data())
+def test_the_plans_extractor_certifies_what_record_certifies(data):
+    """One call of a plan's compiled extractor builds, in order, the facts
+    ``Trace.record(sql, single_cq(bound), result)`` certifies for the
+    same execution — whatever the trace's labeled nulls are named — and
+    the per-row constraint closure does."""
+    plain = data.draw(st.sampled_from([True, True, False]), label="plain")
+    palette = data.draw(st.lists(st.sampled_from(VALUES), min_size=1, max_size=3))
+    values = st.sampled_from(palette)
+    app, sql, named = data.draw(statements(palette, plain), label="statement")
+    schema = SCHEMAS[app]
+    plan = prepare_plan(parse_sql(sql), sql)
+    positional = sql.replace("?p", "").replace("?q", "").count("?")
+    args = [data.draw(values) for _ in range(positional)]
+    bindings = {name: data.draw(values) for name in named}
+    skeleton = plan.skeleton_for(args, bindings)
+    assume(skeleton is not None)
+    extraction = certification_plan(plan, skeleton.values, schema)
+    assume(extraction is not None)
+    bound = plan.bind(args, bindings)
+    query = single_cq(bound, schema)
+    assert query is not None
+    rows = data.draw(st.lists(st.tuples(*[values] * len(query.head)), max_size=3))
+    result = Result(columns=[f"c{i}" for i in range(len(query.head))], rows=rows)
+    extracting = Trace()
+    extracting._null_counter = data.draw(st.integers(0, 5), label="nulls already named")
+    extracted = extraction.extract(skeleton.values, rows, extracting._fresh_null)
+    recorded = Trace().record(sql, query, result)
+    assert up_to_null_renaming(extracted) == up_to_null_renaming(recorded)
+    # Both run a compiled plan; the per-row closure runs none.
+    reference = closure_facts(query, rows, Trace())
+    assert up_to_null_renaming(extracted) == up_to_null_renaming(reference)
 
 
 def certification(app: str, sql: str, args=(), named=None):

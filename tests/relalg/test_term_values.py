@@ -1,7 +1,7 @@
 """Terms keep the value semantics of the frozen dataclasses they replaced.
 
-``Var``, ``Const`` and ``Param`` are tagged tuples so that hashing and
-equality run in C. The reference classes below are the dataclasses they
+``Var``, ``Const``, ``Param`` and ``Atom`` are tagged tuples so that
+hashing and equality run in C. The reference classes below are the dataclasses they
 used to be; every observable the reasoning core relies on (``==``,
 ``!=``, hash consistency, ``repr``) must agree with them, across kinds.
 """
@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.relalg.cq import Const, Param, Var
+from repro.enforce.trace import fact_to_wire
+from repro.relalg.cq import Atom, Comp, Const, Param, Var
 from repro.util.text import sql_quote
 
 
@@ -106,7 +107,44 @@ def test_attributes_and_repr():
 def test_hash_and_eq_are_the_tuples_own():
     """A Python-level ``__hash__``/``__eq__`` would put the interpreter
     back on every dict and set operation of the reasoning core."""
-    for cls in (Var, Const, Param):
+    for cls in (Var, Const, Param, Atom):
         assert cls.__hash__ is tuple.__hash__
         assert cls.__eq__ is tuple.__eq__
         assert cls.__ne__ is tuple.__ne__
+
+
+class TestAtomIsATaggedTuple:
+    """``Atom`` joined the terms: trace facts and the atom sets of a check
+    hash and compare in C, and keep the dataclass's value semantics."""
+
+    def test_constants_compare_as_values(self):
+        one, true = Atom("R", (Const(1),)), Atom("R", (Const(True),))
+        assert one == true and hash(one) == hash(true)
+        assert len({one, true, Atom("R", (Const(1.0),))}) == 1
+        assert Atom("R", (Const(1),)) != Atom("S", (Const(1),))
+        assert Atom("R", (Const(1),)) != Atom("R", (Const("1"),))
+
+    @given(terms)
+    def test_an_atom_never_equals_a_term_or_a_comparison(self, term):
+        new, _ = build(*term)
+        for atom in (Atom("R", (new,)), Atom("x", ()), Atom("var", (new,))):
+            assert atom != new and new != atom
+            assert atom != Comp("=", new, new) and Comp("=", new, new) != atom
+
+    def test_attributes_repr_and_substitution(self):
+        atom = Atom("R", (Var("x"), Const(2), Param("u")))
+        assert (atom.rel, atom.args) == ("R", (Var("x"), Const(2), Param("u")))
+        assert repr(atom) == "R(x, 2, ?u)"
+        substituted = atom.substitute({Var("x"): Const(1)})
+        assert substituted == Atom("R", (Const(1), Const(2), Param("u")))
+        assert list(atom.variables()) == [Var("x")]
+        for clone in (pickle.loads(pickle.dumps(atom)), copy.deepcopy(atom)):
+            assert type(clone) is Atom and clone == atom and hash(clone) == hash(atom)
+
+    def test_fact_to_wire_is_unchanged(self):
+        null = Var("\x00ln7")
+        fact = Atom("Attendance", (Const(1), null, Const("a"), Const(None), Const(True)))
+        assert fact_to_wire(fact) == [
+            "Attendance",
+            [["const", 1], ["null", "7"], ["const", "a"], ["const", None], ["const", True]],
+        ]
